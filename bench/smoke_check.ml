@@ -35,18 +35,18 @@ let required =
    plane the smoke run exercises *)
 let required_bench_metrics =
   [
-    "\"micro_eddsa_sign_us\""; "\"micro_eddsa_verify_us\""; "\"micro_dsig_sign_us\"";
-    "\"store_sign_us\""; "\"translog_append_us\""; "\"translog_inclusion_proof_us\"";
-    "\"translog_consistency_proof_us\""; "\"translog_checkpoint_us\"";
+    "micro_eddsa_sign_us"; "micro_eddsa_verify_us"; "micro_dsig_sign_us";
+    "store_sign_us"; "translog_append_us"; "translog_inclusion_proof_us";
+    "translog_consistency_proof_us"; "translog_checkpoint_us";
     (* parallel plane (bench scale) *)
-    "\"scale_sign_speedup_4dom\""; "\"scale_verify_speedup_4dom\"";
-    "\"scale_verify_ops_per_sec_1dom\""; "\"scale_verify_ops_per_sec_4dom\"";
+    "scale_sign_speedup_4dom"; "scale_verify_speedup_4dom";
+    "scale_verify_ops_per_sec_1dom"; "scale_verify_ops_per_sec_4dom";
     (* key lifecycle plane (bench keylife) *)
-    "\"rotation_cutover_us\""; "\"revocation_propagate_us\"";
+    "rotation_cutover_us"; "revocation_propagate_us";
     (* load-control plane (bench fleet) *)
-    "\"fleet_goodput_ops_per_sec_1x\""; "\"fleet_goodput_ops_per_sec_2x\"";
-    "\"fleet_goodput_ops_per_sec_4x\""; "\"fleet_shed_ratio_1x\""; "\"fleet_shed_ratio_2x\"";
-    "\"fleet_shed_ratio_4x\""; "\"fleet_goodput_retention_4x\"";
+    "fleet_goodput_ops_per_sec_1x"; "fleet_goodput_ops_per_sec_2x";
+    "fleet_goodput_ops_per_sec_4x"; "fleet_shed_ratio_1x"; "fleet_shed_ratio_2x";
+    "fleet_shed_ratio_4x"; "fleet_goodput_retention_4x";
   ]
 
 (* Value gates: metrics that must not only be present but clear a floor.
@@ -69,22 +69,6 @@ let required_floors =
    admission controller is tuned into false positives. *)
 let required_ceilings = [ ("fleet_shed_ratio_1x", 0.0) ]
 
-(* Extract "name": 1.234 from the flat snapshot JSON. *)
-let metric_value s name =
-  let needle = "\"" ^ name ^ "\":" in
-  let nh = String.length s and nn = String.length needle in
-  let rec find i = if i + nn > nh then None else if String.sub s i nn = needle then Some (i + nn) else find (i + 1) in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < nh && (match s.[!stop] with '0' .. '9' | '.' | '-' | '+' | 'e' | ' ' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.trim (String.sub s start (!stop - start)))
-
 (* the provenance block the snapshot writer stamps (schema v2) — a
    baseline without it cannot be judged comparable to a fresh run *)
 let required_meta_keys =
@@ -104,33 +88,31 @@ let check_bench_snapshot ?baseline dir =
     List.iter (fun k -> Printf.eprintf "smoke_check: %s lacks meta key %s\n" path k) missing_meta;
     exit 1
   end;
-  let missing = List.filter (fun k -> not (contains s k)) required_bench_metrics in
+  let fresh =
+    match Trajectory.parse_snapshot s with
+    | Ok metrics -> metrics
+    | Error e ->
+        Printf.eprintf "smoke_check: fresh %s: %s\n" path e;
+        exit 1
+  in
+  let missing = List.filter (fun k -> not (List.mem_assoc k fresh)) required_bench_metrics in
   if missing <> [] then begin
-    List.iter (fun k -> Printf.eprintf "smoke_check: %s lacks metric %s\n" path k) missing;
+    List.iter (fun k -> Printf.eprintf "smoke_check: %s lacks metric %S\n" path k) missing;
     exit 1
   end;
-  List.iter
-    (fun (name, floor) ->
-      match metric_value s name with
-      | None ->
-          Printf.eprintf "smoke_check: %s has no parsable value for %s\n" path name;
-          exit 1
-      | Some v when v < floor ->
-          Printf.eprintf "smoke_check: %s: %s = %.2f below floor %.2f\n" path name v floor;
-          exit 1
-      | Some v -> Printf.printf "smoke_check: %s = %.2f (floor %.2f)\n" name v floor)
-    required_floors;
-  List.iter
-    (fun (name, ceiling) ->
-      match metric_value s name with
-      | None ->
-          Printf.eprintf "smoke_check: %s has no parsable value for %s\n" path name;
-          exit 1
-      | Some v when v > ceiling ->
-          Printf.eprintf "smoke_check: %s: %s = %.2f above ceiling %.2f\n" path name v ceiling;
-          exit 1
-      | Some v -> Printf.printf "smoke_check: %s = %.2f (ceiling %.2f)\n" name v ceiling)
-    required_ceilings;
+  let gate ~bound_name ~beyond ~violated (name, bound) =
+    match List.assoc_opt name fresh with
+    | None ->
+        Printf.eprintf "smoke_check: %s lacks metric %S\n" path name;
+        exit 1
+    | Some v when violated v bound ->
+        Printf.eprintf "smoke_check: %s: %s = %.2f %s %s %.2f\n" path name v beyond bound_name
+          bound;
+        exit 1
+    | Some v -> Printf.printf "smoke_check: %s = %.2f (%s %.2f)\n" name v bound_name bound
+  in
+  List.iter (gate ~bound_name:"floor" ~beyond:"below" ~violated:( < )) required_floors;
+  List.iter (gate ~bound_name:"ceiling" ~beyond:"above" ~violated:( > )) required_ceilings;
   Printf.printf "smoke_check: %s carries all %d pinned metrics\n" path
     (List.length required_bench_metrics);
   (* perf trajectory: hold the fresh metrics to the committed
@@ -150,27 +132,14 @@ let check_bench_snapshot ?baseline dir =
           Printf.eprintf "smoke_check: cannot read baseline: %s\n" e;
           exit 1
       in
-      (match (Trajectory.parse_snapshot base_body, Trajectory.parse_snapshot s) with
-      | Error e, _ ->
+      (match Trajectory.parse_snapshot base_body with
+      | Error e ->
           Printf.eprintf "smoke_check: baseline %s: %s\n" base_path e;
           exit 1
-      | _, Error e ->
-          Printf.eprintf "smoke_check: fresh %s: %s\n" path e;
-          exit 1
-      | Ok baseline, Ok fresh -> (
-          (* keep in sync with the band list in trajectory.ml:
-             fsync-bound and coarsely-quantized figures get wider
-             bands than the 50% default *)
-          let tolerances =
-            [
-              ("store_sign_us", 3.0);
-              ("translog_checkpoint_us", 1.5);
-              ("translog_consistency_proof_us", 1.5);
-              ("translog_inclusion_proof_us", 1.5);
-              ("rotation_cutover_us", 3.0);
-            ]
+      | Ok baseline -> (
+          let entries =
+            Trajectory.compare_metrics ~tolerances:Trajectory.bench_tolerances ~baseline ~fresh ()
           in
-          let entries = Trajectory.compare_metrics ~tolerances ~baseline ~fresh () in
           match Trajectory.failures entries with
           | [] ->
               Printf.printf "smoke_check: trajectory vs %s: %d metrics within band\n" base_path

@@ -32,22 +32,6 @@ let meta_line label meta =
   Printf.printf "%-8s rev=%s arch=%s domains=%s written_at=%s\n" label (get "git_rev")
     (get "arch") (get "domains") (get "written_at")
 
-(* Per-metric bands (shared with smoke_check — keep the lists in
-   sync): fsync-bound store latency swings >50% run-over-run on shared
-   hardware, and the sub-millisecond translog proof/checkpoint figures
-   quantize coarsely at --ops 50, so both get much wider bands than
-   the global default. The 4-domain speedup floor in smoke_check still
-   catches a real parallel-plane collapse. *)
-let tolerances =
-  [
-    ("store_sign_us", 3.0);
-    ("translog_checkpoint_us", 1.5);
-    ("translog_consistency_proof_us", 1.5);
-    ("translog_inclusion_proof_us", 1.5);
-    (* sub-ms wall-clock stall, coarsely quantized at --ops 50 *)
-    ("rotation_cutover_us", 3.0);
-  ]
-
 let () =
   if Array.length Sys.argv < 3 then begin
     Printf.eprintf "usage: trajectory.exe BASELINE.json FRESH.json [TOLERANCE]\n";
@@ -66,7 +50,9 @@ let () =
   in
   meta_line "baseline" base_meta;
   meta_line "fresh" fresh_meta;
-  let entries = Trajectory.compare_metrics ~tolerance ~tolerances ~baseline ~fresh () in
+  let entries =
+    Trajectory.compare_metrics ~tolerance ~tolerances:Trajectory.bench_tolerances ~baseline ~fresh ()
+  in
   print_string (Trajectory.render entries);
   match Trajectory.failures entries with
   | [] ->

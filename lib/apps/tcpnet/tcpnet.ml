@@ -2,9 +2,8 @@ module BU = Dsig_util.Bytesutil
 module Tel = Dsig_telemetry.Telemetry
 module Metric = Dsig_telemetry.Metric
 
-(* Transport metrics. Reader threads share one domain, so concurrent
-   counter increments may occasionally lose an update under systhread
-   preemption — acceptable for telemetry, never unsafe. *)
+(* Transport metrics, shared by every reader thread and client of a
+   bundle; the cells are domain-safe, so no increment is lost. *)
 type net_tel = {
   c_frames_in : Metric.Counter.t;
   c_frames_out : Metric.Counter.t;
@@ -127,12 +126,16 @@ let read_frame fd =
 
 (* --- server --- *)
 
+(* A reader thread owns its descriptor: it alone closes it, after taking
+   it off [peers]. [stop] shuts down the listed ones, which cannot have
+   been reused, and waits on [drained] for their readers. *)
 type server = {
   listener : Unix.file_descr;
   actual_port : int;
   mutable stopping : bool;
   mutable peers : Unix.file_descr list;
   mu : Mutex.t;
+  drained : Condition.t; (* signaled when [peers] becomes empty *)
   mutable accept_thread : Thread.t option;
 }
 
@@ -146,7 +149,38 @@ let listen ?(telemetry = Tel.default) ~port ~on_message () =
     match Unix.getsockname listener with Unix.ADDR_INET (_, p) -> p | _ -> port
   in
   let t =
-    { listener; actual_port; stopping = false; peers = []; mu = Mutex.create (); accept_thread = None }
+    let mu = Mutex.create () and drained = Condition.create () in
+    { listener; actual_port; stopping = false; peers = []; mu; drained; accept_thread = None }
+  in
+  let release peer =
+    Mutex.protect t.mu (fun () ->
+        t.peers <- List.filter (fun fd -> fd <> peer) t.peers;
+        if t.peers = [] then Condition.broadcast t.drained);
+    try Unix.close peer with Unix.Unix_error (_, _, _) -> ()
+  in
+  let reader peer () =
+    (try
+       while not t.stopping do
+         let frame = read_frame peer in
+         Metric.Counter.incr tel.c_frames_in;
+         Metric.Counter.incr ~by:(4 + String.length frame) tel.c_bytes_in;
+         Metric.Histogram.add tel.h_frame (float_of_int (String.length frame));
+         match decode_message frame with
+         | Ok m -> on_message m
+         | Error _ ->
+             (* drop malformed frames *)
+             Metric.Counter.incr tel.c_decode_errors
+       done
+     with e -> (
+       (* any escape — EOF on orderly close, oversized-frame Failure,
+          socket errors, or a misbehaving callback — must kill only this
+          peer's thread, never the server; anything but an orderly EOF
+          during shutdown is counted *)
+       match e with
+       | End_of_file -> ()
+       | _ when t.stopping -> ()
+       | _ -> Metric.Counter.incr tel.c_reader_errors));
+    release peer
   in
   let accept_loop () =
     let continue_ = ref true in
@@ -154,36 +188,8 @@ let listen ?(telemetry = Tel.default) ~port ~on_message () =
       match Unix.accept listener with
       | exception Unix.Unix_error (_, _, _) -> continue_ := false (* listener closed on stop *)
       | peer, _ ->
-          Mutex.lock t.mu;
-          t.peers <- peer :: t.peers;
-          Mutex.unlock t.mu;
-          ignore
-            (Thread.create
-               (fun () ->
-                 try
-                   while not t.stopping do
-                     let frame = read_frame peer in
-                     Metric.Counter.incr tel.c_frames_in;
-                     Metric.Counter.incr ~by:(4 + String.length frame) tel.c_bytes_in;
-                     Metric.Histogram.add tel.h_frame (float_of_int (String.length frame));
-                     match decode_message frame with
-                     | Ok m -> on_message m
-                     | Error _ ->
-                         (* drop malformed frames *)
-                         Metric.Counter.incr tel.c_decode_errors
-                   done
-                 with e ->
-                   (* any escape — EOF on orderly close, oversized-frame
-                      Failure, socket errors, or a misbehaving callback —
-                      must kill only this peer's thread, never the
-                      server; anything but an orderly EOF during
-                      shutdown is counted *)
-                   (match e with
-                   | End_of_file -> ()
-                   | _ when t.stopping -> ()
-                   | _ -> Metric.Counter.incr tel.c_reader_errors);
-                   (try Unix.close peer with Unix.Unix_error (_, _, _) -> ()))
-               ())
+          Mutex.protect t.mu (fun () -> t.peers <- peer :: t.peers);
+          ignore (Thread.create (reader peer) ())
     done
   in
   t.accept_thread <- Some (Thread.create accept_loop ());
@@ -203,10 +209,14 @@ let stop t =
    with Unix.Unix_error (_, _, _) -> ());
   (match t.accept_thread with Some th -> ( try Thread.join th with _ -> ()) | None -> ());
   (try Unix.close t.listener with Unix.Unix_error (_, _, _) -> ());
-  Mutex.lock t.mu;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ()) t.peers;
-  t.peers <- [];
-  Mutex.unlock t.mu
+  (* wake every reader blocked in read; each closes its own descriptor *)
+  Mutex.protect t.mu (fun () ->
+      List.iter
+        (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error (_, _, _) -> ())
+        t.peers;
+      while t.peers <> [] do
+        Condition.wait t.drained t.mu
+      done)
 
 (* --- client --- *)
 

@@ -44,9 +44,8 @@ val listen :
     [dsig_tcpnet_frames_received_total] / [dsig_tcpnet_bytes_received_total]
     / [dsig_tcpnet_decode_errors_total] /
     [dsig_tcpnet_reader_errors_total] counters and the
-    [dsig_tcpnet_frame_bytes] size histogram. Receiver threads share the
-    calling domain's metric cells; a rare lost increment under systhread
-    preemption is tolerated.
+    [dsig_tcpnet_frame_bytes] size histogram, shared by every receiver
+    thread (the cells are domain-safe, so no increment is lost).
 
     A receiver thread that dies for any reason — peer reset, oversized
     frame, an exception escaping [on_message] — closes only its own
@@ -55,7 +54,12 @@ val listen :
 
 val port : server -> int
 val stop : server -> unit
-(** Close the listener and all peer connections; joins threads. *)
+(** Close the listener, shut down every peer connection and wait for
+    the receiver threads to exit. Each accepted descriptor is closed
+    exactly once, by its own receiver thread, so [stop] never closes a
+    descriptor number the process has since reused. Must not be called
+    from [on_message], and returns only once every callback in flight
+    has returned. *)
 
 type client
 

@@ -14,10 +14,9 @@ type prepared = {
   root_sig : string;
 }
 
-(* Foreground-plane telemetry handles, resolved on the creating domain.
-   The background domain resolves its own handles inside
-   [background_loop], so the two planes write to distinct per-domain
-   cells and never contend (the registry merges them at snapshot time). *)
+(* Telemetry handles of both planes, resolved once in [create]. Each
+   cell is domain-safe, and the two planes write distinct cells, so the
+   background domain never contends with the foreground signer. *)
 type tel = {
   bundle : Tel.t;
   c_signs : Metric.Counter.t;
@@ -26,6 +25,7 @@ type tel = {
   c_acks : Metric.Counter.t;
   c_redundant : Metric.Counter.t;
   h_sign : Metric.Histogram.t;
+  h_batch : Metric.Histogram.t; (* background plane *)
   g_queue : Metric.Gauge.t;
   g_rtt : Metric.Gauge.t;
   g_rto : Metric.Gauge.t;
@@ -44,7 +44,7 @@ type t = {
   keys : prepared Queue.t;
   announcements : Batch.announcement Queue.t;
   announce : Announce.t; (* ACK tracking, guarded by [mu] *)
-  mutable batches : int;
+  batches : int Atomic.t; (* published as dsig_runtime_batches_total *)
   mutable stopping : bool;
   fg_rng : Rng.t; (* foreground nonces; background domain has its own *)
   mutable domain : unit Domain.t option;
@@ -57,9 +57,6 @@ type t = {
 
 let background_loop cfg ~id ~eddsa ~rng t () =
   let telemetry = t.tel.bundle in
-  (* background-plane handles: this domain's private cells *)
-  let c_batches = Tel.counter telemetry "dsig_runtime_batches_total" in
-  let h_batch = Tel.histogram telemetry "dsig_runtime_batch_gen_us" in
   let batch_counter =
     ref (match t.store_report with Some r -> r.Keystate.next_batch_id | None -> 0L)
   in
@@ -96,12 +93,11 @@ let background_loop cfg ~id ~eddsa ~rng t () =
           t.keys
       done;
       Queue.add ann t.announcements;
-      t.batches <- t.batches + 1;
+      Atomic.incr t.batches;
       Condition.broadcast t.available;
       Mutex.unlock t.mu;
-      Metric.Counter.incr c_batches;
       let t1 = Tel.now telemetry in
-      Metric.Histogram.add h_batch (t1 -. t0);
+      Metric.Histogram.add t.tel.h_batch (t1 -. t0);
       Tracer.record_at telemetry.Tel.tracer ~tag:id Tracer.Batch_gen Tracer.End t1
     end
   done
@@ -122,6 +118,8 @@ let create cfg ~id ~eddsa ~seed ?(options = Options.default) () =
         | Error e -> failwith ("Runtime.create: " ^ e)
         | Ok (ks, report) -> (Some ks, Some report))
   in
+  let batches = Atomic.make 0 in
+  Tel.probe telemetry "dsig_runtime_batches_total" (fun () -> Atomic.get batches);
   let state =
     {
       cfg;
@@ -136,7 +134,7 @@ let create cfg ~id ~eddsa ~seed ?(options = Options.default) () =
           ~retain:options.Options.retain ~rng:(Rng.split master)
           ~clock:(fun () -> Tel.now telemetry)
           ();
-      batches = 0;
+      batches;
       stopping = false;
       fg_rng = Rng.split master;
       domain = None;
@@ -153,6 +151,7 @@ let create cfg ~id ~eddsa ~seed ?(options = Options.default) () =
           c_acks = Tel.counter telemetry "dsig_runtime_acks_total";
           c_redundant = Tel.counter telemetry "dsig_reannounce_redundant_total";
           h_sign = Tel.histogram telemetry "dsig_runtime_sign_us";
+          h_batch = Tel.histogram telemetry "dsig_runtime_batch_gen_us";
           g_queue = Tel.gauge telemetry "dsig_runtime_queue_depth";
           g_rtt = Tel.gauge telemetry "dsig_rtt_us";
           g_rto = Tel.gauge telemetry "dsig_rto_us";
@@ -230,11 +229,7 @@ let queue_depth t =
   Mutex.unlock t.mu;
   n
 
-let batches_generated t =
-  Mutex.lock t.mu;
-  let n = t.batches in
-  Mutex.unlock t.mu;
-  n
+let batches_generated t = Atomic.get t.batches
 
 let drain_announcements t =
   Mutex.lock t.mu;

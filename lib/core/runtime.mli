@@ -48,11 +48,10 @@ val create :
     [.._dest_<id>] series) and the [dsig_reannounce_redundant_total]
     counter, [dsig_runtime_sign_us] histogram and
     [dsig_runtime_queue_depth] gauge, and the background domain's
-    [dsig_runtime_batches_total] counter and
-    [dsig_runtime_batch_gen_us] histogram. The planes write to separate
-    per-domain metric cells ({!Dsig_telemetry.Registry}), so the
-    background domain never slows the foreground signer; snapshots merge
-    both. *)
+    [dsig_runtime_batch_gen_us] histogram, and probes
+    {!batches_generated} as [dsig_runtime_batches_total]. The planes
+    write distinct domain-safe cells ({!Dsig_telemetry.Metric}), so the
+    background domain never contends with the foreground signer. *)
 
 val sign : t -> string -> string
 (** Foreground-plane signing; thread-safe for a single foreground
@@ -66,6 +65,7 @@ val sign_ctx : t -> string -> string * Dsig_telemetry.Trace_ctx.t
 
 val queue_depth : t -> int
 val batches_generated : t -> int
+(** Batches queued by the background domain so far (live, lock-free). *)
 
 val store : t -> Dsig_store.Keystate.t option
 (** The durable key-state journal, when created with

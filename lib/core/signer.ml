@@ -39,15 +39,11 @@ type stats = {
 }
 
 (* Telemetry handles, resolved once at creation (metric names are shared
-   across signers; per-signer series are distinguished by tracer tags). *)
+   across signers; per-signer series are distinguished by tracer tags).
+   The [stats] counts reach the registry as probes ([probe_stats]). *)
 type tel = {
   bundle : Tel.t;
-  c_sign : Metric.Counter.t;
-  c_sync : Metric.Counter.t;
-  c_batches : Metric.Counter.t;
-  c_reannounce : Metric.Counter.t;
   c_acks : Metric.Counter.t;
-  c_requests : Metric.Counter.t;
   c_giveups : Metric.Counter.t;
   c_redundant : Metric.Counter.t;
   c_rot_staged : Metric.Counter.t;
@@ -89,8 +85,24 @@ type t = {
   tel : tel;
 }
 
+(* The probes capture only the record, never the signer's keys. *)
+let probe_stats telemetry (s : stats) =
+  List.iter
+    (fun (name, read) -> Tel.probe telemetry name read)
+    [
+      ("dsig_signer_signatures_total", fun () -> s.signatures);
+      ("dsig_signer_batches_total", fun () -> s.batches);
+      ("dsig_signer_sync_refills_total", fun () -> s.sync_refills);
+      ("dsig_signer_reannounces_total", fun () -> s.reannounces);
+      ("dsig_signer_batch_requests_total", fun () -> s.requests_served);
+    ]
+
 let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(options = Options.default) ~verifiers () =
   let telemetry = options.Options.telemetry in
+  let stats =
+    { signatures = 0; batches = 0; sync_refills = 0; reannounces = 0; requests_served = 0 }
+  in
+  probe_stats telemetry stats;
   let outbox = Queue.create () in
   let send =
     match send with
@@ -147,16 +159,11 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(options = Options.default)
     translog_sink = options.Options.translog;
     pool = options.Options.parallel;
     sample_hook = options.Options.sample_hook;
-    stats = { signatures = 0; batches = 0; sync_refills = 0; reannounces = 0; requests_served = 0 };
+    stats;
     tel =
       {
         bundle = telemetry;
-        c_sign = Tel.counter telemetry "dsig_signer_signatures_total";
-        c_sync = Tel.counter telemetry "dsig_signer_sync_refills_total";
-        c_batches = Tel.counter telemetry "dsig_signer_batches_total";
-        c_reannounce = Tel.counter telemetry "dsig_signer_reannounces_total";
         c_acks = Tel.counter telemetry "dsig_signer_acks_total";
-        c_requests = Tel.counter telemetry "dsig_signer_batch_requests_total";
         c_giveups = Tel.counter telemetry "dsig_signer_announce_giveups_total";
         c_redundant = Tel.counter telemetry "dsig_reannounce_redundant_total";
         c_rot_staged = Tel.counter telemetry "dsig_rotation_staged_total";
@@ -235,7 +242,6 @@ let refill t group =
       }
       group.queue
   done;
-  Metric.Counter.incr t.tel.c_batches;
   (* the gauge tracks prepared keys process-wide, so move it by deltas
      rather than overwriting other signers' contributions *)
   Metric.Gauge.add t.tel.g_queue (float_of_int (Batch.size batch));
@@ -269,7 +275,6 @@ let stage_next_batch t =
   in
   Option.iter (fun ks -> Keystate.seal ks ~batch_id ~size:(Batch.size batch)) t.keystate;
   t.stats.batches <- t.stats.batches + 1;
-  Metric.Counter.incr t.tel.c_batches;
   let ann = Batch.announcement t.cfg batch in
   let group = default_group t in
   let dests = List.filter (fun dest -> dest <> t.id) group.members in
@@ -438,7 +443,6 @@ let sign_impl t ?hint msg =
     if t.staged <> None && group == default_group t then ignore (cutover t)
     else begin
       t.stats.sync_refills <- t.stats.sync_refills + 1;
-      Metric.Counter.incr t.tel.c_sync;
       Log.L.warn (fun m ->
           m "signer %d: key queue empty, refilling on the critical path" t.id);
       refill t group
@@ -459,7 +463,6 @@ let sign_impl t ?hint msg =
      to the caller, so every signature that leaves the process is in
      the log a verifier can demand inclusion proofs from *)
   Option.iter (fun f -> f ~signer:t.id ~op:msg ~signature:wire) t.translog_sink;
-  Metric.Counter.incr t.tel.c_sign;
   Metric.Gauge.add t.tel.g_queue (-1.0);
   let t1 = Tel.now t.tel.bundle in
   Metric.Histogram.add t.tel.h_sign (t1 -. t0);
@@ -499,7 +502,6 @@ let sign_many t ?hint msgs =
         ignore (cutover t);
       while Queue.length group.queue < n do
         t.stats.sync_refills <- t.stats.sync_refills + 1;
-        Metric.Counter.incr t.tel.c_sync;
         Log.L.warn (fun m ->
             m "signer %d: key queue short (%d < %d), refilling on the critical path" t.id
               (Queue.length group.queue) n);
@@ -533,7 +535,6 @@ let sign_many t ?hint msgs =
           let p = prepared.(i) in
           Option.iter (fun f -> f ~signer:t.id ~op:msgs.(i) ~signature:wire) t.translog_sink;
           t.stats.signatures <- t.stats.signatures + 1;
-          Metric.Counter.incr t.tel.c_sign;
           Metric.Histogram.add t.tel.h_sign (t1 -. t0);
           Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Sign_fast Tracer.Begin t0;
           Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Sign_fast Tracer.End t1;
@@ -602,7 +603,6 @@ let deliver_request t (r : Batch.request) =
         None
     | Some ann ->
         t.stats.requests_served <- t.stats.requests_served + 1;
-        Metric.Counter.incr t.tel.c_requests;
         Some ann
 
 let step t ~now =
@@ -615,7 +615,6 @@ let step t ~now =
       List.iter
         (fun (dest, _) ->
           t.stats.reannounces <- t.stats.reannounces + 1;
-          Metric.Counter.incr t.tel.c_reannounce;
           match Announce.rto_us t.announce ~dest with
           | Some rto -> observe_rto t ~dest rto
           | None -> ())

@@ -48,11 +48,11 @@ val create :
     that cannot be opened or belongs to a different configuration
     raises [Failure].
 
-    The telemetry bundle receives [dsig_signer_signatures_total] /
-    [dsig_signer_sync_refills_total] / [dsig_signer_batches_total]
-    counters, the announcement-reliability counters
-    [dsig_signer_reannounces_total] / [dsig_signer_acks_total]
-    / [dsig_signer_batch_requests_total] /
+    The telemetry bundle probes the {!stats} fields as
+    [dsig_signer_signatures_total] / [dsig_signer_sync_refills_total] /
+    [dsig_signer_batches_total] / [dsig_signer_reannounces_total] /
+    [dsig_signer_batch_requests_total] counters, and receives the
+    announcement-reliability counters [dsig_signer_acks_total] /
     [dsig_signer_announce_giveups_total] /
     [dsig_reannounce_redundant_total] and the
     [dsig_signer_unacked_announcements] gauge, the pacing gauges
@@ -172,6 +172,8 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Live: the same record on every call, fields advancing in place; the
+    registry counters listed under {!create} read it. *)
 
 val drain_outbox : t -> (int * Batch.announcement) list
 (** Announcements queued when no [send] callback was given, as

@@ -39,19 +39,10 @@ type stats = {
   mutable eddsa_cache_evictions : int;
 }
 
+(* Histogram and gauge handles, valid on any domain. The counts live in
+   [stats] and reach the registry as probes ([probe_stats]). *)
 type tel = {
   bundle : Tel.t;
-  c_fast : Metric.Counter.t;
-  c_slow : Metric.Counter.t;
-  c_rejected : Metric.Counter.t;
-  c_cache_hits : Metric.Counter.t;
-  c_ann : Metric.Counter.t;
-  c_slow_missing : Metric.Counter.t;
-  c_slow_miss : Metric.Counter.t;
-  c_requests : Metric.Counter.t;
-  c_acks : Metric.Counter.t;
-  c_ack_frames : Metric.Counter.t;
-  c_evict : Metric.Counter.t;
   h_fast : Metric.Histogram.t;
   h_slow : Metric.Histogram.t;
   h_deliver : Metric.Histogram.t;
@@ -66,7 +57,6 @@ type tel = {
      [ctl_mu]    -> requested + pending_acks + ack_deadline + announce_srtt_us
      [stats_mu]  -> the public stats record
      [rng_mu]    -> rng (Rng is not thread-safe)
-     [tel_mu]    -> tels (per-domain metric handles)
 
    Two hard rules:
    - NO mutex is ever held across a [send]: the control callback can
@@ -102,32 +92,33 @@ type t = {
      rides outbound ACK frames as [Batch.Credit]. The controller has
      its own internal mutex — safe from any domain. *)
   admission : Admission.t option;
-  (* Metric cells are per-domain (Registry keys them by Domain.self and
-     merges on snapshot), so the handles resolved at creation time are
-     only valid on the creating domain. Worker domains resolve their
-     own set on first use. *)
-  tel0 : tel;
-  tel_domain : int;
-  tel_mu : Mutex.t;
-  tels : (int, tel) Hashtbl.t;
+  tel : tel;
 }
 
 let eddsa_cache_capacity = 4096
 
+(* Publish every [stats] field as a registry counter. The probes capture
+   only the record, so a dropped verifier's caches are not kept alive. *)
+let probe_stats telemetry (s : stats) =
+  List.iter
+    (fun (name, read) -> Tel.probe telemetry name read)
+    [
+      ("dsig_verifier_fast_total", fun () -> s.fast);
+      ("dsig_verifier_slow_total", fun () -> s.slow);
+      ("dsig_verifier_rejected_total", fun () -> s.rejected);
+      ("dsig_verifier_eddsa_cache_hits_total", fun () -> s.eddsa_cache_hits);
+      ("dsig_verifier_announcements_total", fun () -> s.announcements);
+      ("dsig_verifier_slow_missing_batch_total", fun () -> s.slow_missing_batch);
+      ("dsig_verifier_slow_cache_miss_total", fun () -> s.slow_cache_miss);
+      ("dsig_verifier_batch_requests_total", fun () -> s.requests_sent);
+      ("dsig_verifier_acks_total", fun () -> s.acks_sent);
+      ("dsig_verifier_ack_frames_total", fun () -> s.ack_frames_sent);
+      ("dsig_verifier_eddsa_cache_evictions_total", fun () -> s.eddsa_cache_evictions);
+    ]
+
 let make_tel telemetry =
   {
     bundle = telemetry;
-    c_fast = Tel.counter telemetry "dsig_verifier_fast_total";
-    c_slow = Tel.counter telemetry "dsig_verifier_slow_total";
-    c_rejected = Tel.counter telemetry "dsig_verifier_rejected_total";
-    c_cache_hits = Tel.counter telemetry "dsig_verifier_eddsa_cache_hits_total";
-    c_ann = Tel.counter telemetry "dsig_verifier_announcements_total";
-    c_slow_missing = Tel.counter telemetry "dsig_verifier_slow_missing_batch_total";
-    c_slow_miss = Tel.counter telemetry "dsig_verifier_slow_cache_miss_total";
-    c_requests = Tel.counter telemetry "dsig_verifier_batch_requests_total";
-    c_acks = Tel.counter telemetry "dsig_verifier_acks_total";
-    c_ack_frames = Tel.counter telemetry "dsig_verifier_ack_frames_total";
-    c_evict = Tel.counter telemetry "dsig_verifier_eddsa_cache_evictions_total";
     h_fast = Tel.histogram telemetry "dsig_verifier_fast_us";
     h_slow = Tel.histogram telemetry "dsig_verifier_slow_us";
     h_deliver = Tel.histogram telemetry "dsig_verifier_deliver_us";
@@ -137,6 +128,22 @@ let make_tel telemetry =
 let create cfg ~id ~pki ?control ?(options = Options.default) () =
   let telemetry = options.Options.telemetry in
   let request_policy = options.Options.request_policy in
+  let stats =
+    {
+      fast = 0;
+      slow = 0;
+      eddsa_cache_hits = 0;
+      rejected = 0;
+      announcements = 0;
+      slow_missing_batch = 0;
+      slow_cache_miss = 0;
+      requests_sent = 0;
+      acks_sent = 0;
+      ack_frames_sent = 0;
+      eddsa_cache_evictions = 0;
+    }
+  in
+  probe_stats telemetry stats;
   {
     cfg;
     id;
@@ -157,44 +164,16 @@ let create cfg ~id ~pki ?control ?(options = Options.default) () =
     ack_deadline = None;
     announce_srtt_us = None;
     stats_mu = Mutex.create ();
-    stats =
-      {
-        fast = 0;
-        slow = 0;
-        eddsa_cache_hits = 0;
-        rejected = 0;
-        announcements = 0;
-        slow_missing_batch = 0;
-        slow_cache_miss = 0;
-        requests_sent = 0;
-        acks_sent = 0;
-        ack_frames_sent = 0;
-        eddsa_cache_evictions = 0;
-      };
+    stats;
     pool = options.Options.parallel;
     admission = options.Options.loadctl;
-    tel0 = make_tel telemetry;
-    tel_domain = (Domain.self () :> int);
-    tel_mu = Mutex.create ();
-    tels = Hashtbl.create 4;
+    tel = make_tel telemetry;
   }
 
 let stats t = t.stats
 let with_stats t f = Mutex.protect t.stats_mu (fun () -> f t.stats)
 
-let tel t =
-  let d = (Domain.self () :> int) in
-  if d = t.tel_domain then t.tel0
-  else
-    Mutex.protect t.tel_mu (fun () ->
-        match Hashtbl.find_opt t.tels d with
-        | Some h -> h
-        | None ->
-            let h = make_tel t.tel0.bundle in
-            Hashtbl.add t.tels d h;
-            h)
-
-let now t = Tel.now t.tel0.bundle
+let now t = Tel.now t.tel.bundle
 
 (* --- batch cache (under cache_mu) --- *)
 
@@ -229,7 +208,7 @@ let insert_batch t ~signer ~batch_id entry =
           1 - !evicted
         end)
   in
-  if delta <> 0 then Metric.Gauge.add (tel t).g_cached (float_of_int delta)
+  if delta <> 0 then Metric.Gauge.add t.tel.g_cached (float_of_int delta)
 
 let lookup_batch t ~signer ~batch_id =
   (* the returned record is immutable and never mutated after insert, so
@@ -283,7 +262,7 @@ let purge_signer ?from_batch t ~signer =
           t.requested []
       in
       List.iter (Hashtbl.remove t.requested) stale);
-  if purged > 0 then Metric.Gauge.add (tel t).g_cached (float_of_int (-purged));
+  if purged > 0 then Metric.Gauge.add t.tel.g_cached (float_of_int (-purged));
   purged
 
 (* EdDSA verification with the bulk-verification cache of §4.4: a hit
@@ -295,7 +274,6 @@ let eddsa_verify_cached t pk msg signature =
     let key = Dsig_hashes.Blake3.digest (pk ^ signature ^ msg) in
     if Mutex.protect t.eddsa_mu (fun () -> Hashtbl.mem t.eddsa_cache key) then begin
       with_stats t (fun s -> s.eddsa_cache_hits <- s.eddsa_cache_hits + 1);
-      Metric.Counter.incr (tel t).c_cache_hits;
       true
     end
     else if Eddsa.verify pk msg signature then begin
@@ -316,10 +294,8 @@ let eddsa_verify_cached t pk msg signature =
               !n
             end)
       in
-      if evicted > 0 then begin
+      if evicted > 0 then
         with_stats t (fun s -> s.eddsa_cache_evictions <- s.eddsa_cache_evictions + evicted);
-        Metric.Counter.incr ~by:evicted (tel t).c_evict
-      end;
       true
     end
     else false
@@ -328,7 +304,7 @@ let eddsa_verify_cached t pk msg signature =
 (* Lifecycle announce-plane event: one admit per batch, joining every
    signature of the batch via the sentinel trace id. *)
 let lifecycle_admit t (ann : Batch.announcement) ~latency_us =
-  let lc = t.tel0.bundle.Tel.lifecycle in
+  let lc = t.tel.bundle.Tel.lifecycle in
   if Lifecycle.enabled lc then
     Lifecycle.admit lc ~signer:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id ~latency_us
 
@@ -343,10 +319,7 @@ let lifecycle_admit t (ann : Batch.announcement) ~latency_us =
 let ack_frame_sent t ~acks =
   with_stats t (fun s ->
       s.acks_sent <- s.acks_sent + acks;
-      s.ack_frames_sent <- s.ack_frames_sent + 1);
-  let tl = tel t in
-  Metric.Counter.incr ~by:acks tl.c_acks;
-  Metric.Counter.incr tl.c_ack_frames
+      s.ack_frames_sent <- s.ack_frames_sent + 1)
 
 let pending_ack_count t =
   Mutex.protect t.ctl_mu (fun () ->
@@ -443,7 +416,6 @@ let observe_announce_latency t ~sent_us ~now =
 let admit_verified ?(send_ack = true) t (ann : Batch.announcement) root =
   begin
     with_stats t (fun s -> s.announcements <- s.announcements + 1);
-    Metric.Counter.incr (tel t).c_ann;
         (* When full keys ride along (bandwidth reduction off), check
            they match the signed leaves before trusting them for the
            comparison-only fast path. *)
@@ -532,7 +504,7 @@ let deliver ?sent_us t (ann : Batch.announcement) =
       false
   | Some pk ->
       let t0 = now t in
-      Tracer.record_at t.tel0.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.Begin t0;
+      Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.Begin t0;
       let root, msg = announcement_root ann in
       let ok =
         if Eddsa.verify pk msg ann.Batch.root_sig then begin
@@ -542,8 +514,8 @@ let deliver ?sent_us t (ann : Batch.announcement) =
         else false
       in
       let t1 = now t in
-      Metric.Histogram.add (tel t).h_deliver (t1 -. t0);
-      Tracer.record_at t.tel0.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.End t1;
+      Metric.Histogram.add t.tel.h_deliver (t1 -. t0);
+      Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.End t1;
       (* announce-to-admit: from the wire send stamp when the transport
          supplies one, else just the local delivery processing time *)
       if ok then
@@ -852,7 +824,6 @@ let merklified_fast_path t (w : Wire.t) msg =
 
 let reject t =
   with_stats t (fun s -> s.rejected <- s.rejected + 1);
-  Metric.Counter.incr (tel t).c_rejected;
   false
 
 (* Pull repair: emit a Batch_request for a gap in the announcement
@@ -896,7 +867,6 @@ let request_repair t ~signer ~batch_id =
       in
       if emit then begin
         with_stats t (fun s -> s.requests_sent <- s.requests_sent + 1);
-        Metric.Counter.incr (tel t).c_requests;
         send
           (Batch.Request { Batch.req_verifier = t.id; req_signer = signer; req_batch = batch_id })
       end
@@ -907,13 +877,9 @@ let request_repair t ~signer ~batch_id =
 let note_slow_gap t ~missing ~signer ~batch_id =
   if missing then begin
     with_stats t (fun s -> s.slow_missing_batch <- s.slow_missing_batch + 1);
-    Metric.Counter.incr (tel t).c_slow_missing;
     request_repair t ~signer ~batch_id
   end
-  else begin
-    with_stats t (fun s -> s.slow_cache_miss <- s.slow_cache_miss + 1);
-    Metric.Counter.incr (tel t).c_slow_miss
-  end
+  else with_stats t (fun s -> s.slow_cache_miss <- s.slow_cache_miss + 1)
 
 (* Outcome of one verification, for the telemetry plane. *)
 type path = Fast | Slow | Rejected
@@ -960,7 +926,7 @@ let classify t ~msg wire_bytes =
                       else (Rejected, ids, false)))))
 
 let lifecycle_verify t ?ctx ids ~t1 ~dur =
-  let lc = t.tel0.bundle.Tel.lifecycle in
+  let lc = t.tel.bundle.Tel.lifecycle in
   if Lifecycle.enabled lc then
     match ids with
     | None -> ()
@@ -990,23 +956,20 @@ let account ?ctx t ~t0 ~t1 (outcome, ids, missing) =
       let dur = t1 -. t0 in
       if dur > 0.0 then Admission.observe a ~now_us:t1 ~sojourn_us:dur
   | None -> ());
-  let tl = tel t in
   let trace span =
-    Tracer.record_at tl.bundle.Tel.tracer ~tag:t.id span Tracer.Begin t0;
-    Tracer.record_at tl.bundle.Tel.tracer ~tag:t.id span Tracer.End t1
+    Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id span Tracer.Begin t0;
+    Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id span Tracer.End t1
   in
   match outcome with
   | Fast ->
       with_stats t (fun s -> s.fast <- s.fast + 1);
-      Metric.Counter.incr tl.c_fast;
-      Metric.Histogram.add tl.h_fast (t1 -. t0);
+      Metric.Histogram.add t.tel.h_fast (t1 -. t0);
       trace Tracer.Verify_fast;
       lifecycle_verify t ?ctx ids ~t1 ~dur:(t1 -. t0);
       true
   | Slow ->
       with_stats t (fun s -> s.slow <- s.slow + 1);
-      Metric.Counter.incr tl.c_slow;
-      Metric.Histogram.add tl.h_slow (t1 -. t0);
+      Metric.Histogram.add t.tel.h_slow (t1 -. t0);
       (match ids with
       | Some (signer, batch_id, _) -> note_slow_gap t ~missing ~signer ~batch_id
       | None -> ());

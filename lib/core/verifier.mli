@@ -13,7 +13,7 @@
 
     The verifier is {b domain-safe}: every mutable table (batch cache,
     EdDSA cache, pull-repair pacing, pending ACKs, stats) is guarded by
-    its own mutex, metric handles are resolved per domain, and no lock
+    its own mutex, metric handles are domain-safe cells, and no lock
     is ever held across a control-plane [send] (which may synchronously
     re-enter the verifier through an in-process loopback). Concurrent
     {!verify} / {!deliver} / {!flush_acks} calls from multiple domains
@@ -47,16 +47,16 @@ val create :
     checked (never a false accept) — and every outbound acknowledgement
     frame becomes a {!Batch.Credit} carrying the controller's pressure
     byte, which signers feed to {!Signer.note_pressure} to pace their
-    re-announcements down (DESIGN.md §15). The telemetry bundle receives
-    [dsig_verifier_fast_total] / [dsig_verifier_slow_total] /
-    [dsig_verifier_rejected_total] / [dsig_verifier_eddsa_cache_hits_total] /
-    [dsig_verifier_announcements_total] counters, the slow-path
-    breakdown [dsig_verifier_slow_missing_batch_total] (batch never
-    delivered — repairable) vs [dsig_verifier_slow_cache_miss_total]
-    (cached but root mismatch/eviction), the reliability counters
-    [dsig_verifier_batch_requests_total] / [dsig_verifier_acks_total] /
-    [dsig_verifier_eddsa_cache_evictions_total], [dsig_verifier_fast_us]
-    / [dsig_verifier_slow_us] / [dsig_verifier_deliver_us] latency
+    re-announcements down (DESIGN.md §15). The telemetry bundle probes
+    the {!stats} fields as [dsig_verifier_fast_total] / [.._slow_total] /
+    [.._rejected_total] / [.._eddsa_cache_hits_total] /
+    [.._announcements_total] counters, the slow-path breakdown
+    [.._slow_missing_batch_total] (batch never delivered — repairable)
+    vs [.._slow_cache_miss_total] (cached but root mismatch/eviction),
+    the reliability counters [.._batch_requests_total] /
+    [.._acks_total] / [.._ack_frames_total] /
+    [.._eddsa_cache_evictions_total], and receives the
+    [dsig_verifier_fast_us] / [.._slow_us] / [.._deliver_us] latency
     histograms, the [dsig_verifier_cached_batches] gauge, and — when the
     tracer is enabled — [verify_fast] / [verify_slow] /
     [announce_delivery] spans tagged with the verifier id. *)
@@ -129,6 +129,8 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Live: the same record on every call, fields advancing in place; the
+    registry counters listed under {!create} read it. *)
 
 val cached_batches : t -> signer:int -> int
 (** Number of batches currently cached for a signer (tests). *)

@@ -5,9 +5,9 @@ let ( ^^ ) = Int64.logxor
 let ( &&& ) = Int64.logand
 let ( +% ) = Int64.add
 
-let w = Array.make 80 0L
-
-let compress h block off =
+(* [w] is the message-schedule scratch, allocated per digest: a shared
+   one would let two domains hashing at once corrupt each other. *)
+let compress h w block off =
   let k = Sha2_constants.k512 in
   for t = 0 to 15 do
     let base = off + (8 * t) in
@@ -67,8 +67,9 @@ let digest msg =
   done;
   let data = Buffer.contents padded in
   assert (String.length data mod 128 = 0);
+  let w = Array.make 80 0L in
   for i = 0 to (String.length data / 128) - 1 do
-    compress h data (i * 128)
+    compress h w data (i * 128)
   done;
   String.init 64 (fun i ->
       Char.chr

@@ -107,9 +107,11 @@ let enable t =
 let disable t = t.enabled <- false
 let enabled t = t.enabled
 
-(* All metric writes happen under [mu]: lifecycle events may come from
-   any domain (foreground signer, background refill, reader threads),
-   and the registry cells were resolved on the enabling domain. *)
+(* [mu] guards the pending tables, the span ring and the running
+   counts: lifecycle events may come from any domain (foreground
+   signer, background refill, reader threads). The metric cells are
+   domain-safe on their own; they are written under [mu] only because
+   each write belongs to a locked update. *)
 
 (* Durations come from the monotonic clock, but callers can still plug
    a wall clock (or stamps can cross a process boundary with skewed

@@ -1,18 +1,23 @@
 module Counter = struct
-  type t = { mutable n : int }
+  type t = int Atomic.t
 
-  let create () = { n = 0 }
-  let incr ?(by = 1) t = if by > 0 then t.n <- t.n + by
-  let value t = t.n
+  let create () = Atomic.make 0
+  let incr ?(by = 1) t = if by > 0 then ignore (Atomic.fetch_and_add t by)
+  let value = Atomic.get
 end
 
 module Gauge = struct
-  type t = { mutable v : float }
+  type t = float Atomic.t
 
-  let create () = { v = 0.0 }
-  let set t v = t.v <- v
-  let add t d = t.v <- t.v +. d
-  let value t = t.v
+  let create () = Atomic.make 0.0
+  let set = Atomic.set
+
+  (* compares physically against the boxed float just read; retries if another writer won *)
+  let rec add t d =
+    let cur = Atomic.get t in
+    if not (Atomic.compare_and_set t cur (cur +. d)) then add t d
+
+  let value = Atomic.get
 end
 
 module Histogram = struct
@@ -20,6 +25,7 @@ module Histogram = struct
   let min_exp = -16
 
   type t = {
+    mu : Mutex.t;
     counts : int array;
     mutable n : int;
     mutable total : float;
@@ -28,7 +34,8 @@ module Histogram = struct
   }
 
   let create () =
-    { counts = Array.make num_buckets 0; n = 0; total = 0.0; vmin = infinity; vmax = neg_infinity }
+    let counts = Array.make num_buckets 0 in
+    { mu = Mutex.create (); counts; n = 0; total = 0.0; vmin = infinity; vmax = neg_infinity }
 
   (* smallest i with v <= 2^(min_exp + i), clamped to the bucket range.
      frexp gives v = m * 2^e with m in [0.5, 1), so 2^(e-1) <= v < 2^e:
@@ -44,18 +51,21 @@ module Histogram = struct
 
   let bucket_upper_bound i = if i >= num_buckets - 1 then infinity else ldexp 1.0 (min_exp + i)
 
+  (* nothing between lock and unlock can raise *)
   let add t v =
     if not (Float.is_nan v) then begin
       let i = bucket_index v in
+      Mutex.lock t.mu;
       t.counts.(i) <- t.counts.(i) + 1;
       t.n <- t.n + 1;
       t.total <- t.total +. v;
       if v < t.vmin then t.vmin <- v;
-      if v > t.vmax then t.vmax <- v
+      if v > t.vmax then t.vmax <- v;
+      Mutex.unlock t.mu
     end
 
-  let count t = t.n
-  let sum t = t.total
+  let count t = Mutex.protect t.mu (fun () -> t.n)
+  let sum t = Mutex.protect t.mu (fun () -> t.total)
 
   type snapshot = {
     counts : int array;
@@ -66,7 +76,8 @@ module Histogram = struct
   }
 
   let snapshot (t : t) =
-    { counts = Array.copy t.counts; n = t.n; total = t.total; vmin = t.vmin; vmax = t.vmax }
+    Mutex.protect t.mu (fun () ->
+        { counts = Array.copy t.counts; n = t.n; total = t.total; vmin = t.vmin; vmax = t.vmax })
 
   let empty =
     { counts = Array.make num_buckets 0; n = 0; total = 0.0; vmin = infinity; vmax = neg_infinity }

@@ -1,12 +1,11 @@
 (** Telemetry primitives: monotonic counters, gauges, and constant-memory
     log2-bucketed latency histograms.
 
-    All three are single-writer cells: the owning domain mutates them
-    without synchronization, and cross-domain readers (snapshots) may
-    observe slightly stale — but never torn — values, because every
-    mutable field is word-sized. {!Registry} gives each domain its own
-    instances and merges them at snapshot time, so the hot path never
-    contends on a lock. *)
+    Every cell is domain-safe on its own, so any domain may update or
+    read any cell: a counter is an [int Atomic.t], a gauge an atomic
+    float (adds are never lost), and a histogram guards its buckets with
+    a mutex that {!Histogram.snapshot} takes too. Distinct cells share
+    nothing, so planes writing distinct metrics never contend. *)
 
 module Counter : sig
   type t
@@ -54,7 +53,8 @@ module Histogram : sig
   val create : unit -> t
 
   val add : t -> float -> unit
-  (** O(1): one [frexp], one array increment, running sum/min/max.
+  (** O(1): one [frexp], then — under the histogram's mutex — one array
+      increment and the running sum/min/max.
       [-inf] lands in bucket 0, [+inf] in the overflow bucket, and nan
       is ignored entirely. *)
 

@@ -3,69 +3,47 @@ type cell =
   | G of Metric.Gauge.t
   | H of Metric.Histogram.t
 
-type shard = (string, cell) Hashtbl.t
-
 type t = {
-  mu : Mutex.t;  (* guards the shard map and every shard table *)
-  shards : (int, shard) Hashtbl.t;  (* domain id -> shard *)
+  mu : Mutex.t;  (* guards both tables; the cells guard themselves *)
+  cells : (string, cell) Hashtbl.t;
+  probes : (string, unit -> int) Hashtbl.t;  (* several bindings per name *)
 }
 
-let create () = { mu = Mutex.create (); shards = Hashtbl.create 4 }
-
-let with_lock t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let create () = { mu = Mutex.create (); cells = Hashtbl.create 32; probes = Hashtbl.create 16 }
 
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
 
-(* Find or create the calling domain's cell for [name]. The kind check
-   scans the other shards so a name cannot mean a counter in one domain
-   and a gauge in another. *)
-let resolve t name ~make ~cast ~wanted =
-  let dom = (Domain.self () :> int) in
-  with_lock t (fun () ->
-      let shard =
-        match Hashtbl.find_opt t.shards dom with
-        | Some s -> s
-        | None ->
-            let s = Hashtbl.create 16 in
-            Hashtbl.add t.shards dom s;
-            s
-      in
-      match Hashtbl.find_opt shard name with
+let kind_error name ~is ~wanted =
+  invalid_arg (Printf.sprintf "Dsig_telemetry.Registry: %S is a %s, not a %s" name is wanted)
+
+let resolve t name ~make ~cast =
+  Mutex.protect t.mu (fun () ->
+      match Hashtbl.find_opt t.cells name with
       | Some cell -> cast cell
       | None ->
-          Hashtbl.iter
-            (fun _ (s : shard) ->
-              match Hashtbl.find_opt s name with
-              | Some cell when kind_name cell <> wanted ->
-                  invalid_arg
-                    (Printf.sprintf "Dsig_telemetry.Registry: %S is a %s, not a %s" name
-                       (kind_name cell) wanted)
-              | _ -> ())
-            t.shards;
           let cell = make () in
-          Hashtbl.add shard name cell;
+          Hashtbl.add t.cells name cell;
           cast cell)
 
-let cast_error name wanted cell =
-  invalid_arg
-    (Printf.sprintf "Dsig_telemetry.Registry: %S is a %s, not a %s" name (kind_name cell) wanted)
-
 let counter t name =
-  resolve t name ~wanted:"counter"
+  resolve t name
     ~make:(fun () -> C (Metric.Counter.create ()))
-    ~cast:(function C c -> c | cell -> cast_error name "counter" cell)
+    ~cast:(function C c -> c | cell -> kind_error name ~is:(kind_name cell) ~wanted:"counter")
 
 let gauge t name =
-  resolve t name ~wanted:"gauge"
+  resolve t name
     ~make:(fun () -> G (Metric.Gauge.create ()))
-    ~cast:(function G g -> g | cell -> cast_error name "gauge" cell)
+    ~cast:(function G g -> g | cell -> kind_error name ~is:(kind_name cell) ~wanted:"gauge")
 
 let histogram t name =
-  resolve t name ~wanted:"histogram"
+  resolve t name
     ~make:(fun () -> H (Metric.Histogram.create ()))
-    ~cast:(function H h -> h | cell -> cast_error name "histogram" cell)
+    ~cast:(function H h -> h | cell -> kind_error name ~is:(kind_name cell) ~wanted:"histogram")
+
+(* the (zero) counter cell claims the name, so the kind check holds *)
+let probe t name read =
+  ignore (counter t name);
+  Mutex.protect t.mu (fun () -> Hashtbl.add t.probes name read)
 
 module Snapshot = struct
   type value =
@@ -102,12 +80,15 @@ let snapshot t =
     | G g -> Snapshot.Gauge (Metric.Gauge.value g)
     | H h -> Snapshot.Histogram (Metric.Histogram.snapshot h)
   in
-  with_lock t (fun () ->
-      Hashtbl.fold
-        (fun _ shard acc ->
-          let one =
-            Hashtbl.fold (fun name cell acc -> (name, read cell) :: acc) shard []
-            |> List.sort (fun (a, _) (b, _) -> compare a b)
-          in
-          Snapshot.merge acc one)
-        t.shards [])
+  Mutex.protect t.mu (fun () ->
+      let acc = Hashtbl.create (Hashtbl.length t.cells) in
+      let add name v =
+        Hashtbl.replace acc name
+          (match Hashtbl.find_opt acc name with
+          | Some w -> Snapshot.merge_value w v
+          | None -> v)
+      in
+      Hashtbl.iter (fun name cell -> add name (read cell)) t.cells;
+      Hashtbl.iter (fun name read -> add name (Snapshot.Counter (read ()))) t.probes;
+      Hashtbl.fold (fun name v l -> (name, v) :: l) acc []
+      |> List.sort (fun (a, _) (b, _) -> compare a b))

@@ -1,11 +1,9 @@
-(** Named-metric registry with per-domain instances.
+(** Named-metric registry: each name maps to one find-or-create cell.
 
-    [counter]/[gauge]/[histogram] resolve a name to a metric cell that
-    is private to the {e calling} domain: two domains asking for the
-    same name get distinct cells, so neither ever contends with the
-    other on the hot path (the paper dedicates a core to the signer's
-    background plane; its counters must not slow the foreground signer).
-    {!snapshot} merges the per-domain cells into one value per name.
+    [counter]/[gauge]/[histogram] return the same cell for the same
+    name, whichever domain asks; the cells are domain-safe ({!Metric}),
+    so a handle may be used from any domain. {!probe} publishes a count
+    its owner already keeps, instead of a shadow copy in a counter.
 
     Resolution takes a mutex and a hashtable lookup — do it once at
     component-creation time and cache the handle, not per operation.
@@ -21,10 +19,18 @@ val counter : t -> string -> Metric.Counter.t
 val gauge : t -> string -> Metric.Gauge.t
 val histogram : t -> string -> Metric.Histogram.t
 
+val probe : t -> string -> (unit -> int) -> unit
+(** [probe t name read] publishes [read ()] as the counter [name]: every
+    {!snapshot} calls [read], under the registry's mutex, and sums it
+    with the other cells and probes of that name. [read] should be one
+    load from a record its owner mutates in place; the registry keeps it
+    forever, so it should capture the counts, not their owner. Raises
+    [Invalid_argument] if [name] is a gauge or histogram. *)
+
 module Snapshot : sig
   type value =
-    | Counter of int  (** summed across domains *)
-    | Gauge of float  (** summed across domains *)
+    | Counter of int  (** summed across cells and probes of the name *)
+    | Gauge of float  (** summed across merged snapshots *)
     | Histogram of Metric.Histogram.snapshot
 
   type nonrec t = (string * value) list
@@ -40,6 +46,5 @@ module Snapshot : sig
 end
 
 val snapshot : t -> Snapshot.t
-(** Merge every domain's cells into one value per name. Concurrent
-    metric updates are not blocked; the snapshot may lag them by a few
-    operations (each field is read atomically, never torn). *)
+(** One value per name. Concurrent updates are not blocked, so the
+    snapshot may lag them by a few operations; no value is torn. *)

@@ -37,8 +37,11 @@ val now : t -> float
 val counter : t -> string -> Metric.Counter.t
 val gauge : t -> string -> Metric.Gauge.t
 val histogram : t -> string -> Metric.Histogram.t
-(** Per-domain handles from the bundle's registry; resolve once and
-    cache (see {!Registry}). *)
+(** Handles from the bundle's registry, valid on any domain; resolve
+    once and cache (see {!Registry}). *)
+
+val probe : t -> string -> (unit -> int) -> unit
+(** {!Registry.probe} on the bundle's registry. *)
 
 val snapshot : t -> Registry.Snapshot.t
 

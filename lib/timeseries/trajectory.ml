@@ -46,6 +46,15 @@ type entry = {
 
 let default_tolerance = 0.5
 
+let bench_tolerances =
+  [
+    ("store_sign_us", 3.0);
+    ("translog_checkpoint_us", 1.5);
+    ("translog_consistency_proof_us", 1.5);
+    ("translog_inclusion_proof_us", 1.5);
+    ("rotation_cutover_us", 3.0);
+  ]
+
 let judge direction ~base ~fresh ~tolerance =
   if base = 0.0 then Within (* relative bands are meaningless at zero *)
   else

@@ -40,6 +40,11 @@ val default_tolerance : float
     smoke bench runs 50 ops on shared CI hardware, and a gate that
     cries wolf gets deleted. Tighten per-metric via [tolerances]. *)
 
+val bench_tolerances : (string * float) list
+(** The bands both bench gates pass as [tolerances]: wider for
+    fsync-bound store latency (it swings >50% run to run on shared
+    hardware) and for figures that quantize coarsely at [--ops 50]. *)
+
 val compare_metrics :
   ?tolerance:float ->
   ?tolerances:(string * float) list ->

@@ -171,7 +171,7 @@ let stress_verify () =
       Alcotest.(check int) "stats fast+slow = n" n (st.Verifier.fast + st.Verifier.slow);
       Alcotest.(check int) "admits = deliveries" (List.length anns + !redeliveries) st.Verifier.announcements;
       Alcotest.(check int) "one batch cached" 1 (Verifier.cached_batches verifier ~signer:0);
-      (* merged registry counters = sum of per-domain cells = stats *)
+      (* registry counters (probes over the stats record) = stats *)
       let snap = Tel.snapshot telemetry in
       let counter name =
         match Registry.Snapshot.find snap name with
@@ -201,6 +201,33 @@ let test_stress () =
   for _ = 1 to 3 do
     stress_verify ()
   done
+
+(* --- SHA-2 across domains: each digest owns its message schedule ---
+
+   The background domain's Eddsa.sign and a foreground Ed25519 verify
+   both hash with SHA-512; a message-schedule array shared between
+   calls let concurrent digests corrupt each other. Every domain hashes
+   its own inputs and must reproduce the single-domain digests. *)
+
+let test_sha2_domains () =
+  let module Sha256 = Dsig_hashes.Sha256 in
+  let module Sha512 = Dsig_hashes.Sha512 in
+  let iters = 10_000 in
+  (* lengths cycle through one- and multi-block messages *)
+  let input d i = Printf.sprintf "domain %d input %d %s" d i (String.make (i mod 300) 'x') in
+  let digests d i = (Sha256.digest (input d i), Sha512.digest (input d i)) in
+  let reference = Array.init stress_domains (fun d -> Array.init iters (digests d)) in
+  let hashers =
+    List.init stress_domains (fun d ->
+        Domain.spawn (fun () ->
+            let bad = ref 0 in
+            for i = 0 to iters - 1 do
+              if digests d i <> reference.(d).(i) then incr bad
+            done;
+            !bad))
+  in
+  let bad = List.fold_left (fun acc h -> acc + Domain.join h) 0 hashers in
+  Alcotest.(check int) "digests equal the single-domain reference" 0 bad
 
 (* pooled verify_many against a mixed valid/corrupted workload *)
 let test_verify_many_mixed () =
@@ -333,6 +360,7 @@ let () =
       ( "stress",
         [
           Alcotest.test_case "multi-domain verify hammer" `Slow test_stress;
+          Alcotest.test_case "sha2 digests across domains" `Quick test_sha2_domains;
           Alcotest.test_case "verify_many mixed verdicts" `Quick test_verify_many_mixed;
         ] );
       ( "control-interleave",

@@ -141,6 +141,58 @@ let test_tcp_roundtrip () =
       Alcotest.(check int) "all fast" 5 st.Verifier.fast;
       Mutex.unlock mu)
 
+(* Each accepted descriptor is closed exactly once, by its reader
+   thread. A second close in [stop] would hit whatever socket reused the
+   number after the reader closed it: here, a socketpair opened between
+   the client's disconnect and [stop], which must keep working. *)
+let test_stop_closes_each_peer_once () =
+  let module Tcp = Dsig_tcpnet.Tcpnet in
+  let telemetry = Dsig_telemetry.Telemetry.create () in
+  (* one "ping" through the pair; select bounds the wait for it *)
+  let works (a, b) =
+    try
+      Unix.write_substring a "ping" 0 4 = 4
+      && (match Unix.select [ b ] [] [] 1.0 with [], _, _ -> false | _ -> true)
+      &&
+      let buf = Bytes.create 4 in
+      Unix.read b buf 0 4 = 4 && Bytes.to_string buf = "ping"
+    with Unix.Unix_error (_, _, _) -> false
+  in
+  let close_quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> () in
+  let kept = ref [] in
+  (* a write to a pair whose other end was closed must fail, not kill
+     the test process *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe sigpipe;
+      List.iter
+        (fun (a, b) ->
+          close_quietly a;
+          close_quietly b)
+        !kept)
+    (fun () ->
+      for cycle = 1 to 20 do
+        let got = Atomic.make 0 in
+        let server = Tcp.listen ~telemetry ~port:0 ~on_message:(fun _ -> Atomic.incr got) () in
+        let conn = Tcp.connect ~telemetry ~port:(Tcp.port server) () in
+        Tcp.send conn (Tcp.Checkpoint "c");
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while Atomic.get got = 0 && Unix.gettimeofday () < deadline do
+          Thread.delay 0.001
+        done;
+        Tcp.close conn;
+        (* let the reader see EOF and close its descriptor *)
+        Thread.delay 0.02;
+        let pair = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        kept := pair :: !kept;
+        Tcp.stop server;
+        let check what ok = Alcotest.(check bool) (Printf.sprintf "cycle %d: %s" cycle what) true ok in
+        check "frame received" (Atomic.get got = 1);
+        check "separate socket intact" (works pair)
+      done;
+      Alcotest.(check bool) "every separate socket still works" true (List.for_all works !kept))
+
 let counter_value snap name =
   match Dsig_telemetry.Registry.Snapshot.find snap name with
   | Some (Dsig_telemetry.Registry.Snapshot.Counter n) -> n
@@ -497,6 +549,7 @@ let suites =
         Alcotest.test_case "message codec" `Quick test_message_codec;
         Alcotest.test_case "traced codec" `Quick test_traced_codec;
         Alcotest.test_case "socket roundtrip" `Quick test_tcp_roundtrip;
+        Alcotest.test_case "stop closes each peer once" `Quick test_stop_closes_each_peer_once;
         Alcotest.test_case "reannounce/ack loop" `Quick test_reannounce_ack_loop;
         Alcotest.test_case "scrape endpoint" `Quick test_scrape_endpoint;
         Alcotest.test_case "health route verdicts" `Quick test_scrape_health;

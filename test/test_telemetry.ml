@@ -1,11 +1,21 @@
 (* Dsig_telemetry: histogram bucketing and percentiles, snapshot
-   merging, the ring-buffer tracer, and golden exporter outputs. *)
+   merging, domain-safe cells and registry probes, the ring-buffer
+   tracer, and golden exporter outputs.
+
+   The multi-domain cases spawn DSIG_STRESS_DOMAINS domains (default 4,
+   clamped to [2, 8]), the same bound the parallel suite uses. *)
 
 module M = Dsig_telemetry.Metric
 module H = M.Histogram
 module Registry = Dsig_telemetry.Registry
 module Tracer = Dsig_telemetry.Tracer
 module Export = Dsig_telemetry.Export
+module Tel = Dsig_telemetry.Telemetry
+
+let stress_domains =
+  match Sys.getenv_opt "DSIG_STRESS_DOMAINS" with
+  | Some s -> ( match int_of_string_opt s with Some n -> Stdlib.max 2 (Stdlib.min 8 n) | None -> 4)
+  | None -> 4
 
 (* --- primitives --- *)
 
@@ -112,8 +122,8 @@ let test_registry () =
   let r = Registry.create () in
   M.Counter.incr ~by:2 (Registry.counter r "ops_total");
   M.Gauge.set (Registry.gauge r "depth") 7.0;
-  (* same name resolves to the same cell within a domain *)
-  M.Counter.incr (Registry.counter r "ops_total");
+  (* same name resolves to the same cell, whichever domain asks *)
+  M.Counter.incr (Domain.join (Domain.spawn (fun () -> Registry.counter r "ops_total")));
   (match Registry.Snapshot.find (Registry.snapshot r) "ops_total" with
   | Some (Registry.Snapshot.Counter 3) -> ()
   | _ -> Alcotest.fail "counter not merged to 3");
@@ -133,6 +143,124 @@ let test_registry_snapshot_merge () =
   match Registry.Snapshot.find merged "only_left" with
   | Some (Registry.Snapshot.Gauge 1.5) -> ()
   | _ -> Alcotest.fail "one-sided name lost"
+
+(* --- domain-safe cells and probes --- *)
+
+(* N domains hammer one counter, one gauge and one histogram while the
+   main domain snapshots the histogram: totals come out exact, and every
+   snapshot is internally consistent (bucket counts sum to n). *)
+let test_cells_across_domains () =
+  let per = 10_000 in
+  let c = M.Counter.create () and g = M.Gauge.create () and h = H.create () in
+  let hammers =
+    List.init stress_domains (fun _ ->
+        Domain.spawn (fun () ->
+            for i = 0 to per - 1 do
+              M.Counter.incr c;
+              M.Gauge.add g 1.0;
+              H.add h (float_of_int i)
+            done))
+  in
+  let torn = ref 0 in
+  for _ = 1 to 200 do
+    let s = H.snapshot h in
+    if Array.fold_left ( + ) 0 s.H.counts <> s.H.n then incr torn
+  done;
+  List.iter Domain.join hammers;
+  let n = stress_domains * per in
+  Alcotest.(check int) "no torn histogram snapshot" 0 !torn;
+  Alcotest.(check int) "counter exact" n (M.Counter.value c);
+  Alcotest.(check (float 0.0)) "gauge adds exact" (float_of_int n) (M.Gauge.value g);
+  let s = H.snapshot h in
+  Alcotest.(check int) "histogram n exact" n s.H.n;
+  Alcotest.(check (float 0.0)) "histogram sum exact"
+    (float_of_int (stress_domains * (per * (per - 1) / 2)))
+    s.H.total
+
+let test_probe () =
+  let r = Registry.create () in
+  let owned = ref 0 in
+  Registry.probe r "ops_total" (fun () -> !owned);
+  Registry.probe r "ops_total" (fun () -> 10);
+  M.Counter.incr ~by:2 (Registry.counter r "ops_total");
+  owned := 5;
+  (* read at snapshot time, summed with the other probe and the cell *)
+  (match Registry.Snapshot.find (Registry.snapshot r) "ops_total" with
+  | Some (Registry.Snapshot.Counter 17) -> ()
+  | _ -> Alcotest.fail "probes and cell not summed to 17");
+  ignore (Registry.gauge r "depth");
+  Alcotest.check_raises "probe on a gauge rejected"
+    (Invalid_argument "Dsig_telemetry.Registry: \"depth\" is a gauge, not a counter")
+    (fun () -> Registry.probe r "depth" (fun () -> 1));
+  Registry.probe r "probed_total" (fun () -> 1);
+  Alcotest.check_raises "gauge on a probed name rejected"
+    (Invalid_argument "Dsig_telemetry.Registry: \"probed_total\" is a counter, not a gauge")
+    (fun () -> ignore (Registry.gauge r "probed_total"))
+
+(* Two verifiers and a signer share one bundle: each published counter
+   is the sum of the verifiers' (or the signer's) live stats fields. *)
+let test_stats_probes () =
+  let open Dsig in
+  let cfg = Config.make ~batch_size:8 ~queue_threshold:8 (Config.wots ~d:4) in
+  let tel = Tel.create () in
+  let options = Options.default |> Options.with_telemetry tel in
+  let rng = Dsig_util.Rng.create 5L in
+  let sk, pk = Dsig_ed25519.Eddsa.generate rng in
+  let pki = Pki.create () in
+  Pki.bind pki ~id:0 ~epoch:0 pk;
+  let signer = Signer.create cfg ~id:0 ~eddsa:sk ~rng ~options ~verifiers:[ 1; 2 ] () in
+  let v1 = Verifier.create cfg ~id:1 ~pki ~options () in
+  let v2 = Verifier.create cfg ~id:2 ~pki ~options () in
+  let s1 = Verifier.stats v1 and s2 = Verifier.stats v2 in
+  Signer.background_fill signer;
+  (* only v1 hears the announcement: v2 verifies on the slow path *)
+  List.iter
+    (fun (dest, a) -> if dest = 1 then ignore (Verifier.deliver v1 a))
+    (Signer.drain_outbox signer);
+  for i = 1 to 6 do
+    let msg = Printf.sprintf "probe-%d" i in
+    let wire = Signer.sign signer msg in
+    ignore (Verifier.verify v1 ~msg wire);
+    ignore (Verifier.verify v2 ~msg wire);
+    if i mod 3 = 0 then ignore (Verifier.verify v1 ~msg:(msg ^ "!") wire)
+  done;
+  Alcotest.(check bool) "stats record is live" true
+    (s1 == Verifier.stats v1 && s1.Verifier.fast = 6);
+  let snap = Tel.snapshot tel in
+  let counter name =
+    match Registry.Snapshot.find snap name with
+    | Some (Registry.Snapshot.Counter n) -> n
+    | _ -> Alcotest.fail ("missing counter " ^ name)
+  in
+  List.iter
+    (fun (name, field) ->
+      Alcotest.(check int) name (field s1 + field s2) (counter ("dsig_verifier_" ^ name)))
+    Verifier.
+      [
+        ("fast_total", fun s -> s.fast);
+        ("slow_total", fun s -> s.slow);
+        ("rejected_total", fun s -> s.rejected);
+        ("eddsa_cache_hits_total", fun s -> s.eddsa_cache_hits);
+        ("announcements_total", fun s -> s.announcements);
+        ("slow_missing_batch_total", fun s -> s.slow_missing_batch);
+        ("slow_cache_miss_total", fun s -> s.slow_cache_miss);
+        ("batch_requests_total", fun s -> s.requests_sent);
+        ("acks_total", fun s -> s.acks_sent);
+        ("ack_frames_total", fun s -> s.ack_frames_sent);
+        ("eddsa_cache_evictions_total", fun s -> s.eddsa_cache_evictions);
+      ];
+  Alcotest.(check bool) "both paths exercised" true (s1.Verifier.fast > 0 && s2.Verifier.slow > 0);
+  let st = Signer.stats signer in
+  List.iter
+    (fun (name, v) -> Alcotest.(check int) name v (counter ("dsig_signer_" ^ name)))
+    Signer.
+      [
+        ("signatures_total", st.signatures);
+        ("batches_total", st.batches);
+        ("sync_refills_total", st.sync_refills);
+        ("reannounces_total", st.reannounces);
+        ("batch_requests_total", st.requests_served);
+      ]
 
 (* --- tracer --- *)
 
@@ -464,7 +592,11 @@ let () =
           Alcotest.test_case "per-name cells and kind check" `Quick test_registry;
           Alcotest.test_case "snapshot merge" `Quick test_registry_snapshot_merge;
           Alcotest.test_case "merge overlapping histograms" `Quick test_histogram_merge_overlap;
+          Alcotest.test_case "probes" `Quick test_probe;
+          Alcotest.test_case "stats published as probes" `Quick test_stats_probes;
         ] );
+      ( "multi-domain",
+        [ Alcotest.test_case "cells exact across domains" `Quick test_cells_across_domains ] );
       ( "tracer",
         [
           Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
