@@ -595,7 +595,9 @@ let () =
           Alcotest.test_case "probes" `Quick test_probe;
           Alcotest.test_case "stats published as probes" `Quick test_stats_probes;
         ] );
-      ( "multi-domain",
+      (* suite names stay short: Alcotest pads them to the longest, and
+         that width comes out of the shown test names *)
+      ( "domains",
         [ Alcotest.test_case "cells exact across domains" `Quick test_cells_across_domains ] );
       ( "tracer",
         [
