@@ -1,11 +1,10 @@
-(* Fixed vs adaptive re-announce pacing under the fault matrix: the same
-   seeded drop/reorder schedule over a high-latency (800 µs one-way)
-   link, once with the fixed global backoff ladder and once with
-   per-destination ACK-RTT RTOs plus token-bucket pacing (DESIGN.md §9).
+(* Re-announce pacing under the fault matrix: a seeded drop/reorder
+   schedule over a high-latency (800 µs one-way) link, paced by
+   per-destination ACK-RTT RTOs plus a token bucket (DESIGN.md §9).
    The interesting columns are the re-announcement frames and the
-   redundant resends — copies an already-in-flight ACK made pointless:
-   the fixed ladder's 1 ms base fires inside the ~1.6 ms round trip, the
-   learned RTO does not. *)
+   redundant resends — copies an already-in-flight ACK made pointless.
+   The learned RTO stays above the ~1.6 ms round trip, so the redundant
+   count should read 0. *)
 
 open Dsig
 module Sim = Dsig_simnet.Sim
@@ -33,7 +32,7 @@ type outcome = {
    snapshot mirrors the pacing series), with its clock temporarily
    repointed at the virtual one; counters are read as before/after
    deltas because the bundle is shared across experiments. *)
-let run_mode pacing =
+let run_paced () =
   let tel = Tel.default in
   let saved = tel.Tel.clock in
   let sim = Sim.create () in
@@ -43,7 +42,7 @@ let run_mode pacing =
     (fun () ->
       let before = Tel.snapshot tel in
       let cfg = Config.make ~batch_size:4 ~queue_threshold:8 (Config.wots ~d:4) in
-      let options = pacing (Options.default |> Options.with_telemetry tel) in
+      let options = Options.default |> Options.with_telemetry tel in
       let d =
         Deploy.create sim cfg ~n:3 ~latency_us:800.0 ~reannounce_poll_us:100.0 ~options ()
       in
@@ -57,7 +56,7 @@ let run_mode pacing =
         if Deploy.verify d ~verifier:1 ~msg s then incr verified;
         Sim.run ~until:(Sim.now sim +. 300.0) sim
       done;
-      (* settle the re-announce tail on the same schedule for both modes *)
+      (* settle the re-announce tail *)
       Sim.run ~until:(Sim.now sim +. 60_000.0) sim;
       let snap = Tel.snapshot tel in
       let delta name = counter snap name - counter before name in
@@ -71,27 +70,18 @@ let run_mode pacing =
       })
 
 let run () =
-  Harness.section "Re-announce pacing: fixed ladder vs adaptive ACK-RTT RTO";
+  Harness.section "Re-announce pacing: adaptive ACK-RTT RTO under faults";
   Printf.printf "3 nodes, 800 us one-way latency, drop=0.2 reorder=0.2 (seed 42)\n";
-  let fixed = run_mode (fun o -> o) in
-  let adaptive = run_mode (Options.with_pacing (Options.adaptive ())) in
-  let row label o =
-    [
-      label;
-      Printf.sprintf "%d/%d" o.verified o.total;
-      string_of_int o.reannounces;
-      string_of_int o.redundant;
-      string_of_int o.giveups;
-    ]
-  in
+  let o = run_paced () in
   Harness.print_table
-    ~header:[ "pacing"; "verified"; "reannounce frames"; "redundant resends"; "giveups" ]
-    [ row "fixed" fixed; row "adaptive" adaptive ];
-  Printf.printf "adaptive learned rtt=%.0f us, rto=%.0f us (dsig_rtt_us / dsig_rto_us)\n"
-    (gauge adaptive.snap "dsig_rtt_us")
-    (gauge adaptive.snap "dsig_rto_us");
-  if fixed.reannounces > 0 then
-    Printf.printf "frames saved by adaptive pacing: %.0f%%\n"
-      (100.0
-      *. float_of_int (fixed.reannounces - adaptive.reannounces)
-      /. float_of_int fixed.reannounces)
+    ~header:[ "verified"; "reannounce frames"; "redundant resends"; "giveups" ]
+    [
+      [
+        Printf.sprintf "%d/%d" o.verified o.total;
+        string_of_int o.reannounces;
+        string_of_int o.redundant;
+        string_of_int o.giveups;
+      ];
+    ];
+  Printf.printf "learned rtt=%.0f us, rto=%.0f us (dsig_rtt_us / dsig_rto_us)\n"
+    (gauge o.snap "dsig_rtt_us") (gauge o.snap "dsig_rto_us")

@@ -37,7 +37,7 @@ let () =
   register "pareto" "parameter-space exploration and Pareto frontier (§5)" Bench_pareto.run;
   register "fluct" "uBFT fast/slow latency fluctuation under benign slowness (§6)" Bench_fluct.run;
   register "ablation" "ablations: batching, chain cache, bw reduction, EdDSA cache" Bench_ablation.run;
-  register "pacing" "fixed vs adaptive re-announce pacing under faults" Bench_pacing.run;
+  register "pacing" "adaptive re-announce pacing under faults" Bench_pacing.run;
   register "store" "durable key-state store signing overhead (group commit)" Bench_store.run;
   register "translog" "transparency log: append throughput + proof latency vs tree size"
     Bench_translog.run;

@@ -48,7 +48,20 @@ let key_arg =
 let msg_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MESSAGE" ~doc:"Message string, or @FILE to read a file.")
 
-let d_arg = Arg.(value & opt int 4 & info [ "d" ] ~doc:"W-OTS+ depth (power of two).")
+(* the library's own parameter check decides, so an invalid depth is a
+   usage error rather than an uncaught exception *)
+let depth =
+  let valid d =
+    match Dsig.Config.wots ~d with _ -> true | exception Invalid_argument _ -> false
+  in
+  let parse s =
+    match int_of_string_opt s with
+    | Some d when valid d -> Ok d
+    | _ -> Error (`Msg (Printf.sprintf "invalid W-OTS+ depth %S: expected a power of two >= 2" s))
+  in
+  Arg.conv ~docv:"D" (parse, Format.pp_print_int)
+
+let d_arg = Arg.(value & opt depth 4 & info [ "d" ] ~doc:"W-OTS+ depth (power of two >= 2).")
 let batch_arg = Arg.(value & opt int 16 & info [ "batch" ] ~doc:"EdDSA batch size (power of two).")
 
 let load_msg m = if String.length m > 0 && m.[0] = '@' then read_file (String.sub m 1 (String.length m - 1)) else m

@@ -49,11 +49,9 @@ let () =
   in
 
   (* signer: foreground here, background plane on its own domain.
-     Adaptive pacing: re-announce timers follow the measured loopback
-     ACK round trip instead of the fixed global ladder. *)
+     Re-announce timers follow the measured loopback ACK round trip. *)
   let options =
     Options.default |> Options.with_telemetry tel
-    |> Options.with_pacing (Options.adaptive ())
     |> Options.with_sample_hook (fun ~now_us ->
            if Ts.Sampler.sample sampler ~now_us then
              ignore (Ts.Alert.step alerts ~now_us))

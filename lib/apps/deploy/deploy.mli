@@ -96,9 +96,8 @@ val create :
     plus serialization of their modeled size.
 
     [options] (default {!Dsig.Options.default}) configures every
-    party's signer and verifier — re-announce policy,
-    {!Dsig.Options.pacing} mode, retention, and the shared telemetry
-    bundle, which additionally receives
+    party's signer and verifier — retention, pull-repair pacing, and
+    the shared telemetry bundle, which additionally receives
     [dsig_deploy_announcements_{sent,delivered,rejected}_total] and
     [dsig_deploy_control_frames_total] counters and the
     [dsig_deploy_announce_net_us] histogram of virtual time

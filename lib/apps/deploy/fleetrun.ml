@@ -141,11 +141,7 @@ let run ?(latency_us = 5.0) ?announce_latency_us ?(announce_drop = 0.0) ?(servic
                   (Dsig.Verifier.deliver ~sent_us:(Sim.now sim -. announce_latency_us)
                      verifiers.(dest) ann))
         in
-        let options =
-          Dsig.Options.default
-          |> Dsig.Options.with_telemetry telemetry
-          |> Dsig.Options.with_pacing (Dsig.Options.adaptive ())
-        in
+        let options = Dsig.Options.default |> Dsig.Options.with_telemetry telemetry in
         let s =
           Dsig.Signer.create cfg ~id:node ~eddsa:sk ~rng:(Rng.split master) ~send ~options
             ~verifiers:group ()

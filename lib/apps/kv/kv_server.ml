@@ -4,30 +4,30 @@ module Metric = Dsig_telemetry.Metric
 
 type verify_fn = client:int -> msg:string -> signature:string -> bool
 
-type t = {
-  store : Store.t;
-  log : Dsig_audit.Audit.t;
-  mutable served : int;
-  mutable rejected : int;
-}
+(* Every request ends served or rejected. The registry reads these
+   counts through probes, which capture only this record, not the
+   server's store. *)
+type counts = { mutable served : int; mutable rejected : int }
+
+type t = { store : Store.t; log : Dsig_audit.Audit.t; counts : counts }
 
 let start ~sim ~net ~node ~verify ?(verify_cost_us = fun ~signature:_ -> 0.0)
     ?(exec_cost_us = 0.3) ?(telemetry = Tel.default) () =
-  let t = { store = Store.create (); log = Dsig_audit.Audit.create (); served = 0; rejected = 0 } in
-  let c_requests = Tel.counter telemetry "dsig_kv_requests_total" in
-  let c_rejected = Tel.counter telemetry "dsig_kv_rejected_total" in
+  let counts = { served = 0; rejected = 0 } in
+  let t = { store = Store.create (); log = Dsig_audit.Audit.create (); counts } in
+  Tel.probe telemetry "dsig_kv_requests_total" (fun () -> counts.served + counts.rejected);
+  Tel.probe telemetry "dsig_kv_rejected_total" (fun () -> counts.rejected);
   let h_serve = Tel.histogram telemetry "dsig_kv_serve_us" in
   let core = Resource.create ~name:"kv.core" sim in
   Sim.spawn sim (fun () ->
       while true do
         let client, _bytes, (encoded, signature) = Net.recv net ~node in
         let t0 = Sim.now sim in
-        Metric.Counter.incr c_requests;
         Resource.use core (verify_cost_us ~signature);
         let reply =
           match Store.Command.decode encoded with
           | None ->
-              Metric.Counter.incr c_rejected;
+              counts.rejected <- counts.rejected + 1;
               Store.Reply.Error "malformed"
           | Some (seq, cmd) -> (
               match
@@ -36,11 +36,10 @@ let start ~sim ~net ~node ~verify ?(verify_cost_us = fun ~signature:_ -> 0.0)
                   ~client ~seq ~op:encoded ~signature
               with
               | Error e ->
-                  t.rejected <- t.rejected + 1;
-                  Metric.Counter.incr c_rejected;
+                  counts.rejected <- counts.rejected + 1;
                   Store.Reply.Error e
               | Ok _ ->
-                  t.served <- t.served + 1;
+                  counts.served <- counts.served + 1;
                   Resource.use core exec_cost_us;
                   Store.exec t.store cmd)
         in
@@ -53,8 +52,8 @@ let start ~sim ~net ~node ~verify ?(verify_cost_us = fun ~signature:_ -> 0.0)
 
 let store t = t.store
 let audit_log t = t.log
-let requests_served t = t.served
-let requests_rejected t = t.rejected
+let requests_served t = t.counts.served
+let requests_rejected t = t.counts.rejected
 
 let request ~net ~me ~server ~sign ~seq cmd =
   let encoded = Store.Command.encode ~seq cmd in

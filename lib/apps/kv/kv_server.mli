@@ -27,14 +27,18 @@ val start :
     {!Store.Reply} sent back to the requesting node. Compute costs are
     charged to the server's core resource.
 
-    [telemetry] (default {!Dsig_telemetry.Telemetry.default}) receives
-    [dsig_kv_requests_total] / [dsig_kv_rejected_total] counters and the
-    [dsig_kv_serve_us] request-latency histogram (virtual time). *)
+    [telemetry] (default {!Dsig_telemetry.Telemetry.default}) publishes
+    {!requests_rejected} as [dsig_kv_rejected_total], served plus
+    rejected as [dsig_kv_requests_total], and the [dsig_kv_serve_us]
+    request-latency histogram (virtual time). *)
 
 val store : t -> Store.t
 val audit_log : t -> Dsig_audit.Audit.t
 val requests_served : t -> int
+
 val requests_rejected : t -> int
+(** Requests refused: malformed commands and those failing the audit
+    log's admission (bad signature, non-monotonic sequence number). *)
 
 (** {1 Client helper} *)
 

@@ -1,17 +1,20 @@
-module Retry = Dsig_util.Retry
 module Rtt = Dsig_util.Rtt
 module Pacer = Dsig_util.Pacer
-module Rng = Dsig_util.Rng
 
-(* One (batch, destination) pair awaiting an ACK. [retry] drives
-   scheduling in fixed mode; [next_due_us] drives it in adaptive mode.
-   The transmission stamps feed RTT samples and spurious-resend
-   detection in both modes. *)
+(* Scheduler constants: the RFC-6298 estimator defaults, and one token
+   bucket per signer refilling at 2000 re-announcements/s with a burst
+   of 8. There is no attempt budget: a pair is re-sent until it is
+   ACKed, dropped or evicted. *)
+let rtt = Rtt.default
+let rate_per_sec = 2_000.0
+let burst = 8
+
+(* One (batch, destination) pair awaiting an ACK. The transmission
+   stamps feed RTT samples and spurious-resend detection. *)
 type wait = {
-  mutable retry : Retry.state option; (* Some only in fixed mode *)
-  mutable next_due_us : float; (* adaptive-mode timer *)
-  mutable attempts : int; (* re-sends so far (0 = only the original) *)
-  mutable first_send_us : float;
+  mutable next_due_us : float;
+  mutable resent : bool; (* false = only the original was sent *)
+  first_send_us : float;
   mutable last_send_us : float;
 }
 
@@ -32,14 +35,9 @@ type dest_state = {
   mutable pressure_until_us : float;
 }
 
-type mode = Fixed | Adaptive of Options.adaptive
-
 type t = {
-  policy : Retry.policy;
-  mode : mode;
-  bucket : Pacer.t option; (* adaptive only *)
+  bucket : Pacer.t;
   retain : int;
-  rng : Rng.t;
   clock : unit -> float;
   entries : (int64, entry) Hashtbl.t;
   order : int64 Queue.t; (* FIFO retention *)
@@ -51,21 +49,11 @@ type t = {
   mutable dropped : int;
 }
 
-let create ?(policy = Retry.default) ?(pacing = Options.Fixed) ?(retain = 64) ~rng ~clock () =
+let create ?(retain = 64) ~clock () =
   if retain <= 0 then invalid_arg "Announce.create: retain must be positive";
-  let mode, bucket =
-    match pacing with
-    | Options.Fixed -> (Fixed, None)
-    | Options.Adaptive a ->
-        ( Adaptive a,
-          Some (Pacer.create ~burst:a.Options.burst ~rate_per_sec:a.Options.rate_per_sec ~now:(clock ()) ()) )
-  in
   {
-    policy;
-    mode;
-    bucket;
+    bucket = Pacer.create ~burst ~rate_per_sec ~now:(clock ()) ();
     retain;
-    rng;
     clock;
     entries = Hashtbl.create 16;
     order = Queue.create ();
@@ -77,20 +65,15 @@ let create ?(policy = Retry.default) ?(pacing = Options.Fixed) ?(retain = 64) ~r
     dropped = 0;
   }
 
-let adaptive t = match t.mode with Adaptive _ -> true | Fixed -> false
-
 let dest_state t dest =
   match Hashtbl.find_opt t.dests dest with
   | Some s -> s
   | None ->
-      let params = match t.mode with Adaptive a -> a.Options.rtt | Fixed -> Rtt.default in
       let s =
-        { est = Rtt.init params; min_rtt_us = infinity; pressure = 0; pressure_until_us = 0.0 }
+        { est = Rtt.init rtt; min_rtt_us = infinity; pressure = 0; pressure_until_us = 0.0 }
       in
       Hashtbl.add t.dests dest s;
       s
-
-let rtt_params t = match t.mode with Adaptive a -> a.Options.rtt | Fixed -> Rtt.default
 
 (* Back-pressure from the destination's admission controller. A level
    sticks for a few round trips (it is refreshed by every Credit frame
@@ -102,7 +85,7 @@ let note_pressure t ~dest ~pressure =
   let ds = dest_state t dest in
   let now = t.clock () in
   ds.pressure <- max 0 (min 255 pressure);
-  ds.pressure_until_us <- now +. (pressure_ttl_rtos *. Rtt.rto_us (rtt_params t) ds.est)
+  ds.pressure_until_us <- now +. (pressure_ttl_rtos *. Rtt.rto_us rtt ds.est)
 
 let live_pressure ds ~now = if now < ds.pressure_until_us then ds.pressure else 0
 
@@ -122,15 +105,14 @@ let track t (ann : Batch.announcement) ~dests =
   let waiting = Hashtbl.create (List.length dests) in
   List.iter
     (fun dest ->
-      let retry, next_due =
-        match t.mode with
-        | Fixed -> (Some (Retry.start t.policy ~rng:t.rng ~now), infinity)
-        | Adaptive _ ->
-            let ds = dest_state t dest in
-            (None, now +. (pressure_factor ds ~now *. Rtt.rto_us (rtt_params t) ds.est))
-      in
+      let ds = dest_state t dest in
       Hashtbl.replace waiting dest
-        { retry; next_due_us = next_due; attempts = 0; first_send_us = now; last_send_us = now })
+        {
+          next_due_us = now +. (pressure_factor ds ~now *. Rtt.rto_us rtt ds.est);
+          resent = false;
+          first_send_us = now;
+          last_send_us = now;
+        })
     dests;
   let batch_id = ann.Batch.ann_batch_id in
   if not (Hashtbl.mem t.entries batch_id) then Queue.add batch_id t.order;
@@ -169,7 +151,7 @@ let ack t ~verifier ~batch_id =
           t.acked <- t.acked + 1;
           let ds = dest_state t verifier in
           let redundant =
-            w.attempts > 0
+            w.resent
             && ds.min_rtt_us < infinity
             && now -. w.last_send_us < redundancy_floor *. ds.min_rtt_us
           in
@@ -180,19 +162,19 @@ let ack t ~verifier ~batch_id =
           (* Karn's rule: the estimator only sees unambiguous samples
              (no retransmission in between) *)
           let sample =
-            if w.attempts = 0 then begin
-              let rtt = now -. w.last_send_us in
-              ds.est <- Rtt.sample (rtt_params t) ds.est ~rtt_us:rtt;
+            if w.resent then None
+            else begin
+              let rtt_us = now -. w.last_send_us in
+              ds.est <- Rtt.sample rtt ds.est ~rtt_us;
               t.samples <- t.samples + 1;
-              Some rtt
+              Some rtt_us
             end
-            else None
           in
           {
             settled = true;
             redundant;
             rtt_sample_us = sample;
-            rto_us = Some (Rtt.rto_us (rtt_params t) ds.est);
+            rto_us = Some (Rtt.rto_us rtt ds.est);
           })
 
 let lookup t ~batch_id =
@@ -220,34 +202,8 @@ let drop_before t ~batch_id =
       else acc)
     t.entries 0
 
-let due_fixed t ~now =
-  let out = ref [] in
-  Hashtbl.iter
-    (fun _ e ->
-      let expired =
-        Hashtbl.fold
-          (fun dest w acc ->
-            match w.retry with
-            | Some st when Retry.due st ~now -> (dest, w, st) :: acc
-            | Some _ | None -> acc)
-          e.waiting []
-      in
-      List.iter
-        (fun (dest, w, st) ->
-          match Retry.next t.policy ~rng:t.rng st ~now with
-          | Some st' ->
-              w.retry <- Some st';
-              w.attempts <- w.attempts + 1;
-              w.last_send_us <- now;
-              out := (dest, e.ann) :: !out
-          | None ->
-              Hashtbl.remove e.waiting dest;
-              t.gave_up <- t.gave_up + 1)
-        expired)
-    t.entries;
-  !out
-
-let due_adaptive t (a : Options.adaptive) ~now =
+let due ?now t =
+  let now = match now with Some n -> n | None -> t.clock () in
   (* collect expired timers, bucketed per destination so the token
      budget is spread round-robin across links instead of draining into
      whichever batch iterates first *)
@@ -260,25 +216,18 @@ let due_adaptive t (a : Options.adaptive) ~now =
       in
       List.iter
         (fun (dest, w) ->
-          if a.Options.max_attempts > 0 && w.attempts >= a.Options.max_attempts then begin
-            Hashtbl.remove e.waiting dest;
-            t.gave_up <- t.gave_up + 1
-          end
-          else begin
-            let q =
-              match Hashtbl.find_opt by_dest dest with
-              | Some q -> q
-              | None ->
-                  let q = Queue.create () in
-                  Hashtbl.add by_dest dest q;
-                  q
-            in
-            Queue.add (e, w) q
-          end)
+          let q =
+            match Hashtbl.find_opt by_dest dest with
+            | Some q -> q
+            | None ->
+                let q = Queue.create () in
+                Hashtbl.add by_dest dest q;
+                q
+          in
+          Queue.add (e, w) q)
         expired)
     t.entries;
   let dests_order = Hashtbl.fold (fun d _ acc -> d :: acc) by_dest [] |> List.sort compare in
-  let bucket = Option.get t.bucket in
   let backed_off = Hashtbl.create 8 in
   let out = ref [] in
   let exhausted = ref false in
@@ -291,19 +240,18 @@ let due_adaptive t (a : Options.adaptive) ~now =
         if not !exhausted then
           let q = Hashtbl.find by_dest dest in
           if not (Queue.is_empty q) then begin
-            if Pacer.take bucket ~now then begin
+            if Pacer.take t.bucket ~now then begin
               let e, w = Queue.pop q in
               let ds = dest_state t dest in
               (* one multiplicative backoff per destination per poll:
                  simultaneous expiries are one loss signal, not many *)
               if not (Hashtbl.mem backed_off dest) then begin
-                ds.est <- Rtt.on_timeout a.Options.rtt ds.est;
+                ds.est <- Rtt.on_timeout rtt ds.est;
                 Hashtbl.add backed_off dest ()
               end;
-              w.attempts <- w.attempts + 1;
+              w.resent <- true;
               w.last_send_us <- now;
-              w.next_due_us <-
-                now +. (pressure_factor ds ~now *. Rtt.rto_us a.Options.rtt ds.est);
+              w.next_due_us <- now +. (pressure_factor ds ~now *. Rtt.rto_us rtt ds.est);
               out := (dest, e.ann) :: !out;
               progress := true
             end
@@ -312,10 +260,6 @@ let due_adaptive t (a : Options.adaptive) ~now =
       dests_order
   done;
   !out
-
-let due ?now t =
-  let now = match now with Some n -> n | None -> t.clock () in
-  match t.mode with Fixed -> due_fixed t ~now | Adaptive a -> due_adaptive t a ~now
 
 let pending t = Hashtbl.fold (fun _ e acc -> acc + Hashtbl.length e.waiting) t.entries 0
 
@@ -335,4 +279,4 @@ let srtt_us t ~dest =
   Option.bind (Hashtbl.find_opt t.dests dest) (fun ds -> Rtt.srtt_us ds.est)
 
 let rto_us t ~dest =
-  Option.map (fun ds -> Rtt.rto_us (rtt_params t) ds.est) (Hashtbl.find_opt t.dests dest)
+  Option.map (fun ds -> Rtt.rto_us rtt ds.est) (Hashtbl.find_opt t.dests dest)

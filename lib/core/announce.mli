@@ -4,47 +4,28 @@
     the threaded {!Runtime} (which adds its own locking — this module is
     not thread-safe by itself).
 
-    Two scheduling modes, selected by {!Options.pacing} at {!create}
-    time:
-
-    - [Fixed]: every destination follows the same {!Dsig_util.Retry}
-      backoff ladder — blind to the network, identical everywhere.
-    - [Adaptive]: each destination gets an RFC-6298-style retransmission
-      timeout from its own observed ACK round trips ({!Dsig_util.Rtt}),
-      and emission is spread by a shared token bucket
-      ({!Dsig_util.Pacer}). See DESIGN.md §9.
-
-    In both modes the tracker stamps transmission times and watches ACK
-    arrival times, so the RTT/RTO gauges and the redundant-re-announce
-    counter are observable even under fixed pacing. *)
+    Re-announcements are paced by ACK round trips: each destination
+    gets an RFC-6298-style retransmission timeout from its own observed
+    ACK round trips ({!Dsig_util.Rtt}, default constants), and emission
+    is spread by one token bucket per tracker ({!Dsig_util.Pacer},
+    2000 re-announcements/s, burst 8). There is no attempt budget: a
+    pair is re-sent until it is ACKed, {!drop}ped or evicted. See
+    DESIGN.md §9. *)
 
 type t
 
-val create :
-  ?policy:Dsig_util.Retry.policy ->
-  ?pacing:Options.pacing ->
-  ?retain:int ->
-  rng:Dsig_util.Rng.t ->
-  clock:(unit -> float) ->
-  unit ->
-  t
-(** [policy] (default {!Dsig_util.Retry.default}) drives fixed-mode
-    backoff; [pacing] (default [Fixed]) selects the scheduling mode;
-    [retain] (default 64) bounds how many batches are kept for
+val create : ?retain:int -> clock:(unit -> float) -> unit -> t
+(** [retain] (default 64) bounds how many batches are kept for
     re-announcement and request repair — older batches are evicted FIFO,
     abandoning any still-unacknowledged destinations. [clock] supplies
     "now" in the caller's time base (wall or virtual µs).
     @raise Invalid_argument if [retain] is not positive. *)
 
-val adaptive : t -> bool
-(** Whether this tracker was created with adaptive pacing. *)
-
 val track : t -> Batch.announcement -> dests:int list -> unit
 (** Register a freshly multicast announcement; every destination starts
     unacknowledged with first/last transmission stamped at the current
-    clock and a re-announcement timer armed (per policy in fixed mode,
-    per the destination's RTO in adaptive mode). Tracking the same batch
-    id again resets its entry. *)
+    clock and a re-announcement timer armed at the destination's RTO.
+    Tracking the same batch id again resets its entry. *)
 
 (** What an incoming ACK told us. *)
 type ack_outcome = {
@@ -73,13 +54,10 @@ val ack : t -> verifier:int -> batch_id:int64 -> ack_outcome
 
 val note_pressure : t -> dest:int -> pressure:int -> unit
 (** Record the back-pressure level [dest] advertised on a
-    [Batch.Credit] frame (clamped to [0, 255]). In adaptive mode a
-    loaded destination's re-announce interval stretches by up to 4x at
+    [Batch.Credit] frame (clamped to [0, 255]). A loaded destination's re-announce interval stretches by up to 4x at
     full pressure — pacing that one link down without starving others
     (the token budget is spread round-robin per destination). The level
-    decays after a few RTOs unless refreshed by further Credit frames.
-    Fixed mode records the level (visible via {!pressure_level}) but
-    does not reschedule. *)
+    decays after a few RTOs unless refreshed by further Credit frames. *)
 
 val pressure_level : t -> dest:int -> int
 (** [dest]'s live advertised pressure, [0] once it has decayed or for
@@ -107,16 +85,10 @@ val due : ?now:float -> t -> (int * Batch.announcement) list
     transmission stamps (the caller must actually send them). [now]
     defaults to the tracker's clock.
 
-    Fixed mode: every expired pair is returned; pairs whose retry budget
-    is exhausted are dropped (counted in {!gave_up}) instead of
-    returned.
-
-    Adaptive mode: expired pairs are interleaved round-robin across
-    destinations and emitted while the token bucket allows; pairs that
-    find the bucket empty simply stay due for the next poll. Each
-    destination's estimator backs off multiplicatively at most once per
-    call, and pairs that reached the attempt budget are dropped as given
-    up. *)
+    Expired pairs are interleaved round-robin across destinations and
+    emitted while the token bucket allows; pairs that find the bucket
+    empty simply stay due for the next poll. Each destination's
+    estimator backs off multiplicatively at most once per call. *)
 
 (** {1 Introspection} *)
 
@@ -133,7 +105,8 @@ val acked : t -> int
 (** ACKs that cleared a pending destination, ever. *)
 
 val gave_up : t -> int
-(** Destinations abandoned (budget exhausted or evicted), ever. *)
+(** Destinations abandoned still unacknowledged when their batch was
+    evicted from retention, ever. *)
 
 val redundant : t -> int
 (** Re-sends judged redundant by ACK timing, ever. *)

@@ -1,21 +1,5 @@
 module Retry = Dsig_util.Retry
-module Rtt = Dsig_util.Rtt
 module Tel = Dsig_telemetry.Telemetry
-
-type adaptive = {
-  rtt : Rtt.params;
-  rate_per_sec : float;
-  burst : int;
-  max_attempts : int;
-}
-
-type pacing = Fixed | Adaptive of adaptive
-
-let adaptive ?(rtt = Rtt.default) ?(rate_per_sec = 2_000.0) ?(burst = 8) ?(max_attempts = 0) () =
-  if rate_per_sec <= 0.0 then invalid_arg "Options.adaptive: rate_per_sec must be positive";
-  if burst <= 0 then invalid_arg "Options.adaptive: burst must be positive";
-  if max_attempts < 0 then invalid_arg "Options.adaptive: max_attempts must be non-negative";
-  Adaptive { rtt; rate_per_sec; burst; max_attempts }
 
 type store = { dir : string; group_commit : int; fsync : bool; checkpoint_every : int }
 
@@ -28,10 +12,8 @@ type ack_delay = { cap_us : float; srtt_fraction : float }
 
 type t = {
   telemetry : Tel.t;
-  retry : Retry.policy;
   retain : int;
   request_policy : Retry.policy;
-  pacing : pacing;
   store : store option;
   ack_delay : ack_delay option;
   translog : (signer:int -> op:string -> signature:string -> unit) option;
@@ -43,10 +25,8 @@ type t = {
 let default =
   {
     telemetry = Tel.default;
-    retry = Retry.default;
     retain = 64;
     request_policy = Retry.policy ~base_us:500.0 ~max_attempts:8 ();
-    pacing = Fixed;
     store = None;
     ack_delay = None;
     translog = None;
@@ -57,16 +37,11 @@ let default =
 
 let with_telemetry telemetry t = { t with telemetry }
 
-(* an explicit fixed policy also selects fixed pacing, so pre-Options
-   call sites migrate without a behavior change *)
-let with_retry retry t = { t with retry; pacing = Fixed }
-
 let with_retain retain t =
   if retain <= 0 then invalid_arg "Options.with_retain: retain must be positive";
   { t with retain }
 
 let with_request_policy request_policy t = { t with request_policy }
-let with_pacing pacing t = { t with pacing }
 let with_store store t = { t with store = Some store }
 
 let with_ack_delay ?(srtt_fraction = 0.25) ~cap_us t =

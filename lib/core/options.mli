@@ -1,7 +1,7 @@
 (** One configuration record for the DSig component constructors.
 
     {!Signer.create}, {!Runtime.create} and {!Verifier.create} used to
-    grow one optional argument per knob ([?telemetry ?retry ?retain
+    grow one optional argument per knob ([?telemetry ?retain
     ?request_policy ...]); they now take a single [?options] record
     built by piping {!default} through the [with_*] combinators:
 
@@ -9,7 +9,7 @@
       let opts =
         Options.default
         |> Options.with_telemetry tel
-        |> Options.with_pacing (Options.adaptive ())
+        |> Options.with_ack_delay ~cap_us:150.0
       in
       let signer = Signer.create cfg ~id ~eddsa ~rng ~options:opts ~verifiers ()
     ]}
@@ -19,38 +19,6 @@
     [Dsig_deploy.Deploy]). This is the only constructor surface — the
     pre-[Options] [create_legacy] shims and per-knob arguments are
     gone. *)
-
-(** {1 Re-announce pacing} *)
-
-type adaptive = {
-  rtt : Dsig_util.Rtt.params;  (** per-destination estimator constants *)
-  rate_per_sec : float;  (** token-bucket re-announce rate, per signer *)
-  burst : int;  (** token-bucket capacity *)
-  max_attempts : int;  (** re-sends before abandoning; [0] = unlimited *)
-}
-
-(** How a signer schedules re-announcements of unACKed batches. *)
-type pacing =
-  | Fixed
-      (** the global {!Dsig_util.Retry} backoff ladder from the [retry]
-          field — blind to the network, identical for every
-          destination *)
-  | Adaptive of adaptive
-      (** per-destination RFC-6298 RTOs from observed ACK round trips
-          ({!Dsig_util.Rtt}), spread by a token bucket
-          ({!Dsig_util.Pacer}); see DESIGN.md §9 *)
-
-val adaptive :
-  ?rtt:Dsig_util.Rtt.params ->
-  ?rate_per_sec:float ->
-  ?burst:int ->
-  ?max_attempts:int ->
-  unit ->
-  pacing
-(** Adaptive pacing with defaults: {!Dsig_util.Rtt.default} constants,
-    2000 re-announcements/s, burst 8, unlimited attempts.
-    @raise Invalid_argument on a non-positive rate or burst, or a
-    negative attempt budget. *)
 
 (** {1 Durable key state} *)
 
@@ -75,7 +43,7 @@ val store : ?group_commit:int -> ?fsync:bool -> ?checkpoint_every:int -> string 
     one [Batch.Acks] frame. The delay adapts to the observed path: it is
     [srtt_fraction] of the verifier's smoothed announce RTT, capped at
     [cap_us] — so batching never holds an ACK long enough to look like a
-    loss to the signer's re-announce ladder. *)
+    loss to the signer's re-announce timer. *)
 type ack_delay = {
   cap_us : float;  (** hard upper bound on ACK hold time, microseconds *)
   srtt_fraction : float;  (** fraction of SRTT actually waited *)
@@ -85,10 +53,8 @@ type ack_delay = {
 
 type t = {
   telemetry : Dsig_telemetry.Telemetry.t;  (** metric/tracer/clock bundle *)
-  retry : Dsig_util.Retry.policy;  (** fixed-mode re-announce backoff *)
   retain : int;  (** batches kept for re-announce / pull repair *)
   request_policy : Dsig_util.Retry.policy;  (** verifier pull-repair pacing *)
-  pacing : pacing;
   store : store option;  (** [None] (default) = in-memory key state only *)
   ack_delay : ack_delay option;  (** [None] (default) = ACK immediately *)
   translog : (signer:int -> op:string -> signature:string -> unit) option;
@@ -110,23 +76,17 @@ type t = {
 }
 
 val default : t
-(** {!Dsig_telemetry.Telemetry.default}, {!Dsig_util.Retry.default},
-    retain 64, the verifier's historical request policy (500 µs base,
-    8 attempts), and [Fixed] pacing — exactly the pre-Options
-    behavior. *)
+(** {!Dsig_telemetry.Telemetry.default}, retain 64, and the
+    verifier's historical request policy (500 µs base, 8 attempts).
+    Re-announce pacing is not configurable: signers always schedule by
+    per-destination ACK round trips (see {!Announce}). *)
 
 val with_telemetry : Dsig_telemetry.Telemetry.t -> t -> t
-
-val with_retry : Dsig_util.Retry.policy -> t -> t
-(** Sets the fixed re-announce policy {e and} selects [Fixed] pacing:
-    call sites that chose an explicit ladder keep their exact behavior.
-    Combine with {!with_pacing} afterwards to override. *)
 
 val with_retain : int -> t -> t
 (** @raise Invalid_argument if not positive. *)
 
 val with_request_policy : Dsig_util.Retry.policy -> t -> t
-val with_pacing : pacing -> t -> t
 
 val with_store : store -> t -> t
 (** Persist signer key state under [store.dir]: batch seals and key

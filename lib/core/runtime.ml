@@ -130,10 +130,7 @@ let create cfg ~id ~eddsa ~seed ?(options = Options.default) () =
       keys = Queue.create ();
       announcements = Queue.create ();
       announce =
-        Announce.create ~policy:options.Options.retry ~pacing:options.Options.pacing
-          ~retain:options.Options.retain ~rng:(Rng.split master)
-          ~clock:(fun () -> Tel.now telemetry)
-          ();
+        Announce.create ~retain:options.Options.retain ~clock:(fun () -> Tel.now telemetry) ();
       batches;
       stopping = false;
       fg_rng = Rng.split master;

@@ -26,8 +26,8 @@ val create :
 (** Spawns the background domain. Call {!shutdown} when done.
 
     [options] (default {!Options.default}) supplies the telemetry
-    bundle, the fixed-mode re-announce policy, the retention bound, and
-    the {!Options.pacing} mode for announcement ACK tracking — see
+    bundle and the retention bound for announcement ACK tracking, which
+    paces re-announcements by per-destination ACK round trips — see
     {!track_announcement} and DESIGN.md §9.
 
     When [options] carries a store ({!Options.with_store}), the runtime
@@ -107,8 +107,8 @@ val note_pressure : t -> verifier:int -> pressure:int -> unit
 
 val step : t -> now:float -> (int * Batch.announcement) list
 (** Re-announcements due at [now] (in the telemetry clock's time base);
-    consuming the list advances each destination's backoff/RTO. Under
-    adaptive pacing the list is bounded by the token bucket. *)
+    consuming the list advances each destination's RTO timer. The list
+    is bounded by the token bucket. *)
 
 val unacked_announcements : t -> int
 

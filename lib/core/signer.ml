@@ -2,7 +2,6 @@ open Dsig_hbss
 module Merkle = Dsig_merkle.Merkle
 module Eddsa = Dsig_ed25519.Eddsa
 module Rng = Dsig_util.Rng
-module Retry = Dsig_util.Retry
 module Domain_pool = Dsig_util.Domain_pool
 module Tel = Dsig_telemetry.Telemetry
 module Tracer = Dsig_telemetry.Tracer
@@ -149,10 +148,7 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(options = Options.default)
     send;
     outbox;
     announce =
-      Announce.create ~policy:options.Options.retry ~pacing:options.Options.pacing
-        ~retain:options.Options.retain ~rng:(Rng.split rng)
-        ~clock:(fun () -> Tel.now telemetry)
-        ();
+      Announce.create ~retain:options.Options.retain ~clock:(fun () -> Tel.now telemetry) ();
     gave_up_seen = 0;
     keystate;
     store_report;
@@ -608,6 +604,13 @@ let deliver_request t (r : Batch.request) =
 let step t ~now =
   (match t.sample_hook with Some hook -> hook ~now_us:now | None -> ());
   let due = Announce.due ~now t.announce in
+  (* destinations abandoned by retention eviction since the last step
+     surface as counter deltas *)
+  let gave_up = Announce.gave_up t.announce in
+  if gave_up > t.gave_up_seen then begin
+    Metric.Counter.incr ~by:(gave_up - t.gave_up_seen) t.tel.c_giveups;
+    t.gave_up_seen <- gave_up
+  end;
   (match due with
   | [] -> ()
   | _ :: _ ->
@@ -619,12 +622,6 @@ let step t ~now =
           | Some rto -> observe_rto t ~dest rto
           | None -> ())
         due;
-      (* destinations abandoned this round surface as counter deltas *)
-      let gave_up = Announce.gave_up t.announce in
-      if gave_up > t.gave_up_seen then begin
-        Metric.Counter.incr ~by:(gave_up - t.gave_up_seen) t.tel.c_giveups;
-        t.gave_up_seen <- gave_up
-      end;
       sync_unacked_gauge t;
       let t1 = Tel.now t.tel.bundle in
       Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Reannounce Tracer.Begin t0;

@@ -35,8 +35,8 @@ val create :
     never sends — it returns what to send.
 
     [options] (default {!Options.default}) supplies the telemetry
-    bundle, the fixed-mode re-announce policy, the retention bound, and
-    the {!Options.pacing} mode (see {!Announce} and DESIGN.md §9).
+    bundle and the retention bound. Re-announcements are paced by
+    per-destination ACK round trips (see {!Announce} and DESIGN.md §9).
 
     When [options] carries a store ({!Options.with_store}), the signer
     opens a durable {!Dsig_store.Keystate} journal under the store
@@ -203,8 +203,8 @@ val deliver_request : t -> Batch.request -> Batch.announcement option
 
 val note_pressure : t -> verifier:int -> pressure:int -> unit
 (** Record the back-pressure byte [verifier] piggybacked on a
-    [Batch.Credit] frame: under adaptive pacing that destination's
-    re-announce interval stretches (up to 4x at 255) until the level
+    [Batch.Credit] frame: that destination's re-announce interval
+    stretches (up to 4x at 255) until the level
     decays or a lower one arrives (see {!Announce.note_pressure}).
     Mirrors the latest level into the [dsig_signer_peer_pressure]
     gauge. *)
@@ -212,10 +212,10 @@ val note_pressure : t -> verifier:int -> pressure:int -> unit
 val step : t -> now:float -> (int * Batch.announcement) list
 (** Re-announcements due at [now] (in the telemetry clock's time base),
     as [(destination, announcement)] pairs the caller must send.
-    Advances backoff/RTO timers, counts each pair in
-    [dsig_signer_reannounces_total], and abandons destinations that
-    exhaust the budget ([dsig_signer_announce_giveups_total]). Under
-    adaptive pacing the list is bounded by the token bucket. *)
+    Advances each destination's RTO timer and counts each pair in
+    [dsig_signer_reannounces_total]; the list is bounded by the token
+    bucket. Destinations abandoned when retention evicted their batch
+    are counted in [dsig_signer_announce_giveups_total]. *)
 
 val unacked_announcements : t -> int
 (** Outstanding (batch, destination) pairs still awaiting an ACK. *)

@@ -400,7 +400,7 @@ let announce_srtt_us t = Mutex.protect t.ctl_mu (fun () -> t.announce_srtt_us)
 
 let observe_announce_latency t ~sent_us ~now =
   (* one-way announce latency doubled approximates the announce/ACK
-     round trip the signer's re-announce ladder is pacing against *)
+     round trip the signer's re-announce timer is pacing against *)
   let sample = 2.0 *. Float.max 0.0 (now -. sent_us) in
   Mutex.protect t.ctl_mu (fun () ->
       t.announce_srtt_us <-

@@ -16,8 +16,6 @@ let policy ?(base_us = 1000.0) ?(multiplier = 2.0) ?(max_delay_us = 64_000.0) ?(
   if deadline_us <= 0.0 then invalid_arg "Retry.policy: deadline_us must be positive";
   { base_us; multiplier; max_delay_us; jitter; max_attempts; deadline_us }
 
-let default = policy ()
-
 let delay_us p ~rng ~attempt =
   let raw = p.base_us *. (p.multiplier ** float_of_int attempt) in
   let capped = Float.min raw p.max_delay_us in

@@ -5,9 +5,8 @@
     own notion of "now" (wall-clock microseconds, or virtual time from
     [Sim.now]) and drive sends themselves; this module only answers
     "is this attempt due?" and "when is the next one?". Used by the
-    announcement plane to re-announce unacknowledged batches
-    ({!Dsig.Signer}, {!Dsig.Runtime}) and to pace verifier-side
-    {!Dsig.Batch.request} repair without flooding. *)
+    announcement plane to pace verifier-side {!Dsig.Batch.request}
+    repair without flooding. *)
 
 type policy = {
   base_us : float;  (** delay before the first retry *)
@@ -33,8 +32,6 @@ val policy :
 (** Defaults: base 1000 µs, multiplier 2.0, max delay 64000 µs, jitter
     0.2, 10 attempts, no deadline. @raise Invalid_argument on a
     non-positive base/multiplier, negative jitter, or jitter >= 1. *)
-
-val default : policy
 
 val delay_us : policy -> rng:Rng.t -> attempt:int -> float
 (** Jittered delay before retry number [attempt] (0-based). *)

@@ -279,17 +279,19 @@ let qcheck_tests =
 let test_announce_tracker () =
   let cfg = test_cfg () in
   let clock = ref 0.0 in
-  let policy = Dsig_util.Retry.policy ~base_us:100.0 ~jitter:0.0 ~max_attempts:2 () in
-  let tr =
-    Announce.create ~policy ~retain:2 ~rng:(Dsig_util.Rng.create 5L)
-      ~clock:(fun () -> !clock)
-      ()
+  let tracker ?retain () = Announce.create ?retain ~clock:(fun () -> !clock) () in
+  let anns =
+    Array.init 4 (fun i ->
+        let rng = Dsig_util.Rng.create (Int64.of_int (51 + i)) in
+        let sk, _ = Dsig_ed25519.Eddsa.generate rng in
+        Batch.announcement cfg
+          (Batch.make cfg ~signer_id:0 ~batch_id:(Int64.of_int (i + 1)) ~eddsa:sk ~rng))
   in
-  let ann i =
-    let rng = Dsig_util.Rng.create (Int64.of_int (50 + i)) in
-    let sk, _ = Dsig_ed25519.Eddsa.generate rng in
-    Batch.announcement cfg (Batch.make cfg ~signer_id:0 ~batch_id:(Int64.of_int i) ~eddsa:sk ~rng)
-  in
+  let ann i = anns.(i - 1) in
+  let dests_of l = List.map fst l in
+  (* a destination with no RTT sample yet waits out the initial RTO *)
+  let initial_rto = Dsig_util.Rtt.default.Dsig_util.Rtt.initial_rto_us in
+  let tr = tracker ~retain:2 () in
   Announce.track tr (ann 1) ~dests:[ 1; 2 ];
   Alcotest.(check int) "two pending" 2 (Announce.pending tr);
   clock := 40.0;
@@ -305,25 +307,76 @@ let test_announce_tracker () =
   Alcotest.(check int) "one pending" 1 (Announce.pending tr);
   Alcotest.(check (option (float 0.001))) "srtt learned" (Some 40.0)
     (Announce.srtt_us tr ~dest:1);
-  Alcotest.(check int) "nothing due before backoff" 0 (List.length (Announce.due tr));
-  clock := 150.0;
+  Alcotest.(check (option (float 0.001))) "unsampled destination sits at the initial RTO"
+    (Some initial_rto) (Announce.rto_us tr ~dest:2);
+  clock := initial_rto -. 1.0;
+  Alcotest.(check int) "nothing due before the initial RTO" 0 (List.length (Announce.due tr));
+  clock := initial_rto;
   (match Announce.due tr with
   | [ (2, a) ] ->
       Alcotest.(check bool) "re-announces batch 1" true (a.Batch.ann_batch_id = 1L)
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 due, got %d" (List.length l)));
-  (* retry budget (2 attempts) exhausts: the destination is abandoned
-     instead of re-announced forever *)
-  clock := 10_000.0;
-  Alcotest.(check int) "budget exhausted" 0 (List.length (Announce.due tr));
-  Alcotest.(check int) "gave up counted" 1 (Announce.gave_up tr);
-  Alcotest.(check int) "no pending left" 0 (Announce.pending tr);
-  (* FIFO retention: tracking beyond [retain] evicts the oldest *)
+  | l -> Alcotest.failf "expected 1 due, got %d" (List.length l));
+  Alcotest.(check (option (float 0.001))) "expiry backs the RTO off"
+    (Some (2.0 *. initial_rto)) (Announce.rto_us tr ~dest:2);
+  (* Karn's rule: an ACK after a re-send is ambiguous, so no sample *)
+  clock := initial_rto +. 100.0;
+  let o = Announce.ack tr ~verifier:2 ~batch_id:1L in
+  Alcotest.(check bool) "ack after re-send settles" true o.Announce.settled;
+  Alcotest.(check (option (float 0.001))) "no RTT sample after a re-send" None
+    o.Announce.rtt_sample_us;
+  Alcotest.(check int) "only the clean sample counted" 1 (Announce.samples tr);
+  Alcotest.(check (option (float 0.001))) "srtt untouched by the ambiguous ack" None
+    (Announce.srtt_us tr ~dest:2);
+  (* FIFO retention: tracking beyond [retain] evicts the oldest, and an
+     evicted batch's unacknowledged destinations count as give-ups *)
   Announce.track tr (ann 2) ~dests:[ 1 ];
   Announce.track tr (ann 3) ~dests:[ 1 ];
   Announce.track tr (ann 4) ~dests:[ 1 ];
   Alcotest.(check int) "retained bound" 2 (Announce.batches tr);
   Alcotest.(check bool) "evicted not served" true (Announce.lookup tr ~batch_id:2L = None);
-  Alcotest.(check bool) "recent served" true (Announce.lookup tr ~batch_id:4L <> None)
+  Alcotest.(check bool) "recent served" true (Announce.lookup tr ~batch_id:4L <> None);
+  Alcotest.(check int) "eviction gave up batch 2's destination" 1 (Announce.gave_up tr);
+  (* token bucket: 12 pairs expire together, one poll sends at most the
+     burst of 8, interleaved round-robin across destinations *)
+  clock := 0.0;
+  let tr = tracker () in
+  for i = 1 to 4 do
+    Announce.track tr (ann i) ~dests:[ 1; 2; 3 ]
+  done;
+  clock := initial_rto;
+  let sent = Announce.due tr in
+  Alcotest.(check int) "one poll sends at most the burst" 8 (List.length sent);
+  let per_dest d = List.length (List.filter (( = ) d) (dests_of sent)) in
+  Alcotest.(check (list int)) "tokens spread across destinations" [ 3; 3; 2 ]
+    (List.map per_dest [ 1; 2; 3 ]);
+  let rec interleaved = function
+    | a :: (b :: _ as rest) -> a <> b && interleaved rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "no destination sent twice in a row" true
+    (interleaved (dests_of sent));
+  Alcotest.(check int) "empty bucket: the rest stay due" 0 (List.length (Announce.due tr));
+  Alcotest.(check int) "nothing abandoned" 12 (Announce.pending tr);
+  (* the bucket refills at 2000/s: 2 ms later the 4 leftovers go out *)
+  clock := initial_rto +. 2_000.0;
+  Alcotest.(check int) "leftovers sent after refill" 4 (List.length (Announce.due tr));
+  (* back-pressure stretches the next due time: at full pressure the
+     loaded destination waits 4x its RTO, the other keeps its pace *)
+  clock := 0.0;
+  let tr = tracker () in
+  Announce.note_pressure tr ~dest:1 ~pressure:255;
+  Alcotest.(check int) "pressure recorded" 255 (Announce.pressure_level tr ~dest:1);
+  Announce.track tr (ann 1) ~dests:[ 1; 2 ];
+  clock := initial_rto;
+  Alcotest.(check (list int)) "unloaded destination due at its RTO" [ 2 ]
+    (dests_of (Announce.due tr));
+  clock := (4.0 *. initial_rto) -. 1.0;
+  Alcotest.(check bool) "loaded destination not due before 4x RTO" false
+    (List.mem 1 (dests_of (Announce.due tr)));
+  clock := 4.0 *. initial_rto;
+  Alcotest.(check bool) "loaded destination due at 4x RTO" true
+    (List.mem 1 (dests_of (Announce.due tr)));
+  Alcotest.(check int) "pressure decays" 0 (Announce.pressure_level tr ~dest:1)
 
 let test_system_ack_loop () =
   (* in-process transport is lossless: the control loopback settles

@@ -16,11 +16,11 @@ let test_golden_signature () =
   let signature = System.sign sys ~signer:0 ~hint:[ 1 ] "golden message" in
   Alcotest.(check int) "length" 1456 (String.length signature);
   (* If this digest changes, the wire format or key-derivation pipeline
-     changed: bump deliberately. Last bump: the signer splits an extra
-     RNG for the announcement ACK tracker, shifting the seeded key
-     stream (wire format unchanged). *)
+     changed: bump deliberately. Last bump: the announcement ACK
+     tracker no longer takes an RNG, so the signer stops splitting one
+     off and the seeded key stream shifts (wire format unchanged). *)
   Alcotest.(check string) "fingerprint"
-    "f20a1a3ce9f7948d7abc6a96812cd0c34ae9ce971faece490164d47ca1449419"
+    "0c547f2757b19022b3067f4dcf433e551ed25a4ca1fd4594cd7901a4c82e1ab8"
     (Dsig_util.Bytesutil.to_hex (Dsig_hashes.Blake3.digest signature));
   (* determinism across identically-seeded systems *)
   let sys2 = System.create ~seed:123L cfg ~n:2 () in

@@ -13,19 +13,16 @@ module Tel = Dsig_telemetry.Telemetry
 
 let test_fault_matrix () =
   let sim = Sim.create () in
-  (* virtual clock: the re-announce and pull-repair backoff ladders run
-     in simulated time *)
+  (* virtual clock: the re-announce timers and the pull-repair backoff
+     ladder run in simulated time *)
   let telemetry = Tel.create ~clock:(fun () -> Sim.now sim) () in
   let cfg = Config.make ~batch_size:4 ~queue_threshold:8 (Config.wots ~d:4) in
-  (* repair deliberately slower than key consumption (backoff base 2 ms
-     vs one signature per 150 µs) so a dropped announcement leaves an
-     observable missing-batch window *)
-  let retry =
-    Dsig_util.Retry.policy ~base_us:2_000.0 ~max_delay_us:8_000.0 ~max_attempts:100 ()
-  in
-  let options =
-    Options.default |> Options.with_telemetry telemetry |> Options.with_retry retry
-  in
+  let options = Options.default |> Options.with_telemetry telemetry in
+  (* a dropped announcement is re-sent only after its destination's RTO
+     (at least 200 µs, doubled per loss) plus up to one 100 µs poll,
+     while a signature is issued every 150 µs: signatures from the lost
+     batch meet a verifier that lacks it, an observable missing-batch
+     window *)
   let d = Deploy.create sim cfg ~n:3 ~options ~reannounce_poll_us:100.0 () in
   Net.set_faults (Deploy.net d) ~drop:0.2 ~reorder:0.2 ~corrupt:0.05 ~reorder_delay_us:300.0
     ~mutate:(Deploy.corrupting_mutate ~seed:11L) ~seed:42L ();
@@ -98,12 +95,7 @@ let test_timeline_dip_and_recover () =
   let sim = Sim.create () in
   let telemetry = Tel.create ~clock:(fun () -> Sim.now sim) () in
   let cfg = Config.make ~batch_size:4 ~queue_threshold:8 (Config.wots ~d:4) in
-  let retry =
-    Dsig_util.Retry.policy ~base_us:2_000.0 ~max_delay_us:8_000.0 ~max_attempts:100 ()
-  in
-  let options =
-    Options.default |> Options.with_telemetry telemetry |> Options.with_retry retry
-  in
+  let options = Options.default |> Options.with_telemetry telemetry in
   (* alert windows sized to the signing cadence below: one signature per
      150 µs, so the 9 ms fault phase spans the slow window exactly *)
   let d =
@@ -236,18 +228,16 @@ let test_quiescent_no_reannounce () =
   Alcotest.(check bool) "acks were sent" true (st.Verifier.acks_sent > 0);
   Alcotest.(check int) "no pull requests needed" 0 st.Verifier.requests_sent
 
-(* ISSUE 4 acceptance: on the same seeded fault schedule (drop=0.2,
-   reorder=0.2) over a high-latency link, every signature still verifies
-   with no false accepts under BOTH pacing modes, and the adaptive pacer
-   re-announces strictly less than the fixed ladder — the fixed policy's
-   1 ms backoff base fires before the ~1.6 ms ACK round trip can
-   possibly complete, so it resends every batch redundantly, while the
-   learned per-destination RTO stays above the measured RTT. *)
-let run_paced pacing_options =
+(* On a seeded fault schedule (drop=0.2, reorder=0.2) over a
+   high-latency link, every signature still verifies with no false
+   accepts, and the re-announce timer never fires into the round trip:
+   the learned per-destination RTO stays above the ~1.6 ms measured
+   RTT, so no re-send is made redundant by an ACK already in flight. *)
+let test_adaptive_pacing_no_redundant_resends () =
   let sim = Sim.create () in
   let telemetry = Tel.create ~clock:(fun () -> Sim.now sim) () in
   let cfg = Config.make ~batch_size:4 ~queue_threshold:8 (Config.wots ~d:4) in
-  let options = pacing_options (Options.default |> Options.with_telemetry telemetry) in
+  let options = Options.default |> Options.with_telemetry telemetry in
   (* 800 µs one-way latency: an ACK cannot return before ~1.6 ms *)
   let d = Deploy.create sim cfg ~n:3 ~latency_us:800.0 ~reannounce_poll_us:100.0 ~options () in
   Net.set_faults (Deploy.net d) ~drop:0.2 ~reorder:0.2 ~reorder_delay_us:300.0 ~seed:42L ();
@@ -263,7 +253,7 @@ let run_paced pacing_options =
         (Deploy.verify d ~verifier:1 ~msg:(msg ^ "!") s);
     Sim.run ~until:(Sim.now sim +. 300.0) sim
   done;
-  (* settle the re-announce tail on the same schedule for both modes *)
+  (* settle the re-announce tail *)
   Sim.run ~until:(Sim.now sim +. 60_000.0) sim;
   Alcotest.(check int) "every signature verifies" n !ok;
   let reannounces =
@@ -272,35 +262,21 @@ let run_paced pacing_options =
       0 [ 0; 1; 2 ]
   in
   let snap = Tel.snapshot telemetry in
-  ( reannounces,
-    counter_value snap "dsig_signer_reannounces_total",
-    counter_value snap "dsig_reannounce_redundant_total" )
-
-let test_adaptive_beats_fixed () =
-  let fixed_re, fixed_ctr, fixed_red = run_paced (fun o -> o) in
-  let adaptive_re, adaptive_ctr, adaptive_red =
-    run_paced (Options.with_pacing (Options.adaptive ()))
-  in
+  (* the drops force re-sends, so the zero below is not vacuous *)
   Alcotest.(check bool)
-    (Printf.sprintf "fixed ladder re-announces into the RTT (got %d)" fixed_re)
-    true (fixed_re > 0);
-  Alcotest.(check int) "stats and counter agree (fixed)" fixed_re fixed_ctr;
-  Alcotest.(check int) "stats and counter agree (adaptive)" adaptive_re adaptive_ctr;
-  Alcotest.(check bool)
-    (Printf.sprintf "adaptive re-announces strictly less (%d < %d)" adaptive_re fixed_re)
-    true
-    (adaptive_re < fixed_re);
-  Alcotest.(check bool)
-    (Printf.sprintf "adaptive redundant resends strictly less (%d < %d)" adaptive_red fixed_red)
-    true
-    (adaptive_red < fixed_red)
+    (Printf.sprintf "dropped announcements were re-sent (got %d)" reannounces)
+    true (reannounces > 0);
+  Alcotest.(check int) "stats and counter agree" reannounces
+    (counter_value snap "dsig_signer_reannounces_total");
+  Alcotest.(check int) "no redundant resends" 0
+    (counter_value snap "dsig_reannounce_redundant_total")
 
 (* ISSUE 5 satellite: with [Options.with_ack_delay], verifiers hold ACKs
    briefly and coalesce them into [Batch.Acks] frames. On the same
    lossless schedule the delayed run must emit strictly fewer ACK frames
    for the same acknowledgements, without provoking a single extra
-   re-announcement (the hold is capped well under the signer's 1 ms
-   retry base). *)
+   re-announcement (the hold is capped well under the 5 ms initial RTO,
+   and later RTOs are learned from the delayed ACKs themselves). *)
 let run_ack_mode ack_options =
   let sim = Sim.create () in
   let telemetry = Tel.create ~clock:(fun () -> Sim.now sim) () in
@@ -551,8 +527,8 @@ let suites =
           test_timeline_dip_and_recover;
         Alcotest.test_case "quiescent network needs no repair" `Quick
           test_quiescent_no_reannounce;
-        Alcotest.test_case "adaptive pacing beats fixed ladder" `Slow
-          test_adaptive_beats_fixed;
+        Alcotest.test_case "adaptive pacing never resends into the RTT" `Slow
+          test_adaptive_pacing_no_redundant_resends;
         Alcotest.test_case "ack batching sends fewer frames" `Quick
           test_ack_batching_fewer_frames;
         Alcotest.test_case "revocation mid-flight under drop" `Slow

@@ -18,12 +18,7 @@ let test_two_node_lifecycle_under_drop () =
   let lc = telemetry.Tel.lifecycle in
   Lifecycle.enable lc;
   let cfg = Config.make ~batch_size:4 ~queue_threshold:8 (Config.wots ~d:4) in
-  let retry =
-    Dsig_util.Retry.policy ~base_us:2_000.0 ~max_delay_us:8_000.0 ~max_attempts:100 ()
-  in
-  let options =
-    Options.default |> Options.with_telemetry telemetry |> Options.with_retry retry
-  in
+  let options = Options.default |> Options.with_telemetry telemetry in
   let d = Deploy.create sim cfg ~n:2 ~options ~reannounce_poll_us:100.0 () in
   (* warm up the background planes before injecting faults *)
   Sim.run ~until:2_000.0 sim;
@@ -36,9 +31,10 @@ let test_two_node_lifecycle_under_drop () =
         Sim.run ~until:(Sim.now sim +. 200.0) sim;
         (msg, s))
   in
-  (* settle: the re-announce backoff (base 2 ms, <= 100 attempts) must
-     admit every batch despite the drops — a span only counts as "full"
-     when the admit was observed before its verify *)
+  (* settle: re-announcements, paced by each destination's learned RTO
+     and never abandoned, must admit every batch despite the drops — a
+     span only counts as "full" when the admit was observed before its
+     verify *)
   Sim.run ~until:(Sim.now sim +. 200_000.0) sim;
   let ok =
     List.fold_left

@@ -72,8 +72,11 @@ let test_kv_server_end_to_end () =
 let test_kv_server_rejects_forgery () =
   with_deployment ~n:2 (fun sim deploy ->
       let net = Net.create sim ~nodes:2 () in
-      let server = Dsig_kv.Kv_server.start ~sim ~net ~node:0 ~verify:(verify_fn deploy) () in
-      let reply = ref "" in
+      let telemetry = Dsig_telemetry.Telemetry.create () in
+      let server =
+        Dsig_kv.Kv_server.start ~sim ~net ~node:0 ~verify:(verify_fn deploy) ~telemetry ()
+      in
+      let reply = ref "" and malformed_reply = ref "" in
       Sim.spawn sim (fun () ->
           (* sign one command, submit a different one under that signature *)
           let genuine = Dsig_kv.Store.Command.encode ~seq:0 (Dsig_kv.Store.Command.Get "x") in
@@ -82,10 +85,26 @@ let test_kv_server_rejects_forgery () =
           Net.send net ~src:1 ~dst:0 ~bytes:(String.length forged + String.length signature)
             (forged, signature);
           let _, _, (r, _) = Net.recv net ~node:1 in
-          reply := r);
+          reply := r;
+          (* a raw frame that is not an encoded command at all *)
+          Net.send net ~src:1 ~dst:0 ~bytes:8 ("garbage", "");
+          let _, _, (r, _) = Net.recv net ~node:1 in
+          malformed_reply := r);
       Sim.run ~until:50_000.0 sim;
       Alcotest.(check string) "forgery rejected" "ERR bad signature" !reply;
-      Alcotest.(check int) "nothing served" 0 (Dsig_kv.Kv_server.requests_served server))
+      Alcotest.(check string) "malformed command rejected" "ERR malformed" !malformed_reply;
+      Alcotest.(check int) "nothing served" 0 (Dsig_kv.Kv_server.requests_served server);
+      let counter name =
+        match
+          Dsig_telemetry.Registry.Snapshot.find (Dsig_telemetry.Telemetry.snapshot telemetry) name
+        with
+        | Some (Dsig_telemetry.Registry.Snapshot.Counter n) -> n
+        | _ -> -1
+      in
+      Alcotest.(check int) "both rejections counted" 2
+        (Dsig_kv.Kv_server.requests_rejected server);
+      Alcotest.(check int) "snapshot agrees" 2 (counter "dsig_kv_rejected_total");
+      Alcotest.(check int) "every request counted" 2 (counter "dsig_kv_requests_total"))
 
 let test_trading_server_end_to_end () =
   with_deployment ~n:3 (fun sim deploy ->

@@ -225,8 +225,8 @@ let test_reannounce_ack_loop () =
       in
       Runtime.track_announcement rt ann ~dests:[ 1 ];
       Alcotest.(check int) "one unacked" 1 (Runtime.unacked_announcements rt);
-      (* the default backoff base is 500 us of wall time; after a real
-         delay the destination must come due *)
+      (* with no RTT sample yet the destination's RTO is the initial
+         5 ms of wall time; after a 10 ms delay it must come due *)
       Thread.delay 0.01;
       let due = Dsig.Control_plane.step cp ~now:(Dsig_telemetry.Telemetry.now tel) in
       Alcotest.(check bool) "due for re-announce" true (due <> []);
