@@ -114,6 +114,28 @@ let test_haraka_shapes () =
     (fun () -> ignore (Haraka.haraka256 "short"));
   Alcotest.(check int) "40 round constants" 40 (Array.length Haraka.round_constants)
 
+(* Known answers pinned from the string-round implementation; the
+   construction is a documented reconstruction (see haraka.mli), so these
+   are regression vectors, not external ones. *)
+let test_haraka_kat () =
+  let hex = Dsig_util.Bytesutil.to_hex in
+  let iota n = String.init n Char.chr in
+  check_hex "h256 iota" "e9fc24c6d5decd57a4104f0ce26535be9445335ea7e46c1b6748071459320355"
+    (hex (Haraka.haraka256 (iota 32)));
+  check_hex "h256 zero" "a9d564ea17d541051aca04a7c42899e02a3e79bc839747263fc3cbad8d7a9187"
+    (hex (Haraka.haraka256 (String.make 32 '\x00')));
+  check_hex "h512 iota" "0e2da5301da8142b230e92a0439b7818a2227b1c4edbe81780d8d51e82978b7c"
+    (hex (Haraka.haraka512 (iota 64)));
+  check_hex "h512 zero" "7a0c06f95df03facadaeb761226cee1c3e27347b5781ad6f2286c16e783f3204"
+    (hex (Haraka.haraka512 (String.make 64 '\x00')));
+  check_hex "digest 3 B to 18 B" "cc080c26c931d34f7d1a72aaf5a6633cd20f"
+    (hex (Hash.digest Hash.Haraka ~length:18 "abc"));
+  check_hex "digest 40 B to 40 B"
+    "d66a844553ad3b7e93a14fe5cfe9ad10b62fd1473c1ab9a3dffd8da340488d0adda79d5eeaa7beda"
+    (hex (Hash.digest Hash.Haraka ~length:40 (String.make 40 'h')));
+  check_hex "digest 100 B" "c1cae7d98c45c6572bc4c3aba0fdfda435bf44b23bd14004c8c1d30940acc3d5"
+    (hex (Hash.digest Hash.Haraka (String.make 100 'h')))
+
 let test_blake3_incremental () =
   (* incremental = one-shot across chunk/block boundaries and feeding
      patterns, plain and keyed *)
@@ -175,6 +197,23 @@ let qcheck_tests =
             s
         in
         Haraka.haraka256 s <> Haraka.haraka256 flipped);
+    (* Differential tests against the reference kernels in Ref_kernels. *)
+    Test.make ~name:"haraka256 = reference" ~count:500 (string_n 32) (fun s ->
+        Haraka.haraka256 s = Ref_kernels.Haraka.haraka256 s);
+    Test.make ~name:"haraka512 = reference" ~count:300 (string_n 64) (fun s ->
+        Haraka.haraka512 s = Ref_kernels.Haraka.haraka512 s);
+    Test.make ~name:"haraka digest = reference" ~count:300
+      (pair (string_of_size Gen.(0 -- 100)) (int_range 1 100))
+      (fun (s, length) ->
+        Hash.digest Hash.Haraka ~length s = Ref_kernels.Hash.digest Hash.Haraka ~length s);
+    Test.make ~name:"blake3 modes = reference" ~count:60
+      (triple (string_of_size Gen.(0 -- ((3 * 1024) + 1))) (string_n 32) (int_range 1 200))
+      (fun (msg, key, length) ->
+        let module R = Ref_kernels.Blake3 in
+        Blake3.digest msg = R.digest msg
+        && Blake3.digest ~length msg = R.digest ~length msg
+        && Blake3.keyed ~key ~length msg = R.keyed ~key ~length msg
+        && Blake3.derive_key ~context:key ~length msg = R.derive_key ~context:key ~length msg);
     Test.make ~name:"sha256 incremental = one-shot" ~count:50
       (pair (string_of_size Gen.(0 -- 300)) (string_of_size Gen.(0 -- 300)))
       (fun (a, b) ->
@@ -234,6 +273,7 @@ let suites =
         Alcotest.test_case "aes sbox" `Quick test_aes_sbox;
         Alcotest.test_case "gf_mul" `Quick test_gf_mul;
         Alcotest.test_case "haraka shapes" `Quick test_haraka_shapes;
+        Alcotest.test_case "haraka known answers" `Quick test_haraka_kat;
       ]
       @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests );
   ]

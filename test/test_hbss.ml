@@ -133,6 +133,31 @@ let test_wots_cross_params_rejects () =
     (Wots.verify p8 ~public_seed:(Wots.public_seed kp)
        ~pk_digest:(Wots.public_key_digest kp) s "params")
 
+(* Known answers pinned from the per-step-mask implementation, d = 4
+   (the deployed parameter) and d = 16. The signature fingerprint is
+   BLAKE3 of the concatenated elements of an uncached signature. *)
+let test_wots_kat () =
+  let hex = Dsig_util.Bytesutil.to_hex in
+  List.iter
+    (fun (d, pk, sig_fp) ->
+      let p = Params.Wots.make ~d () in
+      let name s = Printf.sprintf "d=%d %s" d s in
+      let kp = Wots.generate ~cache_chains:false p ~seed:(seed 'k') in
+      let s = Wots.sign kp ~nonce:(nonce 'n') "wots kat" in
+      Alcotest.(check string) (name "pk digest") pk (hex (Wots.public_key_digest kp));
+      Alcotest.(check string) (name "recovered digest") pk
+        (hex (Wots.recover_public_key_digest p ~public_seed:(Wots.public_seed kp) s "wots kat"));
+      Alcotest.(check string) (name "signature") sig_fp
+        (hex (Dsig_hashes.Blake3.digest (String.concat "" (Array.to_list s.Wots.elements)))))
+    [
+      ( 4,
+        "9a78337bc73d9a7e5448e29594c60702d0ef9b46e10f44b00457974e24d1d687",
+        "9000e15ab2e4c7f573f32ec2df97bebbccd6f7e05a54d6b50088b6ca041bee8d" );
+      ( 16,
+        "b7b7ed74d497451ca4b97f8ce5f66fc47a7aa5f9389e6773e5dd1a9c469a264f",
+        "faf0361cc48a2e87713413a68c72078b1c8a8f653647013ddae5aae7bde97c55" );
+    ]
+
 let test_hors_forest_tree_counts () =
   (* trees = 4 vs 8: different roots, both verify within their layout *)
   let hors_p = Params.Hors.make ~k:16 () in
@@ -271,6 +296,32 @@ let qcheck_tests =
         not
           (Wots.verify wots_p ~public_seed:(Wots.public_seed kp)
              ~pk_digest:(Wots.public_key_digest kp) s forged_msg));
+    (* Differential tests against the per-step-mask W-OTS+ in Ref_kernels. *)
+    Test.make ~name:"wots keygen = reference" ~count:12
+      (pair (oneofl [ 2; 4; 8; 16 ]) (string_of_size (Gen.return 32)))
+      (fun (d, sd) ->
+        let p = Params.Wots.make ~d () in
+        Wots.public_key_digest (Wots.generate p ~seed:sd)
+        = Ref_kernels.Wots.public_key_digest p ~seed:sd);
+    Test.make ~name:"wots uncached sign = reference" ~count:20
+      (triple (oneofl [ 2; 4; 8; 16 ]) (string_of_size (Gen.return 32)) msg_gen)
+      (fun (d, sd, msg) ->
+        let p = Params.Wots.make ~d () in
+        let nonce = String.sub sd 0 16 in
+        let kp = Wots.generate ~cache_chains:false p ~seed:sd in
+        (Wots.sign kp ~nonce msg).Wots.elements = Ref_kernels.Wots.sign p ~seed:sd ~nonce msg);
+    Test.make ~name:"wots recover = reference" ~count:40
+      (quad (oneofl [ 2; 4; 8; 16 ]) (string_of_size (Gen.return 32)) (int_range 0 10_000) msg_gen)
+      (fun (d, public_seed, salt, msg) ->
+        (* arbitrary elements, not only genuine signatures: recovery
+           must agree on every input *)
+        let p = Params.Wots.make ~d () in
+        let rng = Dsig_util.Rng.create (Int64.of_int salt) in
+        let nonce = Dsig_util.Rng.bytes rng 16 in
+        let elements = Array.init p.Params.Wots.l (fun _ -> Dsig_util.Rng.bytes rng p.Params.Wots.n) in
+        let s = { Wots.nonce; elements } in
+        Wots.recover_public_elements p ~public_seed s msg
+        = Ref_kernels.Wots.recover_public_elements p ~public_seed ~nonce elements msg);
     Test.make ~name:"hors sign/verify all k" ~count:12
       (pair (oneofl [ 16; 32; 64 ]) msg_gen)
       (fun (k, msg) ->
@@ -313,6 +364,7 @@ let suites =
         Alcotest.test_case "sizes" `Quick test_wots_sizes;
         Alcotest.test_case "cross-hash rejected" `Quick test_wots_cross_hash_rejects;
         Alcotest.test_case "cross-params rejected" `Quick test_wots_cross_params_rejects;
+        Alcotest.test_case "known answers" `Quick test_wots_kat;
       ] );
     ( "hbss.hors",
       [
