@@ -46,26 +46,30 @@ let t1 = Array.map rot8 t0
 let t2 = Array.map rot8 t1
 let t3 = Array.map rot8 t2
 
-let state_of_string s off : state =
-  Array.init 4 (fun c ->
-      (Char.code s.[off + (4 * c)] lsl 24)
-      lor (Char.code s.[off + (4 * c) + 1] lsl 16)
-      lor (Char.code s.[off + (4 * c) + 2] lsl 8)
-      lor Char.code s.[off + (4 * c) + 3])
+let get_word s off = Int32.to_int (String.get_int32_be s off) land 0xffffffff
+let state_of_string s off : state = Array.init 4 (fun c -> get_word s (off + (4 * c)))
 
 let string_of_state (st : state) =
   String.init 16 (fun i -> Char.chr ((st.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xff))
 
-let byte st r c = (st.(c) lsr (8 * (3 - r))) land 0xff
+(* One output column of SubBytes+ShiftRows+MixColumns: row r comes from
+   input column c + r, so column c reads byte r of the r-th word after it. *)
+let[@inline] column a b c d =
+  Array.unsafe_get t0 (a lsr 24)
+  lxor Array.unsafe_get t1 ((b lsr 16) land 0xff)
+  lxor Array.unsafe_get t2 ((c lsr 8) land 0xff)
+  lxor Array.unsafe_get t3 (d land 0xff)
 
-let round (st : state) ~rc : state =
-  let rck = state_of_string rc 0 in
-  Array.init 4 (fun c ->
-      t0.(byte st 0 c)
-      lxor t1.(byte st 1 ((c + 1) mod 4))
-      lxor t2.(byte st 2 ((c + 2) mod 4))
-      lxor t3.(byte st 3 ((c + 3) mod 4))
-      lxor rck.(c))
+(* All four words are read before any is written, so the round runs in
+   place. *)
+let round st off ~rk rk_off =
+  let c0 = st.(off) and c1 = st.(off + 1) and c2 = st.(off + 2) and c3 = st.(off + 3) in
+  st.(off) <- column c0 c1 c2 c3 lxor rk.(rk_off);
+  st.(off + 1) <- column c1 c2 c3 c0 lxor rk.(rk_off + 1);
+  st.(off + 2) <- column c2 c3 c0 c1 lxor rk.(rk_off + 2);
+  st.(off + 3) <- column c3 c0 c1 c2 lxor rk.(rk_off + 3)
+
+let byte st r c = (st.(c) lsr (8 * (3 - r))) land 0xff
 
 let round_naive (st : state) ~rc : state =
   (* SubBytes *)

@@ -22,10 +22,18 @@ val state_of_string : string -> int -> state
 
 val string_of_state : state -> string
 
-val round : state -> rc:string -> state
-(** One AES round: SubBytes, ShiftRows, MixColumns, then XOR with the
-    16-byte round constant [rc]. Implemented with fused T-tables. *)
+val get_word : string -> int -> int
+(** [get_word s off] is the big-endian 32-bit word at [off], as a
+    non-negative [int]: one column of {!state_of_string}. *)
+
+val round : int array -> int -> rk:int array -> int -> unit
+(** [round st off ~rk rk_off] applies one AES round in place to the
+    four column words [st.(off) .. st.(off + 3)]: SubBytes, ShiftRows and
+    MixColumns through fused T-tables, then XOR with the round-key words
+    [rk.(rk_off) .. rk.(rk_off + 3)]. Every word must be below [2^32]. It
+    allocates nothing. *)
 
 val round_naive : state -> rc:string -> state
-(** Reference implementation applying the four steps separately; used by
-    the test suite to validate [round]. *)
+(** Reference implementation applying the four steps separately, with
+    the 16-byte round constant [rc]; used by the test suite to validate
+    [round]. *)

@@ -24,24 +24,30 @@ let g v a b c d mx my =
   v.(c) <- (v.(c) + v.(d)) land mask32;
   v.(b) <- rotr (v.(b) lxor v.(c)) 7
 
-let round v m =
-  (* columns *)
-  g v 0 4 8 12 m.(0) m.(1);
-  g v 1 5 9 13 m.(2) m.(3);
-  g v 2 6 10 14 m.(4) m.(5);
-  g v 3 7 11 15 m.(6) m.(7);
-  (* diagonals *)
-  g v 0 5 10 15 m.(8) m.(9);
-  g v 1 6 11 12 m.(10) m.(11);
-  g v 2 7 8 13 m.(12) m.(13);
-  g v 3 4 9 14 m.(14) m.(15)
-
-let permute m =
-  let orig = Array.copy m in
-  for i = 0 to 15 do
-    m.(i) <- orig.(msg_permutation.(i))
+(* Round r takes message word i from block word schedule.(16r + i): the
+   message permutation applied r times, precomputed once so rounds index
+   the block directly instead of permuting a copy between rounds. *)
+let schedule =
+  let s = Array.init 112 (fun i -> i) in
+  for r = 1 to 6 do
+    for i = 0 to 15 do
+      s.((16 * r) + i) <- s.((16 * (r - 1)) + msg_permutation.(i))
+    done
   done;
-  ()
+  s
+
+let round v m r =
+  let s = 16 * r in
+  (* columns *)
+  g v 0 4 8 12 m.(schedule.(s)) m.(schedule.(s + 1));
+  g v 1 5 9 13 m.(schedule.(s + 2)) m.(schedule.(s + 3));
+  g v 2 6 10 14 m.(schedule.(s + 4)) m.(schedule.(s + 5));
+  g v 3 7 11 15 m.(schedule.(s + 6)) m.(schedule.(s + 7));
+  (* diagonals *)
+  g v 0 5 10 15 m.(schedule.(s + 8)) m.(schedule.(s + 9));
+  g v 1 6 11 12 m.(schedule.(s + 10)) m.(schedule.(s + 11));
+  g v 2 7 8 13 m.(schedule.(s + 12)) m.(schedule.(s + 13));
+  g v 3 4 9 14 m.(schedule.(s + 14)) m.(schedule.(s + 15))
 
 (* compress returns the full 16-word state output. *)
 let compress ~cv ~block_words ~counter ~block_len ~flags =
@@ -52,10 +58,8 @@ let compress ~cv ~block_words ~counter ~block_len ~flags =
   v.(13) <- Int64.to_int (Int64.logand (Int64.shift_right_logical counter 32) 0xffffffffL);
   v.(14) <- block_len;
   v.(15) <- flags;
-  let m = Array.copy block_words in
   for r = 0 to 6 do
-    round v m;
-    if r < 6 then permute m
+    round v block_words r
   done;
   for i = 0 to 7 do
     v.(i) <- v.(i) lxor v.(i + 8);

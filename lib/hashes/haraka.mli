@@ -13,14 +13,23 @@
     use an explicit unpacklo/unpackhi word shuffle. Outputs are therefore
     {e not interoperable} with the reference implementation, but the
     construction (AES-round permutation + feed-forward) and its security
-    argument and cost profile are unchanged. *)
+    argument and cost profile are unchanged.
 
-val haraka256 : string -> string
-(** [haraka256 x] maps a 32-byte input to a 32-byte output.
-    @raise Invalid_argument on wrong input size. *)
+    The kernels keep the whole state in one int array per call: round
+    constants are parsed into words once, AES rounds and the unpack mix
+    run in place, and feed-forward and truncation write one output
+    buffer. This layout changes no output byte: the test suite checks
+    both functions against known answers and, differentially, against a
+    string-round reference built on {!Aes_core.round_naive}. *)
 
-val haraka512 : string -> string
-(** [haraka512 x] maps a 64-byte input to a 32-byte output. *)
+val haraka256 : ?length:int -> string -> string
+(** [haraka256 x] maps a 32-byte input to a 32-byte output; [length]
+    (at most 32) keeps only that many leading output bytes.
+    @raise Invalid_argument on wrong input size or [length]. *)
+
+val haraka512 : ?length:int -> string -> string
+(** [haraka512 x] maps a 64-byte input to a 32-byte output; [length] as
+    for {!haraka256}. *)
 
 val round_constants : string array
 (** The 40 derived 16-byte round constants (exposed for tests). *)

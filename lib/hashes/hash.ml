@@ -16,14 +16,18 @@ let of_string = function
 let pad_tagged s n =
   let len = String.length s in
   assert (len < n && n - 1 <= 255);
-  s ^ String.make (n - 1 - len) '\x00' ^ String.make 1 (Char.chr len)
+  let b = Bytes.make n '\x00' in
+  Bytes.blit_string s 0 b 0 len;
+  Bytes.set b (n - 1) (Char.chr len);
+  Bytes.unsafe_to_string b
 
-let haraka_any s =
+(* [length] (at most 32) truncates inside Haraka's output write. *)
+let haraka_any ?length s =
   let len = String.length s in
-  if len = 32 then Haraka.haraka256 s
-  else if len = 64 then Haraka.haraka512 s
-  else if len < 32 then Haraka.haraka256 (pad_tagged s 32)
-  else if len < 64 then Haraka.haraka512 (pad_tagged s 64)
+  if len = 32 then Haraka.haraka256 ?length s
+  else if len = 64 then Haraka.haraka512 ?length s
+  else if len < 32 then Haraka.haraka256 ?length (pad_tagged s 32)
+  else if len < 64 then Haraka.haraka512 ?length (pad_tagged s 64)
   else begin
     (* Merkle–Damgård fold over 32-byte blocks through the 64-byte
        permutation, with a final length block. *)
@@ -33,7 +37,7 @@ let haraka_any s =
         let chunk = if String.length chunk = 32 then chunk else pad_tagged chunk 32 in
         acc := Haraka.haraka512 (!acc ^ chunk))
       (Dsig_util.Bytesutil.chunks 32 s);
-    Haraka.haraka512 (!acc ^ pad_tagged (Dsig_util.Bytesutil.u64_le (Int64.of_int len)) 32)
+    Haraka.haraka512 ?length (!acc ^ pad_tagged (Dsig_util.Bytesutil.u64_le (Int64.of_int len)) 32)
   end
 
 let base_digest algo s =
@@ -45,6 +49,7 @@ let base_digest algo s =
 let digest algo ?(length = 32) s =
   match algo with
   | Blake3 -> Blake3.digest ~length s
+  | Haraka when length <= 32 -> haraka_any ~length s
   | Sha256 | Haraka ->
       let d = base_digest algo s in
       if length <= 32 then String.sub d 0 length

@@ -10,12 +10,7 @@ let ( +% ) = Int64.add
 let compress h w block off =
   let k = Sha2_constants.k512 in
   for t = 0 to 15 do
-    let base = off + (8 * t) in
-    let acc = ref 0L in
-    for i = 0 to 7 do
-      acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code block.[base + i]))
-    done;
-    w.(t) <- !acc
+    w.(t) <- String.get_int64_be block (off + (8 * t))
   done;
   for t = 16 to 79 do
     let s0 = rotr w.(t - 15) 1 ^^ rotr w.(t - 15) 8 ^^ Int64.shift_right_logical w.(t - 15) 7 in

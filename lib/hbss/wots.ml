@@ -14,19 +14,27 @@ type keypair = {
 
 let nonce_bytes = 16
 
-(* Mask r_j (j in 1..d-1) for the chaining function, derived from the
-   public seed so that verification is stateless. *)
-let mask ~n public_seed j =
-  Blake3.keyed ~key:public_seed ~length:n ("wots-mask" ^ Dsig_util.Bytesutil.u32_le (Int32.of_int j))
+(* Masks r_j (j in 1..d-1) for the chaining function, derived from the
+   public seed so that verification is stateless. Every call that walks
+   chains derives all d-1 once, up front: a keyed BLAKE3 costs about as
+   much as the chain hash itself. masks.(0) is unused. They are not kept
+   in the keypair, which would grow every queued key. *)
+let masks ~n ~d public_seed =
+  Array.init d (fun j ->
+      if j = 0 then ""
+      else
+        Blake3.keyed ~key:public_seed ~length:n
+          ("wots-mask" ^ Dsig_util.Bytesutil.u32_le (Int32.of_int j)))
 
-let chain_step ~hash ~n ~public_seed ~depth x =
-  Hash.digest hash ~length:n (Dsig_util.Bytesutil.xor x (mask ~n public_seed depth))
+(* c_j = H(c_{j-1} xor r_j) *)
+let chain_step ~hash ~n ~masks ~depth x =
+  Hash.digest hash ~length:n (Dsig_util.Bytesutil.xor x masks.(depth))
 
 (* Advance [x] from depth [from] to depth [upto]. *)
-let chain ~hash ~n ~public_seed ~from ~upto x =
+let chain ~hash ~n ~masks ~from ~upto x =
   let v = ref x in
   for j = from + 1 to upto do
-    v := chain_step ~hash ~n ~public_seed ~depth:j !v
+    v := chain_step ~hash ~n ~masks ~depth:j !v
   done;
   !v
 
@@ -39,11 +47,12 @@ let generate ?(hash = Hash.Haraka) ?(cache_chains = true) (p : P.t) ~seed =
   (* All l secrets in one XOF call (§4.4). *)
   let blob = Blake3.derive_key ~context:"dsig wots secrets" ~length:(p.P.l * p.P.n) seed in
   let secrets = Array.init p.P.l (fun i -> String.sub blob (i * p.P.n) p.P.n) in
+  let masks = masks ~n:p.P.n ~d:p.P.d public_seed in
   let chains =
     Array.init p.P.l (fun i ->
         let c = Array.make p.P.d secrets.(i) in
         for j = 1 to p.P.d - 1 do
-          c.(j) <- chain_step ~hash ~n:p.P.n ~public_seed ~depth:j c.(j - 1)
+          c.(j) <- chain_step ~hash ~n:p.P.n ~masks ~depth:j c.(j - 1)
         done;
         c)
   in
@@ -102,9 +111,9 @@ let sign ?(allow_reuse = false) kp ~nonce msg =
     match kp.chains with
     | Some chains -> Array.init kp.p.P.l (fun i -> chains.(i).(digits.(i)))
     | None ->
+        let masks = masks ~n:kp.p.P.n ~d:kp.p.P.d kp.public_seed in
         Array.init kp.p.P.l (fun i ->
-            chain ~hash:kp.hash ~n:kp.p.P.n ~public_seed:kp.public_seed ~from:0
-              ~upto:digits.(i) kp.secrets.(i))
+            chain ~hash:kp.hash ~n:kp.p.P.n ~masks ~from:0 ~upto:digits.(i) kp.secrets.(i))
   in
   { nonce; elements }
 
@@ -113,9 +122,9 @@ let recover_public_elements ?(hash = Hash.Haraka) (p : P.t) ~public_seed signatu
     invalid_arg "Wots.recover: wrong element count";
   let digest = message_digest p ~public_seed ~nonce:signature.nonce msg in
   let digits = all_digits p digest in
+  let masks = masks ~n:p.P.n ~d:p.P.d public_seed in
   Array.init p.P.l (fun i ->
-      chain ~hash ~n:p.P.n ~public_seed ~from:digits.(i) ~upto:(p.P.d - 1)
-        signature.elements.(i))
+      chain ~hash ~n:p.P.n ~masks ~from:digits.(i) ~upto:(p.P.d - 1) signature.elements.(i))
 
 let recover_public_key_digest ?hash (p : P.t) ~public_seed signature msg =
   compute_pk_digest public_seed (recover_public_elements ?hash p ~public_seed signature msg)
