@@ -202,20 +202,36 @@ let test_stress () =
     stress_verify ()
   done
 
-(* --- SHA-2 across domains: each digest owns its message schedule ---
+(* --- hash kernels across domains: each call owns its scratch state ---
 
    The background domain's Eddsa.sign and a foreground Ed25519 verify
    both hash with SHA-512; a message-schedule array shared between
-   calls let concurrent digests corrupt each other. Every domain hashes
-   its own inputs and must reproduce the single-domain digests. *)
+   calls let concurrent digests corrupt each other. The same holds for
+   the chain kernels: Haraka's int state, BLAKE3's compression state and
+   W-OTS+'s mask table must be per call. Every domain hashes its own
+   inputs and must reproduce the single-domain digests. *)
 
-let test_sha2_domains () =
-  let module Sha256 = Dsig_hashes.Sha256 in
-  let module Sha512 = Dsig_hashes.Sha512 in
+let test_hash_domains () =
+  let open Dsig_hashes in
+  let module Wots = Dsig_hbss.Wots in
   let iters = 10_000 in
+  let wots_every = 50 in
   (* lengths cycle through one- and multi-block messages *)
   let input d i = Printf.sprintf "domain %d input %d %s" d i (String.make (i mod 300) 'x') in
-  let digests d i = (Sha256.digest (input d i), Sha512.digest (input d i)) in
+  let p = Dsig_hbss.Params.Wots.make ~d:4 () in
+  let kp = Wots.generate p ~seed:(String.make 32 's') in
+  let signature = Wots.sign kp ~nonce:(String.make 16 'n') "domains" in
+  let digests d i =
+    let x = input d i in
+    let fixed n = String.sub (x ^ String.make 64 '.') 0 n in
+    ( (Sha256.digest x, Sha512.digest x),
+      (Haraka.haraka256 (fixed 32), Haraka.haraka512 (fixed 64), Hash.digest Hash.Haraka ~length:18 (fixed 18)),
+      (Blake3.digest x, Blake3.keyed ~key:(fixed 32) ~length:40 x),
+      (* recovery walks chains from digits that depend on the message *)
+      if i mod wots_every = 0 then
+        Wots.recover_public_key_digest p ~public_seed:(Wots.public_seed kp) signature x
+      else "" )
+  in
   let reference = Array.init stress_domains (fun d -> Array.init iters (digests d)) in
   let hashers =
     List.init stress_domains (fun d ->
@@ -360,7 +376,7 @@ let () =
       ( "stress",
         [
           Alcotest.test_case "multi-domain verify hammer" `Slow test_stress;
-          Alcotest.test_case "sha2 digests across domains" `Quick test_sha2_domains;
+          Alcotest.test_case "hash digests across domains" `Quick test_hash_domains;
           Alcotest.test_case "verify_many mixed verdicts" `Quick test_verify_many_mixed;
         ] );
       ( "control-interleave",
