@@ -52,6 +52,8 @@ let state_of_string s off : state = Array.init 4 (fun c -> get_word s (off + (4 
 let string_of_state (st : state) =
   String.init 16 (fun i -> Char.chr ((st.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xff))
 
+let byte st r c = (st.(c) lsr (8 * (3 - r))) land 0xff
+
 (* One output column of SubBytes+ShiftRows+MixColumns: row r comes from
    input column c + r, so column c reads byte r of the r-th word after it. *)
 let[@inline] column a b c d =
@@ -68,8 +70,6 @@ let round st off ~rk rk_off =
   st.(off + 1) <- column c1 c2 c3 c0 lxor rk.(rk_off + 1);
   st.(off + 2) <- column c2 c3 c0 c1 lxor rk.(rk_off + 2);
   st.(off + 3) <- column c3 c0 c1 c2 lxor rk.(rk_off + 3)
-
-let byte st r c = (st.(c) lsr (8 * (3 - r))) land 0xff
 
 let round_naive (st : state) ~rc : state =
   (* SubBytes *)

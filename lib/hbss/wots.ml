@@ -16,9 +16,9 @@ let nonce_bytes = 16
 
 (* Masks r_j (j in 1..d-1) for the chaining function, derived from the
    public seed so that verification is stateless. Every call that walks
-   chains derives all d-1 once, up front: a keyed BLAKE3 costs about as
-   much as the chain hash itself. masks.(0) is unused. They are not kept
-   in the keypair, which would grow every queued key. *)
+   chains derives all d-1 once, up front: a keyed BLAKE3 costs more than
+   the Haraka step it masks. masks.(0) is unused. They are not kept in
+   the keypair, which would grow every queued key. *)
 let masks ~n ~d public_seed =
   Array.init d (fun j ->
       if j = 0 then ""
