@@ -1,9 +1,8 @@
-open Dsig_bigint
 open Dsig_hashes
 
 type secret_key = {
   seed : string;
-  scalar : Bn.t; (* clamped secret scalar *)
+  scalar : string; (* clamped secret scalar, 32 bytes *)
   prefix : string; (* second half of SHA-512(seed) *)
   pk : string; (* cached compressed public key *)
 }
@@ -22,7 +21,7 @@ let clamp h32 =
 let secret_of_seed seed =
   if String.length seed <> 32 then invalid_arg "Eddsa.secret_of_seed: need 32 bytes";
   let h = Sha512.digest seed in
-  let scalar = Bn.of_bytes_le (clamp (String.sub h 0 32)) in
+  let scalar = clamp (String.sub h 0 32) in
   let prefix = String.sub h 32 32 in
   let pk = Point.compress (Point.base_mul scalar) in
   { seed; scalar; prefix; pk }
@@ -39,56 +38,45 @@ let sign sk msg =
   let r_enc = Point.compress (Point.base_mul r) in
   let k = Scalar.reduce_bytes (Sha512.digest (r_enc ^ sk.pk ^ msg)) in
   let s = Scalar.muladd k sk.scalar r in
-  r_enc ^ Scalar.to_bytes s
+  r_enc ^ s
 
+(* S, R, A and k = H(R || A || msg) mod L, or None if S >= L or R or A
+   does not decode *)
+let decode pk msg signature =
+  if String.length signature <> 64 || String.length pk <> 32 then None
+  else begin
+    let r_enc = String.sub signature 0 32 in
+    match (Scalar.of_bytes_checked (String.sub signature 32 32), Point.decompress r_enc, Point.decompress pk) with
+    | Some s, Some r, Some a -> Some (s, r, a, Scalar.reduce_bytes (Sha512.digest (r_enc ^ pk ^ msg)))
+    | _ -> None
+  end
+
+(* [S]B = R + [k]A, checked as R = [S]B + [k](-A) in one pass *)
 let verify pk msg signature =
-  String.length signature = 64 && String.length pk = 32
-  &&
-  let r_enc = String.sub signature 0 32 in
-  let s_enc = String.sub signature 32 32 in
-  match (Scalar.of_bytes_checked s_enc, Point.decompress r_enc, Point.decompress pk) with
-  | Some s, Some r, Some a ->
-      let k = Scalar.reduce_bytes (Sha512.digest (r_enc ^ pk ^ msg)) in
-      (* [S]B = R + [k]A *)
-      let lhs = Point.base_mul s in
-      let rhs = Point.add r (Point.scalar_mul k a) in
-      Point.equal lhs rhs
-  | _ -> false
+  match decode pk msg signature with
+  | Some (s, r, a, k) -> Point.equal r (Point.multi_scalar_mul ~base:s [ (k, Point.negate a) ])
+  | None -> false
 
 (* Randomized batch verification: with random z_i, the linear relation
    [sum z_i S_i] B - sum [z_i] R_i - sum [z_i k_i] A_i = O holds for all
    batches of valid signatures and fails w.h.p. if any is invalid. *)
 let verify_batch rng entries =
-  let decoded =
-    List.map
-      (fun (pk, msg, signature) ->
-        if String.length signature <> 64 || String.length pk <> 32 then None
-        else begin
-          let r_enc = String.sub signature 0 32 in
-          let s_enc = String.sub signature 32 32 in
-          match (Scalar.of_bytes_checked s_enc, Point.decompress r_enc, Point.decompress pk) with
-          | Some s, Some r, Some a ->
-              let k = Scalar.reduce_bytes (Sha512.digest (r_enc ^ pk ^ msg)) in
-              Some (s, r, a, k)
-          | _ -> None
-        end)
-      entries
-  in
+  let decoded = List.map (fun (pk, msg, signature) -> decode pk msg signature) entries in
   if List.exists Option.is_none decoded then false
   else begin
     let decoded = List.filter_map Fun.id decoded in
-    let z () = Bn.add Bn.one (Bn.of_bytes_le (Dsig_util.Rng.bytes rng 16)) in
+    (* z = 1 + a uniform 128-bit value, as (v * 1 + 1) mod L *)
+    let z () = Scalar.muladd (Dsig_util.Rng.bytes rng 16 ^ String.make 16 '\x00') Scalar.one Scalar.one in
     (* check [sum z_i S_i] B - sum [z_i] R_i - sum [z_i k_i] A_i = O with
        one shared-doubling multi-scalar multiplication *)
-    let lhs_scalar = ref Bn.zero in
+    let base = ref Scalar.zero in
     let terms =
       List.concat_map
         (fun (s, r, a, k) ->
           let zi = z () in
-          lhs_scalar := Bn.rem (Bn.add !lhs_scalar (Bn.mul zi s)) Scalar.l;
-          [ (zi, Point.negate r); (Bn.rem (Bn.mul zi k) Scalar.l, Point.negate a) ])
+          base := Scalar.muladd zi s !base;
+          [ (zi, Point.negate r); (Scalar.muladd zi k Scalar.zero, Point.negate a) ])
         decoded
     in
-    Point.equal Point.identity
-      (Point.multi_scalar_mul ((!lhs_scalar, Point.base) :: terms))
+    Point.equal Point.identity (Point.multi_scalar_mul ~base:!base terms)
   end

@@ -1,140 +1,169 @@
-open Dsig_bigint
+module Fe = Fe25519
 
-type t = { x : Fe25519.t; y : Fe25519.t; z : Fe25519.t; t : Fe25519.t }
+(* Extended coordinates: x = X/Z, y = Y/Z, x*y = T/Z. *)
+type t = { x : Fe.t; y : Fe.t; z : Fe.t; t : Fe.t }
 
-let fe_of_decimal s = Fe25519.of_bn (Bn.of_decimal s)
+(* A sum or double before its last four multiplications: the point
+   (E*F : G*H : F*G : E*H). Dropping E*H gives the projective (X:Y:Z)
+   that a doubling needs, one multiplication cheaper. *)
+type completed = { e : Fe.t; f : Fe.t; g : Fe.t; h : Fe.t }
 
-let d =
-  let num = Fe25519.neg (fe_of_decimal "121665") in
-  Fe25519.mul num (Fe25519.inv (fe_of_decimal "121666"))
+(* An addend prepared once for many additions: (Y+X, Y-X, 2Z, 2dT). *)
+type cached = { ypx : Fe.t; ymx : Fe.t; z2 : Fe.t; t2d : Fe.t }
 
+let d = Fe.mul (Fe.neg (Fe.of_int 121665)) (Fe.inv (Fe.of_int 121666))
+let d2 = Fe.add d d
+
+(* 2^((p-1)/4) = 2 * (2^((p-5)/8))^2 squares to -1 *)
 let sqrt_m1 =
-  (* 2^((p-1)/4) is a square root of -1 mod p *)
-  Fe25519.pow_bn (Fe25519.of_int 2) (Bn.shift_right (Bn.sub Fe25519.p Bn.one) 2)
+  let two = Fe.of_int 2 in
+  Fe.mul two (Fe.sq (Fe.pow22523 two))
 
-let identity = { x = Fe25519.zero; y = Fe25519.one; z = Fe25519.one; t = Fe25519.zero }
+let identity = { x = Fe.zero; y = Fe.one; z = Fe.one; t = Fe.zero }
+let to_p3 c = { x = Fe.mul c.e c.f; y = Fe.mul c.g c.h; z = Fe.mul c.f c.g; t = Fe.mul c.e c.h }
 
-let of_affine x y = { x; y; z = Fe25519.one; t = Fe25519.mul x y }
+let to_cached p =
+  { ypx = Fe.add p.y p.x; ymx = Fe.sub p.y p.x; z2 = Fe.add p.z p.z; t2d = Fe.mul p.t d2 }
 
-let two_d = Fe25519.mul (Fe25519.of_int 2) d
+(* dbl-2008-hwcd for a = -1, from X, Y, Z only, with every output
+   negated (E, F, G, H all flip sign, which leaves the point alone). *)
+let dbl x y z =
+  let a = Fe.sq x and b = Fe.sq y and zz = Fe.sq z in
+  let h = Fe.add a b and g = Fe.sub a b in
+  { e = Fe.sub h (Fe.sq (Fe.add x y)); f = Fe.add (Fe.add zz zz) g; g; h }
 
-(* Unified addition (RFC 8032 §5.1.4). *)
-let add pt qt =
-  let open Fe25519 in
-  let a = mul (sub pt.y pt.x) (sub qt.y qt.x) in
-  let b = mul (add pt.y pt.x) (add qt.y qt.x) in
-  let c = mul (mul pt.t qt.t) two_d in
-  let dd = mul (mul pt.z qt.z) (of_int 2) in
-  let e = sub b a and f = sub dd c and g = add dd c and h = add b a in
-  { x = mul e f; y = mul g h; z = mul f g; t = mul e h }
+(* add-2008-hwcd-3 against a cached addend; [sub_cached] adds its
+   negation, (Y-X, Y+X, 2Z, -2dT). *)
+let add_cached p q =
+  let a = Fe.mul (Fe.sub p.y p.x) q.ymx and b = Fe.mul (Fe.add p.y p.x) q.ypx in
+  let c = Fe.mul p.t q.t2d and dd = Fe.mul p.z q.z2 in
+  { e = Fe.sub b a; f = Fe.sub dd c; g = Fe.add dd c; h = Fe.add b a }
 
-let double pt = add pt pt
-let negate pt = { pt with x = Fe25519.neg pt.x; t = Fe25519.neg pt.t }
+let sub_cached p q =
+  let a = Fe.mul (Fe.sub p.y p.x) q.ypx and b = Fe.mul (Fe.add p.y p.x) q.ymx in
+  let c = Fe.mul p.t q.t2d and dd = Fe.mul p.z q.z2 in
+  { e = Fe.sub b a; f = Fe.add dd c; g = Fe.sub dd c; h = Fe.add b a }
 
-let scalar_mul k p =
-  let acc = ref identity and base = ref p in
-  for i = 0 to Bn.num_bits k - 1 do
-    if Bn.bit k i then acc := add !acc !base;
-    base := double !base
+let add p q = to_p3 (add_cached p (to_cached q))
+let double p = to_p3 (dbl p.x p.y p.z)
+let negate p = { p with x = Fe.neg p.x; t = Fe.neg p.t }
+
+(* Odd multiples P, 3P, ..., (2n-1)P as cached addends. *)
+let odd_multiples n p =
+  let p2 = to_cached (double p) in
+  let table = Array.make n (to_cached p) in
+  let cur = ref p in
+  for i = 1 to n - 1 do
+    cur := to_p3 (add_cached !cur p2);
+    table.(i) <- to_cached !cur
   done;
-  !acc
+  table
 
-(* Straus: one doubling chain shared by every term; per-bit additions. *)
-let multi_scalar_mul pairs =
-  let maxbits = List.fold_left (fun m (k, _) -> max m (Bn.num_bits k)) 0 pairs in
-  let acc = ref identity in
-  for i = maxbits - 1 downto 0 do
-    acc := double !acc;
-    List.iter (fun (k, p) -> if Bn.bit k i then acc := add !acc p) pairs
+(* Width-w NAF of a 32-byte little-endian scalar: k = sum d_i 2^i with
+   every d_i zero or odd, |d_i| < 2^(w-1), and at most one nonzero digit
+   in any w consecutive positions. 257 digits cover any k < 2^256. *)
+let wnaf w k =
+  if String.length k <> 32 then invalid_arg "Point: scalars are 32 bytes";
+  let byte i = if i < 32 then Char.code (String.unsafe_get k i) else 0 in
+  let window pos =
+    let i = pos lsr 3 in
+    ((byte i lor (byte (i + 1) lsl 8)) lsr (pos land 7)) land ((1 lsl w) - 1)
+  in
+  let naf = Array.make 257 0 in
+  let pos = ref 0 and carry = ref 0 in
+  while !pos < 257 do
+    let v = !carry + window !pos in
+    if v land 1 = 0 then incr pos
+    else begin
+      if v < 1 lsl (w - 1) then begin
+        naf.(!pos) <- v;
+        carry := 0
+      end
+      else begin
+        naf.(!pos) <- v - (1 lsl w);
+        carry := 1
+      end;
+      pos := !pos + w
+    end
   done;
-  !acc
-
-let compress p =
-  let zinv = Fe25519.inv p.z in
-  let x = Fe25519.mul p.x zinv and y = Fe25519.mul p.y zinv in
-  let enc = Bytes.of_string (Fe25519.to_bytes y) in
-  if Fe25519.is_negative x then
-    Bytes.set enc 31 (Char.chr (Char.code (Bytes.get enc 31) lor 0x80));
-  Bytes.unsafe_to_string enc
+  naf
 
 let decompress s =
   if String.length s <> 32 then None
   else begin
     let sign = Char.code s.[31] lsr 7 = 1 in
-    let y = Fe25519.of_bytes s in
-    let open Fe25519 in
-    let y2 = sq y in
-    let u = sub y2 one in
-    let v = Fe25519.add (mul d y2) one in
-    (* candidate root x = (u/v)^((p+3)/8), computed as
-       u * v^3 * (u * v^7)^((p-5)/8)  (RFC 8032 §5.1.3) *)
-    let v3 = mul v (sq v) in
-    let v7 = mul v3 (sq (sq v)) in
-    let e = Bn.shift_right (Bn.sub p (Bn.of_int 5)) 3 in
-    let x = mul (mul u v3) (pow_bn (mul u v7) e) in
-    let vx2 = mul v (sq x) in
+    let y = Fe.of_bytes s in
+    let y2 = Fe.sq y in
+    let u = Fe.sub y2 Fe.one in
+    let v = Fe.add (Fe.mul d y2) Fe.one in
+    (* candidate root x = (u/v)^((p+3)/8) = u v^3 (u v^7)^((p-5)/8)
+       (RFC 8032 §5.1.3) *)
+    let v3 = Fe.mul v (Fe.sq v) in
+    let x = Fe.mul (Fe.mul u v3) (Fe.pow22523 (Fe.mul u (Fe.mul v3 (Fe.sq (Fe.sq v))))) in
+    let vx2 = Fe.mul v (Fe.sq x) in
     let x =
-      if equal vx2 u then Some x
-      else if equal vx2 (neg u) then Some (mul x sqrt_m1)
+      if Fe.equal vx2 u then Some x
+      else if Fe.equal vx2 (Fe.neg u) then Some (Fe.mul x sqrt_m1)
       else None
     in
     match x with
-    | None -> None
-    | Some x ->
-        if is_zero x && sign then None
-        else begin
-          let x = if is_negative x <> sign then neg x else x in
-          Some (of_affine x y)
-        end
+    | Some x when not (Fe.is_zero x && sign) ->
+        let x = if Fe.is_negative x <> sign then Fe.neg x else x in
+        Some { x; y; z = Fe.one; t = Fe.mul x y }
+    | _ -> None
   end
 
 let base =
-  let y = Fe25519.mul (Fe25519.of_int 4) (Fe25519.inv (Fe25519.of_int 5)) in
-  let enc = Fe25519.to_bytes y in
-  (* sign bit 0: the base point has even x *)
-  match decompress enc with
+  (* y = 4/5, sign bit 0: the base point has even x *)
+  match decompress (Fe.to_bytes (Fe.mul (Fe.of_int 4) (Fe.inv (Fe.of_int 5)))) with
   | Some p -> p
   | None -> failwith "Point.base: internal error"
 
-(* Fixed-base acceleration: precomputed 4-bit windows of B. Lazy so that
-   merely linking the library does not pay the table cost. *)
-let base_table =
-  lazy
-    (let table = Array.make (64 * 16) identity in
-     let acc = ref base in
-     for w = 0 to 63 do
-       (* table.(16w + j) = j * 16^w * B *)
-       let cur = ref identity in
-       for j = 0 to 15 do
-         table.((16 * w) + j) <- !cur;
-         cur := add !cur !acc
-       done;
-       acc := !cur
-     done;
-     table)
+(* B, 3B, ..., 127B for width-8 digits: 64 cached points, built when the
+   module initialises so that no domain ever races to build it. *)
+let base_table = odd_multiples 64 base
 
-let base_mul k =
-  let table = Lazy.force base_table in
-  let acc = ref identity in
-  for w = 0 to 63 do
-    let digit =
-      (if Bn.bit k (4 * w) then 1 else 0)
-      lor (if Bn.bit k ((4 * w) + 1) then 2 else 0)
-      lor (if Bn.bit k ((4 * w) + 2) then 4 else 0)
-      lor if Bn.bit k ((4 * w) + 3) then 8 else 0
-    in
-    if digit <> 0 then acc := add !acc table.((16 * w) + digit)
+(* Straus: one doubling chain shared by every term; per term, an add or
+   sub of a table entry at each nonzero digit. *)
+let straus terms =
+  let top =
+    List.fold_left
+      (fun m (naf, _) ->
+        let i = ref 256 in
+        while !i > m && naf.(!i) = 0 do decr i done;
+        max m !i)
+      (-1) terms
+  in
+  let acc = ref { e = Fe.zero; f = Fe.one; g = Fe.one; h = Fe.one } in
+  for i = top downto 0 do
+    let c = !acc in
+    acc := dbl (Fe.mul c.e c.f) (Fe.mul c.g c.h) (Fe.mul c.f c.g);
+    List.iter
+      (fun (naf, table) ->
+        let digit = naf.(i) in
+        if digit > 0 then acc := add_cached (to_p3 !acc) table.(digit / 2)
+        else if digit < 0 then acc := sub_cached (to_p3 !acc) table.(-digit / 2))
+      terms
   done;
-  if Bn.num_bits k > 256 then add !acc (scalar_mul (Bn.shift_right k 256) (scalar_mul (Bn.shift_left Bn.one 256) base))
-  else !acc
+  to_p3 !acc
 
-let equal p q = compress p = compress q
+let multi_scalar_mul ?base:s pairs =
+  let terms = List.map (fun (k, p) -> (wnaf 5 k, odd_multiples 8 p)) pairs in
+  straus (match s with Some s -> (wnaf 8 s, base_table) :: terms | None -> terms)
 
+let scalar_mul k p = multi_scalar_mul [ (k, p) ]
+let base_mul k = multi_scalar_mul ~base:k []
+
+let compress p =
+  let zinv = Fe.inv p.z in
+  let enc = Bytes.of_string (Fe.to_bytes (Fe.mul p.y zinv)) in
+  if Fe.is_negative (Fe.mul p.x zinv) then
+    Bytes.set enc 31 (Char.chr (Char.code (Bytes.get enc 31) lor 0x80));
+  Bytes.unsafe_to_string enc
+
+let equal p q = Fe.equal (Fe.mul p.x q.z) (Fe.mul q.x p.z) && Fe.equal (Fe.mul p.y q.z) (Fe.mul q.y p.z)
+
+(* -x^2 + y^2 = 1 + d x^2 y^2, multiplied through by Z^4 *)
 let on_curve p =
-  let zinv = Fe25519.inv p.z in
-  let x = Fe25519.mul p.x zinv and y = Fe25519.mul p.y zinv in
-  let open Fe25519 in
-  let x2 = sq x and y2 = sq y in
-  let lhs = sub y2 x2 in
-  let rhs = Fe25519.add one (mul d (mul x2 y2)) in
-  equal lhs rhs
+  let x2 = Fe.sq p.x and y2 = Fe.sq p.y and z2 = Fe.sq p.z in
+  Fe.equal (Fe.mul (Fe.sub y2 x2) z2) (Fe.add (Fe.sq z2) (Fe.mul d (Fe.mul x2 y2)))

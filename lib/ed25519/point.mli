@@ -1,11 +1,18 @@
 (** Edwards25519 group operations in extended homogeneous coordinates
     (X : Y : Z : T), x = X/Z, y = Y/Z, x·y = T/Z (RFC 8032 §5.1.4).
 
-    The unified addition law is complete on this curve (d is a
-    non-square), so addition doubles correctly; scalar multiplication is
-    plain double-and-add. All operations are variable-time — this
-    reproduction targets functional fidelity and benchmarking, not
-    side-channel resistance (noted in DESIGN.md). *)
+    Addition uses the unified add-2008-hwcd-3 law against a prepared
+    addend (Y+X, Y-X, 2Z, 2dT); it is complete on this curve (d is a
+    non-square), so it also adds a point to itself. Doubling is the
+    dedicated dbl-2008-hwcd. Scalar multiplication is signed-window
+    (wNAF) Straus: one shared doubling chain, width-5 digits against a
+    per-call table of odd multiples of each point, and width-8 digits
+    against a table of B, 3B, ..., 127B built at module initialisation.
+    All operations are variable-time — this reproduction targets
+    functional fidelity and benchmarking, not side-channel resistance
+    (noted in DESIGN.md).
+
+    Scalars are 32-byte little-endian strings, any value below 2^256. *)
 
 type t
 
@@ -17,26 +24,29 @@ val add : t -> t -> t
 val double : t -> t
 val negate : t -> t
 
-val scalar_mul : Dsig_bigint.Bn.t -> t -> t
-(** [scalar_mul k p] for any non-negative [k]. *)
+val scalar_mul : string -> t -> t
+(** [scalar_mul k p] is [k]p. *)
 
-val base_mul : Dsig_bigint.Bn.t -> t
-(** [base_mul k] is [scalar_mul k base], accelerated with a precomputed
-    window table for the fixed base. *)
+val base_mul : string -> t
+(** [base_mul k] is [k]B, using the precomputed table of B. *)
 
-val multi_scalar_mul : (Dsig_bigint.Bn.t * t) list -> t
-(** [multi_scalar_mul [(k1,p1); ...]] is [k1*p1 + k2*p2 + ...] with a
-    single shared doubling chain (Straus), the workhorse of batch
-    signature verification. *)
+val multi_scalar_mul : ?base:string -> (string * t) list -> t
+(** [multi_scalar_mul ~base:s [(k1,p1); ...]] is [s]B + [k1]p1 + ...
+    with a single shared doubling chain, the workhorse of signature
+    verification (single and batch). Without [~base] the B term is
+    absent. *)
 
 val compress : t -> string
 (** 32-byte encoding: little-endian y with the sign of x in bit 255. *)
 
 val decompress : string -> t option
 (** Point decoding per RFC 8032 §5.1.3; [None] if the encoding is not a
-    curve point. *)
+    curve point. A y >= p is read as y - p (the encoding is not
+    required to be canonical). *)
 
 val equal : t -> t -> bool
+(** Group-element equality, X1·Z2 = X2·Z1 and Y1·Z2 = Y2·Z1. *)
+
 val on_curve : t -> bool
 (** Checks -x² + y² = 1 + d·x²·y² (for tests). *)
 

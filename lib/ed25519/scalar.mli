@@ -1,18 +1,24 @@
 (** Arithmetic modulo the group order
-    L = 2^252 + 27742317777372353535851937790883648493. *)
+    L = 2^252 + 27742317777372353535851937790883648493.
 
-val l : Dsig_bigint.Bn.t
+    Scalars are 32-byte little-endian strings. Reduction and [muladd]
+    run on 21-bit native-integer limbs (ref10's [sc_reduce] and
+    [sc_muladd]); no bignum division is involved. *)
 
-val reduce_bytes : string -> Dsig_bigint.Bn.t
-(** Interpret a little-endian byte string (any length; RFC 8032 uses 64
-    bytes) and reduce modulo L. *)
+val l : string
+(** L itself, 32 bytes little-endian. *)
 
-val of_bytes_checked : string -> Dsig_bigint.Bn.t option
-(** Decode a 32-byte little-endian scalar, [None] if >= L (the S-range
-    check of RFC 8032 §5.1.7). *)
+val zero : string
+val one : string
 
-val to_bytes : Dsig_bigint.Bn.t -> string
-(** 32-byte little-endian encoding of a reduced scalar. *)
+val reduce_bytes : string -> string
+(** Interpret a little-endian byte string of at most 64 bytes (RFC 8032
+    uses exactly 64) and reduce it modulo L. *)
 
-val muladd : Dsig_bigint.Bn.t -> Dsig_bigint.Bn.t -> Dsig_bigint.Bn.t -> Dsig_bigint.Bn.t
-(** [muladd k a r] is [(k*a + r) mod L]. *)
+val of_bytes_checked : string -> string option
+(** [Some s] if [s] is 32 bytes encoding a value below L, else [None]
+    (the S-range check of RFC 8032 §5.1.7). *)
+
+val muladd : string -> string -> string -> string
+(** [muladd k a r] is [(k*a + r) mod L] for any three 32-byte values
+    (they need not be reduced: the clamped secret scalar is not). *)

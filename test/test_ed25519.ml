@@ -6,7 +6,21 @@ let bn = Alcotest.testable Bn.pp Bn.equal
 
 (* --- field arithmetic vs the Bn oracle --- *)
 
-let p = Fe25519.p
+let p = Bn.sub (Bn.shift_left Bn.one 255) (Bn.of_int 19)
+let l = Bn.of_bytes_le Scalar.l
+let sc k = Bn.to_bytes_le ~length:32 k
+
+(* Field elements to and from Bn through raw limbs, independently of
+   Fe25519.of_bytes. *)
+let limb_pos = [| 0; 26; 51; 77; 102; 128; 153; 179; 204; 230 |]
+
+let fe_of_bn v =
+  let v = Bn.rem v p in
+  Fe25519.of_limbs
+    (Array.init 10 (fun i ->
+         Bn.to_int (Bn.rem (Bn.shift_right v limb_pos.(i)) (Bn.shift_left Bn.one (26 - (i land 1))))))
+
+let fe_to_bn x = Bn.of_bytes_le (Fe25519.to_bytes x)
 
 let gen_fe_bn =
   let open QCheck in
@@ -21,42 +35,87 @@ let gen_fe_bn =
   in
   make ~print:Bn.to_hex gen
 
+(* Limbs at magnitude m: a carried limb is within 2^25 (even) or 2^24
+   (odd; limbs 1 and 5 a few units more), and the uncarried add/sub
+   chains in the point formulas stack up to m = 4 of them (a doubling
+   multiplies a 3 by a 4). The generator pushes each limb to within
+   2^12 of m times the bound, with random or uniform signs; random
+   canonical inputs never get there. *)
+let gen_wide_limbs =
+  let open QCheck.Gen in
+  let limbs =
+    1 -- 4 >>= fun m ->
+    (* 0: a random sign per limb; otherwise every limb gets this sign *)
+    oneofl [ 0; 1; -1 ] >>= fun uniform ->
+    map
+      (fun parts ->
+        ( m,
+          Array.of_list
+            (List.mapi
+               (fun i (s, off) ->
+                 let bound = if i land 1 = 0 then 1 lsl 25 else (1 lsl 24) + (1 lsl 15) in
+                 let s = if uniform = 0 then s else uniform in
+                 s * ((m * bound) - off))
+               parts) ))
+      (list_repeat 10 (pair (map (fun b -> if b then 1 else -1) bool) (0 -- 4095)))
+  in
+  QCheck.make
+    ~print:(fun ((a, fa), (b, fb)) ->
+      let show l = String.concat ";" (Array.to_list (Array.map string_of_int l)) in
+      Printf.sprintf "m=%d [%s] m=%d [%s]" a (show fa) b (show fb))
+    (pair limbs limbs)
+
+(* The value of ten signed limbs, reduced mod p. *)
+let bn_of_limbs l =
+  let part keep =
+    Array.to_list l
+    |> List.mapi (fun i x -> if keep x then Bn.shift_left (Bn.of_int (abs x)) limb_pos.(i) else Bn.zero)
+    |> List.fold_left Bn.add Bn.zero
+  in
+  Bn.rem (Bn.sub (Bn.add (Bn.rem (part (fun x -> x > 0)) p) p) (Bn.rem (part (fun x -> x < 0)) p)) p
+
 let field_qcheck =
   let open QCheck in
   let modp v = Bn.rem v p in
   [
     Test.make ~name:"fe roundtrip bn" ~count:300 gen_fe_bn (fun a ->
-        Bn.equal a (Fe25519.to_bn (Fe25519.of_bn a)));
+        Bn.equal a (fe_to_bn (fe_of_bn a)));
     Test.make ~name:"fe add oracle" ~count:300 (pair gen_fe_bn gen_fe_bn) (fun (a, b) ->
-        Bn.equal (modp (Bn.add a b)) (Fe25519.to_bn (Fe25519.add (Fe25519.of_bn a) (Fe25519.of_bn b))));
+        Bn.equal (modp (Bn.add a b)) (fe_to_bn (Fe25519.add (fe_of_bn a) (fe_of_bn b))));
     Test.make ~name:"fe sub oracle" ~count:300 (pair gen_fe_bn gen_fe_bn) (fun (a, b) ->
         Bn.equal (modp (Bn.sub (Bn.add a p) b))
-          (Fe25519.to_bn (Fe25519.sub (Fe25519.of_bn a) (Fe25519.of_bn b))));
+          (fe_to_bn (Fe25519.sub (fe_of_bn a) (fe_of_bn b))));
     Test.make ~name:"fe mul oracle" ~count:300 (pair gen_fe_bn gen_fe_bn) (fun (a, b) ->
         Bn.equal (modp (Bn.mul a b))
-          (Fe25519.to_bn (Fe25519.mul (Fe25519.of_bn a) (Fe25519.of_bn b))));
+          (fe_to_bn (Fe25519.mul (fe_of_bn a) (fe_of_bn b))));
     Test.make ~name:"fe sq oracle" ~count:300 gen_fe_bn (fun a ->
-        Bn.equal (modp (Bn.mul a a)) (Fe25519.to_bn (Fe25519.sq (Fe25519.of_bn a))));
+        Bn.equal (modp (Bn.mul a a)) (fe_to_bn (Fe25519.sq (fe_of_bn a))));
     Test.make ~name:"fe neg oracle" ~count:300 gen_fe_bn (fun a ->
-        Bn.equal (modp (Bn.sub p a)) (Fe25519.to_bn (Fe25519.neg (Fe25519.of_bn a))));
+        Bn.equal (modp (Bn.sub p a)) (fe_to_bn (Fe25519.neg (fe_of_bn a))));
     Test.make ~name:"fe inv" ~count:40 gen_fe_bn (fun a ->
         QCheck.assume (not (Bn.is_zero a));
-        let x = Fe25519.of_bn a in
+        let x = fe_of_bn a in
         Fe25519.equal Fe25519.one (Fe25519.mul x (Fe25519.inv x)));
     Test.make ~name:"fe bytes roundtrip" ~count:200 gen_fe_bn (fun a ->
-        let x = Fe25519.of_bn a in
+        let x = fe_of_bn a in
         Fe25519.equal x (Fe25519.of_bytes (Fe25519.to_bytes x)));
     Test.make ~name:"mul chains stay bounded" ~count:20 (pair gen_fe_bn gen_fe_bn)
       (fun (a, b) ->
         (* long alternating chains detect limb-overflow bugs *)
-        let x = ref (Fe25519.of_bn a) and y = ref (Fe25519.of_bn b) in
+        let x = ref (fe_of_bn a) and y = ref (fe_of_bn b) in
         let xa = ref a and yb = ref b in
         for _ = 1 to 50 do
           let nx = Fe25519.mul !x !y and ny = Fe25519.add !x !y in
           let nxa = modp (Bn.mul !xa !yb) and nyb = modp (Bn.add !xa !yb) in
           x := nx; y := ny; xa := nxa; yb := nyb
         done;
-        Bn.equal !xa (Fe25519.to_bn !x) && Bn.equal !yb (Fe25519.to_bn !y));
+        Bn.equal !xa (fe_to_bn !x) && Bn.equal !yb (fe_to_bn !y));
+    Test.make ~name:"mul/sq at the point formulas' limb bounds" ~count:400 gen_wide_limbs
+      (fun ((_, fa), (_, fb)) ->
+        let x = Fe25519.of_limbs fa and y = Fe25519.of_limbs fb in
+        let va = bn_of_limbs fa and vb = bn_of_limbs fb in
+        Bn.equal (modp (Bn.mul va vb)) (fe_to_bn (Fe25519.mul x y))
+        && Bn.equal (modp (Bn.mul va va)) (fe_to_bn (Fe25519.sq x)));
   ]
 
 (* --- group law --- *)
@@ -66,10 +125,10 @@ let test_base_on_curve () =
   Alcotest.(check bool) "identity on curve" true (Point.on_curve Point.identity);
   (* B has order L *)
   Alcotest.(check bool) "L*B = identity" true
-    (Point.equal Point.identity (Point.scalar_mul Scalar.l Point.base));
+    (Point.equal Point.identity (Point.scalar_mul (sc l) Point.base));
   Alcotest.(check bool) "(L-1)*B = -B" true
     (Point.equal (Point.negate Point.base)
-       (Point.scalar_mul (Bn.sub Scalar.l Bn.one) Point.base))
+       (Point.scalar_mul (sc (Bn.sub l Bn.one)) Point.base))
 
 let test_base_point_coords () =
   (* RFC 8032: By = 4/5.  Encoding of B is the well-known value
@@ -80,20 +139,20 @@ let test_base_point_coords () =
 
 let test_group_laws () =
   let k1 = Bn.of_int 123456789 and k2 = Bn.of_int 987654321 in
-  let p1 = Point.scalar_mul k1 Point.base and p2 = Point.scalar_mul k2 Point.base in
+  let p1 = Point.scalar_mul (sc k1) Point.base and p2 = Point.scalar_mul (sc k2) Point.base in
   Alcotest.(check bool) "commutative" true (Point.equal (Point.add p1 p2) (Point.add p2 p1));
   Alcotest.(check bool) "identity" true (Point.equal p1 (Point.add p1 Point.identity));
   Alcotest.(check bool) "inverse" true
     (Point.equal Point.identity (Point.add p1 (Point.negate p1)));
   Alcotest.(check bool) "double = add self" true (Point.equal (Point.double p1) (Point.add p1 p1));
   Alcotest.(check bool) "scalar distributes" true
-    (Point.equal (Point.scalar_mul (Bn.add k1 k2) Point.base) (Point.add p1 p2));
+    (Point.equal (Point.scalar_mul (sc (Bn.add k1 k2)) Point.base) (Point.add p1 p2));
   Alcotest.(check bool) "base_mul = scalar_mul" true
-    (Point.equal (Point.base_mul k1) p1)
+    (Point.equal (Point.base_mul (sc k1)) p1)
 
 let test_decompress_roundtrip () =
   let k = Bn.of_decimal "31415926535897932384626433832795028841971" in
-  let pt = Point.scalar_mul k Point.base in
+  let pt = Point.scalar_mul (sc k) Point.base in
   let enc = Point.compress pt in
   match Point.decompress enc with
   | None -> Alcotest.fail "decompress failed"
@@ -167,7 +226,7 @@ let test_verify_rejects () =
   Alcotest.(check bool) "rejects wrong pk" false (Eddsa.verify (flip 1 pk) msg signature);
   (* S >= L must be rejected (malleability check) *)
   let s = Bn.of_bytes_le (String.sub signature 32 32) in
-  let s' = Bn.add s Scalar.l in
+  let s' = Bn.add s l in
   if Bn.num_bits s' <= 256 then begin
     let forged = String.sub signature 0 32 ^ Bn.to_bytes_le ~length:32 s' in
     Alcotest.(check bool) "rejects S+L" false (Eddsa.verify pk msg forged)
@@ -185,7 +244,7 @@ let affine_of_point pt =
   (y, sign)
 
 let bn_affine_add (x1, y1) (x2, y2) =
-  let d = Fe25519.to_bn Point.d in
+  let d = fe_to_bn Point.d in
   let modp v = Bn.rem v p in
   let mul a b = modp (Bn.mul a b) in
   let add a b = modp (Bn.add a b) in
@@ -214,7 +273,7 @@ let affine_xy pt =
           p
       in
       let sign = Char.code enc.[31] lsr 7 in
-      let d = Fe25519.to_bn Point.d in
+      let d = fe_to_bn Point.d in
       let modp v = Bn.rem v p in
       let mul a b = modp (Bn.mul a b) in
       let y2 = mul y y in
@@ -233,7 +292,7 @@ let test_group_law_oracle () =
      on pseudo-random points *)
   for i = 1 to 8 do
     let k1 = Bn.of_int (1000 + (i * 7919)) and k2 = Bn.of_int (2000 + (i * 104729)) in
-    let p1 = Point.scalar_mul k1 Point.base and p2 = Point.scalar_mul k2 Point.base in
+    let p1 = Point.scalar_mul (sc k1) Point.base and p2 = Point.scalar_mul (sc k2) Point.base in
     let sum = Point.add p1 p2 in
     let x3, y3 = bn_affine_add (affine_xy p1) (affine_xy p2) in
     let x3', y3' = affine_xy sum in

@@ -13,9 +13,9 @@ module Ref = Ref_ed25519
 module BU = Dsig_util.Bytesutil
 
 (* Scalars and points cross between the two implementations as bytes. *)
-let sc (k : Bn.t) = k
-let bn_of_sc k = k
 let enc_bn k = Bn.to_bytes_le ~length:32 k
+let sc = enc_bn
+let bn_of_sc = Bn.of_bytes_le
 let ref_point enc = Option.get (Ref.Point.decompress enc)
 let lib_point enc = Option.get (Point.decompress enc)
 

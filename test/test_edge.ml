@@ -143,22 +143,23 @@ let test_hash_registry () =
 let test_scalar_edges () =
   let module Bn = Dsig_bigint.Bn in
   let module Scalar = Dsig_ed25519.Scalar in
+  let l = Bn.of_bytes_le Scalar.l in
+  let enc v = Bn.to_bytes_le ~length:32 v in
   (* L-1 is accepted, L and L+1 rejected *)
-  let lm1 = Bn.sub Scalar.l Bn.one in
-  Alcotest.(check bool) "L-1 ok" true
-    (Scalar.of_bytes_checked (Scalar.to_bytes lm1) = Some lm1);
-  Alcotest.(check bool) "L rejected" true
-    (Scalar.of_bytes_checked (Bn.to_bytes_le ~length:32 Scalar.l) = None);
+  let lm1 = enc (Bn.sub l Bn.one) in
+  Alcotest.(check bool) "L-1 ok" true (Scalar.of_bytes_checked lm1 = Some lm1);
+  Alcotest.(check bool) "L rejected" true (Scalar.of_bytes_checked (enc l) = None);
+  Alcotest.(check bool) "L+1 rejected" true (Scalar.of_bytes_checked (enc (Bn.add l Bn.one)) = None);
   Alcotest.(check bool) "short rejected" true (Scalar.of_bytes_checked "abc" = None);
   (* reduce of 64 random-ish bytes is always < L *)
   let r = Dsig_util.Rng.create 5L in
   for _ = 1 to 50 do
     let v = Scalar.reduce_bytes (Dsig_util.Rng.bytes r 64) in
-    Alcotest.(check bool) "< L" true (Bn.compare v Scalar.l < 0)
+    Alcotest.(check bool) "< L" true (Bn.compare (Bn.of_bytes_le v) l < 0)
   done;
   (* muladd identity: k*0 + r = r mod L *)
-  let k = Bn.of_int 12345 in
-  Alcotest.(check bool) "muladd" true (Bn.equal (Scalar.muladd k Bn.zero lm1) lm1)
+  let k = enc (Bn.of_int 12345) in
+  Alcotest.(check string) "muladd" lm1 (Scalar.muladd k Scalar.zero lm1)
 
 (* --- signer group selection --- *)
 
