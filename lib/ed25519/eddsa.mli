@@ -26,7 +26,10 @@ val sign : secret_key -> string -> string
 (** [sign sk msg] is the 64-byte signature R || S. *)
 
 val verify : public_key -> string -> string -> bool
-(** [verify pk msg sig]. Rejects malformed points and non-canonical S. *)
+(** [verify pk msg sig] checks the cofactorless equation [S]B = R + [k]A
+    (as R = [S]B + [k](-A), one shared-doubling pass). Rejects S >= L
+    and encodings that are not curve points; an encoded y >= p is read
+    as y - p. *)
 
 val verify_batch : Dsig_util.Rng.t -> (public_key * string * string) list -> bool
 (** Randomized batch verification (Bernstein et al.): checks
