@@ -12,7 +12,7 @@ let[@inline] g (a : t) i = Array.unsafe_get a i
 
 (* One carry chain, in ref10's interleaved order: brings limbs of up to
    ~2^62 back to |even| <= 2^25, |odd| <= 2^24 (limbs 1 and 5 may exceed
-   that by a few units), which is what mul and sq are sized for. *)
+   that by up to 2^15), which is what mul and sq are sized for. *)
 let[@inline] carry h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 : t =
   let c = (h0 + (1 lsl 25)) asr 26 in
   let h1 = h1 + c and h0 = h0 - (c lsl 26) in

@@ -36,7 +36,7 @@ let gen_fe_bn =
   make ~print:Bn.to_hex gen
 
 (* Limbs at magnitude m: a carried limb is within 2^25 (even) or 2^24
-   (odd; limbs 1 and 5 a few units more), and the uncarried add/sub
+   (odd; limbs 1 and 5 up to 2^15 more), and the uncarried add/sub
    chains in the point formulas stack up to m = 4 of them (a doubling
    multiplies a 3 by a 4). The generator pushes each limb to within
    2^12 of m times the bound, with random or uniform signs; random
