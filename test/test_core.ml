@@ -42,6 +42,36 @@ let test_exact_wire_bytes () =
   Alcotest.(check int) "wire size" (Wire.size_bytes cfg) (String.length signature);
   Alcotest.(check int) "formula" 1456 (String.length signature)
 
+(* The encoding of one fixed W-OTS+ signature, pinned before the
+   offset-based decode: its bytes are the header, the public seed, the
+   nonce, the 68 elements, the batch proof and the root signature, in
+   that order. Decoding gives the same bytes back. *)
+let test_wots_wire_kat () =
+  let cfg = Config.default in
+  let p = match cfg.Config.hbss with Config.Wots p -> p | _ -> assert false in
+  let kp = Dsig_hbss.Wots.generate p ~seed:(String.make 32 'w') in
+  let s = Dsig_hbss.Wots.sign kp ~nonce:(String.make 16 'n') "wire kat" in
+  let leaves = Array.init 128 (fun i -> Dsig_hashes.Sha256.digest (string_of_int i)) in
+  let tree = Dsig_merkle.Merkle.build leaves in
+  let w =
+    {
+      Wire.signer_id = 7;
+      batch_id = 42L;
+      public_seed = Dsig_hbss.Wots.public_seed kp;
+      body = Wire.Wots_body s;
+      batch_proof = Dsig_merkle.Merkle.proof tree 37;
+      root_sig = String.make 64 'e';
+    }
+  in
+  let bytes = Wire.encode cfg w in
+  Alcotest.(check int) "length" 1584 (String.length bytes);
+  Alcotest.(check string) "sha256 of the encoding"
+    "21a6e2b36e264807d04f165e5ede8058962134fb23f1a8aa55c966568a04a202"
+    (Dsig_util.Bytesutil.to_hex (Dsig_hashes.Sha256.digest bytes));
+  match Wire.decode cfg bytes with
+  | Error e -> Alcotest.fail e
+  | Ok w' -> Alcotest.(check string) "decode then encode" bytes (Wire.encode cfg w')
+
 (* A standalone signer + verifiers with manual announcement routing
    (System wires announcements through immediately; these tests need to
    withhold them). *)
@@ -406,6 +436,7 @@ let suites =
         Alcotest.test_case "system ack loop" `Quick test_system_ack_loop;
         Alcotest.test_case "roundtrip all schemes" `Quick test_roundtrip_all_schemes;
         Alcotest.test_case "exact wire bytes" `Quick test_exact_wire_bytes;
+        Alcotest.test_case "wots wire known answer" `Quick test_wots_wire_kat;
         Alcotest.test_case "self-standing slow path" `Quick test_self_standing;
         Alcotest.test_case "canVerifyFast" `Quick test_can_verify_fast;
         Alcotest.test_case "hint groups" `Quick test_hint_groups;

@@ -77,6 +77,31 @@ let test_blake3_structure () =
   let b = Blake3.digest (String.make 1025 'x') in
   Alcotest.(check bool) "boundary differs" false (a = b)
 
+(* Known answers pinned before the compression rewrite: a two-chunk
+   input (one parent node) and a three-chunk input whose last chunk is
+   one byte (two parent nodes), hashed at the default and an extended
+   output length. *)
+let test_blake3_multichunk_kat () =
+  let msg n = String.init n (fun i -> Char.chr ((i * 31) land 0xff)) in
+  List.iter
+    (fun (n, d32, d80) ->
+      let m = msg n in
+      check_hex (Printf.sprintf "%d B" n) d32 (Blake3.hex m);
+      check_hex (Printf.sprintf "%d B, 80 B out" n) d80
+        (Dsig_util.Bytesutil.to_hex (Blake3.digest ~length:80 m)))
+    [
+      ( 1256,
+        "3d46819dcf4c4bf99fd524633bfc3fceb560a9b1529a1cbf078adef71685d930",
+        "3d46819dcf4c4bf99fd524633bfc3fceb560a9b1529a1cbf078adef71685d930\
+         3f46d4cbef0f27ce6d2f17ee865d04d59bca4193119a7305e674958385960e3c\
+         cdf461238c575f5b670ac8db31c74fbd" );
+      ( 2049,
+        "d1d78414d6d44536fe826752c59a7a35898a6ae1d3102cfee19e7f211358c0b5",
+        "d1d78414d6d44536fe826752c59a7a35898a6ae1d3102cfee19e7f211358c0b5\
+         1f783df61bb69ac136347c7d14238edef3ed8bbd06c94ad7dcaba0763821653d\
+         619438d382bb24db20284dba8a21bc8a" );
+    ]
+
 let test_blake3_modes () =
   let key = String.make 32 'k' in
   let plain = Blake3.digest "msg" in
@@ -274,6 +299,7 @@ let suites =
         Alcotest.test_case "blake3 structure" `Quick test_blake3_structure;
         Alcotest.test_case "blake3 modes" `Quick test_blake3_modes;
         Alcotest.test_case "blake3 incremental" `Quick test_blake3_incremental;
+        Alcotest.test_case "blake3 multi-chunk known answers" `Quick test_blake3_multichunk_kat;
         Alcotest.test_case "aes sbox" `Quick test_aes_sbox;
         Alcotest.test_case "gf_mul" `Quick test_gf_mul;
         Alcotest.test_case "haraka shapes" `Quick test_haraka_shapes;

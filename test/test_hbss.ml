@@ -297,25 +297,30 @@ let qcheck_tests =
           (Wots.verify wots_p ~public_seed:(Wots.public_seed kp)
              ~pk_digest:(Wots.public_key_digest kp) s forged_msg));
     (* Differential tests against the per-step-mask W-OTS+ in Ref_kernels. *)
-    Test.make ~name:"wots keygen = reference" ~count:12
-      (pair (oneofl [ 2; 4; 8; 16 ]) (string_of_size (Gen.return 32)))
-      (fun (d, sd) ->
-        let p = Params.Wots.make ~d () in
+    Test.make ~name:"wots keygen = reference" ~count:16
+      (triple (oneofl [ 2; 4; 8; 16 ]) (oneofl [ 16; 18; 31; 32 ]) (string_of_size (Gen.return 32)))
+      (fun (d, n, sd) ->
+        let p = Params.Wots.make ~n ~d () in
         Wots.public_key_digest (Wots.generate p ~seed:sd)
         = Ref_kernels.Wots.public_key_digest p ~seed:sd);
-    Test.make ~name:"wots uncached sign = reference" ~count:20
-      (triple (oneofl [ 2; 4; 8; 16 ]) (string_of_size (Gen.return 32)) msg_gen)
-      (fun (d, sd, msg) ->
-        let p = Params.Wots.make ~d () in
+    Test.make ~name:"wots uncached sign = reference" ~count:24
+      (triple
+         (pair (oneofl [ 2; 4; 8; 16 ]) (oneofl [ 16; 18; 31; 32 ]))
+         (string_of_size (Gen.return 32)) msg_gen)
+      (fun ((d, n), sd, msg) ->
+        let p = Params.Wots.make ~n ~d () in
         let nonce = String.sub sd 0 16 in
         let kp = Wots.generate ~cache_chains:false p ~seed:sd in
         (Wots.sign kp ~nonce msg).Wots.elements = Ref_kernels.Wots.sign p ~seed:sd ~nonce msg);
-    Test.make ~name:"wots recover = reference" ~count:40
-      (quad (oneofl [ 2; 4; 8; 16 ]) (string_of_size (Gen.return 32)) (int_range 0 10_000) msg_gen)
-      (fun (d, public_seed, salt, msg) ->
+    Test.make ~name:"wots recover = reference" ~count:60
+      (quad
+         (pair (oneofl [ 2; 4; 8; 16 ]) (oneofl [ 16; 18; 31; 32 ]))
+         (string_of_size (Gen.return 32)) (int_range 0 10_000) msg_gen)
+      (fun ((d, n), public_seed, salt, msg) ->
         (* arbitrary elements, not only genuine signatures: recovery
-           must agree on every input *)
-        let p = Params.Wots.make ~d () in
+           must agree on every input. n = 16 and 32 end on a word
+           boundary, 18 and 31 inside a word, and 32 has no length tag. *)
+        let p = Params.Wots.make ~n ~d () in
         let rng = Dsig_util.Rng.create (Int64.of_int salt) in
         let nonce = Dsig_util.Rng.bytes rng 16 in
         let elements = Array.init p.Params.Wots.l (fun _ -> Dsig_util.Rng.bytes rng p.Params.Wots.n) in

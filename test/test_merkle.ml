@@ -56,6 +56,22 @@ let test_encode () =
         (Merkle.verify ~root:(Merkle.root t) ~leaf:"leaf-0077" pf'));
   Alcotest.(check bool) "decode wrong size" true (Merkle.decode_proof ~levels:6 enc = None)
 
+(* Known answers pinned before the scratch-buffer fold: the root of a
+   fixed 128-leaf batch, and the root each proof folds back to. *)
+let test_known_answers () =
+  let hex = Dsig_util.Bytesutil.to_hex in
+  let ls = Array.init 128 (fun i -> Dsig_hashes.Sha256.digest (Printf.sprintf "kat leaf %d" i)) in
+  let t = Merkle.build ls in
+  let root = "7939ab7653497bdb21926dc30c7e48865c81ca82d7e659691e6c1b915038b0a3" in
+  Alcotest.(check string) "root" root (hex (Merkle.root t));
+  List.iter
+    (fun i ->
+      Alcotest.(check string) (Printf.sprintf "compute_root %d" i) root
+        (hex (Merkle.compute_root ~leaf:ls.(i) (Merkle.proof t i))))
+    [ 0; 37; 127 ];
+  Alcotest.(check string) "leaf 37 digest"
+    "6081c39f92ac3a24d2aefeb1b5b5e1db303792fe6c52101ecbcae525a790ff62" (hex (Merkle.leaf_digest t 37))
+
 let test_forest () =
   let ls = leaves 64 in
   let f = Merkle.Forest.build ~trees:8 ls in
@@ -163,6 +179,7 @@ let suites =
         Alcotest.test_case "rejections" `Quick test_rejections;
         Alcotest.test_case "non power of two" `Quick test_non_pow2;
         Alcotest.test_case "wire encoding" `Quick test_encode;
+        Alcotest.test_case "known answers" `Quick test_known_answers;
         Alcotest.test_case "forest" `Quick test_forest;
         Alcotest.test_case "multiproof" `Quick test_multiproof;
       ]
