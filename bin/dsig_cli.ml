@@ -135,9 +135,14 @@ let inspect sig_file d batch =
       Printf.printf "public seed: %s\n" (BU.to_hex w.Dsig.Wire.public_seed);
       (match w.Dsig.Wire.body with
       | Dsig.Wire.Wots_body s ->
+          let n =
+            match cfg.Dsig.Config.hbss with
+            | Dsig.Config.Wots p -> p.Dsig_hbss.Params.Wots.n
+            | _ -> assert false (* decode checked the scheme tag *)
+          in
           Printf.printf "W-OTS+ elements: %d x %d bytes, nonce %s\n"
-            (Array.length s.Dsig_hbss.Wots.elements)
-            (String.length s.Dsig_hbss.Wots.elements.(0))
+            (String.length s.Dsig_hbss.Wots.elements / n)
+            n
             (BU.to_hex s.Dsig_hbss.Wots.nonce)
       | Dsig.Wire.Hors_fact_body { hsig; complement } ->
           Printf.printf "HORS revealed: %d, complement: %d\n"

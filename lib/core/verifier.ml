@@ -692,8 +692,7 @@ let implied_leaf t (w : Wire.t) msg =
   match (t.cfg.Config.hbss, w.Wire.body) with
   | Config.Wots p, Wire.Wots_body s ->
       if
-        Array.length s.Wots.elements = p.Params.Wots.l
-        && Array.for_all (fun e -> String.length e = p.Params.Wots.n) s.Wots.elements
+        String.length s.Wots.elements = Params.Wots.signature_bytes p
         && String.length s.Wots.nonce = 16
       then
         Some

@@ -63,7 +63,7 @@ let encode (cfg : Config.t) t =
   (match t.body with
   | Wots_body s ->
       Buffer.add_string buf s.Wots.nonce;
-      Array.iter (Buffer.add_string buf) s.Wots.elements
+      Buffer.add_string buf s.Wots.elements
   | Hors_fact_body { hsig; complement } ->
       Buffer.add_string buf hsig.Hors.nonce;
       Array.iter (Buffer.add_string buf) hsig.Hors.revealed;
@@ -141,9 +141,7 @@ let decode (cfg : Config.t) s =
     match cfg.Config.hbss with
     | Config.Wots p ->
         let* nonce = take_err nonce_bytes in
-        let n = p.Params.Wots.n in
-        let* blob = take_err (p.Params.Wots.l * n) in
-        let elements = Array.init p.Params.Wots.l (fun i -> String.sub blob (i * n) n) in
+        let* elements = take_err (Params.Wots.signature_bytes p) in
         Ok (Wots_body { Wots.nonce; elements })
     | Config.Hors_factorized p ->
         let* nonce = take_err nonce_bytes in
@@ -206,13 +204,13 @@ let decode (cfg : Config.t) s =
         let* proofs = read_proofs [] 0 in
         Ok (Hors_merk_body { hsig = { Hors.nonce; revealed }; roots; proofs })
   in
-  let* bp = take_err batch_proof_bytes in
+  let* () = if !pos + trailer > len then err "truncated" else Ok () in
+  let* () = if !pos + trailer < len then err "trailing bytes" else Ok () in
   let* batch_proof =
-    match Merkle.decode_proof ~levels:(Config.batch_levels cfg) bp with
+    match Merkle.read_proof ~levels:(Config.batch_levels cfg) s !pos with
     | None -> err "bad batch proof"
     | Some pf ->
         if pf.Merkle.index >= cfg.Config.batch_size then err "batch index out of range" else Ok pf
   in
-  let* root_sig = take_err eddsa_bytes in
-  let* () = if !pos <> len then err "trailing bytes" else Ok () in
+  let root_sig = String.sub s (len - eddsa_bytes) eddsa_bytes in
   Ok { signer_id; batch_id; public_seed; body; batch_proof; root_sig }

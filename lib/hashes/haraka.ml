@@ -29,9 +29,10 @@ let output s ~fn length =
   done;
   Bytes.unsafe_to_string out
 
-let haraka256 ?(length = 32) x =
-  if String.length x <> 32 then invalid_arg "Haraka.haraka256: input must be 32 bytes";
-  let s = load x 8 in
+let haraka256_words s =
+  if Array.length s < 8 then invalid_arg "Haraka.haraka256_words: need 8 words";
+  let x0 = s.(0) and x1 = s.(1) and x2 = s.(2) and x3 = s.(3) in
+  let x4 = s.(4) and x5 = s.(5) and x6 = s.(6) and x7 = s.(7) in
   for r = 0 to 4 do
     aes2 s 0 (4 * r);
     aes2 s 1 ((4 * r) + 2);
@@ -46,9 +47,20 @@ let haraka256 ?(length = 32) x =
     s.(5) <- b2;
     s.(6) <- a3
   done;
-  for i = 0 to 7 do
-    s.(i) <- s.(i) lxor Aes_core.get_word x (4 * i)
-  done;
+  (* feed-forward *)
+  s.(0) <- s.(0) lxor x0;
+  s.(1) <- s.(1) lxor x1;
+  s.(2) <- s.(2) lxor x2;
+  s.(3) <- s.(3) lxor x3;
+  s.(4) <- s.(4) lxor x4;
+  s.(5) <- s.(5) lxor x5;
+  s.(6) <- s.(6) lxor x6;
+  s.(7) <- s.(7) lxor x7
+
+let haraka256 ?(length = 32) x =
+  if String.length x <> 32 then invalid_arg "Haraka.haraka256: input must be 32 bytes";
+  let s = load x 8 in
+  haraka256_words s;
   output s ~fn:"Haraka.haraka256" length
 
 (* Truncation keeps bytes 8..15 of lanes 0 and 1 and bytes 0..7 of lanes

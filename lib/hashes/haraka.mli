@@ -18,14 +18,24 @@
     The kernels keep the whole state in one int array per call: round
     constants are parsed into words once, AES rounds and the unpack mix
     run in place, and feed-forward and truncation write one output
-    buffer. This layout changes no output byte: the test suite checks
-    both functions against known answers and, differentially, against a
-    string-round reference built on {!Aes_core.round_naive}. *)
+    buffer. {!haraka256_words} exposes the 256-bit kernel on words
+    directly, so that a W-OTS+ chain walks every step in one array and
+    allocates nothing per step. This layout changes no output byte: the
+    test suite checks both functions against known answers and,
+    differentially, against a string-round reference built on
+    {!Aes_core.round_naive}. *)
 
 val haraka256 : ?length:int -> string -> string
 (** [haraka256 x] maps a 32-byte input to a 32-byte output; [length]
     (at most 32) keeps only that many leading output bytes.
     @raise Invalid_argument on wrong input size or [length]. *)
+
+val haraka256_words : int array -> unit
+(** [haraka256_words s] replaces the eight big-endian 32-bit words
+    [s.(0) .. s.(7)] (byte 4i is the high byte of [s.(i)]) with their
+    32-byte Haraka-256 digest, in place and with no allocation. Words
+    after the eighth are left alone.
+    @raise Invalid_argument if [s] has fewer than 8 words. *)
 
 val haraka512 : ?length:int -> string -> string
 (** [haraka512 x] maps a 64-byte input to a 32-byte output; [length] as

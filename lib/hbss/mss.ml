@@ -52,10 +52,9 @@ let sign kp msg =
 let verify ?(hash = Dsig_hashes.Hash.Haraka) ?(wots_d = 4) ~public_key signature msg =
   let p = Params.Wots.make ~d:wots_d () in
   signature.proof.Merkle.index = signature.leaf_index
-  && Array.length signature.wots_sig.Wots.elements = p.Params.Wots.l
-  && Array.for_all
-       (fun e -> String.length e = p.Params.Wots.n)
-       signature.wots_sig.Wots.elements
+  && String.length signature.wots_sig.Wots.elements = Params.Wots.signature_bytes p
+  && String.length signature.wots_sig.Wots.nonce = 16
+  && String.length signature.public_seed = 32
   &&
   let leaf =
     Wots.recover_public_key_digest ~hash p ~public_seed:signature.public_seed

@@ -10,7 +10,20 @@
     A W-OTS+ signature lets the verifier {e recover} the public key by
     completing the chains, so DSig signatures need not embed it
     (Figure 5): the recovered key is authenticated through its digest in
-    the EdDSA-signed Merkle batch. *)
+    the EdDSA-signed Merkle batch.
+
+    Key generation, uncached signing and recovery share one chain
+    kernel. With Haraka and n <= 32 (the deployed setting), it keeps the
+    chain value in eight big-endian int words from the first step to the
+    last, with the d-1 masks parsed into words once per call and the
+    length tag of {!Dsig_hashes.Hash.digest}'s padding folded into them:
+    a step is eight xors, one in-place {!Dsig_hashes.Haraka.haraka256_words}
+    and a word-mask truncation, with no allocation. Recovered elements
+    go straight into one buffer after the public seed, which BLAKE3
+    hashes as the public-key digest. Other hashes and n > 32 step through
+    {!Dsig_hashes.Hash.digest} on strings. Every output byte equals that
+    of the plain per-step definition; the test suite checks keygen,
+    signing and recovery against it for n in {16, 18, 31, 32}. *)
 
 type keypair
 
@@ -37,7 +50,10 @@ val message_digest : Params.Wots.t -> public_seed:string -> nonce:string -> stri
     the digest before recovering the key, so we salt with the per-key
     public seed, which gives the same multi-target protection.) *)
 
-type signature = { nonce : string; elements : string array }
+type signature = { nonce : string; elements : string }
+(** [elements] holds the l revealed chain elements, n bytes each,
+    concatenated in chain order: the signature's wire body after the
+    nonce. *)
 
 val sign : ?allow_reuse:bool -> keypair -> nonce:string -> string -> signature
 (** [sign kp ~nonce msg]. One-time: a second call raises
@@ -51,7 +67,9 @@ val recover_public_elements :
   string ->
   string array
 (** Complete the chains for message [msg]; if the signature is genuine
-    the result equals the signer's public elements. *)
+    the result equals the signer's public elements.
+    @raise Invalid_argument unless the public seed is 32 bytes, the nonce
+    16 bytes and the elements l * n bytes. *)
 
 val recover_public_key_digest :
   ?hash:Dsig_hashes.Hash.algo ->
@@ -60,6 +78,8 @@ val recover_public_key_digest :
   signature ->
   string ->
   string
+(** BLAKE3(public_seed || recovered elements), raising as
+    {!recover_public_elements} does. *)
 
 val verify :
   ?hash:Dsig_hashes.Hash.algo ->
@@ -69,7 +89,8 @@ val verify :
   signature ->
   string ->
   bool
-(** Recover-and-compare against the expected public-key digest. *)
+(** Recover-and-compare against the expected public-key digest; [false]
+    on wrong input lengths. *)
 
 val signature_wire_bytes : Params.Wots.t -> int
 (** nonce (16) + l*n elements. *)

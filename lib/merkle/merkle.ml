@@ -1,13 +1,12 @@
-let default_hash s = Dsig_hashes.Blake3.digest s
+module Blake3 = Dsig_hashes.Blake3
 
 type t = {
-  hash : string -> string;
   n : int; (* original (unpadded) leaf count *)
   levels : string array array; (* levels.(0) = padded leaf digests, last = [| root |] *)
 }
 
 let leaf_tag = "\x00"
-let node_tag = "\x01"
+let node_tag = '\x01'
 
 let next_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
@@ -18,25 +17,40 @@ let next_pow2 n =
    verification needs no side information. *)
 let padding_digest = String.make 32 '\x00'
 
-let build ?(hash = default_hash) leaves =
+let leaf_hash leaf = Blake3.digest (leaf_tag ^ leaf)
+
+(* A node's input, the tag and two 32-byte children, in one 65-byte
+   scratch buffer per tree walk: the children are blitted into
+   bytes 1..32 and 33..64, and a digest can be written back over either
+   half. *)
+let scratch () =
+  let b = Bytes.create 65 in
+  Bytes.set b 0 node_tag;
+  b
+
+let node_hash buf a b =
+  Bytes.blit_string a 0 buf 1 32;
+  Bytes.blit_string b 0 buf 33 32;
+  let out = Bytes.create 32 in
+  Blake3.digest_into buf ~off:0 ~len:65 out ~dst_off:0;
+  Bytes.unsafe_to_string out
+
+let build leaves =
   let n = Array.length leaves in
   if n = 0 then invalid_arg "Merkle.build: empty";
   let padded = next_pow2 n in
-  let level0 =
-    Array.init padded (fun i -> if i < n then hash (leaf_tag ^ leaves.(i)) else padding_digest)
-  in
+  let level0 = Array.init padded (fun i -> if i < n then leaf_hash leaves.(i) else padding_digest) in
+  let buf = scratch () in
   let rec up acc level =
     if Array.length level = 1 then List.rev (level :: acc)
     else begin
       let next =
-        Array.init
-          (Array.length level / 2)
-          (fun i -> hash (node_tag ^ level.(2 * i) ^ level.((2 * i) + 1)))
+        Array.init (Array.length level / 2) (fun i -> node_hash buf level.(2 * i) level.((2 * i) + 1))
       in
       up (level :: acc) next
     end
   in
-  { hash; n; levels = Array.of_list (up [] level0) }
+  { n; levels = Array.of_list (up [] level0) }
 
 let root t = t.levels.(Array.length t.levels - 1).(0)
 let size t = t.n
@@ -58,33 +72,43 @@ let proof_size_bytes ~leaves =
   let rec levels n acc = if n <= 1 then acc else levels (n / 2) (acc + 1) in
   4 + (32 * levels (next_pow2 leaves) 0)
 
-let compute_root ?(hash = default_hash) ~leaf { index; siblings } =
-  let acc = ref (hash (leaf_tag ^ leaf)) in
+(* The fold keeps the running digest inside the scratch buffer: at each
+   level the sibling is blitted into the other half and the parent's
+   digest is written over the half the next index bit puts it in. *)
+let compute_root ~leaf { index; siblings } =
+  let buf = scratch () in
+  let half i = if i land 1 = 0 then 1 else 33 in
+  let leaf_input = Bytes.make (1 + String.length leaf) leaf_tag.[0] in
+  Bytes.blit_string leaf 0 leaf_input 1 (String.length leaf);
+  Blake3.digest_into leaf_input ~off:0 ~len:(Bytes.length leaf_input) buf ~dst_off:(half index);
   let idx = ref index in
   List.iter
     (fun sib ->
-      acc := (if !idx land 1 = 0 then hash (node_tag ^ !acc ^ sib) else hash (node_tag ^ sib ^ !acc));
-      idx := !idx / 2)
+      if String.length sib <> 32 then invalid_arg "Merkle.compute_root: siblings must be 32 bytes";
+      Bytes.blit_string sib 0 buf (34 - half !idx) 32;
+      idx := !idx lsr 1;
+      Blake3.digest_into buf ~off:0 ~len:65 buf ~dst_off:(half !idx))
     siblings;
-  !acc
+  Bytes.sub_string buf (half !idx) 32
 
-let verify ?hash ~root:expected ~leaf proof =
-  Dsig_util.Bytesutil.equal_ct (compute_root ?hash ~leaf proof) expected
+let verify ~root:expected ~leaf proof =
+  List.for_all (fun sib -> String.length sib = 32) proof.siblings
+  && Dsig_util.Bytesutil.equal_ct (compute_root ~leaf proof) expected
 
 let encode_proof { index; siblings } =
   Dsig_util.Bytesutil.concat
     (Dsig_util.Bytesutil.u32_le (Int32.of_int index) :: siblings)
 
-let decode_proof ~levels s =
-  if String.length s <> 4 + (32 * levels) then None
+let read_proof ~levels s off =
+  if off < 0 || off + 4 + (32 * levels) > String.length s then None
   else begin
-    let index = Int32.to_int (Dsig_util.Bytesutil.get_u32_le s 0) in
+    let index = Int32.to_int (Dsig_util.Bytesutil.get_u32_le s off) in
     if index < 0 then None
-    else begin
-      let siblings = List.init levels (fun i -> String.sub s (4 + (32 * i)) 32) in
-      Some { index; siblings }
-    end
+    else Some { index; siblings = List.init levels (fun i -> String.sub s (off + 4 + (32 * i)) 32) }
   end
+
+let decode_proof ~levels s =
+  if String.length s <> 4 + (32 * levels) then None else read_proof ~levels s 0
 
 type tree = t
 
@@ -128,7 +152,7 @@ module Multiproof = struct
     done;
     { indices = sorted; levels; carried = List.rev !carried }
 
-  let verify ?(hash = default_hash) ~root ~leaves t =
+  let verify ~root ~leaves t =
     let sorted = List.sort compare leaves in
     if List.map fst sorted <> t.indices then false
     else begin
@@ -141,9 +165,10 @@ module Multiproof = struct
         | [] -> None
       in
       let frontier =
-        ref (List.map (fun (i, content) -> (i, hash (leaf_tag ^ content))) sorted)
+        ref (List.map (fun (i, content) -> (i, leaf_hash content)) sorted)
       in
       let ok = ref true in
+      let buf = scratch () in
       for _l = 0 to t.levels - 1 do
         let covered = !frontier in
         let parents = List.sort_uniq compare (List.map (fun (i, _) -> i / 2) covered) in
@@ -156,7 +181,8 @@ module Multiproof = struct
                 | None -> take ()
               in
               match (child (2 * p), child ((2 * p) + 1)) with
-              | Some l, Some r -> (p, hash (node_tag ^ l ^ r))
+              | Some l, Some r when String.length l = 32 && String.length r = 32 ->
+                  (p, node_hash buf l r)
               | _ ->
                   ok := false;
                   (p, ""))
@@ -217,26 +243,26 @@ end
 module Forest = struct
   type forest = { trees : t array; per_tree : int }
 
-  let build ?(hash = default_hash) ~trees leaves =
+  let build ~trees leaves =
     let n = Array.length leaves in
     if trees <= 0 || n mod trees <> 0 then
       invalid_arg "Merkle.Forest.build: tree count must divide leaf count";
     let per_tree = n / trees in
     {
-      trees = Array.init trees (fun i -> build ~hash (Array.sub leaves (i * per_tree) per_tree));
+      trees = Array.init trees (fun i -> build (Array.sub leaves (i * per_tree) per_tree));
       per_tree;
     }
 
   let roots f = Array.to_list (Array.map root f.trees)
   let tree f i = f.trees.(i)
-  let roots_digest f = default_hash (String.concat "" (roots f))
+  let roots_digest f = Blake3.digest (String.concat "" (roots f))
 
   let proof f i =
     let tree = i / f.per_tree in
     (tree, proof f.trees.(tree) (i mod f.per_tree))
 
-  let verify ?(hash = default_hash) ~roots ~leaf (tree, pf) =
+  let verify ~roots ~leaf (tree, pf) =
     match List.nth_opt roots tree with
     | None -> false
-    | Some r -> verify ~hash ~root:r ~leaf pf
+    | Some r -> verify ~root:r ~leaf pf
 end

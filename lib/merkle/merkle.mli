@@ -1,19 +1,22 @@
-(** Merkle trees over BLAKE3 (or any 32-byte hash), as used by DSig to
+(** Merkle trees over BLAKE3, as used by DSig to
     batch HBSS public keys under one EdDSA signature (§4.4) and to
     "merklify" HORS public keys (§5.2).
 
     Leaves are arbitrary strings; they are hashed with a [0x00] domain
     tag, interior nodes with [0x01], preventing leaf/node confusion.
-    Trees of non-power-of-two size promote unpaired nodes unchanged. *)
+    Trees of non-power-of-two size are padded with a fixed all-zero
+    digest. A path fold hashes each node in one 65-byte scratch buffer,
+    writing the parent's digest back into it, so it builds no
+    concatenated strings. *)
 
 type t
 
 type tree = t
 (** Alias used by {!Multiproof}. *)
 
-val build : ?hash:(string -> string) -> string array -> t
-(** [build leaves] constructs the tree. [hash] defaults to 32-byte
-    BLAKE3. @raise Invalid_argument on an empty leaf array. *)
+val build : string array -> t
+(** [build leaves] constructs the tree.
+    @raise Invalid_argument on an empty leaf array. *)
 
 val root : t -> string
 val size : t -> int
@@ -32,19 +35,25 @@ val proof_size_bytes : leaves:int -> int
 (** Wire size of a proof for a tree of the given leaf count:
     ceil(log2 leaves) siblings of 32 bytes. *)
 
-val compute_root : ?hash:(string -> string) -> leaf:string -> proof -> string
+val compute_root : leaf:string -> proof -> string
 (** The root implied by a leaf and its proof (used by verifiers that
     look the root up in a cache of pre-verified roots rather than
-    comparing against a value carried in the signature). *)
+    comparing against a value carried in the signature).
+    @raise Invalid_argument if a sibling is not 32 bytes. *)
 
-val verify :
-  ?hash:(string -> string) -> root:string -> leaf:string -> proof -> bool
-(** Recomputes the path and compares with [root]. *)
+val verify : root:string -> leaf:string -> proof -> bool
+(** Recomputes the path and compares with [root]; [false] if a sibling
+    is not 32 bytes. *)
 
 val encode_proof : proof -> string
 val decode_proof : levels:int -> string -> proof option
-(** Fixed-size wire encoding: 4-byte big-endian index followed by
+(** Fixed-size wire encoding: 4-byte little-endian index followed by
     [levels] 32-byte siblings. *)
+
+val read_proof : levels:int -> string -> int -> proof option
+(** [read_proof ~levels s off] decodes a proof that starts at byte [off]
+    of [s] and may be followed by other bytes, without copying the
+    encoding out first. *)
 
 (** {1 Multiproofs}
 
@@ -61,7 +70,7 @@ module Multiproof : sig
   (** Proof for the given (distinct) leaf indices.
       @raise Invalid_argument on out-of-range or duplicate indices. *)
 
-  val verify : ?hash:(string -> string) -> root:string -> leaves:(int * string) list -> t -> bool
+  val verify : root:string -> leaves:(int * string) list -> t -> bool
   (** [leaves] are [(index, content)] pairs for exactly the indices the
       proof was created for. *)
 
@@ -85,7 +94,7 @@ module Forest : sig
 
   type forest
 
-  val build : ?hash:(string -> string) -> trees:int -> string array -> forest
+  val build : trees:int -> string array -> forest
   (** [trees] must divide the leaf count. *)
 
   val roots : forest -> string list
@@ -100,6 +109,5 @@ module Forest : sig
   (** [proof f i] is [(tree_index, proof within that tree)] for global
       leaf [i]. *)
 
-  val verify :
-    ?hash:(string -> string) -> roots:string list -> leaf:string -> int * proof -> bool
+  val verify : roots:string list -> leaf:string -> int * proof -> bool
 end

@@ -105,13 +105,51 @@ let test_wots_rejects () =
     (Wots.verify wots_p ~public_seed:ps ~pk_digest:(String.make 32 '!') s msg);
   Alcotest.(check bool) "wrong public seed" false
     (Wots.verify wots_p ~public_seed:(String.make 32 '?') ~pk_digest:pd s msg);
+  let n = wots_p.Params.Wots.n in
   let tampered =
-    { s with Wots.elements = Array.mapi (fun i e -> if i = 7 then String.map (fun c -> Char.chr (Char.code c lxor 1)) e else e) s.Wots.elements }
+    (* every byte of element 7 flipped *)
+    { s with
+      Wots.elements =
+        String.mapi
+          (fun i c -> if i / n = 7 then Char.chr (Char.code c lxor 1) else c)
+          s.Wots.elements
+    }
   in
   Alcotest.(check bool) "tampered element" false
     (Wots.verify wots_p ~public_seed:ps ~pk_digest:pd tampered msg);
-  let short = { s with Wots.elements = Array.sub s.Wots.elements 0 10 } in
+  let short = { s with Wots.elements = String.sub s.Wots.elements 0 (10 * n) } in
   Alcotest.(check bool) "short" false (Wots.verify wots_p ~public_seed:ps ~pk_digest:pd short msg)
+
+(* Recovery reads the elements at unchecked offsets, so it checks the
+   lengths itself: a short last element or a short nonce raises instead
+   of yielding a digest. *)
+let test_wots_recover_lengths () =
+  let kp = Wots.generate wots_p ~seed:(seed 'L') in
+  let ps = Wots.public_seed kp and pd = Wots.public_key_digest kp in
+  let msg = "lengths" in
+  let s = Wots.sign kp ~nonce:(nonce 'n') msg in
+  let len = String.length s.Wots.elements in
+  let cases =
+    [
+      ("last element 17 bytes", { s with Wots.elements = String.sub s.Wots.elements 0 (len - 1) });
+      ("last element 19 bytes", { s with Wots.elements = s.Wots.elements ^ "x" });
+      ("5-byte nonce", { s with Wots.nonce = "12345" });
+      ("17-byte nonce", { s with Wots.nonce = nonce 'n' ^ "x" });
+    ]
+  in
+  List.iter
+    (fun (name, bad) ->
+      (match Wots.recover_public_key_digest wots_p ~public_seed:ps bad msg with
+      | _ -> Alcotest.failf "%s: recovered a digest" name
+      | exception Invalid_argument _ -> ());
+      (match Wots.recover_public_elements wots_p ~public_seed:ps bad msg with
+      | _ -> Alcotest.failf "%s: recovered elements" name
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) (name ^ ": verify") false
+        (Wots.verify wots_p ~public_seed:ps ~pk_digest:pd bad msg))
+    cases;
+  Alcotest.(check bool) "genuine still verifies" true
+    (Wots.verify wots_p ~public_seed:ps ~pk_digest:pd s msg)
 
 let test_wots_cross_hash_rejects () =
   (* a signature chained with one hash must not verify under another *)
@@ -148,7 +186,7 @@ let test_wots_kat () =
       Alcotest.(check string) (name "recovered digest") pk
         (hex (Wots.recover_public_key_digest p ~public_seed:(Wots.public_seed kp) s "wots kat"));
       Alcotest.(check string) (name "signature") sig_fp
-        (hex (Dsig_hashes.Blake3.digest (String.concat "" (Array.to_list s.Wots.elements)))))
+        (hex (Dsig_hashes.Blake3.digest s.Wots.elements)))
     [
       ( 4,
         "9a78337bc73d9a7e5448e29594c60702d0ef9b46e10f44b00457974e24d1d687",
@@ -269,16 +307,14 @@ let qcheck_tests =
         let rng = Dsig_util.Rng.create (Int64.of_int salt) in
         let kp = Wots.generate wots_p ~seed:(Dsig_util.Rng.bytes rng 32) in
         let s = Wots.sign kp ~nonce:(Dsig_util.Rng.bytes rng 16) msg in
-        let i = salt mod Array.length s.Wots.elements in
+        let n = wots_p.Params.Wots.n in
+        let i = salt mod wots_p.Params.Wots.l in
         let bit = 1 lsl (salt mod 8) in
         let tampered =
+          (* the first byte of element i *)
           { s with
             Wots.elements =
-              Array.mapi
-                (fun j e ->
-                  if j = i then String.mapi (fun k c -> if k = 0 then Char.chr (Char.code c lxor bit) else c) e
-                  else e)
-                s.Wots.elements
+              String.mapi (fun k c -> if k = i * n then Char.chr (Char.code c lxor bit) else c) s.Wots.elements
           }
         in
         not
@@ -311,7 +347,8 @@ let qcheck_tests =
         let p = Params.Wots.make ~n ~d () in
         let nonce = String.sub sd 0 16 in
         let kp = Wots.generate ~cache_chains:false p ~seed:sd in
-        (Wots.sign kp ~nonce msg).Wots.elements = Ref_kernels.Wots.sign p ~seed:sd ~nonce msg);
+        (Wots.sign kp ~nonce msg).Wots.elements
+        = String.concat "" (Array.to_list (Ref_kernels.Wots.sign p ~seed:sd ~nonce msg)));
     Test.make ~name:"wots recover = reference" ~count:60
       (quad
          (pair (oneofl [ 2; 4; 8; 16 ]) (oneofl [ 16; 18; 31; 32 ]))
@@ -324,7 +361,7 @@ let qcheck_tests =
         let rng = Dsig_util.Rng.create (Int64.of_int salt) in
         let nonce = Dsig_util.Rng.bytes rng 16 in
         let elements = Array.init p.Params.Wots.l (fun _ -> Dsig_util.Rng.bytes rng p.Params.Wots.n) in
-        let s = { Wots.nonce; elements } in
+        let s = { Wots.nonce; elements = String.concat "" (Array.to_list elements) } in
         Wots.recover_public_elements p ~public_seed s msg
         = Ref_kernels.Wots.recover_public_elements p ~public_seed ~nonce elements msg);
     Test.make ~name:"hors sign/verify all k" ~count:12
@@ -366,6 +403,7 @@ let suites =
         Alcotest.test_case "cache equivalence" `Quick test_wots_no_cache_matches_cache;
         Alcotest.test_case "one-time enforcement" `Quick test_wots_one_time;
         Alcotest.test_case "rejections" `Quick test_wots_rejects;
+        Alcotest.test_case "recovery checks input lengths" `Quick test_wots_recover_lengths;
         Alcotest.test_case "sizes" `Quick test_wots_sizes;
         Alcotest.test_case "cross-hash rejected" `Quick test_wots_cross_hash_rejects;
         Alcotest.test_case "cross-params rejected" `Quick test_wots_cross_params_rejects;
