@@ -214,24 +214,51 @@ let test_stress () =
 let test_hash_domains () =
   let open Dsig_hashes in
   let module Wots = Dsig_hbss.Wots in
+  let module Merkle = Dsig_merkle.Merkle in
   let iters = 10_000 in
   let wots_every = 50 in
   (* lengths cycle through one- and multi-block messages *)
   let input d i = Printf.sprintf "domain %d input %d %s" d i (String.make (i mod 300) 'x') in
-  let p = Dsig_hbss.Params.Wots.make ~d:4 () in
+  let p = match cfg.Config.hbss with Config.Wots p -> p | _ -> assert false in
   let kp = Wots.generate p ~seed:(String.make 32 's') in
   let signature = Wots.sign kp ~nonce:(String.make 16 'n') "domains" in
+  let public_seed = Wots.public_seed kp and pk_digest = Wots.public_key_digest kp in
+  let leaves = Array.init cfg.Config.batch_size (fun i -> Sha256.digest (string_of_int i)) in
+  let tree = Merkle.build leaves in
+  let wire batch_id key =
+    Wire.encode cfg
+      {
+        Wire.signer_id = 0;
+        batch_id;
+        public_seed;
+        body = Wire.Wots_body signature;
+        batch_proof = Merkle.proof tree key;
+        root_sig = String.make 64 'r';
+      }
+  in
   let digests d i =
     let x = input d i in
     let fixed n = String.sub (x ^ String.make 64 '.') 0 n in
+    let key = i mod cfg.Config.batch_size in
     ( (Sha256.digest x, Sha512.digest x),
       (Haraka.haraka256 (fixed 32), Haraka.haraka512 (fixed 64), Hash.digest Hash.Haraka ~length:18 (fixed 18)),
       (Blake3.digest x, Blake3.keyed ~key:(fixed 32) ~length:40 x),
-      (* recovery walks chains from digits that depend on the message *)
-      if i mod wots_every = 0 then
-        Wots.recover_public_key_digest p ~public_seed:(Wots.public_seed kp) signature x
-      else "" )
+      (* key generation, recovery and verification walk chains from
+         seeds and digits that depend on the input *)
+      (if i mod wots_every = 0 then
+         ( Wots.public_key_digest (Wots.generate p ~seed:(fixed 32)),
+           Wots.recover_public_key_digest p ~public_seed signature x,
+           Wots.verify p ~public_seed ~pk_digest signature "domains",
+           Wots.verify p ~public_seed ~pk_digest signature x )
+       else ("", "", false, false)),
+      (* the Merkle fold and the wire decoder on every domain at once *)
+      ( Merkle.compute_root ~leaf:x (Merkle.proof tree key),
+        match Wire.decode cfg (wire (Int64.of_int ((d * iters) + i)) key) with
+        | Ok w -> Wire.encode cfg w
+        | Error e -> e ) )
   in
+  Alcotest.(check bool) "genuine signature verifies" true
+    (Wots.verify p ~public_seed ~pk_digest signature "domains");
   let reference = Array.init stress_domains (fun d -> Array.init iters (digests d)) in
   let hashers =
     List.init stress_domains (fun d ->
