@@ -34,7 +34,51 @@ let sign_test ~name ~lifecycle () =
           end;
           Dsig.Signer.sign signer "12345678"))
 
-let tests () =
+(* A warm hinted fast path: a verifier that has the batch announcement,
+   checking one signature of that batch with Verifier.verify. The
+   closure fails if a call takes any other path. *)
+let fast_verify () =
+  let cfg = Dsig.Config.default in
+  let tel = Dsig_telemetry.Telemetry.create () in
+  let options = Dsig.Options.(default |> with_telemetry tel) in
+  let rng = Dsig_util.Rng.create 9L in
+  let sk, pk = E.generate rng in
+  let pki = Dsig.Pki.create () in
+  Dsig.Pki.bind pki ~id:0 ~epoch:0 pk;
+  let signer = Dsig.Signer.create cfg ~id:0 ~eddsa:sk ~rng ~options ~verifiers:[ 1 ] () in
+  let verifier = Dsig.Verifier.create cfg ~id:1 ~pki ~options () in
+  Dsig.Signer.background_fill signer;
+  let msg = "12345678" in
+  let wire = Dsig.Signer.sign signer ~hint:[ 1 ] msg in
+  List.iter (fun (_, a) -> ignore (Dsig.Verifier.deliver verifier a)) (Dsig.Signer.drain_outbox signer);
+  let stats = Dsig.Verifier.stats verifier in
+  fun () ->
+    let fast = stats.Dsig.Verifier.fast in
+    if not (Dsig.Verifier.verify verifier ~msg wire && stats.Dsig.Verifier.fast = fast + 1) then
+      failwith "bench micro: dsig-verify(fast) left the fast path"
+
+(* Minor-heap words one call of [f] allocates, over [ops] calls after a
+   warm-up call. Deterministic for a deterministic [f]. *)
+let minor_words_per_op ?(ops = 200) f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to ops do
+    f ()
+  done;
+  Float.round ((Gc.minor_words () -. w0) /. float_of_int ops)
+
+let wots_verify () =
+  let rng = Dsig_util.Rng.create 6L in
+  let p4 = Dsig_hbss.Params.Wots.make ~d:4 () in
+  let kp = Dsig_hbss.Wots.generate p4 ~seed:(Dsig_util.Rng.bytes rng 32) in
+  let msg = "12345678" in
+  let wsig = Dsig_hbss.Wots.sign kp ~nonce:(Dsig_util.Rng.bytes rng 16) msg in
+  let public_seed = Dsig_hbss.Wots.public_seed kp and pk_digest = Dsig_hbss.Wots.public_key_digest kp in
+  fun () ->
+    if not (Dsig_hbss.Wots.verify p4 ~public_seed ~pk_digest wsig msg) then
+      failwith "bench micro: wots4-verify rejected a genuine signature"
+
+let tests ~verify_fast () =
   let rng = Dsig_util.Rng.create 5L in
   let b32 = Dsig_util.Rng.bytes rng 32 in
   let b64 = Dsig_util.Rng.bytes rng 64 in
@@ -62,6 +106,7 @@ let tests () =
     Test.make ~name:"wots4-verify"
       (Staged.stage (fun () ->
            Dsig_hbss.Wots.verify p4 ~public_seed:pseed ~pk_digest:pdig wsig msg));
+    Test.make ~name:"dsig-verify(fast)" (Staged.stage verify_fast);
     Test.make ~name:"wots4-keygen"
       (Staged.stage
          (let c = ref 0 in
@@ -103,7 +148,8 @@ let tests () =
 
 let run () =
   Harness.section "Microbenchmarks: real crypto on this host (pure OCaml, no SIMD)";
-  let results = Harness.run_bechamel (tests ()) in
+  let verify_fast = fast_verify () in
+  let results = Harness.run_bechamel (tests ~verify_fast ()) in
   (* pin the headline sign/verify costs for the --snapshot gate *)
   List.iter
     (fun (name, ns) ->
@@ -111,13 +157,24 @@ let run () =
       if name = "eddsa-sign" then record "micro_eddsa_sign_us"
       else if name = "eddsa-verify" then record "micro_eddsa_verify_us"
       else if name = "dsig-sign/lifecycle-off" then record "micro_dsig_sign_us"
-      else if name = "wots4-verify" then record "micro_wots_verify_us")
+      else if name = "wots4-verify" then record "micro_wots_verify_us"
+      else if name = "dsig-verify(fast)" then record "micro_dsig_verify_fast_us")
     results;
   let rows =
     List.map (fun (name, ns) -> [ name; Printf.sprintf "%.2f" (ns /. 1000.0) ]) results
     |> List.sort compare
   in
   Harness.print_table ~header:[ "operation"; "us/op" ] rows;
+  (* allocation per call on the verify path, gated as ceilings *)
+  let allocs =
+    [
+      ("dsig-verify(fast)", "alloc_dsig_verify_fast_words", minor_words_per_op verify_fast);
+      ("wots4-verify", "alloc_wots_verify_words", minor_words_per_op (wots_verify ()));
+    ]
+  in
+  List.iter (fun (_, key, words) -> Harness.metric key words) allocs;
+  Harness.print_table ~header:[ "operation"; "minor words/op" ]
+    (List.map (fun (name, _, words) -> [ name; Printf.sprintf "%.0f" words ]) allocs);
   print_endline
     "(the paper's AVX2/AES-NI numbers are 10-100x lower; figure harnesses use the\n\
      paper-calibrated cost model so shapes do not depend on this host)"

@@ -36,6 +36,9 @@ let required =
 let required_bench_metrics =
   [
     "micro_eddsa_sign_us"; "micro_eddsa_verify_us"; "micro_dsig_sign_us";
+    (* fast-path verify through Verifier.verify, and allocation per call
+       (bench micro) *)
+    "micro_dsig_verify_fast_us"; "alloc_dsig_verify_fast_words"; "alloc_wots_verify_words";
     "store_sign_us"; "translog_append_us"; "translog_inclusion_proof_us";
     "translog_consistency_proof_us"; "translog_checkpoint_us";
     (* parallel plane (bench scale) *)
@@ -67,7 +70,15 @@ let required_floors =
    under a ceiling. A fleet provisioned with 2x headroom must not shed
    at its nominal operating point — any shedding at 1x means the
    admission controller is tuned into false positives. *)
-let required_ceilings = [ ("fleet_shed_ratio_1x", 0.0) ]
+let required_ceilings =
+  [
+    ("fleet_shed_ratio_1x", 0.0);
+    (* minor-heap words per call: deterministic, so pinned at the figures
+       of the allocation-free kernels. A rise means a kernel under the
+       fast path allocates again. *)
+    ("alloc_dsig_verify_fast_words", 1473.0);
+    ("alloc_wots_verify_words", 619.0);
+  ]
 
 (* the provenance block the snapshot writer stamps (schema v2) — a
    baseline without it cannot be judged comparable to a fresh run *)

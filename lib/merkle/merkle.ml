@@ -78,9 +78,7 @@ let proof_size_bytes ~leaves =
 let compute_root ~leaf { index; siblings } =
   let buf = scratch () in
   let half i = if i land 1 = 0 then 1 else 33 in
-  let leaf_input = Bytes.make (1 + String.length leaf) leaf_tag.[0] in
-  Bytes.blit_string leaf 0 leaf_input 1 (String.length leaf);
-  Blake3.digest_into leaf_input ~off:0 ~len:(Bytes.length leaf_input) buf ~dst_off:(half index);
+  Bytes.blit_string (leaf_hash leaf) 0 buf (half index) 32;
   let idx = ref index in
   List.iter
     (fun sib ->
