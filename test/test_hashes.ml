@@ -111,7 +111,13 @@ let test_blake3_modes () =
   Alcotest.(check bool) "derive differs" false (plain = derived);
   Alcotest.(check bool) "derive/keyed differ" false (keyed = derived);
   Alcotest.check_raises "bad key size" (Invalid_argument "Blake3: key must be 32 bytes")
-    (fun () -> ignore (Blake3.keyed ~key:"short" "msg"))
+    (fun () -> ignore (Blake3.keyed ~key:"short" "msg"));
+  Alcotest.check_raises "digest_into input range"
+    (Invalid_argument "Blake3.digest_into: input out of range") (fun () ->
+      Blake3.digest_into (Bytes.create 4) ~off:2 ~len:3 (Bytes.create 32) ~dst_off:0);
+  Alcotest.check_raises "digest_into output range"
+    (Invalid_argument "Blake3.digest_into: output out of range") (fun () ->
+      Blake3.digest_into (Bytes.create 4) ~off:0 ~len:4 (Bytes.create 32) ~dst_off:1)
 
 let test_aes_sbox () =
   (* Published S-box spot values (FIPS 197 figure 7). *)
@@ -243,6 +249,17 @@ let qcheck_tests =
         && Blake3.digest ~length msg = R.digest ~length msg
         && Blake3.keyed ~key ~length msg = R.keyed ~key ~length msg
         && Blake3.derive_key ~context:key ~length msg = R.derive_key ~context:key ~length msg);
+    Test.make ~name:"blake3 digest_into = digest" ~count:60
+      (triple (string_of_size Gen.(0 -- 2100)) (pair small_nat small_nat) (int_range 1 100))
+      (fun (s, (a, b), length) ->
+        (* a slice of [s], digested into a buffer that also holds the
+           input: the output overwrites the input's start *)
+        let off = min a (String.length s) in
+        let len = min b (String.length s - off) in
+        let buf = Bytes.of_string s in
+        let dst = Bytes.cat buf (Bytes.make length '\x00') in
+        Blake3.digest_into ~length dst ~off ~len dst ~dst_off:off;
+        Bytes.sub_string dst off length = Blake3.digest ~length (String.sub s off len));
     Test.make ~name:"sha256 incremental = one-shot" ~count:50
       (pair (string_of_size Gen.(0 -- 300)) (string_of_size Gen.(0 -- 300)))
       (fun (a, b) ->
