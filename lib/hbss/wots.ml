@@ -222,8 +222,9 @@ let sign ?(allow_reuse = false) kp ~nonce msg =
   { nonce; elements = Bytes.unsafe_to_string elements }
 
 (* Public seed, then the l recovered public elements: the input of the
-   public-key digest. The walker reads elements with unchecked offsets,
-   so the lengths are checked here. *)
+   public-key digest. The walker reads element i at offset i * n of one
+   string, so a wrong length would shift or cut elements rather than
+   fail: the lengths are checked here. *)
 let recover_public_key ~hash (p : P.t) ~public_seed signature msg =
   let n = p.P.n and d = p.P.d in
   if String.length public_seed <> 32 then invalid_arg "Wots.recover: public seed must be 32 bytes";
