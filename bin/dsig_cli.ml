@@ -151,11 +151,7 @@ let inspect sig_file d batch =
       | Dsig.Wire.Hors_merk_body { hsig; roots; proofs } ->
           Printf.printf "HORS revealed: %d, roots: %d, proofs: %d\n"
             (Array.length hsig.Dsig_hbss.Hors.revealed)
-            (Array.length roots) (Array.length proofs)
-      | Dsig.Wire.Hors_merk_mp_body { hsig; roots; mps } ->
-          Printf.printf "HORS revealed: %d, roots: %d, multiproofs: %d\n"
-            (Array.length hsig.Dsig_hbss.Hors.revealed)
-            (Array.length roots) (List.length mps)));
+            (Array.length roots) (Array.length proofs)));
   0
 
 let inspect_cmd =

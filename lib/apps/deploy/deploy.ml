@@ -390,9 +390,6 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
                clock, so the poll must ask in the same time base *)
             Dsig.Control_plane.step cp ~now:(Tel.now telemetry)
             |> List.iter (fun (dest, ann) -> send_of id ~dest ann);
-            (* delayed-ACK pump: emit coalesced Acks frames whose hold
-               deadline has passed (no-op without Options.ack_delay) *)
-            ignore (Dsig.Verifier.flush_acks p.verifier ~now:(Tel.now telemetry));
             Sim.sleep reannounce_poll_us
           done);
       (* receiver: the verifier's background plane, plus inbound
@@ -417,8 +414,7 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
                   t.delivered <- t.delivered + 1;
                   Metric.Counter.incr c_delivered
                 end
-                else Metric.Counter.incr c_dropped;
-                ignore (Dsig.Verifier.flush_acks p.verifier ~now:(Tel.now telemetry))
+                else Metric.Counter.incr c_dropped
           done))
     parties;
   (* expose the injection point for split-view experiments: an encoded
@@ -486,13 +482,9 @@ let announcements_sent t = t.sent
 let announcements_delivered t = t.delivered
 
 let close t =
-  (* flush held ACKs and seal every node's key-state journal, so a later
-     deployment over the same store_dir recovers cleanly (no burn) *)
-  Array.iter
-    (fun p ->
-      ignore (Dsig.Verifier.flush_acks ~force:true p.verifier ~now:0.0);
-      Dsig.Signer.close p.signer)
-    t.parties;
+  (* seal every node's key-state journal, so a later deployment over the
+     same store_dir recovers cleanly (no burn) *)
+  Array.iter (fun p -> Dsig.Signer.close p.signer) t.parties;
   (* seal the transparency log last: the sink has run for every
      signature the loop above flushed out *)
   match t.transparency with Some tr -> Translog.close tr.log | None -> ()

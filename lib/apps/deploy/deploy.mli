@@ -113,11 +113,6 @@ val create :
     fsync is off (virtual-time runs should not block on real disks).
     Close with {!close} for a clean (burn-free) shutdown.
 
-    When [options] carries {!Dsig.Options.with_ack_delay}, each party's
-    re-announce pump and receive loop also flush the verifier's held
-    acknowledgements, so delayed ACKs ride the modeled network as
-    coalesced [Batch.Acks] frames.
-
     [translog_dir] turns on the transparency plane: every signature any
     party issues is appended to one shared durable
     {!Dsig_translog.Translog} in that directory, node 0 signs a fresh

@@ -17,7 +17,8 @@ type t
 val create : ?retain:int -> clock:(unit -> float) -> unit -> t
 (** [retain] (default 64) bounds how many batches are kept for
     re-announcement and request repair — older batches are evicted FIFO,
-    abandoning any still-unacknowledged destinations. [clock] supplies
+    abandoning any still-unacknowledged destinations; {!Signer} and
+    {!Runtime} always use the default. [clock] supplies
     "now" in the caller's time base (wall or virtual µs).
     @raise Invalid_argument if [retain] is not positive. *)
 

@@ -14,7 +14,6 @@ type t = {
   cache_chains : bool;
   reduce_bg_bandwidth : bool;
   eddsa_verify_cache : bool;
-  compress_proofs : bool;
 }
 
 let wots ~d = Wots (Params.Wots.make ~d ())
@@ -28,7 +27,7 @@ let hors_merklified ?(trees = 8) ~k () =
 
 let make ?(hash = Dsig_hashes.Hash.Haraka) ?(batch_size = 128) ?(queue_threshold = 512)
     ?(cache_batches = 8) ?(cache_chains = true) ?(reduce_bg_bandwidth = true)
-    ?(eddsa_verify_cache = true) ?(compress_proofs = false) hbss =
+    ?(eddsa_verify_cache = true) hbss =
   if not (Params.is_pow2 batch_size) then
     invalid_arg "Config.make: batch_size must be a power of two";
   if queue_threshold <= 0 || cache_batches <= 0 then
@@ -45,7 +44,6 @@ let make ?(hash = Dsig_hashes.Hash.Haraka) ?(batch_size = 128) ?(queue_threshold
     cache_chains;
     reduce_bg_bandwidth;
     eddsa_verify_cache;
-    compress_proofs;
   }
 
 let default = make (wots ~d:4)

@@ -25,10 +25,6 @@ type t = {
           public keys (§4.4); forced off by [Hors_merklified], which
           needs full keys ahead of time (§5.2) *)
   eddsa_verify_cache : bool;  (** cache foreground EdDSA verifications (§4.4) *)
-  compress_proofs : bool;
-      (** merklified HORS only (an extension beyond the paper): encode
-          the k per-secret inclusion proofs as shared-path multiproofs,
-          trimming ~18% of the signature (ablation bench #7) *)
 }
 
 val default : t
@@ -43,7 +39,6 @@ val make :
   ?cache_chains:bool ->
   ?reduce_bg_bandwidth:bool ->
   ?eddsa_verify_cache:bool ->
-  ?compress_proofs:bool ->
   hbss ->
   t
 (** @raise Invalid_argument if [batch_size] is not a positive power of

@@ -1,15 +1,15 @@
 (** One configuration record for the DSig component constructors.
 
     {!Signer.create}, {!Runtime.create} and {!Verifier.create} used to
-    grow one optional argument per knob ([?telemetry ?retain
-    ?request_policy ...]); they now take a single [?options] record
-    built by piping {!default} through the [with_*] combinators:
+    grow one optional argument per knob ([?telemetry ?store ...]); they
+    now take a single [?options] record built by piping {!default}
+    through the [with_*] combinators:
 
     {[
       let opts =
         Options.default
         |> Options.with_telemetry tel
-        |> Options.with_ack_delay ~cap_us:150.0
+        |> Options.with_store (Options.store "keys")
       in
       let signer = Signer.create cfg ~id ~eddsa ~rng ~options:opts ~verifiers ()
     ]}
@@ -37,26 +37,11 @@ val store : ?group_commit:int -> ?fsync:bool -> ?checkpoint_every:int -> string 
     @raise Invalid_argument on a non-positive group commit or a negative
     checkpoint cadence. *)
 
-(** {1 ACK batching} *)
-
-(** How long a verifier may hold announcement ACKs to coalesce them into
-    one [Batch.Acks] frame. The delay adapts to the observed path: it is
-    [srtt_fraction] of the verifier's smoothed announce RTT, capped at
-    [cap_us] — so batching never holds an ACK long enough to look like a
-    loss to the signer's re-announce timer. *)
-type ack_delay = {
-  cap_us : float;  (** hard upper bound on ACK hold time, microseconds *)
-  srtt_fraction : float;  (** fraction of SRTT actually waited *)
-}
-
 (** {1 The options record} *)
 
 type t = {
   telemetry : Dsig_telemetry.Telemetry.t;  (** metric/tracer/clock bundle *)
-  retain : int;  (** batches kept for re-announce / pull repair *)
-  request_policy : Dsig_util.Retry.policy;  (** verifier pull-repair pacing *)
   store : store option;  (** [None] (default) = in-memory key state only *)
-  ack_delay : ack_delay option;  (** [None] (default) = ACK immediately *)
   translog : (signer:int -> op:string -> signature:string -> unit) option;
       (** transparency sink: called once per issued signature, after the
           wire encoding exists ([None] (default) = no transparency log) *)
@@ -76,28 +61,19 @@ type t = {
 }
 
 val default : t
-(** {!Dsig_telemetry.Telemetry.default}, retain 64, and the
-    verifier's historical request policy (500 µs base, 8 attempts).
-    Re-announce pacing is not configurable: signers always schedule by
-    per-destination ACK round trips (see {!Announce}). *)
+(** {!Dsig_telemetry.Telemetry.default} and every optional plane off.
+    Retention (64 batches, {!Announce.create}), pull-repair pacing
+    ({!Verifier.create}) and re-announce pacing are not configurable:
+    signers schedule re-announcements by per-destination ACK round trips
+    (see {!Announce}), and verifiers ACK every admitted announcement
+    immediately. *)
 
 val with_telemetry : Dsig_telemetry.Telemetry.t -> t -> t
-
-val with_retain : int -> t -> t
-(** @raise Invalid_argument if not positive. *)
-
-val with_request_policy : Dsig_util.Retry.policy -> t -> t
 
 val with_store : store -> t -> t
 (** Persist signer key state under [store.dir]: batch seals and key
     reservations are journaled before signatures leave the process, so a
     restarted signer never reuses a one-time key (see DESIGN.md §10). *)
-
-val with_ack_delay : ?srtt_fraction:float -> cap_us:float -> t -> t
-(** Let verifiers hold ACKs up to [min cap_us (srtt_fraction * srtt)]
-    (default fraction 0.25) and coalesce them into [Batch.Acks] frames.
-    [cap_us = 0.] restores immediate ACKs.
-    @raise Invalid_argument on a negative cap or fraction. *)
 
 val with_translog : (signer:int -> op:string -> signature:string -> unit) -> t -> t
 (** Record every signature the signer issues in a transparency log. The

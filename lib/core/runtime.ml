@@ -129,8 +129,7 @@ let create cfg ~id ~eddsa ~seed ?(options = Options.default) () =
       available = Condition.create ();
       keys = Queue.create ();
       announcements = Queue.create ();
-      announce =
-        Announce.create ~retain:options.Options.retain ~clock:(fun () -> Tel.now telemetry) ();
+      announce = Announce.create ~clock:(fun () -> Tel.now telemetry) ();
       batches;
       stopping = false;
       fg_rng = Rng.split master;

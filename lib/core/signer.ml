@@ -147,8 +147,7 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(options = Options.default)
     staged = None;
     send;
     outbox;
-    announce =
-      Announce.create ~retain:options.Options.retain ~clock:(fun () -> Tel.now telemetry) ();
+    announce = Announce.create ~clock:(fun () -> Tel.now telemetry) ();
     gave_up_seen = 0;
     keystate;
     store_report;
@@ -368,9 +367,9 @@ let queue_length t hint = Queue.length (select_group t (Some hint)).queue
 
 let fresh_nonce t = Rng.bytes t.rng 16
 
-(* Pure given its inputs (reads only [t.cfg]), so [sign_many] can run it
-   on worker domains with pre-drawn nonces. *)
-let make_body_with t ~nonce prepared msg =
+(* Pure given its inputs, so [sign_many] can run it on worker domains
+   with pre-drawn nonces. *)
+let make_body_with ~nonce prepared msg =
   match prepared.key with
   | Onetime.Wots_key kp -> Wire.Wots_body (Wots.sign kp ~nonce msg)
   | Onetime.Hors_key { kp; forest = None } ->
@@ -390,32 +389,10 @@ let make_body_with t ~nonce prepared msg =
       let p = Hors.params kp in
       let indices = Hors.message_indices p ~public_seed:(Hors.public_seed kp) ~nonce msg in
       let roots = Array.of_list (Merkle.Forest.roots f) in
-      if t.cfg.Config.compress_proofs then begin
-        (* group the selected leaves by tree and emit one shared-path
-           multiproof per touched tree (extension; ablation #7) *)
-        let per_tree = p.Params.Hors.t / Array.length roots in
-        let by_tree = Hashtbl.create 8 in
-        Array.iter
-          (fun idx ->
-            let tr = idx / per_tree in
-            let cur = Option.value ~default:[] (Hashtbl.find_opt by_tree tr) in
-            if not (List.mem (idx mod per_tree) cur) then
-              Hashtbl.replace by_tree tr ((idx mod per_tree) :: cur))
-          indices;
-        let mps =
-          Hashtbl.fold
-            (fun tr idx acc -> (tr, Merkle.Multiproof.create (Merkle.Forest.tree f tr) idx) :: acc)
-            by_tree []
-          |> List.sort compare
-        in
-        Wire.Hors_merk_mp_body { hsig; roots; mps }
-      end
-      else begin
-        let proofs = Array.map (fun idx -> Merkle.Forest.proof f idx) indices in
-        Wire.Hors_merk_body { hsig; roots; proofs }
-      end
+      let proofs = Array.map (fun idx -> Merkle.Forest.proof f idx) indices in
+      Wire.Hors_merk_body { hsig; roots; proofs }
 
-let make_body t prepared msg = make_body_with t ~nonce:(fresh_nonce t) prepared msg
+let make_body t prepared msg = make_body_with ~nonce:(fresh_nonce t) prepared msg
 
 let encode_prepared t prepared body =
   Wire.encode t.cfg
@@ -520,7 +497,7 @@ let sign_many t ?hint msgs =
         Domain_pool.parallel_map pool
           ~f:(fun ~shard:_ (p, nonce, msg) ->
             let t0 = Tel.now t.tel.bundle in
-            let wire = encode_prepared t p (make_body_with t ~nonce p msg) in
+            let wire = encode_prepared t p (make_body_with ~nonce p msg) in
             let t1 = Tel.now t.tel.bundle in
             (wire, t0, t1))
           jobs

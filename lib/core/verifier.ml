@@ -54,7 +54,7 @@ type tel = {
 
      [cache_mu]  -> cache (per-signer batch caches)
      [eddsa_mu]  -> eddsa_cache + eddsa_order
-     [ctl_mu]    -> requested + pending_acks + ack_deadline + announce_srtt_us
+     [ctl_mu]    -> requested
      [stats_mu]  -> the public stats record
      [rng_mu]    -> rng (Rng is not thread-safe)
 
@@ -77,13 +77,8 @@ type t = {
   rng_mu : Mutex.t;
   rng : Rng.t; (* real entropy: batch-verification soundness + jitter *)
   control : (Batch.control -> unit) option;
-  request_policy : Retry.policy;
   ctl_mu : Mutex.t;
   requested : (int * int64, Retry.state) Hashtbl.t; (* pull-repair pacing *)
-  ack_delay : Options.ack_delay option;
-  pending_acks : (int, Batch.ack list) Hashtbl.t; (* per signer, newest first *)
-  mutable ack_deadline : float option; (* flush due time for pending acks *)
-  mutable announce_srtt_us : float option; (* EWMA of announce RTT *)
   stats_mu : Mutex.t;
   stats : stats;
   pool : Domain_pool.t option;
@@ -96,6 +91,10 @@ type t = {
 }
 
 let eddsa_cache_capacity = 4096
+
+(* Pull-repair pacing per (signer, batch) gap: 500 µs base, exponential,
+   8 attempts before the ladder restarts. *)
+let request_policy = Retry.policy ~base_us:500.0 ~max_attempts:8 ()
 
 (* Publish every [stats] field as a registry counter. The probes capture
    only the record, so a dropped verifier's caches are not kept alive. *)
@@ -127,7 +126,6 @@ let make_tel telemetry =
 
 let create cfg ~id ~pki ?control ?(options = Options.default) () =
   let telemetry = options.Options.telemetry in
-  let request_policy = options.Options.request_policy in
   let stats =
     {
       fast = 0;
@@ -156,13 +154,8 @@ let create cfg ~id ~pki ?control ?(options = Options.default) () =
     rng_mu = Mutex.create ();
     rng = Rng.system ();
     control;
-    request_policy;
     ctl_mu = Mutex.create ();
     requested = Hashtbl.create 16;
-    ack_delay = options.Options.ack_delay;
-    pending_acks = Hashtbl.create 8;
-    ack_deadline = None;
-    announce_srtt_us = None;
     stats_mu = Mutex.create ();
     stats;
     pool = options.Options.parallel;
@@ -308,106 +301,32 @@ let lifecycle_admit t (ann : Batch.announcement) ~latency_us =
   if Lifecycle.enabled lc then
     Lifecycle.admit lc ~signer:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id ~latency_us
 
-(* --- acknowledgement batching (Options.with_ack_delay) ---
+(* --- acknowledgements ---
 
-   With an ack delay configured, admits enqueue their ACKs per signer
-   and a deadline is armed at [min cap_us (srtt_fraction * srtt)]; the
-   transport pump calls [flush_acks] which emits one coalesced
-   [Batch.Acks] frame per signer. Without a delay (or before the first
-   RTT estimate) ACKs go out immediately — the historical behavior. *)
+   Every admitted announcement is acknowledged at once, so the signer
+   stops re-announcing it. A caller that admits many batches together
+   ([deliver_many]) coalesces their ACKs into one frame per signer. *)
 
 let ack_frame_sent t ~acks =
   with_stats t (fun s ->
       s.acks_sent <- s.acks_sent + acks;
       s.ack_frames_sent <- s.ack_frames_sent + 1)
 
-let pending_ack_count t =
-  Mutex.protect t.ctl_mu (fun () ->
-      Hashtbl.fold (fun _ acks n -> n + List.length acks) t.pending_acks 0)
-
 (* With a load controller, every outbound acknowledgement frame carries
    the verifier's current pressure byte ([Batch.Credit]) so loaded
-   destinations pace their signers down; without one, the historical
-   [Ack]/[Acks] frames go out unchanged. *)
+   destinations pace their signers down; without one, the plain
+   [Ack]/[Acks] frames go out. *)
 let control_frame_for_acks t acks =
   match t.admission with
   | Some a -> Batch.Credit { pressure = Admission.pressure a; acks }
   | None -> ( match acks with [ a ] -> Batch.Ack a | l -> Batch.Acks l)
 
-let flush_acks ?(force = false) t ~now =
-  match t.control with
-  | None ->
-      Mutex.protect t.ctl_mu (fun () ->
-          Hashtbl.reset t.pending_acks;
-          t.ack_deadline <- None);
-      0
-  | Some send ->
-      (* Collect the frames under the lock, send them after releasing
-         it: [send] can synchronously re-enter this verifier (repair
-         announcement -> deliver -> enqueue_ack), which used to mutate
-         [pending_acks] in the middle of the Hashtbl.iter below — lost
-         or doubled ACKs single-domain, undefined multi-domain. *)
-      let frames =
-        Mutex.protect t.ctl_mu (fun () ->
-            let due =
-              Hashtbl.length t.pending_acks > 0
-              && (force || match t.ack_deadline with None -> true | Some d -> now >= d)
-            in
-            if not due then []
-            else begin
-              let fs = Hashtbl.fold (fun _ acks acc -> List.rev acks :: acc) t.pending_acks [] in
-              Hashtbl.reset t.pending_acks;
-              t.ack_deadline <- None;
-              fs
-            end)
-      in
-      List.iter
-        (fun acks ->
-          ack_frame_sent t ~acks:(List.length acks);
-          send (control_frame_for_acks t acks))
-        frames;
-      List.length frames
-
-let ack_hold_us t =
-  match t.ack_delay with
-  | None -> 0.0
-  | Some d -> (
-      match Mutex.protect t.ctl_mu (fun () -> t.announce_srtt_us) with
-      | None -> 0.0 (* no estimate yet: ACK immediately, the safe default *)
-      | Some srtt -> Float.min d.Options.cap_us (d.Options.srtt_fraction *. srtt))
-
-let enqueue_ack t (ack : Batch.ack) ~hold =
-  let deadline = now t +. hold in
-  Mutex.protect t.ctl_mu (fun () ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt t.pending_acks ack.Batch.ack_signer) in
-      (* redeliveries re-ack the same batch; hold a single copy per window *)
-      if not (List.mem ack cur) then
-        Hashtbl.replace t.pending_acks ack.Batch.ack_signer (ack :: cur);
-      if t.ack_deadline = None then t.ack_deadline <- Some deadline)
-
-let send_or_enqueue_ack t ack =
+let send_acks t acks =
   match t.control with
   | None -> ()
   | Some send ->
-      let hold = ack_hold_us t in
-      if hold <= 0.0 then begin
-        ack_frame_sent t ~acks:1;
-        send (control_frame_for_acks t [ ack ])
-      end
-      else enqueue_ack t ack ~hold
-
-let announce_srtt_us t = Mutex.protect t.ctl_mu (fun () -> t.announce_srtt_us)
-
-let observe_announce_latency t ~sent_us ~now =
-  (* one-way announce latency doubled approximates the announce/ACK
-     round trip the signer's re-announce timer is pacing against *)
-  let sample = 2.0 *. Float.max 0.0 (now -. sent_us) in
-  Mutex.protect t.ctl_mu (fun () ->
-      t.announce_srtt_us <-
-        Some
-          (match t.announce_srtt_us with
-          | None -> sample
-          | Some v -> (0.875 *. v) +. (0.125 *. sample)))
+      ack_frame_sent t ~acks:(List.length acks);
+      send (control_frame_for_acks t acks)
 
 (* Cache an announcement whose EdDSA root signature has already been
    checked: validate any full keys against the signed leaves and insert.
@@ -461,12 +380,14 @@ let admit_verified ?(send_ack = true) t (ann : Batch.announcement) root =
        successful delivery (idempotent) because a previous ACK may have
        been lost in transit *)
     if send_ack then
-      send_or_enqueue_ack t
-        {
-          Batch.ack_verifier = t.id;
-          ack_signer = ann.Batch.signer_id;
-          ack_batch = ann.Batch.ann_batch_id;
-        }
+      send_acks t
+        [
+          {
+            Batch.ack_verifier = t.id;
+            ack_signer = ann.Batch.signer_id;
+            ack_batch = ann.Batch.ann_batch_id;
+          };
+        ]
   end
 
 (* Root implied by an announcement, plus the exact EdDSA-signed string. *)
@@ -490,12 +411,32 @@ let control_admitted t =
       | Admission.Admit -> true
       | Admission.Shed -> false)
 
+(* Check one announcement's EdDSA root signature and admit it on
+   success: the part of [deliver] after admission control and the PKI
+   lookup, shared with [deliver_many]'s per-announcement fallback so a
+   failed chunk's announcements are not offered to admission control,
+   looked up or re-rooted a second time. *)
+let verify_and_admit ?sent_us t (ann : Batch.announcement) ~pk ~root ~msg =
+  let t0 = now t in
+  Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.Begin t0;
+  let ok =
+    if Eddsa.verify pk msg ann.Batch.root_sig then begin
+      admit_verified t ann root;
+      true
+    end
+    else false
+  in
+  let t1 = now t in
+  Metric.Histogram.add t.tel.h_deliver (t1 -. t0);
+  Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.End t1;
+  (* announce-to-admit: from the wire send stamp when the transport
+     supplies one, else just the local delivery processing time *)
+  if ok then lifecycle_admit t ann ~latency_us:(t1 -. Option.value sent_us ~default:t0);
+  ok
+
 let deliver ?sent_us t (ann : Batch.announcement) =
-  (match sent_us with
-  | Some s -> observe_announce_latency t ~sent_us:s ~now:(now t)
-  | None -> ());
-  if not (control_admitted t) then false
-  else
+  control_admitted t
+  &&
   match Pki.allowed t.pki ~id:ann.Batch.signer_id ~batch:ann.Batch.ann_batch_id with
   | None ->
       Log.L.warn (fun m ->
@@ -503,24 +444,8 @@ let deliver ?sent_us t (ann : Batch.announcement) =
             ann.Batch.signer_id);
       false
   | Some pk ->
-      let t0 = now t in
-      Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.Begin t0;
       let root, msg = announcement_root ann in
-      let ok =
-        if Eddsa.verify pk msg ann.Batch.root_sig then begin
-          admit_verified t ann root;
-          true
-        end
-        else false
-      in
-      let t1 = now t in
-      Metric.Histogram.add t.tel.h_deliver (t1 -. t0);
-      Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.End t1;
-      (* announce-to-admit: from the wire send stamp when the transport
-         supplies one, else just the local delivery processing time *)
-      if ok then
-        lifecycle_admit t ann ~latency_us:(t1 -. Option.value sent_us ~default:t0);
-      ok
+      verify_and_admit ?sent_us t ann ~pk ~root ~msg
 
 let split_rng t = Mutex.protect t.rng_mu (fun () -> Rng.split t.rng)
 
@@ -580,37 +505,26 @@ let deliver_many t anns =
     admitted;
   (* coalesce acknowledgements: one Acks frame per signer instead of
      one Ack frame per batch (reverse-path traffic in wide fan-outs) *)
-  (match (t.control, admitted) with
-  | None, _ | _, [] -> ()
-  | Some send, _ ->
-      let by_signer = Hashtbl.create 8 in
-      List.iter
-        (fun (ann, _, _, _) ->
-          let s = ann.Batch.signer_id in
-          let ack =
-            { Batch.ack_verifier = t.id; ack_signer = s; ack_batch = ann.Batch.ann_batch_id }
-          in
-          Hashtbl.replace by_signer s
-            (ack :: Option.value ~default:[] (Hashtbl.find_opt by_signer s)))
-        admitted;
-      let hold = ack_hold_us t in
-      if hold > 0.0 then
-        Hashtbl.iter
-          (fun _ acks -> List.iter (fun a -> enqueue_ack t a ~hold) (List.rev acks))
-          by_signer
-      else begin
-        (* collect first: [send] may re-enter and must not observe a
-           half-iterated table (and by_signer is local anyway) *)
-        let frames = Hashtbl.fold (fun _ acks acc -> List.rev acks :: acc) by_signer [] in
-        List.iter
-          (fun acks ->
-            ack_frame_sent t ~acks:(List.length acks);
-            send (control_frame_for_acks t acks))
-          frames
-      end);
-  (* failed chunks: per-announcement delivery isolates the bad one(s) *)
+  if Option.is_some t.control && admitted <> [] then begin
+    let by_signer = Hashtbl.create 8 in
+    List.iter
+      (fun (ann, _, _, _) ->
+        let s = ann.Batch.signer_id in
+        let ack =
+          { Batch.ack_verifier = t.id; ack_signer = s; ack_batch = ann.Batch.ann_batch_id }
+        in
+        Hashtbl.replace by_signer s
+          (ack :: Option.value ~default:[] (Hashtbl.find_opt by_signer s)))
+      admitted;
+    (* collect first: [send] may re-enter and must not observe a
+       half-iterated table (and by_signer is local anyway) *)
+    Hashtbl.fold (fun _ acks acc -> List.rev acks :: acc) by_signer []
+    |> List.iter (send_acks t)
+  end;
+  (* failed chunks: per-announcement checks isolate the bad one(s) *)
   List.length admitted
-  + List.length (List.filter (fun (ann, _, _, _) -> deliver t ann) failed)
+  + List.length
+      (List.filter (fun (ann, root, pk, msg) -> verify_and_admit t ann ~pk ~root ~msg) failed)
 
 (* Reconstruct the full HORS public key from revealed secrets plus the
    complement carried in a factorized signature. Returns [None] when the
@@ -640,51 +554,6 @@ let reassemble_hors (p : Params.Hors.t) ~hash ~public_seed ~(hsig : Hors.signatu
       elements;
     Some elements
   end
-
-(* Check a compressed merklified signature: the message's selected
-   indices, grouped by tree, must match the multiproofs exactly, and
-   each multiproof must verify against its tree root with the hashed
-   revealed secrets as leaf contents. *)
-let verify_merk_multiproofs t ~(p : Params.Hors.t) ~trees ~public_seed ~roots ~mps
-    (hsig : Hors.signature) msg =
-  Array.length hsig.Hors.revealed = p.Params.Hors.k
-  && Array.for_all (fun e -> String.length e = p.Params.Hors.n) hsig.Hors.revealed
-  && Array.length roots = trees
-  &&
-  let per_tree = p.Params.Hors.t / trees in
-  let indices = Hors.message_indices p ~public_seed ~nonce:hsig.Hors.nonce msg in
-  (* element content per global index, rejecting conflicting reveals *)
-  let elements = Hashtbl.create 16 in
-  let conflict = ref false in
-  Array.iteri
-    (fun j idx ->
-      let h = Dsig_hashes.Hash.digest t.cfg.Config.hash ~length:p.Params.Hors.n hsig.Hors.revealed.(j) in
-      match Hashtbl.find_opt elements idx with
-      | Some h' when not (BU.equal_ct h h') -> conflict := true
-      | Some _ -> ()
-      | None -> Hashtbl.add elements idx h)
-    indices;
-  (not !conflict)
-  &&
-  (* expected per-tree index groups *)
-  let expected = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun idx _ ->
-      let tr = idx / per_tree in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt expected tr) in
-      Hashtbl.replace expected tr (List.sort_uniq compare ((idx mod per_tree) :: cur)))
-    elements;
-  List.length mps = Hashtbl.length expected
-  && List.for_all
-       (fun (tr, mp) ->
-         match Hashtbl.find_opt expected tr with
-         | None -> false
-         | Some idx_list ->
-             Merkle.Multiproof.indices mp = idx_list
-             && Merkle.Multiproof.verify ~root:roots.(tr)
-                  ~leaves:(List.map (fun i -> (i, Hashtbl.find elements ((tr * per_tree) + i))) idx_list)
-                  mp)
-       mps
 
 (* Compute the batch leaf implied by a signature, performing all
    scheme-internal checks on the way. [None] means reject. *)
@@ -720,12 +589,6 @@ let implied_leaf t (w : Wire.t) msg =
           ~roots:roots_list ~proofs hsig msg
       then Some (Onetime.merklified_leaf ~public_seed:w.Wire.public_seed ~roots:roots_list)
       else None
-  | Config.Hors_merklified { params = p; trees }, Wire.Hors_merk_mp_body { hsig; roots; mps }
-    when t.cfg.Config.compress_proofs ->
-      let roots_list = Array.to_list roots in
-      if verify_merk_multiproofs t ~p ~trees ~public_seed:w.Wire.public_seed ~roots ~mps hsig msg
-      then Some (Onetime.merklified_leaf ~public_seed:w.Wire.public_seed ~roots:roots_list)
-      else None
   | _ -> None
 
 (* Forest roots vs wire roots, constant-time per digest and without the
@@ -748,51 +611,6 @@ let roots_equal_ct roots_list roots_array =
    (§5.2). *)
 let merklified_fast_path t (w : Wire.t) msg =
   match (t.cfg.Config.hbss, w.Wire.body) with
-  | Config.Hors_merklified { params = p; _ }, Wire.Hors_merk_mp_body { hsig; roots; mps } -> (
-      match lookup_batch t ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id with
-      | Some { keys = Some keys; forests = Some forests; _ }
-        when Wire.key_index w < Array.length keys ->
-          let idx = Wire.key_index w in
-          let seed, elements = keys.(idx) in
-          let forest = forests.(idx) in
-          let ok =
-            BU.equal_ct seed w.Wire.public_seed
-            && roots_equal_ct (Merkle.Forest.roots forest) roots
-            && Hors.verify_with_elements ~hash:t.cfg.Config.hash p
-                 ~public_seed:w.Wire.public_seed ~elements hsig msg
-            && begin
-                 (* the multiproofs must cover exactly the index groups
-                    the message selects, and match the precomputed
-                    forest structurally (string comparisons) *)
-                 let per_tree = p.Params.Hors.t / List.length (Merkle.Forest.roots forest) in
-                 let indices =
-                   Hors.message_indices p ~public_seed:w.Wire.public_seed
-                     ~nonce:hsig.Hors.nonce msg
-                 in
-                 let expected = Hashtbl.create 8 in
-                 Array.iter
-                   (fun idx ->
-                     let tr = idx / per_tree in
-                     let cur = Option.value ~default:[] (Hashtbl.find_opt expected tr) in
-                     if not (List.mem (idx mod per_tree) cur) then
-                       Hashtbl.replace expected tr ((idx mod per_tree) :: cur))
-                   indices;
-                 List.length mps = Hashtbl.length expected
-                 && List.for_all
-                      (fun (tr, mp) ->
-                        (match Hashtbl.find_opt expected tr with
-                        | Some l -> List.sort_uniq compare l = Merkle.Multiproof.indices mp
-                        | None -> false)
-                        && BU.equal_ct
-                             (Merkle.Multiproof.encode
-                                (Merkle.Multiproof.create (Merkle.Forest.tree forest tr)
-                                   (Merkle.Multiproof.indices mp)))
-                             (Merkle.Multiproof.encode mp))
-                      mps
-               end
-          in
-          Some ok
-      | _ -> None)
   | Config.Hors_merklified { params = p; _ }, Wire.Hors_merk_body { hsig; roots; proofs } -> (
       match lookup_batch t ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id with
       | Some { keys = Some keys; forests = Some forests; _ }
@@ -843,7 +661,7 @@ let request_repair t ~signer ~batch_id =
                    attacker could mint unknown (signer, batch) pairs *)
                 if Hashtbl.length t.requested >= 4096 then Hashtbl.reset t.requested;
                 let st =
-                  Mutex.protect t.rng_mu (fun () -> Retry.start t.request_policy ~rng:t.rng ~now)
+                  Mutex.protect t.rng_mu (fun () -> Retry.start request_policy ~rng:t.rng ~now)
                 in
                 Hashtbl.replace t.requested key st;
                 true
@@ -851,13 +669,13 @@ let request_repair t ~signer ~batch_id =
                 if Retry.due st ~now then begin
                   let st' =
                     Mutex.protect t.rng_mu (fun () ->
-                        match Retry.next t.request_policy ~rng:t.rng st ~now with
+                        match Retry.next request_policy ~rng:t.rng st ~now with
                         | Some st' -> st'
                         | None ->
                             (* budget exhausted: restart the backoff ladder
                                rather than requesting forever at the floor
                                rate *)
-                            Retry.start t.request_policy ~rng:t.rng ~now)
+                            Retry.start request_policy ~rng:t.rng ~now)
                   in
                   Hashtbl.replace t.requested key st';
                   true

@@ -11,13 +11,14 @@
     case of §8.2), optionally caching the result (§4.4 "speeding up bulk
     verification").
 
-    The verifier is {b domain-safe}: every mutable table (batch cache,
-    EdDSA cache, pull-repair pacing, pending ACKs, stats) is guarded by
-    its own mutex, metric handles are domain-safe cells, and no lock
-    is ever held across a control-plane [send] (which may synchronously
-    re-enter the verifier through an in-process loopback). Concurrent
-    {!verify} / {!deliver} / {!flush_acks} calls from multiple domains
-    are safe; see DESIGN.md §12. *)
+    The verifier is {b domain-safe}: every mutable table has its own
+    mutex — [cache_mu] the batch cache, [eddsa_mu] the EdDSA cache,
+    [ctl_mu] only the pull-repair pacing table, [stats_mu] the stats,
+    [rng_mu] the entropy source — metric handles are domain-safe cells,
+    and no lock is ever held across a control-plane [send] (which may
+    synchronously re-enter the verifier through an in-process loopback).
+    Concurrent {!verify} / {!deliver} calls from multiple domains are
+    safe; see DESIGN.md §12. *)
 
 type t
 
@@ -30,16 +31,16 @@ val create :
   unit ->
   t
 (** [control] is the verifier's background-plane uplink: {!deliver}
-    replies with a {!Batch.Ack} on every accepted announcement, and the
-    foreground {!verify} emits a {!Batch.Request} when it slow-paths on
-    a batch it never received (pull repair), paced per (signer, batch)
-    by the [options] record's [request_policy] (default: 500 µs base,
-    exponential, 8 attempts). Without [control] the verifier behaves
-    exactly as before — self-standing, fire-and-forget.
+    replies at once with a {!Batch.Ack} on every accepted announcement,
+    and the foreground {!verify} emits a {!Batch.Request} when it
+    slow-paths on a batch it never received (pull repair), paced per
+    (signer, batch) by a fixed policy (500 µs base, exponential, 8
+    attempts). Without [control] the verifier is self-standing,
+    fire-and-forget.
 
-    [options] (default {!Options.default}) supplies the telemetry bundle
-    and the pull-repair pacing policy; the other fields are signer-side
-    and ignored here. With {!Options.with_loadctl}, the verifier also
+    [options] (default {!Options.default}) supplies the telemetry bundle,
+    the worker pool and the admission controller; the other fields are
+    signer-side and ignored here. With {!Options.with_loadctl}, the verifier also
     carries a {!Dsig_loadctl.Admission} controller: verify calls are
     classified ([Verify] when the batch root is cached, [Repair]
     otherwise) and admitted against per-class token buckets {e before}
@@ -123,8 +124,8 @@ type stats = {
   mutable acks_sent : int;  (** individual acknowledgements emitted *)
   mutable ack_frames_sent : int;
       (** control frames ({!Batch.Ack} or {!Batch.Acks}) those
-          acknowledgements travelled in — with {!Options.with_ack_delay}
-          this grows slower than [acks_sent] *)
+          acknowledgements travelled in — {!deliver_many} coalesces, so
+          this can grow slower than [acks_sent] *)
   mutable eddsa_cache_evictions : int;
 }
 
@@ -144,28 +145,6 @@ val purge_signer : ?from_batch:int64 -> t -> signer:int -> int
     batches purged. The {!Pki} gate ({!Pki.allowed}) makes fresh
     announcements and slow-path verifications fail independently; this
     only evicts what was already cached. *)
-
-(** {1 ACK batching}
-
-    With {!Options.with_ack_delay}, accepted announcements enqueue their
-    acknowledgements instead of sending them: the verifier holds them
-    for at most [min cap_us (srtt_fraction * srtt)] (SRTT estimated from
-    the transport's announce send stamps) and the transport's pump calls
-    {!flush_acks}, which emits one coalesced {!Batch.Acks} frame per
-    signer ([dsig_verifier_ack_frames_total]). Before the first RTT
-    estimate, or without the option, ACKs are sent immediately. *)
-
-val flush_acks : ?force:bool -> t -> now:float -> int
-(** Send the pending acknowledgement frames if the hold deadline has
-    passed (or unconditionally with [force]); returns the number of
-    frames emitted. [now] is in the telemetry clock's time base. *)
-
-val pending_ack_count : t -> int
-(** Acknowledgements currently held for coalescing. *)
-
-val announce_srtt_us : t -> float option
-(** The verifier-side smoothed announce round-trip estimate, if any
-    announcement has arrived with a send stamp. *)
 
 (** {1 Load control}
 

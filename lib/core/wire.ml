@@ -16,11 +16,6 @@ type body =
       roots : string array;
       proofs : (int * Merkle.proof) array;
     }
-  | Hors_merk_mp_body of {
-      hsig : Hors.signature;
-      roots : string array;
-      mps : (int * Merkle.Multiproof.t) list; (* (tree, shared proof) *)
-    }
 
 type t = {
   signer_id : int;
@@ -76,17 +71,7 @@ let encode (cfg : Config.t) t =
         (fun (tree, pf) ->
           Buffer.add_string buf (BU.u16_be tree);
           Buffer.add_string buf (Merkle.encode_proof pf))
-        proofs
-  | Hors_merk_mp_body { hsig; roots; mps } ->
-      Buffer.add_string buf hsig.Hors.nonce;
-      Array.iter (Buffer.add_string buf) hsig.Hors.revealed;
-      Array.iter (Buffer.add_string buf) roots;
-      Buffer.add_char buf (Char.chr (List.length mps));
-      List.iter
-        (fun (tree, mp) ->
-          Buffer.add_string buf (BU.u16_be tree);
-          Buffer.add_string buf (Merkle.Multiproof.encode mp))
-        mps);
+        proofs);
   Buffer.add_string buf (Merkle.encode_proof t.batch_proof);
   Buffer.add_string buf t.root_sig;
   Buffer.contents buf
@@ -155,32 +140,6 @@ let decode (cfg : Config.t) s =
         let* cblob = take_err comp_bytes in
         let complement = Array.init (comp_bytes / n) (fun i -> String.sub cblob (i * n) n) in
         Ok (Hors_fact_body { hsig = { Hors.nonce; revealed }; complement })
-    | Config.Hors_merklified { params = p; trees } when cfg.Config.compress_proofs ->
-        let* nonce = take_err nonce_bytes in
-        let n = p.Params.Hors.n in
-        let* blob = take_err (p.Params.Hors.k * n) in
-        let revealed = Array.init p.Params.Hors.k (fun i -> String.sub blob (i * n) n) in
-        let* rblob = take_err (trees * 32) in
-        let roots = Array.init trees (fun i -> String.sub rblob (i * 32) 32) in
-        let* cb = take_err 1 in
-        let count = Char.code cb.[0] in
-        (* the multiproof region is whatever sits between the cursor and
-           the fixed-size trailer; on a truncated frame that span is
-           negative and must be rejected, not passed to String.sub *)
-        let body_len = len - !pos - trailer in
-        let* body_blob = if body_len < 0 then err "truncated" else take_err body_len in
-        let rec read_mps blob acc i =
-          if i = count then if blob = "" then Ok (List.rev acc) else err "trailing proof bytes"
-          else if String.length blob < 2 then err "truncated multiproof"
-          else begin
-            let tree = BU.get_u16_be blob 0 in
-            match Merkle.Multiproof.decode (String.sub blob 2 (String.length blob - 2)) with
-            | None -> err "bad multiproof"
-            | Some (mp, rest) -> read_mps rest ((tree, mp) :: acc) (i + 1)
-          end
-        in
-        let* mps = read_mps body_blob [] 0 in
-        Ok (Hors_merk_mp_body { hsig = { Hors.nonce; revealed }; roots; mps })
     | Config.Hors_merklified { params = p; trees } ->
         let* nonce = take_err nonce_bytes in
         let n = p.Params.Hors.n in

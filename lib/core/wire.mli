@@ -34,14 +34,6 @@ type body =
       roots : string array;
       proofs : (int * Dsig_merkle.Merkle.proof) array;
     }
-  | Hors_merk_mp_body of {
-      hsig : Dsig_hbss.Hors.signature;
-      roots : string array;
-      mps : (int * Dsig_merkle.Merkle.Multiproof.t) list;
-          (** shared-path proofs, one per touched forest tree — emitted
-              when [Config.compress_proofs] is set (extension; ~18%
-              smaller signatures) *)
-    }
 
 type t = {
   signer_id : int;
@@ -73,6 +65,4 @@ val decode : Config.t -> string -> (t, string) result
 val size_bytes : Config.t -> int
 (** Exact wire size for fixed-size schemes (W-OTS+, merklified HORS);
     for factorized HORS, the size assuming all k indices are distinct
-    (the common case and the paper's accounting); for compressed
-    merklified HORS, the uncompressed upper bound (actual signatures are
-    message-dependent and smaller). *)
+    (the common case and the paper's accounting). *)

@@ -197,45 +197,6 @@ module Multiproof = struct
 
   let naive_size_bytes (tree : tree) indices =
     List.length indices * proof_size_bytes ~leaves:tree.n
-
-  let indices t = t.indices
-
-  (* u16 nindices | u32 index* | u8 levels | u16 ncarried | digests *)
-  let encode t =
-    let buf = Buffer.create 256 in
-    let module BU = Dsig_util.Bytesutil in
-    Buffer.add_string buf (BU.u16_be (List.length t.indices));
-    List.iter (fun i -> Buffer.add_string buf (BU.u32_le (Int32.of_int i))) t.indices;
-    Buffer.add_char buf (Char.chr t.levels);
-    Buffer.add_string buf (BU.u16_be (List.length t.carried));
-    List.iter (Buffer.add_string buf) t.carried;
-    Buffer.contents buf
-
-  let decode s =
-    let module BU = Dsig_util.Bytesutil in
-    let len = String.length s in
-    if len < 2 then None
-    else begin
-      let nidx = BU.get_u16_be s 0 in
-      let pos = 2 + (4 * nidx) in
-      if nidx = 0 || pos + 3 > len then None
-      else begin
-        let indices =
-          List.init nidx (fun i -> Int32.to_int (BU.get_u32_le s (2 + (4 * i))))
-        in
-        let levels = Char.code s.[pos] in
-        let ncarried = BU.get_u16_be s (pos + 1) in
-        let body = pos + 3 in
-        if levels > 40 || body + (32 * ncarried) > len then None
-        else begin
-          let carried = List.init ncarried (fun i -> String.sub s (body + (32 * i)) 32) in
-          let rest = String.sub s (body + (32 * ncarried)) (len - body - (32 * ncarried)) in
-          if List.exists (fun i -> i < 0) indices || List.sort_uniq compare indices <> indices
-          then None
-          else Some ({ indices; levels; carried }, rest)
-        end
-      end
-    end
 end
 
 module Forest = struct
@@ -252,7 +213,6 @@ module Forest = struct
     }
 
   let roots f = Array.to_list (Array.map root f.trees)
-  let tree f i = f.trees.(i)
   let roots_digest f = Blake3.digest (String.concat "" (roots f))
 
   let proof f i =

@@ -80,11 +80,6 @@ module Multiproof : sig
   val naive_size_bytes : tree -> int list -> int
   (** Total size of the equivalent independent proofs, for comparison. *)
 
-  val indices : t -> int list
-  val encode : t -> string
-  val decode : string -> (t * string) option
-  (** [decode s] parses a multiproof from the front of [s], returning the
-      remainder; [None] on malformed input. *)
 end
 
 module Forest : sig
@@ -101,9 +96,6 @@ module Forest : sig
 
   val roots_digest : forest -> string
   (** BLAKE3 of the concatenated roots — the value DSig EdDSA-signs. *)
-
-  val tree : forest -> int -> tree
-  (** The [i]-th tree of the forest (for multiproof construction). *)
 
   val proof : forest -> int -> int * proof
   (** [proof f i] is [(tree_index, proof within that tree)] for global

@@ -100,37 +100,6 @@ let test_hors_few_time () =
   Alcotest.check_raises "fifth use" (Invalid_argument "Hors.sign: one-time key already used")
     (fun () -> ignore (Dsig_hbss.Hors.sign kp ~nonce:(String.make 16 'x') "fifth"))
 
-(* --- HORSE (r-time via hash chains, §9) --- *)
-
-let test_horse () =
-  let p = Dsig_hbss.Params.Hors.make ~k:16 () in
-  let r = 4 in
-  let kp = Dsig_hbss.Horse.generate ~r p ~seed:(String.make 32 'h') in
-  let elements = Dsig_hbss.Horse.public_elements kp in
-  let seed = Dsig_hbss.Horse.public_seed kp in
-  Alcotest.(check int) "r uses" r (Dsig_hbss.Horse.uses_left kp);
-  let sigs =
-    List.init r (fun i ->
-        let msg = Printf.sprintf "epoch %d" i in
-        (msg, Dsig_hbss.Horse.sign kp ~nonce:(String.make 16 (Char.chr (i + 1))) msg))
-  in
-  Alcotest.(check int) "exhausted" 0 (Dsig_hbss.Horse.uses_left kp);
-  List.iteri
-    (fun i (msg, s) ->
-      Alcotest.(check int) "epoch recorded" i s.Dsig_hbss.Horse.epoch;
-      Alcotest.(check bool) msg true
-        (Dsig_hbss.Horse.verify p ~public_seed:seed ~elements ~max_epoch:i s msg);
-      Alcotest.(check bool) "wrong msg" false
-        (Dsig_hbss.Horse.verify p ~public_seed:seed ~elements ~max_epoch:i s "forged"))
-    sigs;
-  (* sequential-use discipline: a verifier that has only seen epoch 0
-     rejects a deeper (epoch 2) reveal *)
-  let _, s2 = List.nth sigs 2 in
-  Alcotest.(check bool) "future epoch rejected" false
-    (Dsig_hbss.Horse.verify p ~public_seed:seed ~elements ~max_epoch:0 s2 "epoch 2");
-  Alcotest.check_raises "exhaustion" (Invalid_argument "Horse.sign: key exhausted") (fun () ->
-      ignore (Dsig_hbss.Horse.sign kp ~nonce:(String.make 16 'z') "fifth"))
-
 (* --- durable audit-log files --- *)
 
 let test_logfile_roundtrip () =
@@ -240,52 +209,6 @@ let test_deploy_sent_counts () =
     (Dsig_deploy.Deploy.announcements_sent deploy)
     (Dsig_deploy.Deploy.announcements_delivered deploy);
   Alcotest.(check bool) "some were sent" true (Dsig_deploy.Deploy.announcements_sent deploy > 0)
-
-(* --- compressed merklified HORS (multiproof wire format, extension) --- *)
-
-let test_compressed_merklified () =
-  let cfg =
-    Config.make ~batch_size:8 ~queue_threshold:8 ~compress_proofs:true
-      (Config.hors_merklified ~k:32 ())
-  in
-  let plain_cfg = Config.make ~batch_size:8 ~queue_threshold:8 (Config.hors_merklified ~k:32 ()) in
-  let sys = System.create cfg ~n:2 () in
-  let msg = "compressed proofs" in
-  let signature = System.sign sys ~signer:0 ~hint:[ 1 ] msg in
-  (* strictly smaller than the per-leaf encoding *)
-  let plain_sys = System.create plain_cfg ~n:2 () in
-  let plain_sig = System.sign plain_sys ~signer:0 ~hint:[ 1 ] msg in
-  Alcotest.(check bool) "smaller" true (String.length signature < String.length plain_sig);
-  Printf.printf "compressed %d B vs plain %d B\n%!" (String.length signature)
-    (String.length plain_sig);
-  (* fast path (precomputed forests) *)
-  Alcotest.(check bool) "fast verify" true (System.verify sys ~verifier:1 ~msg signature);
-  Alcotest.(check int) "fast" 1 (Verifier.stats (System.verifier sys 1)).Verifier.fast;
-  Alcotest.(check bool) "wrong msg" false (System.verify sys ~verifier:1 ~msg:"other" signature);
-  (* slow path: an uncached verifier checks the multiproofs + EdDSA *)
-  let fresh = Verifier.create cfg ~id:9 ~pki:(System.pki sys) () in
-  Alcotest.(check bool) "slow verify" true (Verifier.verify fresh ~msg signature);
-  Alcotest.(check int) "slow" 1 (Verifier.stats fresh).Verifier.slow;
-  (* tampering anywhere in the multiproof region must fail for the
-     uncached verifier *)
-  let n = String.length signature in
-  List.iter
-    (fun pos ->
-      let fresh2 = Verifier.create cfg ~id:10 ~pki:(System.pki sys) () in
-      let tampered =
-        String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor 0x10) else c) signature
-      in
-      Alcotest.(check bool) (Printf.sprintf "flip@%d rejected" pos) false
-        (Verifier.verify fresh2 ~msg tampered))
-    [ 60; n / 2; n - 200 ];
-  (* decode roundtrip *)
-  match Wire.decode cfg signature with
-  | Error e -> Alcotest.fail e
-  | Ok w -> (
-      match w.Wire.body with
-      | Wire.Hors_merk_mp_body { mps; _ } ->
-          Alcotest.(check bool) "some multiproofs" true (List.length mps >= 1)
-      | _ -> Alcotest.fail "expected compressed body")
 
 (* --- batched announcement delivery --- *)
 
@@ -436,7 +359,6 @@ let suites =
         Alcotest.test_case "statefulness" `Quick test_mss_statefulness;
       ] );
     ("ext.hors_few_time", [ Alcotest.test_case "r=4 budget" `Quick test_hors_few_time ]);
-    ("ext.horse", [ Alcotest.test_case "chained epochs" `Quick test_horse ]);
     ( "ext.logfile",
       [
         Alcotest.test_case "save/load/append" `Quick test_logfile_roundtrip;
@@ -447,8 +369,6 @@ let suites =
         Alcotest.test_case "fast/slow over simnet" `Quick test_deploy_fast_and_slow;
         Alcotest.test_case "announcement conservation" `Quick test_deploy_sent_counts;
       ] );
-    ( "ext.compressed",
-      [ Alcotest.test_case "multiproof wire format" `Quick test_compressed_merklified ] );
     ( "ext.batched_delivery",
       [
         Alcotest.test_case "deliver_many" `Quick test_deliver_many;

@@ -259,6 +259,27 @@ let test_verifier_without_loadctl_unchanged () =
     "no Credit frames without a controller" true
     (List.for_all (function Batch.Credit _ -> false | _ -> true) !frames)
 
+(* [deliver_many] takes one control-class admission per announcement.
+   A chunk that fails its batch check falls back to per-announcement
+   checks, and that fallback must not be offered to admission again. *)
+let test_deliver_many_admits_once () =
+  let a = Admission.create ~params ~telemetry:(tel ()) () in
+  let signer, verifier, _, _ = make_pair ~admission:a () in
+  Signer.background_fill signer;
+  let anns = List.map snd (Signer.drain_outbox signer) in
+  let n = List.length anns in
+  Alcotest.(check bool) "several announcements" true (n >= 2);
+  let poisoned =
+    List.mapi
+      (fun i ann -> if i = 0 then { ann with Batch.root_sig = String.make 64 '\x00' } else ann)
+      anns
+  in
+  let offered0 = (Admission.stats a).Admission.offered_control in
+  Alcotest.(check int) "all but the poisoned one admitted" (n - 1)
+    (Verifier.deliver_many verifier poisoned);
+  Alcotest.(check int) "one control admission per announcement" n
+    ((Admission.stats a).Admission.offered_control - offered0)
+
 (* --- scrape endpoint --- *)
 
 let test_scrape_loadctl_route () =
@@ -461,6 +482,7 @@ let suites =
           test_credit_frames_carry_pressure;
         Alcotest.test_case "without loadctl unchanged" `Quick
           test_verifier_without_loadctl_unchanged;
+        Alcotest.test_case "deliver_many admits once" `Quick test_deliver_many_admits_once;
         Alcotest.test_case "scrape /loadctl" `Quick test_scrape_loadctl_route;
       ] );
     ( "loadctl-fleet",

@@ -19,9 +19,6 @@ let configs =
   let big = [ (Config.hors_factorized ~k:16, Hash.Haraka); (Config.hors_merklified ~k:16 (), Hash.Haraka) ] in
   wots @ horsf @ horsm @ big
 
-(* the multiproof-compressed merklified variant, across hashes *)
-let compressed_configs = List.map (fun h -> (Config.hors_merklified ~k:32 (), h)) Hash.all
-
 let check_config cfg hbss =
       let name = Config.describe cfg in
       let sys = System.create cfg ~n:2 () in
@@ -30,9 +27,6 @@ let check_config cfg hbss =
       (* exact wire size for fixed-size schemes; factorized HORS varies
          slightly with duplicate indices *)
       (match hbss with
-      | Config.Hors_merklified _ when cfg.Config.compress_proofs ->
-          Alcotest.(check bool) (name ^ " compressed not larger") true
-            (String.length signature <= Wire.size_bytes cfg)
       | Config.Hors_factorized p ->
           (* duplicate indices shrink the revealed set and grow the
              complement: up to k extra elements (k=64, t=256 commonly
@@ -53,13 +47,7 @@ let test_matrix () =
   List.iter
     (fun (hbss, hash) ->
       check_config (Config.make ~hash ~batch_size:4 ~queue_threshold:4 hbss) hbss)
-    configs;
-  List.iter
-    (fun (hbss, hash) ->
-      check_config
-        (Config.make ~hash ~batch_size:4 ~queue_threshold:4 ~compress_proofs:true hbss)
-        hbss)
-    compressed_configs
+    configs
 
 (* CTB agreement across randomized link latencies and fault placements:
    whatever the timing, no two honest nodes deliver different payloads

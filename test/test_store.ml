@@ -568,26 +568,16 @@ let test_runtime_restart () =
 
 let test_options_order_independence () =
   let st = Options.store ~group_commit:2 ~fsync:false "/tmp/x" in
-  let a =
-    Options.default |> Options.with_retain 32 |> Options.with_store st
-    |> Options.with_ack_delay ~cap_us:50.0
-  in
-  let b =
-    Options.default
-    |> Options.with_ack_delay ~cap_us:50.0
-    |> Options.with_store st |> Options.with_retain 32
-  in
-  Alcotest.(check int) "retain" a.Options.retain b.Options.retain;
+  let tel = Dsig_telemetry.Telemetry.create () in
+  let a = Options.default |> Options.with_store st |> Options.with_telemetry tel in
+  let b = Options.default |> Options.with_telemetry tel |> Options.with_store st in
   Alcotest.(check bool) "store" true (a.Options.store = b.Options.store);
-  Alcotest.(check bool) "ack_delay" true (a.Options.ack_delay = b.Options.ack_delay);
+  Alcotest.(check bool) "telemetry" true (a.Options.telemetry == b.Options.telemetry);
   Alcotest.(check bool) "store recorded" true (a.Options.store = Some st);
   (* smart-constructor validation *)
   Alcotest.check_raises "bad group commit"
     (Invalid_argument "Options.store: group_commit must be positive") (fun () ->
-      ignore (Options.store ~group_commit:0 "/tmp/x"));
-  Alcotest.check_raises "bad cap"
-    (Invalid_argument "Options.with_ack_delay: cap_us must be non-negative") (fun () ->
-      ignore (Options.with_ack_delay ~cap_us:(-1.0) Options.default))
+      ignore (Options.store ~group_commit:0 "/tmp/x"))
 
 let test_control_plane_conformance () =
   with_dir @@ fun dir ->

@@ -15,9 +15,6 @@ let scheme_configs =
     ("hors-fact", Config.make ~batch_size:4 ~queue_threshold:4 (Config.hors_factorized ~k:32));
     ( "hors-merk",
       Config.make ~batch_size:4 ~queue_threshold:4 (Config.hors_merklified ~k:32 ()) );
-    ( "hors-merk-mp",
-      Config.make ~batch_size:4 ~queue_threshold:4 ~compress_proofs:true
-        (Config.hors_merklified ~k:32 ()) );
   ]
 
 (* one valid signature encoding per scheme, generated once *)
