@@ -34,11 +34,17 @@ let sign_test ~name ~lifecycle () =
           end;
           Dsig.Signer.sign signer "12345678"))
 
-(* A warm hinted fast path: a verifier that has the batch announcement,
-   checking one signature of that batch with Verifier.verify. The
-   closure fails if a call takes any other path. *)
-let fast_verify () =
-  let cfg = Dsig.Config.default in
+(* One signature checked with Verifier.verify. [~slow:false] is the warm
+   hinted fast path: the verifier has the batch announcement. [~slow:true]
+   is the slow path (paper Fig. 8, wrong hint): no announcement and the
+   EdDSA cache off, so every call checks the root signature inline under
+   the PKI's verifying key. The closure fails if a call takes any other
+   path. *)
+let dsig_verify ~slow =
+  let cfg =
+    if slow then Dsig.Config.make ~eddsa_verify_cache:false (Dsig.Config.wots ~d:4)
+    else Dsig.Config.default
+  in
   let tel = Dsig_telemetry.Telemetry.create () in
   let options = Dsig.Options.(default |> with_telemetry tel) in
   let rng = Dsig_util.Rng.create 9L in
@@ -50,12 +56,16 @@ let fast_verify () =
   Dsig.Signer.background_fill signer;
   let msg = "12345678" in
   let wire = Dsig.Signer.sign signer ~hint:[ 1 ] msg in
-  List.iter (fun (_, a) -> ignore (Dsig.Verifier.deliver verifier a)) (Dsig.Signer.drain_outbox signer);
+  let anns = Dsig.Signer.drain_outbox signer in
+  if not slow then List.iter (fun (_, a) -> ignore (Dsig.Verifier.deliver verifier a)) anns;
   let stats = Dsig.Verifier.stats verifier in
+  let taken () = if slow then stats.Dsig.Verifier.slow else stats.Dsig.Verifier.fast in
   fun () ->
-    let fast = stats.Dsig.Verifier.fast in
-    if not (Dsig.Verifier.verify verifier ~msg wire && stats.Dsig.Verifier.fast = fast + 1) then
-      failwith "bench micro: dsig-verify(fast) left the fast path"
+    let before = taken () in
+    if not (Dsig.Verifier.verify verifier ~msg wire && taken () = before + 1) then
+      failwith
+        (if slow then "bench micro: dsig-verify(slow) left the slow path"
+         else "bench micro: dsig-verify(fast) left the fast path")
 
 (* W-OTS+ (d = 4) verify of one genuine signature; fails on a reject. *)
 let wots_verify () =
@@ -79,7 +89,7 @@ let minor_words_per_op ?(ops = 200) f =
   done;
   Float.round ((Gc.minor_words () -. w0) /. float_of_int ops)
 
-let tests ~verify_fast ~wots_verify () =
+let tests ~verify_fast ~verify_slow ~wots_verify () =
   let rng = Dsig_util.Rng.create 5L in
   let b32 = Dsig_util.Rng.bytes rng 32 in
   let b64 = Dsig_util.Rng.bytes rng 64 in
@@ -87,6 +97,7 @@ let tests ~verify_fast ~wots_verify () =
   let sk, pk = E.generate rng in
   let msg = "12345678" in
   let signature = E.sign sk msg in
+  let vk = Option.get (E.verifying_key pk) in
   let p4 = Dsig_hbss.Params.Wots.make ~d:4 () in
   let kp = Dsig_hbss.Wots.generate p4 ~seed:(Dsig_util.Rng.bytes rng 32) in
   let nonce = Dsig_util.Rng.bytes rng 16 in
@@ -99,10 +110,12 @@ let tests ~verify_fast ~wots_verify () =
     Test.make ~name:"chain-hash-18B" (Staged.stage (fun () -> H.Hash.digest H.Hash.Haraka ~length:18 b18));
     Test.make ~name:"eddsa-sign" (Staged.stage (fun () -> E.sign sk msg));
     Test.make ~name:"eddsa-verify" (Staged.stage (fun () -> E.verify pk msg signature));
+    Test.make ~name:"eddsa-verify(prepared)" (Staged.stage (fun () -> E.verify_with vk msg signature));
     Test.make ~name:"wots4-sign(cached)"
       (Staged.stage (fun () -> Dsig_hbss.Wots.sign ~allow_reuse:true kp ~nonce msg));
     Test.make ~name:"wots4-verify" (Staged.stage wots_verify);
     Test.make ~name:"dsig-verify(fast)" (Staged.stage verify_fast);
+    Test.make ~name:"dsig-verify(slow)" (Staged.stage verify_slow);
     Test.make ~name:"wots4-keygen"
       (Staged.stage
          (let c = ref 0 in
@@ -144,17 +157,20 @@ let tests ~verify_fast ~wots_verify () =
 
 let run () =
   Harness.section "Microbenchmarks: real crypto on this host (pure OCaml, no SIMD)";
-  let verify_fast = fast_verify () and wots_verify = wots_verify () in
-  let results = Harness.run_bechamel (tests ~verify_fast ~wots_verify ()) in
+  let verify_fast = dsig_verify ~slow:false and verify_slow = dsig_verify ~slow:true in
+  let wots_verify = wots_verify () in
+  let results = Harness.run_bechamel (tests ~verify_fast ~verify_slow ~wots_verify ()) in
   (* pin the headline sign/verify costs for the --snapshot gate *)
   List.iter
     (fun (name, ns) ->
       let record key = Harness.metric key (ns /. 1000.0) in
       if name = "eddsa-sign" then record "micro_eddsa_sign_us"
       else if name = "eddsa-verify" then record "micro_eddsa_verify_us"
+      else if name = "eddsa-verify(prepared)" then record "micro_eddsa_verify_prepared_us"
       else if name = "dsig-sign/lifecycle-off" then record "micro_dsig_sign_us"
       else if name = "wots4-verify" then record "micro_wots_verify_us"
-      else if name = "dsig-verify(fast)" then record "micro_dsig_verify_fast_us")
+      else if name = "dsig-verify(fast)" then record "micro_dsig_verify_fast_us"
+      else if name = "dsig-verify(slow)" then record "micro_dsig_verify_slow_us")
     results;
   let rows =
     List.map (fun (name, ns) -> [ name; Printf.sprintf "%.2f" (ns /. 1000.0) ]) results
@@ -165,6 +181,7 @@ let run () =
   let allocs =
     [
       ("dsig-verify(fast)", "alloc_dsig_verify_fast_words", minor_words_per_op verify_fast);
+      ("dsig-verify(slow)", "alloc_dsig_verify_slow_words", minor_words_per_op verify_slow);
       ("wots4-verify", "alloc_wots_verify_words", minor_words_per_op wots_verify);
     ]
   in

@@ -114,10 +114,11 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
         | Error e -> failwith ("Deploy.create: " ^ e)
         | Ok (log, _report) ->
             let log_sk, log_pk = Eddsa.generate (Rng.split master) in
+            let log_vk = Option.get (Eddsa.verifying_key log_pk) in
             let monitors =
               Array.init n (fun _ ->
                   Monitor.create ~telemetry ~log_id
-                    ~verify:(fun ~msg ~signature -> Eddsa.verify log_pk msg signature)
+                    ~verify:(fun ~msg ~signature -> Eddsa.verify_with log_vk msg signature)
                     ())
             in
             Some { log; log_id; log_sk; log_pk; monitors; gossiped = 0; broadcast = ignore })
@@ -255,9 +256,10 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
   let c_rev_replayed = Tel.counter telemetry "dsig_revocation_replayed_total" in
   let c_rev_rejected = Tel.counter telemetry "dsig_revocation_rejected_total" in
   let h_rev_prop = Tel.histogram telemetry "dsig_revocation_propagate_us" in
+  let authority = Option.get (Eddsa.verifying_key auth_pk) in
   let enforce_revocation id encoded =
     match
-      Revocation.enforce ~pki:pkis.(id) ~authority_pk:auth_pk
+      Revocation.enforce ~pki:pkis.(id) ~authority
         ~purge:(fun ~signer ~from_batch ->
           ignore (Dsig.Verifier.purge_signer ?from_batch parties.(id).verifier ~signer))
         encoded

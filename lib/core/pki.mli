@@ -20,8 +20,11 @@ type revocation = [ `None | `Total | `From of int64 ]
 val create : unit -> t
 
 val bind : t -> id:int -> epoch:int -> Dsig_ed25519.Eddsa.public_key -> unit
-(** Bind [id]'s key at [epoch]. Re-binding the same (id, epoch) to the
-    same key is idempotent.
+(** Bind [id]'s key at [epoch], preparing its
+    {!Dsig_ed25519.Eddsa.verifying_key} once, here. Re-binding the same
+    (id, epoch) to key bytes that compare equal is idempotent. A key
+    that does not decode still binds; {!allowed} then returns [None]
+    for it, so every signature under it is rejected.
     @raise Invalid_argument if (id, epoch) is already bound to a
     different key, or [epoch] is negative. *)
 
@@ -59,10 +62,11 @@ val is_revoked : t -> int -> bool
 val revoked : t -> int list
 (** Ids with any revocation on record (total or boundary). *)
 
-val allowed : t -> id:int -> batch:int64 -> Dsig_ed25519.Eddsa.public_key option
-(** The verification-path gate: [id]'s active key, or [None] if the id
-    is unknown, totally revoked, or [batch] falls at or past a
-    revocation boundary. *)
+val allowed : t -> id:int -> batch:int64 -> Dsig_ed25519.Eddsa.verifying_key option
+(** The verification-path gate: [id]'s active key, prepared at {!bind},
+    or [None] if the id is unknown, totally revoked, [batch] falls at
+    or past a revocation boundary, or the active key does not decode.
+    Safe to call from any domain: the key is never built lazily. *)
 
 (** {1 Deprecated write-once surface}
 

@@ -258,18 +258,19 @@ let purge_signer ?from_batch t ~signer =
   if purged > 0 then Metric.Gauge.add t.tel.g_cached (float_of_int (-purged));
   purged
 
-(* EdDSA verification with the bulk-verification cache of §4.4: a hit
-   replaces a full verification by a 32-byte table lookup. The expensive
-   [Eddsa.verify] runs outside [eddsa_mu]. *)
-let eddsa_verify_cached t pk msg signature =
-  if not t.cfg.Config.eddsa_verify_cache then Eddsa.verify pk msg signature
+(* EdDSA verification under the PKI's prepared key, with the
+   bulk-verification cache of §4.4: a hit replaces a full verification
+   by a 32-byte table lookup. The expensive [Eddsa.verify_with] runs
+   outside [eddsa_mu]. *)
+let eddsa_verify_cached t vk msg signature =
+  if not t.cfg.Config.eddsa_verify_cache then Eddsa.verify_with vk msg signature
   else begin
-    let key = Dsig_hashes.Blake3.digest (pk ^ signature ^ msg) in
+    let key = Dsig_hashes.Blake3.digest (Eddsa.verifying_key_bytes vk ^ signature ^ msg) in
     if Mutex.protect t.eddsa_mu (fun () -> Hashtbl.mem t.eddsa_cache key) then begin
       with_stats t (fun s -> s.eddsa_cache_hits <- s.eddsa_cache_hits + 1);
       true
     end
-    else if Eddsa.verify pk msg signature then begin
+    else if Eddsa.verify_with vk msg signature then begin
       (* bounded FIFO eviction, one victim per insert — a full wipe
          would re-verify up to 4096 entries right after (latency cliff) *)
       let evicted =
@@ -416,11 +417,11 @@ let control_admitted t =
    lookup, shared with [deliver_many]'s per-announcement fallback so a
    failed chunk's announcements are not offered to admission control,
    looked up or re-rooted a second time. *)
-let verify_and_admit ?sent_us t (ann : Batch.announcement) ~pk ~root ~msg =
+let verify_and_admit ?sent_us t (ann : Batch.announcement) ~vk ~root ~msg =
   let t0 = now t in
   Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.Begin t0;
   let ok =
-    if Eddsa.verify pk msg ann.Batch.root_sig then begin
+    if Eddsa.verify_with vk msg ann.Batch.root_sig then begin
       admit_verified t ann root;
       true
     end
@@ -440,12 +441,12 @@ let deliver ?sent_us t (ann : Batch.announcement) =
   match Pki.allowed t.pki ~id:ann.Batch.signer_id ~batch:ann.Batch.ann_batch_id with
   | None ->
       Log.L.warn (fun m ->
-          m "verifier %d: dropping announcement from unknown/revoked signer %d" t.id
-            ann.Batch.signer_id);
+          m "verifier %d: dropping announcement from signer %d: unknown, revoked or undecodable key"
+            t.id ann.Batch.signer_id);
       false
-  | Some pk ->
+  | Some vk ->
       let root, msg = announcement_root ann in
-      verify_and_admit ?sent_us t ann ~pk ~root ~msg
+      verify_and_admit ?sent_us t ann ~vk ~root ~msg
 
 let split_rng t = Mutex.protect t.rng_mu (fun () -> Rng.split t.rng)
 
@@ -462,14 +463,14 @@ let deliver_many t anns =
       (fun ann ->
         match Pki.allowed t.pki ~id:ann.Batch.signer_id ~batch:ann.Batch.ann_batch_id with
         | None -> None
-        | Some pk ->
+        | Some vk ->
             let root, msg = announcement_root ann in
-            Some (ann, root, pk, msg))
+            Some (ann, root, vk, msg))
       anns
   in
   let n = List.length entries in
   let triples_of chunk =
-    List.map (fun (ann, _, pk, msg) -> (pk, msg, ann.Batch.root_sig)) chunk
+    List.map (fun (ann, _, vk, msg) -> (Eddsa.verifying_key_bytes vk, msg, ann.Batch.root_sig)) chunk
   in
   let t0 = now t in
   (* The randomized batch-verification coefficients must be
@@ -524,7 +525,7 @@ let deliver_many t anns =
   (* failed chunks: per-announcement checks isolate the bad one(s) *)
   List.length admitted
   + List.length
-      (List.filter (fun (ann, root, pk, msg) -> verify_and_admit t ann ~pk ~root ~msg) failed)
+      (List.filter (fun (ann, root, vk, msg) -> verify_and_admit t ann ~vk ~root ~msg) failed)
 
 (* Reconstruct the full HORS public key from revealed secrets plus the
    complement carried in a factorized signature. Returns [None] when the
@@ -715,7 +716,7 @@ let classify t ~msg wire_bytes =
       let ids = Some (w.Wire.signer_id, w.Wire.batch_id, Wire.key_index w) in
       match Pki.allowed t.pki ~id:w.Wire.signer_id ~batch:w.Wire.batch_id with
       | None -> (Rejected, ids, false)
-      | Some signer_pk -> (
+      | Some signer_vk -> (
           match merklified_fast_path t w msg with
           | Some ok -> ((if ok then Fast else Rejected), ids, false)
           | None -> (
@@ -734,7 +735,7 @@ let classify t ~msg wire_bytes =
                         Batch.root_message ~signer_id:w.Wire.signer_id ~batch_id:w.Wire.batch_id
                           ~root
                       in
-                      if eddsa_verify_cached t signer_pk root_msg w.Wire.root_sig then begin
+                      if eddsa_verify_cached t signer_vk root_msg w.Wire.root_sig then begin
                         Log.L.debug (fun m ->
                             m "verifier %d: slow-path EdDSA check for signer %d batch %Ld" t.id
                               w.Wire.signer_id w.Wire.batch_id);

@@ -40,28 +40,48 @@ let sign sk msg =
   let s = Scalar.muladd k sk.scalar r in
   r_enc ^ s
 
-(* S, R, A and k = H(R || A || msg) mod L, or None if S >= L or R or A
-   does not decode *)
+(* S, R and k = H(R || A || msg) mod L over the key's bytes as given,
+   or None if S >= L or R does not decode *)
 let decode pk msg signature =
-  if String.length signature <> 64 || String.length pk <> 32 then None
+  if String.length signature <> 64 then None
   else begin
     let r_enc = String.sub signature 0 32 in
-    match (Scalar.of_bytes_checked (String.sub signature 32 32), Point.decompress r_enc, Point.decompress pk) with
-    | Some s, Some r, Some a -> Some (s, r, a, Scalar.reduce_bytes (Sha512.digest (r_enc ^ pk ^ msg)))
+    match (Scalar.of_bytes_checked (String.sub signature 32 32), Point.decompress r_enc) with
+    | Some s, Some r -> Some (s, r, Scalar.reduce_bytes (Sha512.digest (r_enc ^ pk ^ msg)))
     | _ -> None
   end
 
+(* ... and A, for the paths that take the key as bytes *)
+let decode_with_key pk msg signature =
+  match (decode pk msg signature, Point.decompress pk) with
+  | Some (s, r, k), Some a -> Some (s, r, a, k)
+  | _ -> None
+
 (* [S]B = R + [k]A, checked as R = [S]B + [k](-A) in one pass *)
 let verify pk msg signature =
-  match decode pk msg signature with
+  match decode_with_key pk msg signature with
   | Some (s, r, a, k) -> Point.equal r (Point.multi_scalar_mul ~base:s [ (k, Point.negate a) ])
+  | None -> false
+
+(* The key's original bytes (k hashes them, canonical or not) and -A
+   prepared for the 128-step chain. *)
+type verifying_key = { pk : public_key; neg_a : Point.prepared }
+
+let verifying_key pk =
+  Option.map (fun a -> { pk; neg_a = Point.prepare (Point.negate a) }) (Point.decompress pk)
+
+let verifying_key_bytes vk = vk.pk
+
+let verify_with vk msg signature =
+  match decode vk.pk msg signature with
+  | Some (s, r, k) -> Point.equal r (Point.prepared_mul ~base:s k vk.neg_a)
   | None -> false
 
 (* Randomized batch verification: with random z_i, the linear relation
    [sum z_i S_i] B - sum [z_i] R_i - sum [z_i k_i] A_i = O holds for all
    batches of valid signatures and fails w.h.p. if any is invalid. *)
 let verify_batch rng entries =
-  let decoded = List.map (fun (pk, msg, signature) -> decode pk msg signature) entries in
+  let decoded = List.map (fun (pk, msg, signature) -> decode_with_key pk msg signature) entries in
   if List.exists Option.is_none decoded then false
   else begin
     let decoded = List.filter_map Fun.id decoded in

@@ -31,6 +31,26 @@ val verify : public_key -> string -> string -> bool
     and encodings that are not curve points; an encoded y >= p is read
     as y - p. *)
 
+type verifying_key
+(** A public key prepared once for many verifications: its original 32
+    bytes and two width-5 tables, odd multiples of -A and of
+    -[[2^128]]A (16 cached points, ≈ 6 KiB). *)
+
+val verifying_key : public_key -> verifying_key option
+(** [None] if the key is not 32 bytes or not a curve point; a key
+    rejected here rejects every signature under {!verify} too. Costs
+    about half of one {!verify}. *)
+
+val verifying_key_bytes : verifying_key -> public_key
+(** The bytes the key was made from, as given (k hashes these). *)
+
+val verify_with : verifying_key -> string -> string -> bool
+(** [verify_with vk msg sig] is [verify pk msg sig] for
+    [verifying_key pk = Some vk], bit for bit on every input: the same
+    cofactorless equation, with both scalars split at bit 128 so the
+    doubling chain is 128 steps instead of 253. Use it for a key that
+    checks many signatures; {!verify} stays the one-shot path. *)
+
 val verify_batch : Dsig_util.Rng.t -> (public_key * string * string) list -> bool
 (** Randomized batch verification (Bernstein et al.): checks
     [sum(z_i*S_i)]B = sum([z_i]R_i) + sum([z_i*k_i]A_i) for random

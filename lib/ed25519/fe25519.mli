@@ -8,7 +8,7 @@
     inputs. [mul] and [sq] stay within OCaml's 63-bit integers as long as
     the product of their inputs' magnitudes is at most 32; the point
     formulas reach at most 12 (3 × 4 in a doubling). The test suite
-    cross-checks every operation against a {!Dsig_bigint.Bn} oracle, and
+    cross-checks every operation against a bignum oracle ([test/bn.ml]), and
     [mul]/[sq] at the largest magnitudes the point formulas produce. *)
 
 type t

@@ -59,19 +59,21 @@ let odd_multiples n p =
   done;
   table
 
-(* Width-w NAF of a 32-byte little-endian scalar: k = sum d_i 2^i with
-   every d_i zero or odd, |d_i| < 2^(w-1), and at most one nonzero digit
-   in any w consecutive positions. 257 digits cover any k < 2^256. *)
-let wnaf w k =
+(* Width-w NAF of the [len] bytes of a 32-byte little-endian scalar
+   from byte [off]: v = sum d_i 2^i with every d_i zero or odd,
+   |d_i| < 2^(w-1), and at most one nonzero digit in any w consecutive
+   positions. 8·len + 1 digits cover any v < 2^(8·len). *)
+let wnaf w ?(off = 0) ?(len = 32) k =
   if String.length k <> 32 then invalid_arg "Point: scalars are 32 bytes";
-  let byte i = if i < 32 then Char.code (String.unsafe_get k i) else 0 in
+  let byte i = if i < len then Char.code (String.unsafe_get k (off + i)) else 0 in
   let window pos =
     let i = pos lsr 3 in
     ((byte i lor (byte (i + 1) lsl 8)) lsr (pos land 7)) land ((1 lsl w) - 1)
   in
-  let naf = Array.make 257 0 in
+  let n = (8 * len) + 1 in
+  let naf = Array.make n 0 in
   let pos = ref 0 and carry = ref 0 in
-  while !pos < 257 do
+  while !pos < n do
     let v = !carry + window !pos in
     if v land 1 = 0 then incr pos
     else begin
@@ -119,17 +121,33 @@ let base =
   | Some p -> p
   | None -> failwith "Point.base: internal error"
 
-(* B, 3B, ..., 127B for width-8 digits: 64 cached points, built when the
-   module initialises so that no domain ever races to build it. *)
-let base_table = odd_multiples 64 base
+(* [2^128]P, by 128 doublings. *)
+let times_2_128 p =
+  let q = ref p in
+  for _ = 1 to 128 do
+    q := double !q
+  done;
+  !q
 
-(* Straus: one doubling chain shared by every term; per term, an add or
-   sub of a table entry at each nonzero digit. *)
+(* Odd multiples of P and of [2^128]P, for the two halves of a scalar. *)
+type prepared = cached array * cached array
+
+let prepare_width n p = (odd_multiples n p, odd_multiples n (times_2_128 p))
+let prepare p = prepare_width 8 p
+
+(* B, 3B, ..., 127B and the same multiples of [2^128]B, for width-8
+   digits: 2 x 64 cached points, built when the module initialises so
+   that no domain ever races to build them. *)
+let base_tables = prepare_width 64 base
+
+(* Straus: one doubling chain shared by every term, as long as the
+   longest digit string; per term, an add or sub of a table entry at
+   each nonzero digit. *)
 let straus terms =
   let top =
     List.fold_left
       (fun m (naf, _) ->
-        let i = ref 256 in
+        let i = ref (Array.length naf - 1) in
         while !i > m && naf.(!i) = 0 do decr i done;
         max m !i)
       (-1) terms
@@ -140,19 +158,27 @@ let straus terms =
     acc := dbl (Fe.mul c.e c.f) (Fe.mul c.g c.h) (Fe.mul c.f c.g);
     List.iter
       (fun (naf, table) ->
-        let digit = naf.(i) in
-        if digit > 0 then acc := add_cached (to_p3 !acc) table.(digit / 2)
-        else if digit < 0 then acc := sub_cached (to_p3 !acc) table.(-digit / 2))
+        if i < Array.length naf then begin
+          let digit = naf.(i) in
+          if digit > 0 then acc := add_cached (to_p3 !acc) table.(digit / 2)
+          else if digit < 0 then acc := sub_cached (to_p3 !acc) table.(-digit / 2)
+        end)
       terms
   done;
   to_p3 !acc
 
+(* [k]P = [k_lo]P + [k_hi]([2^128]P) for k = k_lo + 2^128·k_hi: two
+   terms of 129 digits each, so a chain over them is 128 doublings. *)
+let split_terms w k (lo, hi) = [ (wnaf w ~len:16 k, lo); (wnaf w ~off:16 ~len:16 k, hi) ]
+let base_terms s = split_terms 8 s base_tables
+
 let multi_scalar_mul ?base:s pairs =
   let terms = List.map (fun (k, p) -> (wnaf 5 k, odd_multiples 8 p)) pairs in
-  straus (match s with Some s -> (wnaf 8 s, base_table) :: terms | None -> terms)
+  straus (match s with Some s -> base_terms s @ terms | None -> terms)
 
+let prepared_mul ~base:s k p = straus (base_terms s @ split_terms 5 k p)
 let scalar_mul k p = multi_scalar_mul [ (k, p) ]
-let base_mul k = multi_scalar_mul ~base:k []
+let base_mul k = straus (base_terms k)
 
 let compress p =
   let zinv = Fe.inv p.z in

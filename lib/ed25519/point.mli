@@ -6,9 +6,17 @@
     non-square), so it also adds a point to itself. Doubling is the
     dedicated dbl-2008-hwcd. Scalar multiplication is signed-window
     (wNAF) Straus: one shared doubling chain, width-5 digits against a
-    per-call table of odd multiples of each point, and width-8 digits
-    against a table of B, 3B, ..., 127B built at module initialisation.
-    All operations are variable-time — this reproduction targets
+    table of odd multiples P, 3P, ..., 15P of each point, and width-8
+    digits against B, 3B, ..., 127B. The chain is as long as the longest
+    scalar. A scalar k against a point whose [[2^128]]-multiple is also
+    tabled splits as k_lo + 2^128·k_hi into two 128-bit terms, so the
+    chain drops from up to 256 doublings to 128. B and [[2^128]]B are
+    always tabled: two 64-entry tables (≈ 50 KiB) built at module
+    initialisation, so [[s]]B costs 128 doublings. A {!prepared} point
+    carries both of its own 8-entry tables (≈ 6 KiB), so
+    {!prepared_mul} runs the 128-step chain too; a point used once gets
+    a per-call table and the full chain. One Straus loop serves every
+    entry point. All operations are variable-time — this reproduction targets
     functional fidelity and benchmarking, not side-channel resistance
     (noted in DESIGN.md).
 
@@ -28,13 +36,27 @@ val scalar_mul : string -> t -> t
 (** [scalar_mul k p] is [k]p. *)
 
 val base_mul : string -> t
-(** [base_mul k] is [k]B, using the precomputed table of B. *)
+(** [base_mul k] is [k]B, using the precomputed tables of B and
+    [[2^128]]B: a 128-step chain. *)
 
 val multi_scalar_mul : ?base:string -> (string * t) list -> t
 (** [multi_scalar_mul ~base:s [(k1,p1); ...]] is [s]B + [k1]p1 + ...
-    with a single shared doubling chain, the workhorse of signature
-    verification (single and batch). Without [~base] the B term is
+    with a single shared doubling chain, the workhorse of one-shot and
+    batch signature verification. Without [~base] the B term is
     absent. *)
+
+type prepared
+(** A point with its tables of odd multiples and those of its
+    [[2^128]]-multiple, for repeated multiplication. *)
+
+val prepare : t -> prepared
+(** 128 doublings and two 8-entry tables: about half the cost of one
+    {!scalar_mul}. *)
+
+val prepared_mul : base:string -> string -> prepared -> t
+(** [prepared_mul ~base:s k p] is [s]B + [k]P for [p = prepare P], over
+    a 128-step chain. Equal, as a group element, to
+    [multi_scalar_mul ~base:s [(k, P)]] for every P, torsion included. *)
 
 val compress : t -> string
 (** 32-byte encoding: little-endian y with the sign of x in bit 255. *)

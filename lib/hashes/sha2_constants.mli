@@ -1,8 +1,8 @@
-(** SHA-2 round constants and initial hash values, computed at module
-    initialization from the fractional parts of cube/square roots of the
-    first primes (FIPS 180-4 §4.2.2–4.2.3 and §5.3), rather than
-    transcribed as literals. The "abc" known-answer tests in the test
-    suite validate the computation end to end. *)
+(** SHA-2 round constants and initial hash values: the fractional parts
+    of cube/square roots of the first primes (FIPS 180-4 §4.2.2–4.2.3
+    and §5.3), as literal tables. The test suite recomputes each table
+    from the primes with a bignum oracle, and the "abc" known-answer
+    tests check them end to end. *)
 
 val k256 : int array
 (** 64 constants, each a 32-bit value in an OCaml [int]. *)

@@ -64,20 +64,20 @@ let decode s =
       | '\001' -> Error "revocation: negative batch boundary"
       | _ -> Error "revocation: bad boundary kind"
 
-let verify ~authority_pk s =
+let verify ~authority s =
   match decode s with
   | Error _ as e -> e
   | Ok r ->
       if
-        Eddsa.verify authority_pk (String.sub s 0 body_size)
+        Eddsa.verify_with authority (String.sub s 0 body_size)
           (String.sub s body_size Eddsa.signature_size)
       then Ok r
       else Error "revocation: authority signature check failed"
 
 type outcome = Applied of t | Replayed of t | Rejected of string
 
-let enforce ~pki ~authority_pk ?purge encoded =
-  match verify ~authority_pk encoded with
+let enforce ~pki ~authority ?purge encoded =
+  match verify ~authority encoded with
   | Error e -> Rejected e
   | Ok r ->
       (* a replay is any record that cannot tighten what the directory

@@ -48,8 +48,9 @@ val decode : string -> (t, string) result
 (** Parse without checking the signature (inspection only — enforcement
     must go through {!verify} or {!enforce}). *)
 
-val verify : authority_pk:Dsig_ed25519.Eddsa.public_key -> string -> (t, string) result
-(** Parse and check the authority signature. *)
+val verify : authority:Dsig_ed25519.Eddsa.verifying_key -> string -> (t, string) result
+(** Parse and check the authority signature under the authority's key,
+    prepared once by its holder for every record it checks. *)
 
 (** What {!enforce} did with a record. *)
 type outcome =
@@ -60,7 +61,7 @@ type outcome =
 
 val enforce :
   pki:Dsig.Pki.t ->
-  authority_pk:Dsig_ed25519.Eddsa.public_key ->
+  authority:Dsig_ed25519.Eddsa.verifying_key ->
   ?purge:(signer:int -> from_batch:int64 option -> unit) ->
   string ->
   outcome

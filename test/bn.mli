@@ -1,10 +1,8 @@
-(** Minimal arbitrary-precision natural numbers.
-
-    This module backs the scalar arithmetic of Ed25519 (mod L), the
-    computation of SHA-2 round constants, and serves as a slow-but-obvious
-    oracle in property tests of the fast 10-limb field arithmetic
-    ({!Dsig_ed25519.Fe25519}). Only naturals are supported; subtraction
-    of a larger value raises. *)
+(** Minimal arbitrary-precision natural numbers, the test suite's
+    slow-but-obvious oracle: for the 10-limb field arithmetic
+    ({!Dsig_ed25519.Fe25519}), the scalar arithmetic mod L, the
+    reference Ed25519 in [Ref_ed25519], and the SHA-2 constant tables.
+    Only naturals are supported; subtraction of a larger value raises. *)
 
 type t
 

@@ -12,7 +12,6 @@
    test_ed25519 checks the library against these verdict for verdict and
    byte for byte. Nothing here is tuned. *)
 
-open Dsig_bigint
 open Dsig_hashes
 
 module Fe25519 = struct

@@ -1,4 +1,3 @@
-open Dsig_bigint
 
 let bn = Alcotest.testable Bn.pp Bn.equal
 
@@ -87,6 +86,45 @@ let qcheck_tests =
         Bn.equal !naive (Bn.mod_pow b (Bn.of_int e) m));
   ]
 
+(* The SHA-2 constant tables, recomputed from the first primes: the
+   first 32 or 64 bits of the fractional part of the cube root (round
+   constants) or square root (initial values), i.e.
+   floor(root(p) * 2^bits) - floor(root(p)) * 2^bits. *)
+let first_primes n =
+  let rec go acc c =
+    if List.length acc = n then List.rev acc
+    else if List.exists (fun p -> c mod p = 0) acc then go acc (c + 1)
+    else go (c :: acc) (c + 1)
+  in
+  go [] 2
+
+(* Largest x with x^k <= v, by binary search. *)
+let iroot k v =
+  let rec pow x n = if n = 0 then Bn.one else Bn.mul x (pow x (n - 1)) in
+  let lo = ref Bn.zero and hi = ref (Bn.shift_left Bn.one ((Bn.num_bits v / k) + 1)) in
+  while Bn.compare (Bn.sub !hi !lo) Bn.one > 0 do
+    let mid = Bn.shift_right (Bn.add !lo !hi) 1 in
+    if Bn.compare (pow mid k) v <= 0 then lo := mid else hi := mid
+  done;
+  !lo
+
+let frac_root k ~bits p =
+  let pb = Bn.of_int p in
+  Bn.sub (iroot k (Bn.shift_left pb (k * bits))) (Bn.shift_left (iroot k pb) bits)
+
+let test_sha2_constants () =
+  let module C = Dsig_hashes.Sha2_constants in
+  let check name k ~bits n entries =
+    Alcotest.(check (list string)) name
+      (List.map (fun p -> Bn.to_hex (frac_root k ~bits p)) (first_primes n))
+      (List.map Bn.to_hex entries)
+  in
+  let of_u32 = Array.map Bn.of_int and of_u64 = Array.map (fun v -> Bn.of_hex (Printf.sprintf "%016Lx" v)) in
+  check "k256: cube roots of the first 64 primes" 3 ~bits:32 64 (Array.to_list (of_u32 C.k256));
+  check "h256: square roots of the first 8 primes" 2 ~bits:32 8 (Array.to_list (of_u32 C.h256));
+  check "k512: cube roots of the first 80 primes" 3 ~bits:64 80 (Array.to_list (of_u64 C.k512));
+  check "h512: square roots of the first 8 primes" 2 ~bits:64 8 (Array.to_list (of_u64 C.h512))
+
 let suites =
   [
     ( "bigint",
@@ -95,6 +133,7 @@ let suites =
         Alcotest.test_case "arith" `Quick test_arith;
         Alcotest.test_case "bytes" `Quick test_bytes;
         Alcotest.test_case "modpow" `Quick test_modpow;
+        Alcotest.test_case "sha2 constants from prime roots" `Quick test_sha2_constants;
       ]
       @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests );
   ]

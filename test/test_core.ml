@@ -170,6 +170,44 @@ let test_unknown_signer () =
      root signature cannot check out *)
   Alcotest.(check bool) "rejected" false (System.verify sys_b ~verifier:1 ~msg signature)
 
+(* The PKI prepares each key once, at bind. A rebind with bytes that
+   compare equal is a no-op; a key that does not decode still binds,
+   and every signature under it is rejected. *)
+let test_pki_prepared_keys () =
+  let cfg = test_cfg () in
+  let rng = Dsig_util.Rng.create 12L in
+  let sk, pk = Dsig_ed25519.Eddsa.generate rng in
+  let pki = Pki.create () in
+  Pki.bind pki ~id:0 ~epoch:0 pk;
+  Pki.bind pki ~id:0 ~epoch:0 (Bytes.to_string (Bytes.of_string pk));
+  Alcotest.(check int) "rebind of equal bytes is idempotent" 1 (List.length (Pki.history pki 0));
+  Alcotest.check_raises "rebind to other bytes" (Invalid_argument "Pki.bind: (id, epoch) already bound")
+    (fun () -> Pki.bind pki ~id:0 ~epoch:0 (snd (Dsig_ed25519.Eddsa.generate rng)));
+  (match Pki.allowed pki ~id:0 ~batch:0L with
+  | Some vk -> Alcotest.(check string) "prepared from the bound bytes" pk (Dsig_ed25519.Eddsa.verifying_key_bytes vk)
+  | None -> Alcotest.fail "bound key not allowed");
+  (* y = 2, 3, ...: the first that is not on the curve *)
+  let bad =
+    Seq.ints 2
+    |> Seq.map (fun y -> String.init 32 (fun i -> if i = 0 then Char.chr y else '\x00'))
+    |> Seq.find (fun e -> Dsig_ed25519.Point.decompress e = None)
+    |> Option.get
+  in
+  let bad_pki = Pki.create () in
+  Pki.bind bad_pki ~id:0 ~epoch:0 bad;
+  Alcotest.(check (option string)) "undecodable key binds" (Some bad)
+    (Option.map (fun b -> b.Pki.key) (Pki.active bad_pki 0));
+  Alcotest.(check bool) "but is not allowed" true (Pki.allowed bad_pki ~id:0 ~batch:0L = None);
+  let signer = Signer.create cfg ~id:0 ~eddsa:sk ~rng ~verifiers:[ 1 ] () in
+  let v = Verifier.create cfg ~id:1 ~pki:bad_pki () in
+  let msg = "under an undecodable key" in
+  let signature = Signer.sign signer ~hint:[ 1 ] msg in
+  Alcotest.(check bool) "slow path rejects" false (Verifier.verify v ~msg signature);
+  List.iter
+    (fun (_, ann) -> Alcotest.(check bool) "announcement rejected" false (Verifier.deliver v ann))
+    (Signer.drain_outbox signer);
+  Alcotest.(check bool) "still rejected after delivery" false (Verifier.verify v ~msg signature)
+
 let test_reject_bitflips () =
   List.iter
     (fun (name, hbss) ->
@@ -443,6 +481,7 @@ let suites =
         Alcotest.test_case "key exhaustion" `Quick test_key_exhaustion;
         Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
         Alcotest.test_case "unknown signer" `Quick test_unknown_signer;
+        Alcotest.test_case "pki prepares keys at bind" `Quick test_pki_prepared_keys;
         Alcotest.test_case "bit flips rejected" `Quick test_reject_bitflips;
         Alcotest.test_case "announcement tampering" `Quick test_announcement_tamper;
         Alcotest.test_case "analysis table2" `Quick test_analysis_table2;

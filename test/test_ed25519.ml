@@ -1,4 +1,3 @@
-open Dsig_bigint
 open Dsig_ed25519
 module BU = Dsig_util.Bytesutil
 
@@ -197,6 +196,8 @@ let rfc_vectors =
     };
   ]
 
+let flip i s = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
+
 let test_rfc8032 () =
   List.iteri
     (fun i v ->
@@ -206,30 +207,50 @@ let test_rfc8032 () =
       let signature = Eddsa.sign sk (BU.of_hex v.msg) in
       Alcotest.(check string) (name "sig") v.sig_ (BU.to_hex signature);
       Alcotest.(check bool) (name "verify") true
-        (Eddsa.verify (Eddsa.public_key sk) (BU.of_hex v.msg) signature))
+        (Eddsa.verify (Eddsa.public_key sk) (BU.of_hex v.msg) signature);
+      (* the prepared key agrees with the one-shot path and the
+         reference, on the vector and on it tampered *)
+      let vk = Option.get (Eddsa.verifying_key (BU.of_hex v.pk)) in
+      List.iter
+        (fun (what, msg, s) ->
+          let expect = Ref_ed25519.Eddsa.verify (BU.of_hex v.pk) msg s in
+          Alcotest.(check bool) (name ("verify = reference, " ^ what)) expect
+            (Eddsa.verify (BU.of_hex v.pk) msg s);
+          Alcotest.(check bool) (name ("verify_with = reference, " ^ what)) expect
+            (Eddsa.verify_with vk msg s))
+        [
+          ("genuine", BU.of_hex v.msg, signature);
+          ("message", BU.of_hex v.msg ^ "!", signature);
+          ("R", BU.of_hex v.msg, flip 3 signature);
+          ("S", BU.of_hex v.msg, flip 40 signature);
+        ])
     rfc_vectors
 
+(* Every verdict is checked on the one-shot path and under a prepared
+   key; a key that does not decode has no prepared form. *)
 let test_verify_rejects () =
   let sk = Eddsa.secret_of_seed (String.make 32 '\x07') in
   let pk = Eddsa.public_key sk in
   let msg = "attack at dawn" in
   let signature = Eddsa.sign sk msg in
-  Alcotest.(check bool) "accepts valid" true (Eddsa.verify pk msg signature);
-  Alcotest.(check bool) "rejects wrong msg" false (Eddsa.verify pk "attack at dusk" signature);
-  Alcotest.(check bool) "rejects truncated" false (Eddsa.verify pk msg (String.sub signature 0 63));
-  Alcotest.(check bool) "rejects empty" false (Eddsa.verify pk msg "");
-  let flip i s =
-    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
+  let check name expect ?(pk = pk) msg s =
+    Alcotest.(check bool) name expect (Eddsa.verify pk msg s);
+    Alcotest.(check bool) (name ^ " (prepared)") expect
+      (match Eddsa.verifying_key pk with Some vk -> Eddsa.verify_with vk msg s | None -> false)
   in
-  Alcotest.(check bool) "rejects flipped R" false (Eddsa.verify pk msg (flip 0 signature));
-  Alcotest.(check bool) "rejects flipped S" false (Eddsa.verify pk msg (flip 32 signature));
-  Alcotest.(check bool) "rejects wrong pk" false (Eddsa.verify (flip 1 pk) msg signature);
+  check "accepts valid" true msg signature;
+  check "rejects wrong msg" false "attack at dusk" signature;
+  check "rejects truncated" false msg (String.sub signature 0 63);
+  check "rejects empty" false msg "";
+  check "rejects flipped R" false msg (flip 0 signature);
+  check "rejects flipped S" false msg (flip 32 signature);
+  check "rejects wrong pk" false ~pk:(flip 1 pk) msg signature;
   (* S >= L must be rejected (malleability check) *)
   let s = Bn.of_bytes_le (String.sub signature 32 32) in
   let s' = Bn.add s l in
   if Bn.num_bits s' <= 256 then begin
     let forged = String.sub signature 0 32 ^ Bn.to_bytes_le ~length:32 s' in
-    Alcotest.(check bool) "rejects S+L" false (Eddsa.verify pk msg forged)
+    check "rejects S+L" false msg forged
   end
 
 (* affine Edwards addition over Bn as an independent oracle for the

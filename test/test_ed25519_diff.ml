@@ -3,11 +3,11 @@
    the eight torsion points, signatures whose R and/or A carry a torsion
    component, small-order keys with S in {0, 1}, and the non-canonical
    encodings y + p < 2^255. Every case must get the same verdict from
-   both implementations, for single and batch verification, and the
-   corpus verdicts are pinned so that a change to the validation rule
-   has to update them on purpose. *)
+   both implementations, for single verification (one-shot and under a
+   prepared key) and batch verification, and the corpus verdicts are
+   pinned so that a change to the validation rule has to update them on
+   purpose. *)
 
-open Dsig_bigint
 open Dsig_ed25519
 module Ref = Ref_ed25519
 module BU = Dsig_util.Bytesutil
@@ -59,6 +59,17 @@ let point_qcheck =
     Test.make ~name:"base_mul = reference" ~count:30 gen_scalar_bytes (fun k ->
         let kb = Bn.of_bytes_le k in
         Point.compress (Point.base_mul (sc kb)) = Ref.Point.compress (Ref.Point.base_mul kb));
+    Test.make ~name:"prepared_mul = multi_scalar_mul = reference" ~count:15
+      (triple gen_scalar_bytes gen_scalar_bytes gen_point_enc)
+      (fun (s, k, e) ->
+        let p = lib_point e in
+        let via_table = Point.prepared_mul ~base:s k (Point.prepare p) in
+        Point.equal via_table (Point.multi_scalar_mul ~base:s [ (k, p) ])
+        && Point.compress via_table
+           = Ref.Point.compress
+               (Ref.Point.add
+                  (Ref.Point.base_mul (Bn.of_bytes_le s))
+                  (Ref.Point.scalar_mul (Bn.of_bytes_le k) (ref_point e))));
     Test.make ~name:"multi_scalar_mul = reference" ~count:8
       (list_of_size Gen.(0 -- 4) (pair gen_scalar_bytes gen_point_enc))
       (fun terms ->
@@ -113,9 +124,34 @@ let scalar_qcheck =
         Option.map bn_of_sc (Scalar.of_bytes_checked s) = Ref.Scalar.of_bytes_checked s);
   ]
 
+(* [base_mul] splits its scalar at bit 128: the scalars at the ends of
+   both halves, and random 256-bit ones. *)
+let test_base_mul_edges () =
+  let two_256_m1 = Bn.sub (Bn.shift_left Bn.one 256) Bn.one in
+  let rng = Dsig_util.Rng.create 31L in
+  let edges =
+    [
+      ("0", Bn.zero); ("1", Bn.one); ("L-1", Bn.sub Ref.Scalar.l Bn.one);
+      ("2^128-1", Bn.sub (Bn.shift_left Bn.one 128) Bn.one); ("2^128", Bn.shift_left Bn.one 128);
+      ("2^256-1", two_256_m1);
+    ]
+    @ List.init 8 (fun i -> (Printf.sprintf "random %d" i, Bn.of_bytes_le (Dsig_util.Rng.bytes rng 32)))
+  in
+  List.iter
+    (fun (name, k) ->
+      Alcotest.(check string) name
+        (BU.to_hex (Ref.Point.compress (Ref.Point.base_mul k)))
+        (BU.to_hex (Point.compress (Point.base_mul (sc k)))))
+    edges
+
 (* --- signing and verification --- *)
 
 let flip i s = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
+
+(* Verification under a key prepared once; a key that does not decode
+   has no prepared form and rejects everything. *)
+let verify_prepared pk msg s =
+  match Eddsa.verifying_key pk with Some vk -> Eddsa.verify_with vk msg s | None -> false
 
 let eddsa_qcheck =
   let open QCheck in
@@ -139,6 +175,27 @@ let eddsa_qcheck =
           | _ -> (pk, msg ^ "!", s)
         in
         Eddsa.verify pk msg s = Ref.Eddsa.verify pk msg s);
+    Test.make ~name:"verify_with = verify = reference (honest and tampered)" ~count:40
+      (triple (string_of_size (Gen.return 32)) (string_of_size Gen.(0 -- 40)) (int_bound 999))
+      (fun (seed, msg, where) ->
+        let sk = Eddsa.secret_of_seed seed in
+        let pk = Eddsa.public_key sk in
+        let s = Eddsa.sign sk msg in
+        (* S + L < 2^254: the same point equation, but S >= L *)
+        let s_plus_l =
+          String.sub s 0 32 ^ Bn.to_bytes_le ~length:32 (Bn.add (Bn.of_bytes_le (String.sub s 32 32)) Ref.Scalar.l)
+        in
+        let pk, msg, s =
+          match where mod 6 with
+          | 0 -> (pk, msg, s)
+          | 1 -> (pk, msg, flip (where mod 32) s)
+          | 2 -> (pk, msg, flip (32 + (where mod 32)) s)
+          | 3 -> (flip (where mod 32) pk, msg, s)
+          | 4 -> (pk, msg ^ "!", s)
+          | _ -> (pk, msg, s_plus_l)
+        in
+        let v = Eddsa.verify pk msg s in
+        v = verify_prepared pk msg s && v = Ref.Eddsa.verify pk msg s);
   ]
 
 (* --- edge-case corpus --- *)
@@ -263,12 +320,40 @@ let test_corpus_verdicts () =
       let s_lib = bits (single Eddsa.verify) cases and s_ref = bits (single Ref.Eddsa.verify) cases in
       let b_lib = bits (batch Eddsa.verify_batch) cases and b_ref = bits (batch Ref.Eddsa.verify_batch) cases in
       Alcotest.(check int) (name ^ ": verify mismatches") 0 (mismatches s_lib s_ref);
+      (* the pinned digest covers the prepared path too: it is computed
+         over the one-shot verdicts, which these must equal *)
+      Alcotest.(check string) (name ^ ": verify_with = verify") s_lib (bits (single verify_prepared) cases);
       Alcotest.(check int) (name ^ ": verify_batch mismatches") 0 (mismatches b_lib b_ref);
       Alcotest.(check string) (name ^ ": pinned verdicts") (List.assoc name pinned)
         (Printf.sprintf "%d cases, %d single / %d batch accepts, %d split, verdicts %s" (List.length cases)
            (accepted s_lib) (accepted b_lib) (mismatches s_lib b_lib)
            (String.sub (BU.to_hex (Dsig_hashes.Sha256.digest (s_lib ^ b_lib))) 0 16)))
     categories
+
+(* k hashes the key's bytes as given. The point y = 0 (order 4) also
+   encodes as y = p; with R the identity and S = 0 a signature is
+   accepted exactly when 4 divides k, so a message on which the two
+   encodings disagree pins which bytes the prepared key hashes. *)
+let test_noncanonical_key () =
+  let canonical = String.make 32 '\x00' and noncanonical = Bn.to_bytes_le ~length:32 Ref.Fe25519.p in
+  let identity = BU.of_hex "0100000000000000000000000000000000000000000000000000000000000000" in
+  let signature = identity ^ s_bytes 0 in
+  let vk = Option.get (Eddsa.verifying_key noncanonical) in
+  Alcotest.(check string) "original bytes kept" (BU.to_hex noncanonical)
+    (BU.to_hex (Eddsa.verifying_key_bytes vk));
+  let msg =
+    List.find
+      (fun m -> Eddsa.verify noncanonical m signature && not (Eddsa.verify canonical m signature))
+      (List.init 64 (Printf.sprintf "non-canonical key %d"))
+  in
+  Alcotest.(check bool) "reference agrees" true
+    (Ref.Eddsa.verify noncanonical msg signature && not (Ref.Eddsa.verify canonical msg signature));
+  Alcotest.(check bool) "verify_with accepts under y = p" true (Eddsa.verify_with vk msg signature);
+  Alcotest.(check bool) "verify_with rejects under y = 0" false (verify_prepared canonical msg signature);
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) m (Eddsa.verify noncanonical m signature) (Eddsa.verify_with vk m signature))
+    (List.init 16 (Printf.sprintf "non-canonical key %d"))
 
 (* Mixed batches drawn from the whole corpus, seeded identically on both
    sides. *)
@@ -285,7 +370,9 @@ let batch_qcheck =
 
 let suites =
   [
-    ("ed25519.diff.point", List.map (QCheck_alcotest.to_alcotest ~long:false) point_qcheck);
+    ( "ed25519.diff.point",
+      Alcotest.test_case "base_mul = reference at the split's edges" `Quick test_base_mul_edges
+      :: List.map (QCheck_alcotest.to_alcotest ~long:false) point_qcheck );
     ("ed25519.diff.scalar", List.map (QCheck_alcotest.to_alcotest ~long:false) scalar_qcheck);
     ("ed25519.diff.eddsa", List.map (QCheck_alcotest.to_alcotest ~long:false) eddsa_qcheck);
     ( "ed25519.corpus",
@@ -293,6 +380,7 @@ let suites =
         Alcotest.test_case "corpus shape" `Quick test_corpus_shape;
         Alcotest.test_case "decompress = reference" `Quick test_corpus_decompress;
         Alcotest.test_case "verdicts = reference, pinned" `Quick test_corpus_verdicts;
+        Alcotest.test_case "prepared key hashes its original bytes" `Quick test_noncanonical_key;
       ]
       @ List.map (QCheck_alcotest.to_alcotest ~long:false) batch_qcheck );
   ]

@@ -141,7 +141,6 @@ let test_hash_registry () =
 (* --- scalar edges --- *)
 
 let test_scalar_edges () =
-  let module Bn = Dsig_bigint.Bn in
   let module Scalar = Dsig_ed25519.Scalar in
   let l = Bn.of_bytes_le Scalar.l in
   let enc v = Bn.to_bytes_le ~length:32 v in

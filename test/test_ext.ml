@@ -330,7 +330,6 @@ let test_blake3_boundaries () =
 
 let test_fe_edges () =
   let open Dsig_ed25519 in
-  let module Bn = Dsig_bigint.Bn in
   let p = Bn.sub (Bn.shift_left Bn.one 255) (Bn.of_int 19) in
   (* values straddling the modulus, non-canonical encodings included,
      encode canonically *)

@@ -38,7 +38,7 @@ let with_dir f =
 let tel () = Tel.create ()
 let authority = lazy (Eddsa.generate (Rng.create 913L))
 let authority_sk () = fst (Lazy.force authority)
-let authority_pk () = snd (Lazy.force authority)
+let authority_vk () = Option.get (Eddsa.verifying_key (snd (Lazy.force authority)))
 
 let sample_record =
   {
@@ -57,12 +57,12 @@ let test_revocation_roundtrip () =
   (match Revocation.decode encoded with
   | Error e -> Alcotest.failf "decode: %s" e
   | Ok r -> Alcotest.(check bool) "decode roundtrips" true (r = sample_record));
-  (match Revocation.verify ~authority_pk:(authority_pk ()) encoded with
+  (match Revocation.verify ~authority:(authority_vk ()) encoded with
   | Error e -> Alcotest.failf "verify: %s" e
   | Ok r -> Alcotest.(check bool) "verify roundtrips" true (r = sample_record));
   let total = { sample_record with Revocation.rev_boundary = Revocation.Total } in
   let encoded_total = Revocation.issue ~authority_sk:(authority_sk ()) total in
-  match Revocation.verify ~authority_pk:(authority_pk ()) encoded_total with
+  match Revocation.verify ~authority:(authority_vk ()) encoded_total with
   | Ok r -> Alcotest.(check bool) "total roundtrips" true (r = total)
   | Error e -> Alcotest.failf "total: %s" e
 
@@ -73,13 +73,13 @@ let test_revocation_tamper () =
   for pos = 8 to String.length encoded - 1 do
     let b = Bytes.of_string encoded in
     Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x20));
-    match Revocation.verify ~authority_pk:(authority_pk ()) (Bytes.to_string b) with
+    match Revocation.verify ~authority:(authority_vk ()) (Bytes.to_string b) with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "flip at %d verified" pos
   done;
   (* the wrong authority key never verifies *)
   let _, other_pk = Eddsa.generate (Rng.create 914L) in
-  (match Revocation.verify ~authority_pk:other_pk encoded with
+  (match Revocation.verify ~authority:(Option.get (Eddsa.verifying_key other_pk)) encoded with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong authority key verified");
   (* truncations are total errors *)
@@ -107,7 +107,7 @@ let test_enforce_semantics () =
   Pki.bind pki ~id:0 ~epoch:0 pk;
   let purges = ref [] in
   let enforce encoded =
-    Revocation.enforce ~pki ~authority_pk:(authority_pk ())
+    Revocation.enforce ~pki ~authority:(authority_vk ())
       ~purge:(fun ~signer ~from_batch -> purges := (signer, from_batch) :: !purges)
       encoded
   in

@@ -272,6 +272,37 @@ let test_hash_domains () =
   let bad = List.fold_left (fun acc h -> acc + Domain.join h) 0 hashers in
   Alcotest.(check int) "digests equal the single-domain reference" 0 bad
 
+(* Two domains share one PKI binding: each looks the prepared key up
+   with [Pki.allowed] and checks genuine and forged signatures under it
+   with [Eddsa.verify_with]. The key is built at bind, so there is
+   nothing for the domains to race to build. *)
+let test_pki_two_domains () =
+  let rng = Rng.create 77L in
+  let sk, pk = Eddsa.generate rng in
+  let pki = Pki.create () in
+  Pki.bind pki ~id:0 ~epoch:0 pk;
+  let msgs = Array.init 8 (Printf.sprintf "two domains %d") in
+  let sigs = Array.map (Eddsa.sign sk) msgs in
+  let worker d () =
+    let wrong = ref 0 in
+    for i = 0 to 23 do
+      let j = (i + d) mod Array.length msgs in
+      let forged = i mod 3 = 0 in
+      let msg = if forged then msgs.(j) ^ "!" else msgs.(j) in
+      let ok =
+        match Pki.allowed pki ~id:0 ~batch:0L with
+        | Some vk -> Eddsa.verify_with vk msg sigs.(j)
+        | None -> false
+      in
+      if ok = forged then incr wrong
+    done;
+    !wrong
+  in
+  let doms = List.init 2 (fun d -> Domain.spawn (worker d)) in
+  List.iteri
+    (fun d dom -> Alcotest.(check int) (Printf.sprintf "domain %d wrong verdicts" d) 0 (Domain.join dom))
+    doms
+
 (* pooled verify_many against a mixed valid/corrupted workload *)
 let test_verify_many_mixed () =
   let pool = Domain_pool.create ~domains:stress_domains () in
@@ -390,6 +421,7 @@ let () =
           Alcotest.test_case "multi-domain verify hammer" `Slow test_stress;
           Alcotest.test_case "hash digests across domains" `Quick test_hash_domains;
           Alcotest.test_case "verify_many mixed verdicts" `Quick test_verify_many_mixed;
+          Alcotest.test_case "pki prepared key across two domains" `Quick test_pki_two_domains;
         ] );
       ( "control-interleave",
         [ QCheck_alcotest.to_alcotest ~long:false interleave_fuzz ] );
