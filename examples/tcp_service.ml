@@ -35,7 +35,7 @@ let () =
 
   (* time-series plane: a wall-clock sampler over the shared registry,
      ticked by the signer's re-announce pump below (sample_hook rides
-     Runtime.step), plus an e2e-latency SLO alert over the sampled p99 *)
+     Control_plane.step), plus an e2e-latency SLO alert over the sampled p99 *)
   let sampler = Ts.Sampler.create ~interval_us:2_000.0 tel.Tel.registry in
   let alerts =
     Ts.Alert.create ~telemetry:tel sampler

@@ -60,6 +60,10 @@ type transparency = {
   mutable broadcast : string -> unit;  (* wired once the net exists *)
 }
 
+(* announcement counts, published as probes; a record of their own so
+   the signers' send callbacks can count before [t] exists *)
+type counts = { mutable sent : int; mutable delivered : int }
+
 type t = {
   cfg : Dsig.Config.t;
   parties : party array;
@@ -75,8 +79,7 @@ type t = {
   admissions : Admission.t array option;
   c_rev_issued : Metric.Counter.t;
   enforce_revocation : int -> string -> unit;
-  mutable sent : int;
-  mutable delivered : int;
+  counts : counts;
 }
 
 let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
@@ -205,15 +208,14 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
   in
   let net : payload Net.t = Net.create sim ~nodes:n ~latency_us () in
   let ann_bytes = Dsig.Batch.announcement_wire_bytes cfg in
-  let c_sent = Tel.counter telemetry "dsig_deploy_announcements_sent_total" in
-  let c_delivered = Tel.counter telemetry "dsig_deploy_announcements_delivered_total" in
+  let counts = { sent = 0; delivered = 0 } in
+  Tel.probe telemetry "dsig_deploy_announcements_sent_total" (fun () -> counts.sent);
+  Tel.probe telemetry "dsig_deploy_announcements_delivered_total" (fun () -> counts.delivered);
   let c_dropped = Tel.counter telemetry "dsig_deploy_announcements_rejected_total" in
   let c_control = Tel.counter telemetry "dsig_deploy_control_frames_total" in
   let h_net = Tel.histogram telemetry "dsig_deploy_announce_net_us" in
-  let t_ref = ref None in
   let send_of id ~dest ann =
-    (match !t_ref with Some t -> t.sent <- t.sent + 1 | None -> ());
-    Metric.Counter.incr c_sent;
+    counts.sent <- counts.sent + 1;
     Net.send_async net ~src:id ~dst:dest ~bytes:ann_bytes (P_announce (Sim.now sim, ann))
   in
   (* verifier→signer reliability traffic (ACKs and pull-repair requests)
@@ -285,11 +287,9 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
       admissions;
       c_rev_issued;
       enforce_revocation;
-      sent = 0;
-      delivered = 0;
+      counts;
     }
   in
-  t_ref := Some t;
   (* node-local probes: the registry's dsig_* series are shared across
      the whole deployment, so the per-node fast/slow split comes from
      probing each party's own stats records on the same tick *)
@@ -299,7 +299,7 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
       Array.iteri
         (fun id (sampler, _) ->
           let v = parties.(id).verifier and s = parties.(id).signer in
-          let vstats = Dsig.Verifier.stats v and sstats = Dsig.Signer.stats s in
+          let vstats = Dsig.Verifier.stats v in
           let counter name read = Ts.Sampler.probe sampler ~name ~kind:Ts.Series.Counter read in
           counter "node_verifier_fast_total" (fun () -> float_of_int vstats.Dsig.Verifier.fast);
           counter "node_verifier_slow_total" (fun () -> float_of_int vstats.Dsig.Verifier.slow);
@@ -308,7 +308,7 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
           counter "node_verifier_rejected_total" (fun () ->
               float_of_int vstats.Dsig.Verifier.rejected);
           counter "node_signer_reannounces_total" (fun () ->
-              float_of_int sstats.Dsig.Signer.reannounces);
+              float_of_int (Dsig.Signer.stats s).Dsig.Signer.reannounces);
           Ts.Sampler.probe sampler ~name:"node_signer_unacked" ~kind:Ts.Series.Gauge
             (fun () -> float_of_int (Dsig.Signer.unacked_announcements s));
           match admissions with
@@ -412,10 +412,7 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
                    [~clock:(fun () -> Sim.now sim)] *)
                 Metric.Histogram.add h_net (Sim.now sim -. sent_at);
                 let ok = Dsig.Verifier.deliver ~sent_us:sent_at p.verifier ann in
-                if ok then begin
-                  t.delivered <- t.delivered + 1;
-                  Metric.Counter.incr c_delivered
-                end
+                if ok then counts.delivered <- counts.delivered + 1
                 else Metric.Counter.incr c_dropped
           done))
     parties;
@@ -480,8 +477,8 @@ let gossip_checkpoint t encoded =
 
 let sign t ~signer:i ?hint msg = Dsig.Signer.sign t.parties.(i).signer ?hint msg
 let verify t ~verifier:i ~msg signature = Dsig.Verifier.verify t.parties.(i).verifier ~msg signature
-let announcements_sent t = t.sent
-let announcements_delivered t = t.delivered
+let announcements_sent t = t.counts.sent
+let announcements_delivered t = t.counts.delivered
 
 let close t =
   (* seal every node's key-state journal, so a later deployment over the

@@ -96,9 +96,11 @@ val create :
     plus serialization of their modeled size.
 
     [options] (default {!Dsig.Options.default}) configures every
-    party's signer and verifier — retention, pull-repair pacing, and
-    the shared telemetry bundle, which additionally receives
-    [dsig_deploy_announcements_{sent,delivered,rejected}_total] and
+    party's signer and verifier, including the shared telemetry bundle,
+    which additionally receives
+    [dsig_deploy_announcements_{sent,delivered}_total] (probes of
+    {!announcements_sent} / {!announcements_delivered}),
+    [dsig_deploy_announcements_rejected_total] and
     [dsig_deploy_control_frames_total] counters and the
     [dsig_deploy_announce_net_us] histogram of virtual time
     announcements spend on the modeled wire. Pass a bundle created with

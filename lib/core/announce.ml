@@ -1,5 +1,8 @@
 module Rtt = Dsig_util.Rtt
 module Pacer = Dsig_util.Pacer
+module Tel = Dsig_telemetry.Telemetry
+module Metric = Dsig_telemetry.Metric
+module Tracer = Dsig_telemetry.Tracer
 
 (* Scheduler constants: the RFC-6298 estimator defaults, and one token
    bucket per signer refilling at 2000 re-announcements/s with a burst
@@ -35,6 +38,18 @@ type dest_state = {
   mutable pressure_until_us : float;
 }
 
+(* Event counts, kept apart from the tracker so that a registry probe
+   can hold them without holding the tracker. *)
+type counts = {
+  mutable acked : int;
+  mutable gave_up : int;
+  mutable redundant : int;
+  mutable samples : int;
+  mutable dropped : int;
+  mutable resent : int; (* pairs returned by [due] *)
+  mutable served : int; (* pull requests answered by [Plane.deliver_request] *)
+}
+
 type t = {
   bucket : Pacer.t;
   retain : int;
@@ -42,11 +57,7 @@ type t = {
   entries : (int64, entry) Hashtbl.t;
   order : int64 Queue.t; (* FIFO retention *)
   dests : (int, dest_state) Hashtbl.t;
-  mutable acked : int;
-  mutable gave_up : int;
-  mutable redundant : int;
-  mutable samples : int;
-  mutable dropped : int;
+  counts : counts;
 }
 
 let create ?(retain = 64) ~clock () =
@@ -58,11 +69,8 @@ let create ?(retain = 64) ~clock () =
     entries = Hashtbl.create 16;
     order = Queue.create ();
     dests = Hashtbl.create 8;
-    acked = 0;
-    gave_up = 0;
-    redundant = 0;
-    samples = 0;
-    dropped = 0;
+    counts =
+      { acked = 0; gave_up = 0; redundant = 0; samples = 0; dropped = 0; resent = 0; served = 0 };
   }
 
 let dest_state t dest =
@@ -120,7 +128,7 @@ let track t (ann : Batch.announcement) ~dests =
   while Queue.length t.order > t.retain do
     let victim = Queue.pop t.order in
     (match Hashtbl.find_opt t.entries victim with
-    | Some e -> t.gave_up <- t.gave_up + Hashtbl.length e.waiting
+    | Some e -> t.counts.gave_up <- t.counts.gave_up + Hashtbl.length e.waiting
     | None -> ());
     Hashtbl.remove t.entries victim
   done
@@ -148,14 +156,14 @@ let ack t ~verifier ~batch_id =
       | Some w ->
           let now = t.clock () in
           Hashtbl.remove e.waiting verifier;
-          t.acked <- t.acked + 1;
+          t.counts.acked <- t.counts.acked + 1;
           let ds = dest_state t verifier in
           let redundant =
             w.resent
             && ds.min_rtt_us < infinity
             && now -. w.last_send_us < redundancy_floor *. ds.min_rtt_us
           in
-          if redundant then t.redundant <- t.redundant + 1;
+          if redundant then t.counts.redundant <- t.counts.redundant + 1;
           (* the first-transmission round trip bounds the link RTT from
              above; exact when the original copy was the one ACKed *)
           ds.min_rtt_us <- Float.min ds.min_rtt_us (now -. w.first_send_us);
@@ -166,7 +174,7 @@ let ack t ~verifier ~batch_id =
             else begin
               let rtt_us = now -. w.last_send_us in
               ds.est <- Rtt.sample rtt ds.est ~rtt_us;
-              t.samples <- t.samples + 1;
+              t.counts.samples <- t.counts.samples + 1;
               Some rtt_us
             end
           in
@@ -191,7 +199,7 @@ let drop t ~batch_id =
   | Some e ->
       let n = Hashtbl.length e.waiting in
       Hashtbl.reset e.waiting;
-      t.dropped <- t.dropped + n;
+      t.counts.dropped <- t.counts.dropped + n;
       n
 
 let drop_before t ~batch_id =
@@ -253,6 +261,7 @@ let due ?now t =
               w.last_send_us <- now;
               w.next_due_us <- now +. (pressure_factor ds ~now *. Rtt.rto_us rtt ds.est);
               out := (dest, e.ann) :: !out;
+              t.counts.resent <- t.counts.resent + 1;
               progress := true
             end
             else exhausted := true
@@ -269,14 +278,146 @@ let pending_for t ~batch_id =
   | Some e -> Some (Hashtbl.length e.waiting)
 
 let batches t = Hashtbl.length t.entries
-let acked t = t.acked
-let gave_up t = t.gave_up
-let redundant (t : t) = t.redundant
-let samples t = t.samples
-let dropped t = t.dropped
+let acked t = t.counts.acked
+let gave_up t = t.counts.gave_up
+let redundant t = t.counts.redundant
+let samples t = t.counts.samples
+let dropped t = t.counts.dropped
 
 let srtt_us t ~dest =
   Option.bind (Hashtbl.find_opt t.dests dest) (fun ds -> Rtt.srtt_us ds.est)
 
 let rto_us t ~dest =
   Option.map (fun ds -> Rtt.rto_us rtt ds.est) (Hashtbl.find_opt t.dests dest)
+
+module Plane = struct
+  type tracker = t
+
+  type nonrec t = {
+    id : int;
+    mu : Mutex.t; (* guards [tracker] and [dest_gauges]; never held across a send *)
+    tracker : tracker;
+    tel : Tel.t;
+    sample_hook : (now_us:float -> unit) option;
+    g_unacked : Metric.Gauge.t;
+    g_rtt : Metric.Gauge.t;
+    g_rto : Metric.Gauge.t;
+    g_pressure : Metric.Gauge.t;
+    (* exporters have no label dimension, so per-destination series are
+       name-suffixed (dsig_rtt_us_dest_<id>) and resolved lazily *)
+    dest_gauges : (int, Metric.Gauge.t * Metric.Gauge.t) Hashtbl.t;
+  }
+
+  let create tel ~prefix ~id ?sample_hook () =
+    let tracker = create ~clock:(fun () -> Tel.now tel) () in
+    let c = tracker.counts in
+    List.iter
+      (fun (name, read) -> Tel.probe tel name read)
+      [
+        (prefix ^ "_acks_total", fun () -> c.acked);
+        (prefix ^ "_announce_giveups_total", fun () -> c.gave_up);
+        (prefix ^ "_reannounces_total", fun () -> c.resent);
+        (prefix ^ "_batch_requests_total", fun () -> c.served);
+        ("dsig_reannounce_redundant_total", fun () -> c.redundant);
+      ];
+    {
+      id;
+      mu = Mutex.create ();
+      tracker;
+      tel;
+      sample_hook;
+      g_unacked = Tel.gauge tel (prefix ^ "_unacked_announcements");
+      g_rtt = Tel.gauge tel "dsig_rtt_us";
+      g_rto = Tel.gauge tel "dsig_rto_us";
+      g_pressure = Tel.gauge tel (prefix ^ "_peer_pressure");
+      dest_gauges = Hashtbl.create 8;
+    }
+
+  let locked p f = Mutex.protect p.mu (fun () -> f p.tracker)
+
+  (* The helpers below run under [mu]. *)
+
+  let dest_gauges p dest =
+    match Hashtbl.find_opt p.dest_gauges dest with
+    | Some g -> g
+    | None ->
+        let gauge what = Tel.gauge p.tel (Printf.sprintf "dsig_%s_us_dest_%d" what dest) in
+        let g = (gauge "rtt", gauge "rto") in
+        Hashtbl.add p.dest_gauges dest g;
+        g
+
+  let sync_unacked p = Metric.Gauge.set p.g_unacked (float_of_int (pending p.tracker))
+
+  let observe_rto p ~dest rto =
+    Metric.Gauge.set p.g_rto rto;
+    Metric.Gauge.set (snd (dest_gauges p dest)) rto
+
+  let track p ann ~dests =
+    locked p (fun tr ->
+        track tr ann ~dests;
+        sync_unacked p)
+
+  let deliver_ack p (a : Batch.ack) =
+    if a.Batch.ack_signer = p.id then
+      locked p (fun tr ->
+          let dest = a.Batch.ack_verifier in
+          let o = ack tr ~verifier:dest ~batch_id:a.Batch.ack_batch in
+          if o.settled then begin
+            sync_unacked p;
+            Option.iter
+              (fun rtt ->
+                Metric.Gauge.set p.g_rtt rtt;
+                Metric.Gauge.set (fst (dest_gauges p dest)) rtt)
+              o.rtt_sample_us;
+            Option.iter (observe_rto p ~dest) o.rto_us
+          end)
+
+  let note_pressure p ~verifier ~pressure =
+    locked p (fun tr -> note_pressure tr ~dest:verifier ~pressure);
+    Metric.Gauge.set p.g_pressure (float_of_int pressure)
+
+  let deliver_request p (r : Batch.request) =
+    if r.Batch.req_signer <> p.id then None
+    else
+      locked p (fun tr ->
+          match lookup tr ~batch_id:r.Batch.req_batch with
+          | None ->
+              Log.L.debug (fun m ->
+                  m "signer %d: batch %Ld requested by %d but no longer retained" p.id
+                    r.Batch.req_batch r.Batch.req_verifier);
+              None
+          | Some _ as ann ->
+              tr.counts.served <- tr.counts.served + 1;
+              ann)
+
+  let step p ~now =
+    (* outside [mu], like every send: the hook may snapshot the
+       registry *)
+    Option.iter (fun hook -> hook ~now_us:now) p.sample_hook;
+    let t0 = Tel.now p.tel in
+    let due =
+      locked p (fun tr ->
+          let due = due ~now tr in
+          if due <> [] then begin
+            List.iter (fun (dest, _) -> Option.iter (observe_rto p ~dest) (rto_us tr ~dest)) due;
+            sync_unacked p
+          end;
+          due)
+    in
+    if due <> [] then begin
+      let tracer = p.tel.Tel.tracer in
+      Tracer.record_at tracer ~tag:p.id Tracer.Reannounce Tracer.Begin t0;
+      Tracer.record_at tracer ~tag:p.id Tracer.Reannounce Tracer.End (Tel.now p.tel)
+    end;
+    due
+
+  let drop_before p ~batch_id =
+    locked p (fun tr ->
+        ignore (drop_before tr ~batch_id);
+        sync_unacked p)
+
+  let pending_for p ~batch_id = locked p (fun tr -> pending_for tr ~batch_id)
+  let pending p = locked p pending
+  let reannounced p = p.tracker.counts.resent
+  let requests_served p = p.tracker.counts.served
+end

@@ -1,8 +1,9 @@
 (** Signer-side announcement tracker: which (batch, verifier) pairs
     still lack an ACK, when to re-send each one, and which batches are
-    retained for pull repair. Shared by the in-simulation {!Signer} and
-    the threaded {!Runtime} (which adds its own locking — this module is
-    not thread-safe by itself).
+    retained for pull repair. The tracker {!t} is not thread-safe; the
+    {!Plane} wrapped around it is, and is the one control plane both
+    signer flavours (the in-simulation {!Signer} and the threaded
+    {!Runtime}) use.
 
     Re-announcements are paced by ACK round trips: each destination
     gets an RFC-6298-style retransmission timeout from its own observed
@@ -17,8 +18,8 @@ type t
 val create : ?retain:int -> clock:(unit -> float) -> unit -> t
 (** [retain] (default 64) bounds how many batches are kept for
     re-announcement and request repair — older batches are evicted FIFO,
-    abandoning any still-unacknowledged destinations; {!Signer} and
-    {!Runtime} always use the default. [clock] supplies
+    abandoning any still-unacknowledged destinations; {!Plane} always
+    uses the default. [clock] supplies
     "now" in the caller's time base (wall or virtual µs).
     @raise Invalid_argument if [retain] is not positive. *)
 
@@ -125,3 +126,76 @@ val srtt_us : t -> dest:int -> float option
 val rto_us : t -> dest:int -> float option
 (** [dest]'s current retransmission timeout (including backoff);
     [None] if the destination has never been tracked. *)
+
+(** {1 The signer-side control plane}
+
+    A tracker behind its own lock, with the signer's id and telemetry.
+    Announcements are fire-and-forget at the transport level; these
+    entry points close the loop. None of them sends anything: they
+    return what to send, so any transport (simnet loops, TCP servers,
+    in-process loopback) drives either signer flavour through one code
+    path, usually via {!Control_plane}. No entry point holds the lock
+    while the caller sends, so a transport may re-enter the plane from
+    inside a send (an in-process loopback ACKs synchronously). *)
+module Plane : sig
+  type t
+
+  val create :
+    Dsig_telemetry.Telemetry.t -> prefix:string -> id:int ->
+    ?sample_hook:(now_us:float -> unit) -> unit -> t
+  (** The control plane of signer [id]. [sample_hook] runs at the start
+      of every {!step} (see {!Options.with_sample_hook}).
+
+      [prefix] names the flavour's series ([dsig_signer] or
+      [dsig_runtime]). The plane publishes its counts as probes:
+      [<prefix>_acks_total] (ACKs that newly settled a destination),
+      [<prefix>_reannounces_total] (pairs returned by {!step}),
+      [<prefix>_batch_requests_total] (pull requests answered),
+      [<prefix>_announce_giveups_total] (destinations abandoned when
+      retention evicted their batch) and
+      [dsig_reannounce_redundant_total]. It sets the gauges
+      [<prefix>_unacked_announcements], [<prefix>_peer_pressure] and
+      the pacing gauges [dsig_rtt_us] / [dsig_rto_us] (latest
+      observation, plus per-destination [.._dest_<id>] series), and
+      records a [reannounce] tracer span tagged [id] when {!step}
+      returns work. *)
+
+  val track : t -> Batch.announcement -> dests:int list -> unit
+  (** {!Announce.track}: call it before sending the announcement, so
+      that a synchronous ACK finds the batch registered. *)
+
+  val deliver_ack : t -> Batch.ack -> unit
+  (** Record a verifier's acknowledgement of a batch announcement. ACKs
+      for other signers, unknown batches, or already-acknowledged
+      destinations are ignored (idempotent). Feeds the destination's RTT
+      estimator and the pacing gauges. *)
+
+  val deliver_request : t -> Batch.request -> Batch.announcement option
+  (** The retained announcement to re-send to the requesting verifier
+      (pull repair), or [None] if the batch is no longer retained or the
+      request names another signer. The caller sends the reply. *)
+
+  val note_pressure : t -> verifier:int -> pressure:int -> unit
+  (** Record the back-pressure byte [verifier] piggybacked on a
+      [Batch.Credit] frame (loadctl plane, DESIGN.md §15): that
+      destination's re-announce interval stretches (up to 4x at 255)
+      until the level decays or a lower one arrives. *)
+
+  val step : t -> now:float -> (int * Batch.announcement) list
+  (** Re-announcements due at [now] (in the telemetry clock's time
+      base), as [(destination, announcement)] pairs the caller must
+      send. Advances each destination's RTO timer; the list is bounded
+      by the token bucket. *)
+
+  val drop_before : t -> batch_id:int64 -> unit
+  (** {!Announce.drop_before} (rotation cutover). *)
+
+  val pending_for : t -> batch_id:int64 -> int option
+  val pending : t -> int
+
+  val reannounced : t -> int
+  (** Pairs {!step} has returned, ever. *)
+
+  val requests_served : t -> int
+  (** Pull requests {!deliver_request} answered, ever. *)
+end

@@ -1,25 +1,11 @@
-module type S = sig
-  type t
+type t = Announce.Plane.t
 
-  val deliver_ack : t -> Batch.ack -> unit
-  val deliver_request : t -> Batch.request -> Batch.announcement option
-  val note_pressure : t -> verifier:int -> pressure:int -> unit
-  val step : t -> now:float -> (int * Batch.announcement) list
-end
-
-(* both signer flavors satisfy the signature — checked here so a drift
-   in either module is a compile error in this file, not in a caller *)
-module Signer_cp : S with type t = Signer.t = Signer
-module Runtime_cp : S with type t = Runtime.t = Runtime
-
-type t = Handle : (module S with type t = 'a) * 'a -> t
-
-let of_signer s = Handle ((module Signer_cp), s)
-let of_runtime r = Handle ((module Runtime_cp), r)
-let deliver_ack (Handle ((module M), x)) a = M.deliver_ack x a
-let deliver_request (Handle ((module M), x)) r = M.deliver_request x r
-let note_pressure (Handle ((module M), x)) ~verifier ~pressure = M.note_pressure x ~verifier ~pressure
-let step (Handle ((module M), x)) ~now = M.step x ~now
+let of_signer = Signer.control_plane
+let of_runtime = Runtime.control_plane
+let deliver_ack = Announce.Plane.deliver_ack
+let deliver_request = Announce.Plane.deliver_request
+let note_pressure = Announce.Plane.note_pressure
+let step = Announce.Plane.step
 
 let deliver t control =
   match control with

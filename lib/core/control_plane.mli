@@ -1,48 +1,21 @@
-(** The signer-side announcement control plane, as one first-class
-    surface.
+(** The signer-side announcement control plane, under the names
+    transports use. Both signer flavours — the in-simulation {!Signer}
+    and the threaded {!Runtime} — own one {!Announce.Plane}; these are
+    plain aliases of it, plus the frame dispatcher {!deliver}. None of
+    them sends anything: they return what to send, so any transport
+    (simnet loops, TCP servers, in-process loopback) drives either
+    flavour through one code path. *)
 
-    Both signer flavors — the in-simulation {!Signer} and the threaded
-    {!Runtime} — expose the same three entry points: feed an inbound ACK
-    ({!deliver_ack}), answer a pull-repair request ({!deliver_request}),
-    and poll for due re-announcements ({!step}). None of them sends
-    anything; they return what to send, so any transport (simnet loops,
-    TCP servers, in-process loopback) can drive either implementation
-    through one code path. *)
-
-(** What it takes to be a signer-side control plane. {!Signer} and
-    {!Runtime} both satisfy this signature. *)
-module type S = sig
-  type t
-
-  val deliver_ack : t -> Batch.ack -> unit
-  (** Record a verifier's acknowledgement; idempotent. *)
-
-  val deliver_request : t -> Batch.request -> Batch.announcement option
-  (** The retained announcement to re-send to the requesting verifier,
-      or [None] when not retained / not this signer. *)
-
-  val note_pressure : t -> verifier:int -> pressure:int -> unit
-  (** Record the back-pressure byte a verifier piggybacked on a
-      [Batch.Credit] frame (loadctl plane, DESIGN.md §15). *)
-
-  val step : t -> now:float -> (int * Batch.announcement) list
-  (** Re-announcements due at [now] (telemetry time base), as
-      [(destination, announcement)] pairs the caller must send. *)
-end
-
-type t
-(** A control plane with its implementation hidden — pass signers and
-    runtimes through the same plumbing. *)
+type t = Announce.Plane.t
 
 val of_signer : Signer.t -> t
 val of_runtime : Runtime.t -> t
-
-(** {1 Forwarders} *)
 
 val deliver_ack : t -> Batch.ack -> unit
 val deliver_request : t -> Batch.request -> Batch.announcement option
 val note_pressure : t -> verifier:int -> pressure:int -> unit
 val step : t -> now:float -> (int * Batch.announcement) list
+(** See {!Announce.Plane}. *)
 
 val deliver : t -> Batch.control -> (int * Batch.announcement) list
 (** Dispatch a decoded control frame: ACKs (single or batched) are

@@ -97,7 +97,7 @@ val with_parallel : Dsig_util.Domain_pool.t -> t -> t
 
 val with_sample_hook : (now_us:float -> unit) -> t -> t
 (** Piggyback an observability tick on the component's control-plane
-    pump: every [Signer.step] / [Runtime.step] call invokes the hook
+    pump: every {!Control_plane.step} call invokes the hook
     first with its [~now]. Deployments use this to drive a
     [Dsig_timeseries.Sampler] (and its alerter) off whatever clock
     already paces re-announcements — simnet virtual time under

@@ -26,9 +26,9 @@ val create :
 (** Spawns the background domain. Call {!shutdown} when done.
 
     [options] (default {!Options.default}) supplies the telemetry
-    bundle and the retention bound for announcement ACK tracking, which
-    paces re-announcements by per-destination ACK round trips — see
-    {!track_announcement} and DESIGN.md §9.
+    bundle, the optional key-state store and transparency-log sink, the
+    keygen pool and the sample hook; the runtime shares the signing
+    core with {!Signer} ({!Signer_core}), so each means the same here.
 
     When [options] carries a store ({!Options.with_store}), the runtime
     opens a durable {!Dsig_store.Keystate} journal: the background
@@ -37,21 +37,18 @@ val create :
     signature, and the batch counter resumes past anything a previous
     incarnation might have used (DESIGN.md §10). {!shutdown} closes the
     journal cleanly. Raises [Failure] if the store cannot be opened or
-    belongs to a different {!Config.fingerprint}.
+    belongs to a different {!Config.fingerprint}. With
+    {!Options.with_translog}, every signature reaches the sink before
+    {!sign} returns it.
 
     The telemetry bundle receives the foreground plane's
     [dsig_runtime_signatures_total] / [dsig_runtime_sign_waits_total]
-    counters, the reliability counters [dsig_runtime_reannounces_total]
-    (pairs returned by {!step}) and [dsig_runtime_acks_total] (ACKs that
-    newly settled a destination), the pacing series [dsig_rtt_us] /
-    [dsig_rto_us] gauges (latest observation, plus per-destination
-    [.._dest_<id>] series) and the [dsig_reannounce_redundant_total]
-    counter, [dsig_runtime_sign_us] histogram and
-    [dsig_runtime_queue_depth] gauge, and the background domain's
-    [dsig_runtime_batch_gen_us] histogram, and probes
-    {!batches_generated} as [dsig_runtime_batches_total]. The planes
-    write distinct domain-safe cells ({!Dsig_telemetry.Metric}), so the
-    background domain never contends with the foreground signer. *)
+    counters, [dsig_runtime_sign_us] histogram and
+    [dsig_runtime_queue_depth] gauge, the background domain's
+    [dsig_runtime_batch_gen_us] histogram, {!batches_generated} as
+    [dsig_runtime_batches_total], and the control plane's series under
+    the [dsig_runtime] prefix ({!Announce.Plane.create}), among them
+    [dsig_runtime_acks_total] and [dsig_runtime_reannounces_total]. *)
 
 val sign : t -> string -> string
 (** Foreground-plane signing; thread-safe for a single foreground
@@ -80,37 +77,23 @@ val drain_announcements : t -> Batch.announcement list
 
 (** {1 Announcement control plane}
 
-    The runtime implements {!Control_plane.S}. It hands announcements to
-    the embedding application ({!drain_announcements}) rather than
-    sending them itself, so the reliability loop is split: after
-    distributing an announcement, the application registers the
-    destinations with {!track_announcement}; inbound {!Batch.ack} /
-    {!Batch.request} frames go to {!deliver_ack} / {!deliver_request}
-    (or {!Control_plane.deliver}); and a periodic {!step} poll yields
-    the [(destination, announcement)] pairs to re-send. All entry points
-    are thread-safe. *)
+    The runtime hands announcements to the embedding application
+    ({!drain_announcements}) rather than sending them itself, so the
+    reliability loop is split: after distributing an announcement, the
+    application registers the destinations with {!track_announcement};
+    inbound control frames go to {!Control_plane.deliver}, and a
+    periodic {!Control_plane.step} poll yields the
+    [(destination, announcement)] pairs to re-send. The plane has its
+    own lock: no control-plane call takes the key-queue lock {!sign}
+    pops under. *)
+
+val control_plane : t -> Announce.Plane.t
 
 val track_announcement : t -> Batch.announcement -> dests:int list -> unit
-
-val deliver_ack : t -> Batch.ack -> unit
-(** Record a verifier's acknowledgement; idempotent. Feeds the
-    destination's RTT estimator and the pacing telemetry. *)
-
-val deliver_request : t -> Batch.request -> Batch.announcement option
-(** The retained announcement to re-send to the requesting verifier, or
-    [None] if the batch is no longer retained or names another signer.
-    The caller sends the reply. *)
-
-val note_pressure : t -> verifier:int -> pressure:int -> unit
-(** Record the back-pressure byte [verifier] piggybacked on a
-    [Batch.Credit] frame; see {!Signer.note_pressure}. Thread-safe. *)
-
-val step : t -> now:float -> (int * Batch.announcement) list
-(** Re-announcements due at [now] (in the telemetry clock's time base);
-    consuming the list advances each destination's RTO timer. The list
-    is bounded by the token bucket. *)
+(** {!Announce.Plane.track}. *)
 
 val unacked_announcements : t -> int
+(** Outstanding (batch, destination) pairs still awaiting an ACK. *)
 
 val shutdown : t -> unit
 (** Stops and joins the background domain, then closes the key-state

@@ -31,12 +31,13 @@ val create :
     [groups] adds application-specific verifier groups (Alg. 1 line 2).
     [send] delivers background announcements (batch refills and staged
     rotations); it defaults to a no-op (useful when announcements are
-    collected via {!drain_outbox}). The {!Control_plane.S} surface
-    never sends — it returns what to send.
+    collected via {!drain_outbox}). The control plane
+    ({!Control_plane}) never sends — it returns what to send.
 
     [options] (default {!Options.default}) supplies the telemetry
-    bundle and the retention bound. Re-announcements are paced by
-    per-destination ACK round trips (see {!Announce} and DESIGN.md §9).
+    bundle, the optional key-state store, transparency-log sink, worker
+    pool and sample hook. Re-announcements are paced by per-destination
+    ACK round trips (see {!Announce} and DESIGN.md §9).
 
     When [options] carries a store ({!Options.with_store}), the signer
     opens a durable {!Dsig_store.Keystate} journal under the store
@@ -48,25 +49,25 @@ val create :
     that cannot be opened or belongs to a different configuration
     raises [Failure].
 
-    The telemetry bundle probes the {!stats} fields as
+    The telemetry bundle probes the {!stats} counts as
     [dsig_signer_signatures_total] / [dsig_signer_sync_refills_total] /
     [dsig_signer_batches_total] / [dsig_signer_reannounces_total] /
     [dsig_signer_batch_requests_total] counters, and receives the
-    announcement-reliability counters [dsig_signer_acks_total] /
+    control plane's series under the [dsig_signer] prefix
+    ({!Announce.Plane.create}: [dsig_signer_acks_total] /
     [dsig_signer_announce_giveups_total] /
-    [dsig_reannounce_redundant_total] and the
-    [dsig_signer_unacked_announcements] gauge, the pacing gauges
-    [dsig_rtt_us] / [dsig_rto_us] (latest observation, plus
-    per-destination [.._dest_<id>] series), [dsig_signer_sign_us] and
-    [dsig_signer_refill_us] latency histograms, the process-wide
-    [dsig_signer_queue_depth] gauge (prepared keys across all groups and
-    signers sharing the handle), the key-lifecycle series
-    ([dsig_rotation_staged_total] / [dsig_rotation_cutovers_total] /
-    [dsig_rotation_dropped_keys_total] counters, the
-    [dsig_rotation_cutover_us] histogram and the [dsig_rotation_epoch]
-    gauge), and — when the tracer is enabled — [sign_fast] /
-    [sign_sync_refill] / [batch_gen] / [eddsa_sign] / [reannounce]
-    spans tagged with the signer id. *)
+    [dsig_reannounce_redundant_total], the
+    [dsig_signer_unacked_announcements] and [dsig_signer_peer_pressure]
+    gauges and the pacing gauges [dsig_rtt_us] / [dsig_rto_us]),
+    [dsig_signer_sign_us] and [dsig_signer_refill_us] latency
+    histograms, the process-wide [dsig_signer_queue_depth] gauge
+    (prepared keys across all groups and signers sharing the handle),
+    the key-lifecycle series ([dsig_rotation_staged_total] /
+    [dsig_rotation_cutovers_total] / [dsig_rotation_dropped_keys_total]
+    counters, the [dsig_rotation_cutover_us] histogram and the
+    [dsig_rotation_epoch] gauge), and — when the tracer is enabled —
+    [sign_fast] / [sign_sync_refill] / [batch_gen] / [eddsa_sign] /
+    [reannounce] spans tagged with the signer id. *)
 
 val id : t -> int
 val config : t -> Config.t
@@ -164,16 +165,16 @@ val epoch : t -> int
 (** The confirmed rotation epoch (0 until the first cutover). *)
 
 type stats = {
-  mutable signatures : int;
-  mutable batches : int;
-  mutable sync_refills : int;  (** foreground had to generate keys *)
-  mutable reannounces : int;  (** unACKed announcements re-sent *)
-  mutable requests_served : int;  (** pull requests answered *)
+  signatures : int;
+  batches : int;
+  sync_refills : int;  (** foreground had to generate keys *)
+  reannounces : int;  (** unACKed announcements re-sent *)
+  requests_served : int;  (** pull requests answered *)
 }
 
 val stats : t -> stats
-(** Live: the same record on every call, fields advancing in place; the
-    registry counters listed under {!create} read it. *)
+(** The counts at the call; the registry counters listed under
+    {!create} publish the same counts live. *)
 
 val drain_outbox : t -> (int * Batch.announcement) list
 (** Announcements queued when no [send] callback was given, as
@@ -181,41 +182,14 @@ val drain_outbox : t -> (int * Batch.announcement) list
 
 (** {1 Announcement control plane}
 
-    The signer implements {!Control_plane.S}: announcements are
-    fire-and-forget at the transport level, and these three entry points
-    close the loop. Feed inbound control messages through
-    {!Control_plane.deliver} (or the typed entry points below) and drive
-    {!step} from the background plane alongside {!background_step} —
-    both return what to send rather than sending, so any transport can
-    drive a signer. *)
+    Announcements are fire-and-forget at the transport level; the
+    signer's {!Announce.Plane} closes the loop. Feed inbound control
+    frames through {!Control_plane.deliver} and drive
+    {!Control_plane.step} alongside {!background_step} — both return
+    what to send rather than sending, so any transport can drive a
+    signer. *)
 
-val deliver_ack : t -> Batch.ack -> unit
-(** Record a verifier's acknowledgement of a batch announcement. ACKs
-    for other signers, unknown batches, or already-acknowledged
-    destinations are ignored (idempotent). Feeds the destination's RTT
-    estimator and the pacing telemetry ([dsig_rtt_us] / [dsig_rto_us] /
-    [dsig_reannounce_redundant_total]). *)
-
-val deliver_request : t -> Batch.request -> Batch.announcement option
-(** The retained announcement to re-send to the requesting verifier
-    (pull repair), or [None] if the batch is no longer retained or the
-    request names another signer. The caller sends the reply. *)
-
-val note_pressure : t -> verifier:int -> pressure:int -> unit
-(** Record the back-pressure byte [verifier] piggybacked on a
-    [Batch.Credit] frame: that destination's re-announce interval
-    stretches (up to 4x at 255) until the level
-    decays or a lower one arrives (see {!Announce.note_pressure}).
-    Mirrors the latest level into the [dsig_signer_peer_pressure]
-    gauge. *)
-
-val step : t -> now:float -> (int * Batch.announcement) list
-(** Re-announcements due at [now] (in the telemetry clock's time base),
-    as [(destination, announcement)] pairs the caller must send.
-    Advances each destination's RTO timer and counts each pair in
-    [dsig_signer_reannounces_total]; the list is bounded by the token
-    bucket. Destinations abandoned when retention evicted their batch
-    are counted in [dsig_signer_announce_giveups_total]. *)
+val control_plane : t -> Announce.Plane.t
 
 val unacked_announcements : t -> int
 (** Outstanding (batch, destination) pairs still awaiting an ACK. *)

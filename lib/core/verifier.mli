@@ -47,7 +47,7 @@ val create :
     any crypto runs — a shed signature reports [false] without being
     checked (never a false accept) — and every outbound acknowledgement
     frame becomes a {!Batch.Credit} carrying the controller's pressure
-    byte, which signers feed to {!Signer.note_pressure} to pace their
+    byte, which signers feed to {!Control_plane.note_pressure} to pace their
     re-announcements down (DESIGN.md §15). The telemetry bundle probes
     the {!stats} fields as [dsig_verifier_fast_total] / [.._slow_total] /
     [.._rejected_total] / [.._eddsa_cache_hits_total] /

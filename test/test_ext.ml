@@ -202,13 +202,28 @@ let test_deploy_fast_and_slow () =
 
 let test_deploy_sent_counts () =
   let sim = Sim.create () in
-  let deploy = Dsig_deploy.Deploy.create sim small_cfg ~n:2 () in
+  let telemetry = Dsig_telemetry.Telemetry.create () in
+  let options = Options.default |> Options.with_telemetry telemetry in
+  let deploy = Dsig_deploy.Deploy.create sim small_cfg ~n:2 ~options () in
   Sim.run ~until:5_000.0 sim;
   (* every sent announcement eventually delivered (single hop, no loss) *)
   Alcotest.(check int) "sent = delivered"
     (Dsig_deploy.Deploy.announcements_sent deploy)
     (Dsig_deploy.Deploy.announcements_delivered deploy);
-  Alcotest.(check bool) "some were sent" true (Dsig_deploy.Deploy.announcements_sent deploy > 0)
+  Alcotest.(check bool) "some were sent" true (Dsig_deploy.Deploy.announcements_sent deploy > 0);
+  (* the registry publishes the same counts, not a copy of them *)
+  let snap = Dsig_telemetry.Telemetry.snapshot telemetry in
+  let counter name =
+    match Dsig_telemetry.Registry.Snapshot.find snap name with
+    | Some (Dsig_telemetry.Registry.Snapshot.Counter n) -> n
+    | _ -> Alcotest.fail (name ^ " missing")
+  in
+  Alcotest.(check int) "registry sent"
+    (Dsig_deploy.Deploy.announcements_sent deploy)
+    (counter "dsig_deploy_announcements_sent_total");
+  Alcotest.(check int) "registry delivered"
+    (Dsig_deploy.Deploy.announcements_delivered deploy)
+    (counter "dsig_deploy_announcements_delivered_total")
 
 (* --- batched announcement delivery --- *)
 

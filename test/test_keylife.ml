@@ -181,7 +181,8 @@ let test_rotation_ack_drain () =
   | _ -> Alcotest.fail "not staged");
   (* deliver the staged announcement and acknowledge it *)
   pump signer verifier;
-  Signer.deliver_ack signer { Batch.ack_verifier = 1; ack_signer = 0; ack_batch = batch_id };
+  Control_plane.deliver_ack (Control_plane.of_signer signer)
+    { Batch.ack_verifier = 1; ack_signer = 0; ack_batch = batch_id };
   (match Rotation.step rot with
   | Rotation.Cut_over e -> Alcotest.(check int) "cut over to epoch 1" 1 e
   | _ -> Alcotest.fail "acked rotation did not cut over");

@@ -244,7 +244,8 @@ let test_credit_frames_carry_pressure () =
   (* feed one back to the signer like the transport would *)
   match credits with
   | (pressure, ack :: _) :: _ ->
-      Signer.note_pressure signer ~verifier:ack.Batch.ack_verifier ~pressure
+      Control_plane.note_pressure (Control_plane.of_signer signer)
+        ~verifier:ack.Batch.ack_verifier ~pressure
   | _ -> ()
 
 let test_verifier_without_loadctl_unchanged () =

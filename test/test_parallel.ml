@@ -303,6 +303,86 @@ let test_pki_two_domains () =
     (fun d dom -> Alcotest.(check int) (Printf.sprintf "domain %d wrong verdicts" d) 0 (Domain.join dom))
     doms
 
+(* One domain signs through a Runtime while another feeds Ack, Acks,
+   Credit and Request frames through the real dispatcher and polls the
+   re-announce plane. The control plane has its own lock and no longer
+   borrows the key queue's, so this checks that lock alone keeps the
+   tracker consistent: every signature verifies, nothing raises, and
+   every tracked announcement settles. *)
+let test_runtime_control_plane () =
+  let telemetry = Tel.create () in
+  let rcfg = Config.make ~batch_size:8 ~queue_threshold:8 (Config.wots ~d:4) in
+  let rng = Rng.create 31L in
+  let sk, pk = Eddsa.generate rng in
+  let pki = Pki.create () in
+  Pki.bind pki ~id:0 ~epoch:0 pk;
+  let options = Options.default |> Options.with_telemetry telemetry in
+  let rt = Runtime.create rcfg ~id:0 ~eddsa:sk ~seed:5L ~options () in
+  let cp = Control_plane.of_runtime rt in
+  let signing = Atomic.make true in
+  let signer =
+    Domain.spawn (fun () ->
+        let sigs =
+          List.init 200 (fun i ->
+              let msg = Printf.sprintf "cp %d" i in
+              (msg, Runtime.sign rt msg))
+        in
+        Atomic.set signing false;
+        sigs)
+  in
+  (* track each announcement for verifiers 1 and 2, ask for a repair of
+     it, and ACK it in one of the three frame shapes *)
+  let settle ann =
+    Runtime.track_announcement rt ann ~dests:[ 1; 2 ];
+    let batch = ann.Batch.ann_batch_id in
+    let ack v = { Batch.ack_verifier = v; ack_signer = 0; ack_batch = batch } in
+    let repaired =
+      Control_plane.deliver cp
+        (Batch.Request { Batch.req_verifier = 1; req_signer = 0; req_batch = batch })
+    in
+    if repaired <> [ (1, ann) ] then failwith "repair did not return the announcement";
+    let frames =
+      match Int64.rem batch 3L with
+      | 0L -> [ Batch.Ack (ack 1); Batch.Ack (ack 2) ]
+      | 1L -> [ Batch.Acks [ ack 1; ack 2 ] ]
+      | _ ->
+          [
+            Batch.Credit { pressure = 17; acks = [ ack 1 ] };
+            Batch.Credit { pressure = 0; acks = [ ack 2 ] };
+          ]
+    in
+    List.iter (fun f -> ignore (Control_plane.deliver cp f)) frames;
+    ann
+  in
+  let control =
+    Domain.spawn (fun () ->
+        let anns = ref [] in
+        while Atomic.get signing do
+          anns := List.rev_append (List.map settle (Runtime.drain_announcements rt)) !anns;
+          ignore (Control_plane.step cp ~now:(Tel.now telemetry));
+          Domain.cpu_relax ()
+        done;
+        !anns)
+  in
+  let sigs = Domain.join signer in
+  let anns = Domain.join control in
+  Runtime.shutdown rt;
+  (* the final ACKs: batches the background plane sealed after the
+     control domain stopped *)
+  let anns = List.rev_append (List.map settle (Runtime.drain_announcements rt)) anns in
+  Alcotest.(check int) "every announcement settled" 0 (Runtime.unacked_announcements rt);
+  let acks =
+    match Registry.Snapshot.find (Tel.snapshot telemetry) "dsig_runtime_acks_total" with
+    | Some (Registry.Snapshot.Counter n) -> n
+    | _ -> -1
+  in
+  Alcotest.(check int) "each destination acked once" (2 * List.length anns) acks;
+  let verifier = Verifier.create rcfg ~id:1 ~pki ~options () in
+  List.iter (fun ann -> ignore (Verifier.deliver verifier ann)) anns;
+  List.iter
+    (fun (msg, wire) -> Alcotest.(check bool) msg true (Verifier.verify verifier ~msg wire))
+    sigs
+
 (* pooled verify_many against a mixed valid/corrupted workload *)
 let test_verify_many_mixed () =
   let pool = Domain_pool.create ~domains:stress_domains () in
@@ -357,22 +437,17 @@ let interleave_prop ops =
   let deliver_ann ann = Option.iter (fun v -> ignore (Verifier.deliver v ann)) !verifier_ref in
   let send ~dest:_ ann = if !withhold then Queue.add ann withheld else deliver_ann ann in
   let control c =
-    match (c, !signer_ref) with
-    | _, None -> ()
-    | Batch.Ack a, Some s -> Signer.deliver_ack s a
-    | Batch.Acks l, Some s -> List.iter (Signer.deliver_ack s) l
-    | Batch.Credit { pressure; acks }, Some s ->
-        (match acks with
-        | a :: _ -> Signer.note_pressure s ~verifier:a.Batch.ack_verifier ~pressure
-        | [] -> ());
-        List.iter (Signer.deliver_ack s) acks
-    | Batch.Request r, Some s ->
+    Option.iter
+      (fun s ->
         (* pull repair replies synchronously: re-enters the verifier *)
-        Option.iter deliver_ann (Signer.deliver_request s r)
+        Control_plane.deliver (Control_plane.of_signer s) c
+        |> List.iter (fun (_, ann) -> deliver_ann ann))
+      !signer_ref
   in
   let options = Options.default |> Options.with_telemetry telemetry in
   let signer = Signer.create icfg ~id:0 ~eddsa:sk ~rng ~send ~options ~verifiers:[ 1 ] () in
   let verifier = Verifier.create icfg ~id:1 ~pki ~control ~options () in
+  let cp = Control_plane.of_signer signer in
   signer_ref := Some signer;
   verifier_ref := Some verifier;
   let all_ok = ref true in
@@ -391,14 +466,14 @@ let interleave_prop ops =
         withhold := false;
         Queue.iter deliver_ann withheld;
         Queue.clear withheld;
-        List.iter (fun (_, ann) -> deliver_ann ann) (Signer.step signer ~now:(Tel.now telemetry))
+        List.iter (fun (_, ann) -> deliver_ann ann) (Control_plane.step cp ~now:(Tel.now telemetry))
   in
   List.iter step ops;
   (* settle: deliver everything *)
   withhold := false;
   Queue.iter deliver_ann withheld;
   Queue.clear withheld;
-  List.iter (fun (_, ann) -> deliver_ann ann) (Signer.step signer ~now:(Tel.now telemetry +. 1e9));
+  List.iter (fun (_, ann) -> deliver_ann ann) (Control_plane.step cp ~now:(Tel.now telemetry +. 1e9));
   !all_ok && Signer.unacked_announcements signer = 0
 
 let interleave_fuzz =
@@ -422,6 +497,7 @@ let () =
           Alcotest.test_case "hash digests across domains" `Quick test_hash_domains;
           Alcotest.test_case "verify_many mixed verdicts" `Quick test_verify_many_mixed;
           Alcotest.test_case "pki prepared key across two domains" `Quick test_pki_two_domains;
+          Alcotest.test_case "runtime sign vs control plane" `Quick test_runtime_control_plane;
         ] );
       ( "control-interleave",
         [ QCheck_alcotest.to_alcotest ~long:false interleave_fuzz ] );

@@ -5,7 +5,7 @@ open Dsig
 
 let cfg = Config.make ~batch_size:8 ~queue_threshold:8 (Config.wots ~d:4)
 
-let test_runtime_roundtrip () =
+let roundtrip cfg =
   let rng = Dsig_util.Rng.create 21L in
   let sk, pk = Dsig_ed25519.Eddsa.generate rng in
   let pki = Pki.create () in
@@ -40,6 +40,11 @@ let test_runtime_roundtrip () =
       in
       Alcotest.(check int) "30 distinct keys" 30 (List.length (List.sort_uniq compare ids)))
 
+(* every one-time scheme the in-simulation signer supports *)
+let test_runtime_roundtrip () =
+  List.iter roundtrip
+    [ cfg; Config.make ~batch_size:8 ~queue_threshold:8 (Config.hors_factorized ~k:32) ]
+
 let test_runtime_shutdown_idempotent () =
   let rng = Dsig_util.Rng.create 22L in
   let sk, _ = Dsig_ed25519.Eddsa.generate rng in
@@ -72,6 +77,29 @@ let test_runtime_warm_queue () =
       let per_sign = (Sys.time () -. t0) /. 8.0 in
       Alcotest.(check bool) "foreground sign under 1ms CPU" true (per_sign < 0.001))
 
+(* the translog sink sees every signature [sign] returns, in order *)
+let test_runtime_translog () =
+  let rng = Dsig_util.Rng.create 24L in
+  let sk, _ = Dsig_ed25519.Eddsa.generate rng in
+  let logged = Queue.create () in
+  let options =
+    Options.default
+    |> Options.with_translog (fun ~signer ~op ~signature ->
+           Queue.add (signer, op, signature) logged)
+  in
+  let rt = Runtime.create cfg ~id:5 ~eddsa:sk ~seed:3L ~options () in
+  Fun.protect
+    ~finally:(fun () -> Runtime.shutdown rt)
+    (fun () ->
+      let signed =
+        List.init 20 (fun i ->
+            let op = Printf.sprintf "logged %d" i in
+            (5, op, Runtime.sign rt op))
+      in
+      Alcotest.(check (list (triple int string string)))
+        "sink got every signature, in order" signed
+        (List.of_seq (Queue.to_seq logged)))
+
 let suites =
   [
     ( "runtime",
@@ -79,5 +107,6 @@ let suites =
         Alcotest.test_case "parallel roundtrip" `Quick test_runtime_roundtrip;
         Alcotest.test_case "shutdown idempotent" `Quick test_runtime_shutdown_idempotent;
         Alcotest.test_case "warm queue fast path" `Quick test_runtime_warm_queue;
+        Alcotest.test_case "translog sink sees every signature" `Quick test_runtime_translog;
       ] );
   ]
