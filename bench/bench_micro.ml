@@ -177,7 +177,7 @@ let run () =
     |> List.sort compare
   in
   Harness.print_table ~header:[ "operation"; "us/op" ] rows;
-  (* allocation per call on the verify path, gated as ceilings *)
+  (* allocation per call on the verify path, gated exactly *)
   let allocs =
     [
       ("dsig-verify(fast)", "alloc_dsig_verify_fast_words", minor_words_per_op verify_fast);

@@ -46,48 +46,7 @@ let () =
   register "keylife" "key lifecycle: rotation cutover stall + revocation propagation"
     Bench_keylife.run;
   register "fleet" "fleet-scale load control: goodput & shed rate at 1x/2x/4x overload"
-    Bench_fleet.run;
-  (* declare the pacing and store series on the default bundle up front
-     so every experiment's telemetry snapshot carries the keys scrapers
-     key on, zero-valued until the owning experiment populates them *)
-  let tel = Dsig_telemetry.Telemetry.default in
-  ignore (Dsig_telemetry.Telemetry.counter tel "dsig_reannounce_redundant_total");
-  ignore (Dsig_telemetry.Telemetry.gauge tel "dsig_rtt_us");
-  ignore (Dsig_telemetry.Telemetry.gauge tel "dsig_rto_us");
-  List.iter
-    (fun n -> ignore (Dsig_telemetry.Telemetry.counter tel n))
-    [
-      "dsig_store_appends_total"; "dsig_store_fsyncs_total"; "dsig_store_recoveries_total";
-      "dsig_store_burned_keys_total"; "dsig_store_torn_truncations_total";
-      "dsig_store_snapshots_total";
-    ];
-  ignore (Dsig_telemetry.Telemetry.gauge tel "dsig_store_wal_segments");
-  ignore (Dsig_telemetry.Telemetry.histogram tel "dsig_store_fsync_us");
-  ignore (Dsig_telemetry.Telemetry.histogram tel "dsig_store_group_commit_batch");
-  (* transparency-plane series, same pre-declaration discipline *)
-  List.iter
-    (fun n -> ignore (Dsig_telemetry.Telemetry.counter tel n))
-    [
-      "dsig_translog_appends_total"; "dsig_translog_checkpoints_total";
-      "dsig_translog_recoveries_total"; "dsig_translog_inclusion_proofs_total";
-      "dsig_translog_consistency_proofs_total"; "dsig_translog_split_views_total";
-    ];
-  ignore (Dsig_telemetry.Telemetry.gauge tel "dsig_translog_entries");
-  ignore (Dsig_telemetry.Telemetry.gauge tel "dsig_translog_segments");
-  ignore (Dsig_telemetry.Telemetry.histogram tel "dsig_translog_append_us");
-  ignore (Dsig_telemetry.Telemetry.histogram tel "dsig_translog_proof_us");
-  (* load-control plane (lib/loadctl) — the fleet bench runs on its own
-     virtual-clocked bundle, so declare the series scrapers key on here *)
-  List.iter
-    (fun n -> ignore (Dsig_telemetry.Telemetry.counter tel n))
-    [
-      "dsig_loadctl_admitted_total"; "dsig_loadctl_shed_total";
-      "dsig_loadctl_shed_verify_total"; "dsig_loadctl_shed_repair_total";
-    ];
-  ignore (Dsig_telemetry.Telemetry.gauge tel "dsig_loadctl_rate_per_sec");
-  ignore (Dsig_telemetry.Telemetry.gauge tel "dsig_loadctl_pressure");
-  ignore (Dsig_telemetry.Telemetry.gauge tel "dsig_loadctl_congested");
-  ignore (Dsig_telemetry.Telemetry.histogram tel "dsig_loadctl_sojourn_us")
+    Bench_fleet.run
 
 let print_host () =
   Harness.section "Host configuration (stand-in for Table 3; see DESIGN.md)";

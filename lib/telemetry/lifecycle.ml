@@ -27,10 +27,12 @@ type handles = {
   h_announce : Metric.Histogram.t;
   h_verify : Metric.Histogram.t;
   h_e2e : Metric.Histogram.t;
-  c_started : Metric.Counter.t;
-  c_completed : Metric.Counter.t;
   c_neg_clamped : Metric.Counter.t;
 }
+
+(* The registry reads these through probes, which capture only this
+   record, not the aggregator. *)
+type counts = { mutable started : int; mutable completed : int }
 
 type t = {
   mu : Mutex.t;
@@ -45,8 +47,7 @@ type t = {
   spans : span array;  (* ring of completed spans *)
   cap : int;
   mutable total : int;  (* spans ever completed (ring write cursor) *)
-  mutable started : int;
-  mutable completed : int;
+  counts : counts;
   mutable full : int;  (* completed spans with sign+announce+verify all present *)
 }
 
@@ -77,11 +78,12 @@ let create ?(span_capacity = 4096) ?(max_pending = 8192) ~registry () =
     spans = Array.make cap placeholder;
     cap;
     total = 0;
-    started = 0;
-    completed = 0;
+    counts = { started = 0; completed = 0 };
     full = 0;
   }
 
+(* Must be called under [mu]: probes sum across bindings of a name, so
+   two racing first resolutions would count every event twice. *)
 let resolve_handles t =
   match t.handles with
   | Some h -> h
@@ -92,16 +94,17 @@ let resolve_handles t =
           h_announce = Registry.histogram t.registry "dsig_lifecycle_announce_us";
           h_verify = Registry.histogram t.registry "dsig_lifecycle_verify_us";
           h_e2e = Registry.histogram t.registry "dsig_lifecycle_e2e_us";
-          c_started = Registry.counter t.registry "dsig_lifecycle_started_total";
-          c_completed = Registry.counter t.registry "dsig_lifecycle_completed_total";
           c_neg_clamped = Registry.counter t.registry "dsig_lifecycle_negative_clamped_total";
         }
       in
+      let counts = t.counts in
+      Registry.probe t.registry "dsig_lifecycle_started_total" (fun () -> counts.started);
+      Registry.probe t.registry "dsig_lifecycle_completed_total" (fun () -> counts.completed);
       t.handles <- Some h;
       h
 
 let enable t =
-  ignore (resolve_handles t);
+  Mutex.protect t.mu (fun () -> ignore (resolve_handles t));
   t.enabled <- true
 
 let disable t = t.enabled <- false
@@ -127,12 +130,11 @@ let clamp_span h v =
 
 let sign t ~trace_id ~origin ~birth_us ~dur_us =
   if t.enabled then begin
-    let h = resolve_handles t in
     Mutex.lock t.mu;
+    let h = resolve_handles t in
     let dur_us = clamp_span h dur_us in
     Metric.Histogram.add h.h_sign dur_us;
-    Metric.Counter.incr h.c_started;
-    t.started <- t.started + 1;
+    t.counts.started <- t.counts.started + 1;
     if not (Hashtbl.mem t.signs trace_id) then begin
       Hashtbl.replace t.signs trace_id { sr_origin = origin; sr_birth_us = birth_us; sr_dur_us = dur_us };
       Queue.add trace_id t.sign_order;
@@ -145,9 +147,9 @@ let sign t ~trace_id ~origin ~birth_us ~dur_us =
 
 let admit t ~signer ~batch_id ~latency_us =
   if t.enabled then begin
-    let h = resolve_handles t in
     let key = Trace_ctx.batch_key ~signer ~batch_id in
     Mutex.lock t.mu;
+    let h = resolve_handles t in
     (* only the first successful admit counts: re-deliveries of an
        already-cached batch do not change when it became usable *)
     if not (Hashtbl.mem t.admits key) then begin
@@ -164,8 +166,8 @@ let admit t ~signer ~batch_id ~latency_us =
 
 let verify t ~trace_id ?origin ?birth_us ~at_us ~dur_us () =
   if t.enabled then begin
-    let h = resolve_handles t in
     Mutex.lock t.mu;
+    let h = resolve_handles t in
     let dur_us = clamp_span h dur_us in
     Metric.Histogram.add h.h_verify dur_us;
     let announce = Hashtbl.find_opt t.admits (Trace_ctx.batch_key_of_id trace_id) in
@@ -194,10 +196,9 @@ let verify t ~trace_id ?origin ?birth_us ~at_us ~dur_us () =
             sp_e2e_us = e2e;
           };
         t.total <- t.total + 1;
-        t.completed <- t.completed + 1;
+        t.counts.completed <- t.counts.completed + 1;
         if (not (Float.is_nan sign_us)) && not (Float.is_nan ann) then t.full <- t.full + 1;
-        Metric.Histogram.add h.h_e2e e2e;
-        Metric.Counter.incr h.c_completed);
+        Metric.Histogram.add h.h_e2e e2e);
     Mutex.unlock t.mu
   end
 
@@ -215,8 +216,8 @@ let spans t =
   Mutex.unlock t.mu;
   out
 
-let started t = t.started
-let completed t = t.completed
+let started t = t.counts.started
+let completed t = t.counts.completed
 let full t = t.full
 
 let hist_of t plane =
@@ -240,4 +241,4 @@ let plane_within t plane ~budget_us =
   let snap = plane_snapshot t plane in
   snap.Metric.Histogram.n > 0 && Metric.Histogram.percentile snap 99.0 <= budget_us
 
-let within ~budget_us t = t.completed > 0 && plane_within t End_to_end ~budget_us
+let within ~budget_us t = t.counts.completed > 0 && plane_within t End_to_end ~budget_us

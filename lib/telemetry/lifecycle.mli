@@ -20,8 +20,9 @@
     and one branch. When enabled, the per-plane histograms live in the
     owning bundle's {!Registry} under [dsig_lifecycle_sign_us] /
     [dsig_lifecycle_announce_us] / [dsig_lifecycle_verify_us] /
-    [dsig_lifecycle_e2e_us] (plus [dsig_lifecycle_started_total] and
-    [dsig_lifecycle_completed_total]), so they ride along in every
+    [dsig_lifecycle_e2e_us], and {!started} / {!completed} are
+    published as the probes [dsig_lifecycle_started_total] /
+    [dsig_lifecycle_completed_total], so they ride along in every
     snapshot, JSON export and Prometheus scrape.
 
     Spans are measured on the monotonic clock

@@ -1,143 +1,158 @@
-type direction = Lower_better | Higher_better | Informational
+type direction = Lower_better | Higher_better
 
 let direction_name = function
   | Lower_better -> "lower-better"
   | Higher_better -> "higher-better"
-  | Informational -> "informational"
 
-let has_suffix s suf =
-  let ls = String.length s and lf = String.length suf in
-  ls >= lf && String.sub s (ls - lf) lf = suf
+type kind = Measured of float | Deterministic
 
-let contains s sub =
-  let ls = String.length s and lb = String.length sub in
-  let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
-  lb = 0 || go 0
+type row = { name : string; kind : kind; direction : direction; floor : float option }
 
-(* name-based heuristics matching the bench suite's conventions:
-   latencies end in _us, throughputs carry _ops_per_sec, scaling
-   factors carry _speedup, goodput-retention fractions carry
-   _retention, shed fractions carry _shed_ratio; anything else (entry
-   counts, append totals) is tracked but never gates *)
-let direction_of_name name =
-  if contains name "_ops_per_sec" || contains name "_speedup" || contains name "_retention"
-  then Higher_better
-  else if has_suffix name "_us" || contains name "_shed_ratio" then Lower_better
-  else Informational
+let measured ?(band = 0.5) ?floor name direction =
+  { name; kind = Measured band; direction; floor }
 
-type verdict = Within | Improved | Regressed | New_metric | Missing_metric
+let exact name direction = { name; kind = Deterministic; direction; floor = None }
+
+(* One row per metric in BENCH_smoke.json, sorted by name. Deterministic
+   rows are exact per build: minor words per call, the virtual-clocked
+   fleet and keylife, the bench's own workload counts and the 1-domain
+   speedups (1.0 by construction). Measured rows sit in a band around
+   the baseline: ±50% by default, since the smoke bench runs 50 ops on
+   shared hardware; fsync-bound and coarsely-quantized figures get
+   wider ones. *)
+let table =
+  [
+    exact "alloc_dsig_verify_fast_words" Lower_better;
+    exact "alloc_dsig_verify_slow_words" Lower_better;
+    exact "alloc_wots_verify_words" Lower_better;
+    exact "fleet_goodput_ops_per_sec_1x" Higher_better;
+    exact "fleet_goodput_ops_per_sec_2x" Higher_better;
+    exact "fleet_goodput_ops_per_sec_4x" Higher_better;
+    exact "fleet_goodput_retention_4x" Higher_better;
+    exact "fleet_shed_ratio_1x" Lower_better;
+    exact "fleet_shed_ratio_2x" Lower_better;
+    exact "fleet_shed_ratio_4x" Lower_better;
+    measured "micro_dsig_sign_us" Lower_better;
+    measured "micro_dsig_verify_fast_us" Lower_better;
+    measured "micro_dsig_verify_slow_us" Lower_better;
+    measured "micro_eddsa_sign_us" Lower_better;
+    measured "micro_eddsa_verify_prepared_us" Lower_better;
+    measured "micro_eddsa_verify_us" Lower_better;
+    measured "micro_wots_verify_us" Lower_better;
+    exact "revocation_propagate_us" Lower_better;
+    measured ~band:3.0 "rotation_cutover_us" Lower_better;
+    measured "scale_sign_ops_per_sec_1dom" Higher_better;
+    measured "scale_sign_ops_per_sec_2dom" Higher_better;
+    measured "scale_sign_ops_per_sec_4dom" Higher_better;
+    measured "scale_sign_ops_per_sec_8dom" Higher_better;
+    exact "scale_sign_speedup_1dom" Higher_better;
+    measured "scale_sign_speedup_2dom" Higher_better;
+    measured "scale_sign_speedup_4dom" Higher_better;
+    measured "scale_sign_speedup_8dom" Higher_better;
+    measured "scale_verify_ops_per_sec_1dom" Higher_better;
+    measured "scale_verify_ops_per_sec_2dom" Higher_better;
+    measured "scale_verify_ops_per_sec_4dom" Higher_better;
+    measured "scale_verify_ops_per_sec_8dom" Higher_better;
+    exact "scale_verify_speedup_1dom" Higher_better;
+    measured "scale_verify_speedup_2dom" Higher_better;
+    (* the parallel plane's canary: balanced shard ownership gives ~4x
+       modeled overlap; shards serialized on a global lock collapse it
+       towards 1x *)
+    measured ~floor:2.5 "scale_verify_speedup_4dom" Higher_better;
+    measured "scale_verify_speedup_8dom" Higher_better;
+    measured ~band:3.0 "store_sign_us" Lower_better;
+    exact "store_wal_appends" Lower_better;
+    measured "translog_append_us" Lower_better;
+    measured ~band:1.5 "translog_checkpoint_us" Lower_better;
+    measured ~band:1.5 "translog_consistency_proof_us" Lower_better;
+    (* the log's size after the largest rung: a workload count *)
+    exact "translog_entries" Higher_better;
+    measured ~band:1.5 "translog_inclusion_proof_us" Lower_better;
+  ]
+
+let kind_name row =
+  Printf.sprintf "%s, %s"
+    (match row.kind with Measured _ -> "measured" | Deterministic -> "deterministic")
+    (direction_name row.direction)
+
+let band_name row =
+  let band =
+    match row.kind with
+    | Measured b -> Printf.sprintf "band ±%.0f%%" (b *. 100.0)
+    | Deterministic -> "band exact"
+  in
+  match row.floor with Some f -> Printf.sprintf "%s, floor %g" band f | None -> band
+
+type verdict = Within | Improved | Regressed | Moved | Below_floor | Non_finite | Missing | No_row
 
 let verdict_name = function
   | Within -> "ok"
   | Improved -> "improved"
   | Regressed -> "REGRESSED"
-  | New_metric -> "new"
-  | Missing_metric -> "MISSING"
+  | Moved -> "MOVED (deterministic: re-pin on purpose)"
+  | Below_floor -> "BELOW FLOOR"
+  | Non_finite -> "NON-FINITE"
+  | Missing -> "MISSING"
+  | No_row -> "NO ROW (add one to Trajectory.table)"
 
 type entry = {
   e_name : string;
-  e_direction : direction;
+  e_row : row option;
   e_base : float option;
   e_fresh : float option;
-  e_delta_pct : float option;
-  e_tolerance : float;
   e_verdict : verdict;
 }
 
-let default_tolerance = 0.5
+(* multiplied out rather than divided, so a zero baseline still gates *)
+let judge row ~base ~fresh =
+  match row.kind with
+  | Deterministic -> if fresh = base then Within else Moved
+  | Measured band -> (
+      let above = fresh > base *. (1.0 +. band) and below = fresh < base *. (1.0 -. band) in
+      match row.direction with
+      | Lower_better -> if above then Regressed else if below then Improved else Within
+      | Higher_better -> if below then Regressed else if above then Improved else Within)
 
-let bench_tolerances =
-  [
-    ("store_sign_us", 3.0);
-    ("translog_checkpoint_us", 1.5);
-    ("translog_consistency_proof_us", 1.5);
-    ("translog_inclusion_proof_us", 1.5);
-    ("rotation_cutover_us", 3.0);
-  ]
-
-let judge direction ~base ~fresh ~tolerance =
-  if base = 0.0 then Within (* relative bands are meaningless at zero *)
-  else
-    let ratio = fresh /. base in
-    match direction with
-    | Informational -> Within
-    | Lower_better ->
-        if ratio > 1.0 +. tolerance then Regressed
-        else if ratio < 1.0 -. tolerance then Improved
-        else Within
-    | Higher_better ->
-        if ratio < 1.0 -. tolerance then Regressed
-        else if ratio > 1.0 +. tolerance then Improved
-        else Within
-
-let compare_metrics ?(tolerance = default_tolerance) ?(tolerances = [])
-    ~baseline ~fresh () =
-  if tolerance <= 0.0 then
-    invalid_arg "Trajectory.compare_metrics: tolerance must be positive";
-  let tol_of name =
-    match List.assoc_opt name tolerances with Some t -> t | None -> tolerance
-  in
+let compare_metrics ~baseline ~fresh =
   let names =
-    List.sort_uniq compare (List.map fst baseline @ List.map fst fresh)
+    List.sort_uniq compare
+      (List.map (fun r -> r.name) table @ List.map fst baseline @ List.map fst fresh)
   in
   List.map
     (fun name ->
-      let b = List.assoc_opt name baseline in
-      let f = List.assoc_opt name fresh in
-      let direction = direction_of_name name in
-      let tol = tol_of name in
-      let delta_pct =
-        match (b, f) with
-        | Some b, Some f when b <> 0.0 -> Some ((f -. b) /. b *. 100.0)
-        | _ -> None
-      in
+      let row = List.find_opt (fun r -> r.name = name) table in
+      let b = List.assoc_opt name baseline and f = List.assoc_opt name fresh in
       let verdict =
-        match (b, f) with
-        | None, Some _ -> New_metric
-        | Some _, None -> Missing_metric
-        | None, None -> Missing_metric (* unreachable *)
-        | Some b, Some f -> judge direction ~base:b ~fresh:f ~tolerance:tol
+        match (row, b, f) with
+        | None, _, _ -> No_row
+        | Some _, None, _ | Some _, _, None -> Missing
+        | Some row, Some b, Some f ->
+            if not (Float.is_finite b && Float.is_finite f) then Non_finite
+            else (
+              match (judge row ~base:b ~fresh:f, row.floor) with
+              | (Within | Improved), Some floor when f < floor -> Below_floor
+              | v, _ -> v)
       in
-      {
-        e_name = name;
-        e_direction = direction;
-        e_base = b;
-        e_fresh = f;
-        e_delta_pct = delta_pct;
-        e_tolerance = tol;
-        e_verdict = verdict;
-      })
+      { e_name = name; e_row = row; e_base = b; e_fresh = f; e_verdict = verdict })
     names
 
-(* a regression or a vanished metric fails the gate; a brand-new metric
-   is fine — it just means the baseline wants regenerating *)
 let failures entries =
-  List.filter
-    (fun e -> match e.e_verdict with Regressed | Missing_metric -> true | _ -> false)
-    entries
+  List.filter (fun e -> match e.e_verdict with Within | Improved -> false | _ -> true) entries
 
-let render entries =
-  let buf = Buffer.create 1024 in
-  let fv = function Some v -> Printf.sprintf "%14.3f" v | None -> "             -" in
-  let fd = function
-    | Some d -> Printf.sprintf "%+8.1f%%" d
-    | None -> "        -"
+let describe e =
+  let fv = function Some v -> Printf.sprintf "%.3f" v | None -> "-" in
+  let kind, band =
+    match e.e_row with
+    | Some row -> (kind_name row, band_name row)
+    | None -> ("no row", "no band")
   in
-  Buffer.add_string buf
-    (Printf.sprintf "%-36s %14s %14s %9s  %-13s %s\n" "metric" "baseline" "fresh"
-       "delta" "direction" "verdict");
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-36s %s %s %s  %-13s %s\n" e.e_name (fv e.e_base)
-           (fv e.e_fresh) (fd e.e_delta_pct)
-           (direction_name e.e_direction)
-           (verdict_name e.e_verdict)))
-    entries;
-  Buffer.contents buf
+  Printf.sprintf "%s (%s): baseline %s, fresh %s, %s: %s" e.e_name kind (fv e.e_base)
+    (fv e.e_fresh) band (verdict_name e.e_verdict)
 
 (* --- snapshot parsing --- *)
 
+(* the snapshot writer spells a non-finite value as null; it parses back
+   to nan so the gate reports it under its own name *)
 let parse_snapshot body =
   let module J = Json_lite in
   match J.parse body with
@@ -147,7 +162,10 @@ let parse_snapshot body =
       | Some (J.Obj fields) ->
           Ok
             (List.filter_map
-               (fun (name, v) -> Option.map (fun f -> (name, f)) (J.to_float v))
+               (fun (name, v) ->
+                 match v with
+                 | J.Null -> Some (name, Float.nan)
+                 | v -> Option.map (fun f -> (name, f)) (J.to_float v))
                fields)
       | _ -> Error "snapshot has no \"metrics\" object")
 

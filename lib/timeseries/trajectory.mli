@@ -1,70 +1,62 @@
-(** Perf-trajectory comparison: a fresh bench snapshot against the
-    committed baseline, with per-metric tolerance bands.
+(** The [@smoke] perf gate: one table row per metric pinned in
+    [BENCH_smoke.json], and the judge that holds a fresh snapshot to
+    the committed baseline row by row.
 
-    Metrics are matched by name across two [BENCH_*.json] snapshots.
-    Direction comes from naming conventions ([*_us] latencies are
-    lower-better, [*_ops_per_sec] / [*_speedup*] are higher-better,
-    everything else is informational and never gates); the verdict is
-    relative to a tolerance band around the baseline. A {e regression}
-    (outside the band in the bad direction) or a {e missing} metric
-    fails the gate; an {e improvement} or a {e new} metric is reported
-    but passes — new metrics just mean the baseline wants
-    regenerating. This backs both [bench/trajectory.exe] (the
-    [@trajectory] alias) and [smoke_check]'s baseline mode. *)
+    A row says whether its metric is {e measured} (on this host's
+    clock, judged against a relative band around the baseline) or
+    {e deterministic} (a count, a virtual-clock figure or a figure fixed
+    by construction, which must equal the baseline exactly), which
+    direction is better, and an optional floor. [bench/smoke_check.exe]
+    is the only gate that reads it. It fails on:
+    - a metric in either snapshot with no row;
+    - a row absent from either snapshot;
+    - a non-finite value (the snapshot writer's [null]);
+    - a deterministic row that moved at all: re-pin on purpose;
+    - a measured row beyond its band in the worse direction;
+    - a value under the row's floor.
 
-type direction = Lower_better | Higher_better | Informational
+    A measured row beyond its band in the better direction passes as
+    {e improved}. *)
 
-val direction_name : direction -> string
+type direction = Lower_better | Higher_better
 
-val direction_of_name : string -> direction
-(** [*_ops_per_sec] / [*_speedup*] → higher-better; [*_us] →
-    lower-better; otherwise informational. *)
+type kind =
+  | Measured of float  (** relative band: 0.5 passes up to ±50% of the baseline *)
+  | Deterministic  (** exact *)
 
-type verdict = Within | Improved | Regressed | New_metric | Missing_metric
+type row = { name : string; kind : kind; direction : direction; floor : float option }
+
+val table : row list
+(** Every pinned metric, one row each. *)
+
+type verdict = Within | Improved | Regressed | Moved | Below_floor | Non_finite | Missing | No_row
 
 val verdict_name : verdict -> string
-(** Gate failures render loudly: ["REGRESSED"] / ["MISSING"]. *)
+(** Gate failures render in capitals; [Moved] and [No_row] say what to do. *)
 
 type entry = {
   e_name : string;
-  e_direction : direction;
+  e_row : row option;  (** [None] = no row in {!table} *)
   e_base : float option;  (** [None] = not in the baseline *)
   e_fresh : float option;  (** [None] = not in the fresh snapshot *)
-  e_delta_pct : float option;  (** (fresh - base) / base, percent *)
-  e_tolerance : float;  (** the band this entry was judged against *)
   e_verdict : verdict;
 }
 
-val default_tolerance : float
-(** [0.5] — a metric may move 50% before gating. Wide on purpose: the
-    smoke bench runs 50 ops on shared CI hardware, and a gate that
-    cries wolf gets deleted. Tighten per-metric via [tolerances]. *)
-
-val bench_tolerances : (string * float) list
-(** The bands both bench gates pass as [tolerances]: wider for
-    fsync-bound store latency (it swings >50% run to run on shared
-    hardware) and for figures that quantize coarsely at [--ops 50]. *)
-
-val compare_metrics :
-  ?tolerance:float ->
-  ?tolerances:(string * float) list ->
-  baseline:(string * float) list ->
-  fresh:(string * float) list ->
-  unit ->
-  entry list
-(** One entry per name present on either side, sorted by name.
-    [tolerances] overrides the global band for specific metrics.
-    @raise Invalid_argument on a non-positive tolerance. *)
+val compare_metrics : baseline:(string * float) list -> fresh:(string * float) list -> entry list
+(** One entry per name in {!table}, [baseline] or [fresh], sorted by
+    name. A zero baseline gates like any other. *)
 
 val failures : entry list -> entry list
-(** The entries that fail the gate: [Regressed] and [Missing_metric]. *)
+(** The entries that fail the gate: all but [Within] and [Improved]. *)
 
-val render : entry list -> string
-(** Fixed-width human table, one line per entry. *)
+val describe : entry -> string
+(** One line naming the metric, its kind and direction, the baseline,
+    the fresh value, the band (and floor) and the verdict. *)
 
 val parse_snapshot : string -> ((string * float) list, string) result
-(** Extract the [metrics] object from a [BENCH_*.json] body. *)
+(** Extract the [metrics] object from a [BENCH_*.json] body; a [null]
+    value comes back as [nan]. *)
 
 val meta_of_snapshot : string -> (string * string) list
-(** Best-effort [meta] block extraction (empty if absent) — used to
-    label comparison reports with when/where each side was measured. *)
+(** Best-effort [meta] block extraction (empty if absent): the
+    provenance the snapshot writer stamps. *)

@@ -468,6 +468,34 @@ let trace_ctx_fuzz =
 
 module L = Dsig_telemetry.Lifecycle
 
+(* Two domains enable one aggregator at once: its counts are published
+   by probes, which sum across bindings, so a doubly resolved aggregator
+   would report every span twice. *)
+let test_lifecycle_enable_race () =
+  let n = 100 in
+  for _ = 1 to 200 do
+    let registry = Registry.create () in
+    let lc = L.create ~registry () in
+    let ready = Atomic.make 0 in
+    let racers =
+      List.init 2 (fun _ ->
+          Domain.spawn (fun () ->
+              Atomic.incr ready;
+              while Atomic.get ready < 2 do
+                Domain.cpu_relax ()
+              done;
+              L.enable lc))
+    in
+    List.iter Domain.join racers;
+    for i = 1 to n do
+      L.sign lc ~trace_id:(Int64.of_int i) ~origin:0 ~birth_us:0.0 ~dur_us:1.0
+    done;
+    Alcotest.(check int) "started" n (L.started lc);
+    match Registry.Snapshot.find (Registry.snapshot registry) "dsig_lifecycle_started_total" with
+    | Some (Registry.Snapshot.Counter c) -> Alcotest.(check int) "registry = started" n c
+    | _ -> Alcotest.fail "dsig_lifecycle_started_total not published"
+  done
+
 let test_lifecycle_full_requires_admit_first () =
   let registry = Registry.create () in
   let lc = L.create ~registry () in
@@ -598,7 +626,10 @@ let () =
       (* suite names stay short: Alcotest pads them to the longest, and
          that width comes out of the shown test names *)
       ( "domains",
-        [ Alcotest.test_case "cells exact across domains" `Quick test_cells_across_domains ] );
+        [
+          Alcotest.test_case "cells exact across domains" `Quick test_cells_across_domains;
+          Alcotest.test_case "lifecycle enable race" `Quick test_lifecycle_enable_race;
+        ] );
       ( "tracer",
         [
           Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;

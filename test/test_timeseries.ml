@@ -1,7 +1,7 @@
 (* Tests for the time-series observability plane (lib/timeseries):
    ring-buffered series with Prometheus-style counter-reset adjustment,
    the registry sampler, multiwindow burn-rate alerting, and the
-   perf-trajectory comparison behind @trajectory / smoke_check. *)
+   @smoke gate table that smoke_check judges the bench snapshot by. *)
 
 module Series = Dsig_timeseries.Series
 module Sampler = Dsig_timeseries.Sampler
@@ -475,80 +475,122 @@ let test_alert_on_transition () =
 
 (* --- Trajectory --- *)
 
-let test_trajectory_directions () =
-  Alcotest.(check string) "us suffix" "lower-better"
-    (Trajectory.direction_name (Trajectory.direction_of_name "sign_us"));
-  Alcotest.(check string) "ops_per_sec" "higher-better"
-    (Trajectory.direction_name (Trajectory.direction_of_name "verify_ops_per_sec_4dom"));
-  Alcotest.(check string) "speedup" "higher-better"
-    (Trajectory.direction_name (Trajectory.direction_of_name "scale_sign_speedup_8dom"));
-  Alcotest.(check string) "other" "informational"
-    (Trajectory.direction_name (Trajectory.direction_of_name "wal_appends"))
+(* the committed baseline, from the test directory under dune or the
+   repo root under dune exec *)
+let committed_baseline () =
+  let path = List.find Sys.file_exists [ "../BENCH_smoke.json"; "BENCH_smoke.json" ] in
+  let ic = open_in_bin path in
+  let body = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Trajectory.parse_snapshot body with
+  | Ok metrics -> metrics
+  | Error e -> Alcotest.failf "%s: %s" path e
 
-let verdict_of entries name =
-  (List.find (fun e -> e.Trajectory.e_name = name) entries).Trajectory.e_verdict
+let set name v metrics = (name, v) :: List.remove_assoc name metrics
+let scale name k metrics = set name (List.assoc name metrics *. k) metrics
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 let test_trajectory_compare () =
-  let baseline =
-    [ ("a_us", 100.0); ("b_us", 100.0); ("c_ops_per_sec", 100.0); ("gone_us", 5.0); ("zero", 0.0) ]
+  let base = committed_baseline () in
+  let open Trajectory in
+  (* label, baseline edit, fresh edit, the row to look at, its verdict *)
+  let cases =
+    [
+      ("identical snapshots", Fun.id, Fun.id, "micro_dsig_verify_fast_us", Within);
+      ("zero baseline gates", Fun.id, set "fleet_shed_ratio_2x" 0.5, "fleet_shed_ratio_2x", Moved);
+      ("count off by one", Fun.id, set "store_wal_appends" 53.0, "store_wal_appends", Moved);
+      ("exact drop is re-pinned", Fun.id, set "alloc_wots_verify_words" 600.0,
+        "alloc_wots_verify_words", Moved);
+      ("latency x3", Fun.id, scale "micro_dsig_verify_fast_us" 3.0, "micro_dsig_verify_fast_us",
+        Regressed);
+      ("latency x1.4", Fun.id, scale "micro_dsig_verify_fast_us" 1.4, "micro_dsig_verify_fast_us",
+        Within);
+      ("latency x0.3", Fun.id, scale "micro_dsig_verify_fast_us" 0.3, "micro_dsig_verify_fast_us",
+        Improved);
+      ("throughput x0.4", Fun.id, scale "scale_verify_ops_per_sec_4dom" 0.4,
+        "scale_verify_ops_per_sec_4dom", Regressed);
+      ("wide band holds", Fun.id, scale "store_sign_us" 3.5, "store_sign_us", Within);
+      ("wide band breaks", Fun.id, scale "store_sign_us" 4.5, "store_sign_us", Regressed);
+      ("floor", Fun.id, set "scale_verify_speedup_4dom" 2.4, "scale_verify_speedup_4dom",
+        Below_floor);
+      ("nan", Fun.id, set "micro_dsig_verify_fast_us" Float.nan, "micro_dsig_verify_fast_us",
+        Non_finite);
+      ("fresh lacks a row", Fun.id, List.remove_assoc "translog_entries", "translog_entries",
+        Missing);
+      ("baseline lacks a row", List.remove_assoc "translog_entries", Fun.id, "translog_entries",
+        Missing);
+      ("metric with no row", Fun.id, set "brand_new_us" 1.0, "brand_new_us", No_row);
+    ]
   in
-  let fresh =
-    [ ("a_us", 200.0); ("b_us", 110.0); ("c_ops_per_sec", 160.0); ("brand_new_us", 1.0); ("zero", 3.0) ]
+  List.iter
+    (fun (label, edit_base, edit_fresh, name, verdict) ->
+      let entries = compare_metrics ~baseline:(edit_base base) ~fresh:(edit_fresh base) in
+      let e = List.find (fun e -> e.e_name = name) entries in
+      Alcotest.(check string) label (verdict_name verdict) (verdict_name e.e_verdict);
+      Alcotest.(check (list string))
+        (label ^ ": failures") (if verdict = Within || verdict = Improved then [] else [ name ])
+        (List.map (fun e -> e.e_name) (failures entries)))
+    cases;
+  (* a failure line names the row, its kind, both values and the band *)
+  let line fresh name =
+    describe (List.find (fun e -> e.e_name = name) (compare_metrics ~baseline:base ~fresh))
   in
-  let entries = Trajectory.compare_metrics ~tolerance:0.5 ~baseline ~fresh () in
-  Alcotest.(check int) "one entry per name on either side" 6 (List.length entries);
-  Alcotest.(check bool) "latency doubling regresses" true (verdict_of entries "a_us" = Trajectory.Regressed);
-  Alcotest.(check bool) "within band" true (verdict_of entries "b_us" = Trajectory.Within);
-  Alcotest.(check bool) "throughput up improves" true
-    (verdict_of entries "c_ops_per_sec" = Trajectory.Improved);
-  Alcotest.(check bool) "missing metric flagged" true
-    (verdict_of entries "gone_us" = Trajectory.Missing_metric);
-  Alcotest.(check bool) "new metric flagged but passes" true
-    (verdict_of entries "brand_new_us" = Trajectory.New_metric);
-  Alcotest.(check bool) "zero baseline never gates" true (verdict_of entries "zero" = Trajectory.Within);
-  Alcotest.(check (list string))
-    "failures = regressions + missing" [ "a_us"; "gone_us" ]
-    (List.map (fun e -> e.Trajectory.e_name) (Trajectory.failures entries));
-  (* per-metric override: widen a_us's band and the regression passes *)
-  let entries' =
-    Trajectory.compare_metrics ~tolerance:0.5 ~tolerances:[ ("a_us", 2.0) ] ~baseline ~fresh ()
-  in
-  Alcotest.(check bool) "override widens the band" true (verdict_of entries' "a_us" = Trajectory.Within);
-  (* improvements in the lower-better direction also report Improved *)
-  let entries'' =
-    Trajectory.compare_metrics ~tolerance:0.5 ~baseline:[ ("x_us", 100.0) ]
-      ~fresh:[ ("x_us", 10.0) ] ()
-  in
-  Alcotest.(check bool) "latency drop improves" true (verdict_of entries'' "x_us" = Trajectory.Improved);
-  let rendered = Trajectory.render entries in
-  Alcotest.(check bool) "render names every metric" true
-    (List.for_all
-       (fun (n, _) ->
-         let nh = String.length rendered and nn = String.length n in
-         let rec go i = i + nn <= nh && (String.sub rendered i nn = n || go (i + 1)) in
-         go 0)
-       baseline)
+  List.iter
+    (fun (line, parts) ->
+      List.iter (fun p -> Alcotest.(check bool) (line ^ " has " ^ p) true (contains line p)) parts)
+    [
+      ( line (set "store_wal_appends" 53.0 base) "store_wal_appends",
+        [ "store_wal_appends"; "deterministic"; "54.000"; "53.000"; "band exact" ] );
+      ( line (scale "micro_dsig_verify_fast_us" 3.0 base) "micro_dsig_verify_fast_us",
+        [ "measured"; "lower-better"; "89.932"; "269.797"; "band ±50%" ] );
+      (line (set "brand_new_us" 1.0 base) "brand_new_us", [ "brand_new_us"; "no row" ]);
+    ]
 
 let test_trajectory_parse_snapshot () =
   let body =
     {|{
   "schema": "dsig-bench-smoke-v2",
   "meta": { "written_at": "2026-01-01T00:00:00Z", "git_rev": "abc1234", "arch": "x86_64", "domains": 8, "ocaml": "5.1.1" },
-  "metrics": { "sign_us": 12.5, "verify_ops_per_sec": 800.0, "skipped": null }
+  "metrics": { "micro_dsig_sign_us": 12.5, "micro_dsig_verify_fast_us": null }
 }|}
   in
   (match Trajectory.parse_snapshot body with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok metrics ->
-      Alcotest.(check (list (pair string (float 0.0))))
-        "metrics extracted sorted, nulls skipped"
-        [ ("sign_us", 12.5); ("verify_ops_per_sec", 800.0) ]
-        (List.sort compare metrics));
+      feq "value" 12.5 (List.assoc "micro_dsig_sign_us" metrics);
+      Alcotest.(check bool) "null is nan" true
+        (Float.is_nan (List.assoc "micro_dsig_verify_fast_us" metrics));
+      (* the writer's null for a non-finite value is reported as such,
+         under the row's name, not as a missing metric *)
+      let entries = Trajectory.compare_metrics ~baseline:(committed_baseline ()) ~fresh:metrics in
+      let e = List.find (fun e -> e.Trajectory.e_name = "micro_dsig_verify_fast_us") entries in
+      Alcotest.(check string) "null gates as non-finite"
+        (Trajectory.verdict_name Trajectory.Non_finite)
+        (Trajectory.verdict_name e.Trajectory.e_verdict));
   let meta = Trajectory.meta_of_snapshot body in
   Alcotest.(check (option string)) "meta git_rev" (Some "abc1234") (List.assoc_opt "git_rev" meta);
   Alcotest.(check (option string)) "meta domains" (Some "8") (List.assoc_opt "domains" meta);
   Alcotest.(check bool) "no metrics key is an error" true
     (Result.is_error (Trajectory.parse_snapshot {|{"schema":"x"}|}))
+
+(* drift between the gate table and the committed baseline fails here,
+   not only in the minutes-long @smoke run *)
+let test_trajectory_table_matches_baseline () =
+  let rows = List.map (fun r -> r.Trajectory.name) Trajectory.table in
+  let base = List.map fst (committed_baseline ()) in
+  List.iter
+    (fun name ->
+      Alcotest.(check int)
+        (name ^ " has exactly one row") 1
+        (List.length (List.filter (( = ) name) rows)))
+    base;
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " is in the baseline") true (List.mem name base))
+    rows
 
 let () =
   Alcotest.run "dsig timeseries"
@@ -581,8 +623,8 @@ let () =
         ] );
       ( "trajectory",
         [
-          Alcotest.test_case "direction heuristics" `Quick test_trajectory_directions;
           Alcotest.test_case "compare verdicts" `Quick test_trajectory_compare;
           Alcotest.test_case "snapshot parsing" `Quick test_trajectory_parse_snapshot;
+          Alcotest.test_case "table matches baseline" `Quick test_trajectory_table_matches_baseline;
         ] );
     ]
