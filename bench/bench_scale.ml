@@ -68,6 +68,9 @@ let run () =
          for a contiguous run of prepared keys --- *)
       let signer, verifier = make_system ~pool:None () in
       Signer.background_fill signer;
+      (* promote the batch just built now, so that no minor collection
+         copying it lands inside a shard's busy window *)
+      Gc.minor ();
       let sign_busy =
         List.map
           (fun (lo, hi) ->
@@ -84,6 +87,7 @@ let run () =
       let wires = Array.map (fun m -> Signer.sign signer2 m) msgs in
       List.iter (fun (_, ann) -> ignore (Verifier.deliver verifier ann)) (Signer.drain_outbox signer2);
       let pairs = Array.init n (fun i -> (msgs.(i), wires.(i))) in
+      Gc.minor ();
       let verify_busy =
         List.map
           (fun (lo, hi) ->

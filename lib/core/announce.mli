@@ -1,9 +1,8 @@
 (** Signer-side announcement tracker: which (batch, verifier) pairs
     still lack an ACK, when to re-send each one, and which batches are
     retained for pull repair. The tracker {!t} is not thread-safe; the
-    {!Plane} wrapped around it is, and is the one control plane both
-    signer flavours (the in-simulation {!Signer} and the threaded
-    {!Runtime}) use.
+    {!Plane} wrapped around it is, and is the one control plane of
+    every {!Signer}, driven inline or by a {!Runtime} domain.
 
     Re-announcements are paced by ACK round trips: each destination
     gets an RFC-6298-style retransmission timeout from its own observed
@@ -133,7 +132,7 @@ val rto_us : t -> dest:int -> float option
     Announcements are fire-and-forget at the transport level; these
     entry points close the loop. None of them sends anything: they
     return what to send, so any transport (simnet loops, TCP servers,
-    in-process loopback) drives either signer flavour through one code
+    in-process loopback) drives any signer through one code
     path, usually via {!Control_plane}. No entry point holds the lock
     while the caller sends, so a transport may re-enter the plane from
     inside a send (an in-process loopback ACKs synchronously). *)
@@ -146,8 +145,9 @@ module Plane : sig
   (** The control plane of signer [id]. [sample_hook] runs at the start
       of every {!step} (see {!Options.with_sample_hook}).
 
-      [prefix] names the flavour's series ([dsig_signer] or
-      [dsig_runtime]). The plane publishes its counts as probes:
+      [prefix] names the signer's series ([dsig_signer], or
+      [dsig_runtime] under a {!Runtime}). The plane publishes its
+      counts as probes:
       [<prefix>_acks_total] (ACKs that newly settled a destination),
       [<prefix>_reannounces_total] (pairs returned by {!step}),
       [<prefix>_batch_requests_total] (pull requests answered),

@@ -1,10 +1,10 @@
 (** The signer-side announcement control plane, under the names
-    transports use. Both signer flavours — the in-simulation {!Signer}
-    and the threaded {!Runtime} — own one {!Announce.Plane}; these are
+    transports use. Every {!Signer} owns one {!Announce.Plane}
+    ({!of_runtime} reaches the one of a {!Runtime}'s signer); these are
     plain aliases of it, plus the frame dispatcher {!deliver}. None of
     them sends anything: they return what to send, so any transport
-    (simnet loops, TCP servers, in-process loopback) drives either
-    flavour through one code path. *)
+    (simnet loops, TCP servers, in-process loopback) drives any signer
+    through one code path. *)
 
 type t = Announce.Plane.t
 

@@ -16,7 +16,11 @@
 
     Each component reads the fields that concern it and ignores the
     rest, so one record configures a whole deployment ({!System},
-    [Dsig_deploy.Deploy]). This is the only constructor surface — the
+    [Dsig_deploy.Deploy]). There is one signer: {!Runtime.create}
+    hands its options to the {!Signer} it drives on a domain, so every
+    field means the same whether the background plane runs inline or
+    on that domain (the metric prefix is {!Signer.create}'s [?prefix],
+    not an option). This is the only constructor surface — the
     pre-[Options] [create_legacy] shims and per-knob arguments are
     gone. *)
 

@@ -1,17 +1,19 @@
-(** A real two-plane DSig signer: the background plane runs on its own
-    {!Domain} (the paper dedicates one CPU core to it, §8 "DSig
+(** The domain driver: one {!Signer} whose background plane runs on its
+    own {!Domain} (the paper dedicates one CPU core to it, §8 "DSig
     configuration"), generating and EdDSA-signing key batches while the
     foreground thread signs with zero asymmetric crypto on its critical
     path.
 
-    The planes communicate through a mutex-protected key queue with the
-    paper's threshold semantics: the background domain refills whenever
-    the queue drops below S and sleeps otherwise; {!sign} blocks only if
-    the queue is completely empty (the synchronous-refill situation the
-    in-simulation {!Signer} counts as a slow path).
+    The runtime owns no queue, lock or rng of its own: the domain loops
+    on {!Signer.await_refill} and {!Signer.background_step}, and sleeps
+    on the signer's queue lock while every queue holds at least S keys.
+    {!sign} is {!Signer.sign}; it waits only if its queue is completely
+    empty, on the seal lock of the batch the domain is sealing (the
+    wait {!Signer} counts and drivers share). {!signer} reaches hints,
+    rotation and {!Signer.sign_many}.
 
-    Announcements are buffered for the embedding application to
-    distribute to verifiers ({!drain_announcements}). *)
+    Announcements are recorded in the signer's outbox for the embedding
+    application to distribute to verifiers ({!drain_announcements}). *)
 
 type t
 
@@ -23,57 +25,52 @@ val create :
   ?options:Options.t ->
   unit ->
   t
-(** Spawns the background domain. Call {!shutdown} when done.
+(** {!start} over [Signer.create ~rng:(Rng.create seed)
+    ~prefix:"dsig_runtime" ~verifiers:[]]: one verifier group with no
+    destinations, so every announcement lands in the outbox. Call
+    {!shutdown} when done.
 
     [options] (default {!Options.default}) supplies the telemetry
     bundle, the optional key-state store and transparency-log sink, the
-    keygen pool and the sample hook; the runtime shares the signing
-    core with {!Signer} ({!Signer_core}), so each means the same here.
+    keygen pool and the sample hook, with {!Signer.create}'s meaning.
+    With a store, the journal resumes the batch counter past anything a
+    previous incarnation might have used (DESIGN.md §10), and
+    {!shutdown} closes it cleanly; [Failure] if it cannot be opened or
+    belongs to a different {!Config.fingerprint}.
 
-    When [options] carries a store ({!Options.with_store}), the runtime
-    opens a durable {!Dsig_store.Keystate} journal: the background
-    domain journals each batch before its keys are queued, the
-    foreground thread journals each reservation before building the
-    signature, and the batch counter resumes past anything a previous
-    incarnation might have used (DESIGN.md §10). {!shutdown} closes the
-    journal cleanly. Raises [Failure] if the store cannot be opened or
-    belongs to a different {!Config.fingerprint}. With
-    {!Options.with_translog}, every signature reaches the sink before
-    {!sign} returns it.
+    The telemetry bundle receives {!Signer.create}'s series under the
+    [dsig_runtime] prefix: among them [dsig_runtime_signatures_total],
+    [dsig_runtime_sign_waits_total], [dsig_runtime_batches_total],
+    [dsig_runtime_acks_total], [dsig_runtime_reannounces_total], the
+    [dsig_runtime_sign_us] and [dsig_runtime_batch_gen_us] histograms
+    and the [dsig_runtime_queue_depth] gauge. *)
 
-    The telemetry bundle receives the foreground plane's
-    [dsig_runtime_signatures_total] / [dsig_runtime_sign_waits_total]
-    counters, [dsig_runtime_sign_us] histogram and
-    [dsig_runtime_queue_depth] gauge, the background domain's
-    [dsig_runtime_batch_gen_us] histogram, {!batches_generated} as
-    [dsig_runtime_batches_total], and the control plane's series under
-    the [dsig_runtime] prefix ({!Announce.Plane.create}), among them
-    [dsig_runtime_acks_total] and [dsig_runtime_reannounces_total]. *)
+val start : Signer.t -> t
+(** Drive an existing signer's background plane on a new domain. The
+    runtime takes the signer over: {!shutdown} closes it. *)
+
+val signer : t -> Signer.t
 
 val sign : t -> string -> string
-(** Foreground-plane signing; thread-safe for a single foreground
-    caller. Blocks (briefly, after warm-up never) when no key is ready.
-    Registers a lifecycle sign event when the bundle's
-    {!Dsig_telemetry.Lifecycle} is enabled (one mutable load when not). *)
+(** {!Signer.sign} without a hint. Blocks (briefly, after warm-up
+    never) when no key is ready. *)
 
 val sign_ctx : t -> string -> string * Dsig_telemetry.Trace_ctx.t
-(** Like {!sign}, additionally returning the signature's trace context
-    for transports that propagate it (e.g. [Dsig_tcpnet.Traced]). *)
+(** {!Signer.sign_ctx} without a hint. *)
 
 val queue_depth : t -> int
+(** {!Signer.queue_depth}. *)
+
 val batches_generated : t -> int
-(** Batches queued by the background domain so far (live, lock-free). *)
+(** Batches sealed so far (live, lock-free). *)
 
 val store : t -> Dsig_store.Keystate.t option
-(** The durable key-state journal, when created with
-    {!Options.with_store}. *)
-
 val store_recovery : t -> Dsig_store.Keystate.report option
-(** What recovery found at creation (clean/crash, burned keys, resumed
-    batch counter). *)
+(** {!Signer.store}, {!Signer.store_recovery}. *)
 
 val drain_announcements : t -> Batch.announcement list
-(** Announcements produced since the last drain, oldest first. *)
+(** The outbox's announcements since the last drain, oldest first
+    ({!Signer.drain_announcements} without destinations). *)
 
 (** {1 Announcement control plane}
 
@@ -84,8 +81,8 @@ val drain_announcements : t -> Batch.announcement list
     inbound control frames go to {!Control_plane.deliver}, and a
     periodic {!Control_plane.step} poll yields the
     [(destination, announcement)] pairs to re-send. The plane has its
-    own lock: no control-plane call takes the key-queue lock {!sign}
-    pops under. *)
+    own lock: no control-plane call takes the signer's queue or seal
+    lock. *)
 
 val control_plane : t -> Announce.Plane.t
 
@@ -96,5 +93,6 @@ val unacked_announcements : t -> int
 (** Outstanding (batch, destination) pairs still awaiting an ACK. *)
 
 val shutdown : t -> unit
-(** Stops and joins the background domain, then closes the key-state
-    journal (clean-shutdown marker). Idempotent. *)
+(** Stops and joins the driver domain, then closes the key-state
+    journal (clean-shutdown marker). Idempotent. Signing afterwards
+    still works, refilling inline. *)

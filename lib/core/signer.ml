@@ -1,155 +1,278 @@
+module Merkle = Dsig_merkle.Merkle
 module Eddsa = Dsig_ed25519.Eddsa
 module Rng = Dsig_util.Rng
 module Domain_pool = Dsig_util.Domain_pool
 module Tel = Dsig_telemetry.Telemetry
 module Tracer = Dsig_telemetry.Tracer
 module Metric = Dsig_telemetry.Metric
+module Lifecycle = Dsig_telemetry.Lifecycle
+module Trace = Dsig_telemetry.Trace_ctx
 module Keystate = Dsig_store.Keystate
-module Core = Signer_core
+open Dsig_hbss
 
-type group = { members : int list (* sorted *); queue : Core.prepared Queue.t }
+(* A one-time key ready to sign: its batch's Merkle proof and EdDSA
+   root signature are attached (Alg. 1 line 11), and its nonce was
+   drawn when the batch was sealed, so signing touches no rng. *)
+type prepared = {
+  key : Onetime.t;
+  batch_id : int64;
+  proof : Merkle.proof;
+  root_sig : string;
+  nonce : string;
+}
+
+type group = { members : int list (* sorted *); queue : prepared Queue.t }
 
 (* A pre-generated next-generation batch awaiting cutover (key
    lifecycle plane): sealed and announced, but not yet serving keys. *)
 type staged = {
   s_epoch : int;
   s_batch_id : int64;
-  s_keys : Core.prepared Queue.t;
+  s_keys : prepared Queue.t;
   s_size : int;
-  s_staged_at_us : float;
 }
 
 type stats = {
   signatures : int;
   batches : int;
-  sync_refills : int;
+  sign_waits : int;
   reannounces : int;
   requests_served : int;
 }
 
+(* Two locks, taken in the order [seal], then [lock]; [seal] is never
+   taken while [lock] is held, and no callback ([send], the translog
+   sink) runs under [lock].
+   - [seal] serialises sealing: [next_batch], [rng], [Batch.make], the
+     journal's seal and rotation records. A batch's keys are queued
+     before [seal] is released, so a cutover is never followed by keys
+     of a batch sealed earlier.
+   - [lock] guards the group queues, [staged], [epoch], [outbox] and
+     [stopping]; [staged] and [epoch] change only under both. *)
 type t = {
-  core : Core.t;
-  rng : Rng.t;
+  cfg : Config.t;
+  id : int;
+  eddsa : Eddsa.secret_key;
+  tel : Tel.t;
+  store : Keystate.t option; (* the key-state journal; it has its own lock *)
+  recovery : Keystate.report option;
+  translog : (signer:int -> op:string -> signature:string -> unit) option;
+  pool : Domain_pool.t option;
+  plane : Announce.Plane.t; (* the announcement control plane; it has its own lock *)
+  rng : Rng.t; (* key seeds and nonces *)
   groups : group list; (* default group last, so smaller matches win *)
+  default : group;
+  send : (dest:int -> Batch.announcement -> unit) option;
+  seal : Mutex.t;
+  lock : Mutex.t;
+  refill : Condition.t; (* under [lock]: a pop left a queue below S, or [stop] *)
+  mutable next_batch : int64;
   mutable epoch : int; (* confirmed rotation epoch *)
-  mutable staged : staged option; (* pre-generated batch awaiting cutover *)
-  send : dest:int -> Batch.announcement -> unit;
-  outbox : (int * Batch.announcement) Queue.t;
-  sync_refills : int ref;
+  mutable staged : staged option;
+  mutable stopping : bool;
+  outbox : (Batch.announcement * int list) Queue.t;
+  batches : int Atomic.t;
+  signatures : int Atomic.t;
+  sign_waits : int Atomic.t;
+  h_sign : Metric.Histogram.t;
+  h_batch_gen : Metric.Histogram.t;
+  g_queue : Metric.Gauge.t;
   c_rot_staged : Metric.Counter.t;
   c_rot_cutovers : Metric.Counter.t;
   c_rot_dropped_keys : Metric.Counter.t;
-  h_refill : Metric.Histogram.t;
   h_cutover : Metric.Histogram.t;
   g_epoch : Metric.Gauge.t;
 }
 
-let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(options = Options.default) ~verifiers () =
-  let core = Core.create cfg ~id ~eddsa ~prefix:"dsig_signer" options in
-  let telemetry = core.tel in
-  let sync_refills = ref 0 in
-  Tel.probe telemetry "dsig_signer_sync_refills_total" (fun () -> !sync_refills);
-  let outbox = Queue.create () in
-  let send =
-    match send with
-    | Some f -> f
-    | None -> fun ~dest ann -> Queue.add (dest, ann) outbox
-  in
+let open_store tel cfg (options : Options.t) =
+  match options.store with
+  | None -> (None, None)
+  | Some s -> (
+      let store_cfg =
+        Keystate.config ~group_commit:s.group_commit ~fsync:s.fsync
+          ~checkpoint_every:s.checkpoint_every s.dir
+      in
+      match Keystate.open_ ~telemetry:tel ~fingerprint:(Config.fingerprint cfg) store_cfg with
+      | Error e -> failwith ("opening the key-state store: " ^ e)
+      | Ok (ks, report) -> (Some ks, Some report))
+
+let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
+    ?(options = Options.default) ~verifiers () =
+  let tel = options.telemetry in
+  let store, recovery = open_store tel cfg options in
+  let batches = Atomic.make 0 and signatures = Atomic.make 0 and sign_waits = Atomic.make 0 in
+  (* the probes capture only the counts, never the signer's keys *)
+  Tel.probe tel (prefix ^ "_batches_total") (fun () -> Atomic.get batches);
+  Tel.probe tel (prefix ^ "_signatures_total") (fun () -> Atomic.get signatures);
+  Tel.probe tel (prefix ^ "_sign_waits_total") (fun () -> Atomic.get sign_waits);
   let normalize members = List.sort_uniq compare members in
-  let mk members = { members = normalize members; queue = Queue.create () } in
-  let default = mk verifiers in
+  let mk members = { members; queue = Queue.create () } in
+  let default = mk (normalize verifiers) in
+  (* smallest groups first so the "smallest group containing the hint"
+     rule is a simple find *)
   let extra =
     groups
     |> List.map normalize
     |> List.filter (fun m -> m <> default.members)
     |> List.sort_uniq compare
-    |> List.map (fun m -> { members = m; queue = Queue.create () })
+    |> List.sort (fun a b -> compare (List.length a) (List.length b))
+    |> List.map mk
   in
-  (* smallest groups first so the "smallest group containing the hint"
-     rule is a simple find *)
-  let extra = List.sort (fun a b -> compare (List.length a.members) (List.length b.members)) extra in
   {
-    core;
+    cfg;
+    id;
+    eddsa;
+    tel;
+    store;
+    recovery;
+    translog = options.translog;
+    pool = options.parallel;
+    plane = Announce.Plane.create tel ~prefix ~id ?sample_hook:options.sample_hook ();
     rng;
     groups = extra @ [ default ];
-    epoch = (match core.recovery with Some r -> r.Keystate.epoch | None -> 0);
-    staged = None;
+    default;
     send;
-    outbox;
-    sync_refills;
-    c_rot_staged = Tel.counter telemetry "dsig_rotation_staged_total";
-    c_rot_cutovers = Tel.counter telemetry "dsig_rotation_cutovers_total";
-    c_rot_dropped_keys = Tel.counter telemetry "dsig_rotation_dropped_keys_total";
-    h_refill = Tel.histogram telemetry "dsig_signer_refill_us";
-    h_cutover = Tel.histogram telemetry "dsig_rotation_cutover_us";
-    g_epoch = Tel.gauge telemetry "dsig_rotation_epoch";
+    seal = Mutex.create ();
+    lock = Mutex.create ();
+    refill = Condition.create ();
+    (* resume past every batch id the previous incarnation might have
+       used — the report already includes the crash gap *)
+    next_batch = (match recovery with Some r -> r.Keystate.next_batch_id | None -> 0L);
+    epoch = (match recovery with Some r -> r.Keystate.epoch | None -> 0);
+    staged = None;
+    stopping = false;
+    outbox = Queue.create ();
+    batches;
+    signatures;
+    sign_waits;
+    h_sign = Tel.histogram tel (prefix ^ "_sign_us");
+    h_batch_gen = Tel.histogram tel (prefix ^ "_batch_gen_us");
+    g_queue = Tel.gauge tel (prefix ^ "_queue_depth");
+    c_rot_staged = Tel.counter tel "dsig_rotation_staged_total";
+    c_rot_cutovers = Tel.counter tel "dsig_rotation_cutovers_total";
+    c_rot_dropped_keys = Tel.counter tel "dsig_rotation_dropped_keys_total";
+    h_cutover = Tel.histogram tel "dsig_rotation_cutover_us";
+    g_epoch = Tel.gauge tel "dsig_rotation_epoch";
   }
 
-let id t = t.core.id
-let config t = t.core.cfg
-let eddsa_public_key t = Eddsa.public_key t.core.eddsa
-let store t = t.core.store
-let store_recovery t = t.core.recovery
-let close t = Option.iter Keystate.close t.core.store
+let id t = t.id
+let config t = t.cfg
+let eddsa_public_key t = Eddsa.public_key t.eddsa
+let store t = t.store
+let store_recovery t = t.recovery
+let close t = Option.iter Keystate.close t.store
+let control_plane t = t.plane
+let unacked_announcements t = Announce.Plane.pending t.plane
+let locked t f = Mutex.protect t.lock f
 
 let stats t =
-  let c = t.core in
   {
-    signatures = Atomic.get c.signatures;
-    batches = Atomic.get c.batches;
-    sync_refills = !(t.sync_refills);
-    reannounces = Announce.Plane.reannounced c.plane;
-    requests_served = Announce.Plane.requests_served c.plane;
+    signatures = Atomic.get t.signatures;
+    batches = Atomic.get t.batches;
+    sign_waits = Atomic.get t.sign_waits;
+    reannounces = Announce.Plane.reannounced t.plane;
+    requests_served = Announce.Plane.requests_served t.plane;
   }
 
+let drain_announcements t =
+  locked t (fun () ->
+      let items = List.of_seq (Queue.to_seq t.outbox) in
+      Queue.clear t.outbox;
+      items)
+
 let drain_outbox t =
-  let items = List.of_seq (Queue.to_seq t.outbox) in
-  Queue.clear t.outbox;
-  items
+  List.concat_map (fun (ann, dests) -> List.map (fun d -> (d, ann)) dests) (drain_announcements t)
 
 let subset hint members = List.for_all (fun v -> List.mem v members) hint
 
-let default_group t = List.nth t.groups (List.length t.groups - 1)
-
 let select_group t hint =
   match hint with
-  | None -> default_group t
+  | None -> t.default
   | Some hint -> (
       let hint = List.sort_uniq compare hint in
       match List.find_opt (fun g -> subset hint g.members) t.groups with
       | Some g -> g
-      | None -> default_group t)
+      | None -> t.default)
 
-(* Seal batch [batch_id], multicast its announcement to [group] and
-   queue its prepared keys on [q] (Alg. 1 lines 6-11, batched per
-   §4.4). Returns the batch size. *)
-let announce_batch t group ~batch_id q =
-  let c = t.core in
-  let batch = Core.make_batch c ~rng:t.rng ~batch_id in
-  let ann = Batch.announcement c.cfg batch in
-  let dests = List.filter (fun dest -> dest <> c.id) group.members in
+(* --- background plane: sealing, under [seal] --- *)
+
+(* Seal the next batch, announce it to [group] and queue its prepared
+   keys on [into] (Alg. 1 lines 6-11, batched per §4.4). Caller holds
+   [seal]. Returns the batch size. *)
+let seal_batch t group ~batch_id ~into =
+  let batch =
+    Batch.make ~telemetry:t.tel ?pool:t.pool t.cfg ~signer_id:t.id ~batch_id ~eddsa:t.eddsa
+      ~rng:t.rng
+  in
+  (* journal the seal before any of the batch's keys can sign *)
+  Option.iter (fun ks -> Keystate.seal ks ~batch_id ~size:(Batch.size batch)) t.store;
+  let root_sig = Batch.root_signature batch and keys = Queue.create () in
+  for i = 0 to Batch.size batch - 1 do
+    let nonce = Rng.bytes t.rng 16 in
+    let proof = Batch.proof batch i in
+    Queue.add { key = Batch.key batch i; batch_id; proof; root_sig; nonce } keys
+  done;
+  let ann = Batch.announcement t.cfg batch in
+  let dests = List.filter (fun dest -> dest <> t.id) group.members in
   (* track before sending: over an in-process transport the ACK comes
      back synchronously, and it must find the batch registered *)
-  if dests <> [] then Announce.Plane.track c.plane ann ~dests;
-  List.iter (fun dest -> t.send ~dest ann) dests;
-  Core.queue_keys c batch q;
+  if dests <> [] then Announce.Plane.track t.plane ann ~dests;
+  Option.iter (fun send -> List.iter (fun dest -> send ~dest ann) dests) t.send;
+  locked t (fun () ->
+      Queue.transfer keys into;
+      if t.send = None then Queue.add (ann, dests) t.outbox);
+  Atomic.incr t.batches;
   Batch.size batch
 
+let next_batch_id t =
+  let batch_id = t.next_batch in
+  t.next_batch <- Int64.succ batch_id;
+  batch_id
+
+(* Caller holds [seal]. *)
 let refill t group =
-  let c = t.core in
-  Log.L.debug (fun m ->
-      m "signer %d: refilling group [%s] (queue %d < S=%d)" c.id
-        (String.concat "," (List.map string_of_int group.members))
-        (Queue.length group.queue) c.cfg.Config.queue_threshold);
-  let t0 = Tel.now c.tel in
-  Tracer.record_at c.tel.Tel.tracer ~tag:c.id Tracer.Batch_gen Tracer.Begin t0;
-  let size = announce_batch t group ~batch_id:(Core.next_batch_id c) group.queue in
+  let t0 = Tel.now t.tel in
+  Tracer.record_at t.tel.Tel.tracer ~tag:t.id Tracer.Batch_gen Tracer.Begin t0;
+  let size = seal_batch t group ~batch_id:(next_batch_id t) ~into:group.queue in
   (* the gauge tracks prepared keys process-wide, so move it by deltas
      rather than overwriting other signers' contributions *)
-  Metric.Gauge.add c.g_queue (float_of_int size);
-  let t1 = Tel.now c.tel in
-  Metric.Histogram.add t.h_refill (t1 -. t0);
-  Tracer.record_at c.tel.Tel.tracer ~tag:c.id Tracer.Batch_gen Tracer.End t1
+  Metric.Gauge.add t.g_queue (float_of_int size);
+  let t1 = Tel.now t.tel in
+  Metric.Histogram.add t.h_batch_gen (t1 -. t0);
+  Tracer.record_at t.tel.Tel.tracer ~tag:t.id Tracer.Batch_gen Tracer.End t1
+
+(* Under [lock]. A staged rotation suppresses refills of the dying
+   default generation: cutover is imminent and would discard them. *)
+let needs_refill t g =
+  Queue.length g.queue < t.cfg.Config.queue_threshold && not (t.staged <> None && g == t.default)
+
+let background_step t =
+  Mutex.protect t.seal (fun () ->
+      match locked t (fun () -> List.find_opt (needs_refill t) t.groups) with
+      | None -> false
+      | Some g ->
+          refill t g;
+          true)
+
+let background_fill t = while background_step t do () done
+
+let await_refill t =
+  locked t (fun () ->
+      while (not t.stopping) && not (List.exists (needs_refill t) t.groups) do
+        Condition.wait t.refill t.lock
+      done;
+      not t.stopping)
+
+let stop t =
+  locked t (fun () ->
+      t.stopping <- true;
+      Condition.broadcast t.refill)
+
+let queue_length t hint = locked t (fun () -> Queue.length (select_group t (Some hint)).queue)
+(* Under [lock]. *)
+let queued t = List.fold_left (fun n g -> n + Queue.length g.queue) 0 t.groups
+
+let queue_depth t = locked t (fun () -> queued t)
 
 (* --- zero-downtime rotation (key lifecycle plane) ---
 
@@ -160,113 +283,173 @@ let refill t group =
    the current batch keeps serving. [cutover] then atomically swaps:
    journal the confirm record, drop the dying batches' pending
    re-announcements, discard their queued keys, and start serving the
-   staged generation. *)
+   staged generation. Both run under [seal]: by the swap, every batch
+   sealed before the staged one has queued its keys, so the swap
+   discards them all. *)
 
 let stage_next_batch t =
-  if t.staged <> None then invalid_arg "Signer.stage_next_batch: rotation already staged";
-  let c = t.core in
-  let t0 = Tel.now c.tel in
-  let epoch = t.epoch + 1 in
-  let batch_id = Core.next_batch_id c in
-  Option.iter (fun ks -> Keystate.propose_rotation ks ~epoch ~batch_id) c.store;
-  let keys = Queue.create () in
-  let size = announce_batch t (default_group t) ~batch_id keys in
-  t.staged <-
-    Some
-      { s_epoch = epoch; s_batch_id = batch_id; s_keys = keys; s_size = size; s_staged_at_us = t0 };
-  Metric.Counter.incr t.c_rot_staged;
-  Log.L.info (fun m ->
-      m "signer %d: staged rotation epoch %d (batch %Ld, %d keys)" c.id epoch batch_id size);
-  (epoch, batch_id)
+  Mutex.protect t.seal (fun () ->
+      if t.staged <> None then invalid_arg "Signer.stage_next_batch: rotation already staged";
+      let epoch = t.epoch + 1 in
+      let batch_id = next_batch_id t in
+      Option.iter (fun ks -> Keystate.propose_rotation ks ~epoch ~batch_id) t.store;
+      let keys = Queue.create () in
+      let size = seal_batch t t.default ~batch_id ~into:keys in
+      let s = { s_epoch = epoch; s_batch_id = batch_id; s_keys = keys; s_size = size } in
+      locked t (fun () -> t.staged <- Some s);
+      Metric.Counter.incr t.c_rot_staged;
+      Log.L.info (fun m ->
+          m "signer %d: staged rotation epoch %d (batch %Ld, %d keys)" t.id epoch batch_id size);
+      (epoch, batch_id))
 
-let staged_rotation t = Option.map (fun s -> (s.s_epoch, s.s_batch_id)) t.staged
+let staged_rotation t =
+  locked t (fun () -> Option.map (fun s -> (s.s_epoch, s.s_batch_id)) t.staged)
 
 let staged_unacked t =
   Option.map
-    (fun s ->
-      Option.value ~default:0 (Announce.Plane.pending_for t.core.plane ~batch_id:s.s_batch_id))
-    t.staged
+    (fun s -> Option.value ~default:0 (Announce.Plane.pending_for t.plane ~batch_id:s.s_batch_id))
+    (locked t (fun () -> t.staged))
 
-let cutover t =
+(* Caller holds [seal]. *)
+let cutover_sealed t =
   match t.staged with
   | None -> invalid_arg "Signer.cutover: no staged rotation"
   | Some s ->
-      let c = t.core in
-      let t0 = Tel.now c.tel in
+      let t0 = Tel.now t.tel in
       Option.iter
         (fun ks -> Keystate.confirm_rotation ks ~epoch:s.s_epoch ~batch_id:s.s_batch_id)
-        c.store;
+        t.store;
       (* the dying generation stops re-announcing and its queued keys
          are discarded — they can never sign under the new epoch *)
-      Announce.Plane.drop_before c.plane ~batch_id:s.s_batch_id;
-      let discarded = ref 0 in
-      List.iter
-        (fun g ->
-          discarded := !discarded + Queue.length g.queue;
-          Queue.clear g.queue)
-        t.groups;
-      if !discarded > 0 then begin
-        Metric.Counter.incr ~by:!discarded t.c_rot_dropped_keys;
-        Metric.Gauge.add c.g_queue (float_of_int (- !discarded))
-      end;
-      let group = default_group t in
-      Queue.transfer s.s_keys group.queue;
-      Metric.Gauge.add c.g_queue (float_of_int s.s_size);
-      t.epoch <- s.s_epoch;
-      t.staged <- None;
+      Announce.Plane.drop_before t.plane ~batch_id:s.s_batch_id;
+      let discarded =
+        locked t (fun () ->
+            let n = queued t in
+            List.iter (fun g -> Queue.clear g.queue) t.groups;
+            Queue.transfer s.s_keys t.default.queue;
+            t.epoch <- s.s_epoch;
+            t.staged <- None;
+            Condition.signal t.refill;
+            n)
+      in
+      if discarded > 0 then Metric.Counter.incr ~by:discarded t.c_rot_dropped_keys;
+      Metric.Gauge.add t.g_queue (float_of_int (s.s_size - discarded));
       Metric.Counter.incr t.c_rot_cutovers;
-      Metric.Gauge.set t.g_epoch (float_of_int t.epoch);
-      let t1 = Tel.now c.tel in
+      Metric.Gauge.set t.g_epoch (float_of_int s.s_epoch);
+      let t1 = Tel.now t.tel in
       Metric.Histogram.add t.h_cutover (t1 -. t0);
       Log.L.info (fun m ->
-          m "signer %d: rotation cutover to epoch %d (batch %Ld, %d stale keys dropped)" c.id
-            t.epoch s.s_batch_id !discarded);
-      t.epoch
+          m "signer %d: rotation cutover to epoch %d (batch %Ld, %d stale keys dropped)" t.id
+            s.s_epoch s.s_batch_id discarded);
+      s.s_epoch
 
-let epoch t = t.epoch
+let cutover t = Mutex.protect t.seal (fun () -> cutover_sealed t)
+let epoch t = locked t (fun () -> t.epoch)
 
-let background_step t =
-  match
-    List.find_opt
-      (fun g ->
-        Queue.length g.queue < t.core.cfg.Config.queue_threshold
-        (* a staged rotation suppresses refills of the dying default
-           generation: cutover is imminent and would discard them *)
-        && not (t.staged <> None && g == default_group t))
-      t.groups
-  with
-  | None -> false
-  | Some g ->
-      refill t g;
-      true
+(* --- foreground plane --- *)
 
-let background_fill t = while background_step t do () done
+(* The queue is empty: under [seal], a driver domain may just have
+   refilled it; if it is still empty, cut over to a staged generation
+   (signing never blocks on rotation for longer than the cutover
+   itself) or refill it on the critical path. *)
+let refill_if_empty t group =
+  Mutex.protect t.seal (fun () ->
+      if locked t (fun () -> Queue.is_empty group.queue) then
+        if t.staged <> None && group == t.default then ignore (cutover_sealed t)
+        else begin
+          Log.L.warn (fun m -> m "signer %d: key queue empty, refilling on the critical path" t.id);
+          refill t group
+        end)
 
-let queue_length t hint = Queue.length (select_group t (Some hint)).queue
+(* Pop [group]'s next key (Alg. 1 line 16); [waited] says the queue was
+   found empty on the way. A pop that leaves the queue below S wakes
+   the driver. *)
+let rec pop t group ~waited =
+  Mutex.lock t.lock;
+  if Queue.is_empty group.queue then begin
+    Mutex.unlock t.lock;
+    if not waited then Atomic.incr t.sign_waits;
+    refill_if_empty t group;
+    pop t group ~waited:true
+  end
+  else begin
+    let p = Queue.pop group.queue in
+    if Queue.length group.queue < t.cfg.Config.queue_threshold then Condition.signal t.refill;
+    Mutex.unlock t.lock;
+    Metric.Gauge.add t.g_queue (-1.0);
+    (p, waited)
+  end
 
-let fresh_nonce t = Rng.bytes t.rng 16
+let body p msg =
+  let nonce = p.nonce in
+  match p.key with
+  | Onetime.Wots_key kp -> Wire.Wots_body (Wots.sign kp ~nonce msg)
+  | Onetime.Hors_key { kp; forest = None } ->
+      let hsig = Hors.sign kp ~nonce msg in
+      let p = Hors.params kp in
+      let indices = Hors.message_indices p ~public_seed:(Hors.public_seed kp) ~nonce msg in
+      let selected = Array.make p.Params.Hors.t false in
+      Array.iter (fun i -> selected.(i) <- true) indices;
+      let elements = Hors.public_elements kp in
+      let complement =
+        Array.of_list
+          (List.filteri (fun i _ -> not selected.(i)) (Array.to_list elements))
+      in
+      Wire.Hors_fact_body { hsig; complement }
+  | Onetime.Hors_key { kp; forest = Some f } ->
+      let hsig = Hors.sign kp ~nonce msg in
+      let p = Hors.params kp in
+      let indices = Hors.message_indices p ~public_seed:(Hors.public_seed kp) ~nonce msg in
+      let roots = Array.of_list (Merkle.Forest.roots f) in
+      let proofs = Array.map (fun idx -> Merkle.Forest.proof f idx) indices in
+      Wire.Hors_merk_body { hsig; roots; proofs }
+
+(* Pure given its inputs, so [sign_many] runs it on worker domains. *)
+let encode t p msg =
+  Wire.encode t.cfg
+    {
+      Wire.signer_id = t.id;
+      batch_id = p.batch_id;
+      public_seed = Onetime.public_seed p.key;
+      body = body p msg;
+      batch_proof = p.proof;
+      root_sig = p.root_sig;
+    }
+
+let reserve t p =
+  Option.iter
+    (fun ks -> Keystate.reserve ks ~batch_id:p.batch_id ~key_index:p.proof.Merkle.index)
+    t.store
+
+(* The accounting after a signature is built: translog sink, count,
+   [<prefix>_sign_us] from [t0] to [t1], tracer span and lifecycle
+   sign event. *)
+let finish t ?(span = Tracer.Sign_fast) ?t1 p ~msg ~wire ~t0 =
+  (* transparency: the wire signature is recorded before it is handed
+     to the caller, so every signature that leaves the process is in
+     the log a verifier can demand inclusion proofs from *)
+  Option.iter (fun f -> f ~signer:t.id ~op:msg ~signature:wire) t.translog;
+  Atomic.incr t.signatures;
+  let t1 = match t1 with Some t1 -> t1 | None -> Tel.now t.tel in
+  Metric.Histogram.add t.h_sign (t1 -. t0);
+  Tracer.record_at t.tel.Tel.tracer ~tag:t.id span Tracer.Begin t0;
+  Tracer.record_at t.tel.Tel.tracer ~tag:t.id span Tracer.End t1;
+  let lc = t.tel.Tel.lifecycle in
+  if Lifecycle.enabled lc then
+    Lifecycle.sign lc
+      ~trace_id:(Trace.id ~signer:t.id ~batch_id:p.batch_id ~key_index:p.proof.Merkle.index)
+      ~origin:t.id ~birth_us:t0 ~dur_us:(t1 -. t0)
 
 let sign_impl t ?hint msg =
-  let c = t.core in
-  let t0 = Tel.now c.tel in
-  let group = select_group t hint in
-  let synced = Queue.is_empty group.queue in
-  if synced then begin
-    (* a drained default queue with a staged rotation cuts over instead
-       of refilling the dying generation — signing never blocks on
-       rotation for longer than the cutover itself *)
-    if t.staged <> None && group == default_group t then ignore (cutover t)
-    else begin
-      incr t.sync_refills;
-      Log.L.warn (fun m ->
-          m "signer %d: key queue empty, refilling on the critical path" c.id);
-      refill t group
-    end
-  end;
-  let p = Queue.pop group.queue in
-  Metric.Gauge.add c.g_queue (-1.0);
-  let span = if synced then Tracer.Sign_sync_refill else Tracer.Sign_fast in
-  (Core.sign c ~span p ~nonce:(fresh_nonce t) ~t0 msg, p, t0)
+  let t0 = Tel.now t.tel in
+  let p, waited = pop t (select_group t hint) ~waited:false in
+  (* durability invariant: the reservation is journaled (and covered by
+     the group-commit protocol) before the signature is even built, so a
+     signature can never leave the process without its record *)
+  reserve t p;
+  let wire = encode t p msg in
+  finish t ~span:(if waited then Tracer.Sign_sync_refill else Tracer.Sign_fast) p ~msg ~wire ~t0;
+  (wire, p, t0)
 
 let sign t ?hint msg =
   let wire, _, _ = sign_impl t ?hint msg in
@@ -274,54 +457,40 @@ let sign t ?hint msg =
 
 let sign_ctx t ?hint msg =
   let wire, p, t0 = sign_impl t ?hint msg in
-  (wire, Core.trace_ctx t.core p ~t0)
+  ( wire,
+    Trace.make ~signer:t.id ~batch_id:p.batch_id ~key_index:p.proof.Merkle.index ~origin:t.id
+      ~birth_us:t0 )
 
 (* Batch signing across the worker pool. The division of labor follows
    the shard-ownership invariant (DESIGN.md §12): the calling domain
-   pops prepared keys (ascending key indices), journals every
-   reservation in consumption order, and pre-draws the nonces; worker
-   domains then build signature bodies and wire encodings over
-   contiguous index ranges — one range per shard, so no two domains
-   ever touch the same one-time key; the calling domain folds back
-   translog, stats, metrics, tracer and lifecycle accounting in input
-   order. Without a pool this degrades to a plain loop over [sign]. *)
+   pops prepared keys (ascending key indices) and journals every
+   reservation in consumption order; worker domains then build
+   signature bodies and wire encodings over contiguous index ranges —
+   one range per shard, so no two domains ever touch the same one-time
+   key; the calling domain folds back translog, stats, metrics, tracer
+   and lifecycle accounting in input order. Without a pool this
+   degrades to a plain loop over [sign]. *)
 let sign_many t ?hint msgs =
   let n = Array.length msgs in
-  let c = t.core in
-  match c.pool with
+  match t.pool with
   | Some pool when n > 1 && Domain_pool.size pool > 1 ->
       let group = select_group t hint in
-      if t.staged <> None && Queue.length group.queue < n && group == default_group t then
-        ignore (cutover t);
-      while Queue.length group.queue < n do
-        incr t.sync_refills;
-        Log.L.warn (fun m ->
-            m "signer %d: key queue short (%d < %d), refilling on the critical path" c.id
-              (Queue.length group.queue) n);
-        refill t group
-      done;
-      let prepared = Array.init n (fun _ -> Queue.pop group.queue) in
+      let prepared = Array.init n (fun _ -> fst (pop t group ~waited:false)) in
       (* durability invariant, batch form: every reservation is
          journaled — in the same ascending-index order a sequential
          signer would produce — before any signature is built, so no
          signature can leave the process without its record *)
-      Array.iter (Core.reserve c) prepared;
-      let nonces = Array.init n (fun _ -> fresh_nonce t) in
-      let jobs = Array.init n (fun i -> (prepared.(i), nonces.(i), msgs.(i))) in
+      Array.iter (reserve t) prepared;
       let results =
         Domain_pool.parallel_map pool
-          ~f:(fun ~shard:_ (p, nonce, msg) ->
-            let t0 = Tel.now c.tel in
-            let wire = Core.encode c p ~nonce msg in
-            (wire, t0, Tel.now c.tel))
-          jobs
+          ~f:(fun ~shard:_ (p, msg) ->
+            let t0 = Tel.now t.tel in
+            let wire = encode t p msg in
+            (wire, t0, Tel.now t.tel))
+          (Array.map2 (fun p msg -> (p, msg)) prepared msgs)
       in
       Array.iteri
-        (fun i (wire, t0, t1) -> Core.finish c ~t1 prepared.(i) ~msg:msgs.(i) ~wire ~t0)
+        (fun i (wire, t0, t1) -> finish t ~t1 prepared.(i) ~msg:msgs.(i) ~wire ~t0)
         results;
-      Metric.Gauge.add c.g_queue (float_of_int (-n));
       Array.map (fun (wire, _, _) -> wire) results
   | _ -> Array.map (fun msg -> sign t ?hint msg) msgs
-
-let control_plane t = t.core.plane
-let unacked_announcements t = Announce.Plane.pending t.core.plane

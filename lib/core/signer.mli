@@ -7,12 +7,30 @@
     generating an EdDSA-signed batch of keys and multicasting its
     announcement to the group, while the {e foreground plane} ({!sign})
     pops a prepared key, produces the HBSS signature and attaches the
-    precomputed Merkle proof and root signature — no EdDSA work on the
-    critical path.
+    precomputed Merkle proof, root signature and nonce — no EdDSA work
+    and no randomness on the critical path.
 
-    The background plane is driven explicitly (by a dedicated simnet
-    process, a loop thread, or interleaved calls), keeping the library
-    free of any runtime dependency. *)
+    One signer, two drivers. The background plane is driven inline (a
+    simnet process, interleaved {!background_step} calls, or the
+    foreground itself when a queue runs dry) or by a dedicated domain
+    ({!Runtime}, which loops on {!await_refill} and {!background_step};
+    the paper gives the background plane its own core, §8). Both take
+    the same path: a foreground that finds its queue empty takes the
+    seal lock, checks again, and refills only if the queue is still
+    empty.
+
+    {b Concurrency.} The signer may be driven from two domains. A queue
+    lock guards the group queues, the staged rotation and the outbox;
+    a seal lock serialises sealing (batch ids, key seeds and nonces,
+    {!Batch.make}, the journal's seal and rotation records). Lock order
+    is seal, then queue; the seal lock is never taken under the queue
+    lock, and no callback ([send], the translog sink) runs under the
+    queue lock. A batch's keys are queued before its seal lock is
+    released, so a {!cutover} is never followed by keys of a batch
+    sealed earlier. The announcement plane and the journal have locks
+    of their own. Foreground calls ({!sign}, {!sign_ctx}, {!sign_many})
+    come from one caller at a time; a driver domain and the control
+    plane may run alongside it. *)
 
 type t
 
@@ -23,6 +41,7 @@ val create :
   rng:Dsig_util.Rng.t ->
   ?send:(dest:int -> Batch.announcement -> unit) ->
   ?groups:int list list ->
+  ?prefix:string ->
   ?options:Options.t ->
   verifiers:int list ->
   unit ->
@@ -30,8 +49,9 @@ val create :
 (** [verifiers] is the set of all known processes (the default group).
     [groups] adds application-specific verifier groups (Alg. 1 line 2).
     [send] delivers background announcements (batch refills and staged
-    rotations); it defaults to a no-op (useful when announcements are
-    collected via {!drain_outbox}). The control plane
+    rotations) and runs under the seal lock; without it, each sealed
+    batch's announcement is recorded once, with its destinations, in an
+    outbox ({!drain_announcements}, {!drain_outbox}). The control plane
     ({!Control_plane}) never sends — it returns what to send.
 
     [options] (default {!Options.default}) supplies the telemetry
@@ -49,18 +69,18 @@ val create :
     that cannot be opened or belongs to a different configuration
     raises [Failure].
 
-    The telemetry bundle probes the {!stats} counts as
-    [dsig_signer_signatures_total] / [dsig_signer_sync_refills_total] /
-    [dsig_signer_batches_total] / [dsig_signer_reannounces_total] /
-    [dsig_signer_batch_requests_total] counters, and receives the
-    control plane's series under the [dsig_signer] prefix
-    ({!Announce.Plane.create}: [dsig_signer_acks_total] /
-    [dsig_signer_announce_giveups_total] /
+    [prefix] (default [dsig_signer]; {!Runtime} uses [dsig_runtime])
+    names the signer's series. The telemetry bundle probes the {!stats}
+    counts as [<prefix>_signatures_total] / [<prefix>_sign_waits_total]
+    / [<prefix>_batches_total] / [<prefix>_reannounces_total] /
+    [<prefix>_batch_requests_total] counters, and receives the control
+    plane's series under the same prefix ({!Announce.Plane.create}:
+    [<prefix>_acks_total] / [<prefix>_announce_giveups_total] /
     [dsig_reannounce_redundant_total], the
-    [dsig_signer_unacked_announcements] and [dsig_signer_peer_pressure]
+    [<prefix>_unacked_announcements] and [<prefix>_peer_pressure]
     gauges and the pacing gauges [dsig_rtt_us] / [dsig_rto_us]),
-    [dsig_signer_sign_us] and [dsig_signer_refill_us] latency
-    histograms, the process-wide [dsig_signer_queue_depth] gauge
+    [<prefix>_sign_us] and [<prefix>_batch_gen_us] latency histograms,
+    the process-wide [<prefix>_queue_depth] gauge, moved by deltas
     (prepared keys across all groups and signers sharing the handle),
     the key-lifecycle series ([dsig_rotation_staged_total] /
     [dsig_rotation_cutovers_total] / [dsig_rotation_dropped_keys_total]
@@ -90,8 +110,10 @@ val sign : t -> ?hint:int list -> string -> string
 (** [sign t ~hint msg] returns the encoded DSig signature. The hint
     selects the smallest group containing it (Alg. 1 line 15); an
     omitted or unmatched hint falls back to the default group. If the
-    chosen queue is empty the signer refills it synchronously (slow
-    path, counted in {!stats}).
+    chosen queue is empty the sign waits (counted in {!stats}): under
+    the seal lock it takes the keys a driver domain just queued, or
+    else refills the queue itself (slow path) — or, for the default
+    group with a rotation staged, cuts over.
 
     When the bundle's {!Dsig_telemetry.Lifecycle} is enabled, every
     signature also registers a lifecycle sign event under its trace id
@@ -105,15 +127,13 @@ val sign_ctx : t -> ?hint:int list -> string -> string * Dsig_telemetry.Trace_ct
 val sign_many : t -> ?hint:int list -> string array -> string array
 (** Sign a batch of messages, returning wire signatures in input order.
     With {!Options.with_parallel}, the calling domain pops the prepared
-    keys, journals every key reservation in consumption order and
-    pre-draws the nonces; signature bodies and wire encodings are then
-    built on worker domains over contiguous key-index ranges (one range
-    per shard — no two domains ever touch the same one-time key), and
-    all accounting (translog, stats, metrics, lifecycle) folds back on
-    the calling domain. Without a pool this is a plain loop over
-    {!sign}. The signer itself stays single-domain: concurrent calls to
-    [sign]/[sign_many] on one signer are not supported — the pool
-    parallelizes {e within} a call. *)
+    keys (as {!sign} does, one at a time) and journals every key
+    reservation in consumption order; signature bodies and wire
+    encodings are then built on worker domains over contiguous
+    key-index ranges (one range per shard — no two domains ever touch
+    the same one-time key), and all accounting (translog, stats,
+    metrics, lifecycle) folds back on the calling domain. Without a
+    pool this is a plain loop over {!sign}. *)
 
 val background_step : t -> bool
 (** Refill at most one group whose queue is below S with one batch
@@ -122,8 +142,21 @@ val background_step : t -> bool
 val background_fill : t -> unit
 (** Run {!background_step} to quiescence. *)
 
+val await_refill : t -> bool
+(** Block until some queue needs a refill ([true]) or {!stop} was
+    called ([false]). A driver domain loops
+    [while await_refill t do ignore (background_step t) done]. *)
+
+val stop : t -> unit
+(** Make {!await_refill} return [false], now and from then on. Signing
+    keeps working: it refills inline. *)
+
 val queue_length : t -> int list -> int
 (** Prepared keys available for the group matching the given hint. *)
+
+val queue_depth : t -> int
+(** Prepared keys across all groups: this signer's share of
+    [<prefix>_queue_depth]. *)
 
 (** {1 Zero-downtime rotation (key lifecycle plane)}
 
@@ -167,7 +200,7 @@ val epoch : t -> int
 type stats = {
   signatures : int;
   batches : int;
-  sync_refills : int;  (** foreground had to generate keys *)
+  sign_waits : int;  (** signs that found their queue empty *)
   reannounces : int;  (** unACKed announcements re-sent *)
   requests_served : int;  (** pull requests answered *)
 }
@@ -176,9 +209,13 @@ val stats : t -> stats
 (** The counts at the call; the registry counters listed under
     {!create} publish the same counts live. *)
 
+val drain_announcements : t -> (Batch.announcement * int list) list
+(** The outbox: each batch sealed since the last drain when no [send]
+    callback was given, once, with its destinations (possibly none),
+    oldest first. *)
+
 val drain_outbox : t -> (int * Batch.announcement) list
-(** Announcements queued when no [send] callback was given, as
-    [(destination, announcement)] pairs, oldest first. *)
+(** {!drain_announcements} as [(destination, announcement)] pairs. *)
 
 (** {1 Announcement control plane}
 

@@ -148,7 +148,7 @@ let test_key_exhaustion () =
   let st = Signer.stats signer in
   Alcotest.(check int) "signatures" 9 st.Signer.signatures;
   (* 9 signatures from batches of 4, all refills synchronous: 3 *)
-  Alcotest.(check int) "sync refills" 3 st.Signer.sync_refills
+  Alcotest.(check int) "sign waits" 3 st.Signer.sign_waits
 
 let test_cache_eviction () =
   let cfg = test_cfg ~batch:4 ~s:4 ~cache:2 () in

@@ -383,6 +383,76 @@ let test_runtime_control_plane () =
     (fun (msg, wire) -> Alcotest.(check bool) msg true (Verifier.verify verifier ~msg wire))
     sigs
 
+(* A Runtime over a two-group signer: the foreground signs with hints,
+   with pooled sign_many, and stages and cuts over rotations while the
+   driver domain refills both groups. Every signature verifies, no
+   (batch, key index) signs twice, and after each cutover no key from a
+   batch older than the staged one signs. *)
+let test_runtime_driver () =
+  let pool = Domain_pool.create ~domains:stress_domains () in
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.shutdown pool)
+    (fun () ->
+      let dcfg = Config.make ~batch_size:8 ~queue_threshold:8 (Config.wots ~d:4) in
+      let rng = Rng.create 41L in
+      let sk, pk = Eddsa.generate rng in
+      let pki = Pki.create () in
+      Pki.bind pki ~id:0 ~epoch:0 pk;
+      let options =
+        Options.default |> Options.with_telemetry (Tel.create ()) |> Options.with_parallel pool
+      in
+      let rt =
+        Runtime.start
+          (Signer.create dcfg ~id:0 ~eddsa:sk ~rng ~groups:[ [ 1 ] ] ~options
+             ~verifiers:[ 1; 2 ] ())
+      in
+      let signer = Runtime.signer rt in
+      let signed = ref [] in
+      let sign_round r =
+        let msg i = Printf.sprintf "driver %d.%d" r i in
+        let one ?hint i =
+          let m = msg i in
+          (m, Signer.sign signer ?hint m)
+        in
+        let many ?hint base =
+          let ms = Array.init 5 (fun i -> msg (base + i)) in
+          Array.to_list (Array.combine ms (Signer.sign_many signer ?hint ms))
+        in
+        let sigs =
+          [ one ~hint:[ 1 ] 0; one ~hint:[ 2 ] 1; one 2 ] @ many ~hint:[ 1 ] 10 @ many 20
+        in
+        signed := List.rev_append sigs !signed;
+        sigs
+      in
+      let batch_of (_, wire) =
+        match Wire.decode dcfg wire with
+        | Ok w -> (w.Wire.batch_id, Wire.key_index w)
+        | Error e -> Alcotest.fail e
+      in
+      let stale = ref 0 in
+      Fun.protect
+        ~finally:(fun () -> Runtime.shutdown rt)
+        (fun () ->
+          for rotation = 1 to 4 do
+            ignore (sign_round (10 * rotation));
+            let _, staged = Signer.stage_next_batch signer in
+            ignore (sign_round ((10 * rotation) + 1));
+            (* a default queue that drained has already cut over *)
+            if Signer.staged_rotation signer <> None then ignore (Signer.cutover signer);
+            List.iter
+              (fun s -> if fst (batch_of s) < staged then incr stale)
+              (sign_round ((10 * rotation) + 2))
+          done);
+      Alcotest.(check int) "no stale key signs after cutover" 0 !stale;
+      let verifier = Verifier.create dcfg ~id:1 ~pki () in
+      List.iter (fun ann -> ignore (Verifier.deliver verifier ann)) (Runtime.drain_announcements rt);
+      let bad = List.filter (fun (msg, wire) -> not (Verifier.verify verifier ~msg wire)) !signed in
+      Alcotest.(check int) "every signature verifies" 0 (List.length bad);
+      let keys = List.map batch_of !signed in
+      Alcotest.(check int) "no key signs twice" (List.length keys)
+        (List.length (List.sort_uniq compare keys));
+      Alcotest.(check int) "four cutovers" 4 (Signer.epoch signer))
+
 (* pooled verify_many against a mixed valid/corrupted workload *)
 let test_verify_many_mixed () =
   let pool = Domain_pool.create ~domains:stress_domains () in
@@ -498,6 +568,7 @@ let () =
           Alcotest.test_case "verify_many mixed verdicts" `Quick test_verify_many_mixed;
           Alcotest.test_case "pki prepared key across two domains" `Quick test_pki_two_domains;
           Alcotest.test_case "runtime sign vs control plane" `Quick test_runtime_control_plane;
+          Alcotest.test_case "runtime driver: hints, sign_many, rotation" `Quick test_runtime_driver;
         ] );
       ( "control-interleave",
         [ QCheck_alcotest.to_alcotest ~long:false interleave_fuzz ] );

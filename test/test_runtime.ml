@@ -100,6 +100,42 @@ let test_runtime_translog () =
         "sink got every signature, in order" signed
         (List.of_seq (Queue.to_seq logged)))
 
+(* perfbench reads these series by name and takes a missing one as 0,
+   so a rename would silently zero its per-layer rows *)
+let test_runtime_series () =
+  let rng = Dsig_util.Rng.create 25L in
+  let sk, _ = Dsig_ed25519.Eddsa.generate rng in
+  let tel = Dsig_telemetry.Telemetry.create () in
+  let options = Options.default |> Options.with_telemetry tel in
+  let rt = Runtime.create cfg ~id:0 ~eddsa:sk ~seed:4L ~options () in
+  let n = 20 in
+  Fun.protect
+    ~finally:(fun () -> Runtime.shutdown rt)
+    (fun () ->
+      for i = 1 to n do
+        ignore (Runtime.sign rt (Printf.sprintf "series %d" i))
+      done);
+  let module Snapshot = Dsig_telemetry.Registry.Snapshot in
+  let snap = Dsig_telemetry.Telemetry.snapshot tel in
+  List.iter
+    (fun suffix ->
+      let name = "dsig_runtime_" ^ suffix in
+      Alcotest.(check bool) name true (Snapshot.find snap name <> None))
+    [
+      "batch_gen_us";
+      "sign_waits_total";
+      "acks_total";
+      "reannounces_total";
+      "signatures_total";
+      "batches_total";
+      "sign_us";
+      "queue_depth";
+    ];
+  Alcotest.(check (option int)) "signatures_total counts every signature" (Some n)
+    (match Snapshot.find snap "dsig_runtime_signatures_total" with
+    | Some (Snapshot.Counter c) -> Some c
+    | _ -> None)
+
 let suites =
   [
     ( "runtime",
@@ -108,5 +144,6 @@ let suites =
         Alcotest.test_case "shutdown idempotent" `Quick test_runtime_shutdown_idempotent;
         Alcotest.test_case "warm queue fast path" `Quick test_runtime_warm_queue;
         Alcotest.test_case "translog sink sees every signature" `Quick test_runtime_translog;
+        Alcotest.test_case "perfbench series exist" `Quick test_runtime_series;
       ] );
   ]

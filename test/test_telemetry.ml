@@ -257,7 +257,7 @@ let test_stats_probes () =
       [
         ("signatures_total", st.signatures);
         ("batches_total", st.batches);
-        ("sync_refills_total", st.sync_refills);
+        ("sign_waits_total", st.sign_waits);
         ("reannounces_total", st.reannounces);
         ("batch_requests_total", st.requests_served);
       ]
