@@ -34,7 +34,7 @@ let sign_test ~name ~lifecycle () =
           end;
           Dsig.Signer.sign signer "12345678"))
 
-(* One signature checked with Verifier.verify. [~slow:false] is the warm
+(* One signature checked with Verifier.check. [~slow:false] is the warm
    hinted fast path: the verifier has the batch announcement. [~slow:true]
    is the slow path (paper Fig. 8, wrong hint): no announcement and the
    EdDSA cache off, so every call checks the root signature inline under
@@ -58,14 +58,11 @@ let dsig_verify ~slow =
   let wire = Dsig.Signer.sign signer ~hint:[ 1 ] msg in
   let anns = Dsig.Signer.drain_outbox signer in
   if not slow then List.iter (fun (_, a) -> ignore (Dsig.Verifier.deliver verifier a)) anns;
-  let stats = Dsig.Verifier.stats verifier in
-  let taken () = if slow then stats.Dsig.Verifier.slow else stats.Dsig.Verifier.fast in
   fun () ->
-    let before = taken () in
-    if not (Dsig.Verifier.verify verifier ~msg wire && taken () = before + 1) then
-      failwith
-        (if slow then "bench micro: dsig-verify(slow) left the slow path"
-         else "bench micro: dsig-verify(fast) left the fast path")
+    match Dsig.Verifier.check verifier ~msg wire with
+    | Dsig.Verifier.Fast when not slow -> ()
+    | Dsig.Verifier.Slow when slow -> ()
+    | v -> failwith ("bench micro: dsig-verify left its path: " ^ Dsig.Verifier.verdict_name v)
 
 (* W-OTS+ (d = 4) verify of one genuine signature; fails on a reject. *)
 let wots_verify () =

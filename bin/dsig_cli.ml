@@ -99,12 +99,14 @@ let verify pk_hex msg_spec sig_file d batch =
   let verifier = Dsig.Verifier.create cfg ~id:1 ~pki () in
   let msg = load_msg msg_spec in
   let signature = read_file sig_file in
-  if Dsig.Verifier.verify verifier ~msg signature then begin
-    Printf.printf "OK: signature valid for the %d-byte message\n" (String.length msg);
+  let verdict = Dsig.Verifier.check verifier ~msg signature in
+  if Dsig.Verifier.accepted verdict then begin
+    Printf.printf "OK (%s): signature valid for the %d-byte message\n"
+      (Dsig.Verifier.verdict_name verdict) (String.length msg);
     0
   end
   else begin
-    Printf.printf "FAILED: signature invalid\n";
+    Printf.printf "FAILED: %s\n" (Dsig.Verifier.verdict_name verdict);
     1
   end
 
@@ -332,7 +334,7 @@ let top port interval count d batch =
                   (Dsig.Signer.drain_outbox signer);
                 let msg = Printf.sprintf "top demo #%d" !i in
                 let signature, ctx = Dsig.Signer.sign_ctx signer msg in
-                ignore (Dsig.Verifier.verify_ctx verifier ~ctx ~msg signature);
+                ignore (Dsig.Verifier.check ~ctx verifier ~msg signature);
                 Thread.delay 0.002
               done)
             ()

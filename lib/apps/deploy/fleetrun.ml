@@ -30,6 +30,8 @@ type result = {
   offered : int;
   accepted : int;
   false_accepts : int;
+  rejected : int;
+  in_flight : int;
   admission : Admission.stats;
   goodput_ops_per_sec : float;
   shed_ratio : float;
@@ -157,7 +159,9 @@ let run ?(latency_us = 5.0) ?announce_latency_us ?(announce_drop = 0.0) ?(servic
     Dsig.Signer.background_fill (signer i)
   done;
   (* --- accounting --- *)
-  let offered = ref 0 and accepted = ref 0 and false_accepts = ref 0 in
+  let offered = ref 0 and accepted = ref 0 and false_accepts = ref 0 and rejected = ref 0 in
+  (* client sends scheduled on the wire but not yet in an inbox *)
+  let on_wire = ref 0 in
   let sojourns = ref [] and all_sojourns = ref [] in
   let peak_pressure = ref 0 in
   let phases = ref [] in
@@ -189,33 +193,27 @@ let run ?(latency_us = 5.0) ?announce_latency_us ?(announce_drop = 0.0) ?(servic
   Array.iteri
     (fun v vref ->
       Sim.spawn sim (fun () ->
-          let a = admissions.(v) in
           while true do
             let it = Channel.recv inboxes.(v) in
             let sojourn = Float.max 0.0 (Sim.now sim -. it.enq_us) in
             Dsig.Verifier.observe_sojourn vref ~sojourn_us:sojourn;
-            let st0 = Admission.stats a in
-            let vs = Dsig.Verifier.stats vref in
-            let slow0 = vs.Dsig.Verifier.slow in
-            let ok = Dsig.Verifier.verify vref ~msg:it.msg it.wire in
-            let was_shed =
-              Admission.shed_total (Admission.stats a) > Admission.shed_total st0
-            in
-            if ok then begin
-              if it.genuine then begin
+            let verdict = Dsig.Verifier.check vref ~msg:it.msg it.wire in
+            peak_pressure := max !peak_pressure (Admission.pressure admissions.(v));
+            (match verdict with
+            | (Dsig.Verifier.Fast | Dsig.Verifier.Slow) when it.genuine ->
                 incr accepted;
                 sojourns := sojourn :: !sojourns
-              end
-              else incr false_accepts
-            end;
-            peak_pressure := max !peak_pressure (Admission.pressure a);
+            | Dsig.Verifier.Fast | Dsig.Verifier.Slow -> incr false_accepts
+            | Dsig.Verifier.Rejected _ -> incr rejected
+            | Dsig.Verifier.Shed -> ());
             (* shed work is turned away before crypto and costs no
                service time — that is the mechanism that keeps the
                queue from collapsing; slow-path verifications cost
                extra (inline EdDSA) *)
-            if not was_shed then
-              Sim.sleep
-                (if vs.Dsig.Verifier.slow > slow0 then slow_service_us else service_us)
+            match verdict with
+            | Dsig.Verifier.Shed -> ()
+            | Dsig.Verifier.Slow -> Sim.sleep slow_service_us
+            | Dsig.Verifier.Fast | Dsig.Verifier.Rejected _ -> Sim.sleep service_us
           done))
     verifiers;
   (* --- client load --- *)
@@ -256,7 +254,9 @@ let run ?(latency_us = 5.0) ?announce_latency_us ?(announce_drop = 0.0) ?(servic
                 let v = group.(!k mod Array.length group) in
                 incr k;
                 incr offered;
+                incr on_wire;
                 Sim.schedule sim ~delay:latency_us (fun () ->
+                    decr on_wire;
                     Channel.send inboxes.(v) { enq_us = Sim.now sim; msg; wire; genuine })
               end
         done)
@@ -295,6 +295,8 @@ let run ?(latency_us = 5.0) ?announce_latency_us ?(announce_drop = 0.0) ?(servic
     offered = !offered;
     accepted = !accepted;
     false_accepts = !false_accepts;
+    rejected = !rejected;
+    in_flight = Array.fold_left (fun n inbox -> n + Channel.length inbox) !on_wire inboxes;
     admission = adm;
     goodput_ops_per_sec = float_of_int !accepted /. (duration_us /. 1.0e6);
     shed_ratio = (if offered_adm = 0 then 0.0 else float_of_int shed_adm /. float_of_int offered_adm);

@@ -40,9 +40,13 @@ type phase = {
 
 type result = {
   duration_us : float;
-  offered : int;
-  accepted : int;
-  false_accepts : int;
+  offered : int;  (** client sign+send ops issued *)
+  accepted : int;  (** genuine signatures verified [Fast] or [Slow] *)
+  false_accepts : int;  (** corrupted signatures verified [Fast] or [Slow] — must be 0 *)
+  rejected : int;  (** signatures verified [Rejected _] *)
+  in_flight : int;
+      (** on the wire or in an inbox when the run ended, so that [offered =
+          accepted + false_accepts + rejected + shed_verify + shed_repair + in_flight] *)
   admission : Dsig_loadctl.Admission.stats;  (** summed over all verifiers *)
   goodput_ops_per_sec : float;  (** accepted / duration *)
   shed_ratio : float;  (** shed / offered over all admission classes; 0 when idle *)

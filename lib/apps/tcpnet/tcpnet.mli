@@ -29,7 +29,7 @@ type message =
       (** A message carrying its signature's 18-byte trace context
           (tag ['T'] + {!Dsig_telemetry.Trace_ctx.encode} + inner frame)
           so the receiver can close cross-node lifecycle spans
-          ({!Dsig.Verifier.verify_ctx}). Nesting is rejected by the
+          ({!Dsig.Verifier.check}'s [ctx]). Nesting is rejected by the
           decoder. *)
 
 type server

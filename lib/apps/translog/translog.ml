@@ -126,8 +126,6 @@ let entries_push e s =
 
 type t = {
   dir : string;
-  group_commit : int;
-  fsync : bool;
   tree : Logtree.t;
   entries : entries;
   mutable wal : Wal.t;
@@ -243,8 +241,6 @@ let open_ ?(telemetry = Tel.default) ?(group_commit = 8) ?(fsync = true) ~dir ()
                     Ok
                       ( {
                           dir;
-                          group_commit;
-                          fsync;
                           tree;
                           entries;
                           wal;
@@ -342,11 +338,8 @@ let checkpoint t ~log_id ~sign =
             (* rotate so segments stay bounded by checkpoint cadence;
                nothing is pruned — the log is append-only forever *)
             if t.active_appends > 0 then begin
-              Wal.close t.wal;
               t.seq <- Int64.add t.seq 1L;
-              t.wal <-
-                Wal.create ~telemetry:t.tel.bundle ~group_commit:t.group_commit ~fsync:t.fsync
-                  (Filename.concat t.dir (seg_name t.seq));
+              t.wal <- Wal.rotate t.wal (Filename.concat t.dir (seg_name t.seq));
               t.active_appends <- 0;
               Metric.Gauge.set t.tel.g_segments
                 (float_of_int (List.length (list_segments t.dir)))

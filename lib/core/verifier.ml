@@ -25,6 +25,9 @@ type signer_cache = {
   order : int64 Queue.t; (* FIFO eviction *)
 }
 
+type reject = Malformed | Unknown_signer | Bad_signature
+type verdict = Fast | Slow | Rejected of reject | Shed
+
 type stats = {
   mutable fast : int;
   mutable slow : int;
@@ -54,17 +57,16 @@ type tel = {
 
      [cache_mu]  -> cache (per-signer batch caches)
      [eddsa_mu]  -> eddsa_cache + eddsa_order
-     [ctl_mu]    -> requested
+     [ctl_mu]    -> requested + rng (Rng is not thread-safe)
      [stats_mu]  -> the public stats record
-     [rng_mu]    -> rng (Rng is not thread-safe)
 
    Two hard rules:
    - NO mutex is ever held across a [send]: the control callback can
      re-enter this verifier synchronously (System's in-process
      loopback delivers a repair announcement inline), and OCaml
      mutexes are not reentrant.
-   - Nesting is limited to ctl_mu -> rng_mu; everything else is taken
-     and released in isolation, so no ordering cycle can form. *)
+   - No mutex is taken while another is held, so no ordering cycle can
+     form. *)
 type t = {
   cfg : Config.t;
   id : int;
@@ -74,11 +76,10 @@ type t = {
   eddsa_mu : Mutex.t;
   eddsa_cache : (string, unit) Hashtbl.t;
   eddsa_order : string Queue.t; (* FIFO eviction for the EdDSA cache *)
-  rng_mu : Mutex.t;
-  rng : Rng.t; (* real entropy: batch-verification soundness + jitter *)
   control : (Batch.control -> unit) option;
   ctl_mu : Mutex.t;
   requested : (int * int64, Retry.state) Hashtbl.t; (* pull-repair pacing *)
+  rng : Rng.t; (* real entropy: batch-verification soundness + jitter *)
   stats_mu : Mutex.t;
   stats : stats;
   pool : Domain_pool.t option;
@@ -151,11 +152,10 @@ let create cfg ~id ~pki ?control ?(options = Options.default) () =
     eddsa_mu = Mutex.create ();
     eddsa_cache = Hashtbl.create 256;
     eddsa_order = Queue.create ();
-    rng_mu = Mutex.create ();
-    rng = Rng.system ();
     control;
     ctl_mu = Mutex.create ();
     requested = Hashtbl.create 16;
+    rng = Rng.system ();
     stats_mu = Mutex.create ();
     stats;
     pool = options.Options.parallel;
@@ -399,18 +399,18 @@ let announcement_root (ann : Batch.announcement) =
   in
   (root, msg)
 
+let admits t a cls =
+  match Admission.admit a ~now_us:(now t) cls with
+  | Admission.Admit -> true
+  | Admission.Shed -> false
+
 (* Announcements and repair replies are control-class traffic: the
    admission controller accounts them (offered totals, refill clock)
    but never sheds them — losing an announcement would only convert
    future fast-path verifications into slow paths, making overload
-   worse. The Shed arm is defensive. *)
+   worse. A [false] here is defensive. *)
 let control_admitted t =
-  match t.admission with
-  | None -> true
-  | Some a -> (
-      match Admission.admit a ~now_us:(now t) Admission.Control with
-      | Admission.Admit -> true
-      | Admission.Shed -> false)
+  match t.admission with None -> true | Some a -> admits t a Admission.Control
 
 (* Check one announcement's EdDSA root signature and admit it on
    success: the part of [deliver] after admission control and the PKI
@@ -448,7 +448,7 @@ let deliver ?sent_us t (ann : Batch.announcement) =
       let root, msg = announcement_root ann in
       verify_and_admit ?sent_us t ann ~vk ~root ~msg
 
-let split_rng t = Mutex.protect t.rng_mu (fun () -> Rng.split t.rng)
+let split_rng t = Mutex.protect t.ctl_mu (fun () -> Rng.split t.rng)
 
 (* Catch-up path: check many announcements' EdDSA root signatures with
    one randomized batch verification per worker domain (§4.4's
@@ -557,38 +557,24 @@ let reassemble_hors (p : Params.Hors.t) ~hash ~public_seed ~(hsig : Hors.signatu
   end
 
 (* Compute the batch leaf implied by a signature, performing all
-   scheme-internal checks on the way. [None] means reject. *)
+   scheme-internal checks on the way. [Wire.decode] has already fixed
+   every body's shape for this configuration, so [None] means a
+   cryptographic mismatch. *)
 let implied_leaf t (w : Wire.t) msg =
+  let hash = t.cfg.Config.hash and public_seed = w.Wire.public_seed in
   match (t.cfg.Config.hbss, w.Wire.body) with
   | Config.Wots p, Wire.Wots_body s ->
-      if
-        String.length s.Wots.elements = Params.Wots.signature_bytes p
-        && String.length s.Wots.nonce = 16
-      then
-        Some
-          (Wots.recover_public_key_digest ~hash:t.cfg.Config.hash p
-             ~public_seed:w.Wire.public_seed s msg)
-      else None
+      Some (Wots.recover_public_key_digest ~hash p ~public_seed s msg)
   | Config.Hors_factorized p, Wire.Hors_fact_body { hsig; complement } ->
-      if
-        Array.length hsig.Hors.revealed = p.Params.Hors.k
-        && Array.for_all (fun e -> String.length e = p.Params.Hors.n) hsig.Hors.revealed
-        && Array.for_all (fun e -> String.length e = p.Params.Hors.n) complement
-      then
-        Option.map
-          (fun elements ->
-            Dsig_hashes.Blake3.digest
-              (String.concat "" (w.Wire.public_seed :: Array.to_list elements)))
-          (reassemble_hors p ~hash:t.cfg.Config.hash ~public_seed:w.Wire.public_seed ~hsig
-             ~complement msg)
-      else None
+      Option.map
+        (fun elements ->
+          Dsig_hashes.Blake3.digest (String.concat "" (public_seed :: Array.to_list elements)))
+        (reassemble_hors p ~hash ~public_seed ~hsig ~complement msg)
   | Config.Hors_merklified { params = p; trees = _ }, Wire.Hors_merk_body { hsig; roots; proofs }
     ->
-      let roots_list = Array.to_list roots in
-      if
-        Hors.verify_with_forest ~hash:t.cfg.Config.hash p ~public_seed:w.Wire.public_seed
-          ~roots:roots_list ~proofs hsig msg
-      then Some (Onetime.merklified_leaf ~public_seed:w.Wire.public_seed ~roots:roots_list)
+      let roots = Array.to_list roots in
+      if Hors.verify_with_forest ~hash p ~public_seed ~roots ~proofs hsig msg then
+        Some (Onetime.merklified_leaf ~public_seed ~roots)
       else None
   | _ -> None
 
@@ -640,10 +626,6 @@ let merklified_fast_path t (w : Wire.t) msg =
       | _ -> None)
   | _ -> None
 
-let reject t =
-  with_stats t (fun s -> s.rejected <- s.rejected + 1);
-  false
-
 (* Pull repair: emit a Batch_request for a gap in the announcement
    cache, paced by the per-gap retry state so a burst of slow-path
    verifications against the same missing batch sends one request, not
@@ -661,22 +643,18 @@ let request_repair t ~signer ~batch_id =
                 (* unconditional size bound: gap states are tiny but an
                    attacker could mint unknown (signer, batch) pairs *)
                 if Hashtbl.length t.requested >= 4096 then Hashtbl.reset t.requested;
-                let st =
-                  Mutex.protect t.rng_mu (fun () -> Retry.start request_policy ~rng:t.rng ~now)
-                in
-                Hashtbl.replace t.requested key st;
+                Hashtbl.replace t.requested key (Retry.start request_policy ~rng:t.rng ~now);
                 true
             | Some st ->
                 if Retry.due st ~now then begin
                   let st' =
-                    Mutex.protect t.rng_mu (fun () ->
-                        match Retry.next request_policy ~rng:t.rng st ~now with
-                        | Some st' -> st'
-                        | None ->
-                            (* budget exhausted: restart the backoff ladder
-                               rather than requesting forever at the floor
-                               rate *)
-                            Retry.start request_policy ~rng:t.rng ~now)
+                    match Retry.next request_policy ~rng:t.rng st ~now with
+                    | Some st' -> st'
+                    | None ->
+                        (* budget exhausted: restart the backoff ladder
+                           rather than requesting forever at the floor
+                           rate *)
+                        Retry.start request_policy ~rng:t.rng ~now
                   in
                   Hashtbl.replace t.requested key st';
                   true
@@ -699,35 +677,38 @@ let note_slow_gap t ~missing ~signer ~batch_id =
   end
   else with_stats t (fun s -> s.slow_cache_miss <- s.slow_cache_miss + 1)
 
-(* Outcome of one verification, for the telemetry plane. *)
-type path = Fast | Slow | Rejected
+(* What [classify] found: the path a genuine signature took, with its
+   decoded wire (what the lifecycle joins on and pull repair names) and,
+   on the slow path, whether its batch was never delivered; or why it
+   was refused. *)
+type classified =
+  | Fast_path of Wire.t
+  | Slow_path of { wire : Wire.t; missing : bool }
+  | Refused of reject
 
-(* Classify one signature: the outcome, the signature's (signer, batch,
-   key) trace identity when the wire decoded (what the lifecycle layer
-   joins on), and for the slow path whether the batch was missing
-   entirely. Safe to call from any domain — everything here is pure
-   crypto plus reads/inserts under the table mutexes; control-plane
-   sends and per-path accounting happen in [account], on the calling
-   domain only. *)
+(* Classify one signature. Safe to call from any domain: everything
+   here is pure crypto plus reads/inserts under the table mutexes;
+   control-plane sends and per-path accounting happen in [account], on
+   the calling domain only. *)
 let classify t ~msg wire_bytes =
   match Wire.decode t.cfg wire_bytes with
-  | Error _ -> (Rejected, None, false)
+  | Error _ -> Refused Malformed
   | Ok w -> (
-      let ids = Some (w.Wire.signer_id, w.Wire.batch_id, Wire.key_index w) in
       match Pki.allowed t.pki ~id:w.Wire.signer_id ~batch:w.Wire.batch_id with
-      | None -> (Rejected, ids, false)
+      | None -> Refused Unknown_signer
       | Some signer_vk -> (
           match merklified_fast_path t w msg with
-          | Some ok -> ((if ok then Fast else Rejected), ids, false)
+          | Some true -> Fast_path w
+          | Some false -> Refused Bad_signature
           | None -> (
               match implied_leaf t w msg with
-              | None -> (Rejected, ids, false)
+              | None -> Refused Bad_signature
               | Some leaf -> (
                   let root = Merkle.compute_root ~leaf w.Wire.batch_proof in
                   let hit = lookup_batch t ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id in
                   match hit with
                   | Some { root = cached_root; _ } when BU.equal_ct root cached_root ->
-                      (Fast, ids, false)
+                      Fast_path w
                   | _ ->
                       (* Slow path (Alg. 2 lines 29-31): check the
                          embedded EdDSA signature inline. *)
@@ -739,29 +720,35 @@ let classify t ~msg wire_bytes =
                         Log.L.debug (fun m ->
                             m "verifier %d: slow-path EdDSA check for signer %d batch %Ld" t.id
                               w.Wire.signer_id w.Wire.batch_id);
-                        (Slow, ids, Option.is_none hit)
+                        Slow_path { wire = w; missing = Option.is_none hit }
                       end
-                      else (Rejected, ids, false)))))
+                      else Refused Bad_signature))))
 
-let lifecycle_verify t ?ctx ids ~t1 ~dur =
+(* What both accepted paths account: the latency histogram, the tracer
+   span and the lifecycle join. *)
+let served ?ctx t (w : Wire.t) span h ~t0 ~t1 =
+  Metric.Histogram.add h (t1 -. t0);
+  Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id span Tracer.Begin t0;
+  Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id span Tracer.End t1;
   let lc = t.tel.bundle.Tel.lifecycle in
-  if Lifecycle.enabled lc then
-    match ids with
-    | None -> ()
-    | Some (signer, batch_id, key_index) ->
-        let origin, birth_us =
-          match ctx with
-          | Some (c : Trace.t) -> (Some c.Trace.origin, Some c.Trace.birth_us)
-          | None -> (None, None)
-        in
-        Lifecycle.verify lc
-          ~trace_id:(Trace.id ~signer ~batch_id ~key_index)
-          ?origin ?birth_us ~at_us:t1 ~dur_us:dur ()
+  if Lifecycle.enabled lc then begin
+    let origin, birth_us =
+      match ctx with
+      | Some (c : Trace.t) -> (Some c.Trace.origin, Some c.Trace.birth_us)
+      | None -> (None, None)
+    in
+    Lifecycle.verify lc
+      ~trace_id:
+        (Trace.id ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id
+           ~key_index:(Wire.key_index w))
+      ?origin ?birth_us ~at_us:t1 ~dur_us:(t1 -. t0) ()
+  end
 
 (* Per-path accounting for one classified signature: stats, counters,
    latency histograms, tracer spans, lifecycle joins, and the slow
-   path's pull-repair request. Runs on the calling domain. *)
-let account ?ctx t ~t0 ~t1 (outcome, ids, missing) =
+   path's pull-repair request. Runs on the calling domain; returns the
+   verdict. *)
+let account ?ctx t ~t0 ~t1 c =
   (* classification time is the verify span the CoDel detector watches:
      a sustained rise above the sojourn target (cache misses cascading
      into inline EdDSA) trips the controller into congestion.
@@ -774,95 +761,80 @@ let account ?ctx t ~t0 ~t1 (outcome, ids, missing) =
       let dur = t1 -. t0 in
       if dur > 0.0 then Admission.observe a ~now_us:t1 ~sojourn_us:dur
   | None -> ());
-  let trace span =
-    Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id span Tracer.Begin t0;
-    Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id span Tracer.End t1
-  in
-  match outcome with
-  | Fast ->
+  match c with
+  | Fast_path w ->
       with_stats t (fun s -> s.fast <- s.fast + 1);
-      Metric.Histogram.add t.tel.h_fast (t1 -. t0);
-      trace Tracer.Verify_fast;
-      lifecycle_verify t ?ctx ids ~t1 ~dur:(t1 -. t0);
-      true
-  | Slow ->
+      served ?ctx t w Tracer.Verify_fast t.tel.h_fast ~t0 ~t1;
+      Fast
+  | Slow_path { wire = w; missing } ->
       with_stats t (fun s -> s.slow <- s.slow + 1);
-      Metric.Histogram.add t.tel.h_slow (t1 -. t0);
-      (match ids with
-      | Some (signer, batch_id, _) -> note_slow_gap t ~missing ~signer ~batch_id
-      | None -> ());
-      trace Tracer.Verify_slow;
-      lifecycle_verify t ?ctx ids ~t1 ~dur:(t1 -. t0);
-      true
-  | Rejected -> reject t
+      note_slow_gap t ~missing ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id;
+      served ?ctx t w Tracer.Verify_slow t.tel.h_slow ~t0 ~t1;
+      Slow
+  | Refused reason ->
+      with_stats t (fun s -> s.rejected <- s.rejected + 1);
+      Rejected reason
 
-(* Admission class of one signature, decided before any crypto: a
-   decodable header whose batch root is already cached will take the
-   comparison-only fast path (class [Verify]); anything else risks the
-   slow path's inline EdDSA and possibly a pull repair (class
-   [Repair]), which is what gets shed first under overload. Malformed
-   headers class as [Verify] — they reject cheaply at decode. *)
-let admission_class t wire_bytes =
-  match Wire.peek_header wire_bytes with
-  | None -> Admission.Verify
-  | Some (signer, batch_id) ->
-      if lookup_batch t ~signer ~batch_id <> None then Admission.Verify else Admission.Repair
-
-(* Take the admission decision for one signature. [false] means Shed:
-   the caller reports verification failure without touching the crypto
-   (never a false accept — a shed signature is simply not accepted). *)
-let admitted t wire_bytes =
+(* Take the admission decision for one signature, before any crypto;
+   [false] means Shed: the signature is neither checked nor accounted
+   (never a false accept). A decodable header whose batch root is
+   cached will take the comparison-only fast path (class [Verify]);
+   anything else risks the slow path's inline EdDSA and possibly a pull
+   repair (class [Repair]), which is what gets shed first under
+   overload. Malformed headers class as [Verify] — they reject cheaply
+   at decode. *)
+let admit t wire_bytes =
   match t.admission with
   | None -> true
   | Some a -> (
-      match Admission.admit a ~now_us:(now t) (admission_class t wire_bytes) with
-      | Admission.Admit -> true
-      | Admission.Shed -> false)
+      match Wire.peek_header wire_bytes with
+      | Some (signer, batch_id) when lookup_batch t ~signer ~batch_id = None ->
+          admits t a Admission.Repair
+      | _ -> admits t a Admission.Verify)
 
-let verify_with ?ctx t ~msg wire_bytes =
-  if not (admitted t wire_bytes) then false
+(* The one per-signature path: admit, classify, account. *)
+let check ?ctx t ~msg wire_bytes =
+  if not (admit t wire_bytes) then Shed
   else begin
     let t0 = now t in
-    let r = classify t ~msg wire_bytes in
-    let t1 = now t in
-    account ?ctx t ~t0 ~t1 r
+    let c = classify t ~msg wire_bytes in
+    account ?ctx t ~t0 ~t1:(now t) c
   end
 
-let verify t ~msg wire_bytes = verify_with t ~msg wire_bytes
+let accepted = function Fast | Slow -> true | Rejected _ | Shed -> false
+let verify t ~msg wire_bytes = accepted (check t ~msg wire_bytes)
 
-let verify_ctx t ~ctx ~msg wire_bytes = verify_with ~ctx t ~msg wire_bytes
+let verdict_name = function
+  | Fast -> "fast"
+  | Slow -> "slow"
+  | Rejected Malformed -> "malformed"
+  | Rejected Unknown_signer -> "unknown signer"
+  | Rejected Bad_signature -> "bad signature"
+  | Shed -> "shed"
 
-(* Batch verification across the worker pool: classification (the
-   expensive crypto) is sharded over contiguous index ranges, one per
-   domain, each stamping its own per-signature timings; the fold-back
-   does all accounting and control traffic on the calling domain, in
-   input order. Without a pool this is a plain loop. *)
+(* [check]'s three stages over many signatures. Admission runs first,
+   on the calling domain and in input order, so token buckets drain as
+   a loop of [check] would drain them; classification (the crypto) is
+   sharded over the pool's domains as contiguous index ranges when
+   there is one; accounting and control traffic fold back onto the
+   calling domain, in input order. *)
 let verify_many t pairs =
-  match t.pool with
-  | Some pool when Array.length pairs > 1 && Domain_pool.size pool > 1 ->
-      (* admission verdicts are taken sequentially on the calling
-         domain (token buckets drain in input order, same as the
-         no-pool loop); only the admitted signatures' crypto is
-         sharded. Shed entries stay [None] — no accounting. *)
-      let gated =
-        Array.map (fun ((_, wire_bytes) as pair) -> (admitted t wire_bytes, pair)) pairs
-      in
-      let classified =
-        Domain_pool.parallel_map pool
-          ~f:(fun ~shard:_ (go, (msg, wire_bytes)) ->
-            if not go then None
-            else begin
-              let t0 = now t in
-              let r = classify t ~msg wire_bytes in
-              let t1 = now t in
-              Some (r, t0, t1)
-            end)
-          gated
-      in
-      Array.map
-        (function None -> false | Some (r, t0, t1) -> account t ~t0 ~t1 r)
-        classified
-  | _ -> Array.map (fun (msg, wire_bytes) -> verify_with t ~msg wire_bytes) pairs
+  let gated = Array.map (fun ((_, wire_bytes) as pair) -> (admit t wire_bytes, pair)) pairs in
+  let classify_gated (go, (msg, wire_bytes)) =
+    if go then begin
+      let t0 = now t in
+      let c = classify t ~msg wire_bytes in
+      Some (c, t0, now t)
+    end
+    else None
+  in
+  let classified =
+    match t.pool with
+    | Some pool when Array.length pairs > 1 && Domain_pool.size pool > 1 ->
+        Domain_pool.parallel_map pool ~f:(fun ~shard:_ g -> classify_gated g) gated
+    | _ -> Array.map classify_gated gated
+  in
+  Array.map (function None -> Shed | Some (c, t0, t1) -> account t ~t0 ~t1 c) classified
 
 let can_verify_fast t wire_bytes =
   match Wire.peek_header wire_bytes with

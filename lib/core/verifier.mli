@@ -3,7 +3,7 @@
     The background plane ({!deliver}) receives batch announcements,
     EdDSA-verifies their Merkle roots and caches them (plus, when the
     signer sends full keys, the precomputed public keys for the
-    comparison-only fast path of §5.2). The foreground plane ({!verify})
+    comparison-only fast path of §5.2). The foreground plane ({!check})
     recovers or reconstructs the public-key digest from the signature,
     folds the inclusion proof to a root, and accepts if that root is
     cached; otherwise it falls back to verifying the embedded EdDSA
@@ -13,12 +13,12 @@
 
     The verifier is {b domain-safe}: every mutable table has its own
     mutex — [cache_mu] the batch cache, [eddsa_mu] the EdDSA cache,
-    [ctl_mu] only the pull-repair pacing table, [stats_mu] the stats,
-    [rng_mu] the entropy source — metric handles are domain-safe cells,
-    and no lock is ever held across a control-plane [send] (which may
-    synchronously re-enter the verifier through an in-process loopback).
-    Concurrent {!verify} / {!deliver} calls from multiple domains are
-    safe; see DESIGN.md §12. *)
+    [ctl_mu] the pull-repair pacing table and the entropy source,
+    [stats_mu] the stats — metric handles are domain-safe cells, no
+    mutex is taken while another is held, and none is held across a
+    control-plane [send] (which may synchronously re-enter the verifier
+    through an in-process loopback). Concurrent {!check} / {!deliver}
+    calls from multiple domains are safe; see DESIGN.md §12. *)
 
 type t
 
@@ -32,7 +32,7 @@ val create :
   t
 (** [control] is the verifier's background-plane uplink: {!deliver}
     replies at once with a {!Batch.Ack} on every accepted announcement,
-    and the foreground {!verify} emits a {!Batch.Request} when it
+    and the foreground {!check} emits a {!Batch.Request} when it
     slow-paths on a batch it never received (pull repair), paced per
     (signer, batch) by a fixed policy (500 µs base, exponential, 8
     attempts). Without [control] the verifier is self-standing,
@@ -44,7 +44,7 @@ val create :
     carries a {!Dsig_loadctl.Admission} controller: verify calls are
     classified ([Verify] when the batch root is cached, [Repair]
     otherwise) and admitted against per-class token buckets {e before}
-    any crypto runs — a shed signature reports [false] without being
+    any crypto runs — a shed signature comes back [Shed] without being
     checked (never a false accept) — and every outbound acknowledgement
     frame becomes a {!Batch.Credit} carrying the controller's pressure
     byte, which signers feed to {!Control_plane.note_pressure} to pace their
@@ -77,32 +77,44 @@ val deliver_many : t -> Batch.announcement list -> int
     Returns the number accepted. Acknowledgements are coalesced into one
     {!Batch.Acks} frame per signer. *)
 
+type reject =
+  | Malformed  (** the bytes do not decode as a signature of this configuration *)
+  | Unknown_signer  (** {!Pki.allowed} refused the signer: unbound or revoked *)
+  | Bad_signature  (** a cryptographic mismatch: HBSS, Merkle or EdDSA *)
+
+type verdict =
+  | Fast  (** accepted from the root cache (Alg. 2 lines 34-35) *)
+  | Slow  (** accepted after checking the EdDSA root signature inline *)
+  | Rejected of reject
+  | Shed  (** turned away by admission control before any crypto: not a forgery *)
+
+val check : ?ctx:Dsig_telemetry.Trace_ctx.t -> t -> msg:string -> string -> verdict
+(** [check t ~msg signature_bytes] is the one per-signature path:
+    admission, classification, then the accounting of the verdict's path
+    ({!stats} field, histogram, tracer span; [Shed] touches none).
+    Self-standing: a genuine signature is accepted, [Slow], even if no
+    announcement was ever delivered. When the bundle's
+    {!Dsig_telemetry.Lifecycle} is enabled, an accepted signature also
+    closes its lifecycle span, under the trace id its wire header
+    implies; [ctx], the {!Dsig_telemetry.Trace_ctx} it arrived with,
+    lets the span close end-to-end across processes. *)
+
+val accepted : verdict -> bool
+(** [Fast] or [Slow]. *)
+
+val verdict_name : verdict -> string
+(** ["fast"], ["slow"], ["malformed"], ["unknown signer"], ["bad signature"], ["shed"]. *)
+
 val verify : t -> msg:string -> string -> bool
-(** [verify t ~msg signature_bytes]. Self-standing: succeeds (slowly)
-    even if no announcement was ever delivered.
+(** [accepted (check t ~msg signature_bytes)]. *)
 
-    When the bundle's {!Dsig_telemetry.Lifecycle} is enabled, every
-    accepted verification also closes the signature's lifecycle span
-    under the trace id derived from its wire header (one mutable load
-    when disabled). *)
-
-val verify_ctx : t -> ctx:Dsig_telemetry.Trace_ctx.t -> msg:string -> string -> bool
-(** {!verify} for a signature that arrived with a wire-propagated
-    {!Dsig_telemetry.Trace_ctx}: the context's origin and birth stamp
-    let the lifecycle span close end-to-end even when the signer lives
-    in another process. *)
-
-val verify_many : t -> (string * string) array -> bool array
-(** [verify_many t pairs] verifies [(msg, signature_bytes)] pairs and
-    returns per-pair verdicts in input order. With
-    {!Options.with_parallel}, classification (decode, hashing, proof
-    folding, slow-path EdDSA) is sharded over the pool's worker domains
-    as contiguous index ranges; accounting, lifecycle joins and
-    control-plane sends (pull repair) are folded back onto the calling
-    domain. Without a pool this is a plain loop over {!verify}.
-    Equivalent to [Array.map] of {!verify} in observable behavior,
-    except that repair requests for the same gap may be paced slightly
-    differently (they are emitted after the whole batch classifies). *)
+val verify_many : t -> (string * string) array -> verdict array
+(** {!check} over [(msg, signature_bytes)] pairs, in input order, in
+    three passes: admission on the calling domain, classification
+    (sharded over the worker domains of {!Options.with_parallel}), then
+    accounting and control-plane sends back on the calling domain.
+    Without admission control the verdicts equal [Array.map] of {!check}
+    on the same state; only repair-request pacing may differ. *)
 
 val can_verify_fast : t -> string -> bool
 (** True if the signature's batch root is already cached (Alg. 2

@@ -312,9 +312,7 @@ let checkpoint_locked t =
   let covered = t.seq in
   save_snapshot t ~covered;
   t.seq <- Int64.add covered 1L;
-  t.wal <-
-    Wal.create ~telemetry:t.tel.bundle ~group_commit:t.cfg.group_commit ~fsync:t.cfg.fsync
-      (seg_path t.cfg.dir t.seq);
+  t.wal <- Wal.rotate t.wal (seg_path t.cfg.dir t.seq);
   Wal.append t.wal (encode_record (Checkpoint covered));
   prune_segments t.cfg.dir ~upto:covered;
   Metric.Gauge.set t.tel.g_segments (float_of_int (List.length (list_segments t.cfg.dir)));

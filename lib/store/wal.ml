@@ -29,7 +29,6 @@ let crc32 s =
   Int32.logxor !c 0xFFFFFFFFl
 
 type tel = {
-  c_appends : Metric.Counter.t;
   c_fsyncs : Metric.Counter.t;
   h_fsync : Metric.Histogram.t;
   h_batch : Metric.Histogram.t;
@@ -42,7 +41,10 @@ type t = {
   group_commit : int;
   fsync : bool;
   mutable pending : int; (* appends since the last sync point *)
-  mutable appended : int;
+  appended : int ref;
+      (* what [dsig_store_appends_total] probes: the registry keeps a
+         probe forever, so it holds this, not the handle; [rotate]
+         shares it *)
   mutable written_bytes : int;
   mutable synced_bytes : int;
   mutable closed : bool;
@@ -53,28 +55,32 @@ let frame payload =
   BU.concat
     [ BU.u32_le (Int32.of_int (String.length payload)); BU.u32_le (crc32 payload); payload ]
 
-let create ?(telemetry = Tel.default) ?(group_commit = 8) ?(fsync = true) path =
-  if group_commit <= 0 then invalid_arg "Wal.create: group_commit must be positive";
+let open_channel path =
   let fresh = not (Sys.file_exists path) in
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
   if fresh then begin
     output_string oc magic;
     flush oc
   end;
-  let size = out_channel_length oc in
+  (oc, out_channel_length oc)
+
+let create ?(telemetry = Tel.default) ?(group_commit = 8) ?(fsync = true) path =
+  if group_commit <= 0 then invalid_arg "Wal.create: group_commit must be positive";
+  let oc, size = open_channel path in
+  let appended = ref 0 in
+  Tel.probe telemetry "dsig_store_appends_total" (fun () -> !appended);
   {
     path;
     oc;
     group_commit;
     fsync;
     pending = 0;
-    appended = 0;
+    appended;
     written_bytes = size;
     synced_bytes = size;
     closed = false;
     tel =
       {
-        c_appends = Tel.counter telemetry "dsig_store_appends_total";
         c_fsyncs = Tel.counter telemetry "dsig_store_fsyncs_total";
         h_fsync = Tel.histogram telemetry "dsig_store_fsync_us";
         h_batch = Tel.histogram telemetry "dsig_store_group_commit_batch";
@@ -101,9 +107,8 @@ let append t payload =
   output_string t.oc (frame payload);
   flush t.oc;
   t.written_bytes <- t.written_bytes + header_bytes + String.length payload;
-  t.appended <- t.appended + 1;
+  incr t.appended;
   t.pending <- t.pending + 1;
-  Metric.Counter.incr t.tel.c_appends;
   if t.pending >= t.group_commit then sync t
 
 let close t =
@@ -112,6 +117,11 @@ let close t =
     close_out_noerr t.oc;
     t.closed <- true
   end
+
+let rotate t path =
+  close t;
+  let oc, size = open_channel path in
+  { t with path; oc; pending = 0; written_bytes = size; synced_bytes = size; closed = false }
 
 let abort t =
   if not t.closed then begin
@@ -123,7 +133,7 @@ let abort t =
   end
 
 let path t = t.path
-let appended t = t.appended
+let appended t = !(t.appended)
 let synced_bytes t = t.synced_bytes
 
 type recovery = {

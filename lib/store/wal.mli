@@ -28,8 +28,8 @@ val create :
     fsync; [fsync:false] turns the physical fsync off (the group-commit
     accounting still runs — for tests and throwaway stores).
 
-    Telemetry: [dsig_store_appends_total] / [dsig_store_fsyncs_total]
-    counters and the [dsig_store_fsync_us] (fsync latency) and
+    Telemetry: [dsig_store_appends_total] (a probe of {!appended}) /
+    [dsig_store_fsyncs_total] counters and the [dsig_store_fsync_us] (fsync latency) and
     [dsig_store_group_commit_batch] (appends coalesced per fsync)
     histograms.
     @raise Invalid_argument if [group_commit] is not positive.
@@ -49,6 +49,11 @@ val sync : t -> unit
 val close : t -> unit
 (** {!sync} then close the descriptor. Idempotent. *)
 
+val rotate : t -> string -> t
+(** [rotate t path] closes [t] and opens the log at [path] with [t]'s
+    settings, telemetry and {!appended} count, so a segmented log keeps
+    one [dsig_store_appends_total] probe. @raise Sys_error as {!create}. *)
+
 val abort : t -> unit
 (** Close the descriptor {e without} flushing or fsyncing — simulates a
     process kill for crash tests. Idempotent. *)
@@ -56,7 +61,8 @@ val abort : t -> unit
 val path : t -> string
 
 val appended : t -> int
-(** Records appended through this handle. *)
+(** Records appended through this handle and the handles it was
+    {!rotate}d from. *)
 
 val synced_bytes : t -> int
 (** File offset covered by the last fsync (or flush when [fsync:false]);

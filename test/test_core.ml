@@ -170,6 +170,52 @@ let test_unknown_signer () =
      root signature cannot check out *)
   Alcotest.(check bool) "rejected" false (System.verify sys_b ~verifier:1 ~msg signature)
 
+let verdict =
+  Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Verifier.verdict_name v)) ( = )
+
+(* One concrete input per outcome of [Verifier.check]: [warm] holds the
+   signature's batch announcement, [cold] never received it. *)
+let test_verdict_table () =
+  let cfg = test_cfg () in
+  let rng = Dsig_util.Rng.create 13L in
+  let sk, pk = Dsig_ed25519.Eddsa.generate rng in
+  let pki = Pki.create () in
+  Pki.bind pki ~id:0 ~epoch:0 pk;
+  let signer = Signer.create cfg ~id:0 ~eddsa:sk ~rng ~verifiers:[ 1 ] () in
+  let msg = "verdict table" in
+  let wire = Signer.sign signer ~hint:[ 1 ] msg in
+  let warm = Verifier.create cfg ~id:1 ~pki () and cold = Verifier.create cfg ~id:1 ~pki () in
+  List.iter (fun (_, a) -> ignore (Verifier.deliver warm a)) (Signer.drain_outbox signer);
+  let w = match Wire.decode cfg wire with Ok w -> w | Error e -> Alcotest.fail e in
+  let short_body =
+    match w.Wire.body with
+    | Wire.Wots_body s ->
+        let elements = String.sub s.Dsig_hbss.Wots.elements 18 (String.length s.elements - 18) in
+        Wire.encode cfg { w with Wire.body = Wire.Wots_body { s with elements } }
+    | _ -> Alcotest.fail "expected a W-OTS+ body"
+  in
+  let flipped = String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) msg in
+  let truncated = String.sub wire 0 (String.length wire - 1) in
+  let unbound = Wire.encode cfg { w with Wire.signer_id = 7 } in
+  List.iter
+    (fun (name, v, msg, wire, expected) ->
+      Alcotest.check verdict name expected (Verifier.check v ~msg wire))
+    Verifier.
+      [
+        ("truncated wire", warm, msg, truncated, Rejected Malformed);
+        ("W-OTS+ body one element short", warm, msg, short_body, Rejected Malformed);
+        ("unbound signer", warm, msg, unbound, Rejected Unknown_signer);
+        ("flipped message bit, announced", warm, flipped, wire, Rejected Bad_signature);
+        ("flipped message bit, unannounced", cold, flipped, wire, Rejected Bad_signature);
+        ("announced", warm, msg, wire, Fast);
+        ("unannounced", cold, msg, wire, Slow);
+      ];
+  (* a revocation from the signature's own batch on refuses the signer,
+     even for a verifier that cached the batch root *)
+  Pki.revoke_from pki ~id:0 ~batch:w.Wire.batch_id;
+  Alcotest.check verdict "revoked from its batch" (Verifier.Rejected Verifier.Unknown_signer)
+    (Verifier.check warm ~msg wire)
+
 (* The PKI prepares each key once, at bind. A rebind with bytes that
    compare equal is a no-op; a key that does not decode still binds,
    and every signature under it is rejected. *)
@@ -481,6 +527,7 @@ let suites =
         Alcotest.test_case "key exhaustion" `Quick test_key_exhaustion;
         Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
         Alcotest.test_case "unknown signer" `Quick test_unknown_signer;
+        Alcotest.test_case "verdict table" `Quick test_verdict_table;
         Alcotest.test_case "pki prepares keys at bind" `Quick test_pki_prepared_keys;
         Alcotest.test_case "bit flips rejected" `Quick test_reject_bitflips;
         Alcotest.test_case "announcement tampering" `Quick test_announcement_tamper;

@@ -453,7 +453,13 @@ let test_runtime_driver () =
         (List.length (List.sort_uniq compare keys));
       Alcotest.(check int) "four cutovers" 4 (Signer.epoch signer))
 
-(* pooled verify_many against a mixed valid/corrupted workload *)
+let verdict =
+  Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Verifier.verdict_name v)) ( = )
+
+(* pooled verify_many against a mixed workload — genuine, tampered,
+   malformed and unknown-signer entries — whose verdicts must equal a
+   loop of [check] on a fresh, pool-less verifier given the same
+   deliveries *)
 let test_verify_many_mixed () =
   let pool = Domain_pool.create ~domains:stress_domains () in
   Fun.protect
@@ -466,21 +472,40 @@ let test_verify_many_mixed () =
       let n = 48 in
       let msgs = Array.init n (fun i -> Printf.sprintf "mix-%03d" i) in
       let wires = Signer.sign_many signer msgs in
-      List.iter (fun (_, a) -> ignore (Verifier.deliver verifier a)) (Signer.drain_outbox signer);
+      let anns = List.map snd (Signer.drain_outbox signer) in
+      List.iter (fun a -> ignore (Verifier.deliver verifier a)) anns;
       (* corrupt the message, not the wire: a flipped message changes the
          recovered public key, so rejection is deterministic on every
          path (a bit flipped inside the embedded root_sig would still
-         pass the fast path — correctly, per Algorithm 2) *)
-      let pairs =
-        Array.init n (fun i -> ((if i mod 5 = 0 then msgs.(i) ^ "!" else msgs.(i)), wires.(i)))
+         pass the fast path — correctly, per Algorithm 2). Byte 4 is the
+         low byte of the wire's signer id; signer 9 is unbound. *)
+      let entry i =
+        let msg = msgs.(i) and wire = wires.(i) in
+        match i mod 6 with
+        | 0 -> ((msg ^ "!", wire), Verifier.Rejected Verifier.Bad_signature)
+        | 1 -> ((msg, String.sub wire 0 100), Verifier.Rejected Verifier.Malformed)
+        | 2 ->
+            let b = Bytes.of_string wire in
+            Bytes.set b 4 '\x09';
+            ((msg, Bytes.to_string b), Verifier.Rejected Verifier.Unknown_signer)
+        | _ -> ((msg, wire), Verifier.Fast)
       in
+      let pairs = Array.init n (fun i -> fst (entry i)) in
       let verdicts = Verifier.verify_many verifier pairs in
       Array.iteri
-        (fun i ok ->
-          Alcotest.(check bool) (Printf.sprintf "verdict %d" i) (i mod 5 <> 0) ok)
+        (fun i v -> Alcotest.check verdict (Printf.sprintf "verdict %d" i) (snd (entry i)) v)
         verdicts;
       let st = Verifier.stats verifier in
-      Alcotest.(check int) "rejects counted" ((n + 4) / 5) st.Verifier.rejected)
+      Alcotest.(check int) "rejects counted" (n / 2) st.Verifier.rejected;
+      let inline =
+        Verifier.create cfg ~id:1 ~pki
+          ~options:(Options.default |> Options.with_telemetry (Tel.create ()))
+          ()
+      in
+      List.iter (fun a -> ignore (Verifier.deliver inline a)) anns;
+      Alcotest.(check (array verdict))
+        "pooled = Array.map check" verdicts
+        (Array.map (fun (msg, wire) -> Verifier.check inline ~msg wire) pairs))
 
 (* --- qcheck: deliver / pull-repair / ACK interleavings ---
 

@@ -74,6 +74,32 @@ let test_wal_group_commit_accounting () =
   Alcotest.(check int) "explicit sync" size (Wal.synced_bytes w);
   Wal.close w
 
+(* [dsig_store_appends_total] is a probe of [Wal.appended]: two logs on
+   one registry snapshot to the sum of their counts, and a rotated log
+   carries its count (and its one probe) into the next segment. *)
+let test_wal_appends_probe () =
+  with_dir @@ fun dir ->
+  let t = tel () in
+  let appends () =
+    match
+      Dsig_telemetry.Registry.Snapshot.find (Dsig_telemetry.Telemetry.snapshot t)
+        "dsig_store_appends_total"
+    with
+    | Some (Dsig_telemetry.Registry.Snapshot.Counter n) -> n
+    | _ -> Alcotest.fail "dsig_store_appends_total is not a counter"
+  in
+  let a = Wal.create ~telemetry:t ~fsync:false (Filename.concat dir "a") in
+  let b = Wal.create ~telemetry:t ~fsync:false (Filename.concat dir "b") in
+  List.iter (Wal.append a) [ "1"; "2"; "3" ];
+  List.iter (Wal.append b) [ "4"; "5" ];
+  Alcotest.(check int) "sum of two logs" (Wal.appended a + Wal.appended b) (appends ());
+  let a = Wal.rotate a (Filename.concat dir "a2") in
+  Wal.append a "6";
+  Alcotest.(check int) "rotation keeps the count" 4 (Wal.appended a);
+  Alcotest.(check int) "sum after rotation" (Wal.appended a + Wal.appended b) (appends ());
+  Wal.close a;
+  Wal.close b
+
 let test_wal_cut_at_every_offset () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "wal" in
@@ -634,6 +660,7 @@ let suites =
       [
         Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
         Alcotest.test_case "group-commit accounting" `Quick test_wal_group_commit_accounting;
+        Alcotest.test_case "appends probe" `Quick test_wal_appends_probe;
         Alcotest.test_case "cut at every offset" `Quick test_wal_cut_at_every_offset;
         Alcotest.test_case "repair truncates torn tail" `Quick test_wal_repair_truncates;
         QCheck_alcotest.to_alcotest ~long:false wal_bit_flip_qcheck;

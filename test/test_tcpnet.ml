@@ -101,7 +101,7 @@ let test_tcp_roundtrip () =
         | Dsig_tcpnet.Tcpnet.Signed { msg; signature } ->
             if Verifier.verify verifier ~msg signature then incr verified else incr rejected
         | Dsig_tcpnet.Tcpnet.Traced (ctx, Dsig_tcpnet.Tcpnet.Signed { msg; signature }) ->
-            if Verifier.verify_ctx verifier ~ctx ~msg signature then incr verified
+            if Verifier.accepted (Verifier.check ~ctx verifier ~msg signature) then incr verified
             else incr rejected
         | Dsig_tcpnet.Tcpnet.Traced _ | Dsig_tcpnet.Tcpnet.Control _ | Dsig_tcpnet.Tcpnet.Checkpoint _ | Dsig_tcpnet.Tcpnet.Revoke _ -> ());
         Mutex.unlock mu)
