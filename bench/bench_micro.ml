@@ -103,6 +103,12 @@ let tests ~verify_fast ~verify_slow ~wots_verify () =
     Test.make ~name:"sha512/64B" (Staged.stage (fun () -> H.Sha512.digest b64));
     Test.make ~name:"blake3/64B" (Staged.stage (fun () -> H.Blake3.digest b64));
     Test.make ~name:"haraka256" (Staged.stage (fun () -> H.Haraka.haraka256 b32));
+    (* the kernel a W-OTS+ chain step runs, on one reused array: each
+       call hashes the previous digest, as a chain does *)
+    Test.make ~name:"haraka256-words"
+      (Staged.stage
+         (let ws = Array.init 8 (fun i -> H.Aes_core.get_word b32 (4 * i)) in
+          fun () -> H.Haraka.haraka256_words ws));
     Test.make ~name:"haraka512" (Staged.stage (fun () -> H.Haraka.haraka512 b64));
     Test.make ~name:"chain-hash-18B" (Staged.stage (fun () -> H.Hash.digest H.Hash.Haraka ~length:18 b18));
     Test.make ~name:"eddsa-sign" (Staged.stage (fun () -> E.sign sk msg));
@@ -165,7 +171,9 @@ let run () =
       else if name = "eddsa-verify" then record "micro_eddsa_verify_us"
       else if name = "eddsa-verify(prepared)" then record "micro_eddsa_verify_prepared_us"
       else if name = "dsig-sign/lifecycle-off" then record "micro_dsig_sign_us"
+      else if name = "haraka256-words" then record "micro_haraka256_words_us"
       else if name = "wots4-verify" then record "micro_wots_verify_us"
+      else if name = "wots4-keygen" then record "micro_wots_keygen_us"
       else if name = "dsig-verify(fast)" then record "micro_dsig_verify_fast_us"
       else if name = "dsig-verify(slow)" then record "micro_dsig_verify_slow_us")
     results;

@@ -34,17 +34,18 @@ let sbox =
 
 type state = int array
 
-(* Fused SubBytes+ShiftRows+MixColumns tables: t0 feeds row 0 of the
-   MixColumns matrix (2,1,1,3 down the column), t1..t3 are byte-rotations. *)
-let t0 =
-  Array.init 256 (fun x ->
-      let s = sbox.(x) in
-      (gf_mul 2 s lsl 24) lor (s lsl 16) lor (s lsl 8) lor gf_mul 3 s)
-
-let rot8 v = ((v lsr 8) lor (v lsl 24)) land 0xffffffff
-let t1 = Array.map rot8 t0
-let t2 = Array.map rot8 t1
-let t3 = Array.map rot8 t2
+(* Fused SubBytes+ShiftRows+MixColumns table: entries 0..255 feed row 0
+   of the MixColumns matrix (2,1,1,3 down the column), and entries
+   256k .. 256k+255 are those words rotated right by 8k bits, for rows
+   k = 1..3. One array of 1024 words serves every round. *)
+let table =
+  let t0 =
+    Array.init 256 (fun x ->
+        let s = sbox.(x) in
+        (gf_mul 2 s lsl 24) lor (s lsl 16) lor (s lsl 8) lor gf_mul 3 s)
+  in
+  let rotr v k = ((v lsr k) lor (v lsl (32 - k))) land 0xffffffff in
+  Array.init 1024 (fun i -> rotr t0.(i land 255) (8 * (i lsr 8)))
 
 let get_word s off = Int32.to_int (String.get_int32_be s off) land 0xffffffff
 let state_of_string s off : state = Array.init 4 (fun c -> get_word s (off + (4 * c)))
@@ -55,21 +56,25 @@ let string_of_state (st : state) =
 let byte st r c = (st.(c) lsr (8 * (3 - r))) land 0xff
 
 (* One output column of SubBytes+ShiftRows+MixColumns: row r comes from
-   input column c + r, so column c reads byte r of the r-th word after it. *)
+   input column c + r, so column c reads byte r of the r-th word after it.
+   Words below 2^32 keep every index inside [table]. *)
 let[@inline] column a b c d =
-  Array.unsafe_get t0 (a lsr 24)
-  lxor Array.unsafe_get t1 ((b lsr 16) land 0xff)
-  lxor Array.unsafe_get t2 ((c lsr 8) land 0xff)
-  lxor Array.unsafe_get t3 (d land 0xff)
+  Array.unsafe_get table (a lsr 24)
+  lxor Array.unsafe_get table (((b lsr 16) land 0xff) + 256)
+  lxor Array.unsafe_get table (((c lsr 8) land 0xff) + 512)
+  lxor Array.unsafe_get table ((d land 0xff) + 768)
 
 (* All four words are read before any is written, so the round runs in
    place. *)
 let round st off ~rk rk_off =
   let c0 = st.(off) and c1 = st.(off + 1) and c2 = st.(off + 2) and c3 = st.(off + 3) in
-  st.(off) <- column c0 c1 c2 c3 lxor rk.(rk_off);
-  st.(off + 1) <- column c1 c2 c3 c0 lxor rk.(rk_off + 1);
-  st.(off + 2) <- column c2 c3 c0 c1 lxor rk.(rk_off + 2);
-  st.(off + 3) <- column c3 c0 c1 c2 lxor rk.(rk_off + 3)
+  let k0 = rk.(rk_off) and k1 = rk.(rk_off + 1) and k2 = rk.(rk_off + 2) and k3 = rk.(rk_off + 3) in
+  if (c0 lor c1 lor c2 lor c3 lor k0 lor k1 lor k2 lor k3) lsr 32 <> 0 then
+    invalid_arg "Aes_core.round: words must be in 0 .. 2^32-1";
+  st.(off) <- column c0 c1 c2 c3 lxor k0;
+  st.(off + 1) <- column c1 c2 c3 c0 lxor k1;
+  st.(off + 2) <- column c2 c3 c0 c1 lxor k2;
+  st.(off + 3) <- column c3 c0 c1 c2 lxor k3
 
 let round_naive (st : state) ~rc : state =
   (* SubBytes *)

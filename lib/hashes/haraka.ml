@@ -6,8 +6,9 @@ let round_constants =
    4i .. 4i+3. *)
 let round_keys = Array.init 160 (fun i -> Aes_core.get_word round_constants.(i / 4) (4 * (i mod 4)))
 
-(* The state is one int array per call, lane l in words 4l .. 4l+3: a
-   module-level scratch array would be shared by every domain. *)
+(* The string functions load their input into one int array per call,
+   lane l in words 4l .. 4l+3: a module-level scratch array would be
+   shared by every domain. *)
 let load x words =
   let s = Array.make words 0 in
   for i = 0 to words - 1 do
@@ -29,33 +30,72 @@ let output s ~fn length =
   done;
   Bytes.unsafe_to_string out
 
+let table = Aes_core.table
+
+(* [Aes_core.column], repeated here because the library is compiled
+   without cross-module inlining. *)
+let[@inline] column a b c d =
+  Array.unsafe_get table (a lsr 24)
+  lxor Array.unsafe_get table (((b lsr 16) land 0xff) + 256)
+  lxor Array.unsafe_get table (((c lsr 8) land 0xff) + 512)
+  lxor Array.unsafe_get table ((d land 0xff) + 768)
+
+let[@inline] key k = Array.unsafe_get round_keys k
+
+(* Lanes a and b live in eight local variables for all 20 AES rounds,
+   and the input stays in s until the feed-forward. Round r keys lane a
+   with words 16r .. 16r+7 and lane b with 16r+8 .. 16r+15. An AES round
+   maps words below 2^32 to words below 2^32, so the check on entry keeps
+   every table index in range. *)
 let haraka256_words s =
   if Array.length s < 8 then invalid_arg "Haraka.haraka256_words: need 8 words";
-  let x0 = s.(0) and x1 = s.(1) and x2 = s.(2) and x3 = s.(3) in
-  let x4 = s.(4) and x5 = s.(5) and x6 = s.(6) and x7 = s.(7) in
+  let a0 = ref s.(0) and a1 = ref s.(1) and a2 = ref s.(2) and a3 = ref s.(3) in
+  let b0 = ref s.(4) and b1 = ref s.(5) and b2 = ref s.(6) and b3 = ref s.(7) in
+  if (!a0 lor !a1 lor !a2 lor !a3 lor !b0 lor !b1 lor !b2 lor !b3) lsr 32 <> 0 then
+    invalid_arg "Haraka.haraka256_words: words must be in 0 .. 2^32-1";
   for r = 0 to 4 do
-    aes2 s 0 (4 * r);
-    aes2 s 1 ((4 * r) + 2);
+    let k = 16 * r in
+    (* two AES rounds on lane a: e, then f *)
+    let c0 = !a0 and c1 = !a1 and c2 = !a2 and c3 = !a3 in
+    let e0 = column c0 c1 c2 c3 lxor key k in
+    let e1 = column c1 c2 c3 c0 lxor key (k + 1) in
+    let e2 = column c2 c3 c0 c1 lxor key (k + 2) in
+    let e3 = column c3 c0 c1 c2 lxor key (k + 3) in
+    let f0 = column e0 e1 e2 e3 lxor key (k + 4) in
+    let f1 = column e1 e2 e3 e0 lxor key (k + 5) in
+    let f2 = column e2 e3 e0 e1 lxor key (k + 6) in
+    let f3 = column e3 e0 e1 e2 lxor key (k + 7) in
+    (* two AES rounds on lane b: e, then g *)
+    let c0 = !b0 and c1 = !b1 and c2 = !b2 and c3 = !b3 in
+    let e0 = column c0 c1 c2 c3 lxor key (k + 8) in
+    let e1 = column c1 c2 c3 c0 lxor key (k + 9) in
+    let e2 = column c2 c3 c0 c1 lxor key (k + 10) in
+    let e3 = column c3 c0 c1 c2 lxor key (k + 11) in
+    let g0 = column e0 e1 e2 e3 lxor key (k + 12) in
+    let g1 = column e1 e2 e3 e0 lxor key (k + 13) in
+    let g2 = column e2 e3 e0 e1 lxor key (k + 14) in
+    let g3 = column e3 e0 e1 e2 lxor key (k + 15) in
     (* unpacklo/unpackhi on 32-bit words, mirroring _mm_unpacklo_epi32
-       with big-endian words: lanes (a0 a1 a2 a3) (b0 b1 b2 b3) become
-       (a0 b0 a1 b1) (a2 b2 a3 b3). *)
-    let a1 = s.(1) and a2 = s.(2) and a3 = s.(3) and b0 = s.(4) and b1 = s.(5) and b2 = s.(6) in
-    s.(1) <- b0;
-    s.(2) <- a1;
-    s.(3) <- b1;
-    s.(4) <- a2;
-    s.(5) <- b2;
-    s.(6) <- a3
+       with big-endian words: lanes (f0 f1 f2 f3) (g0 g1 g2 g3) become
+       (f0 g0 f1 g1) (f2 g2 f3 g3) *)
+    a0 := f0;
+    a1 := g0;
+    a2 := f1;
+    a3 := g1;
+    b0 := f2;
+    b1 := g2;
+    b2 := f3;
+    b3 := g3
   done;
   (* feed-forward *)
-  s.(0) <- s.(0) lxor x0;
-  s.(1) <- s.(1) lxor x1;
-  s.(2) <- s.(2) lxor x2;
-  s.(3) <- s.(3) lxor x3;
-  s.(4) <- s.(4) lxor x4;
-  s.(5) <- s.(5) lxor x5;
-  s.(6) <- s.(6) lxor x6;
-  s.(7) <- s.(7) lxor x7
+  s.(0) <- !a0 lxor s.(0);
+  s.(1) <- !a1 lxor s.(1);
+  s.(2) <- !a2 lxor s.(2);
+  s.(3) <- !a3 lxor s.(3);
+  s.(4) <- !b0 lxor s.(4);
+  s.(5) <- !b1 lxor s.(5);
+  s.(6) <- !b2 lxor s.(6);
+  s.(7) <- !b3 lxor s.(7)
 
 let haraka256 ?(length = 32) x =
   if String.length x <> 32 then invalid_arg "Haraka.haraka256: input must be 32 bytes";

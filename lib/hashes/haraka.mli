@@ -15,15 +15,17 @@
     construction (AES-round permutation + feed-forward) and its security
     argument and cost profile are unchanged.
 
-    The kernels keep the whole state in one int array per call: round
-    constants are parsed into words once, AES rounds and the unpack mix
-    run in place, and feed-forward and truncation write one output
-    buffer. {!haraka256_words} exposes the 256-bit kernel on words
-    directly, so that a W-OTS+ chain walks every step in one array and
-    allocates nothing per step. This layout changes no output byte: the
-    test suite checks both functions against known answers and,
-    differentially, against a string-round reference built on
-    {!Aes_core.round_naive}. *)
+    Round constants are parsed into round-key words once, at module
+    init, and every AES round reads the one fused T-table
+    {!Aes_core.table}. {!haraka256_words}, the kernel a W-OTS+ chain
+    step runs, keeps its eight state words in local variables for all 20
+    AES rounds, does the unpack mix as assignments between them, and
+    writes the caller's array only for the feed-forward: it allocates
+    nothing. {!haraka256} wraps it for strings. {!haraka512}
+    runs {!Aes_core.round} on one int array per call. No output byte
+    differs from the string-round definition: the test suite checks both
+    functions against known answers and, differentially, against a
+    reference built on {!Aes_core.round_naive}. *)
 
 val haraka256 : ?length:int -> string -> string
 (** [haraka256 x] maps a 32-byte input to a 32-byte output; [length]
@@ -35,7 +37,12 @@ val haraka256_words : int array -> unit
     [s.(0) .. s.(7)] (byte 4i is the high byte of [s.(i)]) with their
     32-byte Haraka-256 digest, in place and with no allocation. Words
     after the eighth are left alone.
-    @raise Invalid_argument if [s] has fewer than 8 words. *)
+
+    Precondition: each of [s.(0) .. s.(7)] is in [0 .. 2^32-1]. The
+    words index the T-table, so the kernel checks them on entry; the
+    digest words it writes are in range again.
+    @raise Invalid_argument if [s] has fewer than 8 words or one of the
+    first eight is outside [0 .. 2^32-1]; [s] is then left unchanged. *)
 
 val haraka512 : ?length:int -> string -> string
 (** [haraka512 x] maps a 64-byte input to a 32-byte output; [length] as

@@ -17,10 +17,12 @@
     chain value in eight big-endian int words from the first step to the
     last, with the d-1 masks parsed into words once per call and the
     length tag of {!Dsig_hashes.Hash.digest}'s padding folded into them:
-    a step is eight xors, one in-place {!Dsig_hashes.Haraka.haraka256_words}
-    and a word-mask truncation, with no allocation. Recovered elements
-    go straight into one buffer after the public seed, which BLAKE3
-    hashes as the public-key digest. Other hashes and n > 32 step through
+    a step is eight xors, one {!Dsig_hashes.Haraka.haraka256_words} (20
+    AES rounds on eight local words, written back once) and a word-mask
+    truncation, with no allocation. Every word the walker builds is
+    below 2^32, as that kernel requires. Recovered elements go straight
+    into one buffer after the public seed, which BLAKE3 hashes as the
+    public-key digest. Other hashes and n > 32 step through
     {!Dsig_hashes.Hash.digest} on strings. Every output byte equals that
     of the plain per-step definition; the test suite checks keygen,
     signing and recovery against it for n in {16, 18, 31, 32}. *)

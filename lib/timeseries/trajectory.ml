@@ -38,6 +38,8 @@ let table =
     measured "micro_eddsa_sign_us" Lower_better;
     measured "micro_eddsa_verify_prepared_us" Lower_better;
     measured "micro_eddsa_verify_us" Lower_better;
+    measured "micro_haraka256_words_us" Lower_better;
+    measured "micro_wots_keygen_us" Lower_better;
     measured "micro_wots_verify_us" Lower_better;
     exact "revocation_propagate_us" Lower_better;
     measured ~band:3.0 "rotation_cutover_us" Lower_better;

@@ -167,6 +167,48 @@ let test_haraka_kat () =
   check_hex "digest 100 B" "c1cae7d98c45c6572bc4c3aba0fdfda435bf44b23bd14004c8c1d30940acc3d5"
     (hex (Hash.digest Hash.Haraka (String.make 100 'h')))
 
+let words_of_string x = Array.append (Aes_core.state_of_string x 0) (Aes_core.state_of_string x 16)
+
+let string_of_words ws =
+  Aes_core.string_of_state (Array.sub ws 0 4) ^ Aes_core.string_of_state (Array.sub ws 4 4)
+
+(* The word kernel's contract: it hashes words 0..7 in place, leaves the
+   rest alone, and rejects a short array or a word that is not a 32-bit
+   value before writing anything. *)
+let test_haraka256_words_contract () =
+  let x = String.init 32 (fun i -> Char.chr (((i * 37) + 5) land 0xff)) in
+  let ws = Array.append (words_of_string x) [| 7; 9 |] in
+  Haraka.haraka256_words ws;
+  check_hex "digest" (Ref_kernels.Haraka.haraka256 x) (string_of_words ws);
+  Alcotest.(check (list int)) "words after the eighth" [ 7; 9 ] [ ws.(8); ws.(9) ];
+  Alcotest.check_raises "7 words" (Invalid_argument "Haraka.haraka256_words: need 8 words")
+    (fun () -> Haraka.haraka256_words (Array.make 7 0));
+  List.iter
+    (fun bad ->
+      List.iter
+        (fun at ->
+          let ws = words_of_string x in
+          ws.(at) <- bad;
+          let before = Array.copy ws in
+          Alcotest.check_raises
+            (Printf.sprintf "word %d = %d" at bad)
+            (Invalid_argument "Haraka.haraka256_words: words must be in 0 .. 2^32-1")
+            (fun () -> Haraka.haraka256_words ws);
+          Alcotest.(check bool) "left unchanged" true (ws = before))
+        [ 0; 3; 7 ])
+    [ -1; 1 lsl 32; max_int ]
+
+let test_aes_round_word_range () =
+  List.iter
+    (fun bad ->
+      List.iter
+        (fun (st, rk) ->
+          Alcotest.check_raises (Printf.sprintf "word %d" bad)
+            (Invalid_argument "Aes_core.round: words must be in 0 .. 2^32-1")
+            (fun () -> Aes_core.round st 0 ~rk 0))
+        [ ([| 1; bad; 2; 3 |], Array.make 4 0); (Array.make 4 0, [| 0; 0; 0; bad |]) ])
+    [ -1; 1 lsl 32; max_int ]
+
 let test_blake3_incremental () =
   (* incremental = one-shot across chunk/block boundaries and feeding
      patterns, plain and keyed *)
@@ -235,6 +277,21 @@ let qcheck_tests =
     (* Differential tests against the reference kernels in Ref_kernels. *)
     Test.make ~name:"haraka256 = reference" ~count:500 (string_n 32) (fun s ->
         Haraka.haraka256 s = Ref_kernels.Haraka.haraka256 s);
+    (* the inputs a W-OTS+ chain step builds: an n-byte value,
+       zero-padded, with the length tag in byte 31 when n < 32, XORed
+       with an n-byte mask *)
+    Test.make ~name:"haraka256_words = ref, chains" ~count:500
+      (triple (oneofl [ 16; 18; 31; 32 ]) (string_n 32) (string_n 32))
+      (fun (n, v, m) ->
+        let padded =
+          String.init 32 (fun i ->
+              if i < n then Char.chr (Char.code v.[i] lxor Char.code m.[i])
+              else if i = 31 then Char.chr n
+              else '\x00')
+        in
+        let ws = words_of_string padded in
+        Haraka.haraka256_words ws;
+        string_of_words ws = Ref_kernels.Haraka.haraka256 padded);
     Test.make ~name:"haraka512 = reference" ~count:300 (string_n 64) (fun s ->
         Haraka.haraka512 s = Ref_kernels.Haraka.haraka512 s);
     Test.make ~name:"haraka digest = reference" ~count:300
@@ -321,6 +378,8 @@ let suites =
         Alcotest.test_case "gf_mul" `Quick test_gf_mul;
         Alcotest.test_case "haraka shapes" `Quick test_haraka_shapes;
         Alcotest.test_case "haraka known answers" `Quick test_haraka_kat;
+        Alcotest.test_case "haraka256_words contract" `Quick test_haraka256_words_contract;
+        Alcotest.test_case "aes round word range" `Quick test_aes_round_word_range;
       ]
       @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests );
   ]
