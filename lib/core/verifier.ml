@@ -12,12 +12,25 @@ module Lifecycle = Dsig_telemetry.Lifecycle
 module Trace = Dsig_telemetry.Trace_ctx
 module Admission = Dsig_loadctl.Admission
 
+(* A merklified-HORS key the announcement carried in full, checked
+   against its signed batch leaf, with the forest the background plane
+   built over its elements so the critical path compares proofs against
+   it (§5.2). *)
+type full_key = {
+  seed : string;
+  elements : string array;
+  forest : Merkle.Forest.forest;
+  leaf : string;
+}
+
+(* One admitted batch: the tree built over the announcement's leaves,
+   whose root [root_sig] signs (both EdDSA-verified by the background
+   plane), and, for merklified HORS, the full keys. The fast path is a
+   byte comparison against these. *)
 type cached_batch = {
-  root : string;
-  keys : (string * string array) array option; (* (public_seed, elements) per index *)
-  forests : Merkle.Forest.forest array option;
-      (* merklified HORS: forests precomputed in the background plane so
-         the critical path compares proofs against them (§5.2) *)
+  tree : Merkle.t;
+  root_sig : string;
+  full_keys : full_key array option;
 }
 
 type signer_cache = {
@@ -330,50 +343,37 @@ let send_acks t acks =
       send (control_frame_for_acks t acks)
 
 (* Cache an announcement whose EdDSA root signature has already been
-   checked: validate any full keys against the signed leaves and insert.
-   [send_ack:false] lets a caller that admits many batches at once
-   coalesce the acknowledgements into one [Batch.Acks] frame instead. *)
-let admit_verified ?(send_ack = true) t (ann : Batch.announcement) root =
+   checked against [tree]'s root: keep the tree and that signature and,
+   for merklified HORS, any full keys that match their signed leaves,
+   and insert. [send_ack:false] lets a caller that admits many batches
+   at once coalesce the acknowledgements into one [Batch.Acks] frame
+   instead. *)
+let admit_verified ?(send_ack = true) t (ann : Batch.announcement) tree =
   begin
     with_stats t (fun s -> s.announcements <- s.announcements + 1);
-        (* When full keys ride along (bandwidth reduction off), check
-           they match the signed leaves before trusting them for the
-           comparison-only fast path. *)
-        let keys, forests =
-          match ann.Batch.full_keys with
-          | None -> (None, None)
-          | Some keys when Array.length keys <> Array.length ann.Batch.ann_leaves -> (None, None)
-          | Some keys -> (
-              match t.cfg.Config.hbss with
-              | Config.Hors_merklified { trees; _ } ->
-                  (* precompute the forests (background plane, §5.2) and
-                     check each key matches its signed leaf *)
-                  let forests =
-                    Array.map (fun (_, elements) -> Merkle.Forest.build ~trees elements) keys
-                  in
-                  let consistent =
-                    Array.for_all2
-                      (fun ((seed, _), forest) leaf ->
-                        BU.equal_ct leaf
-                          (Onetime.merklified_leaf ~public_seed:seed
-                             ~roots:(Merkle.Forest.roots forest)))
-                      (Array.map2 (fun k f -> (k, f)) keys forests)
-                      ann.Batch.ann_leaves
-                  in
-                  if consistent then (Some keys, Some forests) else (None, None)
-              | Config.Wots _ | Config.Hors_factorized _ ->
-                  let consistent =
-                    Array.for_all2
-                      (fun (seed, elements) leaf ->
-                        BU.equal_ct leaf
-                          (Dsig_hashes.Blake3.digest
-                             (String.concat "" (seed :: Array.to_list elements))))
-                      keys ann.Batch.ann_leaves
-                  in
-                  if consistent then (Some keys, None) else (None, None))
-        in
+    (* Full keys (bandwidth reduction off) serve only merklified HORS's
+       comparison-only fast path; W-OTS+ and factorized HORS compare
+       against the tree. Each key must match its signed leaf before it
+       is trusted. *)
+    let full_keys =
+      match (t.cfg.Config.hbss, ann.Batch.full_keys) with
+      | Config.Hors_merklified { trees; _ }, Some keys
+        when Array.length keys = Array.length ann.Batch.ann_leaves ->
+          let full =
+            Array.map2
+              (fun (seed, elements) leaf ->
+                { seed; elements; forest = Merkle.Forest.build ~trees elements; leaf })
+              keys ann.Batch.ann_leaves
+          in
+          let consistent k =
+            BU.equal_ct k.leaf
+              (Onetime.merklified_leaf ~public_seed:k.seed ~roots:(Merkle.Forest.roots k.forest))
+          in
+          if Array.for_all consistent full then Some full else None
+      | _ -> None
+    in
     insert_batch t ~signer:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id
-      { root; keys; forests };
+      { tree; root_sig = ann.Batch.root_sig; full_keys };
     (* the gap (if any) is repaired: stop pacing pull requests for it *)
     Mutex.protect t.ctl_mu (fun () ->
         Hashtbl.remove t.requested (ann.Batch.signer_id, ann.Batch.ann_batch_id));
@@ -391,13 +391,15 @@ let admit_verified ?(send_ack = true) t (ann : Batch.announcement) root =
         ]
   end
 
-(* Root implied by an announcement, plus the exact EdDSA-signed string. *)
-let announcement_root (ann : Batch.announcement) =
-  let root = Merkle.root (Merkle.build ann.Batch.ann_leaves) in
+(* The tree over an announcement's leaves, plus the exact EdDSA-signed
+   string naming its root. *)
+let announcement_tree (ann : Batch.announcement) =
+  let tree = Merkle.build ann.Batch.ann_leaves in
   let msg =
-    Batch.root_message ~signer_id:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id ~root
+    Batch.root_message ~signer_id:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id
+      ~root:(Merkle.root tree)
   in
-  (root, msg)
+  (tree, msg)
 
 let admits t a cls =
   match Admission.admit a ~now_us:(now t) cls with
@@ -417,12 +419,12 @@ let control_admitted t =
    lookup, shared with [deliver_many]'s per-announcement fallback so a
    failed chunk's announcements are not offered to admission control,
    looked up or re-rooted a second time. *)
-let verify_and_admit ?sent_us t (ann : Batch.announcement) ~vk ~root ~msg =
+let verify_and_admit ?sent_us t (ann : Batch.announcement) ~vk ~tree ~msg =
   let t0 = now t in
   Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.Begin t0;
   let ok =
     if Eddsa.verify_with vk msg ann.Batch.root_sig then begin
-      admit_verified t ann root;
+      admit_verified t ann tree;
       true
     end
     else false
@@ -445,8 +447,8 @@ let deliver ?sent_us t (ann : Batch.announcement) =
             t.id ann.Batch.signer_id);
       false
   | Some vk ->
-      let root, msg = announcement_root ann in
-      verify_and_admit ?sent_us t ann ~vk ~root ~msg
+      let tree, msg = announcement_tree ann in
+      verify_and_admit ?sent_us t ann ~vk ~tree ~msg
 
 let split_rng t = Mutex.protect t.ctl_mu (fun () -> Rng.split t.rng)
 
@@ -464,8 +466,8 @@ let deliver_many t anns =
         match Pki.allowed t.pki ~id:ann.Batch.signer_id ~batch:ann.Batch.ann_batch_id with
         | None -> None
         | Some vk ->
-            let root, msg = announcement_root ann in
-            Some (ann, root, vk, msg))
+            let tree, msg = announcement_tree ann in
+            Some (ann, tree, vk, msg))
       anns
   in
   let n = List.length entries in
@@ -500,8 +502,8 @@ let deliver_many t anns =
   let admitted = List.concat_map (fun (ok, chunk) -> if ok then chunk else []) groups in
   let failed = List.concat_map (fun (ok, chunk) -> if ok then [] else chunk) groups in
   List.iter
-    (fun (ann, root, _, _) ->
-      admit_verified ~send_ack:false t ann root;
+    (fun (ann, tree, _, _) ->
+      admit_verified ~send_ack:false t ann tree;
       lifecycle_admit t ann ~latency_us:(t1 -. t0))
     admitted;
   (* coalesce acknowledgements: one Acks frame per signer instead of
@@ -525,7 +527,7 @@ let deliver_many t anns =
   (* failed chunks: per-announcement checks isolate the bad one(s) *)
   List.length admitted
   + List.length
-      (List.filter (fun (ann, root, vk, msg) -> verify_and_admit t ann ~vk ~root ~msg) failed)
+      (List.filter (fun (ann, tree, vk, msg) -> verify_and_admit t ann ~vk ~tree ~msg) failed)
 
 (* Reconstruct the full HORS public key from revealed secrets plus the
    complement carried in a factorized signature. Returns [None] when the
@@ -591,40 +593,42 @@ let roots_equal_ct roots_list roots_array =
       ok)
     roots_list
 
+(* The fast path's trust check: the batch proof is the cached tree's own
+   proof for [leaf], and the root signature is the one the background
+   plane verified. Any other bytes go to the slow path, so a warm
+   verifier accepts exactly what a cold one would. *)
+let proven_by (b : cached_batch) ~leaf (w : Wire.t) =
+  Merkle.proves b.tree ~leaf w.Wire.batch_proof && BU.equal_ct b.root_sig w.Wire.root_sig
+
 (* Merklified fast path: the announcement carried full keys and the
    background plane precomputed the forests, so the critical path hashes
-   only the k revealed secrets and compares the signature's roots and
-   proofs against the precomputed forest — "mere string comparisons"
-   (§5.2). *)
+   only the k revealed secrets and compares the signature's seed, roots,
+   proofs, batch proof and root signature against the cached key and
+   tree — "mere string comparisons" (§5.2). [false] on any mismatch:
+   the caller then takes the path a cold verifier takes. *)
 let merklified_fast_path t (w : Wire.t) msg =
   match (t.cfg.Config.hbss, w.Wire.body) with
   | Config.Hors_merklified { params = p; _ }, Wire.Hors_merk_body { hsig; roots; proofs } -> (
       match lookup_batch t ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id with
-      | Some { keys = Some keys; forests = Some forests; _ }
-        when Wire.key_index w < Array.length keys ->
-          let idx = Wire.key_index w in
-          let seed, elements = keys.(idx) in
-          let forest = forests.(idx) in
-          let ok =
-            BU.equal_ct seed w.Wire.public_seed
-            && roots_equal_ct (Merkle.Forest.roots forest) roots
-            && Array.length proofs = p.Params.Hors.k
-            && Hors.verify_with_elements ~hash:t.cfg.Config.hash p
-                 ~public_seed:w.Wire.public_seed ~elements hsig msg
-            &&
-            let indices =
-              Hors.message_indices p ~public_seed:w.Wire.public_seed ~nonce:hsig.Hors.nonce msg
-            in
-            Array.for_all2
-              (fun (tree, pf) expected_idx ->
-                let etree, epf = Merkle.Forest.proof forest expected_idx in
-                tree = etree
-                && BU.equal_ct (Merkle.encode_proof pf) (Merkle.encode_proof epf))
-              proofs indices
+      | Some ({ full_keys = Some keys; _ } as b) when Wire.key_index w < Array.length keys ->
+          let k = keys.(Wire.key_index w) in
+          BU.equal_ct k.seed w.Wire.public_seed
+          && proven_by b ~leaf:k.leaf w
+          && roots_equal_ct (Merkle.Forest.roots k.forest) roots
+          && Array.length proofs = p.Params.Hors.k
+          && Hors.verify_with_elements ~hash:t.cfg.Config.hash p ~public_seed:w.Wire.public_seed
+               ~elements:k.elements hsig msg
+          &&
+          let indices =
+            Hors.message_indices p ~public_seed:w.Wire.public_seed ~nonce:hsig.Hors.nonce msg
           in
-          Some ok
-      | _ -> None)
-  | _ -> None
+          Array.for_all2
+            (fun (tree, pf) expected_idx ->
+              let etree, epf = Merkle.Forest.proof k.forest expected_idx in
+              tree = etree && BU.equal_ct (Merkle.encode_proof pf) (Merkle.encode_proof epf))
+            proofs indices
+      | _ -> false)
+  | _ -> false
 
 (* Pull repair: emit a Batch_request for a gap in the announcement
    cache, paced by the per-gap retry state so a burst of slow-path
@@ -697,32 +701,29 @@ let classify t ~msg wire_bytes =
       match Pki.allowed t.pki ~id:w.Wire.signer_id ~batch:w.Wire.batch_id with
       | None -> Refused Unknown_signer
       | Some signer_vk -> (
-          match merklified_fast_path t w msg with
-          | Some true -> Fast_path w
-          | Some false -> Refused Bad_signature
-          | None -> (
-              match implied_leaf t w msg with
-              | None -> Refused Bad_signature
-              | Some leaf -> (
-                  let root = Merkle.compute_root ~leaf w.Wire.batch_proof in
-                  let hit = lookup_batch t ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id in
-                  match hit with
-                  | Some { root = cached_root; _ } when BU.equal_ct root cached_root ->
-                      Fast_path w
-                  | _ ->
-                      (* Slow path (Alg. 2 lines 29-31): check the
-                         embedded EdDSA signature inline. *)
-                      let root_msg =
-                        Batch.root_message ~signer_id:w.Wire.signer_id ~batch_id:w.Wire.batch_id
-                          ~root
-                      in
-                      if eddsa_verify_cached t signer_vk root_msg w.Wire.root_sig then begin
-                        Log.L.debug (fun m ->
-                            m "verifier %d: slow-path EdDSA check for signer %d batch %Ld" t.id
-                              w.Wire.signer_id w.Wire.batch_id);
-                        Slow_path { wire = w; missing = Option.is_none hit }
-                      end
-                      else Refused Bad_signature))))
+          if merklified_fast_path t w msg then Fast_path w
+          else
+            match implied_leaf t w msg with
+            | None -> Refused Bad_signature
+            | Some leaf -> (
+                let hit = lookup_batch t ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id in
+                match hit with
+                | Some b when proven_by b ~leaf w -> Fast_path w
+                | _ ->
+                    (* Slow path (Alg. 2 lines 29-31): fold the proof to
+                       a root and check the embedded EdDSA signature on
+                       it inline. *)
+                    let root = Merkle.compute_root ~leaf w.Wire.batch_proof in
+                    let root_msg =
+                      Batch.root_message ~signer_id:w.Wire.signer_id ~batch_id:w.Wire.batch_id ~root
+                    in
+                    if eddsa_verify_cached t signer_vk root_msg w.Wire.root_sig then begin
+                      Log.L.debug (fun m ->
+                          m "verifier %d: slow-path EdDSA check for signer %d batch %Ld" t.id
+                            w.Wire.signer_id w.Wire.batch_id);
+                      Slow_path { wire = w; missing = Option.is_none hit }
+                    end
+                    else Refused Bad_signature)))
 
 (* What both accepted paths account: the latency histogram, the tracer
    span and the lifecycle join. *)
@@ -777,12 +778,12 @@ let account ?ctx t ~t0 ~t1 c =
 
 (* Take the admission decision for one signature, before any crypto;
    [false] means Shed: the signature is neither checked nor accounted
-   (never a false accept). A decodable header whose batch root is
-   cached will take the comparison-only fast path (class [Verify]);
-   anything else risks the slow path's inline EdDSA and possibly a pull
-   repair (class [Repair]), which is what gets shed first under
-   overload. Malformed headers class as [Verify] — they reject cheaply
-   at decode. *)
+   (never a false accept). A decodable header whose batch is cached
+   will take the comparison-only fast path (class [Verify]) unless its
+   bytes differ from the cached ones; anything else risks the slow
+   path's inline EdDSA and possibly a pull repair (class [Repair]),
+   which is what gets shed first under overload. Malformed headers class
+   as [Verify] — they reject cheaply at decode. *)
 let admit t wire_bytes =
   match t.admission with
   | None -> true

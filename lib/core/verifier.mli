@@ -1,15 +1,21 @@
 (** The DSig verifier — Algorithm 2 of the paper.
 
     The background plane ({!deliver}) receives batch announcements,
-    EdDSA-verifies their Merkle roots and caches them (plus, when the
-    signer sends full keys, the precomputed public keys for the
+    builds the Merkle tree over their leaves, EdDSA-verifies its root and
+    caches the tree with that root signature (plus, for merklified HORS
+    when the signer sends full keys, the keys and their forests for the
     comparison-only fast path of §5.2). The foreground plane ({!check})
-    recovers or reconstructs the public-key digest from the signature,
-    folds the inclusion proof to a root, and accepts if that root is
-    cached; otherwise it falls back to verifying the embedded EdDSA
-    signature on the critical path (slow path — the "incorrect hint"
-    case of §8.2), optionally caching the result (§4.4 "speeding up bulk
-    verification").
+    recovers or reconstructs the public-key digest from the signature and
+    takes the fast path when the signature's inclusion proof is the
+    cached tree's own proof for that digest and its root signature is
+    the cached one: byte comparisons and one leaf hash, no fold. Any
+    mismatch, or no cached batch, sends it to the slow path (the
+    "incorrect hint" case of §8.2), which folds the proof to a root and
+    verifies the embedded EdDSA signature on it inline, optionally
+    caching the result (§4.4 "speeding up bulk verification"). A warm
+    verifier therefore accepts exactly the signatures a cold one
+    accepts; a tampered root signature costs it one inline EdDSA
+    verification, which admission control bounds.
 
     The verifier is {b domain-safe}: every mutable table has its own
     mutex — [cache_mu] the batch cache, [eddsa_mu] the EdDSA cache,
@@ -42,7 +48,7 @@ val create :
     the worker pool and the admission controller; the other fields are
     signer-side and ignored here. With {!Options.with_loadctl}, the verifier also
     carries a {!Dsig_loadctl.Admission} controller: verify calls are
-    classified ([Verify] when the batch root is cached, [Repair]
+    classified ([Verify] when the batch is cached, [Repair]
     otherwise) and admitted against per-class token buckets {e before}
     any crypto runs — a shed signature comes back [Shed] without being
     checked (never a false accept) — and every outbound acknowledgement
@@ -53,7 +59,8 @@ val create :
     [.._rejected_total] / [.._eddsa_cache_hits_total] /
     [.._announcements_total] counters, the slow-path breakdown
     [.._slow_missing_batch_total] (batch never delivered — repairable)
-    vs [.._slow_cache_miss_total] (cached but root mismatch/eviction),
+    vs [.._slow_cache_miss_total] (cached but proof or root signature
+    mismatch),
     the reliability counters [.._batch_requests_total] /
     [.._acks_total] / [.._ack_frames_total] /
     [.._eddsa_cache_evictions_total], and receives the
@@ -83,7 +90,10 @@ type reject =
   | Bad_signature  (** a cryptographic mismatch: HBSS, Merkle or EdDSA *)
 
 type verdict =
-  | Fast  (** accepted from the root cache (Alg. 2 lines 34-35) *)
+  | Fast
+      (** accepted because its recovered leaf, batch proof and root
+          signature equal bytes the background plane already verified
+          (Alg. 2 lines 34-35); any mismatch goes to the slow path *)
   | Slow  (** accepted after checking the EdDSA root signature inline *)
   | Rejected of reject
   | Shed  (** turned away by admission control before any crypto: not a forgery *)
@@ -117,12 +127,12 @@ val verify_many : t -> (string * string) array -> verdict array
     on the same state; only repair-request pacing may differ. *)
 
 val can_verify_fast : t -> string -> bool
-(** True if the signature's batch root is already cached (Alg. 2
+(** True if the signature's batch is already cached (Alg. 2
     lines 34-35) — used by applications to deprioritize
     expensive-to-check messages (DoS mitigation, §6 uBFT). *)
 
 type stats = {
-  mutable fast : int;  (** verifications served from the root cache *)
+  mutable fast : int;  (** verifications served from the batch cache *)
   mutable slow : int;  (** verifications that ran EdDSA inline *)
   mutable eddsa_cache_hits : int;
   mutable rejected : int;
@@ -130,8 +140,9 @@ type stats = {
   mutable slow_missing_batch : int;
       (** slow-path verifications whose batch was never delivered *)
   mutable slow_cache_miss : int;
-      (** slow-path verifications whose batch was cached but whose root
-          did not match (eviction or cross-batch splice) *)
+      (** slow-path verifications whose batch was cached but whose
+          batch proof or root signature did not match it (cross-batch
+          splice, or a root signature other than the announced one) *)
   mutable requests_sent : int;  (** pull-repair {!Batch.Request}s emitted *)
   mutable acks_sent : int;  (** individual acknowledgements emitted *)
   mutable ack_frames_sent : int;

@@ -1,13 +1,18 @@
 open Dsig_hashes
 module P = Params.Wots
 
+(* One copy of each key's chain material: the whole chains when they
+   are cached (their depth-0 column is the secrets, their depth-(d-1)
+   column the public elements), the secrets alone otherwise. *)
+type material =
+  | Chains of string (* chain i at depth j at byte (i * d + j) * n *)
+  | Secrets of string (* the l secrets, n bytes each *)
+
 type keypair = {
   p : P.t;
   hash : Hash.algo;
   public_seed : string;
-  secrets : string; (* the l secrets, n bytes each *)
-  chains : string option; (* chain i at depth j at byte (i * d + j) * n *)
-  public_key : string; (* public seed, then the l public elements *)
+  material : material;
   pk_digest : string;
   mutable used : bool;
 }
@@ -125,9 +130,11 @@ let generate ?(hash = Hash.Haraka) ?(cache_chains = true) (p : P.t) ~seed =
   (* All l secrets in one XOF call (§4.4). *)
   let secrets = Blake3.derive_key ~context:"dsig wots secrets" ~length:(l * n) seed in
   let w = walker ~hash ~n ~d public_seed in
+  (* public seed, then the l public elements: hashed once into the
+     digest, then dropped *)
   let public_key = Bytes.create (32 + (l * n)) in
   Bytes.blit_string public_seed 0 public_key 0 32;
-  let chains =
+  let material =
     if cache_chains then begin
       let c = Bytes.create (l * d * n) in
       for i = 0 to l - 1 do
@@ -139,32 +146,39 @@ let generate ?(hash = Hash.Haraka) ?(cache_chains = true) (p : P.t) ~seed =
         done;
         store w ~n public_key (32 + (i * n))
       done;
-      Some (Bytes.unsafe_to_string c)
+      Chains (Bytes.unsafe_to_string c)
     end
     else begin
       for i = 0 to l - 1 do
         walk w ~n secrets (i * n) ~from:0 ~upto:(d - 1) public_key (32 + (i * n))
       done;
-      None
+      Secrets secrets
     end
   in
-  let public_key = Bytes.unsafe_to_string public_key in
   {
     p;
     hash;
     public_seed;
-    secrets;
-    chains;
-    public_key;
-    pk_digest = Blake3.digest public_key;
+    material;
+    pk_digest = Blake3.digest (Bytes.unsafe_to_string public_key);
     used = false;
   }
 
 let params kp = kp.p
 let public_seed kp = kp.public_seed
 
+(* The chain ends, read from the cached chains or walked again from the
+   secrets. *)
 let public_elements kp =
-  Array.init kp.p.P.l (fun i -> String.sub kp.public_key (32 + (i * kp.p.P.n)) kp.p.P.n)
+  let n = kp.p.P.n and d = kp.p.P.d in
+  match kp.material with
+  | Chains c -> Array.init kp.p.P.l (fun i -> String.sub c (((i * d) + d - 1) * n) n)
+  | Secrets secrets ->
+      let w = walker ~hash:kp.hash ~n ~d kp.public_seed in
+      Array.init kp.p.P.l (fun i ->
+          let e = Bytes.create n in
+          walk w ~n secrets (i * n) ~from:0 ~upto:(d - 1) e 0;
+          Bytes.unsafe_to_string e)
 
 let public_key_digest kp = kp.pk_digest
 
@@ -209,15 +223,15 @@ let sign ?(allow_reuse = false) kp ~nonce msg =
   let n = kp.p.P.n and d = kp.p.P.d in
   let digits = all_digits kp.p (message_digest kp.p ~public_seed:kp.public_seed ~nonce msg) in
   let elements = Bytes.create (kp.p.P.l * n) in
-  (match kp.chains with
-  | Some chains ->
+  (match kp.material with
+  | Chains chains ->
       Array.iteri
         (fun i digit -> Bytes.blit_string chains (((i * d) + digit) * n) elements (i * n) n)
         digits
-  | None ->
+  | Secrets secrets ->
       let w = walker ~hash:kp.hash ~n ~d kp.public_seed in
       Array.iteri
-        (fun i digit -> walk w ~n kp.secrets (i * n) ~from:0 ~upto:digit elements (i * n))
+        (fun i digit -> walk w ~n secrets (i * n) ~from:0 ~upto:digit elements (i * n))
         digits);
   { nonce; elements = Bytes.unsafe_to_string elements }
 

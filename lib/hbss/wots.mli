@@ -37,11 +37,22 @@ val generate :
   keypair
 (** [generate params ~seed] derives a key pair deterministically from a
     32-byte seed. [cache_chains] (default [true]) precomputes all chain
-    values so [sign] does no hashing. [hash] defaults to [Haraka]. *)
+    values so [sign] does no hashing. [hash] defaults to [Haraka].
+
+    A key pair holds its public seed, its public-key digest (computed
+    once, here) and one copy of its chain material: with [cache_chains]
+    the l·d·n bytes of chains, whose first column is the secrets and
+    whose last is the public elements; without it the l·n bytes of
+    secrets alone. The public key itself is not kept. *)
 
 val params : keypair -> Params.Wots.t
 val public_seed : keypair -> string
+
 val public_elements : keypair -> string array
+(** The l chain ends: read from the cached chains, or walked again from
+    the secrets (a key generation's worth of chain steps) when chains
+    are not cached. *)
+
 val public_key_digest : keypair -> string
 (** BLAKE3(public_seed || elements): the Merkle-batch leaf (§4.4). *)
 

@@ -93,6 +93,21 @@ let verify ~root:expected ~leaf proof =
   List.for_all (fun sib -> String.length sib = 32) proof.siblings
   && Dsig_util.Bytesutil.equal_ct (compute_root ~leaf proof) expected
 
+(* Membership by comparison: the proof must be the tree's own proof for
+   [leaf] at its index. One leaf hash, then each sibling against the
+   stored node of its level; no fold. *)
+let rec siblings_match levels l idx = function
+  | [] -> true
+  | sib :: rest ->
+      Dsig_util.Bytesutil.equal_ct sib levels.(l).(idx lxor 1)
+      && siblings_match levels (l + 1) (idx lsr 1) rest
+
+let proves t ~leaf { index; siblings } =
+  index >= 0 && index < t.n
+  && List.compare_length_with siblings (Array.length t.levels - 1) = 0
+  && Dsig_util.Bytesutil.equal_ct (leaf_hash leaf) t.levels.(0).(index)
+  && siblings_match t.levels 0 index siblings
+
 let encode_proof { index; siblings } =
   Dsig_util.Bytesutil.concat
     (Dsig_util.Bytesutil.u32_le (Int32.of_int index) :: siblings)

@@ -5,9 +5,10 @@
     Leaves are arbitrary strings; they are hashed with a [0x00] domain
     tag, interior nodes with [0x01], preventing leaf/node confusion.
     Trees of non-power-of-two size are padded with a fixed all-zero
-    digest. A path fold hashes each node in one 65-byte scratch buffer,
-    writing the parent's digest back into it, so it builds no
-    concatenated strings. *)
+    digest. A path fold ({!compute_root}, {!verify}) hashes each node in
+    one 65-byte scratch buffer, writing the parent's digest back into
+    it, so it builds no concatenated strings. A holder of the tree
+    itself checks membership without a fold ({!proves}). *)
 
 type t
 
@@ -36,14 +37,23 @@ val proof_size_bytes : leaves:int -> int
     ceil(log2 leaves) siblings of 32 bytes. *)
 
 val compute_root : leaf:string -> proof -> string
-(** The root implied by a leaf and its proof (used by verifiers that
-    look the root up in a cache of pre-verified roots rather than
-    comparing against a value carried in the signature).
+(** The root implied by a leaf and its proof (used by the verifier's
+    slow path, which checks an EdDSA signature on it).
     @raise Invalid_argument if a sibling is not 32 bytes. *)
 
 val verify : root:string -> leaf:string -> proof -> bool
 (** Recomputes the path and compares with [root]; [false] if a sibling
     is not 32 bytes. *)
+
+val proves : t -> leaf:string -> proof -> bool
+(** [proves t ~leaf p] holds iff [p] is [t]'s own proof for [leaf] at
+    [p.index]: the index names a real leaf (not padding), the proof has
+    one sibling per level, [leaf]'s digest is the stored leaf digest and
+    every sibling is the stored node, compared in constant time per
+    digest. It costs one BLAKE3 compression and folds nothing, so a
+    verifier that already trusts [t] (its root was EdDSA-verified) checks
+    membership by comparison. [proves t ~leaf p] implies
+    [verify ~root:(root t) ~leaf p]. *)
 
 val encode_proof : proof -> string
 val decode_proof : levels:int -> string -> proof option

@@ -262,13 +262,11 @@ let test_reject_bitflips () =
       let msg = "bitflip target " ^ name in
       let signature = System.sign sys ~signer:0 ~hint:[ 1 ] msg in
       let n = String.length signature in
-      (* With a warm cache, authenticity comes from pre-verified data:
-         the trailing EdDSA root signature is never inspected on the
-         fast path (Alg. 2), and on the merklified fast path neither are
-         the batch-proof siblings (the precomputed key is compared
-         instead). Flips there must still be caught by a verifier
-         without the cache; flips anywhere else must always be caught. *)
-      let unchecked_start =
+      (* A warm verifier accepts on the fast path only bytes equal to
+         what its background plane verified, so a flip anywhere,
+         including the trailing EdDSA root signature and (merklified)
+         the batch-proof siblings, is rejected by warm and cold alike. *)
+      let trailer_start =
         match hbss with
         | Config.Hors_merklified _ -> n - 64 - (4 + (32 * 3)) + 4 (* siblings + root sig *)
         | Config.Wots _ | Config.Hors_factorized _ -> n - 64
@@ -279,27 +277,18 @@ let test_reject_bitflips () =
       let flip pos =
         String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor 0x40) else c) signature
       in
-      let positions = List.sort_uniq compare (List.init 24 (fun i -> i * (n / 24)) @ [ unchecked_start - 1; unchecked_start; n - 1 ]) in
+      let positions = List.sort_uniq compare (List.init 24 (fun i -> i * (n / 24)) @ [ trailer_start - 1; trailer_start; n - 1 ]) in
       List.iter
         (fun pos ->
           let tampered = flip pos in
-          if pos < unchecked_start then
-            Alcotest.(check bool)
-              (Printf.sprintf "%s flip@%d (cached)" name pos)
-              false
-              (System.verify sys ~verifier:1 ~msg tampered)
-          else begin
-            (* fast path tolerates it... *)
-            Alcotest.(check bool)
-              (Printf.sprintf "%s flip@%d fast path ok" name pos)
-              true
-              (System.verify sys ~verifier:1 ~msg tampered);
-            (* ...but an uncached verifier rejects it *)
-            Alcotest.(check bool)
-              (Printf.sprintf "%s flip@%d (uncached)" name pos)
-              false
-              (Verifier.verify (fresh_verifier ()) ~msg tampered)
-          end)
+          Alcotest.(check bool)
+            (Printf.sprintf "%s flip@%d (cached)" name pos)
+            false
+            (System.verify sys ~verifier:1 ~msg tampered);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s flip@%d (uncached)" name pos)
+            false
+            (Verifier.verify (fresh_verifier ()) ~msg tampered))
         positions)
     all_hbss
 
@@ -389,6 +378,34 @@ let qcheck_tests =
         let signature = System.sign sys ~signer:0 ~hint:[ 1 ] m1 in
         not (System.verify sys ~verifier:1 ~msg:m2 signature));
   ]
+  @ List.map
+      (fun (name, hbss) ->
+        (* one system per scheme, its verifier 1 warm (announcements
+           delivered) and a second verifier that never sees one *)
+        let parties =
+          lazy
+            (let cfg = test_cfg ~hbss () in
+             let sys = System.create cfg ~n:2 () in
+             (sys, Verifier.create cfg ~id:99 ~pki:(System.pki sys) ()))
+        in
+        (* [tail] aims the flip at the last 200 bytes, where the batch
+           proof and the root signature sit, as often as anywhere else *)
+        Test.make ~name:(name ^ " warm verdict = cold verdict") ~count:60
+          (triple (string_of_size Gen.(0 -- 40)) bool (int_bound 1_000_000))
+          (fun (msg, tail, r) ->
+            let sys, cold = Lazy.force parties in
+            let wire = System.sign sys ~signer:0 ~hint:[ 1 ] msg in
+            let n = String.length wire in
+            let pos = if tail then n - 1 - (r / 8 mod 200) else r / 8 mod n in
+            let tampered =
+              String.mapi
+                (fun i c -> if i = pos then Char.chr (Char.code c lxor (1 lsl (r mod 8))) else c)
+                wire
+            in
+            let warm = System.verifier sys 1 in
+            Verifier.accepted (Verifier.check warm ~msg tampered)
+            = Verifier.accepted (Verifier.check cold ~msg tampered)))
+      all_hbss
 
 let test_announce_tracker () =
   let cfg = test_cfg () in

@@ -89,6 +89,20 @@ let test_wots_no_cache_matches_cache () =
   let s2 = Wots.sign kp2 ~nonce:(nonce '0') msg in
   Alcotest.(check bool) "identical signatures" true (s1 = s2)
 
+(* A key keeps its public elements only inside its chain material; with
+   or without the chain cache they are what a signature recovers. *)
+let test_wots_public_elements () =
+  List.iter
+    (fun cache_chains ->
+      let kp = Wots.generate ~cache_chains wots_p ~seed:(seed 'e') in
+      let msg = "public elements" in
+      let s = Wots.sign kp ~nonce:(nonce '3') msg in
+      Alcotest.(check (array string))
+        (Printf.sprintf "cache_chains=%b" cache_chains)
+        (Wots.recover_public_elements wots_p ~public_seed:(Wots.public_seed kp) s msg)
+        (Wots.public_elements kp))
+    [ true; false ]
+
 let test_wots_one_time () =
   let kp = Wots.generate wots_p ~seed:(seed 'z') in
   ignore (Wots.sign kp ~nonce:(nonce '1') "first");
@@ -401,6 +415,7 @@ let suites =
         Alcotest.test_case "roundtrip (all hashes)" `Quick test_wots_roundtrip;
         Alcotest.test_case "deterministic" `Quick test_wots_deterministic;
         Alcotest.test_case "cache equivalence" `Quick test_wots_no_cache_matches_cache;
+        Alcotest.test_case "public elements = recovered" `Quick test_wots_public_elements;
         Alcotest.test_case "one-time enforcement" `Quick test_wots_one_time;
         Alcotest.test_case "rejections" `Quick test_wots_rejects;
         Alcotest.test_case "recovery checks input lengths" `Quick test_wots_recover_lengths;

@@ -127,6 +127,44 @@ let test_multiproof () =
   Alcotest.check_raises "oob" (Invalid_argument "Merkle.Multiproof.create: out of range")
     (fun () -> ignore (Merkle.Multiproof.create t [ 64 ]))
 
+(* [proves]: a tree's own proofs hold, and every way a proof can differ
+   from them fails. *)
+let test_proves () =
+  List.iter
+    (fun n ->
+      let ls = leaves n in
+      let t = Merkle.build ls in
+      let padded = 1 lsl (List.length (Merkle.proof t 0).Merkle.siblings) in
+      let check name expected leaf pf =
+        Alcotest.(check bool) (Printf.sprintf "n=%d %s" n name) expected (Merkle.proves t ~leaf pf)
+      in
+      for i = 0 to n - 1 do
+        check (Printf.sprintf "own proof %d" i) true ls.(i) (Merkle.proof t i)
+      done;
+      let i = n / 2 in
+      let pf = Merkle.proof t i in
+      let flip s = Dsig_util.Bytesutil.xor s (String.make 32 '\x01') in
+      check "wrong leaf" false (ls.(i) ^ "!") pf;
+      check "negative index" false ls.(i) { pf with Merkle.index = -1 };
+      check "one sibling too many" false ls.(i)
+        { pf with Merkle.siblings = pf.Merkle.siblings @ [ String.make 32 '\x00' ] };
+      if n > 1 then begin
+        check "neighbour's proof" false ls.(i) (Merkle.proof t ((i + 1) mod n));
+        (match pf.Merkle.siblings with
+        | s :: rest -> check "first sibling flipped" false ls.(i) { pf with Merkle.siblings = flip s :: rest }
+        | [] -> Alcotest.fail "expected siblings");
+        let last = List.length pf.Merkle.siblings - 1 in
+        check "last sibling flipped" false ls.(i)
+          { pf with Merkle.siblings = List.mapi (fun l s -> if l = last then flip s else s) pf.Merkle.siblings };
+        check "one sibling too few" false ls.(i)
+          { pf with Merkle.siblings = List.filteri (fun l _ -> l < last) pf.Merkle.siblings }
+      end;
+      if padded > n then begin
+        let pf = Merkle.proof t (n - 1) in
+        check "index inside the padding" false ls.(n - 1) { pf with Merkle.index = n }
+      end)
+    [ 1; 3; 5; 128 ]
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -169,6 +207,33 @@ let qcheck_tests =
         let t = Merkle.build ls in
         let i = salt mod n and j = (salt + 1) mod n in
         not (Merkle.verify ~root:(Merkle.root t) ~leaf:ls.(j) (Merkle.proof t i)));
+    (* a leaf's own proof, then maybe one change to its index, a
+       sibling, the sibling count or the leaf *)
+    Test.make ~name:"proves implies verify" ~count:200
+      (quad (int_range 1 70) (int_range 0 10_000) (int_range 0 5) (int_range (-2) 140))
+      (fun (n, salt, change, r) ->
+        let ls = Array.init n (fun i -> Printf.sprintf "%d~%d" salt i) in
+        let t = Merkle.build ls in
+        let i = salt mod n in
+        let pf = Merkle.proof t i and leaf = ls.(i) in
+        let leaf, pf =
+          match (change, pf.Merkle.siblings) with
+          | 1, _ -> (leaf, { pf with Merkle.index = r })
+          | 2, _ :: _ ->
+              let at = abs r mod List.length pf.Merkle.siblings in
+              ( leaf,
+                {
+                  pf with
+                  Merkle.siblings =
+                    List.mapi (fun l s -> if l = at then Merkle.leaf_digest t (abs r mod n) else s) pf.Merkle.siblings;
+                } )
+          | 3, _ -> (leaf, { pf with Merkle.siblings = List.filteri (fun l _ -> l > 0) pf.Merkle.siblings })
+          | 4, _ -> (leaf, { pf with Merkle.siblings = Merkle.leaf_digest t 0 :: pf.Merkle.siblings })
+          | 5, _ -> (ls.(abs r mod n), pf)
+          | _ -> (leaf, pf)
+        in
+        let proves = Merkle.proves t ~leaf pf in
+        (change > 0 || proves) && ((not proves) || Merkle.verify ~root:(Merkle.root t) ~leaf pf));
   ]
 
 let suites =
@@ -182,6 +247,7 @@ let suites =
         Alcotest.test_case "known answers" `Quick test_known_answers;
         Alcotest.test_case "forest" `Quick test_forest;
         Alcotest.test_case "multiproof" `Quick test_multiproof;
+        Alcotest.test_case "proves by comparison" `Quick test_proves;
       ]
       @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests );
   ]
