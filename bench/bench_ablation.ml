@@ -54,9 +54,15 @@ let chain_caching () =
 
 let bandwidth_reduction () =
   Harness.subsection "3. background bandwidth reduction (wire accounting)";
-  let reduced = Config.make ~reduce_bg_bandwidth:true (Config.wots ~d:4) in
-  let full = Config.make ~reduce_bg_bandwidth:false (Config.wots ~d:4) in
-  let per cfg = float_of_int (Batch.announcement_wire_bytes cfg) /. 128.0 in
+  let cfg = Config.make (Config.wots ~d:4) in
+  let p = Dsig_hbss.Params.Wots.make ~d:4 () in
+  let reduced = Batch.announcement_wire_bytes cfg in
+  (* W-OTS+ announces digests only; full keys would add each key's
+     32-byte public seed and its l chain ends *)
+  let full =
+    reduced + (cfg.Config.batch_size * (32 + (p.Dsig_hbss.Params.Wots.l * p.Dsig_hbss.Params.Wots.n)))
+  in
+  let per bytes = float_of_int bytes /. float_of_int cfg.Config.batch_size in
   Harness.print_table
     ~header:[ "mode"; "bg B per signature per verifier" ]
     [

@@ -25,13 +25,15 @@ type outcome = {
   reannounces : int;
   redundant : int;
   giveups : int;
-  snap : Snapshot.t;
+  view : Snapshot.t;  (* the deployment's: every party's series summed *)
+  rtt_us : float;  (* node 0's own pacing gauges *)
+  rto_us : float;
 }
 
-(* One deployment on the default bundle (so the harness's telemetry
-   snapshot mirrors the pacing series), with its clock temporarily
-   repointed at the virtual one; counters are read as before/after
-   deltas because the bundle is shared across experiments. *)
+(* One deployment on the default bundle (its tracer and lifecycle are
+   the ones the harness dumps), with its clock temporarily repointed at
+   the virtual one; counters are read as before/after deltas because
+   the bundle is shared across experiments. *)
 let run_paced () =
   let tel = Tel.default in
   let saved = tel.Tel.clock in
@@ -58,22 +60,26 @@ let run_paced () =
       done;
       (* settle the re-announce tail *)
       Sim.run ~until:(Sim.now sim +. 60_000.0) sim;
-      let snap = Tel.snapshot tel in
-      let delta name = counter snap name - counter before name in
+      let view = Deploy.snapshot d in
+      let delta name = counter view name - counter before name in
+      (* gauges of one name add up across parties in the merged view *)
+      let own = Tel.snapshot (Deploy.telemetry d 0) in
       {
         verified = !verified;
         total;
         reannounces = delta "dsig_signer_reannounces_total";
         redundant = delta "dsig_reannounce_redundant_total";
         giveups = delta "dsig_signer_announce_giveups_total";
-        snap;
+        view;
+        rtt_us = gauge own "dsig_rtt_us";
+        rto_us = gauge own "dsig_rto_us";
       })
 
 let run () =
   Harness.section "Re-announce pacing: adaptive ACK-RTT RTO under faults";
   Printf.printf "3 nodes, 800 us one-way latency, drop=0.2 reorder=0.2 (seed 42)\n";
   let o = run_paced () in
-  Harness.print_table
+  Harness.print_table ~snapshot:o.view
     ~header:[ "verified"; "reannounce frames"; "redundant resends"; "giveups" ]
     [
       [
@@ -83,5 +89,5 @@ let run () =
         string_of_int o.giveups;
       ];
     ];
-  Printf.printf "learned rtt=%.0f us, rto=%.0f us (dsig_rtt_us / dsig_rto_us)\n"
-    (gauge o.snap "dsig_rtt_us") (gauge o.snap "dsig_rto_us")
+  Printf.printf "node 0 learned rtt=%.0f us, rto=%.0f us (dsig_rtt_us / dsig_rto_us)\n"
+    o.rtt_us o.rto_us

@@ -70,16 +70,19 @@ let csv_escape cell =
   else cell
 
 (* Telemetry snapshot mirroring: next to every CSV, drop the default
-   registry's snapshot as <base>-telemetry.json so the per-phase
-   counters and histograms the harness populated while producing that
-   table (batch generation, sign/verify paths, ...) can be inspected
-   offline alongside the results. *)
-let write_telemetry_snapshot dir base =
+   registry's snapshot (or the [snapshot] the experiment hands over,
+   e.g. a deployment's merged view) as <base>-telemetry.json so the
+   per-phase counters and histograms the harness populated while
+   producing that table (batch generation, sign/verify paths, ...) can
+   be inspected offline alongside the results. *)
+let write_telemetry_snapshot ?snapshot dir base =
   let tel = Dsig_telemetry.Telemetry.default in
+  let snap =
+    match snapshot with Some s -> s | None -> Dsig_telemetry.Telemetry.snapshot tel
+  in
   let js =
     Dsig_telemetry.Export.json ~tracer:tel.Dsig_telemetry.Telemetry.tracer
-      ~lifecycle:tel.Dsig_telemetry.Telemetry.lifecycle
-      (Dsig_telemetry.Telemetry.snapshot tel)
+      ~lifecycle:tel.Dsig_telemetry.Telemetry.lifecycle snap
   in
   let oc = open_out (Filename.concat dir (base ^ "-telemetry.json")) in
   output_string oc (js ^ "\n");
@@ -137,7 +140,7 @@ let write_bench_snapshot path =
   close_out oc;
   Printf.printf "wrote %d bench metrics to %s\n" (List.length sorted) path
 
-let write_csv ~header rows =
+let write_csv ?snapshot ~header rows =
   match !csv_dir with
   | None -> ()
   | Some dir ->
@@ -151,10 +154,10 @@ let write_csv ~header rows =
         (fun row -> output_string oc (String.concat "," (List.map csv_escape row) ^ "\n"))
         (header :: rows);
       close_out oc;
-      write_telemetry_snapshot dir base
+      write_telemetry_snapshot ?snapshot dir base
 
 (* column-aligned table printing *)
-let print_table ~header rows =
+let print_table ?snapshot ~header rows =
   let all = header :: rows in
   let cols = List.length header in
   let width c =
@@ -172,7 +175,7 @@ let print_table ~header rows =
   print_row header;
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row rows;
-  write_csv ~header rows
+  write_csv ?snapshot ~header rows
 
 let us v = Printf.sprintf "%.1f" v
 let us2 v = Printf.sprintf "%.2f" v

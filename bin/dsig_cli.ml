@@ -506,9 +506,6 @@ let timeline port file metric width interval count =
             let signer = Dsig.Signer.create cfg ~id:0 ~eddsa:sk ~rng ~options ~verifiers:[ 1 ] () in
             let verifier = Dsig.Verifier.create cfg ~id:1 ~pki ~options () in
             let sampler = Ts.Sampler.create ~interval_us:10_000.0 tel.Tel.registry in
-            let vstats = Dsig.Verifier.stats verifier in
-            Ts.Sampler.probe sampler ~name:"demo_verifier_fast_total" ~kind:Ts.Series.Counter
-              (fun () -> float_of_int vstats.Dsig.Verifier.fast);
             let alerts = Ts.Alert.create ~telemetry:tel sampler [] in
             let stop = ref false in
             let worker =

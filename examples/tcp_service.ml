@@ -71,13 +71,6 @@ let () =
     Verifier.create cfg ~id:1 ~pki ~options:(Options.default |> Options.with_telemetry tel)
       ~control ()
   in
-  (* node-local probes: the verifier's fast/slow split sampled on the
-     same ticks as the registry metrics *)
-  let vstats = Verifier.stats verifier in
-  Ts.Sampler.probe sampler ~name:"service_verifier_fast_total" ~kind:Ts.Series.Counter
-    (fun () -> float_of_int vstats.Verifier.fast);
-  Ts.Sampler.probe sampler ~name:"service_verifier_slow_total" ~kind:Ts.Series.Counter
-    (fun () -> float_of_int vstats.Verifier.slow);
 
   let mu = Mutex.create () in
   let fast = ref 0 and slow = ref 0 and rejected = ref 0 and announcements = ref 0 in

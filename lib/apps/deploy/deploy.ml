@@ -7,10 +7,10 @@ module Translog = Dsig_translog.Translog
 module Checkpoint = Dsig_translog.Checkpoint
 module Monitor = Dsig_translog.Monitor
 module Revocation = Dsig_keylife.Revocation
+module Registry = Dsig_telemetry.Registry
 module Ts = Dsig_timeseries
-module Admission = Dsig_loadctl.Admission
 
-type party = { signer : Dsig.Signer.t; verifier : Dsig.Verifier.t }
+type party = { signer : Dsig.Signer.t; verifier : Dsig.Verifier.t; telemetry : Tel.t }
 
 (* --- the per-node time-series plane --- *)
 
@@ -38,7 +38,6 @@ let timeseries ?(poll_us = 500.0) ?(capacity = 1024) ?(slow_share_budget = 0.1)
   }
 
 let slow_burn_rule = "node_slow_path_burn"
-let shed_burn_rule = "node_shed_ratio_burn"
 
 (* announcements carry the virtual send time so delivery can record the
    time spent on the (modeled) wire *)
@@ -71,12 +70,10 @@ type t = {
      record arrives over the network, like every other control frame *)
   pkis : Dsig.Pki.t array;
   auth_sk : Eddsa.secret_key;
-  auth_pk : Eddsa.public_key;
   telemetry : Tel.t;
   net : payload Net.t;
   transparency : transparency option;
   tsplane : (Ts.Sampler.t * Ts.Alert.t) array option;
-  admissions : Admission.t array option;
   c_rev_issued : Metric.Counter.t;
   enforce_revocation : int -> string -> unit;
   counts : counts;
@@ -84,17 +81,15 @@ type t = {
 
 let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
     ?(groups = fun _ -> []) ?(seed = 97L) ?(options = Dsig.Options.default) ?store_dir
-    ?translog_dir ?(translog_poll_us = 200.0) ?(log_id = 0) ?timeseries:ts_opts ?loadctl
-    ?(shed_ratio_budget = 0.05) ?verifiers_of sim cfg ~n () =
+    ?translog_dir ?(translog_poll_us = 200.0) ?(log_id = 0) ?timeseries:ts_opts ?verifiers_of sim
+    cfg ~n () =
   let telemetry = options.Dsig.Options.telemetry in
-  (* load-control plane: one admission controller per node — the
-     AIMD/CoDel state is per-verifier by design (each node sees its own
-     overload), so sharing one across parties would be wrong *)
-  let admissions =
-    Option.map
-      (fun params -> Array.init n (fun _ -> Admission.create ~params ~telemetry ()))
-      loadctl
-  in
+  (* one registry per party, so each party's counts and gauges keep
+     their one dsig_* name (a shared registry would sum the counters
+     and keep only the last writer's gauges); the tracer, lifecycle and
+     clock stay shared, so a sign on one party joins its verify on
+     another *)
+  let party_tel = Array.init n (fun _ -> { telemetry with Tel.registry = Registry.create () }) in
   let master = Rng.create seed in
   let keys = Array.init n (fun _ -> Eddsa.generate (Rng.split master)) in
   (* deployment-level revoking authority — a distinct identity, so a
@@ -119,8 +114,8 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
             let log_sk, log_pk = Eddsa.generate (Rng.split master) in
             let log_vk = Option.get (Eddsa.verifying_key log_pk) in
             let monitors =
-              Array.init n (fun _ ->
-                  Monitor.create ~telemetry ~log_id
+              Array.init n (fun id ->
+                  Monitor.create ~telemetry:party_tel.(id) ~log_id
                     ~verify:(fun ~msg ~signature -> Eddsa.verify_with log_vk msg signature)
                     ())
             in
@@ -134,36 +129,21 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
     Option.map
       (fun o ->
         Array.init n (fun id ->
+            let telemetry = party_tel.(id) in
             let sampler =
               Ts.Sampler.create ~capacity:o.ts_capacity ~interval_us:o.ts_poll_us
                 telemetry.Tel.registry
             in
-            let rules =
+            let rule =
               Ts.Alert.rule ~fast:o.ts_fast ~slow:o.ts_slow ~name:slow_burn_rule
                 (Ts.Alert.Burn_rate
                    {
-                     bad = "node_verifier_slow_total";
-                     total = "node_verifier_verifies_total";
+                     bad = "dsig_verifier_slow_total";
+                     total = "dsig_verifier_verifies_total";
                      budget = o.ts_slow_share_budget;
                    })
-              ::
-              (if admissions = None then []
-               else
-                 [
-                   (* loadctl SLO: shedding is budgeted, not free — a
-                      node turning away more than [shed_ratio_budget]
-                      of its offered load faster than the burn
-                      thresholds pages like any other SLO breach *)
-                   Ts.Alert.rule ~fast:o.ts_fast ~slow:o.ts_slow ~name:shed_burn_rule
-                     (Ts.Alert.Burn_rate
-                        {
-                          bad = "node_loadctl_shed_total";
-                          total = "node_loadctl_offered_total";
-                          budget = shed_ratio_budget;
-                        });
-                 ])
             in
-            let alerter = Ts.Alert.create ~telemetry sampler rules in
+            let alerter = Ts.Alert.create ~telemetry sampler [ rule ] in
             Ts.Alert.on_transition alerter (fun ~at_us ~rule ev ->
                 Dsig.Log.L.info (fun m ->
                     m "deploy node %d: alert %s %s at %.0f us" id rule
@@ -171,10 +151,12 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
             (sampler, alerter)))
       ts_opts
   in
+  let party_options id = Dsig.Options.with_telemetry party_tel.(id) options in
   (* per-node store subdirectories, so n parties on one host never share
      a journal; a restarted deployment pointed at the same [store_dir]
      resumes each node's key state *)
   let options_of id =
+    let options = party_options id in
     let options =
       match tsplane with
       | None -> options
@@ -233,11 +215,6 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
   let verifiers_for id =
     match verifiers_of with None -> all | Some f -> (match f id with [] -> all | l -> l)
   in
-  let voptions_of id =
-    match admissions with
-    | None -> options
-    | Some arr -> Dsig.Options.with_loadctl arr.(id) options
-  in
   let parties =
     Array.init n (fun id ->
         let sk, _ = keys.(id) in
@@ -246,8 +223,9 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
             Dsig.Signer.create cfg ~id ~eddsa:sk ~rng:(Rng.split master) ~send:(send_of id)
               ~groups:(groups id) ~options:(options_of id) ~verifiers:(verifiers_for id) ();
           verifier =
-            Dsig.Verifier.create cfg ~id ~pki:pkis.(id) ~options:(voptions_of id)
+            Dsig.Verifier.create cfg ~id ~pki:pkis.(id) ~options:(party_options id)
               ~control:(control_of id) ();
+          telemetry = party_tel.(id);
         })
   in
   (* revocation plane: records are enforced where they land — verify the
@@ -279,49 +257,15 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
       parties;
       pkis;
       auth_sk;
-      auth_pk;
       telemetry;
       net;
       transparency;
       tsplane;
-      admissions;
       c_rev_issued;
       enforce_revocation;
       counts;
     }
   in
-  (* node-local probes: the registry's dsig_* series are shared across
-     the whole deployment, so the per-node fast/slow split comes from
-     probing each party's own stats records on the same tick *)
-  (match tsplane with
-  | None -> ()
-  | Some arr ->
-      Array.iteri
-        (fun id (sampler, _) ->
-          let v = parties.(id).verifier and s = parties.(id).signer in
-          let vstats = Dsig.Verifier.stats v in
-          let counter name read = Ts.Sampler.probe sampler ~name ~kind:Ts.Series.Counter read in
-          counter "node_verifier_fast_total" (fun () -> float_of_int vstats.Dsig.Verifier.fast);
-          counter "node_verifier_slow_total" (fun () -> float_of_int vstats.Dsig.Verifier.slow);
-          counter "node_verifier_verifies_total" (fun () ->
-              float_of_int (vstats.Dsig.Verifier.fast + vstats.Dsig.Verifier.slow));
-          counter "node_verifier_rejected_total" (fun () ->
-              float_of_int vstats.Dsig.Verifier.rejected);
-          counter "node_signer_reannounces_total" (fun () ->
-              float_of_int (Dsig.Signer.stats s).Dsig.Signer.reannounces);
-          Ts.Sampler.probe sampler ~name:"node_signer_unacked" ~kind:Ts.Series.Gauge
-            (fun () -> float_of_int (Dsig.Signer.unacked_announcements s));
-          match admissions with
-          | None -> ()
-          | Some adm ->
-              let a = adm.(id) in
-              counter "node_loadctl_offered_total" (fun () ->
-                  float_of_int (Admission.offered_total (Admission.stats a)));
-              counter "node_loadctl_shed_total" (fun () ->
-                  float_of_int (Admission.shed_total (Admission.stats a)));
-              Ts.Sampler.probe sampler ~name:"node_loadctl_pressure" ~kind:Ts.Series.Gauge
-                (fun () -> float_of_int (Admission.pressure a)))
-        arr);
   let c_ckpt_sent = Tel.counter telemetry "dsig_deploy_checkpoints_gossiped_total" in
   let c_ckpt_alarms = Tel.counter telemetry "dsig_deploy_checkpoint_alarms_total" in
   let observe_checkpoint id encoded =
@@ -426,7 +370,15 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
 let signer t i = t.parties.(i).signer
 let verifier t i = t.parties.(i).verifier
 let pki t i = t.pkis.(i)
-let authority_pk t = t.auth_pk
+let telemetry t i = (t.parties.(i) : party).telemetry
+
+(* counters and histograms sum across parties; gauges sum too, so a
+   per-party gauge is read from that party's own bundle *)
+let snapshot t =
+  Array.fold_left
+    (fun acc (p : party) -> Registry.Snapshot.merge acc (Tel.snapshot p.telemetry))
+    (Tel.snapshot t.telemetry) t.parties
+
 let net t = t.net
 
 (* --- the revocation plane --- *)
@@ -456,7 +408,6 @@ let deliver_revocation t ~node encoded = t.enforce_revocation node encoded
 
 let sampler t i = Option.map (fun arr -> fst arr.(i)) t.tsplane
 let alerter t i = Option.map (fun arr -> snd arr.(i)) t.tsplane
-let admission t i = Option.map (fun arr -> arr.(i)) t.admissions
 
 let translog t = Option.map (fun tr -> tr.log) t.transparency
 let translog_pk t = Option.map (fun tr -> tr.log_pk) t.transparency
@@ -464,7 +415,6 @@ let translog_pk t = Option.map (fun tr -> tr.log_pk) t.transparency
 (* deliberately exposed: equivocation experiments need to sign a forged
    head with the real log identity (see the split-view tests) *)
 let translog_sk t = Option.map (fun tr -> tr.log_sk) t.transparency
-let translog_id t = Option.map (fun tr -> tr.log_id) t.transparency
 
 let monitor t i =
   Option.map (fun tr -> tr.monitors.(i)) t.transparency

@@ -61,12 +61,8 @@ val timeseries :
 
 val slow_burn_rule : string
 (** Name of the per-node slow-path burn-rate alert rule
-    (["node_slow_path_burn"]). *)
-
-val shed_burn_rule : string
-(** Name of the per-node shed-ratio burn-rate alert rule
-    (["node_shed_ratio_burn"]), registered only when both [?timeseries]
-    and [?loadctl] are given. *)
+    (["node_slow_path_burn"]): [dsig_verifier_slow_total] over
+    [dsig_verifier_verifies_total], read from the node's own registry. *)
 
 val create :
   ?latency_us:float ->
@@ -80,8 +76,6 @@ val create :
   ?translog_poll_us:float ->
   ?log_id:int ->
   ?timeseries:timeseries_opts ->
-  ?loadctl:Dsig_loadctl.Admission.params ->
-  ?shed_ratio_budget:float ->
   ?verifiers_of:(int -> int list) ->
   Dsig_simnet.Sim.t ->
   Dsig.Config.t ->
@@ -96,8 +90,14 @@ val create :
     plus serialization of their modeled size.
 
     [options] (default {!Dsig.Options.default}) configures every
-    party's signer and verifier, including the shared telemetry bundle,
-    which additionally receives
+    party's signer and verifier. Its telemetry bundle is the
+    deployment's: each party gets a copy of it with a registry of its
+    own ({!telemetry}), so every party's signer, verifier, key store,
+    monitor, sampler and alerter publish under the one [dsig_*] name
+    of each series. The tracer and lifecycle aggregator stay shared, so
+    a signature's sign and verify spans join across parties; the clock
+    is the bundle's at creation time. The deployment bundle itself
+    receives
     [dsig_deploy_announcements_{sent,delivered}_total] (probes of
     {!announcements_sent} / {!announcements_delivered}),
     [dsig_deploy_announcements_rejected_total] and
@@ -122,40 +122,23 @@ val create :
     distinct from every party's) whenever the log grew during the last
     [translog_poll_us] (default 200.0) window and gossips it to all
     parties as [P_checkpoint] frames, and each party feeds its own
-    {!Dsig_translog.Monitor}. The shared telemetry bundle additionally
+    {!Dsig_translog.Monitor}. The deployment bundle additionally
     receives [dsig_deploy_checkpoints_gossiped_total] and
-    [dsig_deploy_checkpoint_alarms_total] counters plus the
-    [dsig_translog_*] series. [log_id] (default 0) names the log in its
-    checkpoints.
+    [dsig_deploy_checkpoint_alarms_total] counters plus the log's
+    [dsig_translog_*] series; the monitors count into their party's
+    registry. [log_id] (default 0) names the log in its checkpoints.
 
     [timeseries] turns on the per-node time-series plane: every party
     gets its own {!Dsig_timeseries.Sampler} (ticked by the signer's
     re-announce pump through {!Dsig.Options.with_sample_hook}, so
-    timelines advance in virtual time) and a
-    {!Dsig_timeseries.Alert} with the {!slow_burn_rule} burn-rate rule
-    over that node's slow-path verification share. Besides the shared
-    registry metrics, each node's sampler records node-local probe
-    series ([node_verifier_fast_total], [node_verifier_slow_total],
-    [node_verifier_verifies_total], [node_verifier_rejected_total],
-    [node_signer_reannounces_total], [node_signer_unacked]) read from
-    its own signer/verifier stats — the series faultmatrix tests assert
-    dip-and-recover shapes on. Retrieve with {!sampler} / {!alerter}.
-    Every alerter logs its fire/resolve transitions through
-    {!Dsig.Log} ({!Dsig_timeseries.Alert.on_transition}).
-
-    [loadctl] turns on the load-control plane (DESIGN.md §15): every
-    node gets its {e own} {!Dsig_loadctl.Admission} controller with
-    these parameters, attached to its verifier via
-    {!Dsig.Options.with_loadctl} — verify calls are admitted against
-    per-class token buckets before any crypto, and outbound ACK frames
-    become {!Dsig.Batch.Credit} frames carrying the node's pressure
-    byte, which the receiving signer's adaptive pacer uses to slow
-    re-announcements toward that node. With [timeseries] also on, each
-    node's sampler probes [node_loadctl_offered_total] /
-    [node_loadctl_shed_total] counters and the [node_loadctl_pressure]
-    gauge, and the alerter gains the {!shed_burn_rule} burn-rate rule
-    over the node's shed ratio (budget [shed_ratio_budget], default
-    0.05).
+    timelines advance in virtual time) over that party's registry, and
+    a {!Dsig_timeseries.Alert} with the {!slow_burn_rule} burn-rate rule
+    over that node's slow-path verification share. The node's timeline
+    thus holds its own [dsig_verifier_*] and [dsig_signer_*] series —
+    the series faultmatrix tests assert dip-and-recover shapes on.
+    Retrieve with {!sampler} / {!alerter}. Every alerter logs its
+    fire/resolve transitions through {!Dsig.Log}
+    ({!Dsig_timeseries.Alert.on_transition}).
 
     [verifiers_of] restricts each signer's announcement fan-out to the
     given verifier group instead of all [n] parties — at fleet scale a
@@ -168,8 +151,16 @@ val sampler : t -> int -> Dsig_timeseries.Sampler.t option
 val alerter : t -> int -> Dsig_timeseries.Alert.t option
 (** Party [i]'s burn-rate alerter ([None] without [?timeseries]). *)
 
-val admission : t -> int -> Dsig_loadctl.Admission.t option
-(** Party [i]'s admission controller ([None] without [?loadctl]). *)
+val telemetry : t -> int -> Dsig_telemetry.Telemetry.t
+(** Party [i]'s bundle: the deployment's tracer, lifecycle and clock
+    over party [i]'s own registry. Read a per-party gauge (say
+    [dsig_rtt_us]) here: in {!snapshot} gauges of the same name add
+    up. *)
+
+val snapshot : t -> Dsig_telemetry.Registry.Snapshot.t
+(** The deployment view: the deployment bundle's snapshot merged
+    ({!Dsig_telemetry.Registry.Snapshot.merge}) with every party's, so
+    each counter reads its sum over the parties. *)
 
 val signer : t -> int -> Dsig.Signer.t
 val verifier : t -> int -> Dsig.Verifier.t
@@ -187,16 +178,12 @@ val pki : t -> int -> Dsig.Pki.t
     authority signature, tighten the node's directory
     ({!Dsig.Pki.revoke} / {!Dsig.Pki.revoke_from}), purge the node's
     cached batch roots past the boundary
-    ({!Dsig.Verifier.purge_signer}). The shared telemetry bundle
+    ({!Dsig.Verifier.purge_signer}). The deployment telemetry bundle
     receives [dsig_revocation_issued_total] /
     [dsig_revocation_applied_total] / [dsig_revocation_replayed_total]
     / [dsig_revocation_rejected_total] counters and the
     [dsig_revocation_propagate_us] histogram (issue-to-enforce latency
     per node, in the bundle's time base). *)
-
-val authority_pk : t -> Dsig_ed25519.Eddsa.public_key
-(** The deployment's revoking-authority public key (distinct from every
-    party's identity). *)
 
 val revoke : ?from_batch:int64 -> ?epoch:int -> ?src:int -> t -> signer:int -> unit -> string
 (** Issue a revocation for [signer], enforce it immediately on [src]
@@ -243,8 +230,6 @@ val translog_sk : t -> Dsig_ed25519.Eddsa.secret_key option
 (** The log identity's {e secret} key. Deliberately exposed so
     equivocation experiments can forge a correctly-signed split-view
     head; a production log would keep this key to itself. *)
-
-val translog_id : t -> int option
 
 val monitor : t -> int -> Dsig_translog.Monitor.t option
 (** Party [i]'s split-view monitor. *)

@@ -58,14 +58,15 @@ type announcement = {
   full_keys : (string * string array) array option;
 }
 
+(* Only merklified HORS needs full keys ahead of time (§5.2): the
+   verifier keeps them to check forest roots. Every other scheme sends
+   the 32-byte leaf digests alone (§4.4). *)
 let announcement (cfg : Config.t) t =
   let full_keys =
-    if cfg.Config.reduce_bg_bandwidth then None
-    else
-      Some
-        (Array.map
-           (fun k -> (Onetime.public_seed k, Onetime.public_elements k))
-           t.keys)
+    match cfg.Config.hbss with
+    | Config.Hors_merklified _ ->
+        Some (Array.map (fun k -> (Onetime.public_seed k, Onetime.public_elements k)) t.keys)
+    | Config.Wots _ | Config.Hors_factorized _ -> None
   in
   {
     signer_id = t.signer_id;
@@ -76,20 +77,16 @@ let announcement (cfg : Config.t) t =
   }
 
 (* Modeled wire size: 8 (signer) + 8 (batch id) + 64 (EdDSA) plus, per
-   key, either a 32-byte digest or the full public key with its seed.
-   With the recommended configuration this is (128*32 + 80) / 128 =
-   32.6 B per signature plus the recipient count — the ~33 B/sig
-   "Bg Net" column of Table 1. *)
+   key, a 32-byte digest plus, for merklified HORS, the full public key
+   with its seed. With the recommended configuration this is
+   (128*32 + 80) / 128 = 32.6 B per signature plus the recipient count —
+   the ~33 B/sig "Bg Net" column of Table 1. *)
 let announcement_wire_bytes (cfg : Config.t) =
   let per_key =
-    if cfg.Config.reduce_bg_bandwidth then 32
-    else
-      32
-      +
-      match cfg.Config.hbss with
-      | Config.Wots p -> 32 + (p.Dsig_hbss.Params.Wots.l * p.Dsig_hbss.Params.Wots.n)
-      | Config.Hors_factorized p | Config.Hors_merklified { params = p; _ } ->
-          32 + (p.Dsig_hbss.Params.Hors.t * p.Dsig_hbss.Params.Hors.n)
+    match cfg.Config.hbss with
+    | Config.Hors_merklified { params = p; _ } ->
+        32 + 32 + (p.Dsig_hbss.Params.Hors.t * p.Dsig_hbss.Params.Hors.n)
+    | Config.Wots _ | Config.Hors_factorized _ -> 32
   in
   8 + 8 + 64 + (cfg.Config.batch_size * per_key)
 

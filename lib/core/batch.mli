@@ -49,8 +49,9 @@ type announcement = {
   root_sig : string;
   ann_leaves : string array;  (** 32-byte digests; always present *)
   full_keys : (string * string array) array option;
-      (** (public_seed, elements) per key, present only when background
-          bandwidth reduction is disabled (§4.4 / merklified HORS) *)
+      (** (public_seed, elements) per key, present iff the scheme is
+          merklified HORS, whose verifier needs full keys ahead of time
+          (§5.2); every other scheme sends digests only (§4.4) *)
 }
 
 val announcement : Config.t -> t -> announcement

@@ -11,8 +11,6 @@ type t = {
   batch_size : int;
   queue_threshold : int;
   cache_batches : int;
-  cache_chains : bool;
-  reduce_bg_bandwidth : bool;
   eddsa_verify_cache : bool;
 }
 
@@ -26,25 +24,12 @@ let hors_merklified ?(trees = 8) ~k () =
   Hors_merklified { params; trees }
 
 let make ?(hash = Dsig_hashes.Hash.Haraka) ?(batch_size = 128) ?(queue_threshold = 512)
-    ?(cache_batches = 8) ?(cache_chains = true) ?(reduce_bg_bandwidth = true)
-    ?(eddsa_verify_cache = true) hbss =
+    ?(cache_batches = 8) ?(eddsa_verify_cache = true) hbss =
   if not (Params.is_pow2 batch_size) then
     invalid_arg "Config.make: batch_size must be a power of two";
   if queue_threshold <= 0 || cache_batches <= 0 then
     invalid_arg "Config.make: thresholds must be positive";
-  let reduce_bg_bandwidth =
-    match hbss with Hors_merklified _ -> false | Wots _ | Hors_factorized _ -> reduce_bg_bandwidth
-  in
-  {
-    hbss;
-    hash;
-    batch_size;
-    queue_threshold;
-    cache_batches;
-    cache_chains;
-    reduce_bg_bandwidth;
-    eddsa_verify_cache;
-  }
+  { hbss; hash; batch_size; queue_threshold; cache_batches; eddsa_verify_cache }
 
 let default = make (wots ~d:4)
 

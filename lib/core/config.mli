@@ -19,11 +19,6 @@ type t = {
   cache_batches : int;
       (** verified batches a verifier retains per signer (default
           2*S/batch = 8, i.e. the paper's 2*S = 1024 keys) *)
-  cache_chains : bool;  (** precompute W-OTS+ chains so signing is copying (default true) *)
-  reduce_bg_bandwidth : bool;
-      (** background plane sends 32-byte key digests instead of full
-          public keys (§4.4); forced off by [Hors_merklified], which
-          needs full keys ahead of time (§5.2) *)
   eddsa_verify_cache : bool;  (** cache foreground EdDSA verifications (§4.4) *)
 }
 
@@ -36,8 +31,6 @@ val make :
   ?batch_size:int ->
   ?queue_threshold:int ->
   ?cache_batches:int ->
-  ?cache_chains:bool ->
-  ?reduce_bg_bandwidth:bool ->
   ?eddsa_verify_cache:bool ->
   hbss ->
   t

@@ -8,7 +8,7 @@ type t =
 let generate (cfg : Config.t) ~seed =
   match cfg.Config.hbss with
   | Config.Wots p ->
-      Wots_key (Wots.generate ~hash:cfg.Config.hash ~cache_chains:cfg.Config.cache_chains p ~seed)
+      Wots_key (Wots.generate ~hash:cfg.Config.hash p ~seed)
   | Config.Hors_factorized p -> Hors_key { kp = Hors.generate ~hash:cfg.Config.hash p ~seed; forest = None }
   | Config.Hors_merklified { params; trees } ->
       let kp = Hors.generate ~hash:cfg.Config.hash params ~seed in

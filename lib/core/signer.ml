@@ -157,7 +157,6 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
 
 let id t = t.id
 let config t = t.cfg
-let eddsa_public_key t = Eddsa.public_key t.eddsa
 let store t = t.store
 let store_recovery t = t.recovery
 let close t = Option.iter Keystate.close t.store

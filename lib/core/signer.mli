@@ -91,7 +91,6 @@ val create :
 
 val id : t -> int
 val config : t -> Config.t
-val eddsa_public_key : t -> Dsig_ed25519.Eddsa.public_key
 
 val store : t -> Dsig_store.Keystate.t option
 (** The durable key-state journal, when the signer was created with

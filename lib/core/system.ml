@@ -58,5 +58,3 @@ let sign t ~signer:i ?hint msg =
   s
 
 let verify t ~verifier:i ~msg signature = Verifier.verify t.parties.(i).verifier ~msg signature
-
-let pump_background t = Array.iter (fun p -> Signer.background_fill p.signer) t.parties

@@ -33,6 +33,3 @@ val pki : t -> Pki.t
 
 val sign : t -> signer:int -> ?hint:int list -> string -> string
 val verify : t -> verifier:int -> msg:string -> string -> bool
-val pump_background : t -> unit
-(** Run every signer's background plane to quiescence (refill queues,
-    deliver announcements). *)

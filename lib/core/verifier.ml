@@ -110,14 +110,17 @@ let eddsa_cache_capacity = 4096
    8 attempts before the ladder restarts. *)
 let request_policy = Retry.policy ~base_us:500.0 ~max_attempts:8 ()
 
-(* Publish every [stats] field as a registry counter. The probes capture
-   only the record, so a dropped verifier's caches are not kept alive. *)
+(* Publish every [stats] field as a registry counter, plus the accepted
+   total (fast + slow) that slow-path burn rules divide by — derived from
+   the same record, not counted twice. The probes capture only the
+   record, so a dropped verifier's caches are not kept alive. *)
 let probe_stats telemetry (s : stats) =
   List.iter
     (fun (name, read) -> Tel.probe telemetry name read)
     [
       ("dsig_verifier_fast_total", fun () -> s.fast);
       ("dsig_verifier_slow_total", fun () -> s.slow);
+      ("dsig_verifier_verifies_total", fun () -> s.fast + s.slow);
       ("dsig_verifier_rejected_total", fun () -> s.rejected);
       ("dsig_verifier_eddsa_cache_hits_total", fun () -> s.eddsa_cache_hits);
       ("dsig_verifier_announcements_total", fun () -> s.announcements);

@@ -56,8 +56,9 @@ val create :
     byte, which signers feed to {!Control_plane.note_pressure} to pace their
     re-announcements down (DESIGN.md §15). The telemetry bundle probes
     the {!stats} fields as [dsig_verifier_fast_total] / [.._slow_total] /
-    [.._rejected_total] / [.._eddsa_cache_hits_total] /
-    [.._announcements_total] counters, the slow-path breakdown
+    [.._verifies_total] (accepted signatures, fast + slow: the
+    denominator of a slow-path share) / [.._rejected_total] /
+    [.._eddsa_cache_hits_total] / [.._announcements_total] counters, the slow-path breakdown
     [.._slow_missing_batch_total] (batch never delivered — repairable)
     vs [.._slow_cache_miss_total] (cached but proof or root signature
     mismatch),

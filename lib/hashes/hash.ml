@@ -63,5 +63,3 @@ let digest algo ?(length = 32) s =
         done;
         Buffer.sub buf 0 length
       end
-
-let digest2 algo ?(length = 32) a b = digest algo ~length (a ^ b)

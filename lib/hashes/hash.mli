@@ -31,8 +31,3 @@ val digest : algo -> ?length:int -> string -> string
 (** [digest algo ?length msg] (default [length] 32). Output longer than
     the native digest is produced in counter mode; shorter output is a
     truncation. *)
-
-val digest2 : algo -> ?length:int -> string -> string -> string
-(** [digest2 algo a b] hashes the concatenation; a convenience that lets
-    Haraka use its 64-byte permutation directly for two 32-byte inputs
-    (the Merkle-node fast path). *)

@@ -23,7 +23,6 @@ module Wots = struct
 
   let keygen_hashes t = t.l * (t.d - 1)
   let expected_verify_hashes t = float_of_int (t.l * (t.d - 1)) /. 2.0
-  let expected_sign_hashes = expected_verify_hashes
   let signature_bytes t = t.l * t.n
 
   (* Hülsing's W-OTS+ bound: n_bits - log2(l * d^2). For d=4, n=144:

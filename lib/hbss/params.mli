@@ -25,9 +25,6 @@ module Wots : sig
   val expected_verify_hashes : t -> float
   (** l * (d-1) / 2 in expectation over uniform digests. *)
 
-  val expected_sign_hashes : t -> float
-  (** Same as verify without chain caching; 0 with caching (§5.2). *)
-
   val signature_bytes : t -> int
   (** l * n: the revealed chain elements only. *)
 

@@ -46,9 +46,4 @@ let step t =
       end
       else Staged { epoch; batch_id; unacked }
 
-let rotate_now t =
-  ignore (start t);
-  t.started_at <- None;
-  Signer.cutover t.signer
-
 let in_flight t = Signer.staged_rotation t.signer <> None

@@ -40,10 +40,4 @@ val step : t -> progress
     mid-rotation) and reports it as {!Cut_over}. Drive this from the
     same loop as {!Dsig.Signer.background_step}. *)
 
-val rotate_now : t -> int
-(** Stage and cut over immediately, without waiting for
-    acknowledgements — verifiers that miss the announcement repair via
-    pull. Returns the new epoch.
-    @raise Invalid_argument if a rotation is already staged. *)
-
 val in_flight : t -> bool

@@ -228,7 +228,6 @@ module Forest = struct
     }
 
   let roots f = Array.to_list (Array.map root f.trees)
-  let roots_digest f = Blake3.digest (String.concat "" (roots f))
 
   let proof f i =
     let tree = i / f.per_tree in

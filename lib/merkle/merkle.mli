@@ -104,9 +104,6 @@ module Forest : sig
 
   val roots : forest -> string list
 
-  val roots_digest : forest -> string
-  (** BLAKE3 of the concatenated roots — the value DSig EdDSA-signs. *)
-
   val proof : forest -> int -> int * proof
   (** [proof f i] is [(tree_index, proof within that tree)] for global
       leaf [i]. *)

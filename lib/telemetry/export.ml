@@ -24,6 +24,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+let json_number = fnum
 let json_obj fields = "{" ^ String.concat "," fields ^ "}"
 let json_field k v = Printf.sprintf "\"%s\":%s" (json_escape k) v
 

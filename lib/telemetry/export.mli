@@ -16,6 +16,17 @@ val json : ?tracer:Tracer.t -> ?lifecycle:Lifecycle.t -> Registry.Snapshot.t -> 
     [{"started":..,"completed":..,"full":..,"planes":{"sign":{..},..}}]
     object whose per-plane entries carry count and p50/p99/p999. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal (no surrounding quotes): escapes
+    the quote, backslash, newline and tab, and writes every other
+    control character as [\u00XX]. *)
+
+val json_number : float -> string
+(** A JSON number: integral values below 1e15 without a fraction, any
+    other value in [%.12g]. The time-series and alert JSON
+    ([Dsig_timeseries]) render through this pair too, so the three
+    exports escape and print alike. *)
+
 val json_lifecycle : Lifecycle.t -> string
 (** The [lifecycle] object alone (what {!json} embeds). *)
 

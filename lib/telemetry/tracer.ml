@@ -22,8 +22,6 @@ type t = {
   mutable clock : unit -> float;
 }
 
-let wall_clock_us () = Unix.gettimeofday () *. 1e6
-
 (* CLOCK_MONOTONIC via bechamel's C stub: never steps (NTP slews it at
    most), so durations computed from it are non-negative. It is also
    system-wide — every process on the host shares the same origin — so

@@ -35,10 +35,6 @@ type event = {
 
 type t
 
-val wall_clock_us : unit -> float
-(** [Unix.gettimeofday] scaled to microseconds. Steps under NTP — use
-    only for display timestamps, never for durations. *)
-
 val mono_clock_us : unit -> float
 (** [CLOCK_MONOTONIC] scaled to microseconds — the default clock. Never
     steps backward, and is shared by all processes on the host, so

@@ -1,4 +1,5 @@
 module Tel = Dsig_telemetry.Telemetry
+module Export = Dsig_telemetry.Export
 
 type window = { window_us : float; max_burn : float }
 
@@ -151,32 +152,17 @@ let transitions t = List.of_seq (Queue.to_seq t.transitions)
 
 (* --- JSON --- *)
 
-let fnum v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.12g" v
-
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let num = Export.json_number
+let str = Export.json_escape
 
 let condition_json = function
   | Burn_rate { bad; total; budget } ->
       Printf.sprintf
         "{\"type\":\"burn_rate\",\"bad\":\"%s\",\"total\":\"%s\",\"budget\":%s}"
-        (escape bad) (escape total) (fnum budget)
+        (str bad) (str total) (num budget)
   | Latency { series; budget_us } ->
       Printf.sprintf "{\"type\":\"latency\",\"series\":\"%s\",\"budget_us\":%s}"
-        (escape series) (fnum budget_us)
+        (str series) (num budget_us)
 
 let to_json t =
   let alerts =
@@ -184,19 +170,19 @@ let to_json t =
       (fun (r, st) ->
         Printf.sprintf
           "{\"name\":\"%s\",\"state\":\"%s\",\"since_us\":%s,\"burn_fast\":%s,\"burn_slow\":%s,\"fast_window_us\":%s,\"fast_max_burn\":%s,\"slow_window_us\":%s,\"slow_max_burn\":%s,\"condition\":%s}"
-          (escape r.r_name)
+          (str r.r_name)
           (if st.firing then "firing" else "ok")
-          (fnum st.since_us) (fnum st.burn_fast) (fnum st.burn_slow)
-          (fnum r.r_fast.window_us) (fnum r.r_fast.max_burn)
-          (fnum r.r_slow.window_us) (fnum r.r_slow.max_burn)
+          (num st.since_us) (num st.burn_fast) (num st.burn_slow)
+          (num r.r_fast.window_us) (num r.r_fast.max_burn)
+          (num r.r_slow.window_us) (num r.r_slow.max_burn)
           (condition_json r.r_cond))
       t.rules
   in
   let transitions =
     List.map
       (fun (at_us, name, ev) ->
-        Printf.sprintf "{\"at_us\":%s,\"rule\":\"%s\",\"event\":\"%s\"}" (fnum at_us)
-          (escape name) (event_name ev))
+        Printf.sprintf "{\"at_us\":%s,\"rule\":\"%s\",\"event\":\"%s\"}" (num at_us)
+          (str name) (event_name ev))
       (transitions t)
   in
   Printf.sprintf

@@ -182,7 +182,3 @@ let to_string = function
 let to_list = function
   | List l -> Some l
   | _ -> None
-
-let to_obj = function
-  | Obj o -> Some o
-  | _ -> None

@@ -24,4 +24,3 @@ val member : string -> t -> t option
 val to_float : t -> float option
 val to_string : t -> string option
 val to_list : t -> t list option
-val to_obj : t -> (string * t) list option

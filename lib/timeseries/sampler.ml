@@ -1,15 +1,13 @@
 module Reg = Dsig_telemetry.Registry
 module H = Dsig_telemetry.Metric.Histogram
 module S = Reg.Snapshot
-
-type probe = { p_name : string; p_kind : Series.kind; p_read : unit -> float }
+module Export = Dsig_telemetry.Export
 
 type t = {
   registry : Reg.t;
   capacity : int;
   interval_us : float;
   series : (string, Series.t) Hashtbl.t;
-  mutable probes : probe list; (* newest first; order is irrelevant *)
   mutable samples : int;
   mutable last_us : float;
 }
@@ -23,7 +21,6 @@ let create ?(capacity = 512) ?(interval_us = 0.0) registry =
     capacity;
     interval_us;
     series = Hashtbl.create 32;
-    probes = [];
     samples = 0;
     last_us = 0.0;
   }
@@ -39,10 +36,6 @@ let series_of t name kind =
       Hashtbl.replace t.series name s;
       s
 
-let probe t ~name ~kind read =
-  t.probes <- { p_name = name; p_kind = kind; p_read = read } :: t.probes;
-  ignore (series_of t name kind)
-
 let find t name = Hashtbl.find_opt t.series name
 
 let all t =
@@ -54,11 +47,6 @@ let sample t ~now_us =
   else begin
     t.samples <- t.samples + 1;
     t.last_us <- now_us;
-    List.iter
-      (fun p ->
-        let v = try p.p_read () with _ -> Float.nan (* dropped by push *) in
-        Series.push (series_of t p.p_name p.p_kind) ~t_us:now_us v)
-      t.probes;
     List.iter
       (fun (name, v) ->
         match v with
@@ -83,24 +71,8 @@ let sample t ~now_us =
 
 (* --- JSON --- *)
 
-let fnum v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.12g" v
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let num = Export.json_number
+let str = Export.json_escape
 
 let to_json t =
   let series =
@@ -108,18 +80,18 @@ let to_json t =
       (fun s ->
         let points =
           Series.points s
-          |> List.map (fun (ts, v) -> Printf.sprintf "[%s,%s]" (fnum ts) (fnum v))
+          |> List.map (fun (ts, v) -> Printf.sprintf "[%s,%s]" (num ts) (num v))
           |> String.concat ","
         in
         Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\",\"points\":[%s]}"
-          (json_escape (Series.name s))
+          (str (Series.name s))
           (Series.kind_to_string (Series.kind s))
           points)
       (all t)
   in
   Printf.sprintf
     "{\"schema\":\"dsig-timeseries-v1\",\"samples\":%d,\"last_us\":%s,\"series\":[%s]}"
-    t.samples (fnum t.last_us)
+    t.samples (num t.last_us)
     (String.concat "," series)
 
 let of_json body =

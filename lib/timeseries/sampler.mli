@@ -5,9 +5,10 @@
     {!Series.rate_over} derives rates), gauges keep their last value,
     and histograms fold into three derived series — [name:count]
     (cumulative observations, a counter), [name:p50] and [name:p99]
-    (running percentiles, gauges). {!probe} registers extra closures
-    sampled on the same clock for values that live outside the registry
-    (e.g. a verifier's fast/slow stats record).
+    (running percentiles, gauges). The registry is the only source: a
+    value kept outside it (a component's stats record) reaches the
+    timeline as a {!Dsig_telemetry.Registry.probe}, under its one
+    registry name.
 
     The sampler is clock-agnostic: callers pass [~now_us] from
     whatever clock drives them (simnet virtual time in tests,
@@ -24,12 +25,6 @@ val create : ?capacity:int -> ?interval_us:float -> Dsig_telemetry.Registry.t ->
     interval. *)
 
 val interval_us : t -> float
-
-val probe : t -> name:string -> kind:Series.kind -> (unit -> float) -> unit
-(** Register an extra per-tick reading. The closure is called once per
-    recorded sample; an exception or non-finite result drops that point
-    only. The series is created eagerly so it shows up in exports even
-    before the first tick. *)
 
 val sample : t -> now_us:float -> bool
 (** Record one point per metric at [now_us]. Returns [false] (and

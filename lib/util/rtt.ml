@@ -59,6 +59,5 @@ let rto_us p t =
   clamp p (scaled t.base_rto_us t.timeouts)
 
 let srtt_us t = if t.samples = 0 then None else Some t.srtt
-let rttvar_us t = if t.samples = 0 then None else Some t.rttvar
 let samples t = t.samples
 let timeouts t = t.timeouts

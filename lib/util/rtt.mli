@@ -68,9 +68,6 @@ val rto_us : params -> t -> float
 val srtt_us : t -> float option
 (** Smoothed RTT; [None] until the first sample. *)
 
-val rttvar_us : t -> float option
-(** RTT variance estimate; [None] until the first sample. *)
-
 val samples : t -> int
 (** Clean samples folded in, ever. *)
 

@@ -46,9 +46,17 @@ let test_config_validation () =
   Alcotest.check_raises "trees must divide"
     (Invalid_argument "Config.hors_merklified: trees must divide t") (fun () ->
       ignore (Config.hors_merklified ~trees:7 ~k:16 ()));
-  (* merklified forces full-key announcements *)
-  let cfg = Config.make ~reduce_bg_bandwidth:true (Config.hors_merklified ~k:32 ()) in
-  Alcotest.(check bool) "bw reduction forced off" false cfg.Config.reduce_bg_bandwidth
+  (* merklified HORS announces full keys, W-OTS+ digests only *)
+  let full_keys hbss =
+    let cfg = Config.make ~batch_size:8 ~queue_threshold:8 hbss in
+    let rng = Dsig_util.Rng.create 5L in
+    let sk, _ = Dsig_ed25519.Eddsa.generate rng in
+    (Batch.announcement cfg (Batch.make cfg ~signer_id:0 ~batch_id:0L ~eddsa:sk ~rng)).Batch.full_keys
+  in
+  Alcotest.(check bool) "merklified announces full keys" true
+    (Option.is_some (full_keys (Config.hors_merklified ~k:32 ())));
+  Alcotest.(check bool) "W-OTS+ announces digests only" true
+    (Option.is_none (full_keys (Config.wots ~d:4)))
 
 (* --- W-OTS+ digit extraction, checked by hand --- *)
 

@@ -79,14 +79,29 @@ let series_of sampler name =
   | Some s -> s
   | None -> Alcotest.failf "series missing: %s" name
 
+(* the series names an alerter's rules read, from its JSON state *)
+let rule_series alerter =
+  let module J = Ts.Json_lite in
+  match J.parse (Ts.Alert.to_json alerter) with
+  | Error e -> Alcotest.failf "alerts JSON does not parse: %s" e
+  | Ok root ->
+      let alerts = Option.value ~default:[] (Option.bind (J.member "alerts" root) J.to_list) in
+      List.concat_map
+        (fun a ->
+          match J.member "condition" a with
+          | None -> []
+          | Some c ->
+              List.filter_map
+                (fun key -> Option.bind (J.member key c) J.to_string)
+                [ "bad"; "total"; "series" ])
+        alerts
+
 let phase_share sampler ~from_us ~until_us =
   let fast =
-    Ts.Series.delta_over (series_of sampler "node_verifier_fast_total") ~from_us ~until_us
+    Ts.Series.delta_over (series_of sampler "dsig_verifier_fast_total") ~from_us ~until_us
   in
   let total =
-    Ts.Series.delta_over
-      (series_of sampler "node_verifier_verifies_total")
-      ~from_us ~until_us
+    Ts.Series.delta_over (series_of sampler "dsig_verifier_verifies_total") ~from_us ~until_us
   in
   if total <= 0.0 then Alcotest.fail "no verifications recorded in phase";
   fast /. total
@@ -182,8 +197,9 @@ let test_timeline_dip_and_recover () =
   Alcotest.(check (option (of_pp Fmt.nop))) "alert quiet at the end"
     (Some `Ok)
     (Ts.Alert.state alerter Deploy.slow_burn_rule);
-  (* the transitions surfaced as telemetry counters too *)
-  let snap = Tel.snapshot telemetry in
+  (* the transitions surfaced as telemetry counters too, in the
+     alerting node's registry *)
+  let snap = Deploy.snapshot d in
   Alcotest.(check bool) "fired counter > 0" true
     (counter_value snap "dsig_slo_alerts_fired_total" > 0);
   Alcotest.(check bool) "resolved counter > 0" true
@@ -197,18 +213,33 @@ let test_timeline_dip_and_recover () =
         (Ts.Series.length s <= Ts.Series.capacity s))
     (Ts.Sampler.all sampler);
   Alcotest.(check bool) "sampling actually happened" true (Ts.Sampler.samples sampler > 50);
+  (* Alert reads a missing series as zero burn, so a renamed series
+     would silently disarm a rule: every series a node's rules read must
+     be on that node's timeline *)
+  for i = 0 to 2 do
+    let sampler = Option.get (Deploy.sampler d i) in
+    let names = rule_series (Option.get (Deploy.alerter d i)) in
+    Alcotest.(check bool) (Printf.sprintf "node %d has rules" i) true (names <> []);
+    List.iter
+      (fun name ->
+        Alcotest.(check bool)
+          (Printf.sprintf "node %d samples %s" i name)
+          true
+          (Ts.Sampler.find sampler name <> None))
+      names
+  done;
   (* the dumped JSON round-trips through the timeline reader *)
   match Ts.Sampler.of_json (Ts.Sampler.to_json sampler) with
   | Error e -> Alcotest.failf "timeline dump does not parse: %s" e
   | Ok rows ->
       let fast_row =
-        List.find_opt (fun (name, _, _) -> name = "node_verifier_fast_total") rows
+        List.find_opt (fun (name, _, _) -> name = "dsig_verifier_fast_total") rows
       in
       (match fast_row with
       | Some (_, kind, points) ->
           Alcotest.(check bool) "dump keeps the counter kind" true (kind = Ts.Series.Counter);
           Alcotest.(check bool) "dump carries history" true (List.length points > 10)
-      | None -> Alcotest.fail "node_verifier_fast_total missing from dump")
+      | None -> Alcotest.fail "dsig_verifier_fast_total missing from dump")
 
 (* lossless network: ACKs settle every announcement, nothing re-sent *)
 let test_quiescent_no_reannounce () =
@@ -227,6 +258,52 @@ let test_quiescent_no_reannounce () =
   let st = Verifier.stats (Deploy.verifier d 1) in
   Alcotest.(check bool) "acks were sent" true (st.Verifier.acks_sent > 0);
   Alcotest.(check int) "no pull requests needed" 0 st.Verifier.requests_sent
+
+(* Every party publishes into a registry of its own, so a per-party
+   gauge holds that party's value rather than the last writer's. Under
+   heavy loss each signer's unacknowledged backlog differs from its
+   neighbours'; at every check each party's own
+   [dsig_signer_unacked_announcements] and [dsig_verifier_fast_total]
+   match its signer and verifier, and the deployment view reads their
+   sums. *)
+let test_per_party_registries () =
+  let sim = Sim.create () in
+  let telemetry = Tel.create ~clock:(fun () -> Sim.now sim) () in
+  let cfg = Config.make ~batch_size:4 ~queue_threshold:8 (Config.wots ~d:4) in
+  let options = Options.default |> Options.with_telemetry telemetry in
+  let d = Deploy.create sim cfg ~n:3 ~latency_us:800.0 ~reannounce_poll_us:100.0 ~options () in
+  Net.set_faults (Deploy.net d) ~drop:0.5 ~seed:7L ();
+  let gauge snap name =
+    match Dsig_telemetry.Registry.Snapshot.find snap name with
+    | Some (Dsig_telemetry.Registry.Snapshot.Gauge g) -> g
+    | _ -> Float.nan
+  in
+  let unacked_name = "dsig_signer_unacked_announcements" in
+  let fast_name = "dsig_verifier_fast_total" in
+  let spread = ref false in
+  for k = 1 to 40 do
+    let msg = Printf.sprintf "party-%d" k in
+    let s = Deploy.sign d ~signer:(k mod 3) msg in
+    Alcotest.(check bool) "verifies" true (Deploy.verify d ~verifier:((k + 1) mod 3) ~msg s);
+    Sim.run ~until:(Sim.now sim +. 700.0) sim;
+    let unacked = List.init 3 (fun i -> Signer.unacked_announcements (Deploy.signer d i)) in
+    let fast = List.init 3 (fun i -> (Verifier.stats (Deploy.verifier d i)).Verifier.fast) in
+    List.iteri
+      (fun i (u, f) ->
+        let own = Tel.snapshot (Deploy.telemetry d i) in
+        Alcotest.(check (float 0.0)) (Printf.sprintf "node %d unacked gauge" i) (float_of_int u)
+          (gauge own unacked_name);
+        Alcotest.(check int) (Printf.sprintf "node %d fast counter" i) f (counter_value own fast_name))
+      (List.combine unacked fast);
+    let all = Deploy.snapshot d in
+    let sum = List.fold_left ( + ) 0 in
+    Alcotest.(check (float 0.0)) "deployment unacked is the sum"
+      (float_of_int (sum unacked)) (gauge all unacked_name);
+    Alcotest.(check int) "deployment fast is the sum" (sum fast) (counter_value all fast_name);
+    if List.exists (fun u -> u <> List.hd unacked) unacked then spread := true
+  done;
+  (* a shared last-writer gauge passes only when every node agrees *)
+  Alcotest.(check bool) "backlogs differ across nodes at some check" true !spread
 
 (* On a seeded fault schedule (drop=0.2, reorder=0.2) over a
    high-latency link, every signature still verifies with no false
@@ -261,7 +338,7 @@ let test_adaptive_pacing_no_redundant_resends () =
       (fun acc i -> acc + (Signer.stats (Deploy.signer d i)).Signer.reannounces)
       0 [ 0; 1; 2 ]
   in
-  let snap = Tel.snapshot telemetry in
+  let snap = Deploy.snapshot d in
   (* the drops force re-sends, so the zero below is not vacuous *)
   Alcotest.(check bool)
     (Printf.sprintf "dropped announcements were re-sent (got %d)" reannounces)
@@ -511,6 +588,7 @@ let suites =
           test_timeline_dip_and_recover;
         Alcotest.test_case "quiescent network needs no repair" `Quick
           test_quiescent_no_reannounce;
+        Alcotest.test_case "per-party registries under drop" `Quick test_per_party_registries;
         Alcotest.test_case "adaptive pacing never resends into the RTT" `Slow
           test_adaptive_pacing_no_redundant_resends;
         Alcotest.test_case "immediate acks: one frame per ack" `Quick

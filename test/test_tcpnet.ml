@@ -4,10 +4,9 @@ open Dsig
 
 let cfg = Config.make ~batch_size:8 ~queue_threshold:8 (Config.wots ~d:4)
 
-let make_announcement ?(reduce_bw = true) () =
-  let cfg =
-    Config.make ~batch_size:8 ~queue_threshold:8 ~reduce_bg_bandwidth:reduce_bw (Config.wots ~d:4)
-  in
+(* W-OTS+ announces leaf digests only; merklified HORS adds full keys *)
+let make_announcement ?(hbss = Config.wots ~d:4) () =
+  let cfg = Config.make ~batch_size:8 ~queue_threshold:8 hbss in
   let rng = Dsig_util.Rng.create 3L in
   let sk, _ = Dsig_ed25519.Eddsa.generate rng in
   let batch = Batch.make cfg ~signer_id:5 ~batch_id:42L ~eddsa:sk ~rng in
@@ -22,16 +21,14 @@ let ann_equal (a : Batch.announcement) (b : Batch.announcement) =
 
 let test_announcement_codec () =
   List.iter
-    (fun reduce_bw ->
-      let ann = make_announcement ~reduce_bw () in
+    (fun (label, hbss) ->
+      let ann = make_announcement ~hbss () in
       let encoded = Batch.encode_announcement ann in
       match Batch.decode_announcement encoded with
       | Error e -> Alcotest.fail e
       | Ok ann' ->
-          Alcotest.(check bool)
-            (Printf.sprintf "roundtrip (reduce_bw=%b)" reduce_bw)
-            true (ann_equal ann ann'))
-    [ true; false ];
+          Alcotest.(check bool) (Printf.sprintf "roundtrip (%s)" label) true (ann_equal ann ann'))
+    [ ("digests", Config.wots ~d:4); ("full keys", Config.hors_merklified ~k:16 ()) ];
   (* decoder rejects malformed input without raising *)
   let encoded = Batch.encode_announcement (make_announcement ()) in
   List.iter
@@ -497,7 +494,9 @@ let test_scrape_timeseries_routes () =
   let module Ts = Dsig_timeseries in
   let tel = Dsig_telemetry.Telemetry.create () in
   let sampler = Ts.Sampler.create tel.Dsig_telemetry.Telemetry.registry in
-  Ts.Sampler.probe sampler ~name:"svc_gauge" ~kind:Ts.Series.Gauge (fun () -> 4.5);
+  Dsig_telemetry.Metric.Gauge.set
+    (Dsig_telemetry.Registry.gauge tel.Dsig_telemetry.Telemetry.registry "svc_gauge")
+    4.5;
   let alerts =
     Ts.Alert.create ~telemetry:tel sampler
       [
@@ -521,9 +520,9 @@ let test_scrape_timeseries_routes () =
               let _, kind, points =
                 List.find (fun (n, _, _) -> n = "svc_gauge") rows
               in
-              Alcotest.(check bool) "probe kind survives" true (kind = Ts.Series.Gauge);
+              Alcotest.(check bool) "gauge kind survives" true (kind = Ts.Series.Gauge);
               Alcotest.(check (list (pair (float 0.0) (float 0.0))))
-                "probe points served" [ (1000.0, 4.5) ] points));
+                "gauge points served" [ (1000.0, 4.5) ] points));
       match Scrape.fetch ~port ~path:"/alerts" with
       | Error e -> Alcotest.fail ("/alerts: " ^ e)
       | Ok body ->

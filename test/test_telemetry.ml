@@ -239,6 +239,7 @@ let test_stats_probes () =
       [
         ("fast_total", fun s -> s.fast);
         ("slow_total", fun s -> s.slow);
+        ("verifies_total", fun s -> s.fast + s.slow);
         ("rejected_total", fun s -> s.rejected);
         ("eddsa_cache_hits_total", fun s -> s.eddsa_cache_hits);
         ("announcements_total", fun s -> s.announcements);

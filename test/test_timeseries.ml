@@ -273,39 +273,34 @@ let test_sampler_folds_registry () =
     (let names = List.map Series.name (Sampler.all sampler) in
      names = List.sort compare names)
 
+(* A registry probe reaches the timeline like any counter: read once
+   per recorded tick, never on a throttled one. *)
 let test_sampler_throttle_and_probe () =
   let reg = Registry.create () in
   let sampler = Sampler.create ~interval_us:100.0 reg in
   let calls = ref 0 in
-  Sampler.probe sampler ~name:"probe_gauge" ~kind:Series.Gauge (fun () ->
+  Registry.probe reg "probe_total" (fun () ->
       incr calls;
-      float_of_int !calls);
-  let broken_calls = ref 0 in
-  Sampler.probe sampler ~name:"probe_broken" ~kind:Series.Gauge (fun () ->
-      incr broken_calls;
-      if !broken_calls = 2 then failwith "probe blew up" else 1.0);
-  (* eager creation: the series exists before any tick *)
-  Alcotest.(check bool) "probe series exists eagerly" true
-    (Sampler.find sampler "probe_gauge" <> None);
+      !calls);
+  Metric.Gauge.set (Registry.gauge reg "depth") 2.0;
   Alcotest.(check bool) "tick 0 records" true (Sampler.sample sampler ~now_us:0.0);
   Alcotest.(check bool) "tick 50 throttled" false (Sampler.sample sampler ~now_us:50.0);
   Alcotest.(check int) "throttled tick skips probes" 1 !calls;
   Alcotest.(check bool) "tick 100 records" true (Sampler.sample sampler ~now_us:100.0);
   Alcotest.(check bool) "tick 250 records" true (Sampler.sample sampler ~now_us:250.0);
   Alcotest.(check int) "three recorded ticks" 3 (Sampler.samples sampler);
-  (* the broken probe's exception dropped its own point only *)
-  Alcotest.(check int)
-    "broken probe holds 2 of 3 points" 2
-    (Series.length (Option.get (Sampler.find sampler "probe_broken")));
-  Alcotest.(check int)
-    "healthy probe holds all 3" 3
-    (Series.length (Option.get (Sampler.find sampler "probe_gauge")))
+  let points name = Series.points (Option.get (Sampler.find sampler name)) in
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "probe read once per recorded tick"
+    [ (0.0, 1.0); (100.0, 2.0); (250.0, 3.0) ]
+    (points "probe_total");
+  Alcotest.(check int) "gauge holds all 3" 3 (List.length (points "depth"))
 
 let test_sampler_json_roundtrip () =
   let reg = Registry.create () in
   let c = Registry.counter reg "c_total" in
   let sampler = Sampler.create reg in
-  Sampler.probe sampler ~name:"g \"quoted\"\n" ~kind:Series.Gauge (fun () -> 42.5);
+  Metric.Gauge.set (Registry.gauge reg "g \"quoted\"\n") 42.5;
   Metric.Counter.incr ~by:9 c;
   ignore (Sampler.sample sampler ~now_us:1000.0);
   ignore (Sampler.sample sampler ~now_us:2000.0);
@@ -396,8 +391,8 @@ let test_alert_burn_rate () =
 let test_alert_latency () =
   let tel = Tel.create () in
   let sampler = Sampler.create tel.Tel.registry in
-  let lat = ref 10.0 in
-  Sampler.probe sampler ~name:"p99" ~kind:Series.Gauge (fun () -> !lat);
+  let lat = Registry.gauge tel.Tel.registry "p99" in
+  Metric.Gauge.set lat 10.0;
   let alerts =
     Alert.create ~telemetry:tel sampler
       [
@@ -409,14 +404,14 @@ let test_alert_latency () =
   in
   let tick now_us = ignore (Sampler.sample sampler ~now_us); Alert.step alerts ~now_us in
   ignore (tick 0.0);
-  lat := 500.0;
+  Metric.Gauge.set lat 500.0;
   (* the windowed average exceeds the budget across BOTH windows as
      soon as a bad point lands in each *)
   let e1 = tick 500.0 in
   let e2 = tick 1000.0 in
   Alcotest.(check bool) "fires on sustained high latency" true
     (List.mem ("lat", Alert.Fired) (e1 @ e2));
-  lat := 10.0;
+  Metric.Gauge.set lat 10.0;
   let rec drive t acc =
     if t > 6000.0 then acc else drive (t +. 500.0) (acc @ tick t)
   in
