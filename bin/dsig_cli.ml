@@ -507,6 +507,9 @@ let timeline port file metric width interval count =
             let verifier = Dsig.Verifier.create cfg ~id:1 ~pki ~options () in
             let sampler = Ts.Sampler.create ~interval_us:10_000.0 tel.Tel.registry in
             let alerts = Ts.Alert.create ~telemetry:tel sampler [] in
+            (* one tick before the first fetch, so the first frame
+               already lists the series *)
+            ignore (Ts.Sampler.sample sampler ~now_us:(Tel.now tel));
             let stop = ref false in
             let worker =
               Thread.create

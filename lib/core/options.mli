@@ -48,7 +48,9 @@ type t = {
   store : store option;  (** [None] (default) = in-memory key state only *)
   translog : (signer:int -> op:string -> signature:string -> unit) option;
       (** transparency sink: called once per issued signature, after the
-          wire encoding exists ([None] (default) = no transparency log) *)
+          wire encoding exists, possibly from several domains at once, so
+          it must be domain-safe ([None] (default) = no transparency
+          log) *)
   parallel : Dsig_util.Domain_pool.t option;
       (** worker-domain pool for batch signing/verifying ([None]
           (default) = everything on the calling domain) *)
@@ -86,8 +88,11 @@ val with_translog : (signer:int -> op:string -> signature:string -> unit) -> t -
     (not a [Dsig_translog.Translog.t]) so the core stays free of a
     dependency on the log — deployments pass
     [fun ~signer ~op ~signature -> ignore (Translog.append log ~signer ~op ~signature)]
-    (see DESIGN.md §11). The sink must not raise; an exception here
-    fails the sign call. *)
+    (see DESIGN.md §11). Foreground signs may come from several domains
+    at once (see {!Signer}), and each calls the sink on its own domain,
+    so the sink must be domain-safe: [Translog.append] takes its log's
+    mutex. The sink must not raise; an exception here fails the sign
+    call. *)
 
 val with_parallel : Dsig_util.Domain_pool.t -> t -> t
 (** Shard batch work over a {!Dsig_util.Domain_pool}: signers build

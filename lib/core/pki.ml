@@ -89,12 +89,3 @@ let ids t =
 let revoked t =
   locked t @@ fun () ->
   Hashtbl.fold (fun id _ acc -> id :: acc) t.revoked [] |> List.sort compare
-
-(* deprecated epoch-0 wrappers *)
-
-let register t ~id pk =
-  try bind t ~id ~epoch:0 pk
-  with Invalid_argument _ -> invalid_arg "Pki.register: id already bound"
-
-let lookup t id =
-  if is_revoked t id then None else Option.map (fun b -> b.key) (active t id)

@@ -67,19 +67,3 @@ val allowed : t -> id:int -> batch:int64 -> Dsig_ed25519.Eddsa.verifying_key opt
     or [None] if the id is unknown, totally revoked, [batch] falls at
     or past a revocation boundary, or the active key does not decode.
     Safe to call from any domain: the key is never built lazily. *)
-
-(** {1 Deprecated write-once surface}
-
-    Epoch-0 wrappers kept for one release. *)
-
-val register : t -> id:int -> Dsig_ed25519.Eddsa.public_key -> unit
-[@@ocaml.deprecated "use Pki.bind ~epoch:0"]
-(** [bind ~epoch:0].
-    @raise Invalid_argument if [id] is already bound to a different
-    key. *)
-
-val lookup : t -> int -> Dsig_ed25519.Eddsa.public_key option
-[@@ocaml.deprecated "use Pki.allowed (verification path) or Pki.active"]
-(** The active key, or [None] if the id is unknown or totally revoked.
-    Ignores batch boundaries — verification paths must use
-    {!allowed}. *)

@@ -1,4 +1,3 @@
-module Merkle = Dsig_merkle.Merkle
 module Eddsa = Dsig_ed25519.Eddsa
 module Rng = Dsig_util.Rng
 module Domain_pool = Dsig_util.Domain_pool
@@ -8,29 +7,39 @@ module Metric = Dsig_telemetry.Metric
 module Lifecycle = Dsig_telemetry.Lifecycle
 module Trace = Dsig_telemetry.Trace_ctx
 module Keystate = Dsig_store.Keystate
-open Dsig_hbss
 
-(* A one-time key ready to sign: its batch's Merkle proof and EdDSA
-   root signature are attached (Alg. 1 line 11), and its nonce was
-   drawn when the batch was sealed, so signing touches no rng. *)
-type prepared = {
-  key : Onetime.t;
-  batch_id : int64;
-  proof : Merkle.proof;
-  root_sig : string;
-  nonce : string;
+(* A one-time key ready to sign, with its signature's
+   message-independent bytes, written when the batch was sealed: the
+   key's public seed, nonce and batch proof, and the batch's header and
+   EdDSA root signature (Alg. 1 line 11), shared by its keys. Signing
+   touches no rng, proof or codec, and no proof keeps the batch's
+   Merkle tree alive. *)
+type prepared = { key : Onetime.t; key_bytes : string; batch_bytes : string }
+
+let batch_id p = Wire.batch_id_of_bytes p.batch_bytes
+let key_index p = Wire.key_index_of_bytes p.key_bytes
+
+(* A sealed batch's keys, handed to the foreground whole. A pop is one
+   fetch-and-add on [next] and clears the slot it took, so a spent key
+   is not kept alive; an index at or past the end means the run is spent
+   (or was closed by a cutover, which sets [next] to the end).
+   [signal_at] is the pop index that leaves the group below S, set under
+   [lock] whenever the keys queued behind the run change, so only that
+   one pop takes the lock, to wake the driver. *)
+type run = { keys : prepared option array; next : int Atomic.t; signal_at : int Atomic.t }
+
+(* [current] is read without the lock; it and the rest change under
+   [lock]. *)
+type group = {
+  members : int list; (* sorted *)
+  current : run Atomic.t;
+  pending : run Queue.t; (* sealed runs behind [current] *)
+  mutable pending_keys : int;
 }
-
-type group = { members : int list (* sorted *); queue : prepared Queue.t }
 
 (* A pre-generated next-generation batch awaiting cutover (key
    lifecycle plane): sealed and announced, but not yet serving keys. *)
-type staged = {
-  s_epoch : int;
-  s_batch_id : int64;
-  s_keys : prepared Queue.t;
-  s_size : int;
-}
+type staged = { s_epoch : int; s_batch_id : int64; s_keys : run }
 
 type stats = {
   signatures : int;
@@ -47,8 +56,9 @@ type stats = {
      journal's seal and rotation records. A batch's keys are queued
      before [seal] is released, so a cutover is never followed by keys
      of a batch sealed earlier.
-   - [lock] guards the group queues, [staged], [epoch], [outbox] and
-     [stopping]; [staged] and [epoch] change only under both. *)
+   - [lock] guards the groups' runs (except a pop's fetch-and-add),
+     [staged], [epoch], [outbox] and [stopping]; [staged] and [epoch]
+     change only under both. *)
 type t = {
   cfg : Config.t;
   id : int;
@@ -76,7 +86,6 @@ type t = {
   sign_waits : int Atomic.t;
   h_sign : Metric.Histogram.t;
   h_batch_gen : Metric.Histogram.t;
-  g_queue : Metric.Gauge.t;
   c_rot_staged : Metric.Counter.t;
   c_rot_cutovers : Metric.Counter.t;
   c_rot_dropped_keys : Metric.Counter.t;
@@ -96,6 +105,20 @@ let open_store tel cfg (options : Options.t) =
       | Error e -> failwith ("opening the key-state store: " ^ e)
       | Ok (ks, report) -> (Some ks, Some report))
 
+let make_run keys =
+  { keys; next = Atomic.make 0; signal_at = Atomic.make (Array.length keys) }
+
+let empty_run () = make_run [||]
+let spent r = Atomic.get r.next >= Array.length r.keys
+
+(* Under [lock]. Keys the group can still hand out. *)
+let depth g =
+  let r = Atomic.get g.current in
+  Array.length r.keys - Stdlib.min (Atomic.get r.next) (Array.length r.keys) + g.pending_keys
+
+let queue_depth t =
+  Mutex.protect t.lock (fun () -> List.fold_left (fun n g -> n + depth g) 0 t.groups)
+
 let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
     ?(options = Options.default) ~verifiers () =
   let tel = options.telemetry in
@@ -106,7 +129,9 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
   Tel.probe tel (prefix ^ "_signatures_total") (fun () -> Atomic.get signatures);
   Tel.probe tel (prefix ^ "_sign_waits_total") (fun () -> Atomic.get sign_waits);
   let normalize members = List.sort_uniq compare members in
-  let mk members = { members; queue = Queue.create () } in
+  let mk members =
+    { members; current = Atomic.make (empty_run ()); pending = Queue.create (); pending_keys = 0 }
+  in
   let default = mk (normalize verifiers) in
   (* smallest groups first so the "smallest group containing the hint"
      rule is a simple find *)
@@ -118,6 +143,7 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
     |> List.sort (fun a b -> compare (List.length a) (List.length b))
     |> List.map mk
   in
+  let t =
   {
     cfg;
     id;
@@ -147,13 +173,20 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
     sign_waits;
     h_sign = Tel.histogram tel (prefix ^ "_sign_us");
     h_batch_gen = Tel.histogram tel (prefix ^ "_batch_gen_us");
-    g_queue = Tel.gauge tel (prefix ^ "_queue_depth");
     c_rot_staged = Tel.counter tel "dsig_rotation_staged_total";
     c_rot_cutovers = Tel.counter tel "dsig_rotation_cutovers_total";
     c_rot_dropped_keys = Tel.counter tel "dsig_rotation_dropped_keys_total";
     h_cutover = Tel.histogram tel "dsig_rotation_cutover_us";
     g_epoch = Tel.gauge tel "dsig_rotation_epoch";
   }
+  in
+  (* the depth is read from the queues at each snapshot, through a weak
+     pointer, so the registry never keeps the signer's keys alive *)
+  let self = Weak.create 1 in
+  Weak.set self 0 (Some t);
+  Tel.gauge_probe tel (prefix ^ "_queue_depth") (fun () ->
+      match Weak.get self 0 with Some t -> float_of_int (queue_depth t) | None -> 0.0);
+  t
 
 let id t = t.id
 let config t = t.cfg
@@ -195,8 +228,31 @@ let select_group t hint =
 
 (* --- background plane: sealing, under [seal] --- *)
 
-(* Seal the next batch, announce it to [group] and queue its prepared
-   keys on [into] (Alg. 1 lines 6-11, batched per §4.4). Caller holds
+(* Under [lock]: re-aim the crossing after the keys behind [current]
+   changed. A pop at index i leaves len - i - 1 + pending_keys keys, so
+   the pop that leaves S - 1 is at len + pending_keys - S. *)
+let aim_signal t g =
+  let r = Atomic.get g.current in
+  Atomic.set r.signal_at (Array.length r.keys + g.pending_keys - t.cfg.Config.queue_threshold)
+
+(* Under [lock]: while the current run is spent, serve the next. *)
+let advance t g =
+  while spent (Atomic.get g.current) && not (Queue.is_empty g.pending) do
+    let r = Queue.pop g.pending in
+    g.pending_keys <- g.pending_keys - Array.length r.keys;
+    Atomic.set g.current r
+  done;
+  aim_signal t g
+
+(* Under [lock]. *)
+let push t g r =
+  Queue.add r g.pending;
+  g.pending_keys <- g.pending_keys + Array.length r.keys;
+  advance t g
+
+(* Seal the next batch, announce it to [group] and hand its prepared
+   keys to [into], under [lock] (Alg. 1 lines 6-11, batched per §4.4).
+   The keys' message-independent wire bytes are written here, once. Caller holds
    [seal]. Returns the batch size. *)
 let seal_batch t group ~batch_id ~into =
   let batch =
@@ -205,12 +261,19 @@ let seal_batch t group ~batch_id ~into =
   in
   (* journal the seal before any of the batch's keys can sign *)
   Option.iter (fun ks -> Keystate.seal ks ~batch_id ~size:(Batch.size batch)) t.store;
-  let root_sig = Batch.root_signature batch and keys = Queue.create () in
-  for i = 0 to Batch.size batch - 1 do
-    let nonce = Rng.bytes t.rng 16 in
-    let proof = Batch.proof batch i in
-    Queue.add { key = Batch.key batch i; batch_id; proof; root_sig; nonce } keys
-  done;
+  let batch_bytes =
+    Wire.batch_bytes t.cfg ~signer_id:t.id ~batch_id ~root_sig:(Batch.root_signature batch)
+  in
+  let keys =
+    Array.init (Batch.size batch) (fun index ->
+        let key = Batch.key batch index in
+        let nonce = Rng.bytes t.rng Wire.nonce_bytes in
+        let key_bytes =
+          Wire.key_bytes t.cfg ~public_seed:(Onetime.public_seed key) ~nonce
+            ~batch_proof:(Batch.proof batch index)
+        in
+        Some { key; key_bytes; batch_bytes })
+  in
   let ann = Batch.announcement t.cfg batch in
   let dests = List.filter (fun dest -> dest <> t.id) group.members in
   (* track before sending: over an in-process transport the ACK comes
@@ -218,10 +281,10 @@ let seal_batch t group ~batch_id ~into =
   if dests <> [] then Announce.Plane.track t.plane ann ~dests;
   Option.iter (fun send -> List.iter (fun dest -> send ~dest ann) dests) t.send;
   locked t (fun () ->
-      Queue.transfer keys into;
+      into (make_run keys);
       if t.send = None then Queue.add (ann, dests) t.outbox);
   Atomic.incr t.batches;
-  Batch.size batch
+  Array.length keys
 
 let next_batch_id t =
   let batch_id = t.next_batch in
@@ -232,10 +295,7 @@ let next_batch_id t =
 let refill t group =
   let t0 = Tel.now t.tel in
   Tracer.record_at t.tel.Tel.tracer ~tag:t.id Tracer.Batch_gen Tracer.Begin t0;
-  let size = seal_batch t group ~batch_id:(next_batch_id t) ~into:group.queue in
-  (* the gauge tracks prepared keys process-wide, so move it by deltas
-     rather than overwriting other signers' contributions *)
-  Metric.Gauge.add t.g_queue (float_of_int size);
+  ignore (seal_batch t group ~batch_id:(next_batch_id t) ~into:(push t group));
   let t1 = Tel.now t.tel in
   Metric.Histogram.add t.h_batch_gen (t1 -. t0);
   Tracer.record_at t.tel.Tel.tracer ~tag:t.id Tracer.Batch_gen Tracer.End t1
@@ -243,7 +303,7 @@ let refill t group =
 (* Under [lock]. A staged rotation suppresses refills of the dying
    default generation: cutover is imminent and would discard them. *)
 let needs_refill t g =
-  Queue.length g.queue < t.cfg.Config.queue_threshold && not (t.staged <> None && g == t.default)
+  depth g < t.cfg.Config.queue_threshold && not (t.staged <> None && g == t.default)
 
 let background_step t =
   Mutex.protect t.seal (fun () ->
@@ -267,11 +327,7 @@ let stop t =
       t.stopping <- true;
       Condition.broadcast t.refill)
 
-let queue_length t hint = locked t (fun () -> Queue.length (select_group t (Some hint)).queue)
-(* Under [lock]. *)
-let queued t = List.fold_left (fun n g -> n + Queue.length g.queue) 0 t.groups
-
-let queue_depth t = locked t (fun () -> queued t)
+let queue_length t hint = locked t (fun () -> depth (select_group t (Some hint)))
 
 (* --- zero-downtime rotation (key lifecycle plane) ---
 
@@ -292,10 +348,10 @@ let stage_next_batch t =
       let epoch = t.epoch + 1 in
       let batch_id = next_batch_id t in
       Option.iter (fun ks -> Keystate.propose_rotation ks ~epoch ~batch_id) t.store;
-      let keys = Queue.create () in
-      let size = seal_batch t t.default ~batch_id ~into:keys in
-      let s = { s_epoch = epoch; s_batch_id = batch_id; s_keys = keys; s_size = size } in
-      locked t (fun () -> t.staged <- Some s);
+      let size =
+        seal_batch t t.default ~batch_id ~into:(fun keys ->
+            t.staged <- Some { s_epoch = epoch; s_batch_id = batch_id; s_keys = keys })
+      in
       Metric.Counter.incr t.c_rot_staged;
       Log.L.info (fun m ->
           m "signer %d: staged rotation epoch %d (batch %Ld, %d keys)" t.id epoch batch_id size);
@@ -323,16 +379,27 @@ let cutover_sealed t =
       Announce.Plane.drop_before t.plane ~batch_id:s.s_batch_id;
       let discarded =
         locked t (fun () ->
-            let n = queued t in
-            List.iter (fun g -> Queue.clear g.queue) t.groups;
-            Queue.transfer s.s_keys t.default.queue;
+            (* closing a run ends its pops: one that took an index
+               before the exchange keeps its key, any later one finds
+               the run spent *)
+            let close g =
+              let r = Atomic.get g.current in
+              let len = Array.length r.keys in
+              let taken = Atomic.exchange r.next len in
+              let n = len - Stdlib.min taken len + g.pending_keys in
+              Queue.clear g.pending;
+              g.pending_keys <- 0;
+              Atomic.set g.current (if g == t.default then s.s_keys else empty_run ());
+              aim_signal t g;
+              n
+            in
+            let n = List.fold_left (fun n g -> n + close g) 0 t.groups in
             t.epoch <- s.s_epoch;
             t.staged <- None;
             Condition.signal t.refill;
             n)
       in
       if discarded > 0 then Metric.Counter.incr ~by:discarded t.c_rot_dropped_keys;
-      Metric.Gauge.add t.g_queue (float_of_int (s.s_size - discarded));
       Metric.Counter.incr t.c_rot_cutovers;
       Metric.Gauge.set t.g_epoch (float_of_int s.s_epoch);
       let t1 = Tel.now t.tel in
@@ -353,71 +420,57 @@ let epoch t = locked t (fun () -> t.epoch)
    itself) or refill it on the critical path. *)
 let refill_if_empty t group =
   Mutex.protect t.seal (fun () ->
-      if locked t (fun () -> Queue.is_empty group.queue) then
+      if locked t (fun () -> advance t group; depth group = 0) then
         if t.staged <> None && group == t.default then ignore (cutover_sealed t)
         else begin
           Log.L.warn (fun m -> m "signer %d: key queue empty, refilling on the critical path" t.id);
           refill t group
         end)
 
-(* Pop [group]'s next key (Alg. 1 line 16); [waited] says the queue was
-   found empty on the way. A pop that leaves the queue below S wakes
-   the driver. *)
-let rec pop t group ~waited =
-  Mutex.lock t.lock;
-  if Queue.is_empty group.queue then begin
-    Mutex.unlock t.lock;
+exception Spent
+
+(* Take [group]'s next key (Alg. 1 line 16): one fetch-and-add on the
+   current run. The pop that leaves the group below S wakes the driver.
+   Raises [Spent] if the run has no key left. *)
+let take t group =
+  let r = Atomic.get group.current in
+  let i = Atomic.fetch_and_add r.next 1 in
+  if i >= Array.length r.keys then raise_notrace Spent;
+  if i = Atomic.get r.signal_at then locked t (fun () -> Condition.signal t.refill);
+  match Array.unsafe_get r.keys i with
+  | Some p ->
+      Array.unsafe_set r.keys i None;
+      p
+  | None -> assert false (* each index is taken once *)
+
+(* The current run is spent: serve the next sealed run or, if the
+   group has no key left, wait for one (counted once per sign). Returns
+   the key and whether the sign waited. *)
+let rec pop_slow t group ~waited =
+  let r = Atomic.get group.current in
+  let waits =
+    not (locked t (fun () -> Atomic.get group.current != r || (advance t group; depth group > 0)))
+  in
+  if waits then begin
     if not waited then Atomic.incr t.sign_waits;
-    refill_if_empty t group;
-    pop t group ~waited:true
-  end
-  else begin
-    let p = Queue.pop group.queue in
-    if Queue.length group.queue < t.cfg.Config.queue_threshold then Condition.signal t.refill;
-    Mutex.unlock t.lock;
-    Metric.Gauge.add t.g_queue (-1.0);
-    (p, waited)
-  end
+    refill_if_empty t group
+  end;
+  let waited = waited || waits in
+  match take t group with
+  | p -> (p, waited)
+  | exception Spent -> pop_slow t group ~waited
 
-let body p msg =
-  let nonce = p.nonce in
-  match p.key with
-  | Onetime.Wots_key kp -> Wire.Wots_body (Wots.sign kp ~nonce msg)
-  | Onetime.Hors_key { kp; forest = None } ->
-      let hsig = Hors.sign kp ~nonce msg in
-      let p = Hors.params kp in
-      let indices = Hors.message_indices p ~public_seed:(Hors.public_seed kp) ~nonce msg in
-      let selected = Array.make p.Params.Hors.t false in
-      Array.iter (fun i -> selected.(i) <- true) indices;
-      let elements = Hors.public_elements kp in
-      let complement =
-        Array.of_list
-          (List.filteri (fun i _ -> not selected.(i)) (Array.to_list elements))
-      in
-      Wire.Hors_fact_body { hsig; complement }
-  | Onetime.Hors_key { kp; forest = Some f } ->
-      let hsig = Hors.sign kp ~nonce msg in
-      let p = Hors.params kp in
-      let indices = Hors.message_indices p ~public_seed:(Hors.public_seed kp) ~nonce msg in
-      let roots = Array.of_list (Merkle.Forest.roots f) in
-      let proofs = Array.map (fun idx -> Merkle.Forest.proof f idx) indices in
-      Wire.Hors_merk_body { hsig; roots; proofs }
+let pop t group =
+  match take t group with p -> p | exception Spent -> fst (pop_slow t group ~waited:false)
 
-(* Pure given its inputs, so [sign_many] runs it on worker domains. *)
-let encode t p msg =
-  Wire.encode t.cfg
-    {
-      Wire.signer_id = t.id;
-      batch_id = p.batch_id;
-      public_seed = Onetime.public_seed p.key;
-      body = body p msg;
-      batch_proof = p.proof;
-      root_sig = p.root_sig;
-    }
+(* The signature of [msg] under [p]: {!Wire.sign} on the bytes written
+   at seal time. Pure given its inputs, so [sign_many] runs it on worker
+   domains. *)
+let build { key; key_bytes; batch_bytes } msg = Wire.sign ~batch:batch_bytes ~key:key_bytes key msg
 
 let reserve t p =
   Option.iter
-    (fun ks -> Keystate.reserve ks ~batch_id:p.batch_id ~key_index:p.proof.Merkle.index)
+    (fun ks -> Keystate.reserve ks ~batch_id:(batch_id p) ~key_index:(key_index p))
     t.store
 
 (* The accounting after a signature is built: translog sink, count,
@@ -436,45 +489,54 @@ let finish t ?(span = Tracer.Sign_fast) ?t1 p ~msg ~wire ~t0 =
   let lc = t.tel.Tel.lifecycle in
   if Lifecycle.enabled lc then
     Lifecycle.sign lc
-      ~trace_id:(Trace.id ~signer:t.id ~batch_id:p.batch_id ~key_index:p.proof.Merkle.index)
+      ~trace_id:(Trace.id ~signer:t.id ~batch_id:(batch_id p) ~key_index:(key_index p))
       ~origin:t.id ~birth_us:t0 ~dur_us:(t1 -. t0)
 
-let sign_impl t ?hint msg =
+(* Sign with the next key of [hint]'s group and account for it; [k]
+   receives the key and the start time. *)
+let sign_with t hint msg k =
   let t0 = Tel.now t.tel in
-  let p, waited = pop t (select_group t hint) ~waited:false in
+  let group = select_group t hint in
+  let waited = ref false in
+  let p =
+    match take t group with
+    | p -> p
+    | exception Spent ->
+        let p, w = pop_slow t group ~waited:false in
+        waited := w;
+        p
+  in
   (* durability invariant: the reservation is journaled (and covered by
      the group-commit protocol) before the signature is even built, so a
      signature can never leave the process without its record *)
   reserve t p;
-  let wire = encode t p msg in
-  finish t ~span:(if waited then Tracer.Sign_sync_refill else Tracer.Sign_fast) p ~msg ~wire ~t0;
-  (wire, p, t0)
+  let wire = build p msg in
+  finish t ~span:(if !waited then Tracer.Sign_sync_refill else Tracer.Sign_fast) p ~msg ~wire ~t0;
+  k wire p t0
 
-let sign t ?hint msg =
-  let wire, _, _ = sign_impl t ?hint msg in
-  wire
+let sign t ?hint msg = sign_with t hint msg (fun wire _ _ -> wire)
 
 let sign_ctx t ?hint msg =
-  let wire, p, t0 = sign_impl t ?hint msg in
-  ( wire,
-    Trace.make ~signer:t.id ~batch_id:p.batch_id ~key_index:p.proof.Merkle.index ~origin:t.id
-      ~birth_us:t0 )
+  sign_with t hint msg (fun wire p t0 ->
+      ( wire,
+        Trace.make ~signer:t.id ~batch_id:(batch_id p) ~key_index:(key_index p) ~origin:t.id
+          ~birth_us:t0 ))
 
 (* Batch signing across the worker pool. The division of labor follows
    the shard-ownership invariant (DESIGN.md §12): the calling domain
    pops prepared keys (ascending key indices) and journals every
    reservation in consumption order; worker domains then build
-   signature bodies and wire encodings over contiguous index ranges —
-   one range per shard, so no two domains ever touch the same one-time
-   key; the calling domain folds back translog, stats, metrics, tracer
-   and lifecycle accounting in input order. Without a pool this
-   degrades to a plain loop over [sign]. *)
+   signatures over contiguous index ranges — one range per shard, so no
+   two domains ever touch the same one-time key; the calling domain
+   folds back translog, stats, metrics, tracer and lifecycle accounting
+   in input order. Without a pool this degrades to a plain loop over
+   [sign]. *)
 let sign_many t ?hint msgs =
   let n = Array.length msgs in
   match t.pool with
   | Some pool when n > 1 && Domain_pool.size pool > 1 ->
       let group = select_group t hint in
-      let prepared = Array.init n (fun _ -> fst (pop t group ~waited:false)) in
+      let prepared = Array.init n (fun _ -> pop t group) in
       (* durability invariant, batch form: every reservation is
          journaled — in the same ascending-index order a sequential
          signer would produce — before any signature is built, so no
@@ -484,7 +546,7 @@ let sign_many t ?hint msgs =
         Domain_pool.parallel_map pool
           ~f:(fun ~shard:_ (p, msg) ->
             let t0 = Tel.now t.tel in
-            let wire = encode t p msg in
+            let wire = build p msg in
             (wire, t0, Tel.now t.tel))
           (Array.map2 (fun p msg -> (p, msg)) prepared msgs)
       in

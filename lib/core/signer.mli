@@ -6,9 +6,19 @@
     ({!background_step}) refills queues below the threshold S by
     generating an EdDSA-signed batch of keys and multicasting its
     announcement to the group, while the {e foreground plane} ({!sign})
-    pops a prepared key, produces the HBSS signature and attaches the
-    precomputed Merkle proof, root signature and nonce — no EdDSA work
-    and no randomness on the critical path.
+    pops a prepared key and produces the HBSS signature — no EdDSA work,
+    no randomness and no encoding on the critical path. At seal time the
+    background plane writes every byte of a key's signature that does
+    not depend on the message (header, public seed, nonce, batch proof,
+    root signature; {!Wire.batch_bytes}, {!Wire.key_bytes}); a sign
+    allocates the signature once, blits those bytes in, hashes the
+    message and writes the revealed chain elements between them
+    ({!Dsig_hbss.Wots.sign_into}).
+
+    A sealed batch is handed to its group whole: a pop is one atomic
+    fetch-and-add on the current batch's next index. The queue lock is
+    taken only to install the next batch, to cut over, and on the one
+    pop that leaves the group below S, to wake the driver.
 
     One signer, two drivers. The background plane is driven inline (a
     simnet process, interleaved {!background_step} calls, or the
@@ -29,8 +39,11 @@
     released, so a {!cutover} is never followed by keys of a batch
     sealed earlier. The announcement plane and the journal have locks
     of their own. Foreground calls ({!sign}, {!sign_ctx}, {!sign_many})
-    come from one caller at a time; a driver domain and the control
-    plane may run alongside it. *)
+    may come from several domains at once, beside a driver domain and
+    the control plane: each prepared key goes to exactly one caller.
+    Each caller journals its reservations in ascending key order; the
+    journal's high-water recovery does not depend on how callers
+    interleave. *)
 
 type t
 
@@ -80,8 +93,10 @@ val create :
     [<prefix>_unacked_announcements] and [<prefix>_peer_pressure]
     gauges and the pacing gauges [dsig_rtt_us] / [dsig_rto_us]),
     [<prefix>_sign_us] and [<prefix>_batch_gen_us] latency histograms,
-    the process-wide [<prefix>_queue_depth] gauge, moved by deltas
-    (prepared keys across all groups and signers sharing the handle),
+    the [<prefix>_queue_depth] gauge (prepared keys across all groups,
+    summed over the signers sharing the handle; read from the queues at
+    each snapshot, {!Dsig_telemetry.Registry.gauge_probe}, and 0 once the
+    signer is garbage),
     the key-lifecycle series ([dsig_rotation_staged_total] /
     [dsig_rotation_cutovers_total] / [dsig_rotation_dropped_keys_total]
     counters, the [dsig_rotation_cutover_us] histogram and the

@@ -46,6 +46,20 @@ let size_bytes (cfg : Config.t) =
       + (trees * 32)
       + (p.Params.Hors.k * per_proof)
 
+(* The body after the nonce: the W-OTS+ elements, or the HORS secrets
+   with what the verifier needs of the public key. *)
+let body_after_nonce = function
+  | Wots_body s -> s.Wots.elements
+  | Hors_fact_body { hsig; complement } ->
+      String.concat "" (Array.to_list hsig.Hors.revealed @ Array.to_list complement)
+  | Hors_merk_body { hsig; roots; proofs } ->
+      String.concat ""
+        (Array.to_list hsig.Hors.revealed
+        @ Array.to_list roots
+        @ List.concat_map
+            (fun (tree, pf) -> [ BU.u16_be tree; Merkle.encode_proof pf ])
+            (Array.to_list proofs))
+
 let encode (cfg : Config.t) t =
   let buf = Buffer.create (size_bytes cfg) in
   Buffer.add_char buf magic;
@@ -55,26 +69,105 @@ let encode (cfg : Config.t) t =
   Buffer.add_string buf (BU.u64_le (Int64.of_int t.signer_id));
   Buffer.add_string buf (BU.u64_le t.batch_id);
   Buffer.add_string buf t.public_seed;
-  (match t.body with
-  | Wots_body s ->
-      Buffer.add_string buf s.Wots.nonce;
-      Buffer.add_string buf s.Wots.elements
-  | Hors_fact_body { hsig; complement } ->
-      Buffer.add_string buf hsig.Hors.nonce;
-      Array.iter (Buffer.add_string buf) hsig.Hors.revealed;
-      Array.iter (Buffer.add_string buf) complement
-  | Hors_merk_body { hsig; roots; proofs } ->
-      Buffer.add_string buf hsig.Hors.nonce;
-      Array.iter (Buffer.add_string buf) hsig.Hors.revealed;
-      Array.iter (Buffer.add_string buf) roots;
-      Array.iter
-        (fun (tree, pf) ->
-          Buffer.add_string buf (BU.u16_be tree);
-          Buffer.add_string buf (Merkle.encode_proof pf))
-        proofs);
+  Buffer.add_string buf
+    (match t.body with
+    | Wots_body s -> s.Wots.nonce
+    | Hors_fact_body { hsig; _ } | Hors_merk_body { hsig; _ } -> hsig.Hors.nonce);
+  Buffer.add_string buf (body_after_nonce t.body);
   Buffer.add_string buf (Merkle.encode_proof t.batch_proof);
   Buffer.add_string buf t.root_sig;
   Buffer.contents buf
+
+(* --- the signer's assembly ---
+
+   [encode] above is the codec and the reference; the signer builds the
+   same bytes in two steps. At seal time it writes the bytes that do not
+   depend on the message: once per batch, the header and root signature
+   ([batch_bytes]); once per key, the public seed, nonce and batch proof
+   ([key_bytes]). A sign ([sign]) then allocates the signature once
+   with [frame] and writes the body into the gap after the nonce. *)
+
+let prefix_bytes = header_bytes + 32 + nonce_bytes
+let key_nonce_offset = 32
+let key_proof_offset = key_nonce_offset + nonce_bytes
+
+let batch_bytes (cfg : Config.t) ~signer_id ~batch_id ~root_sig =
+  if String.length root_sig <> eddsa_bytes then
+    invalid_arg "Wire.batch_bytes: root signature must be 64 bytes";
+  let b = Bytes.create (header_bytes + eddsa_bytes) in
+  Bytes.set b 0 magic;
+  Bytes.set b 1 version;
+  Bytes.set b 2 (Char.chr (Config.scheme_tag cfg));
+  Bytes.set b 3 (Char.chr (Config.hash_tag cfg));
+  Bytes.set_int64_le b 4 (Int64.of_int signer_id);
+  Bytes.set_int64_le b 12 batch_id;
+  Bytes.blit_string root_sig 0 b header_bytes eddsa_bytes;
+  Bytes.unsafe_to_string b
+
+let key_bytes (cfg : Config.t) ~public_seed ~nonce ~batch_proof =
+  let levels = Config.batch_levels cfg in
+  if String.length public_seed <> 32 || String.length nonce <> nonce_bytes then
+    invalid_arg "Wire.key_bytes: public seed must be 32 bytes and nonce 16";
+  if List.length batch_proof.Merkle.siblings <> levels then
+    invalid_arg "Wire.key_bytes: batch proof of the wrong depth";
+  let b = Bytes.create (key_proof_offset + 4 + (32 * levels)) in
+  Bytes.blit_string public_seed 0 b 0 32;
+  Bytes.blit_string nonce 0 b key_nonce_offset nonce_bytes;
+  Bytes.set_int32_le b key_proof_offset (Int32.of_int batch_proof.Merkle.index);
+  List.iteri
+    (fun i sib -> Bytes.blit_string sib 0 b (key_proof_offset + 4 + (32 * i)) 32)
+    batch_proof.Merkle.siblings;
+  Bytes.unsafe_to_string b
+
+let batch_id_of_bytes batch = String.get_int64_le batch 12
+let key_index_of_bytes key = Int32.to_int (String.get_int32_le key key_proof_offset)
+
+let frame ~batch ~key ~body_bytes =
+  let proof = String.length key - key_proof_offset in
+  let b = Bytes.create (String.length batch + String.length key + body_bytes) in
+  Bytes.blit_string batch 0 b 0 header_bytes;
+  Bytes.blit_string key 0 b header_bytes key_proof_offset;
+  let after = prefix_bytes + body_bytes in
+  Bytes.blit_string key key_proof_offset b after proof;
+  Bytes.blit_string batch header_bytes b (after + proof) eddsa_bytes;
+  b
+
+let frame_body ~batch ~key body =
+  let rest = body_after_nonce body in
+  let b = frame ~batch ~key ~body_bytes:(String.length rest) in
+  Bytes.blit_string rest 0 b prefix_bytes (String.length rest);
+  Bytes.unsafe_to_string b
+
+let sign ~batch ~key onetime msg =
+  match onetime with
+  | Onetime.Wots_key kp ->
+      let p = Wots.params kp in
+      let b = frame ~batch ~key ~body_bytes:(p.Params.Wots.l * p.Params.Wots.n) in
+      Wots.sign_into kp ~nonce:key ~nonce_off:key_nonce_offset msg b prefix_bytes;
+      Bytes.unsafe_to_string b
+  | Onetime.Hors_key { kp; forest } ->
+      let nonce = String.sub key key_nonce_offset nonce_bytes in
+      let hsig = Hors.sign kp ~nonce msg in
+      let p = Hors.params kp in
+      let indices = Hors.message_indices p ~public_seed:(Hors.public_seed kp) ~nonce msg in
+      let body =
+        match forest with
+        | None ->
+            let selected = Array.make p.Params.Hors.t false in
+            Array.iter (fun i -> selected.(i) <- true) indices;
+            let complement =
+              Array.of_list
+                (List.filteri
+                   (fun i _ -> not selected.(i))
+                   (Array.to_list (Hors.public_elements kp)))
+            in
+            Hors_fact_body { hsig; complement }
+        | Some f ->
+            let roots = Array.of_list (Merkle.Forest.roots f) in
+            let proofs = Array.map (fun idx -> Merkle.Forest.proof f idx) indices in
+            Hors_merk_body { hsig; roots; proofs }
+      in
+      frame_body ~batch ~key body
 
 let peek_header s =
   if String.length s < header_bytes || s.[0] <> magic || s.[1] <> version then None

@@ -59,6 +59,11 @@ val peek_trace : Config.t -> string -> (int * int64 * int) option
     (the index is {e not} authenticated here — use only for telemetry). *)
 
 val encode : Config.t -> t -> string
+(** The codec's encoder, and the reference for the signer's assembly
+    below: the test suite checks that every signature the signer builds
+    equals [encode] of the record it stands for, byte for byte. The
+    signer itself does not call it. *)
+
 val decode : Config.t -> string -> (t, string) result
 (** Rejects signatures whose header does not match [Config.t]. *)
 
@@ -66,3 +71,44 @@ val size_bytes : Config.t -> int
 (** Exact wire size for fixed-size schemes (W-OTS+, merklified HORS);
     for factorized HORS, the size assuming all k indices are distinct
     (the common case and the paper's accounting). *)
+
+val nonce_bytes : int
+(** 16. *)
+
+(** {1 The signer's assembly}
+
+    Every scheme's wire form is a message-independent {e prefix}
+    (header, public seed, nonce), a body that depends on the message,
+    and a message-independent {e suffix} (batch proof, root signature).
+    The background plane writes these bytes at seal time: once per
+    batch the header and root signature ({!batch_bytes}), once per key
+    the public seed, nonce and batch proof ({!key_bytes}). {!sign}
+    allocates the signature once and writes only the body. *)
+
+val batch_bytes : Config.t -> signer_id:int -> batch_id:int64 -> root_sig:string -> string
+(** A batch's header (20 bytes) and EdDSA root signature (64).
+    @raise Invalid_argument unless the root signature is 64 bytes. *)
+
+val key_bytes :
+  Config.t -> public_seed:string -> nonce:string -> batch_proof:Dsig_merkle.Merkle.proof -> string
+(** A key's public seed, nonce and encoded batch proof (276 bytes for
+    the recommended configuration). Holds no reference to the proof's
+    tree.
+    @raise Invalid_argument on a seed, nonce or proof of the wrong
+    size. *)
+
+val batch_id_of_bytes : string -> int64
+(** The batch id in {!batch_bytes}. *)
+
+val key_index_of_bytes : string -> int
+(** The key's batch index: the leaf index of the proof in {!key_bytes}. *)
+
+val sign : batch:string -> key:string -> Onetime.t -> string -> string
+(** [sign ~batch ~key k msg] signs [msg] with the one-time key [k] and
+    returns the DSig signature: [batch] and [key] (the {!batch_bytes}
+    and {!key_bytes} written for [k] at seal time) around the body. The
+    nonce is read from [key]. W-OTS+ writes its chain elements straight
+    into the signature ({!Dsig_hbss.Wots.sign_into}); HORS bodies are
+    built, then copied in. Equals {!encode} of the record the key and
+    message stand for.
+    @raise Invalid_argument if [k] was already used. *)

@@ -182,12 +182,6 @@ let public_elements kp =
 
 let public_key_digest kp = kp.pk_digest
 
-(* The paper salts the message digest with "the W-OTS+ public key and a
-   random nonce" (§4.3). The verifier, however, must compute this digest
-   *before* recovering the public key from the signature, so the salt
-   has to travel with the signature: we use the per-key public seed,
-   which provides the same multi-target protection (it is unique per key
-   pair and bound to the public key through the chain masks). *)
 (* Digest length: 128 bits of security, rounded up so that l1 digits of
    width log2(d) bits are always available (l1 * width can exceed 128 by
    a few bits when log2(d) does not divide 128, e.g. d = 8). *)
@@ -195,44 +189,88 @@ let digest_length (p : P.t) =
   let width = Params.log2_exact p.P.d in
   max 16 (((p.P.l1 * width) + 7) / 8)
 
-let message_digest (p : P.t) ~public_seed ~nonce msg =
-  Blake3.digest ~length:(digest_length p) (public_seed ^ nonce ^ msg)
+(* Public seed || nonce || message in one buffer, with its digest
+   written over the buffer's start: signing and recovery share this
+   code, so a verify right after a sign finds it warm.
 
-(* Base-d digits of the salted digest, then the checksum digits, in one
-   l-array. *)
-let all_digits (p : P.t) digest =
-  let width = Params.log2_exact p.P.d in
-  let digits = Array.make p.P.l 0 in
-  let checksum = ref 0 in
+   The paper salts the message digest with "the W-OTS+ public key and a
+   random nonce" (§4.3). The verifier, however, must compute this digest
+   *before* recovering the public key from the signature, so the salt
+   has to travel with the signature: we use the per-key public seed,
+   which provides the same multi-target protection (it is unique per key
+   pair and bound to the public key through the chain masks). *)
+let salted_digest (p : P.t) ~public_seed ~nonce ~nonce_off msg =
+  let len = 32 + nonce_bytes + String.length msg in
+  let salted = Bytes.create len in
+  Bytes.blit_string public_seed 0 salted 0 32;
+  Bytes.blit_string nonce nonce_off salted 32 nonce_bytes;
+  Bytes.blit_string msg 0 salted (32 + nonce_bytes) (String.length msg);
+  Blake3.digest_into ~length:(digest_length p) salted ~off:0 ~len salted ~dst_off:0;
+  Bytes.unsafe_to_string salted
+
+(* Digit i of the salted digest: [width] bits from bit i * width, most
+   significant first, taken by shifts from the byte that holds them or,
+   for a width that does not divide 8, from the bytes they span. The
+   digest holds at least l1 * width bits (see [digest_length]). *)
+let digit_spanning digest ~width pos =
+  let first = pos lsr 3 and last = (pos + width - 1) lsr 3 in
+  let acc = ref 0 in
+  for b = first to last do
+    acc := (!acc lsl 8) lor Char.code (String.get digest b)
+  done;
+  (!acc lsr ((8 * (last - first + 1)) - width - (pos land 7))) land ((1 lsl width) - 1)
+
+let[@inline] digit digest ~width i =
+  let pos = i * width in
+  let shift = 8 - (pos land 7) - width in
+  if shift >= 0 then
+    (Char.code (String.unsafe_get digest (pos lsr 3)) lsr shift) land ((1 lsl width) - 1)
+  else digit_spanning digest ~width pos
+
+(* The base-d checksum of the l1 message digits. *)
+let checksum (p : P.t) ~width digest =
+  let c = ref 0 in
   for i = 0 to p.P.l1 - 1 do
-    let m = Bits.get digest ~pos:(i * width) ~len:width in
-    digits.(i) <- m;
-    checksum := !checksum + (p.P.d - 1 - m)
+    c := !c + (p.P.d - 1 - digit digest ~width i)
   done;
-  for i = 0 to p.P.l2 - 1 do
-    digits.(p.P.l1 + i) <- (!checksum lsr (width * (p.P.l2 - 1 - i))) land (p.P.d - 1)
-  done;
-  digits
+  !c
+
+(* Chain i's digit: a message digit for i < l1, a checksum digit after. *)
+let[@inline] chain_digit (p : P.t) ~width digest ~checksum i =
+  if i < p.P.l1 then digit digest ~width i
+  else (checksum lsr (width * (p.P.l - 1 - i))) land (p.P.d - 1)
 
 type signature = { nonce : string; elements : string }
 
-let sign ?(allow_reuse = false) kp ~nonce msg =
+let sign_into ?(allow_reuse = false) kp ~nonce ~nonce_off msg dst off =
   if kp.used && not allow_reuse then invalid_arg "Wots.sign: one-time key already used";
+  if nonce_off < 0 || nonce_off > String.length nonce - nonce_bytes then
+    invalid_arg "Wots.sign: nonce must be 16 bytes";
+  let p = kp.p in
+  let n = p.P.n and d = p.P.d and l = p.P.l in
+  if off < 0 || off > Bytes.length dst - (l * n) then
+    invalid_arg "Wots.sign_into: output out of range";
   kp.used <- true;
-  if String.length nonce <> nonce_bytes then invalid_arg "Wots.sign: nonce must be 16 bytes";
-  let n = kp.p.P.n and d = kp.p.P.d in
-  let digits = all_digits kp.p (message_digest kp.p ~public_seed:kp.public_seed ~nonce msg) in
-  let elements = Bytes.create (kp.p.P.l * n) in
-  (match kp.material with
+  let digest = salted_digest p ~public_seed:kp.public_seed ~nonce ~nonce_off msg in
+  let width = Params.log2_exact d in
+  let checksum = checksum p ~width digest in
+  match kp.material with
   | Chains chains ->
-      Array.iteri
-        (fun i digit -> Bytes.blit_string chains (((i * d) + digit) * n) elements (i * n) n)
-        digits
+      for i = 0 to l - 1 do
+        let digit = chain_digit p ~width digest ~checksum i in
+        Bytes.blit_string chains (((i * d) + digit) * n) dst (off + (i * n)) n
+      done
   | Secrets secrets ->
       let w = walker ~hash:kp.hash ~n ~d kp.public_seed in
-      Array.iteri
-        (fun i digit -> walk w ~n secrets (i * n) ~from:0 ~upto:digit elements (i * n))
-        digits);
+      for i = 0 to l - 1 do
+        let digit = chain_digit p ~width digest ~checksum i in
+        walk w ~n secrets (i * n) ~from:0 ~upto:digit dst (off + (i * n))
+      done
+
+let sign ?allow_reuse kp ~nonce msg =
+  if String.length nonce <> nonce_bytes then invalid_arg "Wots.sign: nonce must be 16 bytes";
+  let elements = Bytes.create (kp.p.P.l * kp.p.P.n) in
+  sign_into ?allow_reuse kp ~nonce ~nonce_off:0 msg elements 0;
   { nonce; elements = Bytes.unsafe_to_string elements }
 
 (* Public seed, then the l recovered public elements: the input of the
@@ -246,13 +284,16 @@ let recover_public_key ~hash (p : P.t) ~public_seed signature msg =
     invalid_arg "Wots.recover: nonce must be 16 bytes";
   if String.length signature.elements <> p.P.l * n then
     invalid_arg "Wots.recover: elements must be l * n bytes";
-  let digits = all_digits p (message_digest p ~public_seed ~nonce:signature.nonce msg) in
+  let digest = salted_digest p ~public_seed ~nonce:signature.nonce ~nonce_off:0 msg in
+  let width = Params.log2_exact d in
+  let checksum = checksum p ~width digest in
   let w = walker ~hash ~n ~d public_seed in
   let buf = Bytes.create (32 + (p.P.l * n)) in
   Bytes.blit_string public_seed 0 buf 0 32;
-  Array.iteri
-    (fun i digit -> walk w ~n signature.elements (i * n) ~from:digit ~upto:(d - 1) buf (32 + (i * n)))
-    digits;
+  for i = 0 to p.P.l - 1 do
+    let digit = chain_digit p ~width digest ~checksum i in
+    walk w ~n signature.elements (i * n) ~from:digit ~upto:(d - 1) buf (32 + (i * n))
+  done;
   buf
 
 let recover_public_elements ?(hash = Hash.Haraka) (p : P.t) ~public_seed signature msg =

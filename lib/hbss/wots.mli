@@ -5,7 +5,10 @@
     up key pair generation"); chaining uses mask vectors derived from a
     public seed, [c_{i+1} = H(c_i xor r_{i+1})]; the message is cut into
     base-d digits plus a base-d checksum. Signing with the chain cache
-    enabled is pure string copying, as in the paper (§5.2).
+    enabled is pure string copying, as in the paper (§5.2), and
+    {!sign_into} copies straight into the caller's buffer (the signer
+    writes a DSig signature's elements in place, between its wire
+    prefix and suffix).
 
     A W-OTS+ signature lets the verifier {e recover} the public key by
     completing the chains, so DSig signatures need not embed it
@@ -56,21 +59,36 @@ val public_elements : keypair -> string array
 val public_key_digest : keypair -> string
 (** BLAKE3(public_seed || elements): the Merkle-batch leaf (§4.4). *)
 
-val message_digest : Params.Wots.t -> public_seed:string -> nonce:string -> string -> string
-(** The 16-byte digest actually signed: BLAKE3 of the message salted
-    with the key pair's public seed and a nonce. (The paper salts with
-    the public key itself (§4.3); the verifier must be able to compute
-    the digest before recovering the key, so we salt with the per-key
-    public seed, which gives the same multi-target protection.) *)
-
 type signature = { nonce : string; elements : string }
 (** [elements] holds the l revealed chain elements, n bytes each,
     concatenated in chain order: the signature's wire body after the
     nonce. *)
 
 val sign : ?allow_reuse:bool -> keypair -> nonce:string -> string -> signature
-(** [sign kp ~nonce msg]. One-time: a second call raises
-    [Invalid_argument] unless [allow_reuse] (tests only). *)
+(** [sign kp ~nonce msg]: {!sign_into} a fresh l·n-byte buffer. One-time:
+    a second call raises [Invalid_argument] unless [allow_reuse] (tests
+    only), as does a nonce that is not 16 bytes. *)
+
+val sign_into :
+  ?allow_reuse:bool -> keypair -> nonce:string -> nonce_off:int -> string -> bytes -> int -> unit
+(** [sign_into kp ~nonce ~nonce_off msg dst off] writes the l revealed
+    chain elements for [msg], n bytes each in chain order, to [dst] at
+    [off]: the same bytes as [(sign kp ~nonce:(String.sub nonce
+    nonce_off 16) msg).elements]. The nonce is the 16 bytes of [nonce]
+    at [nonce_off], so it may be read in place from a signature's wire
+    prefix.
+
+    The digest signed is BLAKE3 of the message salted with the key
+    pair's public seed and the nonce. (The paper salts with the public
+    key itself (§4.3); the verifier must be able to compute the digest
+    before recovering the key, so we salt with the per-key public seed,
+    which gives the same multi-target protection.) It is taken in one
+    scratch buffer and its digits are read by shifts as the elements
+    are written; with cached chains, signing is then l blits of n
+    bytes.
+    @raise Invalid_argument if the key was used (unless [allow_reuse]),
+    the nonce range is out of bounds, or [dst] has fewer than l·n bytes
+    at [off]. The key is marked used only when signing proceeds. *)
 
 val recover_public_elements :
   ?hash:Dsig_hashes.Hash.algo ->

@@ -24,48 +24,58 @@ module Histogram = struct
   let num_buckets = 64
   let min_exp = -16
 
-  type t = {
-    mu : Mutex.t;
-    counts : int array;
-    mutable n : int;
-    mutable total : float;
-    mutable vmin : float;
-    mutable vmax : float;
-  }
+  (* [stats] holds the running sum, min and max in one flat float
+     array, so updating them allocates nothing (a mutable float field in
+     this mixed record would box every store) *)
+  type t = { mu : Mutex.t; counts : int array; mutable n : int; stats : float array }
+
+  let sum_ = 0
+  let min_ = 1
+  let max_ = 2
 
   let create () =
-    let counts = Array.make num_buckets 0 in
-    { mu = Mutex.create (); counts; n = 0; total = 0.0; vmin = infinity; vmax = neg_infinity }
+    {
+      mu = Mutex.create ();
+      counts = Array.make num_buckets 0;
+      n = 0;
+      stats = [| 0.0; infinity; neg_infinity |];
+    }
 
-  (* smallest i with v <= 2^(min_exp + i), clamped to the bucket range.
-     frexp gives v = m * 2^e with m in [0.5, 1), so 2^(e-1) <= v < 2^e:
-     the bound is e unless v sits exactly on the power of two below. *)
+  let lowest = ldexp 1.0 min_exp
+
+  (* smallest i with v <= 2^(min_exp + i), clamped to the bucket range,
+     read from v's bits: a finite v > 2^min_exp is normal, v = 1.f * 2^(e
+     - 1023) with e its biased exponent, so 2^(e-1023) <= v < 2^(e-1022),
+     and the bound is e - 1022 unless the fraction f is zero (v is the
+     power of two itself). No [frexp] tuple is built. *)
   let bucket_index v =
-    if Float.is_nan v || v <= ldexp 1.0 min_exp then 0
+    if Float.is_nan v || v <= lowest then 0
     else if v = infinity then num_buckets - 1
     else begin
-      let m, e = Float.frexp v in
-      let exp_needed = if m = 0.5 then e - 1 else e in
-      Stdlib.min (num_buckets - 1) (Stdlib.max 0 (exp_needed - min_exp))
+      let bits = Int64.to_int (Int64.bits_of_float v) in
+      let e = (bits lsr 52) land 0x7ff in
+      let exp_needed = if bits land 0xf_ffff_ffff_ffff = 0 then e - 1023 else e - 1022 in
+      Stdlib.min (num_buckets - 1) (exp_needed - min_exp)
     end
 
   let bucket_upper_bound i = if i >= num_buckets - 1 then infinity else ldexp 1.0 (min_exp + i)
 
-  (* nothing between lock and unlock can raise *)
+  (* nothing between lock and unlock can raise or allocate *)
   let add t v =
     if not (Float.is_nan v) then begin
       let i = bucket_index v in
+      let s = t.stats in
       Mutex.lock t.mu;
       t.counts.(i) <- t.counts.(i) + 1;
       t.n <- t.n + 1;
-      t.total <- t.total +. v;
-      if v < t.vmin then t.vmin <- v;
-      if v > t.vmax then t.vmax <- v;
+      s.(sum_) <- s.(sum_) +. v;
+      if v < s.(min_) then s.(min_) <- v;
+      if v > s.(max_) then s.(max_) <- v;
       Mutex.unlock t.mu
     end
 
   let count t = Mutex.protect t.mu (fun () -> t.n)
-  let sum t = Mutex.protect t.mu (fun () -> t.total)
+  let sum t = Mutex.protect t.mu (fun () -> t.stats.(sum_))
 
   type snapshot = {
     counts : int array;
@@ -77,7 +87,13 @@ module Histogram = struct
 
   let snapshot (t : t) =
     Mutex.protect t.mu (fun () ->
-        { counts = Array.copy t.counts; n = t.n; total = t.total; vmin = t.vmin; vmax = t.vmax })
+        {
+          counts = Array.copy t.counts;
+          n = t.n;
+          total = t.stats.(sum_);
+          vmin = t.stats.(min_);
+          vmax = t.stats.(max_);
+        })
 
   let empty =
     { counts = Array.make num_buckets 0; n = 0; total = 0.0; vmin = infinity; vmax = neg_infinity }

@@ -53,8 +53,9 @@ module Histogram : sig
   val create : unit -> t
 
   val add : t -> float -> unit
-  (** O(1): one [frexp], then — under the histogram's mutex — one array
-      increment and the running sum/min/max.
+  (** O(1) and allocation-free: the bucket from the value's exponent
+      bits, then — under the histogram's mutex — one array increment and
+      the running sum/min/max.
       [-inf] lands in bucket 0, [+inf] in the overflow bucket, and nan
       is ignored entirely. *)
 

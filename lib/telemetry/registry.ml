@@ -3,10 +3,12 @@ type cell =
   | G of Metric.Gauge.t
   | H of Metric.Histogram.t
 
+type probe = Count of (unit -> int) | Level of (unit -> float)
+
 type t = {
   mu : Mutex.t;  (* guards both tables; the cells guard themselves *)
   cells : (string, cell) Hashtbl.t;
-  probes : (string, unit -> int) Hashtbl.t;  (* several bindings per name *)
+  probes : (string, probe) Hashtbl.t;  (* several bindings per name *)
 }
 
 let create () = { mu = Mutex.create (); cells = Hashtbl.create 32; probes = Hashtbl.create 16 }
@@ -40,10 +42,14 @@ let histogram t name =
     ~make:(fun () -> H (Metric.Histogram.create ()))
     ~cast:(function H h -> h | cell -> kind_error name ~is:(kind_name cell) ~wanted:"histogram")
 
-(* the (zero) counter cell claims the name, so the kind check holds *)
+(* the (zero) cell claims the name, so the kind check holds *)
 let probe t name read =
   ignore (counter t name);
-  Mutex.protect t.mu (fun () -> Hashtbl.add t.probes name read)
+  Mutex.protect t.mu (fun () -> Hashtbl.add t.probes name (Count read))
+
+let gauge_probe t name read =
+  ignore (gauge t name);
+  Mutex.protect t.mu (fun () -> Hashtbl.add t.probes name (Level read))
 
 module Snapshot = struct
   type value =
@@ -89,6 +95,10 @@ let snapshot t =
           | None -> v)
       in
       Hashtbl.iter (fun name cell -> add name (read cell)) t.cells;
-      Hashtbl.iter (fun name read -> add name (Snapshot.Counter (read ()))) t.probes;
+      Hashtbl.iter
+        (fun name -> function
+          | Count read -> add name (Snapshot.Counter (read ()))
+          | Level read -> add name (Snapshot.Gauge (read ())))
+        t.probes;
       Hashtbl.fold (fun name v l -> (name, v) :: l) acc []
       |> List.sort (fun (a, _) (b, _) -> compare a b))

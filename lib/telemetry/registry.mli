@@ -3,7 +3,8 @@
     [counter]/[gauge]/[histogram] return the same cell for the same
     name, whichever domain asks; the cells are domain-safe ({!Metric}),
     so a handle may be used from any domain. {!probe} publishes a count
-    its owner already keeps, instead of a shadow copy in a counter.
+    its owner already keeps, instead of a shadow copy in a counter;
+    {!gauge_probe} does the same for a level.
 
     Resolution takes a mutex and a hashtable lookup — do it once at
     component-creation time and cache the handle, not per operation.
@@ -26,6 +27,14 @@ val probe : t -> string -> (unit -> int) -> unit
     load from a record its owner mutates in place; the registry keeps it
     forever, so it should capture the counts, not their owner. Raises
     [Invalid_argument] if [name] is a gauge or histogram. *)
+
+val gauge_probe : t -> string -> (unit -> float) -> unit
+(** [gauge_probe t name read] publishes [read ()] as the gauge [name],
+    read at every {!snapshot} as {!probe} is, and summed with the other
+    cells and probes of that name: a level its owner can compute on
+    demand (a queue's depth) instead of a gauge moved on every
+    operation. Raises [Invalid_argument] if [name] is a counter or
+    histogram. *)
 
 module Snapshot : sig
   type value =

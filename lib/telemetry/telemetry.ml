@@ -25,6 +25,7 @@ let counter t name = Registry.counter t.registry name
 let gauge t name = Registry.gauge t.registry name
 let histogram t name = Registry.histogram t.registry name
 let probe t name read = Registry.probe t.registry name read
+let gauge_probe t name read = Registry.gauge_probe t.registry name read
 let snapshot t = Registry.snapshot t.registry
 
 let time t h f =

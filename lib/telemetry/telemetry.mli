@@ -43,6 +43,9 @@ val histogram : t -> string -> Metric.Histogram.t
 val probe : t -> string -> (unit -> int) -> unit
 (** {!Registry.probe} on the bundle's registry. *)
 
+val gauge_probe : t -> string -> (unit -> float) -> unit
+(** {!Registry.gauge_probe} on the bundle's registry. *)
+
 val snapshot : t -> Registry.Snapshot.t
 
 val time : t -> Metric.Histogram.t -> (unit -> 'a) -> 'a

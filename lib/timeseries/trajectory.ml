@@ -22,6 +22,7 @@ let exact name direction = { name; kind = Deterministic; direction; floor = None
    wider ones. *)
 let table =
   [
+    exact "alloc_dsig_sign_words" Lower_better;
     exact "alloc_dsig_verify_fast_words" Lower_better;
     exact "alloc_dsig_verify_slow_words" Lower_better;
     exact "alloc_wots_verify_words" Lower_better;
@@ -32,6 +33,7 @@ let table =
     exact "fleet_shed_ratio_1x" Lower_better;
     exact "fleet_shed_ratio_2x" Lower_better;
     exact "fleet_shed_ratio_4x" Lower_better;
+    measured "micro_dsig_sign_fg_us" Lower_better;
     measured "micro_dsig_sign_us" Lower_better;
     measured "micro_dsig_verify_fast_us" Lower_better;
     measured "micro_dsig_verify_slow_us" Lower_better;

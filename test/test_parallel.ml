@@ -453,6 +453,53 @@ let test_runtime_driver () =
         (List.length (List.sort_uniq compare keys));
       Alcotest.(check int) "four cutovers" 4 (Signer.epoch signer))
 
+(* Two domains sign at once through one Runtime while its driver domain
+   refills: every (batch, key index) pair goes to exactly one caller,
+   every signature verifies, and the queue depth stays exact: the keys
+   sealed minus the keys taken. *)
+let test_two_foreground_domains () =
+  let dcfg = Config.make ~batch_size:8 ~queue_threshold:16 (Config.wots ~d:4) in
+  let rng = Rng.create 43L in
+  let sk, pk = Eddsa.generate rng in
+  let pki = Pki.create () in
+  Pki.bind pki ~id:0 ~epoch:0 pk;
+  let options = Options.default |> Options.with_telemetry (Tel.create ()) in
+  let rt = Runtime.create dcfg ~id:0 ~eddsa:sk ~seed:6L ~options () in
+  let per = 150 in
+  let signed =
+    Fun.protect
+      ~finally:(fun () -> Runtime.shutdown rt)
+      (fun () ->
+        let go = Atomic.make false in
+        let worker d () =
+          while not (Atomic.get go) do
+            Domain.cpu_relax ()
+          done;
+          List.init per (fun i ->
+              let msg = Printf.sprintf "domain %d op %d" d i in
+              (msg, Runtime.sign rt msg))
+        in
+        let doms = List.init 2 (fun d -> Domain.spawn (worker d)) in
+        Atomic.set go true;
+        List.concat_map Domain.join doms)
+  in
+  let keys =
+    List.map
+      (fun (_, wire) ->
+        match Wire.peek_trace dcfg wire with
+        | Some (_, b, k) -> (b, k)
+        | None -> Alcotest.fail "signature without a trace triple")
+      signed
+  in
+  Alcotest.(check int) "each key handed out once" (2 * per) (List.length (List.sort_uniq compare keys));
+  Alcotest.(check int) "queue depth is sealed minus taken"
+    ((dcfg.Config.batch_size * Runtime.batches_generated rt) - (2 * per))
+    (Runtime.queue_depth rt);
+  let verifier = Verifier.create dcfg ~id:1 ~pki () in
+  List.iter (fun ann -> ignore (Verifier.deliver verifier ann)) (Runtime.drain_announcements rt);
+  Alcotest.(check int) "every signature verifies" 0
+    (List.length (List.filter (fun (msg, wire) -> not (Verifier.verify verifier ~msg wire)) signed))
+
 let verdict =
   Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Verifier.verdict_name v)) ( = )
 
@@ -594,6 +641,7 @@ let () =
           Alcotest.test_case "pki prepared key across two domains" `Quick test_pki_two_domains;
           Alcotest.test_case "runtime sign vs control plane" `Quick test_runtime_control_plane;
           Alcotest.test_case "runtime driver: hints, sign_many, rotation" `Quick test_runtime_driver;
+          Alcotest.test_case "two foreground domains: each key once" `Quick test_two_foreground_domains;
         ] );
       ( "control-interleave",
         [ QCheck_alcotest.to_alcotest ~long:false interleave_fuzz ] );

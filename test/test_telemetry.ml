@@ -59,6 +59,51 @@ let bucket_invariant =
       v <= H.bucket_upper_bound i
       && (i = 0 || i = H.num_buckets - 1 || v > H.bucket_upper_bound (i - 1)))
 
+(* The bucket as [Float.frexp] gives it: v = m * 2^e, m in [0.5, 1),
+   so the bound is e unless m = 0.5 (v is the power of two below). *)
+let frexp_bucket_index v =
+  if Float.is_nan v || v <= ldexp 1.0 H.min_exp then 0
+  else if v = infinity then H.num_buckets - 1
+  else begin
+    let m, e = Float.frexp v in
+    let exp_needed = if m = 0.5 then e - 1 else e in
+    min (H.num_buckets - 1) (max 0 (exp_needed - H.min_exp))
+  end
+
+let bucket_edges =
+  let m = H.min_exp and top = H.min_exp + H.num_buckets in
+  [ 0.0; -0.0; Float.min_float; Float.min_float /. 2.0; ldexp 1.0 (-1074); Float.pred Float.min_float;
+    ldexp 1.0 m; Float.succ (ldexp 1.0 m); Float.pred (ldexp 1.0 m); ldexp 1.0 (m + 1);
+    ldexp 1.0 (top - 2); Float.succ (ldexp 1.0 (top - 2)); ldexp 1.0 top; Float.max_float;
+    nan; infinity; neg_infinity; -1.0; 1.0; 3.0; 0.75 ]
+  @ List.init 100 (fun i -> ldexp 1.0 (i - 60))
+
+let bucket_vs_frexp =
+  QCheck.Test.make ~name:"bucket_index equals the frexp definition" ~count:2000
+    QCheck.(oneof [ float; map Int64.float_of_bits int64; oneofl bucket_edges ])
+    (fun v -> H.bucket_index v = frexp_bucket_index v)
+
+let test_bucket_edges () =
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Printf.sprintf "bucket_index %h" v) (frexp_bucket_index v) (H.bucket_index v))
+    bucket_edges
+
+let test_histogram_add_allocates_nothing () =
+  let h = H.create () in
+  (* a list, not a float array, so the loop passes the floats already
+     boxed and only [add] could allocate *)
+  let vs = List.init 64 (fun i -> ldexp 1.37 (i - 20)) in
+  let add = H.add h in
+  List.iter add vs;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    List.iter add vs
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 6,400 adds" 0.0 words;
+  Alcotest.(check int) "count" 6464 (H.count h)
+
 let test_histogram_basics () =
   let h = H.create () in
   H.add h nan;
@@ -195,7 +240,18 @@ let test_probe () =
   Registry.probe r "probed_total" (fun () -> 1);
   Alcotest.check_raises "gauge on a probed name rejected"
     (Invalid_argument "Dsig_telemetry.Registry: \"probed_total\" is a counter, not a gauge")
-    (fun () -> ignore (Registry.gauge r "probed_total"))
+    (fun () -> ignore (Registry.gauge r "probed_total"));
+  (* a gauge probe: read at snapshot time, summed with the gauge cell *)
+  let level = ref 2.5 in
+  Registry.gauge_probe r "level" (fun () -> !level);
+  M.Gauge.set (Registry.gauge r "level") 1.0;
+  level := 4.0;
+  (match Registry.Snapshot.find (Registry.snapshot r) "level" with
+  | Some (Registry.Snapshot.Gauge 5.0) -> ()
+  | _ -> Alcotest.fail "gauge probe and cell not summed to 5");
+  Alcotest.check_raises "gauge probe on a counter rejected"
+    (Invalid_argument "Dsig_telemetry.Registry: \"ops_total\" is a counter, not a gauge")
+    (fun () -> Registry.gauge_probe r "ops_total" (fun () -> 1.0))
 
 (* Two verifiers and a signer share one bundle: each published counter
    is the sum of the verifiers' (or the signer's) live stats fields. *)
@@ -261,7 +317,12 @@ let test_stats_probes () =
         ("sign_waits_total", st.sign_waits);
         ("reannounces_total", st.reannounces);
         ("batch_requests_total", st.requests_served);
-      ]
+      ];
+  (* the depth gauge is read from the queues: exact after every pop *)
+  Alcotest.(check (float 0.0)) "queue depth gauge" (float_of_int (Signer.queue_depth signer))
+    (match Registry.Snapshot.find snap "dsig_signer_queue_depth" with
+    | Some (Registry.Snapshot.Gauge g) -> g
+    | _ -> Alcotest.fail "missing gauge dsig_signer_queue_depth")
 
 (* --- tracer --- *)
 
@@ -613,6 +674,10 @@ let () =
           Alcotest.test_case "bucket bounds" `Quick test_bucket_bounds;
           Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
           QCheck_alcotest.to_alcotest ~long:false bucket_invariant;
+          QCheck_alcotest.to_alcotest ~long:false bucket_vs_frexp;
+          Alcotest.test_case "bucket edges match frexp" `Quick test_bucket_edges;
+          Alcotest.test_case "histogram add allocates nothing" `Quick
+            test_histogram_add_allocates_nothing;
           QCheck_alcotest.to_alcotest ~long:false percentile_vs_stats;
           QCheck_alcotest.to_alcotest ~long:false merge_associative;
         ] );
