@@ -790,116 +790,6 @@ let store_cmd =
               everything into a fresh snapshot and close clean.")
         Term.(const store_recover $ store_dir_arg $ group_commit_arg);
     ]
-(* --- impact: bound what a stolen key could have signed --- *)
-
-(* The compromise-containment query of the key-lifecycle plane: walk
-   the deployment's transparency log for the compromised signer's
-   signatures inside the suspected batch window. The window comes from
-   an explicit --from-batch/--until-batch pair, or from a rotation
-   EPOCH resolved against the signer's key-state journal (each
-   confirmed rotation record names the batch id its epoch started
-   at). *)
-let impact log_dir store_dir from_batch until_batch signer epoch =
-  let fail msg =
-    Printf.printf "%s\n" msg;
-    1
-  in
-  let window_of_epoch e =
-    match store_dir with
-    | None -> Error "an EPOCH argument needs --store to resolve rotation boundaries"
-    | Some dir -> (
-        match Dsig_store.Keystate.scan ~dir with
-        | Error err -> Error err
-        | Ok s -> (
-            let rots = s.Dsig_store.Keystate.scan_rotations in
-            let start = if e = 0 then Some 0L else List.assoc_opt e rots in
-            match start with
-            | None ->
-                Error
-                  (Printf.sprintf
-                     "epoch %d has no rotation record in %s (rotations older than the last \
-                      snapshot are folded away — use --from-batch)"
-                     e dir)
-            | Some lo ->
-                Ok ((if e = 0 then None else Some lo), List.assoc_opt (e + 1) rots)))
-  in
-  let window =
-    match (from_batch, until_batch) with
-    | None, None -> ( match epoch with None -> Ok (None, None) | Some e -> window_of_epoch e)
-    | lo, hi -> Ok (lo, hi)
-  in
-  match window with
-  | Error e -> fail e
-  | Ok (from_batch, until_batch) -> (
-      match Dsig_translog.Translog.open_ ~fsync:false ~dir:log_dir () with
-      | Error e -> fail (Printf.sprintf "cannot open transparency log %s: %s" log_dir e)
-      | Ok (log, recovery) ->
-          (* a read-only open has no in-process checkpoints; the
-             recovered anchor pins what published heads attested *)
-          let r =
-            Dsig_keylife.Impact.analyze ~log ~signer ?from_batch ?until_batch
-              ~checkpoint_size:recovery.Dsig_translog.Translog.anchor_size ()
-          in
-          Dsig_translog.Translog.close log;
-          Format.printf "%a@?" Dsig_keylife.Impact.pp r;
-          0)
-
-let impact_log_arg =
-  Arg.(
-    required
-    & opt (some dir) None
-    & info [ "log" ] ~docv:"DIR" ~doc:"Transparency-log directory to walk.")
-
-let impact_store_arg =
-  Arg.(
-    value
-    & opt (some dir) None
-    & info [ "store" ] ~docv:"DIR"
-        ~doc:"The signer's key-state store, used to resolve EPOCH to a batch window.")
-
-let impact_from_arg =
-  Arg.(
-    value
-    & opt (some int64) None
-    & info [ "from-batch" ] ~docv:"B"
-        ~doc:"Explicit window start (inclusive batch id); overrides EPOCH.")
-
-let impact_until_arg =
-  Arg.(
-    value
-    & opt (some int64) None
-    & info [ "until-batch" ] ~docv:"B" ~doc:"Explicit window end (exclusive batch id).")
-
-let impact_signer_arg =
-  Arg.(required & pos 0 (some int) None & info [] ~docv:"SIGNER" ~doc:"Compromised signer id.")
-
-let impact_epoch_arg =
-  Arg.(
-    value
-    & pos 1 (some int) None
-    & info [] ~docv:"EPOCH"
-        ~doc:"Rotation epoch the stolen key belongs to (resolved via --store).")
-
-let impact_cmd =
-  Cmd.v
-    (Cmd.info "impact"
-       ~doc:"Bound what a stolen signer key could have signed (compromise containment)."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Walks the deployment's transparency log, selecting signatures attributed to the \
-              compromised signer whose wire header falls inside the suspected batch window, \
-              and prints the affected set per batch plus how much of it is covered by the \
-              latest published checkpoint (provable to third parties via inclusion proofs).";
-           `P
-             "Without EPOCH or --from-batch, the whole history of the signer is reported \
-              (total key compromise).";
-         ])
-    Term.(
-      const impact $ impact_log_arg $ impact_store_arg $ impact_from_arg $ impact_until_arg
-      $ impact_signer_arg $ impact_epoch_arg)
-
 (* --- loadctl: watch an admission controller's live state --- *)
 
 (* Poll a scrape endpoint's /loadctl route (Dsig_loadctl.Admission
@@ -994,7 +884,6 @@ let main_cmd =
       monitor_cmd;
       log_sign_cmd;
       log_audit_cmd;
-      impact_cmd;
       store_cmd;
     ]
 

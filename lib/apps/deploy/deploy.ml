@@ -203,11 +203,11 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
   (* verifier→signer reliability traffic (ACKs and pull-repair requests)
      rides the same modeled network as the announcements it protects *)
   let control_of id c =
-    match Dsig.Batch.control_target c with
-    | Some target when target >= 0 && target < n ->
-        Metric.Counter.incr c_control;
-        Net.send_async net ~src:id ~dst:target ~bytes:(Dsig.Batch.control_bytes c) (P_control c)
-    | Some _ | None -> ()
+    let target = Dsig.Batch.control_target c in
+    if target >= 0 && target < n then begin
+      Metric.Counter.incr c_control;
+      Net.send_async net ~src:id ~dst:target ~bytes:(Dsig.Batch.control_bytes c) (P_control c)
+    end
   in
   let all = List.init n Fun.id in
   (* fan-out restriction (fleet scale): a signer announces only to its

@@ -115,16 +115,15 @@ let run ?(latency_us = 5.0) ?announce_latency_us ?(announce_drop = 0.0) ?(servic
           |> Dsig.Options.with_loadctl admissions.(v)
         in
         let control c =
-          match Dsig.Batch.control_target c with
-          | Some target when target >= nv && target < nv + ns ->
-              Sim.schedule sim ~delay:latency_us (fun () ->
-                  let cp, vref = signer_of target in
-                  Dsig.Control_plane.deliver cp c
-                  |> List.iter (fun (dest, ann) ->
-                         if dest >= 0 && dest < nv then
-                           Sim.schedule sim ~delay:announce_latency_us (fun () ->
-                               ignore (Dsig.Verifier.deliver vref.(dest) ann))))
-          | Some _ | None -> ()
+          let target = Dsig.Batch.control_target c in
+          if target >= nv && target < nv + ns then
+            Sim.schedule sim ~delay:latency_us (fun () ->
+                let cp, vref = signer_of target in
+                Dsig.Control_plane.deliver cp c
+                |> List.iter (fun (dest, ann) ->
+                       if dest >= 0 && dest < nv then
+                         Sim.schedule sim ~delay:announce_latency_us (fun () ->
+                             ignore (Dsig.Verifier.deliver vref.(dest) ann))))
         in
         Dsig.Verifier.create cfg ~id:v ~pki ~options ~control ())
   in

@@ -39,7 +39,7 @@ let rec encode_message = function
   | Announcement a -> "A" ^ Dsig.Batch.encode_announcement a
   | Signed { msg; signature } ->
       "S" ^ BU.u32_le (Int32.of_int (String.length msg)) ^ msg ^ signature
-  (* Batch.encode_control already carries its own 'K'/'R'/'M'/'P' tag byte *)
+  (* Batch.encode_control already carries its own 'K'/'R'/'P' tag byte *)
   | Control c -> Dsig.Batch.encode_control c
   (* the payload is an encoded Dsig_translog.Checkpoint — carried
      opaquely so the transport stays independent of the log library *)
@@ -55,7 +55,7 @@ let rec decode_message s =
     let body = String.sub s 1 (String.length s - 1) in
     match s.[0] with
     | 'A' -> Result.map (fun a -> Announcement a) (Dsig.Batch.decode_announcement body)
-    | 'K' | 'R' | 'M' | 'P' -> Result.map (fun c -> Control c) (Dsig.Batch.decode_control s)
+    | 'K' | 'R' | 'P' -> Result.map (fun c -> Control c) (Dsig.Batch.decode_control s)
     | 'C' -> if body = "" then Error "empty checkpoint frame" else Ok (Checkpoint body)
     | 'V' -> if body = "" then Error "empty revocation frame" else Ok (Revoke body)
     | 'S' ->

@@ -79,6 +79,10 @@ val really_read : Unix.file_descr -> int -> string
 (** EINTR-resuming full write/read (exposed for {!Scrape}).
     @raise End_of_file when the peer closes mid-read. *)
 
+val write_frame : Unix.file_descr -> string -> unit
+(** Write one frame: the payload's u32 LE length, then the payload, in
+    one {!really_write}. *)
+
 (** A lossy/corrupting wrapper around {!client} for fault testing: each
     {!Faulty.send} drops the frame with probability [drop], otherwise
     duplicates it with probability [duplicate], and independently

@@ -4,15 +4,14 @@ module Tcpnet = Dsig_tcpnet.Tcpnet
 module Tel = Dsig_telemetry.Telemetry
 module Metric = Dsig_telemetry.Metric
 
-(* Frames mirror Tcpnet: u32 LE payload length, then a 1-byte tag.
-   Requests: 'C' (checkpoint), 'I' u64 size u64 index (inclusion),
-   'N' u64 old u64 new (consistency). Responses: 'C' encoded
-   checkpoint, 'P' encoded proof, 'E' error text. *)
+(* A frame is a u32 LE payload length, then a 1-byte tag. Requests:
+   'C' (checkpoint), 'I' u64 size u64 index (inclusion), 'N' u64 old
+   u64 new (consistency). Responses: 'C' encoded checkpoint, 'P'
+   encoded proof, 'E' error text. Frames go out through
+   [Tcpnet.write_frame]; [read_frame] has its own bounds (1 MiB, never
+   empty). *)
 
 let max_frame = 1 lsl 20
-
-let write_frame fd payload =
-  Tcpnet.really_write fd (BU.u32_le (Int32.of_int (String.length payload)) ^ payload)
 
 let read_frame fd =
   let len = Int32.to_int (BU.get_u32_le (Tcpnet.really_read fd 4) 0) in
@@ -114,7 +113,7 @@ let serve ?(telemetry = Tel.default) ~port ~log ~log_id ~sign () =
                     Metric.Counter.incr t.c_errors;
                     "E" ^ e
               in
-              write_frame fd reply
+              Tcpnet.write_frame fd reply
         done)
   in
   let accept_loop () =
@@ -152,7 +151,7 @@ let roundtrip ~port req =
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
       (fun () ->
         Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        write_frame fd (encode_request req);
+        Tcpnet.write_frame fd (encode_request req);
         read_frame fd)
   with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)

@@ -120,31 +120,26 @@ let encode_announcement a =
 
 type ack = { ack_verifier : int; ack_signer : int; ack_batch : int64 }
 type request = { req_verifier : int; req_signer : int; req_batch : int64 }
-type control =
-  | Ack of ack
-  | Request of request
-  | Acks of ack list
-  | Credit of { pressure : int; acks : ack list }
+type control = Ack of ack | Request of request | Credit of { pressure : int; ack : ack }
 
 let control_wire_bytes = 1 + 8 + 8 + 8
-let max_acks_per_frame = 4096
 
 let control_bytes = function
   | Ack _ | Request _ -> control_wire_bytes
-  | Acks l -> 1 + 2 + (24 * List.length l)
-  | Credit { acks; _ } -> 1 + 1 + 2 + (24 * List.length acks)
+  | Credit _ -> control_wire_bytes + 1
 
 let control_target = function
-  | Ack a -> Some a.ack_signer
-  | Request r -> Some r.req_signer
-  | Acks (a :: _) | Credit { acks = a :: _; _ } -> Some a.ack_signer
-  | Acks [] | Credit { acks = []; _ } -> None
+  | Ack a | Credit { ack = a; _ } -> a.ack_signer
+  | Request r -> r.req_signer
 
 let encode_ack_fields buf a b d =
   Buffer.add_string buf (BU.u64_le (Int64.of_int a));
   Buffer.add_string buf (BU.u64_le (Int64.of_int b));
   Buffer.add_string buf (BU.u64_le d)
 
+(* Control wire format: tag | [pressure (1), 'P' only] | verifier u64 |
+   signer u64 | batch u64. 'K' is an ACK, 'R' a pull request, and 'P'
+   an ACK carrying the verifier's back-pressure byte. *)
 let encode_control c =
   let buf = Buffer.create (control_bytes c) in
   (match c with
@@ -154,81 +149,33 @@ let encode_control c =
   | Request { req_verifier; req_signer; req_batch } ->
       Buffer.add_char buf 'R';
       encode_ack_fields buf req_verifier req_signer req_batch
-  | Acks l ->
-      Buffer.add_char buf 'M';
-      let n = List.length l in
-      Buffer.add_char buf (Char.chr (n land 0xFF));
-      Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF));
-      List.iter
-        (fun { ack_verifier; ack_signer; ack_batch } ->
-          encode_ack_fields buf ack_verifier ack_signer ack_batch)
-        l
-  | Credit { pressure; acks } ->
-      (* 'P': like 'M' but with the verifier's back-pressure byte ahead
-         of the count, so credit rides the existing ACK wire *)
+  | Credit { pressure; ack = { ack_verifier; ack_signer; ack_batch } } ->
       Buffer.add_char buf 'P';
       Buffer.add_char buf (Char.chr (max 0 (min 255 pressure)));
-      let n = List.length acks in
-      Buffer.add_char buf (Char.chr (n land 0xFF));
-      Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF));
-      List.iter
-        (fun { ack_verifier; ack_signer; ack_batch } ->
-          encode_ack_fields buf ack_verifier ack_signer ack_batch)
-        acks);
+      encode_ack_fields buf ack_verifier ack_signer ack_batch);
   Buffer.contents buf
 
 let decode_control s =
   let len = String.length s in
+  let int_at off = Int64.to_int (BU.get_u64_le s off) in
+  let ack off =
+    {
+      ack_verifier = int_at off;
+      ack_signer = int_at (off + 8);
+      ack_batch = BU.get_u64_le s (off + 16);
+    }
+  in
   if len < 1 then Error "empty control frame"
   else
     match s.[0] with
-    | ('K' | 'R') when len = control_wire_bytes ->
-        let verifier = Int64.to_int (BU.get_u64_le s 1) in
-        let signer = Int64.to_int (BU.get_u64_le s 9) in
-        let batch = BU.get_u64_le s 17 in
-        if s.[0] = 'K' then
-          Ok (Ack { ack_verifier = verifier; ack_signer = signer; ack_batch = batch })
-        else Ok (Request { req_verifier = verifier; req_signer = signer; req_batch = batch })
-    | 'K' | 'R' -> Error "bad control size"
-    | 'M' ->
-        if len < 3 then Error "bad control size"
-        else begin
-          let n = Char.code s.[1] lor (Char.code s.[2] lsl 8) in
-          if n > max_acks_per_frame then Error "oversized ack batch"
-          else if len <> 3 + (24 * n) then Error "bad control size"
-          else
-            Ok
-              (Acks
-                 (List.init n (fun i ->
-                      let off = 3 + (24 * i) in
-                      {
-                        ack_verifier = Int64.to_int (BU.get_u64_le s off);
-                        ack_signer = Int64.to_int (BU.get_u64_le s (off + 8));
-                        ack_batch = BU.get_u64_le s (off + 16);
-                      })))
-        end
-    | 'P' ->
-        if len < 4 then Error "bad control size"
-        else begin
-          let pressure = Char.code s.[1] in
-          let n = Char.code s.[2] lor (Char.code s.[3] lsl 8) in
-          if n > max_acks_per_frame then Error "oversized ack batch"
-          else if len <> 4 + (24 * n) then Error "bad control size"
-          else
-            Ok
-              (Credit
-                 {
-                   pressure;
-                   acks =
-                     List.init n (fun i ->
-                         let off = 4 + (24 * i) in
-                         {
-                           ack_verifier = Int64.to_int (BU.get_u64_le s off);
-                           ack_signer = Int64.to_int (BU.get_u64_le s (off + 8));
-                           ack_batch = BU.get_u64_le s (off + 16);
-                         });
-                 })
-        end
+    | 'K' when len = control_wire_bytes -> Ok (Ack (ack 1))
+    | 'R' when len = control_wire_bytes ->
+        Ok
+          (Request
+             { req_verifier = int_at 1; req_signer = int_at 9; req_batch = BU.get_u64_le s 17 })
+    | 'P' when len = control_wire_bytes + 1 ->
+        Ok (Credit { pressure = Char.code s.[1]; ack = ack 2 })
+    | 'K' | 'R' | 'P' -> Error "bad control size"
     | _ -> Error "bad control tag"
 
 let decode_announcement s =

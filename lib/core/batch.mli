@@ -79,33 +79,22 @@ type request = { req_verifier : int; req_signer : int; req_batch : int64 }
 type control =
   | Ack of ack
   | Request of request
-  | Acks of ack list
-      (** Several ACKs for {e one} signer in a single frame (count-prefixed
-          body) — what {!Dsig.Verifier.deliver_many} emits after a
-          catch-up so a wide fan-out costs one reverse frame per signer
-          instead of one per batch. Single-[Ack] frames stay decodable. *)
-  | Credit of { pressure : int; acks : ack list }
-      (** The [Acks] frame extended with the verifier's back-pressure
-          byte ([0..255], see {!Dsig_loadctl.Admission.pressure}) — what
-          a verifier running admission control emits instead of
-          [Ack]/[Acks], so load information rides the existing ACK wire
-          for free. Old-format ['K']/['M'] frames remain decodable for
-          mixed-version fleets. *)
+  | Credit of { pressure : int; ack : ack }
+      (** An [Ack] carrying the verifier's back-pressure byte
+          ([0..255], see {!Dsig_loadctl.Admission.pressure}) — what a
+          verifier running admission control sends instead of [Ack],
+          so load information rides the ACK wire for free. *)
 
 val control_wire_bytes : int
 (** Encoded size of an [Ack]/[Request] (tag + three u64 fields). *)
 
 val control_bytes : control -> int
-(** Encoded size of any control message ([Acks] frames are
-    [3 + 24 * count] bytes, [Credit] frames one byte more). *)
+(** Encoded size of any control message: {!control_wire_bytes}, one
+    more for a [Credit]'s pressure byte. *)
 
-val control_target : control -> int option
-(** The signer a control frame must be routed to ([None] only for an
-    empty [Acks]/[Credit]; both carry acks for a single signer). *)
-
-val max_acks_per_frame : int
+val control_target : control -> int
+(** The signer a control frame must be routed to. *)
 
 val encode_control : control -> string
 val decode_control : string -> (control, string) result
-(** Total: never raises, rejects wrong sizes, unknown tags, and [Acks]
-    counts above {!max_acks_per_frame}. *)
+(** Total: never raises; rejects wrong sizes and unknown tags. *)

@@ -12,16 +12,9 @@ let deliver t control =
   | Batch.Ack a ->
       deliver_ack t a;
       []
-  | Batch.Acks l ->
-      List.iter (deliver_ack t) l;
-      []
-  | Batch.Credit { pressure; acks } ->
-      (* all acks in a Credit frame come from one verifier; an empty
-         frame carries no routable origin and is dropped *)
-      (match acks with
-      | a :: _ -> note_pressure t ~verifier:a.Batch.ack_verifier ~pressure
-      | [] -> ());
-      List.iter (deliver_ack t) acks;
+  | Batch.Credit { pressure; ack } ->
+      note_pressure t ~verifier:ack.Batch.ack_verifier ~pressure;
+      deliver_ack t ack;
       []
   | Batch.Request r -> (
       match deliver_request t r with

@@ -18,8 +18,8 @@ val step : t -> now:float -> (int * Batch.announcement) list
 (** See {!Announce.Plane}. *)
 
 val deliver : t -> Batch.control -> (int * Batch.announcement) list
-(** Dispatch a decoded control frame: ACKs (single or batched) are
-    absorbed, [Credit] frames additionally record the sender's
+(** Dispatch a decoded control frame: ACKs are absorbed, [Credit]
+    frames additionally record the sender's
     back-pressure byte, requests yield the
     [(destination, announcement)] repair replies for the caller to
     send. *)

@@ -98,9 +98,9 @@ val with_parallel : Dsig_util.Domain_pool.t -> t -> t
 (** Shard batch work over a {!Dsig_util.Domain_pool}: signers build
     one-time keys and signature bodies on worker domains (key-index
     ranges map to shards, so no two domains ever touch the same key),
-    and verifiers classify signatures / batch-verify announcement roots
-    on worker domains, with all accounting and control-plane sends
-    folded back on the calling domain (see DESIGN.md §12). The pool is
+    and {!Verifier.verify_many} classifies signatures on worker
+    domains, with all accounting and control-plane sends folded back on
+    the calling domain (see DESIGN.md §12). The pool is
     shared, not owned: callers create it once and [shutdown] it
     themselves after every component using it is done. *)
 

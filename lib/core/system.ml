@@ -23,11 +23,10 @@ let create ?(groups = fun _ -> []) ?(seed = 7L) ?(auto_background = true) ?optio
      straight back out *)
   let control c =
     let parties = !parties_ref in
-    match Batch.control_target c with
-    | Some target when target >= 0 && target < Array.length parties ->
-        Control_plane.deliver (Control_plane.of_signer parties.(target).signer) c
-        |> List.iter (fun (dest, ann) -> send ~dest ann)
-    | Some _ | None -> ()
+    let target = Batch.control_target c in
+    if target >= 0 && target < Array.length parties then
+      Control_plane.deliver (Control_plane.of_signer parties.(target).signer) c
+      |> List.iter (fun (dest, ann) -> send ~dest ann)
   in
   let parties =
     Array.init n (fun id ->

@@ -28,15 +28,20 @@ type full_key = {
    plane), and, for merklified HORS, the full keys. The fast path is a
    byte comparison against these. *)
 type cached_batch = {
+  batch_id : int64;
   tree : Merkle.t;
   root_sig : string;
   full_keys : full_key array option;
 }
 
-type signer_cache = {
-  batches : (int64, cached_batch) Hashtbl.t;
-  order : int64 Queue.t; (* FIFO eviction *)
-}
+module Signers = Map.Make (Int)
+
+(* The batch cache: each signer's admitted batches, newest first and at
+   most [cache_batches] of them, so FIFO eviction is a truncation and a
+   purge is a filter. A view is never mutated; writers publish a
+   successor (see [publish]), so a reader takes one snapshot and reads
+   it without a lock. *)
+type view = cached_batch list Signers.t
 
 type reject = Malformed | Unknown_signer | Bad_signature
 type verdict = Fast | Slow | Rejected of reject | Shed
@@ -51,24 +56,24 @@ type stats = {
   mutable slow_cache_miss : int;
   mutable requests_sent : int;
   mutable acks_sent : int;
-  mutable ack_frames_sent : int;
   mutable eddsa_cache_evictions : int;
 }
 
-(* Histogram and gauge handles, valid on any domain. The counts live in
-   [stats] and reach the registry as probes ([probe_stats]). *)
+(* Histogram handles, valid on any domain. The counts live in [stats]
+   and reach the registry as probes ([probe_stats]), the cached-batch
+   level as a gauge probe over the view. *)
 type tel = {
   bundle : Tel.t;
   h_fast : Metric.Histogram.t;
   h_slow : Metric.Histogram.t;
   h_deliver : Metric.Histogram.t;
-  g_cached : Metric.Gauge.t;
 }
 
-(* Domain-safety discipline (DESIGN.md §12). Every mutable table has an
-   owning mutex:
+(* Domain-safety discipline (DESIGN.md §12). The batch cache is the
+   published [view]: [deliver] and [purge_signer] swap in a successor by
+   compare-and-set, and [classify] takes one snapshot per signature.
+   Every other mutable table has an owning mutex:
 
-     [cache_mu]  -> cache (per-signer batch caches)
      [eddsa_mu]  -> eddsa_cache + eddsa_order
      [ctl_mu]    -> requested + rng (Rng is not thread-safe)
      [stats_mu]  -> the public stats record
@@ -84,15 +89,14 @@ type t = {
   cfg : Config.t;
   id : int;
   pki : Pki.t;
-  cache_mu : Mutex.t;
-  cache : (int, signer_cache) Hashtbl.t;
+  view : view Atomic.t;
   eddsa_mu : Mutex.t;
   eddsa_cache : (string, unit) Hashtbl.t;
   eddsa_order : string Queue.t; (* FIFO eviction for the EdDSA cache *)
   control : (Batch.control -> unit) option;
   ctl_mu : Mutex.t;
   requested : (int * int64, Retry.state) Hashtbl.t; (* pull-repair pacing *)
-  rng : Rng.t; (* real entropy: batch-verification soundness + jitter *)
+  rng : Rng.t; (* real entropy: retry jitter *)
   stats_mu : Mutex.t;
   stats : stats;
   pool : Domain_pool.t option;
@@ -128,7 +132,6 @@ let probe_stats telemetry (s : stats) =
       ("dsig_verifier_slow_cache_miss_total", fun () -> s.slow_cache_miss);
       ("dsig_verifier_batch_requests_total", fun () -> s.requests_sent);
       ("dsig_verifier_acks_total", fun () -> s.acks_sent);
-      ("dsig_verifier_ack_frames_total", fun () -> s.ack_frames_sent);
       ("dsig_verifier_eddsa_cache_evictions_total", fun () -> s.eddsa_cache_evictions);
     ]
 
@@ -138,8 +141,9 @@ let make_tel telemetry =
     h_fast = Tel.histogram telemetry "dsig_verifier_fast_us";
     h_slow = Tel.histogram telemetry "dsig_verifier_slow_us";
     h_deliver = Tel.histogram telemetry "dsig_verifier_deliver_us";
-    g_cached = Tel.gauge telemetry "dsig_verifier_cached_batches";
   }
+
+let cached_total view = Signers.fold (fun _ batches n -> n + List.length batches) view 0
 
 let create cfg ~id ~pki ?control ?(options = Options.default) () =
   let telemetry = options.Options.telemetry in
@@ -154,78 +158,75 @@ let create cfg ~id ~pki ?control ?(options = Options.default) () =
       slow_cache_miss = 0;
       requests_sent = 0;
       acks_sent = 0;
-      ack_frames_sent = 0;
       eddsa_cache_evictions = 0;
     }
   in
   probe_stats telemetry stats;
-  {
-    cfg;
-    id;
-    pki;
-    cache_mu = Mutex.create ();
-    cache = Hashtbl.create 16;
-    eddsa_mu = Mutex.create ();
-    eddsa_cache = Hashtbl.create 256;
-    eddsa_order = Queue.create ();
-    control;
-    ctl_mu = Mutex.create ();
-    requested = Hashtbl.create 16;
-    rng = Rng.system ();
-    stats_mu = Mutex.create ();
-    stats;
-    pool = options.Options.parallel;
-    admission = options.Options.loadctl;
-    tel = make_tel telemetry;
-  }
+  let t =
+    {
+      cfg;
+      id;
+      pki;
+      view = Atomic.make Signers.empty;
+      eddsa_mu = Mutex.create ();
+      eddsa_cache = Hashtbl.create 256;
+      eddsa_order = Queue.create ();
+      control;
+      ctl_mu = Mutex.create ();
+      requested = Hashtbl.create 16;
+      rng = Rng.system ();
+      stats_mu = Mutex.create ();
+      stats;
+      pool = options.Options.parallel;
+      admission = options.Options.loadctl;
+      tel = make_tel telemetry;
+    }
+  in
+  (* the level is read from the view at each snapshot, through a weak
+     pointer, so the registry never keeps a dropped verifier's trees
+     alive *)
+  let self = Weak.create 1 in
+  Weak.set self 0 (Some t);
+  Tel.gauge_probe telemetry "dsig_verifier_cached_batches" (fun () ->
+      match Weak.get self 0 with
+      | Some t -> float_of_int (cached_total (Atomic.get t.view))
+      | None -> 0.0);
+  t
 
 let stats t = t.stats
 let with_stats t f = Mutex.protect t.stats_mu (fun () -> f t.stats)
 
 let now t = Tel.now t.tel.bundle
 
-(* --- batch cache (under cache_mu) --- *)
+(* --- batch cache (the published view) --- *)
 
-let signer_cache_locked t signer =
-  match Hashtbl.find_opt t.cache signer with
-  | Some c -> c
-  | None ->
-      let c = { batches = Hashtbl.create 16; order = Queue.create () } in
-      Hashtbl.add t.cache signer c;
-      c
+let batches_of view signer = Option.value ~default:[] (Signers.find_opt signer view)
 
-let cached_batches t ~signer =
-  Mutex.protect t.cache_mu (fun () ->
-      match Hashtbl.find_opt t.cache signer with
-      | None -> 0
-      | Some c -> Hashtbl.length c.batches)
+let rec find_batch batch_id = function
+  | [] -> None
+  | b :: rest -> if Int64.equal b.batch_id batch_id then Some b else find_batch batch_id rest
 
-let insert_batch t ~signer ~batch_id entry =
-  let delta =
-    Mutex.protect t.cache_mu (fun () ->
-        let c = signer_cache_locked t signer in
-        if Hashtbl.mem c.batches batch_id then 0
-        else begin
-          Hashtbl.replace c.batches batch_id entry;
-          Queue.add batch_id c.order;
-          let evicted = ref 0 in
-          while Hashtbl.length c.batches > t.cfg.Config.cache_batches do
-            let victim = Queue.pop c.order in
-            Hashtbl.remove c.batches victim;
-            incr evicted
-          done;
-          1 - !evicted
-        end)
-  in
-  if delta <> 0 then Metric.Gauge.add t.tel.g_cached (float_of_int delta)
+(* The cached batch a signature names, in one snapshot of the view. *)
+let lookup_batch view ~signer ~batch_id =
+  match Signers.find_opt signer view with None -> None | Some l -> find_batch batch_id l
 
-let lookup_batch t ~signer ~batch_id =
-  (* the returned record is immutable and never mutated after insert, so
-     it stays valid for the caller even if evicted concurrently *)
-  Mutex.protect t.cache_mu (fun () ->
-      match Hashtbl.find_opt t.cache signer with
-      | None -> None
-      | Some c -> Hashtbl.find_opt c.batches batch_id)
+let cached_batches t ~signer = List.length (batches_of (Atomic.get t.view) signer)
+
+(* Publish [f]'s successor of the current view, or return at once when
+   [f] keeps it. [f] reruns if another writer published first, so it
+   must be pure. *)
+let rec publish t f =
+  let view = Atomic.get t.view in
+  let view', r = f view in
+  if view' == view || Atomic.compare_and_set t.view view view' then r else publish t f
+
+let insert_batch t ~signer entry =
+  publish t (fun view ->
+      let batches = batches_of view signer in
+      if Option.is_some (find_batch entry.batch_id batches) then (view, ())
+      else
+        let cap = t.cfg.Config.cache_batches in
+        (Signers.add signer (List.filteri (fun i _ -> i < cap) (entry :: batches)) view, ()))
 
 (* Revocation enforcement: drop a signer's cached roots so a stolen
    announcement admitted before the revocation arrived cannot keep
@@ -233,29 +234,19 @@ let lookup_batch t ~signer ~batch_id =
    boundary go; without it the whole signer cache is purged. *)
 let purge_signer ?from_batch t ~signer =
   let purged =
-    Mutex.protect t.cache_mu (fun () ->
-        match Hashtbl.find_opt t.cache signer with
-        | None -> 0
-        | Some c -> (
-            match from_batch with
-            | None ->
-                let n = Hashtbl.length c.batches in
-                Hashtbl.remove t.cache signer;
-                n
-            | Some boundary ->
-                let victims =
-                  Hashtbl.fold
-                    (fun id _ acc -> if Int64.compare id boundary >= 0 then id :: acc else acc)
-                    c.batches []
-                in
-                List.iter (Hashtbl.remove c.batches) victims;
-                (* rebuild the eviction order without the victims so FIFO
-                   accounting stays consistent with the table *)
-                let keep = Queue.create () in
-                Queue.iter (fun id -> if Hashtbl.mem c.batches id then Queue.add id keep) c.order;
-                Queue.clear c.order;
-                Queue.transfer keep c.order;
-                List.length victims))
+    publish t (fun view ->
+        let batches = batches_of view signer in
+        let keep =
+          match from_batch with
+          | None -> []
+          | Some boundary -> List.filter (fun b -> Int64.compare b.batch_id boundary < 0) batches
+        in
+        let n = List.length batches - List.length keep in
+        if n = 0 then (view, 0)
+        else
+          match keep with
+          | [] -> (Signers.remove signer view, n)
+          | _ -> (Signers.add signer keep view, n))
   in
   (* stop pacing pull requests for anything we just dropped: the signer
      is revoked, repair would only re-admit what we purged *)
@@ -271,7 +262,6 @@ let purge_signer ?from_batch t ~signer =
           t.requested []
       in
       List.iter (Hashtbl.remove t.requested) stale);
-  if purged > 0 then Metric.Gauge.add t.tel.g_cached (float_of_int (-purged));
   purged
 
 (* EdDSA verification under the PKI's prepared key, with the
@@ -311,98 +301,53 @@ let eddsa_verify_cached t vk msg signature =
     else false
   end
 
-(* Lifecycle announce-plane event: one admit per batch, joining every
-   signature of the batch via the sentinel trace id. *)
-let lifecycle_admit t (ann : Batch.announcement) ~latency_us =
-  let lc = t.tel.bundle.Tel.lifecycle in
-  if Lifecycle.enabled lc then
-    Lifecycle.admit lc ~signer:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id ~latency_us
-
-(* --- acknowledgements ---
-
-   Every admitted announcement is acknowledged at once, so the signer
-   stops re-announcing it. A caller that admits many batches together
-   ([deliver_many]) coalesces their ACKs into one frame per signer. *)
-
-let ack_frame_sent t ~acks =
-  with_stats t (fun s ->
-      s.acks_sent <- s.acks_sent + acks;
-      s.ack_frames_sent <- s.ack_frames_sent + 1)
-
-(* With a load controller, every outbound acknowledgement frame carries
-   the verifier's current pressure byte ([Batch.Credit]) so loaded
-   destinations pace their signers down; without one, the plain
-   [Ack]/[Acks] frames go out. *)
-let control_frame_for_acks t acks =
-  match t.admission with
-  | Some a -> Batch.Credit { pressure = Admission.pressure a; acks }
-  | None -> ( match acks with [ a ] -> Batch.Ack a | l -> Batch.Acks l)
-
-let send_acks t acks =
+(* Acknowledge an admitted announcement so the signer stops
+   re-announcing it. With a load controller the ACK rides a
+   [Batch.Credit] frame carrying the verifier's current pressure byte,
+   so loaded destinations pace their signers down. *)
+let send_ack t ack =
   match t.control with
   | None -> ()
   | Some send ->
-      ack_frame_sent t ~acks:(List.length acks);
-      send (control_frame_for_acks t acks)
+      with_stats t (fun s -> s.acks_sent <- s.acks_sent + 1);
+      send
+        (match t.admission with
+        | Some a -> Batch.Credit { pressure = Admission.pressure a; ack }
+        | None -> Batch.Ack ack)
 
 (* Cache an announcement whose EdDSA root signature has already been
    checked against [tree]'s root: keep the tree and that signature and,
-   for merklified HORS, any full keys that match their signed leaves,
-   and insert. [send_ack:false] lets a caller that admits many batches
-   at once coalesce the acknowledgements into one [Batch.Acks] frame
-   instead. *)
-let admit_verified ?(send_ack = true) t (ann : Batch.announcement) tree =
-  begin
-    with_stats t (fun s -> s.announcements <- s.announcements + 1);
-    (* Full keys (bandwidth reduction off) serve only merklified HORS's
-       comparison-only fast path; W-OTS+ and factorized HORS compare
-       against the tree. Each key must match its signed leaf before it
-       is trusted. *)
-    let full_keys =
-      match (t.cfg.Config.hbss, ann.Batch.full_keys) with
-      | Config.Hors_merklified { trees; _ }, Some keys
-        when Array.length keys = Array.length ann.Batch.ann_leaves ->
-          let full =
-            Array.map2
-              (fun (seed, elements) leaf ->
-                { seed; elements; forest = Merkle.Forest.build ~trees elements; leaf })
-              keys ann.Batch.ann_leaves
-          in
-          let consistent k =
-            BU.equal_ct k.leaf
-              (Onetime.merklified_leaf ~public_seed:k.seed ~roots:(Merkle.Forest.roots k.forest))
-          in
-          if Array.for_all consistent full then Some full else None
-      | _ -> None
-    in
-    insert_batch t ~signer:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id
-      { tree; root_sig = ann.Batch.root_sig; full_keys };
-    (* the gap (if any) is repaired: stop pacing pull requests for it *)
-    Mutex.protect t.ctl_mu (fun () ->
-        Hashtbl.remove t.requested (ann.Batch.signer_id, ann.Batch.ann_batch_id));
-    (* acknowledge so the signer stops re-announcing; sent on every
-       successful delivery (idempotent) because a previous ACK may have
-       been lost in transit *)
-    if send_ack then
-      send_acks t
-        [
-          {
-            Batch.ack_verifier = t.id;
-            ack_signer = ann.Batch.signer_id;
-            ack_batch = ann.Batch.ann_batch_id;
-          };
-        ]
-  end
-
-(* The tree over an announcement's leaves, plus the exact EdDSA-signed
-   string naming its root. *)
-let announcement_tree (ann : Batch.announcement) =
-  let tree = Merkle.build ann.Batch.ann_leaves in
-  let msg =
-    Batch.root_message ~signer_id:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id
-      ~root:(Merkle.root tree)
+   for merklified HORS, any full keys that match their signed leaves. *)
+let admit_batch t (ann : Batch.announcement) tree =
+  with_stats t (fun s -> s.announcements <- s.announcements + 1);
+  (* Full keys (bandwidth reduction off) serve only merklified HORS's
+     comparison-only fast path; W-OTS+ and factorized HORS compare
+     against the tree. Each key must match its signed leaf before it
+     is trusted. *)
+  let full_keys =
+    match (t.cfg.Config.hbss, ann.Batch.full_keys) with
+    | Config.Hors_merklified { trees; _ }, Some keys
+      when Array.length keys = Array.length ann.Batch.ann_leaves ->
+        let full =
+          Array.map2
+            (fun (seed, elements) leaf ->
+              { seed; elements; forest = Merkle.Forest.build ~trees elements; leaf })
+            keys ann.Batch.ann_leaves
+        in
+        let consistent k =
+          BU.equal_ct k.leaf
+            (Onetime.merklified_leaf ~public_seed:k.seed ~roots:(Merkle.Forest.roots k.forest))
+        in
+        if Array.for_all consistent full then Some full else None
+    | _ -> None
   in
-  (tree, msg)
+  let signer = ann.Batch.signer_id and batch_id = ann.Batch.ann_batch_id in
+  insert_batch t ~signer { batch_id; tree; root_sig = ann.Batch.root_sig; full_keys };
+  (* the gap (if any) is repaired: stop pacing pull requests for it *)
+  Mutex.protect t.ctl_mu (fun () -> Hashtbl.remove t.requested (signer, batch_id));
+  (* sent on every successful delivery (idempotent) because a previous
+     ACK may have been lost in transit *)
+  send_ack t { Batch.ack_verifier = t.id; ack_signer = signer; ack_batch = batch_id }
 
 let admits t a cls =
   match Admission.admit a ~now_us:(now t) cls with
@@ -417,29 +362,6 @@ let admits t a cls =
 let control_admitted t =
   match t.admission with None -> true | Some a -> admits t a Admission.Control
 
-(* Check one announcement's EdDSA root signature and admit it on
-   success: the part of [deliver] after admission control and the PKI
-   lookup, shared with [deliver_many]'s per-announcement fallback so a
-   failed chunk's announcements are not offered to admission control,
-   looked up or re-rooted a second time. *)
-let verify_and_admit ?sent_us t (ann : Batch.announcement) ~vk ~tree ~msg =
-  let t0 = now t in
-  Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.Begin t0;
-  let ok =
-    if Eddsa.verify_with vk msg ann.Batch.root_sig then begin
-      admit_verified t ann tree;
-      true
-    end
-    else false
-  in
-  let t1 = now t in
-  Metric.Histogram.add t.tel.h_deliver (t1 -. t0);
-  Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id Tracer.Announce_delivery Tracer.End t1;
-  (* announce-to-admit: from the wire send stamp when the transport
-     supplies one, else just the local delivery processing time *)
-  if ok then lifecycle_admit t ann ~latency_us:(t1 -. Option.value sent_us ~default:t0);
-  ok
-
 let deliver ?sent_us t (ann : Batch.announcement) =
   control_admitted t
   &&
@@ -450,116 +372,28 @@ let deliver ?sent_us t (ann : Batch.announcement) =
             t.id ann.Batch.signer_id);
       false
   | Some vk ->
-      let tree, msg = announcement_tree ann in
-      verify_and_admit ?sent_us t ann ~vk ~tree ~msg
-
-let split_rng t = Mutex.protect t.ctl_mu (fun () -> Rng.split t.rng)
-
-(* Catch-up path: check many announcements' EdDSA root signatures with
-   one randomized batch verification per worker domain (§4.4's
-   amortization, applied to the background plane); on a chunk failure,
-   fall back to individual delivery so one bad announcement cannot
-   poison the rest. All admits, ACKs and other control traffic happen
-   on the calling domain — the workers only run crypto. *)
-let deliver_many t anns =
-  let anns = List.filter (fun _ -> control_admitted t) anns in
-  let entries =
-    List.filter_map
-      (fun ann ->
-        match Pki.allowed t.pki ~id:ann.Batch.signer_id ~batch:ann.Batch.ann_batch_id with
-        | None -> None
-        | Some vk ->
-            let tree, msg = announcement_tree ann in
-            Some (ann, tree, vk, msg))
-      anns
-  in
-  let n = List.length entries in
-  let triples_of chunk =
-    List.map (fun (ann, _, vk, msg) -> (Eddsa.verifying_key_bytes vk, msg, ann.Batch.root_sig)) chunk
-  in
-  let t0 = now t in
-  (* The randomized batch-verification coefficients must be
-     unpredictable to the adversary (§4.4's soundness argument): draw
-     them from the per-verifier entropy-seeded generator, never from a
-     hash of public values. Each worker gets its own pre-split rng. *)
-  let groups =
-    match t.pool with
-    | Some pool when n > 1 && Domain_pool.size pool > 1 ->
-        let arr = Array.of_list entries in
-        let shards = Stdlib.min (Domain_pool.size pool) n in
-        let chunks =
-          Array.init shards (fun s ->
-              let lo = s * n / shards and hi = (s + 1) * n / shards in
-              Array.to_list (Array.sub arr lo (hi - lo)))
-        in
-        let rngs = Array.init shards (fun _ -> split_rng t) in
-        let oks =
-          Domain_pool.parallel_map pool
-            ~f:(fun ~shard chunk -> chunk <> [] && Eddsa.verify_batch rngs.(shard) (triples_of chunk))
-            chunks
-        in
-        Array.to_list (Array.map2 (fun ok chunk -> (ok, chunk)) oks chunks)
-    | _ -> [ (entries <> [] && Eddsa.verify_batch (split_rng t) (triples_of entries), entries) ]
-  in
-  let t1 = now t in
-  let admitted = List.concat_map (fun (ok, chunk) -> if ok then chunk else []) groups in
-  let failed = List.concat_map (fun (ok, chunk) -> if ok then [] else chunk) groups in
-  List.iter
-    (fun (ann, tree, _, _) ->
-      admit_verified ~send_ack:false t ann tree;
-      lifecycle_admit t ann ~latency_us:(t1 -. t0))
-    admitted;
-  (* coalesce acknowledgements: one Acks frame per signer instead of
-     one Ack frame per batch (reverse-path traffic in wide fan-outs) *)
-  if Option.is_some t.control && admitted <> [] then begin
-    let by_signer = Hashtbl.create 8 in
-    List.iter
-      (fun (ann, _, _, _) ->
-        let s = ann.Batch.signer_id in
-        let ack =
-          { Batch.ack_verifier = t.id; ack_signer = s; ack_batch = ann.Batch.ann_batch_id }
-        in
-        Hashtbl.replace by_signer s
-          (ack :: Option.value ~default:[] (Hashtbl.find_opt by_signer s)))
-      admitted;
-    (* collect first: [send] may re-enter and must not observe a
-       half-iterated table (and by_signer is local anyway) *)
-    Hashtbl.fold (fun _ acks acc -> List.rev acks :: acc) by_signer []
-    |> List.iter (send_acks t)
-  end;
-  (* failed chunks: per-announcement checks isolate the bad one(s) *)
-  List.length admitted
-  + List.length
-      (List.filter (fun (ann, tree, vk, msg) -> verify_and_admit t ann ~vk ~tree ~msg) failed)
-
-(* Reconstruct the full HORS public key from revealed secrets plus the
-   complement carried in a factorized signature. Returns [None] when the
-   piece counts cannot fit together. *)
-let reassemble_hors (p : Params.Hors.t) ~hash ~public_seed ~(hsig : Hors.signature) ~complement
-    msg =
-  let indices = Hors.message_indices p ~public_seed ~nonce:hsig.Hors.nonce msg in
-  let elements = Array.make p.Params.Hors.t "" in
-  let conflict = ref false in
-  Array.iteri
-    (fun j idx ->
-      let h = Dsig_hashes.Hash.digest hash ~length:p.Params.Hors.n hsig.Hors.revealed.(j) in
-      if elements.(idx) = "" then elements.(idx) <- h
-      else if not (BU.equal_ct elements.(idx) h) then conflict := true)
-    indices;
-  let missing = ref 0 in
-  Array.iter (fun e -> if e = "" then incr missing) elements;
-  if !conflict || Array.length complement <> !missing then None
-  else begin
-    let next = ref 0 in
-    Array.iteri
-      (fun i e ->
-        if e = "" then begin
-          elements.(i) <- complement.(!next);
-          incr next
-        end)
-      elements;
-    Some elements
-  end
+      let tree = Merkle.build ann.Batch.ann_leaves in
+      let msg =
+        Batch.root_message ~signer_id:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id
+          ~root:(Merkle.root tree)
+      in
+      let tracer = t.tel.bundle.Tel.tracer in
+      let t0 = now t in
+      Tracer.record_at tracer ~tag:t.id Tracer.Announce_delivery Tracer.Begin t0;
+      let ok = Eddsa.verify_with vk msg ann.Batch.root_sig in
+      if ok then admit_batch t ann tree;
+      let t1 = now t in
+      Metric.Histogram.add t.tel.h_deliver (t1 -. t0);
+      Tracer.record_at tracer ~tag:t.id Tracer.Announce_delivery Tracer.End t1;
+      (* the lifecycle's announce plane: one admit per batch, joining
+         every signature of the batch via the sentinel trace id, timed
+         from the wire send stamp when the transport supplies one, else
+         from the start of local processing *)
+      let lc = t.tel.bundle.Tel.lifecycle in
+      if ok && Lifecycle.enabled lc then
+        Lifecycle.admit lc ~signer:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id
+          ~latency_us:(t1 -. Option.value sent_us ~default:t0);
+      ok
 
 (* Compute the batch leaf implied by a signature, performing all
    scheme-internal checks on the way. [Wire.decode] has already fixed
@@ -571,10 +405,7 @@ let implied_leaf t (w : Wire.t) msg =
   | Config.Wots p, Wire.Wots_body s ->
       Some (Wots.recover_public_key_digest ~hash p ~public_seed s msg)
   | Config.Hors_factorized p, Wire.Hors_fact_body { hsig; complement } ->
-      Option.map
-        (fun elements ->
-          Dsig_hashes.Blake3.digest (String.concat "" (public_seed :: Array.to_list elements)))
-        (reassemble_hors p ~hash ~public_seed ~hsig ~complement msg)
+      Hors.recover_public_key_digest ~hash p ~public_seed hsig ~complement msg
   | Config.Hors_merklified { params = p; trees = _ }, Wire.Hors_merk_body { hsig; roots; proofs }
     ->
       let roots = Array.to_list roots in
@@ -609,10 +440,10 @@ let proven_by (b : cached_batch) ~leaf (w : Wire.t) =
    proofs, batch proof and root signature against the cached key and
    tree — "mere string comparisons" (§5.2). [false] on any mismatch:
    the caller then takes the path a cold verifier takes. *)
-let merklified_fast_path t (w : Wire.t) msg =
+let merklified_fast_path t hit (w : Wire.t) msg =
   match (t.cfg.Config.hbss, w.Wire.body) with
   | Config.Hors_merklified { params = p; _ }, Wire.Hors_merk_body { hsig; roots; proofs } -> (
-      match lookup_batch t ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id with
+      match hit with
       | Some ({ full_keys = Some keys; _ } as b) when Wire.key_index w < Array.length keys ->
           let k = keys.(Wire.key_index w) in
           BU.equal_ct k.seed w.Wire.public_seed
@@ -694,9 +525,9 @@ type classified =
   | Refused of reject
 
 (* Classify one signature. Safe to call from any domain: everything
-   here is pure crypto plus reads/inserts under the table mutexes;
-   control-plane sends and per-path accounting happen in [account], on
-   the calling domain only. *)
+   here is pure crypto, one snapshot of the batch cache, and the EdDSA
+   cache under its mutex; control-plane sends and per-path accounting
+   happen in [account], on the calling domain only. *)
 let classify t ~msg wire_bytes =
   match Wire.decode t.cfg wire_bytes with
   | Error _ -> Refused Malformed
@@ -704,12 +535,14 @@ let classify t ~msg wire_bytes =
       match Pki.allowed t.pki ~id:w.Wire.signer_id ~batch:w.Wire.batch_id with
       | None -> Refused Unknown_signer
       | Some signer_vk -> (
-          if merklified_fast_path t w msg then Fast_path w
+          let hit =
+            lookup_batch (Atomic.get t.view) ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id
+          in
+          if merklified_fast_path t hit w msg then Fast_path w
           else
             match implied_leaf t w msg with
             | None -> Refused Bad_signature
             | Some leaf -> (
-                let hit = lookup_batch t ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id in
                 match hit with
                 | Some b when proven_by b ~leaf w -> Fast_path w
                 | _ ->
@@ -792,7 +625,8 @@ let admit t wire_bytes =
   | None -> true
   | Some a -> (
       match Wire.peek_header wire_bytes with
-      | Some (signer, batch_id) when lookup_batch t ~signer ~batch_id = None ->
+      | Some (signer, batch_id)
+        when Option.is_none (lookup_batch (Atomic.get t.view) ~signer ~batch_id) ->
           admits t a Admission.Repair
       | _ -> admits t a Admission.Verify)
 
@@ -843,7 +677,7 @@ let verify_many t pairs =
 let can_verify_fast t wire_bytes =
   match Wire.peek_header wire_bytes with
   | None -> false
-  | Some (signer, batch_id) -> lookup_batch t ~signer ~batch_id <> None
+  | Some (signer, batch_id) -> Option.is_some (lookup_batch (Atomic.get t.view) ~signer ~batch_id)
 
 (* --- load-control surface (Options.with_loadctl) --- *)
 

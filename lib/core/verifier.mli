@@ -17,11 +17,14 @@
     accepts; a tampered root signature costs it one inline EdDSA
     verification, which admission control bounds.
 
-    The verifier is {b domain-safe}: every mutable table has its own
-    mutex — [cache_mu] the batch cache, [eddsa_mu] the EdDSA cache,
-    [ctl_mu] the pull-repair pacing table and the entropy source,
-    [stats_mu] the stats — metric handles are domain-safe cells, no
-    mutex is taken while another is held, and none is held across a
+    The verifier is {b domain-safe}. The batch cache is an immutable
+    view in an [Atomic.t]: {!deliver} and {!purge_signer} publish a
+    successor by compare-and-set, and each classification reads one
+    snapshot without a lock, so {!check}'s fast path takes no mutex.
+    Every other mutable table has its own mutex — [eddsa_mu] the EdDSA
+    cache, [ctl_mu] the pull-repair pacing table and the entropy
+    source, [stats_mu] the stats — metric handles are domain-safe cells,
+    no mutex is taken while another is held, and none is held across a
     control-plane [send] (which may synchronously re-enter the verifier
     through an in-process loopback). Concurrent {!check} / {!deliver}
     calls from multiple domains are safe; see DESIGN.md §12. *)
@@ -63,10 +66,11 @@ val create :
     vs [.._slow_cache_miss_total] (cached but proof or root signature
     mismatch),
     the reliability counters [.._batch_requests_total] /
-    [.._acks_total] / [.._ack_frames_total] /
+    [.._acks_total] /
     [.._eddsa_cache_evictions_total], and receives the
     [dsig_verifier_fast_us] / [.._slow_us] / [.._deliver_us] latency
-    histograms, the [dsig_verifier_cached_batches] gauge, and — when the
+    histograms, the [dsig_verifier_cached_batches] gauge (read from the
+    batch cache at each snapshot), and — when the
     tracer is enabled — [verify_fast] / [verify_slow] /
     [announce_delivery] spans tagged with the verifier id. *)
 
@@ -76,14 +80,6 @@ val deliver : ?sent_us:float -> t -> Batch.announcement -> bool
     ignored). [sent_us] is the transport's send stamp; when given (and
     the bundle's lifecycle aggregator is enabled) the announce-to-admit
     plane measures from it instead of from delivery start. *)
-
-val deliver_many : t -> Batch.announcement list -> int
-(** Catch-up delivery: checks all root signatures with randomized
-    Ed25519 batch verification — one batch per worker domain when
-    {!Options.with_parallel} supplied a pool, one batch total otherwise
-    — falling back to per-announcement checks for any chunk that fails.
-    Returns the number accepted. Acknowledgements are coalesced into one
-    {!Batch.Acks} frame per signer. *)
 
 type reject =
   | Malformed  (** the bytes do not decode as a signature of this configuration *)
@@ -145,11 +141,7 @@ type stats = {
           batch proof or root signature did not match it (cross-batch
           splice, or a root signature other than the announced one) *)
   mutable requests_sent : int;  (** pull-repair {!Batch.Request}s emitted *)
-  mutable acks_sent : int;  (** individual acknowledgements emitted *)
-  mutable ack_frames_sent : int;
-      (** control frames ({!Batch.Ack} or {!Batch.Acks}) those
-          acknowledgements travelled in — {!deliver_many} coalesces, so
-          this can grow slower than [acks_sent] *)
+  mutable acks_sent : int;  (** acknowledgements emitted, one control frame each *)
   mutable eddsa_cache_evictions : int;
 }
 

@@ -148,21 +148,13 @@ let sign ~batch ~key onetime msg =
   | Onetime.Hors_key { kp; forest } ->
       let nonce = String.sub key key_nonce_offset nonce_bytes in
       let hsig = Hors.sign kp ~nonce msg in
-      let p = Hors.params kp in
-      let indices = Hors.message_indices p ~public_seed:(Hors.public_seed kp) ~nonce msg in
       let body =
         match forest with
-        | None ->
-            let selected = Array.make p.Params.Hors.t false in
-            Array.iter (fun i -> selected.(i) <- true) indices;
-            let complement =
-              Array.of_list
-                (List.filteri
-                   (fun i _ -> not selected.(i))
-                   (Array.to_list (Hors.public_elements kp)))
-            in
-            Hors_fact_body { hsig; complement }
+        | None -> Hors_fact_body { hsig; complement = Hors.complement kp hsig msg }
         | Some f ->
+            let indices =
+              Hors.message_indices (Hors.params kp) ~public_seed:(Hors.public_seed kp) ~nonce msg
+            in
             let roots = Array.of_list (Merkle.Forest.roots f) in
             let proofs = Array.map (fun idx -> Merkle.Forest.proof f idx) indices in
             Hors_merk_body { hsig; roots; proofs }

@@ -15,7 +15,7 @@
     63-byte input and its 64-byte extension by ['\x3f']. This
     is harmless for every in-tree caller, because each hashes values of
     one fixed length per call site: the W-OTS+ and HORS chains, Lamport
-    and [Verifier.reassemble_hors]. Do not use [digest Haraka] where
+    and [Hors.recover_public_key_digest]. Do not use [digest Haraka] where
     inputs of different lengths must not collide. Changing the padding
     would change every chain byte, so it is left as it is
     (doc/SECURITY.md). *)

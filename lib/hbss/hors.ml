@@ -16,6 +16,11 @@ type keypair = {
 let nonce_bytes = 16
 let default_trees = 8
 
+(* The factorized public key's digest, the batch leaf: BLAKE3(public
+   seed || the t elements in index order). *)
+let key_digest ~public_seed elements =
+  Blake3.digest (String.concat "" (public_seed :: Array.to_list elements))
+
 let generate ?(hash = Hash.Haraka) (p : P.t) ~seed =
   if String.length seed <> 32 then invalid_arg "Hors.generate: need a 32-byte seed";
   let public_seed = Blake3.derive_key ~context:"dsig hors public seed" seed in
@@ -28,7 +33,7 @@ let generate ?(hash = Hash.Haraka) (p : P.t) ~seed =
     public_seed;
     secrets;
     publics;
-    pk_digest = Blake3.digest (String.concat "" (public_seed :: Array.to_list publics));
+    pk_digest = key_digest ~public_seed publics;
     cached_forest = None;
     uses = 0;
   }
@@ -87,6 +92,45 @@ let verify_with_elements ?(hash = Hash.Haraka) (p : P.t) ~public_seed ~elements 
 let deduced_elements ?(hash = Hash.Haraka) (p : P.t) ~public_seed signature msg =
   let indices = message_indices p ~public_seed ~nonce:signature.nonce msg in
   Array.mapi (fun j idx -> (idx, Hash.digest hash ~length:p.P.n signature.revealed.(j))) indices
+
+let complement kp signature msg =
+  let selected = Array.make kp.p.P.t false in
+  Array.iter
+    (fun i -> selected.(i) <- true)
+    (message_indices kp.p ~public_seed:kp.public_seed ~nonce:signature.nonce msg);
+  Array.of_list (List.filteri (fun i _ -> not selected.(i)) (Array.to_list kp.publics))
+
+(* The deduced elements fill their indices; a second revealed secret on
+   an index must hash to the same element. The complement then fills
+   the remaining indices in order and must fit them exactly. *)
+let recover_public_key_digest ?hash (p : P.t) ~public_seed signature ~complement msg =
+  if not (well_formed p signature) then None
+  else begin
+    let elements = Array.make p.P.t "" in
+    let consistent =
+      Array.for_all
+        (fun (idx, h) ->
+          if elements.(idx) = "" then begin
+            elements.(idx) <- h;
+            true
+          end
+          else Dsig_util.Bytesutil.equal_ct elements.(idx) h)
+        (deduced_elements ?hash p ~public_seed signature msg)
+    in
+    let missing = Array.fold_left (fun n e -> if e = "" then n + 1 else n) 0 elements in
+    if (not consistent) || Array.length complement <> missing then None
+    else begin
+      let next = ref 0 in
+      Array.iteri
+        (fun i e ->
+          if e = "" then begin
+            elements.(i) <- complement.(!next);
+            incr next
+          end)
+        elements;
+      Some (key_digest ~public_seed elements)
+    end
+  end
 
 let verify_with_forest ?(hash = Hash.Haraka) (p : P.t) ~public_seed ~roots ~proofs signature msg =
   well_formed p signature

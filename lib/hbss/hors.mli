@@ -56,6 +56,26 @@ val deduced_elements :
 (** [(index, hashed secret)] pairs deducible from a signature — the
     elements the factorized encoding omits. *)
 
+val complement : keypair -> signature -> string -> string array
+(** The factorized encoding's complement for [signature] on a message:
+    the public elements at the indices the message does not select, in
+    index order. *)
+
+val recover_public_key_digest :
+  ?hash:Dsig_hashes.Hash.algo ->
+  Params.Hors.t ->
+  public_seed:string ->
+  signature ->
+  complement:string array ->
+  string ->
+  string option
+(** The factorized verifier's side of {!complement}: the deduced
+    elements plus [complement] make the full key, whose digest equals
+    {!public_key_digest} if the signature is genuine. [None] when the
+    signature is malformed, two revealed secrets on one index hash
+    differently, or [complement] does not fill exactly the indices the
+    message leaves open. *)
+
 val verify_with_forest :
   ?hash:Dsig_hashes.Hash.algo ->
   Params.Hors.t ->

@@ -225,9 +225,11 @@ let test_deploy_sent_counts () =
     (Dsig_deploy.Deploy.announcements_delivered deploy)
     (counter "dsig_deploy_announcements_delivered_total")
 
-(* --- batched announcement delivery --- *)
+(* --- announcement delivery past the cache bound --- *)
 
-let test_deliver_many () =
+(* Announcements delivered one at a time: each is admitted, the cache
+   keeps the newest [cache_batches] (2 here) and the gauge follows it. *)
+let test_delivery_capped () =
   let _cfg, signer, vs = Test_core.manual_party ~verifiers:[ 1 ] () in
   (* several batches' worth of announcements: drain the queue between
      steps so the refill condition re-triggers *)
@@ -241,9 +243,9 @@ let test_deliver_many () =
   let anns = List.map snd (Signer.drain_outbox signer) in
   Alcotest.(check int) "three announcements" 3 (List.length anns);
   let v = List.nth vs 0 in
-  Alcotest.(check int) "all accepted in one batch check" 3 (Verifier.deliver_many v anns);
+  Alcotest.(check int) "all accepted" 3 (List.length (List.filter (Verifier.deliver v) anns));
   Alcotest.(check int) "cached (capped at cache_batches=2)" 2 (Verifier.cached_batches v ~signer:0);
-  (* a poisoned batch falls back to individual checks: good ones still land *)
+  (* a poisoned announcement is refused; the good one still lands *)
   let _cfg, signer2, vs2 = Test_core.manual_party ~verifiers:[ 1 ] () in
   ignore (Signer.background_step signer2);
   for i = 1 to 8 do
@@ -257,9 +259,53 @@ let test_deliver_many () =
     | [] -> []
   in
   let v2 = List.nth vs2 0 in
-  Alcotest.(check int) "one rejected, one accepted" 1 (Verifier.deliver_many v2 poisoned);
-  (* empty input *)
-  Alcotest.(check int) "empty" 0 (Verifier.deliver_many v2 [])
+  Alcotest.(check (list bool)) "one rejected, one accepted" [ false; true ]
+    (List.map (Verifier.deliver v2) poisoned);
+  Alcotest.(check int) "only the good one cached" 1 (Verifier.cached_batches v2 ~signer:0)
+
+(* The cached-batch gauge is read from the cache itself: after every
+   kind of change it equals the per-signer counts summed. *)
+let test_cached_gauge () =
+  let cfg = Config.make ~batch_size:4 ~queue_threshold:4 ~cache_batches:2 (Config.wots ~d:4) in
+  let rng = Dsig_util.Rng.create 21L in
+  let pki = Pki.create () in
+  let keys =
+    Array.init 2 (fun id ->
+        let sk, pk = Dsig_ed25519.Eddsa.generate rng in
+        Pki.bind pki ~id ~epoch:0 pk;
+        sk)
+  in
+  let telemetry = Dsig_telemetry.Telemetry.create () in
+  let options = Options.default |> Options.with_telemetry telemetry in
+  let v = Verifier.create cfg ~id:9 ~pki ~options () in
+  let deliver signer batch_id =
+    let b = Batch.make cfg ~signer_id:signer ~batch_id ~eddsa:keys.(signer) ~rng in
+    Alcotest.(check bool) "admitted" true (Verifier.deliver v (Batch.announcement cfg b))
+  in
+  let expect what n =
+    let cached = Verifier.cached_batches v ~signer:0 + Verifier.cached_batches v ~signer:1 in
+    Alcotest.(check int) (what ^ ": cache") n cached;
+    match
+      Dsig_telemetry.Registry.Snapshot.find
+        (Dsig_telemetry.Telemetry.snapshot telemetry)
+        "dsig_verifier_cached_batches"
+    with
+    | Some (Dsig_telemetry.Registry.Snapshot.Gauge g) ->
+        Alcotest.(check int) (what ^ ": gauge") cached (int_of_float g)
+    | _ -> Alcotest.fail "no cached-batch gauge"
+  in
+  expect "empty" 0;
+  deliver 0 1L;
+  deliver 0 1L;
+  expect "duplicate delivery" 1;
+  deliver 0 2L;
+  deliver 0 3L;
+  deliver 1 1L;
+  expect "FIFO eviction past cache_batches" 3;
+  Alcotest.(check int) "boundary purge" 1 (Verifier.purge_signer ~from_batch:3L v ~signer:0);
+  expect "purge ~from_batch" 2;
+  Alcotest.(check int) "full purge" 1 (Verifier.purge_signer v ~signer:0);
+  expect "full purge" 1
 
 (* --- cross-runtime interop: a Runtime-produced signature verifies in a
    Deploy-style verifier fed announcements over the tcp codec --- *)
@@ -285,7 +331,7 @@ let test_cross_runtime_interop () =
           (Runtime.drain_announcements rt)
       in
       let v = Verifier.create small_cfg ~id:9 ~pki () in
-      ignore (Verifier.deliver_many v anns);
+      List.iter (fun a -> ignore (Verifier.deliver v a)) anns;
       Alcotest.(check bool) "verifies fast" true (Verifier.verify v ~msg signature);
       Alcotest.(check int) "fast path" 1 (Verifier.stats v).Verifier.fast)
 
@@ -385,7 +431,8 @@ let suites =
       ] );
     ( "ext.batched_delivery",
       [
-        Alcotest.test_case "deliver_many" `Quick test_deliver_many;
+        Alcotest.test_case "delivery capped at cache_batches" `Quick test_delivery_capped;
+        Alcotest.test_case "cached-batch gauge follows the cache" `Quick test_cached_gauge;
         Alcotest.test_case "cross-runtime interop" `Quick test_cross_runtime_interop;
       ] );
     ("ext.fuzz", List.map (QCheck_alcotest.to_alcotest ~long:false) wire_fuzz);

@@ -281,6 +281,41 @@ let test_hors_deduced () =
     (fun (idx, elt) -> Alcotest.(check string) "deduced matches pk" pk.(idx) elt)
     deduced
 
+(* The factorized body's two halves: [complement] omits exactly the
+   selected indices, and [recover_public_key_digest] rebuilds the key's
+   digest from it, refusing a complement of the wrong length and two
+   revealed secrets on one index that hash differently. k = 64 over
+   t = 256 makes a repeated index easy to find. *)
+let test_hors_recover_digest () =
+  let p = Params.Hors.make ~k:64 () in
+  let kp = Hors.generate p ~seed:(seed 'c') in
+  let public_seed = Hors.public_seed kp and nonce = nonce 'c' in
+  let indices msg = Hors.message_indices p ~public_seed ~nonce msg in
+  let distinct msg = List.length (List.sort_uniq compare (Array.to_list (indices msg))) in
+  let msg =
+    List.find (fun m -> distinct m < p.Params.Hors.k) (List.init 100 (Printf.sprintf "dup %d"))
+  in
+  let s = Hors.sign kp ~nonce msg in
+  let complement = Hors.complement kp s msg in
+  let recover s complement = Hors.recover_public_key_digest p ~public_seed s ~complement msg in
+  Alcotest.(check int) "complement fills the rest" (p.Params.Hors.t - distinct msg)
+    (Array.length complement);
+  Alcotest.(check (option string)) "genuine" (Some (Hors.public_key_digest kp)) (recover s complement);
+  let n = Array.length complement in
+  Alcotest.(check (option string)) "short complement" None (recover s (Array.sub complement 1 (n - 1)));
+  Alcotest.(check (option string)) "long complement" None
+    (recover s (Array.append complement [| complement.(0) |]));
+  let idx = indices msg and k = p.Params.Hors.k in
+  let _, j2 =
+    List.find
+      (fun (j, j') -> j < j' && idx.(j) = idx.(j'))
+      (List.concat (List.init k (fun j -> List.init k (fun j' -> (j, j')))))
+  in
+  let revealed = Array.copy s.Hors.revealed in
+  revealed.(j2) <- String.make p.Params.Hors.n 'x';
+  Alcotest.(check (option string)) "conflicting secrets on one index" None
+    (recover { s with Hors.revealed } complement)
+
 let test_hors_one_time () =
   let kp = Hors.generate hors_p ~seed:(seed 'o') in
   ignore (Hors.sign kp ~nonce:(nonce '1') "a");
@@ -429,6 +464,7 @@ let suites =
         Alcotest.test_case "roundtrip" `Quick test_hors_roundtrip;
         Alcotest.test_case "merklified" `Quick test_hors_merklified;
         Alcotest.test_case "deduced elements" `Quick test_hors_deduced;
+        Alcotest.test_case "factorized digest recovery" `Quick test_hors_recover_digest;
         Alcotest.test_case "one-time enforcement" `Quick test_hors_one_time;
         Alcotest.test_case "forest tree counts" `Quick test_hors_forest_tree_counts;
       ] );

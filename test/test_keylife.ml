@@ -2,38 +2,19 @@
    (codec totality, authority-signature enforcement, idempotent
    replay, boundary tightening), the zero-downtime rotation
    coordinator (ACK-drain, timeout and implicit cutover paths),
-   verifier-side cache purges, compromise-impact analysis over the
-   transparency log, and end-to-end revocation propagation across the
-   3-node deployment. *)
+   verifier-side cache purges, and end-to-end revocation propagation
+   across the 3-node deployment. *)
 
 open Dsig
 module Eddsa = Dsig_ed25519.Eddsa
 module Rng = Dsig_util.Rng
 module Revocation = Dsig_keylife.Revocation
 module Rotation = Dsig_keylife.Rotation
-module Impact = Dsig_keylife.Impact
-module Translog = Dsig_translog.Translog
 module Keystate = Dsig_store.Keystate
 module Sim = Dsig_simnet.Sim
 module Net = Dsig_simnet.Net
 module Deploy = Dsig_deploy.Deploy
 module Tel = Dsig_telemetry.Telemetry
-
-let fresh_dir () =
-  let f = Filename.temp_file "dsig-test-keylife" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o700;
-  f
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let tel () = Tel.create ()
 let authority = lazy (Eddsa.generate (Rng.create 913L))
@@ -272,63 +253,6 @@ let test_purge_signer () =
   Alcotest.(check bool) "post-boundary rejected" false (Verifier.verify verifier ~msg s2);
   Signer.close signer
 
-(* --- compromise impact over the transparency log --- *)
-
-let test_impact_analysis () =
-  with_dir @@ fun dir ->
-  let signer, _, _ = make_pair () in
-  match Translog.open_ ~fsync:false ~dir () with
-  | Error e -> Alcotest.failf "translog open: %s" e
-  | Ok (log, _) ->
-      (* 8 signatures from signer 0 spanning at least two batches
-         (batch_size 4), plus noise from another signer id and one
-         entry whose signature bytes are ruined *)
-      let sigs =
-        List.init 8 (fun i ->
-            let msg = Printf.sprintf "op-%d" i in
-            let s = Signer.sign signer msg in
-            ignore (Translog.append log ~signer:0 ~op:msg ~signature:s);
-            s)
-      in
-      ignore (Translog.append log ~signer:5 ~op:"other" ~signature:(List.hd sigs));
-      ignore (Translog.append log ~signer:0 ~op:"ruined" ~signature:"not-a-signature");
-      let _, pk = Eddsa.generate (Rng.create 51L) in
-      ignore pk;
-      let log_sk, _ = Eddsa.generate (Rng.create 52L) in
-      ignore (Translog.checkpoint log ~log_id:1 ~sign:(Eddsa.sign log_sk));
-      let batch_of s = match Wire.peek_header s with Some (_, b) -> b | None -> -1L in
-      let b0 = batch_of (List.hd sigs) in
-      let later = List.filter (fun s -> Int64.compare (batch_of s) b0 > 0) sigs in
-      Alcotest.(check bool) "spans two batches" true (later <> []);
-      (* total compromise: everything signer 0 logged, including the
-         undecodable entry, and nothing from other signers *)
-      let all = Impact.analyze ~log ~signer:0 () in
-      Alcotest.(check int) "log walked" 10 all.Impact.imp_log_entries;
-      Alcotest.(check int) "all signer-0 entries affected" 9 all.Impact.imp_affected;
-      Alcotest.(check int) "undecodable counted" 1 all.Impact.imp_undecodable;
-      Alcotest.(check int) "checkpoint covers everything" 9 all.Impact.imp_checkpointed;
-      Alcotest.(check bool) "checkpoint size recorded" true (all.Impact.imp_checkpoint_size = 10);
-      (* a bounded window: only the first batch *)
-      let windowed =
-        Impact.analyze ~log ~signer:0 ~from_batch:b0 ~until_batch:(Int64.add b0 1L) ()
-      in
-      let in_b0 = List.length (List.filter (fun s -> Int64.equal (batch_of s) b0) sigs) in
-      (* the undecodable entry is counted in every window — the bound
-         must stay conservative when headers cannot place an entry *)
-      Alcotest.(check int) "window selects one batch" (in_b0 + 1) windowed.Impact.imp_affected;
-      Alcotest.(check bool) "per-batch tally" true
-        (windowed.Impact.imp_batches = [ (b0, in_b0) ]);
-      Alcotest.(check int) "undecodable still counted in window" 1
-        windowed.Impact.imp_undecodable;
-      (* a window past everything keeps only the unplaceable entry *)
-      let nothing = Impact.analyze ~log ~signer:0 ~from_batch:1_000L () in
-      Alcotest.(check int) "empty window keeps the unplaceable" 1 nothing.Impact.imp_affected;
-      Alcotest.(check int) "and it is the undecodable one" 1 nothing.Impact.imp_undecodable;
-      (* pp never raises *)
-      ignore (Format.asprintf "%a" Impact.pp all);
-      Translog.close log;
-      Signer.close signer
-
 (* --- 3-node deployment: revocation reaches every verifier --- *)
 
 let test_deploy_revocation_propagates () =
@@ -411,7 +335,6 @@ let suites =
     ( "keylife-containment",
       [
         Alcotest.test_case "verifier purge + directory boundary" `Quick test_purge_signer;
-        Alcotest.test_case "impact analysis over the translog" `Quick test_impact_analysis;
         Alcotest.test_case "revocation reaches every verifier" `Quick
           test_deploy_revocation_propagates;
       ] );

@@ -225,22 +225,23 @@ let test_credit_frames_carry_pressure () =
   List.iter (fun (_, ann) -> ignore (Verifier.deliver verifier ann)) (Signer.drain_outbox signer);
   let credits =
     List.filter_map
-      (function Batch.Credit { pressure; acks } -> Some (pressure, acks) | _ -> None)
+      (function Batch.Credit { pressure; ack } -> Some (pressure, ack) | _ -> None)
       !frames
   in
   Alcotest.(check bool) "acks ride Credit frames" true (List.length credits > 0);
+  Alcotest.(check int) "every frame is a Credit" (List.length !frames) (List.length credits);
   List.iter
-    (fun (pressure, acks) ->
+    (fun (pressure, ack) ->
       Alcotest.(check int) "pressure byte is live controller state" (Admission.pressure a)
         pressure;
-      Alcotest.(check bool) "carries acks" true (acks <> []))
+      Alcotest.(check int) "acks this verifier" 1 ack.Batch.ack_verifier)
     credits;
   (* feed one back to the signer like the transport would *)
   match credits with
-  | (pressure, ack :: _) :: _ ->
+  | (pressure, ack) :: _ ->
       Control_plane.note_pressure (Control_plane.of_signer signer)
         ~verifier:ack.Batch.ack_verifier ~pressure
-  | _ -> ()
+  | [] -> ()
 
 let test_verifier_without_loadctl_unchanged () =
   let signer, verifier, frames, _ = make_pair () in
@@ -254,10 +255,9 @@ let test_verifier_without_loadctl_unchanged () =
     "no Credit frames without a controller" true
     (List.for_all (function Batch.Credit _ -> false | _ -> true) !frames)
 
-(* [deliver_many] takes one control-class admission per announcement.
-   A chunk that fails its batch check falls back to per-announcement
-   checks, and that fallback must not be offered to admission again. *)
-let test_deliver_many_admits_once () =
+(* [deliver] takes one control-class admission per announcement,
+   whether its root signature checks or not. *)
+let test_deliver_admits_once () =
   let a = Admission.create ~params ~telemetry:(tel ()) () in
   let signer, verifier, _, _ = make_pair ~admission:a () in
   Signer.background_fill signer;
@@ -271,7 +271,7 @@ let test_deliver_many_admits_once () =
   in
   let offered0 = (Admission.stats a).Admission.offered_control in
   Alcotest.(check int) "all but the poisoned one admitted" (n - 1)
-    (Verifier.deliver_many verifier poisoned);
+    (List.length (List.filter (Verifier.deliver verifier) poisoned));
   Alcotest.(check int) "one control admission per announcement" n
     ((Admission.stats a).Admission.offered_control - offered0)
 
@@ -501,7 +501,7 @@ let suites =
           test_credit_frames_carry_pressure;
         Alcotest.test_case "without loadctl unchanged" `Quick
           test_verifier_without_loadctl_unchanged;
-        Alcotest.test_case "deliver_many admits once" `Quick test_deliver_many_admits_once;
+        Alcotest.test_case "deliver admits once" `Quick test_deliver_admits_once;
         Alcotest.test_case "scrape /loadctl" `Quick test_scrape_loadctl_route;
       ] );
     ( "loadctl-fleet",

@@ -303,8 +303,66 @@ let test_pki_two_domains () =
     (fun d dom -> Alcotest.(check int) (Printf.sprintf "domain %d wrong verdicts" d) 0 (Domain.join dom))
     doms
 
-(* One domain signs through a Runtime while another feeds Ack, Acks,
-   Credit and Request frames through the real dispatcher and polls the
+(* The batch cache is a published immutable view: one domain delivers
+   announcements (evicting past [cache_batches]) and purges them, while
+   the other domains check genuine signatures against whatever view they
+   snapshot. A torn or stale view may cost a slow path, never a verdict:
+   every check is [Fast] or [Slow]. *)
+let test_view_under_writers () =
+  let vcfg = Config.make ~batch_size:8 ~queue_threshold:8 ~cache_batches:2 (Config.wots ~d:4) in
+  let rng = Rng.create 13L in
+  let sk, pk = Eddsa.generate rng in
+  let pki = Pki.create () in
+  Pki.bind pki ~id:0 ~epoch:0 pk;
+  let signer = Signer.create vcfg ~id:0 ~eddsa:sk ~rng ~verifiers:[ 1 ] () in
+  let signed =
+    Array.init 48 (fun i ->
+        Signer.background_fill signer;
+        let msg = Printf.sprintf "view %d" i in
+        (msg, Signer.sign signer msg))
+  in
+  let anns = List.map snd (Signer.drain_outbox signer) in
+  Alcotest.(check bool) "more batches than the cache holds" true (List.length anns > 2);
+  let verifier = Verifier.create vcfg ~id:1 ~pki () in
+  let writing = Atomic.make true in
+  let checkers =
+    List.init (Stdlib.max 1 (stress_domains - 1)) (fun d ->
+        Domain.spawn (fun () ->
+            let wrong = ref 0 and passes = ref 0 in
+            while Atomic.get writing || !passes = 0 do
+              Array.iteri
+                (fun i (msg, wire) ->
+                  if (i + d) mod 2 = 0 then
+                    match Verifier.check verifier ~msg wire with
+                    | Verifier.Fast | Verifier.Slow -> ()
+                    | Verifier.Rejected _ | Verifier.Shed -> incr wrong)
+                signed;
+              incr passes
+            done;
+            !wrong))
+  in
+  for round = 1 to 20 do
+    List.iter (fun a -> ignore (Verifier.deliver verifier a)) anns;
+    let newest = (List.nth anns (List.length anns - 1)).Batch.ann_batch_id in
+    ignore (Verifier.purge_signer ~from_batch:newest verifier ~signer:0);
+    if round mod 4 = 0 then ignore (Verifier.purge_signer verifier ~signer:0)
+  done;
+  Atomic.set writing false;
+  List.iteri
+    (fun d dom ->
+      Alcotest.(check int) (Printf.sprintf "checker %d: every verdict Fast or Slow" d) 0
+        (Domain.join dom))
+    checkers;
+  List.iter (fun a -> ignore (Verifier.deliver verifier a)) anns;
+  Alcotest.(check int) "capped at cache_batches" 2 (Verifier.cached_batches verifier ~signer:0);
+  let msg, wire = signed.(Array.length signed - 1) in
+  Alcotest.(check bool) "the newest batch serves the fast path" true
+    (Verifier.check verifier ~msg wire = Verifier.Fast);
+  let st = Verifier.stats verifier in
+  Alcotest.(check int) "nothing rejected" 0 st.Verifier.rejected
+
+(* One domain signs through a Runtime while another feeds Ack, Credit
+   and Request frames through the real dispatcher and polls the
    re-announce plane. The control plane has its own lock and no longer
    borrows the key queue's, so this checks that lock alone keeps the
    tracker consistent: every signature verifies, nothing raises, and
@@ -331,7 +389,7 @@ let test_runtime_control_plane () =
         sigs)
   in
   (* track each announcement for verifiers 1 and 2, ask for a repair of
-     it, and ACK it in one of the three frame shapes *)
+     it, and ACK it in [Ack] frames, [Credit] frames or one of each *)
   let settle ann =
     Runtime.track_announcement rt ann ~dests:[ 1; 2 ];
     let batch = ann.Batch.ann_batch_id in
@@ -344,12 +402,9 @@ let test_runtime_control_plane () =
     let frames =
       match Int64.rem batch 3L with
       | 0L -> [ Batch.Ack (ack 1); Batch.Ack (ack 2) ]
-      | 1L -> [ Batch.Acks [ ack 1; ack 2 ] ]
+      | 1L -> [ Batch.Credit { pressure = 9; ack = ack 1 }; Batch.Ack (ack 2) ]
       | _ ->
-          [
-            Batch.Credit { pressure = 17; acks = [ ack 1 ] };
-            Batch.Credit { pressure = 0; acks = [ ack 2 ] };
-          ]
+          [ Batch.Credit { pressure = 17; ack = ack 1 }; Batch.Credit { pressure = 0; ack = ack 2 } ]
     in
     List.iter (fun f -> ignore (Control_plane.deliver cp f)) frames;
     ann
@@ -638,6 +693,7 @@ let () =
           Alcotest.test_case "multi-domain verify hammer" `Slow test_stress;
           Alcotest.test_case "hash digests across domains" `Quick test_hash_domains;
           Alcotest.test_case "verify_many mixed verdicts" `Quick test_verify_many_mixed;
+          Alcotest.test_case "batch cache view under writers" `Quick test_view_under_writers;
           Alcotest.test_case "pki prepared key across two domains" `Quick test_pki_two_domains;
           Alcotest.test_case "runtime sign vs control plane" `Quick test_runtime_control_plane;
           Alcotest.test_case "runtime driver: hints, sign_many, rotation" `Quick test_runtime_driver;

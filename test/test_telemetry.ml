@@ -303,7 +303,6 @@ let test_stats_probes () =
         ("slow_cache_miss_total", fun s -> s.slow_cache_miss);
         ("batch_requests_total", fun s -> s.requests_sent);
         ("acks_total", fun s -> s.acks_sent);
-        ("ack_frames_total", fun s -> s.ack_frames_sent);
         ("eddsa_cache_evictions_total", fun s -> s.eddsa_cache_evictions);
       ];
   Alcotest.(check bool) "both paths exercised" true (s1.Verifier.fast > 0 && s2.Verifier.slow > 0);

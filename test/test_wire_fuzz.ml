@@ -42,18 +42,8 @@ let valid_announcement_frames =
          (Batch.Request { Batch.req_verifier = 1; req_signer = 5; req_batch = 42L }));
     Tcpnet.encode_message
       (Tcpnet.Control
-         (Batch.Acks
-            (List.init 3 (fun i ->
-                 { Batch.ack_verifier = 1; ack_signer = 5; ack_batch = Int64.of_int i }))));
-    Tcpnet.encode_message
-      (Tcpnet.Control
          (Batch.Credit
-            {
-              pressure = 200;
-              acks =
-                List.init 3 (fun i ->
-                    { Batch.ack_verifier = 1; ack_signer = 5; ack_batch = Int64.of_int i });
-            }));
+            { pressure = 200; ack = { Batch.ack_verifier = 1; ack_signer = 5; ack_batch = 42L } }));
     Tcpnet.encode_message
       (Tcpnet.Traced
          ( Dsig_telemetry.Trace_ctx.make ~signer:5 ~batch_id:42L ~key_index:2 ~origin:5
@@ -147,44 +137,21 @@ let test_control_codec () =
       | Ok _ -> Alcotest.fail "malformed control accepted")
     [ ""; "K"; "X" ^ String.make 24 '\x00'; Batch.encode_control a ^ "x" ]
 
-(* the count-prefixed coalesced-ACK frame (satellite of ISSUE 3):
-   empty, singleton and many-ack frames roundtrip; the singleton 'K'
-   frame is untouched by the extension; oversized counts and truncated
-   bodies are rejected *)
-let test_acks_codec () =
-  let ack i = { Batch.ack_verifier = 4; ack_signer = 6; ack_batch = Int64.of_int (100 + i) } in
+(* The retired count-prefixed multi-ACK frame ('M': tag, u16 count,
+   24 bytes per ack) is rejected as an unknown tag, by the control
+   decoder and by the transport, whatever its count. *)
+let test_multi_ack_rejected () =
   List.iter
     (fun n ->
-      let c = Batch.Acks (List.init n ack) in
-      let e = Batch.encode_control c in
-      Alcotest.(check int) "declared size" (Batch.control_bytes c) (String.length e);
-      match Batch.decode_control e with
-      | Ok c' -> Alcotest.(check bool) (Printf.sprintf "acks(%d) roundtrip" n) true (c = c')
-      | Error e -> Alcotest.fail e)
-    [ 0; 1; 3; 100 ];
-  (* the legacy single-ack frame still decodes to Ack, not Acks *)
-  (match Batch.decode_control (Batch.encode_control (Batch.Ack (ack 0))) with
-  | Ok (Batch.Ack _) -> ()
-  | _ -> Alcotest.fail "single ack no longer decodes as Ack");
-  Alcotest.(check (option int)) "acks target the one signer" (Some 6)
-    (Batch.control_target (Batch.Acks [ ack 0; ack 1 ]));
-  Alcotest.(check (option int)) "empty acks target nobody" None
-    (Batch.control_target (Batch.Acks []));
-  (* a count above the cap or a body shorter than the count is rejected *)
-  let many = Batch.encode_control (Batch.Acks (List.init 4 ack)) in
-  let overcount = Bytes.of_string many in
-  Bytes.set_uint16_le overcount 1 (Batch.max_acks_per_frame + 1);
-  List.iter
-    (fun s ->
-      match Batch.decode_control s with
+      let body = String.concat "" (List.init n (fun i -> String.make 24 (Char.chr (65 + i)))) in
+      let frame = Printf.sprintf "M%c%c%s" (Char.chr n) '\x00' body in
+      (match Batch.decode_control frame with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "malformed acks accepted")
-    [
-      Bytes.to_string overcount;
-      String.sub many 0 (String.length many - 1);
-      many ^ "x";
-      "M\xff\xff";
-    ]
+      | Ok _ -> Alcotest.fail (Printf.sprintf "'M' frame of %d acks accepted" n));
+      match Tcpnet.decode_message frame with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (Printf.sprintf "transport accepted an 'M' frame of %d acks" n))
+    [ 0; 1; 3 ]
 
 (* Bounds audit of [Bytes.unsafe_*] call sites (ISSUE 7 satellite).
    Every site in the tree is a [Bytes.unsafe_to_string] on a buffer the
@@ -247,43 +214,30 @@ let hash_chunking_fuzz =
       incr_blake3 chunks = Dsig_hashes.Blake3.digest s
       && incr_sha256 chunks = Dsig_hashes.Sha256.digest s)
 
-(* the pressure-bearing credit frame ('P', satellite of ISSUE 10): the
-   extended ACK frame that piggybacks the verifier's back-pressure
-   byte. Roundtrips at every pressure and ack count; truncations,
-   overcounts and tag confusion are rejected; and crucially the OLD
-   formats ('K' single-ack, 'M' coalesced) still decode unchanged — a
-   fleet upgrades one node at a time *)
+(* The pressure-bearing credit frame ('P'): an ACK plus the verifier's
+   back-pressure byte, fixed-size. Roundtrips at every pressure;
+   truncations, trailing bytes and tag confusion are rejected; and the
+   plain 'K' ACK is untouched by it. *)
 let test_credit_codec () =
-  let ack i = { Batch.ack_verifier = 4; ack_signer = 6; ack_batch = Int64.of_int (100 + i) } in
+  let ack = { Batch.ack_verifier = 4; ack_signer = 6; ack_batch = 100L } in
   List.iter
-    (fun (p, n) ->
-      let c = Batch.Credit { pressure = p; acks = List.init n ack } in
+    (fun p ->
+      let c = Batch.Credit { pressure = p; ack } in
       let e = Batch.encode_control c in
       Alcotest.(check int) "declared size" (Batch.control_bytes c) (String.length e);
+      Alcotest.(check int) "fixed size" (Batch.control_wire_bytes + 1) (String.length e);
       match Batch.decode_control e with
-      | Ok c' ->
-          Alcotest.(check bool) (Printf.sprintf "credit(p=%d,n=%d) roundtrip" p n) true (c = c')
+      | Ok c' -> Alcotest.(check bool) (Printf.sprintf "credit(p=%d) roundtrip" p) true (c = c')
       | Error e -> Alcotest.fail e)
-    [ (0, 0); (0, 1); (1, 3); (128, 7); (255, 100); (255, 0) ];
-  (* routing: a credit frame targets its acks' signer, none when empty *)
-  Alcotest.(check (option int)) "credit targets the signer" (Some 6)
-    (Batch.control_target (Batch.Credit { pressure = 9; acks = [ ack 0; ack 1 ] }));
-  Alcotest.(check (option int)) "empty credit targets nobody" None
-    (Batch.control_target (Batch.Credit { pressure = 9; acks = [] }));
-  (* old-format frames are untouched by the extension *)
-  (match Batch.decode_control (Batch.encode_control (Batch.Ack (ack 0))) with
-  | Ok (Batch.Ack _) -> ()
-  | _ -> Alcotest.fail "legacy 'K' frame no longer decodes as Ack");
-  (match Batch.decode_control (Batch.encode_control (Batch.Acks [ ack 0; ack 1 ])) with
-  | Ok (Batch.Acks _) -> ()
-  | _ -> Alcotest.fail "legacy 'M' frame no longer decodes as Acks");
-  (* malformed: truncated body, trailing garbage, count above the cap,
-     count pointing past the body *)
-  let good = Batch.encode_control (Batch.Credit { pressure = 7; acks = List.init 4 ack }) in
-  let overcount = Bytes.of_string good in
-  Bytes.set_uint16_le overcount 2 (Batch.max_acks_per_frame + 1);
-  let overdeclared = Bytes.of_string good in
-  Bytes.set_uint16_le overdeclared 2 5;
+    [ 0; 1; 128; 255 ];
+  Alcotest.(check int) "credit targets the signer" 6
+    (Batch.control_target (Batch.Credit { pressure = 9; ack }));
+  (match Batch.decode_control (Batch.encode_control (Batch.Ack ack)) with
+  | Ok (Batch.Ack a) -> Alcotest.(check bool) "'K' frame still an Ack" true (a = ack)
+  | _ -> Alcotest.fail "'K' frame no longer decodes as Ack");
+  let good = Batch.encode_control (Batch.Credit { pressure = 7; ack }) in
+  let as_ack = Bytes.of_string good in
+  Bytes.set as_ack 0 'K';
   List.iter
     (fun s ->
       match Batch.decode_control s with
@@ -292,36 +246,17 @@ let test_credit_codec () =
     [
       String.sub good 0 (String.length good - 1);
       good ^ "x";
-      Bytes.to_string overcount;
-      Bytes.to_string overdeclared;
-      "P"; "P\x00"; "P\x00\xff\xff";
+      Bytes.to_string as_ack;
+      "P";
+      "P\x00";
     ]
 
 let credit_fuzz =
-  QCheck.Test.make ~name:"credit frames roundtrip at any pressure and count" ~count:200
-    QCheck.(pair (int_bound 255) (int_bound Batch.max_acks_per_frame))
-    (fun (p, n) ->
+  QCheck.Test.make ~name:"credit frames roundtrip at any pressure and ack" ~count:200
+    QCheck.(quad (int_bound 255) small_nat small_nat int64)
+    (fun (p, v, s, b) ->
       let c =
-        Batch.Credit
-          {
-            pressure = p;
-            acks =
-              List.init n (fun i ->
-                  { Batch.ack_verifier = 1; ack_signer = 2; ack_batch = Int64.of_int i });
-          }
-      in
-      match Batch.decode_control (Batch.encode_control c) with
-      | Ok c' -> c = c'
-      | Error _ -> false)
-
-let acks_fuzz =
-  QCheck.Test.make ~name:"acks frames roundtrip at any count" ~count:200
-    QCheck.(int_bound Batch.max_acks_per_frame)
-    (fun n ->
-      let c =
-        Batch.Acks
-          (List.init n (fun i ->
-               { Batch.ack_verifier = 1; ack_signer = 2; ack_batch = Int64.of_int i }))
+        Batch.Credit { pressure = p; ack = { Batch.ack_verifier = v; ack_signer = s; ack_batch = b } }
       in
       match Batch.decode_control (Batch.encode_control c) with
       | Ok c' -> c = c'
@@ -334,12 +269,12 @@ let () =
         [
           Alcotest.test_case "valid roundtrips" `Quick test_roundtrip;
           Alcotest.test_case "control codec" `Quick test_control_codec;
-          Alcotest.test_case "acks codec" `Quick test_acks_codec;
+          Alcotest.test_case "'M' multi-ack frame rejected" `Quick test_multi_ack_rejected;
           Alcotest.test_case "credit codec" `Quick test_credit_codec;
           Alcotest.test_case "hash block boundaries" `Quick test_hash_boundaries;
         ]
         @ List.map
             (QCheck_alcotest.to_alcotest ~long:false)
-            [ arbitrary_total; mutated_total; acks_fuzz; credit_fuzz; hash_chunking_fuzz ]
+            [ arbitrary_total; mutated_total; credit_fuzz; hash_chunking_fuzz ]
       );
     ]
