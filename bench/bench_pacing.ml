@@ -30,8 +30,8 @@ type outcome = {
   rto_us : float;
 }
 
-(* One deployment on the default bundle (its tracer and lifecycle are
-   the ones the harness dumps), with its clock temporarily repointed at
+(* One deployment on the default bundle (its lifecycle is the one the
+   harness dumps), with its clock temporarily repointed at
    the virtual one; counters are read as before/after deltas because
    the bundle is shared across experiments. *)
 let run_paced () =

@@ -80,10 +80,7 @@ let write_telemetry_snapshot ?snapshot dir base =
   let snap =
     match snapshot with Some s -> s | None -> Dsig_telemetry.Telemetry.snapshot tel
   in
-  let js =
-    Dsig_telemetry.Export.json ~tracer:tel.Dsig_telemetry.Telemetry.tracer
-      ~lifecycle:tel.Dsig_telemetry.Telemetry.lifecycle snap
-  in
+  let js = Dsig_telemetry.Export.json ~lifecycle:tel.Dsig_telemetry.Telemetry.lifecycle snap in
   let oc = open_out (Filename.concat dir (base ^ "-telemetry.json")) in
   output_string oc (js ^ "\n");
   close_out oc

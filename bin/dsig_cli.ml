@@ -240,12 +240,10 @@ let log_audit_cmd =
    bundle and print the resulting snapshot. Demonstrates the full
    metrics plane: the signer's background refills, the verifier's
    fast/slow path split (announcements are delivered between batches,
-   so early signatures verify slow and later ones fast), and the span
-   tracer under --trace. *)
-let stats ops fmt trace d batch =
+   so early signatures verify slow and later ones fast). *)
+let stats ops fmt d batch =
   let module Tel = Dsig_telemetry.Telemetry in
   let tel = Tel.create () in
-  if trace then Dsig_telemetry.Tracer.enable tel.Tel.tracer;
   let cfg = config_of ~d ~batch in
   let rng = Dsig_util.Rng.create 11L in
   let sk, pk = Dsig_ed25519.Eddsa.generate rng in
@@ -270,7 +268,7 @@ let stats ops fmt trace d batch =
   let snap = Tel.snapshot tel in
   (match fmt with
   | `Human -> print_string (Dsig_telemetry.Export.summary snap)
-  | `Json -> print_endline (Dsig_telemetry.Export.json ~tracer:tel.Tel.tracer snap)
+  | `Json -> print_endline (Dsig_telemetry.Export.json snap)
   | `Prometheus -> print_string (Dsig_telemetry.Export.prometheus snap));
   0
 
@@ -283,13 +281,10 @@ let format_arg =
     & opt (enum [ ("human", `Human); ("json", `Json); ("prometheus", `Prometheus) ]) `Human
     & info [ "f"; "format" ] ~docv:"FORMAT" ~doc:"Output format: $(b,human), $(b,json) or $(b,prometheus).")
 
-let trace_arg =
-  Arg.(value & flag & info [ "trace" ] ~doc:"Enable the span tracer (shown in json output).")
-
 let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc:"Run a sign/verify workload and print its telemetry snapshot.")
-    Term.(const stats $ ops_arg $ format_arg $ trace_arg $ d_arg $ batch_arg)
+    Term.(const stats $ ops_arg $ format_arg $ d_arg $ batch_arg)
 
 (* --- top --- *)
 
@@ -611,7 +606,7 @@ let monitor endpoints pk_hex log_id interval count =
               let fetch_consistency ~old_size ~new_size =
                 Serve.fetch_consistency ~port ~old_size ~new_size ()
               in
-              match Monitor.observe mon ~source cp ~fetch_consistency with
+              match Monitor.observe mon cp ~fetch_consistency with
               | Monitor.Advanced ->
                   Printf.printf "%s: size %d root %s — head advanced\n%!" source
                     cp.Checkpoint.tree_size

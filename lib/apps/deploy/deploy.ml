@@ -86,8 +86,8 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
   let telemetry = options.Dsig.Options.telemetry in
   (* one registry per party, so each party's counts and gauges keep
      their one dsig_* name (a shared registry would sum the counters
-     and keep only the last writer's gauges); the tracer, lifecycle and
-     clock stay shared, so a sign on one party joins its verify on
+     and keep only the last writer's gauges); the lifecycle and clock
+     stay shared, so a sign on one party joins its verify on
      another *)
   let party_tel = Array.init n (fun _ -> { telemetry with Tel.registry = Registry.create () }) in
   let master = Rng.create seed in
@@ -191,8 +191,6 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
   let net : payload Net.t = Net.create sim ~nodes:n ~latency_us () in
   let ann_bytes = Dsig.Batch.announcement_wire_bytes cfg in
   let counts = { sent = 0; delivered = 0 } in
-  Tel.probe telemetry "dsig_deploy_announcements_sent_total" (fun () -> counts.sent);
-  Tel.probe telemetry "dsig_deploy_announcements_delivered_total" (fun () -> counts.delivered);
   let c_dropped = Tel.counter telemetry "dsig_deploy_announcements_rejected_total" in
   let c_control = Tel.counter telemetry "dsig_deploy_control_frames_total" in
   let h_net = Tel.histogram telemetry "dsig_deploy_announce_net_us" in
@@ -266,6 +264,9 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
       counts;
     }
   in
+  Tel.probe telemetry ~owner:t "dsig_deploy_announcements_sent_total" (fun () -> counts.sent);
+  Tel.probe telemetry ~owner:t "dsig_deploy_announcements_delivered_total" (fun () ->
+      counts.delivered);
   let c_ckpt_sent = Tel.counter telemetry "dsig_deploy_checkpoints_gossiped_total" in
   let c_ckpt_alarms = Tel.counter telemetry "dsig_deploy_checkpoint_alarms_total" in
   let observe_checkpoint id encoded =
@@ -278,7 +279,7 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
             (* monitors bridge heads with proofs from the log itself —
                in-process here; over Serve in the real-TCP harness *)
             match
-              Monitor.observe tr.monitors.(id) ~source:"gossip" cp
+              Monitor.observe tr.monitors.(id) cp
                 ~fetch_consistency:(fun ~old_size ~new_size ->
                   Translog.prove_consistency tr.log ~old_size ~new_size)
             with

@@ -94,8 +94,8 @@ val create :
     deployment's: each party gets a copy of it with a registry of its
     own ({!telemetry}), so every party's signer, verifier, key store,
     monitor, sampler and alerter publish under the one [dsig_*] name
-    of each series. The tracer and lifecycle aggregator stay shared, so
-    a signature's sign and verify spans join across parties; the clock
+    of each series. The lifecycle aggregator stays shared, so a
+    signature's sign and verify spans join across parties; the clock
     is the bundle's at creation time. The deployment bundle itself
     receives
     [dsig_deploy_announcements_{sent,delivered}_total] (probes of
@@ -104,8 +104,8 @@ val create :
     [dsig_deploy_control_frames_total] counters and the
     [dsig_deploy_announce_net_us] histogram of virtual time
     announcements spend on the modeled wire. Pass a bundle created with
-    [~clock:(fun () -> Sim.now sim)] so tracer spans — and the
-    re-announce/pull-repair timers — run in virtual time.
+    [~clock:(fun () -> Sim.now sim)] so latency histograms, lifecycle
+    spans and the re-announce/pull-repair timers run in virtual time.
 
     [store_dir] gives every signer a durable key-state journal in its
     own subdirectory ([store_dir/node-<id>]); a later deployment created
@@ -152,7 +152,7 @@ val alerter : t -> int -> Dsig_timeseries.Alert.t option
 (** Party [i]'s burn-rate alerter ([None] without [?timeseries]). *)
 
 val telemetry : t -> int -> Dsig_telemetry.Telemetry.t
-(** Party [i]'s bundle: the deployment's tracer, lifecycle and clock
+(** Party [i]'s bundle: the deployment's lifecycle and clock
     over party [i]'s own registry. Read a per-party gauge (say
     [dsig_rtt_us]) here: in {!snapshot} gauges of the same name add
     up. *)

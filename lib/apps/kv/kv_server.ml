@@ -15,8 +15,8 @@ let start ~sim ~net ~node ~verify ?(verify_cost_us = fun ~signature:_ -> 0.0)
     ?(exec_cost_us = 0.3) ?(telemetry = Tel.default) () =
   let counts = { served = 0; rejected = 0 } in
   let t = { store = Store.create (); log = Dsig_audit.Audit.create (); counts } in
-  Tel.probe telemetry "dsig_kv_requests_total" (fun () -> counts.served + counts.rejected);
-  Tel.probe telemetry "dsig_kv_rejected_total" (fun () -> counts.rejected);
+  Tel.probe telemetry ~owner:t "dsig_kv_requests_total" (fun () -> counts.served + counts.rejected);
+  Tel.probe telemetry ~owner:t "dsig_kv_rejected_total" (fun () -> counts.rejected);
   let h_serve = Tel.histogram telemetry "dsig_kv_serve_us" in
   let core = Resource.create ~name:"kv.core" sim in
   Sim.spawn sim (fun () ->

@@ -95,7 +95,7 @@ let route ?(health_budgets = default_health_budgets) ?timeseries ?alerts ?loadct
       Some
         ( "200 OK",
           "application/json",
-          Export.json ~tracer:tel.Tel.tracer ~lifecycle:tel.Tel.lifecycle (Tel.snapshot tel) )
+          Export.json ~lifecycle:tel.Tel.lifecycle (Tel.snapshot tel) )
   | "/loadctl" ->
       Option.map
         (fun a -> ("200 OK", "application/json", Dsig_loadctl.Admission.to_json a))

@@ -7,8 +7,8 @@
     - [/metrics] — Prometheus text exposition of every counter, gauge
       and histogram in the bundle (including the [dsig_lifecycle_*]
       series once lifecycle tracing is enabled);
-    - [/metrics.json] — the full JSON export with tracer events and the
-      lifecycle plane summary;
+    - [/metrics.json] — the full JSON export: counters, gauges,
+      histograms and the lifecycle plane summary;
     - [/trace] — the recent completed lifecycle spans
       ([{"lifecycle":{..},"spans":[..]}]), newest last;
     - [/planes] — a plain-text per-plane table

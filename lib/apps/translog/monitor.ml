@@ -27,7 +27,6 @@ type t = {
   log_id : int;
   verify : msg:string -> signature:string -> bool;
   seen : (int, string) Hashtbl.t;  (* size -> the one root we accept there *)
-  per_source : (string, Checkpoint.t) Hashtbl.t;
   mutable head : Checkpoint.t option;
   mutable alarms : alarm list;  (* newest first *)
   mu : Mutex.t;
@@ -41,7 +40,6 @@ let create ?(telemetry = Tel.default) ~log_id ~verify () =
     log_id;
     verify;
     seen = Hashtbl.create 64;
-    per_source = Hashtbl.create 8;
     head = None;
     alarms = [];
     mu = Mutex.create ();
@@ -60,11 +58,9 @@ let raise_alarm t a =
   (match a with Split_view _ -> Metric.Counter.incr t.c_split_views | _ -> ());
   Alarmed a
 
-let accept t ~source (cp : Checkpoint.t) =
-  Hashtbl.replace t.seen cp.tree_size cp.root;
-  Hashtbl.replace t.per_source source cp
+let accept t (cp : Checkpoint.t) = Hashtbl.replace t.seen cp.tree_size cp.root
 
-let observe t ~source (cp : Checkpoint.t) ~fetch_consistency =
+let observe t (cp : Checkpoint.t) ~fetch_consistency =
   locked t (fun () ->
       Metric.Counter.incr t.c_observations;
       if not (Checkpoint.verify ~verify:t.verify cp) then raise_alarm t Bad_signature
@@ -78,7 +74,7 @@ let observe t ~source (cp : Checkpoint.t) ~fetch_consistency =
             raise_alarm t
               (Split_view { size = cp.tree_size; known_root = known; offered_root = cp.root })
         | Some _ ->
-            accept t ~source cp;
+            accept t cp;
             let advanced =
               match t.head with Some h -> cp.tree_size > h.Checkpoint.tree_size | None -> true
             in
@@ -96,7 +92,7 @@ let observe t ~source (cp : Checkpoint.t) ~fetch_consistency =
             match t.head with
             | None ->
                 (* first head: nothing to bridge from; pin it *)
-                accept t ~source cp;
+                accept t cp;
                 t.head <- Some cp;
                 Advanced
             | Some head ->
@@ -109,7 +105,7 @@ let observe t ~source (cp : Checkpoint.t) ~fetch_consistency =
                   (* everything extends the empty log (RFC 9162
                      §2.1.4.1: the consistency proof is empty) — no
                      round trip to demand *)
-                  accept t ~source cp;
+                  accept t cp;
                   if cp.tree_size > head.Checkpoint.tree_size then begin
                     t.head <- Some cp;
                     Advanced
@@ -125,7 +121,7 @@ let observe t ~source (cp : Checkpoint.t) ~fetch_consistency =
                       Logtree.verify_consistency ~old_root:old_cp.Checkpoint.root ~old_size
                         ~new_root:new_cp.Checkpoint.root ~new_size proof
                     then begin
-                      accept t ~source cp;
+                      accept t cp;
                       if cp.tree_size > head.Checkpoint.tree_size then begin
                         t.head <- Some cp;
                         Advanced
@@ -140,6 +136,3 @@ let alarms t = locked t (fun () -> List.rev t.alarms)
 let split_views t =
   locked t (fun () ->
       List.length (List.filter (function Split_view _ -> true | _ -> false) t.alarms))
-
-let source_head t source = locked t (fun () -> Hashtbl.find_opt t.per_source source)
-let sources t = locked t (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) t.per_source [])

@@ -1,13 +1,13 @@
 (** A split-view monitor: the independent process that makes gossiped
     checkpoints mean something.
 
-    The monitor pins one root per tree size ever observed and one
-    latest checkpoint per source (vantage point). Every new checkpoint
-    must either match a pinned root exactly or come with a consistency
-    proof bridging it to the monitor's current head; a checkpoint that
-    contradicts a pinned root is a {e split view} — cryptographic
-    evidence that the log operator showed different histories to
-    different parties — and is never forgiven or overwritten.
+    The monitor pins one root per tree size ever observed. Every new
+    checkpoint must either match a pinned root exactly or come with a
+    consistency proof bridging it to the monitor's current head; a
+    checkpoint that contradicts a pinned root is a {e split view} —
+    cryptographic evidence that the log operator showed different
+    histories to different parties — and is never forgiven or
+    overwritten.
 
     The monitor trusts nothing but the log's public key and the Merkle
     math: proofs are fetched through a caller-supplied closure (in
@@ -46,12 +46,11 @@ val create :
 
 val observe :
   t ->
-  source:string ->
   Checkpoint.t ->
   fetch_consistency:
     (old_size:int -> new_size:int -> (Dsig_merkle.Logtree.proof, string) result) ->
   verdict
-(** Feed one checkpoint seen at [source]. [fetch_consistency] is called
+(** Feed one checkpoint. [fetch_consistency] is called
     at most once, only when the checkpoint's size is new to the monitor
     and a head already exists; bridging from a size-0 head is trivially
     consistent (RFC 9162 §2.1.4.1) and needs no proof. Thread safe. *)
@@ -63,8 +62,3 @@ val alarms : t -> alarm list
 (** Every alarm ever raised, oldest first. *)
 
 val split_views : t -> int
-
-val source_head : t -> string -> Checkpoint.t option
-(** The latest checkpoint accepted from one vantage point. *)
-
-val sources : t -> string list

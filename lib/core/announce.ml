@@ -2,7 +2,6 @@ module Rtt = Dsig_util.Rtt
 module Pacer = Dsig_util.Pacer
 module Tel = Dsig_telemetry.Telemetry
 module Metric = Dsig_telemetry.Metric
-module Tracer = Dsig_telemetry.Tracer
 
 (* Scheduler constants: the RFC-6298 estimator defaults, and one token
    bucket per signer refilling at 2000 re-announcements/s with a burst
@@ -312,7 +311,7 @@ module Plane = struct
     let tracker = create ~clock:(fun () -> Tel.now tel) () in
     let c = tracker.counts in
     List.iter
-      (fun (name, read) -> Tel.probe tel name read)
+      (fun (name, read) -> Tel.probe tel ~owner:tracker name read)
       [
         (prefix ^ "_acks_total", fun () -> c.acked);
         (prefix ^ "_announce_giveups_total", fun () -> c.gave_up);
@@ -394,22 +393,13 @@ module Plane = struct
     (* outside [mu], like every send: the hook may snapshot the
        registry *)
     Option.iter (fun hook -> hook ~now_us:now) p.sample_hook;
-    let t0 = Tel.now p.tel in
-    let due =
-      locked p (fun tr ->
-          let due = due ~now tr in
-          if due <> [] then begin
-            List.iter (fun (dest, _) -> Option.iter (observe_rto p ~dest) (rto_us tr ~dest)) due;
-            sync_unacked p
-          end;
-          due)
-    in
-    if due <> [] then begin
-      let tracer = p.tel.Tel.tracer in
-      Tracer.record_at tracer ~tag:p.id Tracer.Reannounce Tracer.Begin t0;
-      Tracer.record_at tracer ~tag:p.id Tracer.Reannounce Tracer.End (Tel.now p.tel)
-    end;
-    due
+    locked p (fun tr ->
+        let due = due ~now tr in
+        if due <> [] then begin
+          List.iter (fun (dest, _) -> Option.iter (observe_rto p ~dest) (rto_us tr ~dest)) due;
+          sync_unacked p
+        end;
+        due)
 
   let drop_before p ~batch_id =
     locked p (fun tr ->

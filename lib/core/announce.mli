@@ -156,9 +156,7 @@ module Plane : sig
       [dsig_reannounce_redundant_total]. It sets the gauges
       [<prefix>_unacked_announcements], [<prefix>_peer_pressure] and
       the pacing gauges [dsig_rtt_us] / [dsig_rto_us] (latest
-      observation, plus per-destination [.._dest_<id>] series), and
-      records a [reannounce] tracer span tagged [id] when {!step}
-      returns work. *)
+      observation, plus per-destination [.._dest_<id>] series). *)
 
   val track : t -> Batch.announcement -> dests:int list -> unit
   (** {!Announce.track}: call it before sending the announcement, so

@@ -2,7 +2,6 @@ module Merkle = Dsig_merkle.Merkle
 module Eddsa = Dsig_ed25519.Eddsa
 module BU = Dsig_util.Bytesutil
 module Tel = Dsig_telemetry.Telemetry
-module Tracer = Dsig_telemetry.Tracer
 module Metric = Dsig_telemetry.Metric
 
 type t = {
@@ -33,10 +32,8 @@ let make ?(telemetry = Tel.default) ?pool (cfg : Config.t) ~signer_id ~batch_id 
   let tree = Merkle.build (Array.map Onetime.batch_leaf keys) in
   let root = Merkle.root tree in
   let t1 = Tel.now telemetry in
-  Tracer.record_at telemetry.Tel.tracer ~tag:signer_id Tracer.Eddsa_sign Tracer.Begin t1;
   let root_sig = Eddsa.sign eddsa (root_message ~signer_id ~batch_id ~root) in
   let t2 = Tel.now telemetry in
-  Tracer.record_at telemetry.Tel.tracer ~tag:signer_id Tracer.Eddsa_sign Tracer.End t2;
   Metric.Histogram.add (Tel.histogram telemetry "dsig_batch_keygen_us") (t1 -. t0);
   Metric.Histogram.add (Tel.histogram telemetry "dsig_batch_eddsa_sign_us") (t2 -. t1);
   Metric.Counter.incr (Tel.counter telemetry "dsig_batch_generated_total");

@@ -20,9 +20,8 @@ val make :
   rng:Dsig_util.Rng.t ->
   t
 (** Records [dsig_batch_keygen_us] / [dsig_batch_eddsa_sign_us]
-    histograms, the [dsig_batch_generated_total] counter, and an
-    [eddsa_sign] tracer span on [telemetry] (default
-    {!Dsig_telemetry.Telemetry.default}).
+    histograms and the [dsig_batch_generated_total] counter on
+    [telemetry] (default {!Dsig_telemetry.Telemetry.default}).
 
     With [pool], one-time key generation (the dominant cost) is sharded
     over the pool's worker domains. All key seeds are drawn from [rng]

@@ -44,7 +44,7 @@ val store : ?group_commit:int -> ?fsync:bool -> ?checkpoint_every:int -> string 
 (** {1 The options record} *)
 
 type t = {
-  telemetry : Dsig_telemetry.Telemetry.t;  (** metric/tracer/clock bundle *)
+  telemetry : Dsig_telemetry.Telemetry.t;  (** metric/lifecycle/clock bundle *)
   store : store option;  (** [None] (default) = in-memory key state only *)
   translog : (signer:int -> op:string -> signature:string -> unit) option;
       (** transparency sink: called once per issued signature, after the

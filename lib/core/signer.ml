@@ -2,7 +2,6 @@ module Eddsa = Dsig_ed25519.Eddsa
 module Rng = Dsig_util.Rng
 module Domain_pool = Dsig_util.Domain_pool
 module Tel = Dsig_telemetry.Telemetry
-module Tracer = Dsig_telemetry.Tracer
 module Metric = Dsig_telemetry.Metric
 module Lifecycle = Dsig_telemetry.Lifecycle
 module Trace = Dsig_telemetry.Trace_ctx
@@ -124,10 +123,6 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
   let tel = options.telemetry in
   let store, recovery = open_store tel cfg options in
   let batches = Atomic.make 0 and signatures = Atomic.make 0 and sign_waits = Atomic.make 0 in
-  (* the probes capture only the counts, never the signer's keys *)
-  Tel.probe tel (prefix ^ "_batches_total") (fun () -> Atomic.get batches);
-  Tel.probe tel (prefix ^ "_signatures_total") (fun () -> Atomic.get signatures);
-  Tel.probe tel (prefix ^ "_sign_waits_total") (fun () -> Atomic.get sign_waits);
   let normalize members = List.sort_uniq compare members in
   let mk members =
     { members; current = Atomic.make (empty_run ()); pending = Queue.create (); pending_keys = 0 }
@@ -180,11 +175,14 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
     g_epoch = Tel.gauge tel "dsig_rotation_epoch";
   }
   in
-  (* the depth is read from the queues at each snapshot, through a weak
-     pointer, so the registry never keeps the signer's keys alive *)
+  (* the probes capture only the counts, never the signer: the depth is
+     read from the queues at each snapshot through a weak pointer *)
+  Tel.probe tel ~owner:t (prefix ^ "_batches_total") (fun () -> Atomic.get batches);
+  Tel.probe tel ~owner:t (prefix ^ "_signatures_total") (fun () -> Atomic.get signatures);
+  Tel.probe tel ~owner:t (prefix ^ "_sign_waits_total") (fun () -> Atomic.get sign_waits);
   let self = Weak.create 1 in
   Weak.set self 0 (Some t);
-  Tel.gauge_probe tel (prefix ^ "_queue_depth") (fun () ->
+  Tel.gauge_probe tel ~owner:t (prefix ^ "_queue_depth") (fun () ->
       match Weak.get self 0 with Some t -> float_of_int (queue_depth t) | None -> 0.0);
   t
 
@@ -294,11 +292,8 @@ let next_batch_id t =
 (* Caller holds [seal]. *)
 let refill t group =
   let t0 = Tel.now t.tel in
-  Tracer.record_at t.tel.Tel.tracer ~tag:t.id Tracer.Batch_gen Tracer.Begin t0;
   ignore (seal_batch t group ~batch_id:(next_batch_id t) ~into:(push t group));
-  let t1 = Tel.now t.tel in
-  Metric.Histogram.add t.h_batch_gen (t1 -. t0);
-  Tracer.record_at t.tel.Tel.tracer ~tag:t.id Tracer.Batch_gen Tracer.End t1
+  Metric.Histogram.add t.h_batch_gen (Tel.now t.tel -. t0)
 
 (* Under [lock]. A staged rotation suppresses refills of the dying
    default generation: cutover is imminent and would discard them. *)
@@ -444,8 +439,7 @@ let take t group =
   | None -> assert false (* each index is taken once *)
 
 (* The current run is spent: serve the next sealed run or, if the
-   group has no key left, wait for one (counted once per sign). Returns
-   the key and whether the sign waited. *)
+   group has no key left, wait for one (counted once per sign). *)
 let rec pop_slow t group ~waited =
   let r = Atomic.get group.current in
   let waits =
@@ -455,13 +449,10 @@ let rec pop_slow t group ~waited =
     if not waited then Atomic.incr t.sign_waits;
     refill_if_empty t group
   end;
-  let waited = waited || waits in
-  match take t group with
-  | p -> (p, waited)
-  | exception Spent -> pop_slow t group ~waited
+  match take t group with p -> p | exception Spent -> pop_slow t group ~waited:(waited || waits)
 
 let pop t group =
-  match take t group with p -> p | exception Spent -> fst (pop_slow t group ~waited:false)
+  match take t group with p -> p | exception Spent -> pop_slow t group ~waited:false
 
 (* The signature of [msg] under [p]: {!Wire.sign} on the bytes written
    at seal time. Pure given its inputs, so [sign_many] runs it on worker
@@ -474,9 +465,8 @@ let reserve t p =
     t.store
 
 (* The accounting after a signature is built: translog sink, count,
-   [<prefix>_sign_us] from [t0] to [t1], tracer span and lifecycle
-   sign event. *)
-let finish t ?(span = Tracer.Sign_fast) ?t1 p ~msg ~wire ~t0 =
+   [<prefix>_sign_us] from [t0] to [t1] and lifecycle sign event. *)
+let finish t ?t1 p ~msg ~wire ~t0 =
   (* transparency: the wire signature is recorded before it is handed
      to the caller, so every signature that leaves the process is in
      the log a verifier can demand inclusion proofs from *)
@@ -484,8 +474,6 @@ let finish t ?(span = Tracer.Sign_fast) ?t1 p ~msg ~wire ~t0 =
   Atomic.incr t.signatures;
   let t1 = match t1 with Some t1 -> t1 | None -> Tel.now t.tel in
   Metric.Histogram.add t.h_sign (t1 -. t0);
-  Tracer.record_at t.tel.Tel.tracer ~tag:t.id span Tracer.Begin t0;
-  Tracer.record_at t.tel.Tel.tracer ~tag:t.id span Tracer.End t1;
   let lc = t.tel.Tel.lifecycle in
   if Lifecycle.enabled lc then
     Lifecycle.sign lc
@@ -496,22 +484,13 @@ let finish t ?(span = Tracer.Sign_fast) ?t1 p ~msg ~wire ~t0 =
    receives the key and the start time. *)
 let sign_with t hint msg k =
   let t0 = Tel.now t.tel in
-  let group = select_group t hint in
-  let waited = ref false in
-  let p =
-    match take t group with
-    | p -> p
-    | exception Spent ->
-        let p, w = pop_slow t group ~waited:false in
-        waited := w;
-        p
-  in
+  let p = pop t (select_group t hint) in
   (* durability invariant: the reservation is journaled (and covered by
      the group-commit protocol) before the signature is even built, so a
      signature can never leave the process without its record *)
   reserve t p;
   let wire = build p msg in
-  finish t ~span:(if !waited then Tracer.Sign_sync_refill else Tracer.Sign_fast) p ~msg ~wire ~t0;
+  finish t p ~msg ~wire ~t0;
   k wire p t0
 
 let sign t ?hint msg = sign_with t hint msg (fun wire _ _ -> wire)
@@ -528,7 +507,7 @@ let sign_ctx t ?hint msg =
    reservation in consumption order; worker domains then build
    signatures over contiguous index ranges — one range per shard, so no
    two domains ever touch the same one-time key; the calling domain
-   folds back translog, stats, metrics, tracer and lifecycle accounting
+   folds back translog, stats, metrics and lifecycle accounting
    in input order. Without a pool this degrades to a plain loop over
    [sign]. *)
 let sign_many t ?hint msgs =

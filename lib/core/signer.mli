@@ -100,9 +100,7 @@ val create :
     the key-lifecycle series ([dsig_rotation_staged_total] /
     [dsig_rotation_cutovers_total] / [dsig_rotation_dropped_keys_total]
     counters, the [dsig_rotation_cutover_us] histogram and the
-    [dsig_rotation_epoch] gauge), and — when the tracer is enabled —
-    [sign_fast] / [sign_sync_refill] / [batch_gen] / [eddsa_sign] /
-    [reannounce] spans tagged with the signer id. *)
+    [dsig_rotation_epoch] gauge). *)
 
 val id : t -> int
 val config : t -> Config.t

@@ -6,7 +6,6 @@ module Rng = Dsig_util.Rng
 module Retry = Dsig_util.Retry
 module Domain_pool = Dsig_util.Domain_pool
 module Tel = Dsig_telemetry.Telemetry
-module Tracer = Dsig_telemetry.Tracer
 module Metric = Dsig_telemetry.Metric
 module Lifecycle = Dsig_telemetry.Lifecycle
 module Trace = Dsig_telemetry.Trace_ctx
@@ -117,10 +116,12 @@ let request_policy = Retry.policy ~base_us:500.0 ~max_attempts:8 ()
 (* Publish every [stats] field as a registry counter, plus the accepted
    total (fast + slow) that slow-path burn rules divide by — derived from
    the same record, not counted twice. The probes capture only the
-   record, so a dropped verifier's caches are not kept alive. *)
-let probe_stats telemetry (s : stats) =
+   record, so a dropped verifier's caches are not kept alive, and
+   retire with the verifier. *)
+let probe_stats t =
+  let s = t.stats in
   List.iter
-    (fun (name, read) -> Tel.probe telemetry name read)
+    (fun (name, read) -> Tel.probe t.tel.bundle ~owner:t name read)
     [
       ("dsig_verifier_fast_total", fun () -> s.fast);
       ("dsig_verifier_slow_total", fun () -> s.slow);
@@ -161,7 +162,6 @@ let create cfg ~id ~pki ?control ?(options = Options.default) () =
       eddsa_cache_evictions = 0;
     }
   in
-  probe_stats telemetry stats;
   let t =
     {
       cfg;
@@ -182,12 +182,13 @@ let create cfg ~id ~pki ?control ?(options = Options.default) () =
       tel = make_tel telemetry;
     }
   in
+  probe_stats t;
   (* the level is read from the view at each snapshot, through a weak
      pointer, so the registry never keeps a dropped verifier's trees
      alive *)
   let self = Weak.create 1 in
   Weak.set self 0 (Some t);
-  Tel.gauge_probe telemetry "dsig_verifier_cached_batches" (fun () ->
+  Tel.gauge_probe telemetry ~owner:t "dsig_verifier_cached_batches" (fun () ->
       match Weak.get self 0 with
       | Some t -> float_of_int (cached_total (Atomic.get t.view))
       | None -> 0.0);
@@ -377,14 +378,11 @@ let deliver ?sent_us t (ann : Batch.announcement) =
         Batch.root_message ~signer_id:ann.Batch.signer_id ~batch_id:ann.Batch.ann_batch_id
           ~root:(Merkle.root tree)
       in
-      let tracer = t.tel.bundle.Tel.tracer in
       let t0 = now t in
-      Tracer.record_at tracer ~tag:t.id Tracer.Announce_delivery Tracer.Begin t0;
       let ok = Eddsa.verify_with vk msg ann.Batch.root_sig in
       if ok then admit_batch t ann tree;
       let t1 = now t in
       Metric.Histogram.add t.tel.h_deliver (t1 -. t0);
-      Tracer.record_at tracer ~tag:t.id Tracer.Announce_delivery Tracer.End t1;
       (* the lifecycle's announce plane: one admit per batch, joining
          every signature of the batch via the sentinel trace id, timed
          from the wire send stamp when the transport supplies one, else
@@ -561,12 +559,10 @@ let classify t ~msg wire_bytes =
                     end
                     else Refused Bad_signature)))
 
-(* What both accepted paths account: the latency histogram, the tracer
-   span and the lifecycle join. *)
-let served ?ctx t (w : Wire.t) span h ~t0 ~t1 =
+(* What both accepted paths account: the latency histogram and the
+   lifecycle join. *)
+let served ?ctx t (w : Wire.t) h ~t0 ~t1 =
   Metric.Histogram.add h (t1 -. t0);
-  Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id span Tracer.Begin t0;
-  Tracer.record_at t.tel.bundle.Tel.tracer ~tag:t.id span Tracer.End t1;
   let lc = t.tel.bundle.Tel.lifecycle in
   if Lifecycle.enabled lc then begin
     let origin, birth_us =
@@ -582,7 +578,7 @@ let served ?ctx t (w : Wire.t) span h ~t0 ~t1 =
   end
 
 (* Per-path accounting for one classified signature: stats, counters,
-   latency histograms, tracer spans, lifecycle joins, and the slow
+   latency histograms, lifecycle joins, and the slow
    path's pull-repair request. Runs on the calling domain; returns the
    verdict. *)
 let account ?ctx t ~t0 ~t1 c =
@@ -601,12 +597,12 @@ let account ?ctx t ~t0 ~t1 c =
   match c with
   | Fast_path w ->
       with_stats t (fun s -> s.fast <- s.fast + 1);
-      served ?ctx t w Tracer.Verify_fast t.tel.h_fast ~t0 ~t1;
+      served ?ctx t w t.tel.h_fast ~t0 ~t1;
       Fast
   | Slow_path { wire = w; missing } ->
       with_stats t (fun s -> s.slow <- s.slow + 1);
       note_slow_gap t ~missing ~signer:w.Wire.signer_id ~batch_id:w.Wire.batch_id;
-      served ?ctx t w Tracer.Verify_slow t.tel.h_slow ~t0 ~t1;
+      served ?ctx t w t.tel.h_slow ~t0 ~t1;
       Slow
   | Refused reason ->
       with_stats t (fun s -> s.rejected <- s.rejected + 1);

@@ -70,9 +70,7 @@ val create :
     [.._eddsa_cache_evictions_total], and receives the
     [dsig_verifier_fast_us] / [.._slow_us] / [.._deliver_us] latency
     histograms, the [dsig_verifier_cached_batches] gauge (read from the
-    batch cache at each snapshot), and — when the
-    tracer is enabled — [verify_fast] / [verify_slow] /
-    [announce_delivery] spans tagged with the verifier id. *)
+    batch cache at each snapshot). *)
 
 val deliver : ?sent_us:float -> t -> Batch.announcement -> bool
 (** Process a background announcement; [false] if the signer is unknown
@@ -98,7 +96,7 @@ type verdict =
 val check : ?ctx:Dsig_telemetry.Trace_ctx.t -> t -> msg:string -> string -> verdict
 (** [check t ~msg signature_bytes] is the one per-signature path:
     admission, classification, then the accounting of the verdict's path
-    ({!stats} field, histogram, tracer span; [Shed] touches none).
+    ({!stats} field and histogram; [Shed] touches none).
     Self-standing: a genuine signature is accepted, [Slow], even if no
     announcement was ever delivered. When the bundle's
     {!Dsig_telemetry.Lifecycle} is enabled, an accepted signature also

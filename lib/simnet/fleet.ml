@@ -91,7 +91,6 @@ let unit_float h = Int64.to_float (Int64.shift_right_logical h 11) *. (1.0 /. 90
 (* --- topology --- *)
 
 let zone_of_signer t ~signer = ((signer mod t.spec.zones) + t.spec.zones) mod t.spec.zones
-let zone_of_verifier t ~verifier = ((verifier mod t.spec.zones) + t.spec.zones) mod t.spec.zones
 
 let verifiers_of t ~signer =
   (* [fanout] distinct verifiers, anchored at a seed-dependent offset so
@@ -141,13 +140,6 @@ let rate t ~signer ~now_us =
 let send_interval_us t ~signer ~now_us =
   let r = rate t ~signer ~now_us in
   if r <= 0.0 then None else Some (1_000_000.0 /. r)
-
-let offered_rate_per_sec t ~now_us =
-  let total = ref 0.0 in
-  for s = 0 to t.spec.signers - 1 do
-    total := !total +. rate t ~signer:s ~now_us
-  done;
-  !total
 
 (* --- scenario catalog (DESIGN.md §15) --- *)
 

@@ -52,7 +52,6 @@ val spec : t -> spec
 (** {1 Topology} *)
 
 val zone_of_signer : t -> signer:int -> int
-val zone_of_verifier : t -> verifier:int -> int
 
 val verifiers_of : t -> signer:int -> int list
 (** The [fanout] distinct verifier indices signer [signer] sends to —
@@ -76,9 +75,6 @@ val rate : t -> signer:int -> now_us:float -> float
 val send_interval_us : t -> signer:int -> now_us:float -> float option
 (** Microseconds between sends at the current rate; [None] when the
     signer is inactive (the driver should re-poll after a idle tick). *)
-
-val offered_rate_per_sec : t -> now_us:float -> float
-(** Fleet-wide offered load at [now_us] (sum over all signers). *)
 
 (** {1 Scenario catalog} *)
 

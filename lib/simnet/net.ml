@@ -2,7 +2,6 @@ type 'a node = {
   tx : Resource.t;
   rx : Resource.t;
   inbox : (int * int * 'a) Channel.t;
-  mutable gbps : float;
 }
 
 type 'a faults = {
@@ -19,6 +18,7 @@ type 'a t = {
   sim : Sim.t;
   latency_us : float;
   per_byte_us : float;
+  gbps : float; (* every NIC's bandwidth *)
   nodes : 'a node array;
   mutable faults : 'a faults option;
 }
@@ -28,13 +28,13 @@ let create sim ~nodes ?(latency_us = 1.0) ?(per_byte_us = 0.0006) ?(bandwidth_gb
     sim;
     latency_us;
     per_byte_us;
+    gbps = bandwidth_gbps;
     nodes =
       Array.init nodes (fun i ->
           {
             tx = Resource.create ~name:(Printf.sprintf "nic%d.tx" i) sim;
             rx = Resource.create ~name:(Printf.sprintf "nic%d.rx" i) sim;
             inbox = Channel.create sim;
-            gbps = bandwidth_gbps;
           });
     faults = None;
   }
@@ -48,7 +48,6 @@ let set_faults t ?(drop = 0.0) ?(duplicate = 0.0) ?(corrupt = 0.0) ?(reorder = 0
 let clear_faults t = t.faults <- None
 
 let sim t = t.sim
-let set_bandwidth t ~node ~gbps = t.nodes.(node).gbps <- gbps
 
 (* Serialization time of [bytes] at [gbps]: bytes*8 bits / (gbps*1e9) s,
    expressed in µs. *)
@@ -57,7 +56,7 @@ let wire_time bytes gbps = float_of_int (bytes * 8) /. (gbps *. 1000.0)
 let enqueue t ~src ~dst ~bytes payload =
   let d = t.nodes.(dst) in
   Sim.spawn t.sim (fun () ->
-      Resource.use d.rx (wire_time bytes d.gbps);
+      Resource.use d.rx (wire_time bytes t.gbps);
       Channel.send d.inbox (src, bytes, payload))
 
 let deliver t ~src ~dst ~bytes payload =
@@ -87,7 +86,7 @@ let deliver t ~src ~dst ~bytes payload =
 
 let send t ~src ~dst ~bytes payload =
   let s = t.nodes.(src) in
-  Resource.use s.tx (wire_time bytes s.gbps);
+  Resource.use s.tx (wire_time bytes t.gbps);
   let propagation = t.latency_us +. (t.per_byte_us *. float_of_int bytes) in
   Sim.schedule t.sim ~delay:propagation (fun () -> deliver t ~src ~dst ~bytes payload)
 
@@ -99,5 +98,3 @@ let inject t ~node ~src payload = Channel.send t.nodes.(node).inbox (src, 0, pay
 let recv t ~node = Channel.recv t.nodes.(node).inbox
 let recv_opt t ~node = Channel.recv_opt t.nodes.(node).inbox
 let pending t ~node = Channel.length t.nodes.(node).inbox
-let tx_utilization t ~node = Resource.utilization t.nodes.(node).tx
-let rx_utilization t ~node = Resource.utilization t.nodes.(node).rx

@@ -22,7 +22,6 @@ val create :
     bandwidth 100 Gbps on every NIC. *)
 
 val sim : 'a t -> Sim.t
-val set_bandwidth : 'a t -> node:int -> gbps:float -> unit
 
 val set_faults :
   'a t ->
@@ -67,5 +66,3 @@ val recv : 'a t -> node:int -> int * int * 'a
 
 val recv_opt : 'a t -> node:int -> (int * int * 'a) option
 val pending : 'a t -> node:int -> int
-val tx_utilization : 'a t -> node:int -> float
-val rx_utilization : 'a t -> node:int -> float

@@ -3,11 +3,9 @@ type t = {
   name : string;
   mutable busy_until : float;
   mutable busy_time : float; (* accumulated occupancy *)
-  mutable since : float; (* utilization window start *)
 }
 
-let create ?(name = "resource") sim =
-  { sim; name; busy_until = 0.0; busy_time = 0.0; since = 0.0 }
+let create ?(name = "resource") sim = { sim; name; busy_until = 0.0; busy_time = 0.0 }
 
 let use t d =
   if d < 0.0 then invalid_arg (t.name ^ ": negative duration");
@@ -21,9 +19,5 @@ let use t d =
 let busy_until t = t.busy_until
 
 let utilization t =
-  let elapsed = Sim.now t.sim -. t.since in
+  let elapsed = Sim.now t.sim in
   if elapsed <= 0.0 then 0.0 else Float.min 1.0 (t.busy_time /. elapsed)
-
-let reset_utilization t =
-  t.since <- Sim.now t.sim;
-  t.busy_time <- 0.0

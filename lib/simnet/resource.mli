@@ -14,5 +14,3 @@ val use : t -> float -> unit
 val busy_until : t -> float
 val utilization : t -> float
 (** Fraction of elapsed virtual time the resource spent busy. *)
-
-val reset_utilization : t -> unit

@@ -42,9 +42,8 @@ type t = {
   fsync : bool;
   mutable pending : int; (* appends since the last sync point *)
   appended : int ref;
-      (* what [dsig_store_appends_total] probes: the registry keeps a
-         probe forever, so it holds this, not the handle; [rotate]
-         shares it *)
+      (* what [dsig_store_appends_total] probes: the probe holds this,
+         not the handle; [rotate] shares it *)
   mutable written_bytes : int;
   mutable synced_bytes : int;
   mutable closed : bool;
@@ -68,7 +67,16 @@ let create ?(telemetry = Tel.default) ?(group_commit = 8) ?(fsync = true) path =
   if group_commit <= 0 then invalid_arg "Wal.create: group_commit must be positive";
   let oc, size = open_channel path in
   let appended = ref 0 in
-  Tel.probe telemetry "dsig_store_appends_total" (fun () -> !appended);
+  let tel =
+    {
+      c_fsyncs = Tel.counter telemetry "dsig_store_fsyncs_total";
+      h_fsync = Tel.histogram telemetry "dsig_store_fsync_us";
+      h_batch = Tel.histogram telemetry "dsig_store_group_commit_batch";
+      bundle = telemetry;
+    }
+  in
+  (* every handle [rotate] makes shares [tel], so it owns the probe *)
+  Tel.probe telemetry ~owner:tel "dsig_store_appends_total" (fun () -> !appended);
   {
     path;
     oc;
@@ -79,13 +87,7 @@ let create ?(telemetry = Tel.default) ?(group_commit = 8) ?(fsync = true) path =
     written_bytes = size;
     synced_bytes = size;
     closed = false;
-    tel =
-      {
-        c_fsyncs = Tel.counter telemetry "dsig_store_fsyncs_total";
-        h_fsync = Tel.histogram telemetry "dsig_store_fsync_us";
-        h_batch = Tel.histogram telemetry "dsig_store_group_commit_batch";
-        bundle = telemetry;
-      };
+    tel;
   }
 
 let sync t =

@@ -59,26 +59,6 @@ let json_histogram (h : H.snapshot) =
     @ stats
     @ [ json_field "buckets" ("[" ^ String.concat "," buckets ^ "]") ])
 
-let json_trace tracer =
-  let events =
-    List.map
-      (fun (e : Tracer.event) ->
-        json_obj
-          [
-            json_field "span" (Printf.sprintf "\"%s\"" (json_escape (Tracer.span_name e.Tracer.span)));
-            json_field "phase" (Printf.sprintf "\"%s\"" (Tracer.phase_name e.Tracer.phase));
-            json_field "at_us" (fnum e.Tracer.at_us);
-            json_field "tag" (string_of_int e.Tracer.tag);
-          ])
-      (Tracer.events tracer)
-  in
-  json_obj
-    [
-      json_field "recorded" (string_of_int (Tracer.recorded tracer));
-      json_field "dropped" (string_of_int (Tracer.dropped tracer));
-      json_field "events" ("[" ^ String.concat "," events ^ "]");
-    ]
-
 (* nan is not representable in JSON: absent planes render as null *)
 let fnum_or_null v = if Float.is_nan v then "null" else fnum v
 
@@ -126,7 +106,7 @@ let json_span (sp : Lifecycle.span) =
 let json_spans lc =
   "[" ^ String.concat "," (List.map json_span (Lifecycle.spans lc)) ^ "]"
 
-let json ?tracer ?lifecycle snap =
+let json ?lifecycle snap =
   let section f =
     json_obj
       (List.filter_map (fun (name, v) -> Option.map (json_field name) (f v)) snap)
@@ -140,7 +120,6 @@ let json ?tracer ?lifecycle snap =
        json_field "gauges" gauges;
        json_field "histograms" histograms;
      ]
-    @ (match tracer with None -> [] | Some tr -> [ json_field "trace" (json_trace tr) ])
     @ match lifecycle with None -> [] | Some lc -> [ json_field "lifecycle" (json_lifecycle lc) ])
 
 (* --- Prometheus text exposition --- *)

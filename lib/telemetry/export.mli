@@ -1,18 +1,18 @@
-(** Renderings of a registry snapshot (plus, optionally, the tracer's
-    buffered events): machine-readable JSON, Prometheus text-exposition
-    format, and an [Fmt]-based human summary.
+(** Renderings of a registry snapshot (plus, optionally, the lifecycle
+    aggregator's per-plane summary): machine-readable JSON, Prometheus
+    text-exposition format, and an [Fmt]-based human summary.
 
     All three are deterministic for a given snapshot (names are sorted),
     so they can be golden-tested and diffed across runs. *)
 
-val json : ?tracer:Tracer.t -> ?lifecycle:Lifecycle.t -> Registry.Snapshot.t -> string
+val json : ?lifecycle:Lifecycle.t -> Registry.Snapshot.t -> string
 (** Compact single-line JSON:
-    [{"counters":{..},"gauges":{..},"histograms":{..},"trace":{..},"lifecycle":{..}}].
+    [{"counters":{..},"gauges":{..},"histograms":{..},"lifecycle":{..}}].
     Histogram entries carry count/sum/mean/min/max, the nearest-rank
     p50/p90/p99, and the non-empty buckets as
     [{"le":"<bound>","count":n}] pairs ([le] is a string so the +Inf
-    overflow bucket needs no special casing). The [trace] key is present
-    only when [tracer] is given; [lifecycle] likewise adds a
+    overflow bucket needs no special casing). The [lifecycle] key is
+    present only when [lifecycle] is given: a
     [{"started":..,"completed":..,"full":..,"planes":{"sign":{..},..}}]
     object whose per-plane entries carry count and p50/p99/p999. *)
 

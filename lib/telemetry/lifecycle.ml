@@ -98,8 +98,9 @@ let resolve_handles t =
         }
       in
       let counts = t.counts in
-      Registry.probe t.registry "dsig_lifecycle_started_total" (fun () -> counts.started);
-      Registry.probe t.registry "dsig_lifecycle_completed_total" (fun () -> counts.completed);
+      Registry.probe t.registry ~owner:t "dsig_lifecycle_started_total" (fun () -> counts.started);
+      Registry.probe t.registry ~owner:t "dsig_lifecycle_completed_total" (fun () ->
+          counts.completed);
       t.handles <- Some h;
       h
 
@@ -107,7 +108,6 @@ let enable t =
   Mutex.protect t.mu (fun () -> ignore (resolve_handles t));
   t.enabled <- true
 
-let disable t = t.enabled <- false
 let enabled t = t.enabled
 
 (* [mu] guards the pending tables, the span ring and the running

@@ -14,7 +14,7 @@
       either locally (same-process signer) or in the wire-propagated
       {!Trace_ctx}.
 
-    Like {!Tracer}, the aggregator is {b off by default}: every event
+    The aggregator is {b off by default}: every event
     entry point checks a single mutable [enabled] field and returns
     immediately when disabled, so instrumented hot paths pay one load
     and one branch. When enabled, the per-plane histograms live in the
@@ -57,7 +57,6 @@ val create : ?span_capacity:int -> ?max_pending:int -> registry:Registry.t -> un
     exports exactly the same snapshot as before this module existed. *)
 
 val enable : t -> unit
-val disable : t -> unit
 
 val enabled : t -> bool
 (** One mutable load — the guard instrumented hot paths use. *)

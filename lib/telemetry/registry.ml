@@ -3,15 +3,22 @@ type cell =
   | G of Metric.Gauge.t
   | H of Metric.Histogram.t
 
-type probe = Count of (unit -> int) | Level of (unit -> float)
+(* a counter probe keeps its name's cell, which takes its last reading
+   when the probe retires *)
+type reading = Count of Metric.Counter.t * (unit -> int) | Level of (unit -> float)
+
+(* [retired] is set by a finaliser on the probe's owner. A finaliser can
+   run while this domain holds [mu], so it only sets the flag and the
+   next snapshot, under [mu], drops the probe. *)
+type probe = { name : string; read : reading; retired : bool Atomic.t }
 
 type t = {
-  mu : Mutex.t;  (* guards both tables; the cells guard themselves *)
+  mu : Mutex.t;  (* guards [cells] and [probes]; the cells guard themselves *)
   cells : (string, cell) Hashtbl.t;
-  probes : (string, probe) Hashtbl.t;  (* several bindings per name *)
+  mutable probes : probe list;  (* several per name *)
 }
 
-let create () = { mu = Mutex.create (); cells = Hashtbl.create 32; probes = Hashtbl.create 16 }
+let create () = { mu = Mutex.create (); cells = Hashtbl.create 32; probes = [] }
 
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
 
@@ -42,14 +49,17 @@ let histogram t name =
     ~make:(fun () -> H (Metric.Histogram.create ()))
     ~cast:(function H h -> h | cell -> kind_error name ~is:(kind_name cell) ~wanted:"histogram")
 
-(* the (zero) cell claims the name, so the kind check holds *)
-let probe t name read =
-  ignore (counter t name);
-  Mutex.protect t.mu (fun () -> Hashtbl.add t.probes name (Count read))
+let add_probe t ~owner name read =
+  let retired = Atomic.make false in
+  Gc.finalise_last (fun () -> Atomic.set retired true) owner;
+  Mutex.protect t.mu (fun () -> t.probes <- { name; read; retired } :: t.probes)
 
-let gauge_probe t name read =
+(* the (zero) cell claims the name, so the kind check holds *)
+let probe t ~owner name read = add_probe t ~owner name (Count (counter t name, read))
+
+let gauge_probe t ~owner name read =
   ignore (gauge t name);
-  Mutex.protect t.mu (fun () -> Hashtbl.add t.probes name (Level read))
+  add_probe t ~owner name (Level read)
 
 module Snapshot = struct
   type value =
@@ -87,6 +97,19 @@ let snapshot t =
     | H h -> Snapshot.Histogram (Metric.Histogram.snapshot h)
   in
   Mutex.protect t.mu (fun () ->
+      (* a retired counter probe's last reading moves into its cell, so
+         the name's total never goes backwards *)
+      t.probes <-
+        List.filter
+          (fun p ->
+            if not (Atomic.get p.retired) then true
+            else begin
+              (match p.read with
+              | Count (c, read) -> Metric.Counter.incr ~by:(read ()) c
+              | Level _ -> ());
+              false
+            end)
+          t.probes;
       let acc = Hashtbl.create (Hashtbl.length t.cells) in
       let add name v =
         Hashtbl.replace acc name
@@ -95,10 +118,11 @@ let snapshot t =
           | None -> v)
       in
       Hashtbl.iter (fun name cell -> add name (read cell)) t.cells;
-      Hashtbl.iter
-        (fun name -> function
-          | Count read -> add name (Snapshot.Counter (read ()))
-          | Level read -> add name (Snapshot.Gauge (read ())))
+      List.iter
+        (fun p ->
+          match p.read with
+          | Count (_, read) -> add p.name (Snapshot.Counter (read ()))
+          | Level read -> add p.name (Snapshot.Gauge (read ())))
         t.probes;
       Hashtbl.fold (fun name v l -> (name, v) :: l) acc []
       |> List.sort (fun (a, _) (b, _) -> compare a b))

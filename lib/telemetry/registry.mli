@@ -20,21 +20,25 @@ val counter : t -> string -> Metric.Counter.t
 val gauge : t -> string -> Metric.Gauge.t
 val histogram : t -> string -> Metric.Histogram.t
 
-val probe : t -> string -> (unit -> int) -> unit
-(** [probe t name read] publishes [read ()] as the counter [name]: every
-    {!snapshot} calls [read], under the registry's mutex, and sums it
-    with the other cells and probes of that name. [read] should be one
-    load from a record its owner mutates in place; the registry keeps it
-    forever, so it should capture the counts, not their owner. Raises
-    [Invalid_argument] if [name] is a gauge or histogram. *)
-
-val gauge_probe : t -> string -> (unit -> float) -> unit
-(** [gauge_probe t name read] publishes [read ()] as the gauge [name],
-    read at every {!snapshot} as {!probe} is, and summed with the other
-    cells and probes of that name: a level its owner can compute on
-    demand (a queue's depth) instead of a gauge moved on every
-    operation. Raises [Invalid_argument] if [name] is a counter or
+val probe : t -> owner:'a -> string -> (unit -> int) -> unit
+(** [probe t ~owner name read] publishes [read ()] as the counter
+    [name]: every {!snapshot} calls [read], under the registry's mutex,
+    and sums it with the other cells and probes of that name. [read]
+    should be one load from a record [owner] mutates in place, and must
+    not capture [owner]. The probe lives as long as [owner] (a heap
+    value, or [Gc.finalise_last] raises [Invalid_argument]): once [owner] is
+    collected, the next snapshot adds [read]'s last reading to the
+    name's counter cell and drops the probe, so the total never goes
+    backwards. Raises [Invalid_argument] if [name] is a gauge or
     histogram. *)
+
+val gauge_probe : t -> owner:'a -> string -> (unit -> float) -> unit
+(** [gauge_probe t ~owner name read] publishes [read ()] as the gauge
+    [name], read at every {!snapshot} as {!probe} is, and summed with
+    the other cells and probes of that name: a level its owner can
+    compute on demand (a queue's depth) instead of a gauge moved on
+    every operation. Dropped once [owner] is collected. Raises
+    [Invalid_argument] if [name] is a counter or histogram. *)
 
 module Snapshot : sig
   type value =

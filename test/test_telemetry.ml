@@ -1,6 +1,6 @@
 (* Dsig_telemetry: histogram bucketing and percentiles, snapshot
-   merging, domain-safe cells and registry probes, the ring-buffer
-   tracer, and golden exporter outputs.
+   merging, domain-safe cells and registry probes, the bundle's clock,
+   and golden exporter outputs.
 
    The multi-domain cases spawn DSIG_STRESS_DOMAINS domains (default 4,
    clamped to [2, 8]), the same bound the parallel suite uses. *)
@@ -8,7 +8,6 @@
 module M = Dsig_telemetry.Metric
 module H = M.Histogram
 module Registry = Dsig_telemetry.Registry
-module Tracer = Dsig_telemetry.Tracer
 module Export = Dsig_telemetry.Export
 module Tel = Dsig_telemetry.Telemetry
 
@@ -225,8 +224,8 @@ let test_cells_across_domains () =
 let test_probe () =
   let r = Registry.create () in
   let owned = ref 0 in
-  Registry.probe r "ops_total" (fun () -> !owned);
-  Registry.probe r "ops_total" (fun () -> 10);
+  Registry.probe r ~owner:owned "ops_total" (fun () -> !owned);
+  Registry.probe r ~owner:owned "ops_total" (fun () -> 10);
   M.Counter.incr ~by:2 (Registry.counter r "ops_total");
   owned := 5;
   (* read at snapshot time, summed with the other probe and the cell *)
@@ -236,14 +235,14 @@ let test_probe () =
   ignore (Registry.gauge r "depth");
   Alcotest.check_raises "probe on a gauge rejected"
     (Invalid_argument "Dsig_telemetry.Registry: \"depth\" is a gauge, not a counter")
-    (fun () -> Registry.probe r "depth" (fun () -> 1));
-  Registry.probe r "probed_total" (fun () -> 1);
+    (fun () -> Registry.probe r ~owner:owned "depth" (fun () -> 1));
+  Registry.probe r ~owner:owned "probed_total" (fun () -> 1);
   Alcotest.check_raises "gauge on a probed name rejected"
     (Invalid_argument "Dsig_telemetry.Registry: \"probed_total\" is a counter, not a gauge")
     (fun () -> ignore (Registry.gauge r "probed_total"));
   (* a gauge probe: read at snapshot time, summed with the gauge cell *)
   let level = ref 2.5 in
-  Registry.gauge_probe r "level" (fun () -> !level);
+  Registry.gauge_probe r ~owner:level "level" (fun () -> !level);
   M.Gauge.set (Registry.gauge r "level") 1.0;
   level := 4.0;
   (match Registry.Snapshot.find (Registry.snapshot r) "level" with
@@ -251,7 +250,78 @@ let test_probe () =
   | _ -> Alcotest.fail "gauge probe and cell not summed to 5");
   Alcotest.check_raises "gauge probe on a counter rejected"
     (Invalid_argument "Dsig_telemetry.Registry: \"ops_total\" is a counter, not a gauge")
-    (fun () -> Registry.gauge_probe r "ops_total" (fun () -> 1.0))
+    (fun () -> Registry.gauge_probe r ~owner:level "ops_total" (fun () -> 1.0))
+
+(* A probe lives as long as its owner: once the owner is collected, the
+   next snapshot folds a counter probe's last reading into its cell and
+   drops a gauge probe. *)
+let test_probe_retires_with_owner () =
+  let r = Registry.create () in
+  let counts = ref 0 in
+  let register () =
+    (* the owner is not captured by the closures *)
+    let owner = ref () in
+    Registry.probe r ~owner "ops_total" (fun () -> !counts);
+    Registry.gauge_probe r ~owner "level" (fun () -> 3.0)
+  in
+  register ();
+  counts := 7;
+  let read () =
+    let snap = Registry.snapshot r in
+    match (Registry.Snapshot.find snap "ops_total", Registry.Snapshot.find snap "level") with
+    | Some (Registry.Snapshot.Counter n), Some (Registry.Snapshot.Gauge g) -> (n, g)
+    | _ -> Alcotest.fail "probed names lost"
+  in
+  Alcotest.(check (pair int (float 0.0))) "live" (7, 3.0) (read ());
+  Gc.full_major ();
+  Alcotest.(check (pair int (float 0.0))) "retired: count kept, level gone" (7, 0.0) (read ());
+  (* the last reading was taken at retirement: later changes to the
+     counts it read are not published *)
+  counts := 100;
+  Alcotest.(check (pair int (float 0.0))) "retired probe no longer read" (7, 0.0) (read ())
+
+(* Verifiers created and dropped on one bundle leave their counts and
+   nothing else: after a full major GC, every dropped verifier's probes
+   retire into the counter cells, and the bundle keeps fewer than 50
+   live words per dropped verifier (each kept ~140 while probes lived
+   forever). *)
+let test_dropped_verifier_probes () =
+  let open Dsig in
+  let cfg = Config.make ~batch_size:8 ~queue_threshold:8 (Config.wots ~d:4) in
+  let tel = Tel.create () in
+  let options = Options.default |> Options.with_telemetry tel in
+  let pki = Pki.create () in
+  let churn n =
+    for i = 1 to n do
+      let v = Verifier.create cfg ~id:i ~pki ~options () in
+      match Verifier.check v ~msg:"m" "not a signature" with
+      | Verifier.Rejected Verifier.Malformed -> ()
+      | _ -> Alcotest.fail "malformed signature not rejected"
+    done
+  in
+  let rejected () =
+    match Registry.Snapshot.find (Tel.snapshot tel) "dsig_verifier_rejected_total" with
+    | Some (Registry.Snapshot.Counter n) -> n
+    | _ -> Alcotest.fail "missing counter dsig_verifier_rejected_total"
+  in
+  let live_words () =
+    Gc.full_major ();
+    ignore (Tel.snapshot tel);
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  (* resolve the bundle's cells before measuring *)
+  ignore (Sys.opaque_identity (Verifier.create cfg ~id:0 ~pki ~options ()));
+  let before = live_words () in
+  let n = 2000 in
+  churn n;
+  Gc.full_major ();
+  Alcotest.(check int) "first snapshot" n (rejected ());
+  let grown = live_words () - before in
+  (* read after the measurement, so the bundle is live through it *)
+  Alcotest.(check int) "second snapshot" n (rejected ());
+  if grown >= 50 * n then
+    Alcotest.failf "%d live words kept for %d dropped verifiers (%d each)" grown n (grown / n)
 
 (* Two verifiers and a signer share one bundle: each published counter
    is the sum of the verifiers' (or the signer's) live stats fields. *)
@@ -323,26 +393,6 @@ let test_stats_probes () =
     | Some (Registry.Snapshot.Gauge g) -> g
     | _ -> Alcotest.fail "missing gauge dsig_signer_queue_depth")
 
-(* --- tracer --- *)
-
-let test_ring_wraparound () =
-  let tr = Tracer.create ~capacity:8 () in
-  Tracer.record_at tr Tracer.Sign_fast Tracer.Begin 0.0;
-  Alcotest.(check int) "disabled tracer records nothing" 0 (Tracer.recorded tr);
-  Tracer.enable tr;
-  for i = 0 to 19 do
-    Tracer.record_at tr ~tag:i Tracer.Sign_fast Tracer.Begin (float_of_int i)
-  done;
-  let evs = Tracer.events tr in
-  Alcotest.(check int) "buffer holds capacity" 8 (List.length evs);
-  Alcotest.(check int) "recorded counts everything" 20 (Tracer.recorded tr);
-  Alcotest.(check int) "dropped = recorded - capacity" 12 (Tracer.dropped tr);
-  Alcotest.(check (list (float 1e-9))) "oldest-first, newest survive"
-    [ 12.; 13.; 14.; 15.; 16.; 17.; 18.; 19. ]
-    (List.map (fun (e : Tracer.event) -> e.Tracer.at_us) evs);
-  Tracer.clear tr;
-  Alcotest.(check int) "clear resets" 0 (Tracer.recorded tr)
-
 (* --- golden exporter outputs --- *)
 
 (* A fixed snapshot: counter 3, gauge 2.5, histogram {1, 3, 104}.
@@ -365,18 +415,6 @@ let test_golden_json () =
    ^ "\"buckets\":[{\"le\":\"1\",\"count\":1},{\"le\":\"4\",\"count\":1},{\"le\":\"128\",\"count\":1}]}}}"
     )
     (Export.json snap)
-
-let test_golden_json_trace () =
-  let tr = Tracer.create ~capacity:4 () in
-  Tracer.enable tr;
-  Tracer.record_at tr ~tag:7 Tracer.Sign_fast Tracer.Begin 1.0;
-  Tracer.record_at tr ~tag:7 Tracer.Sign_fast Tracer.End 2.5;
-  Alcotest.(check string) "trace json"
-    ("{\"counters\":{},\"gauges\":{},\"histograms\":{},"
-   ^ "\"trace\":{\"recorded\":2,\"dropped\":0,\"events\":["
-   ^ "{\"span\":\"sign_fast\",\"phase\":\"begin\",\"at_us\":1,\"tag\":7},"
-   ^ "{\"span\":\"sign_fast\",\"phase\":\"end\",\"at_us\":2.5,\"tag\":7}]}}")
-    (Export.json ~tracer:tr (Registry.snapshot (Registry.create ())))
 
 let test_golden_prometheus () =
   let snap = Registry.snapshot (golden_registry ()) in
@@ -428,21 +466,6 @@ let test_histogram_merge_overlap () =
          right-hand registry's octave *)
       Alcotest.(check bool) "p99 from the slow side" true (H.percentile s 99.0 >= 200.0)
   | _ -> Alcotest.fail "overlapping histogram lost"
-
-(* --- tracer back-dating --- *)
-
-let test_record_at_backdating () =
-  let tr = Tracer.create ~capacity:8 () in
-  Tracer.enable tr;
-  (* replayed/virtual-time events may arrive out of clock order; the
-     ring preserves insertion order and the caller's stamps verbatim *)
-  Tracer.record_at tr ~tag:1 Tracer.Sign_fast Tracer.Begin 100.0;
-  Tracer.record_at tr ~tag:2 Tracer.Sign_fast Tracer.Begin 5.0;
-  Tracer.record_at tr ~tag:3 Tracer.Sign_fast Tracer.End 50.0;
-  let stamps = List.map (fun (e : Tracer.event) -> e.Tracer.at_us) (Tracer.events tr) in
-  Alcotest.(check (list (float 1e-9))) "insertion order, stamps verbatim" [ 100.0; 5.0; 50.0 ]
-    stamps;
-  Alcotest.(check int) "all recorded" 3 (Tracer.recorded tr)
 
 (* --- prometheus name sanitization (regression) --- *)
 
@@ -612,7 +635,7 @@ let test_lifecycle_fifo_eviction () =
   Alcotest.(check int) "span ring bounded" 2 (List.length (L.spans lc))
 
 (* Regression: an NTP step used to feed negative durations into the
-   lifecycle histograms (Tracer's default clock was gettimeofday).
+   lifecycle histograms (the default clock was gettimeofday).
    Durations must now be clamped to zero and counted, and percentiles
    must stay non-negative. *)
 let test_lifecycle_negative_span_clamped () =
@@ -645,24 +668,61 @@ let test_lifecycle_negative_span_clamped () =
   in
   Alcotest.(check (option int)) "all four negatives counted" (Some 4) clamped
 
-(* The default tracer/telemetry clock must be monotonic now: two reads
-   never go backward even if the wall clock is stepped (which we cannot
-   force here, but monotonicity across many samples is the contract). *)
+(* The default telemetry clock must be monotonic now: two reads never
+   go backward even if the wall clock is stepped (which we cannot force
+   here, but monotonicity across many samples is the contract). *)
 let test_mono_clock_is_monotonic () =
-  let prev = ref (Tracer.mono_clock_us ()) in
+  let clock = Dsig_telemetry.Tracer.mono_clock_us in
+  let prev = ref (clock ()) in
   for _ = 1 to 10_000 do
-    let now = Tracer.mono_clock_us () in
+    let now = clock () in
     if now < !prev then Alcotest.failf "monotonic clock went backward: %f < %f" now !prev;
     prev := now
   done;
-  (* and it is the default: durations measured through Telemetry.time
-     on a fresh bundle are non-negative *)
-  let tel = Dsig_telemetry.Telemetry.create () in
-  let h = Dsig_telemetry.Telemetry.histogram tel "t_us" in
-  Dsig_telemetry.Telemetry.time tel h (fun () -> ());
-  let snap = M.Histogram.snapshot h in
-  Alcotest.(check bool) "one sample" true (snap.M.Histogram.n = 1);
-  Alcotest.(check bool) "non-negative" true (snap.M.Histogram.total >= 0.0)
+  (* and it is the default: a fresh bundle's reads never go backward *)
+  let tel = Tel.create () in
+  let t0 = Tel.now tel in
+  let t1 = Tel.now tel in
+  Alcotest.(check bool) "bundle clock non-decreasing" true (t1 >= t0)
+
+(* [set_clock] repoints every duration a bundle's components record:
+   under a constant clock, a sign and a verify (slow, then fast) take
+   0 us in the signer's and the verifier's histograms. *)
+let test_set_clock_constant () =
+  let open Dsig in
+  let cfg = Config.make ~batch_size:8 ~queue_threshold:8 (Config.wots ~d:4) in
+  let tel = Tel.create () in
+  Tel.set_clock tel (fun () -> 42.0);
+  Alcotest.(check (float 0.0)) "now reads the new clock" 42.0 (Tel.now tel);
+  let options = Options.default |> Options.with_telemetry tel in
+  let rng = Dsig_util.Rng.create 9L in
+  let sk, pk = Dsig_ed25519.Eddsa.generate rng in
+  let pki = Pki.create () in
+  Pki.bind pki ~id:0 ~epoch:0 pk;
+  let signer = Signer.create cfg ~id:0 ~eddsa:sk ~rng ~options ~verifiers:[ 1 ] () in
+  let verifier = Verifier.create cfg ~id:1 ~pki ~options () in
+  Signer.background_fill signer;
+  let wire = Signer.sign signer "constant" in
+  Alcotest.(check bool) "slow verify" true
+    (Verifier.check verifier ~msg:"constant" wire = Verifier.Slow);
+  List.iter (fun (_, a) -> ignore (Verifier.deliver verifier a)) (Signer.drain_outbox signer);
+  Alcotest.(check bool) "fast verify" true
+    (Verifier.check verifier ~msg:"constant" wire = Verifier.Fast);
+  let snap = Tel.snapshot tel in
+  List.iter
+    (fun name ->
+      match Registry.Snapshot.find snap name with
+      | Some (Registry.Snapshot.Histogram h) ->
+          Alcotest.(check int) (name ^ " samples") 1 h.H.n;
+          Alcotest.(check (float 0.0)) (name ^ " sum") 0.0 h.H.total
+      | _ -> Alcotest.fail ("missing histogram " ^ name))
+    [
+      "dsig_signer_sign_us";
+      "dsig_signer_batch_gen_us";
+      "dsig_verifier_slow_us";
+      "dsig_verifier_fast_us";
+      "dsig_verifier_deliver_us";
+    ]
 
 let () =
   Alcotest.run "telemetry"
@@ -686,7 +746,9 @@ let () =
           Alcotest.test_case "snapshot merge" `Quick test_registry_snapshot_merge;
           Alcotest.test_case "merge overlapping histograms" `Quick test_histogram_merge_overlap;
           Alcotest.test_case "probes" `Quick test_probe;
+          Alcotest.test_case "probes retire with their owner" `Quick test_probe_retires_with_owner;
           Alcotest.test_case "stats published as probes" `Quick test_stats_probes;
+          Alcotest.test_case "dropped verifiers' probes retire" `Quick test_dropped_verifier_probes;
         ] );
       (* suite names stay short: Alcotest pads them to the longest, and
          that width comes out of the shown test names *)
@@ -695,15 +757,9 @@ let () =
           Alcotest.test_case "cells exact across domains" `Quick test_cells_across_domains;
           Alcotest.test_case "lifecycle enable race" `Quick test_lifecycle_enable_race;
         ] );
-      ( "tracer",
-        [
-          Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
-          Alcotest.test_case "record_at back-dating" `Quick test_record_at_backdating;
-        ] );
       ( "export",
         [
           Alcotest.test_case "golden json" `Quick test_golden_json;
-          Alcotest.test_case "golden json trace" `Quick test_golden_json_trace;
           Alcotest.test_case "golden prometheus" `Quick test_golden_prometheus;
           Alcotest.test_case "name sanitization" `Quick test_prometheus_sanitize;
           Alcotest.test_case "summary" `Quick test_summary_mentions_metrics;
@@ -723,4 +779,5 @@ let () =
             test_lifecycle_negative_span_clamped;
           Alcotest.test_case "default clock is monotonic" `Quick test_mono_clock_is_monotonic;
         ] );
+      ("clock", [ Alcotest.test_case "set_clock drives durations" `Quick test_set_clock_constant ]);
     ]

@@ -279,7 +279,7 @@ let test_sampler_throttle_and_probe () =
   let reg = Registry.create () in
   let sampler = Sampler.create ~interval_us:100.0 reg in
   let calls = ref 0 in
-  Registry.probe reg "probe_total" (fun () ->
+  Registry.probe reg ~owner:calls "probe_total" (fun () ->
       incr calls;
       !calls);
   Metric.Gauge.set (Registry.gauge reg "depth") 2.0;

@@ -308,7 +308,7 @@ let mk_monitor ?(log_id = 9) () = Monitor.create ~log_id ~verify:log_verify ()
 let test_monitor_honest_growth () =
   let t = Logtree.create () in
   let mon = mk_monitor () in
-  let observe cp = Monitor.observe mon ~source:"srv" cp ~fetch_consistency:(fetch_from t) in
+  let observe cp = Monitor.observe mon cp ~fetch_consistency:(fetch_from t) in
   for i = 0 to 2 do
     ignore (Logtree.append t (Printf.sprintf "e%d" i))
   done;
@@ -336,11 +336,11 @@ let test_monitor_bad_signature_and_wrong_log () =
     Checkpoint.make ~log_id:9 ~tree_size:1 ~root:(Logtree.root t)
       ~sign:(Eddsa.sign forged_sk)
   in
-  (match Monitor.observe mon ~source:"srv" forged ~fetch_consistency:(fetch_from t) with
+  (match Monitor.observe mon forged ~fetch_consistency:(fetch_from t) with
   | Monitor.Alarmed Monitor.Bad_signature -> ()
   | _ -> Alcotest.fail "forged signature accepted");
   let other_log = cp_of ~log_id:8 t in
-  (match Monitor.observe mon ~source:"srv" other_log ~fetch_consistency:(fetch_from t) with
+  (match Monitor.observe mon other_log ~fetch_consistency:(fetch_from t) with
   | Monitor.Alarmed (Monitor.Wrong_log { expected = 9; got = 8 }) -> ()
   | _ -> Alcotest.fail "wrong log id accepted");
   Alcotest.(check int) "both alarmed" 2 (List.length (Monitor.alarms mon))
@@ -355,9 +355,9 @@ let test_monitor_split_view_same_size () =
   ignore (Logtree.append tb "equivocating-5");
   let mon = mk_monitor () in
   Alcotest.(check bool) "honest head" true
-    (Monitor.observe mon ~source:"a" (cp_of ta) ~fetch_consistency:(fetch_from ta)
+    (Monitor.observe mon (cp_of ta) ~fetch_consistency:(fetch_from ta)
     = Monitor.Advanced);
-  (match Monitor.observe mon ~source:"b" (cp_of tb) ~fetch_consistency:(fetch_from tb) with
+  (match Monitor.observe mon (cp_of tb) ~fetch_consistency:(fetch_from tb) with
   | Monitor.Alarmed (Monitor.Split_view { size = 6; _ }) -> ()
   | v ->
       Alcotest.failf "fork not flagged as split view (%s)"
@@ -389,8 +389,8 @@ let monitor_fork_qcheck =
       in
       let ta = mk "a" a and tb = mk "b" b in
       let mon = mk_monitor () in
-      let v1 = Monitor.observe mon ~source:"a" (cp_of ta) ~fetch_consistency:(fetch_from ta) in
-      let v2 = Monitor.observe mon ~source:"b" (cp_of tb) ~fetch_consistency:(fetch_from tb) in
+      let v1 = Monitor.observe mon (cp_of ta) ~fetch_consistency:(fetch_from ta) in
+      let v2 = Monitor.observe mon (cp_of tb) ~fetch_consistency:(fetch_from tb) in
       v1 = Monitor.Advanced
       && (match v2 with Monitor.Alarmed _ -> true | _ -> false)
       && Monitor.alarms mon <> [])
