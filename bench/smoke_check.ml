@@ -34,8 +34,7 @@ let planes =
     ("re-announce-pacing-", [ "dsig_rtt_us"; "dsig_rto_us"; "dsig_reannounce_redundant_total" ]);
     ( "store-",
       [
-        "dsig_store_fsync_us"; "dsig_store_appends_total"; "dsig_store_burned_keys_total";
-        "dsig_store_recoveries_total";
+        "dsig_store_fsync_us"; "dsig_store_appends_total"; "dsig_store_recoveries_total";
       ] );
     ( "translog-",
       [

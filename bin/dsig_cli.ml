@@ -686,9 +686,8 @@ let print_scan (s : Keystate.scan) =
   (match s.Keystate.scan_snapshot with
   | None -> print_endline "snapshot: none"
   | Some snap ->
-      Printf.printf "snapshot: seq=%Ld next_batch_id=%Ld batches=%d fingerprint=%s\n"
+      Printf.printf "snapshot: seq=%Ld next_batch_id=%Ld fingerprint=%s\n"
         snap.Dsig_store.Snapshot.seq snap.Dsig_store.Snapshot.next_batch_id
-        (List.length snap.Dsig_store.Snapshot.batches)
         (match snap.Dsig_store.Snapshot.fingerprint with "" -> "-" | fp -> fp));
   List.iter
     (fun (seq, (r : Dsig_store.Wal.recovery)) ->
@@ -699,10 +698,6 @@ let print_scan (s : Keystate.scan) =
         | None -> ""
         | Some why -> Printf.sprintf " (torn tail: %s)" why))
     s.Keystate.scan_segments;
-  List.iter
-    (fun (id, (b : Keystate.batch_state)) ->
-      Printf.printf "batch %Ld: size=%d high_water=%d\n" id b.Keystate.size b.Keystate.high_water)
-    s.Keystate.scan_state;
   Printf.printf "next_batch_id: %Ld\n" s.Keystate.scan_next_batch_id;
   Printf.printf "epoch: %d\n" s.Keystate.scan_epoch;
   (match s.Keystate.scan_pending_rotation with
@@ -736,14 +731,8 @@ let store_verify dir =
       print_endline (if s.Keystate.scan_clean then "status: OK (clean)" else "status: OK (crashed, tail intact)");
       0
 
-let group_commit_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "g"; "group-commit" ]
-        ~doc:"Group-commit size the crashed signer ran with (bounds the keys burned by recovery).")
-
-let store_recover dir group_commit =
-  match Keystate.open_ (Keystate.config ~group_commit dir) with
+let store_recover dir =
+  match Keystate.open_ (Keystate.config dir) with
   | Error e ->
       Printf.eprintf "error: %s\n" e;
       1
@@ -752,14 +741,11 @@ let store_recover dir group_commit =
         report.Keystate.had_snapshot report.Keystate.segments_replayed
         report.Keystate.records_replayed report.Keystate.clean;
       if report.Keystate.torn_segments > 0 then
-        Printf.printf "torn tails truncated: %d segment(s), %d byte(s)\n"
+        Printf.printf "torn tails discarded: %d segment(s), %d byte(s)\n"
           report.Keystate.torn_segments report.Keystate.torn_bytes;
-      List.iter
-        (fun (id, first, n) -> Printf.printf "burned: batch %Ld keys %d..%d\n" id first (first + n - 1))
-        report.Keystate.burned;
-      List.iter
-        (fun (id, idx) -> Printf.printf "resume: batch %Ld at key %d\n" id idx)
-        report.Keystate.resume;
+      Option.iter
+        (fun (e, b) -> Printf.printf "rolled back: rotation to epoch %d at batch %Ld\n" e b)
+        report.Keystate.rotation_rolled_back;
       Printf.printf "next_batch_id: %Ld\n" report.Keystate.next_batch_id;
       Keystate.close t;
       print_endline "store checkpointed and closed clean";
@@ -770,7 +756,7 @@ let store_cmd =
     (Cmd.info "store" ~doc:"Inspect and repair a signer's durable key-state store (DESIGN.md §10).")
     [
       Cmd.v
-        (Cmd.info "inspect" ~doc:"Print the snapshot, WAL segments and live batch state, read-only.")
+        (Cmd.info "inspect" ~doc:"Print the snapshot, WAL segments and batch counter, read-only.")
         Term.(const store_inspect $ store_dir_arg);
       Cmd.v
         (Cmd.info "verify"
@@ -781,9 +767,9 @@ let store_cmd =
       Cmd.v
         (Cmd.info "recover"
            ~doc:
-             "Run crash recovery now: truncate torn tails, burn the unfsynced key gap, fold \
-              everything into a fresh snapshot and close clean.")
-        Term.(const store_recover $ store_dir_arg $ group_commit_arg);
+             "Run crash recovery now: discard torn tails, roll back an unconfirmed rotation, \
+              fold everything into a fresh snapshot and close clean.")
+        Term.(const store_recover $ store_dir_arg);
     ]
 (* --- loadctl: watch an admission controller's live state --- *)
 

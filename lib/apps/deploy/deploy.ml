@@ -80,7 +80,7 @@ type t = {
 }
 
 let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
-    ?(groups = fun _ -> []) ?(seed = 97L) ?(options = Dsig.Options.default) ?store_dir
+    ?(groups = fun _ -> []) ?(seed = 97L) ?(options = Dsig.Options.default)
     ?translog_dir ?(translog_poll_us = 200.0) ?(log_id = 0) ?timeseries:ts_opts ?verifiers_of sim
     cfg ~n () =
   let telemetry = options.Dsig.Options.telemetry in
@@ -153,10 +153,18 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
   in
   let party_options id = Dsig.Options.with_telemetry party_tel.(id) options in
   (* per-node store subdirectories, so n parties on one host never share
-     a journal; a restarted deployment pointed at the same [store_dir]
-     resumes each node's key state *)
+     a journal; a restarted deployment over the same store directory
+     resumes each node's batch counter *)
   let options_of id =
     let options = party_options id in
+    let options =
+      match options.Dsig.Options.store with
+      | None -> options
+      | Some s ->
+          Dsig.Options.with_store
+            { s with Dsig.Options.dir = Filename.concat s.dir (Printf.sprintf "node-%d" id) }
+            options
+    in
     let options =
       match tsplane with
       | None -> options
@@ -168,25 +176,12 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
                 ignore (Ts.Alert.step alerter ~now_us))
             options
     in
-    let options =
-      match transparency with
-      | None -> options
-      | Some tr ->
-          Dsig.Options.with_translog
-            (fun ~signer ~op ~signature ->
-              ignore (Translog.append tr.log ~signer ~op ~signature))
-            options
-    in
-    match store_dir with
+    match transparency with
     | None -> options
-    | Some dir ->
-        let node_dir = Filename.concat dir (Printf.sprintf "node-%d" id) in
-        let base =
-          match options.Dsig.Options.store with
-          | Some s -> { s with Dsig.Options.dir = node_dir }
-          | None -> Dsig.Options.store ~fsync:false node_dir
-        in
-        Dsig.Options.with_store base options
+    | Some tr ->
+        Dsig.Options.with_translog
+          (fun ~signer ~op ~signature -> ignore (Translog.append tr.log ~signer ~op ~signature))
+          options
   in
   let net : payload Net.t = Net.create sim ~nodes:n ~latency_us () in
   let ann_bytes = Dsig.Batch.announcement_wire_bytes cfg in
@@ -432,8 +427,7 @@ let announcements_sent t = t.counts.sent
 let announcements_delivered t = t.counts.delivered
 
 let close t =
-  (* seal every node's key-state journal, so a later deployment over the
-     same store_dir recovers cleanly (no burn) *)
+  (* close every node's key-state journal with a clean-shutdown marker *)
   Array.iter (fun p -> Dsig.Signer.close p.signer) t.parties;
   (* seal the transparency log last: the sink has run for every
      signature the loop above flushed out *)

@@ -71,7 +71,6 @@ val create :
   ?groups:(int -> int list list) ->
   ?seed:int64 ->
   ?options:Dsig.Options.t ->
-  ?store_dir:string ->
   ?translog_dir:string ->
   ?translog_poll_us:float ->
   ?log_id:int ->
@@ -107,13 +106,12 @@ val create :
     [~clock:(fun () -> Sim.now sim)] so latency histograms, lifecycle
     spans and the re-announce/pull-repair timers run in virtual time.
 
-    [store_dir] gives every signer a durable key-state journal in its
-    own subdirectory ([store_dir/node-<id>]); a later deployment created
-    over the same [store_dir] resumes each node's batch counter, so no
-    one-time key is reused across the restart. [options]'s own store
-    record (if any) supplies the group-commit/fsync knobs; otherwise
-    fsync is off (virtual-time runs should not block on real disks).
-    Close with {!close} for a clean (burn-free) shutdown.
+    When [options] carries a store ({!Dsig.Options.with_store}), every
+    signer gets a durable key-state journal in its own subdirectory
+    ([<dir>/node-<id>]) with the store's other settings; a later
+    deployment created over the same store resumes each node's batch
+    counter, so no one-time key is reused across the restart. Close
+    with {!close} for a clean shutdown.
 
     [translog_dir] turns on the transparency plane: every signature any
     party issues is appended to one shared durable
@@ -253,6 +251,6 @@ val announcements_delivered : t -> int
 
 val close : t -> unit
 (** Flush every verifier's held ACKs and close every signer's key-state
-    journal with a clean-shutdown marker (a no-op without [store_dir] or
-    a store in [options]). The simulation processes keep running; call
+    journal with a clean-shutdown marker (a no-op without a store in
+    [options]). The simulation processes keep running; call
     when the virtual run is over. *)

@@ -15,13 +15,23 @@ type t = {
 let root_message ~signer_id ~batch_id ~root =
   "dsig-batch-root" ^ BU.u64_le (Int64.of_int signer_id) ^ BU.u64_le batch_id ^ root
 
-let make ?(telemetry = Tel.default) ?pool (cfg : Config.t) ~signer_id ~batch_id ~eddsa ~rng =
-  let t0 = Tel.now telemetry in
+type timers = { tel : Tel.t; h_keygen : Metric.Histogram.t; h_eddsa_sign : Metric.Histogram.t }
+
+let timers tel =
+  {
+    tel;
+    h_keygen = Tel.histogram tel "dsig_batch_keygen_us";
+    h_eddsa_sign = Tel.histogram tel "dsig_batch_eddsa_sign_us";
+  }
+
+let make ?timers ?pool (cfg : Config.t) ~signer_id ~batch_id ~eddsa ~rng =
+  let now () = match timers with Some tm -> Tel.now tm.tel | None -> 0.0 in
+  let t0 = now () in
   let n = cfg.Config.batch_size in
   (* seeds are drawn sequentially from the caller's rng before any
      fan-out, so the batch is byte-identical with and without a pool
-     (golden wire tests, store replay) and workers never touch the
-     non-thread-safe rng *)
+     (golden wire tests) and workers never touch the non-thread-safe
+     rng *)
   let seeds = Array.init n (fun _ -> Dsig_util.Rng.bytes rng 32) in
   let keys =
     match pool with
@@ -31,12 +41,13 @@ let make ?(telemetry = Tel.default) ?pool (cfg : Config.t) ~signer_id ~batch_id 
   in
   let tree = Merkle.build (Array.map Onetime.batch_leaf keys) in
   let root = Merkle.root tree in
-  let t1 = Tel.now telemetry in
+  let t1 = now () in
   let root_sig = Eddsa.sign eddsa (root_message ~signer_id ~batch_id ~root) in
-  let t2 = Tel.now telemetry in
-  Metric.Histogram.add (Tel.histogram telemetry "dsig_batch_keygen_us") (t1 -. t0);
-  Metric.Histogram.add (Tel.histogram telemetry "dsig_batch_eddsa_sign_us") (t2 -. t1);
-  Metric.Counter.incr (Tel.counter telemetry "dsig_batch_generated_total");
+  Option.iter
+    (fun tm ->
+      Metric.Histogram.add tm.h_keygen (t1 -. t0);
+      Metric.Histogram.add tm.h_eddsa_sign (now () -. t1))
+    timers;
   { signer_id; batch_id; keys; tree; root_sig }
 
 let batch_id t = t.batch_id

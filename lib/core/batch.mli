@@ -10,8 +10,15 @@
 
 type t
 
+type timers
+(** The batch series of one telemetry bundle, resolved once. *)
+
+val timers : Dsig_telemetry.Telemetry.t -> timers
+(** Resolve the [dsig_batch_keygen_us] and [dsig_batch_eddsa_sign_us]
+    histograms on the bundle; its clock times them. *)
+
 val make :
-  ?telemetry:Dsig_telemetry.Telemetry.t ->
+  ?timers:timers ->
   ?pool:Dsig_util.Domain_pool.t ->
   Config.t ->
   signer_id:int ->
@@ -19,9 +26,9 @@ val make :
   eddsa:Dsig_ed25519.Eddsa.secret_key ->
   rng:Dsig_util.Rng.t ->
   t
-(** Records [dsig_batch_keygen_us] / [dsig_batch_eddsa_sign_us]
-    histograms and the [dsig_batch_generated_total] counter on
-    [telemetry] (default {!Dsig_telemetry.Telemetry.default}).
+(** With [timers], records key generation (keys and Merkle tree) and
+    the root's EdDSA signature in its two histograms; without, records
+    nothing.
 
     With [pool], one-time key generation (the dominant cost) is sharded
     over the pool's worker domains. All key seeds are drawn from [rng]

@@ -1,11 +1,10 @@
 module Tel = Dsig_telemetry.Telemetry
 
-type store = { dir : string; group_commit : int; fsync : bool; checkpoint_every : int }
+type store = { dir : string; fsync : bool; checkpoint_every : int }
 
-let store ?(group_commit = 8) ?(fsync = true) ?(checkpoint_every = 16) dir =
-  if group_commit <= 0 then invalid_arg "Options.store: group_commit must be positive";
+let store ?(fsync = true) ?(checkpoint_every = 16) dir =
   if checkpoint_every < 0 then invalid_arg "Options.store: checkpoint_every must be >= 0";
-  { dir; group_commit; fsync; checkpoint_every }
+  { dir; fsync; checkpoint_every }
 
 type t = {
   telemetry : Tel.t;

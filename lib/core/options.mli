@@ -31,15 +31,13 @@
     built without touching the store library. *)
 type store = {
   dir : string;  (** store directory, created on first open *)
-  group_commit : int;  (** journal appends coalesced per fsync *)
   fsync : bool;  (** [false] skips physical fsync (tests, benches) *)
   checkpoint_every : int;  (** snapshot cadence in sealed batches; 0 = never *)
 }
 
-val store : ?group_commit:int -> ?fsync:bool -> ?checkpoint_every:int -> string -> store
-(** Defaults: group commit 8, fsync on, checkpoint every 16 seals.
-    @raise Invalid_argument on a non-positive group commit or a negative
-    checkpoint cadence. *)
+val store : ?fsync:bool -> ?checkpoint_every:int -> string -> store
+(** Defaults: fsync on, checkpoint every 16 seals.
+    @raise Invalid_argument on a negative checkpoint cadence. *)
 
 (** {1 The options record} *)
 
@@ -77,9 +75,11 @@ val default : t
 val with_telemetry : Dsig_telemetry.Telemetry.t -> t -> t
 
 val with_store : store -> t -> t
-(** Persist signer key state under [store.dir]: batch seals and key
-    reservations are journaled before signatures leave the process, so a
-    restarted signer never reuses a one-time key (see DESIGN.md §10). *)
+(** Persist signer key state under [store.dir]: each batch id is
+    journaled and synced when the batch is sealed, before any of its
+    keys can sign, so a restarted signer never seals a batch id twice
+    and never reuses a one-time key. The foreground sign writes nothing
+    (see DESIGN.md §10). *)
 
 val with_translog : (signer:int -> op:string -> signature:string -> unit) -> t -> t
 (** Record every signature the signer issues in a transparency log. The

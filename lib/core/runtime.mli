@@ -33,8 +33,8 @@ val create :
     [options] (default {!Options.default}) supplies the telemetry
     bundle, the optional key-state store and transparency-log sink, the
     keygen pool and the sample hook, with {!Signer.create}'s meaning.
-    With a store, the journal resumes the batch counter past anything a
-    previous incarnation might have used (DESIGN.md §10), and
+    With a store, the journal resumes the batch counter past every
+    batch id a previous incarnation sealed (DESIGN.md §10), and
     {!shutdown} closes it cleanly; [Failure] if it cannot be opened or
     belongs to a different {!Config.fingerprint}.
 

@@ -65,6 +65,7 @@ type t = {
   tel : Tel.t;
   store : Keystate.t option; (* the key-state journal; it has its own lock *)
   recovery : Keystate.report option;
+  batch_timers : Batch.timers;
   translog : (signer:int -> op:string -> signature:string -> unit) option;
   pool : Domain_pool.t option;
   plane : Announce.Plane.t; (* the announcement control plane; it has its own lock *)
@@ -96,10 +97,7 @@ let open_store tel cfg (options : Options.t) =
   match options.store with
   | None -> (None, None)
   | Some s -> (
-      let store_cfg =
-        Keystate.config ~group_commit:s.group_commit ~fsync:s.fsync
-          ~checkpoint_every:s.checkpoint_every s.dir
-      in
+      let store_cfg = Keystate.config ~fsync:s.fsync ~checkpoint_every:s.checkpoint_every s.dir in
       match Keystate.open_ ~telemetry:tel ~fingerprint:(Config.fingerprint cfg) store_cfg with
       | Error e -> failwith ("opening the key-state store: " ^ e)
       | Ok (ks, report) -> (Some ks, Some report))
@@ -146,6 +144,7 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
     tel;
     store;
     recovery;
+    batch_timers = Batch.timers tel;
     translog = options.translog;
     pool = options.parallel;
     plane = Announce.Plane.create tel ~prefix ~id ?sample_hook:options.sample_hook ();
@@ -156,8 +155,8 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
     seal = Mutex.create ();
     lock = Mutex.create ();
     refill = Condition.create ();
-    (* resume past every batch id the previous incarnation might have
-       used — the report already includes the crash gap *)
+    (* resume past every batch id the previous incarnation sealed or
+       proposed: fresh batch ids are the whole restart guarantee *)
     next_batch = (match recovery with Some r -> r.Keystate.next_batch_id | None -> 0L);
     epoch = (match recovery with Some r -> r.Keystate.epoch | None -> 0);
     staged = None;
@@ -254,11 +253,12 @@ let push t g r =
    [seal]. Returns the batch size. *)
 let seal_batch t group ~batch_id ~into =
   let batch =
-    Batch.make ~telemetry:t.tel ?pool:t.pool t.cfg ~signer_id:t.id ~batch_id ~eddsa:t.eddsa
-      ~rng:t.rng
+    Batch.make ~timers:t.batch_timers ?pool:t.pool t.cfg ~signer_id:t.id ~batch_id
+      ~eddsa:t.eddsa ~rng:t.rng
   in
-  (* journal the seal before any of the batch's keys can sign *)
-  Option.iter (fun ks -> Keystate.seal ks ~batch_id ~size:(Batch.size batch)) t.store;
+  (* journal and sync the seal before any of the batch's keys can sign;
+     a sign writes nothing *)
+  Option.iter (fun ks -> Keystate.seal ks ~batch_id) t.store;
   let batch_bytes =
     Wire.batch_bytes t.cfg ~signer_id:t.id ~batch_id ~root_sig:(Batch.root_signature batch)
   in
@@ -459,11 +459,6 @@ let pop t group =
    domains. *)
 let build { key; key_bytes; batch_bytes } msg = Wire.sign ~batch:batch_bytes ~key:key_bytes key msg
 
-let reserve t p =
-  Option.iter
-    (fun ks -> Keystate.reserve ks ~batch_id:(batch_id p) ~key_index:(key_index p))
-    t.store
-
 (* The accounting after a signature is built: translog sink, count,
    [<prefix>_sign_us] from [t0] to [t1] and lifecycle sign event. *)
 let finish t ?t1 p ~msg ~wire ~t0 =
@@ -485,10 +480,6 @@ let finish t ?t1 p ~msg ~wire ~t0 =
 let sign_with t hint msg k =
   let t0 = Tel.now t.tel in
   let p = pop t (select_group t hint) in
-  (* durability invariant: the reservation is journaled (and covered by
-     the group-commit protocol) before the signature is even built, so a
-     signature can never leave the process without its record *)
-  reserve t p;
   let wire = build p msg in
   finish t p ~msg ~wire ~t0;
   k wire p t0
@@ -503,8 +494,7 @@ let sign_ctx t ?hint msg =
 
 (* Batch signing across the worker pool. The division of labor follows
    the shard-ownership invariant (DESIGN.md §12): the calling domain
-   pops prepared keys (ascending key indices) and journals every
-   reservation in consumption order; worker domains then build
+   pops prepared keys (ascending key indices); worker domains then build
    signatures over contiguous index ranges — one range per shard, so no
    two domains ever touch the same one-time key; the calling domain
    folds back translog, stats, metrics and lifecycle accounting
@@ -516,11 +506,6 @@ let sign_many t ?hint msgs =
   | Some pool when n > 1 && Domain_pool.size pool > 1 ->
       let group = select_group t hint in
       let prepared = Array.init n (fun _ -> pop t group) in
-      (* durability invariant, batch form: every reservation is
-         journaled — in the same ascending-index order a sequential
-         signer would produce — before any signature is built, so no
-         signature can leave the process without its record *)
-      Array.iter (reserve t) prepared;
       let results =
         Domain_pool.parallel_map pool
           ~f:(fun ~shard:_ (p, msg) ->

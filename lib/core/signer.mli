@@ -40,10 +40,7 @@
     sealed earlier. The announcement plane and the journal have locks
     of their own. Foreground calls ({!sign}, {!sign_ctx}, {!sign_many})
     may come from several domains at once, beside a driver domain and
-    the control plane: each prepared key goes to exactly one caller.
-    Each caller journals its reservations in ascending key order; the
-    journal's high-water recovery does not depend on how callers
-    interleave. *)
+    the control plane: each prepared key goes to exactly one caller. *)
 
 type t
 
@@ -74,11 +71,12 @@ val create :
 
     When [options] carries a store ({!Options.with_store}), the signer
     opens a durable {!Dsig_store.Keystate} journal under the store
-    directory: every batch is journaled when sealed and every one-time
-    key when reserved — {e before} the signature is built — and the
-    batch counter resumes past anything a previous incarnation might
-    have used, so a restart can never reuse a one-time key (DESIGN.md
-    §10). The journal is checked against {!Config.fingerprint}; a store
+    directory: every batch id is journaled and synced when the batch is
+    sealed, on the background plane and before any of its keys are
+    queued, and the batch counter resumes past every id a previous
+    incarnation sealed, so a restart never seals a batch id twice
+    (DESIGN.md §10). The foreground sign writes nothing; a crash loses
+    the queued keys. The journal is checked against {!Config.fingerprint}; a store
     that cannot be opened or belongs to a different configuration
     raises [Failure].
 
@@ -111,12 +109,11 @@ val store : t -> Dsig_store.Keystate.t option
 
 val store_recovery : t -> Dsig_store.Keystate.report option
 (** What recovery found when the store was opened: whether the previous
-    incarnation shut down cleanly, what was burned, and the resumed
-    batch counter. *)
+    incarnation shut down cleanly, and the resumed batch counter. *)
 
 val close : t -> unit
-(** Write the store's clean-shutdown marker and close it (no burned keys
-    on the next open). A no-op without a store; idempotent. *)
+(** Write the store's clean-shutdown marker and close it. A no-op
+    without a store; idempotent. *)
 
 val sign : t -> ?hint:int list -> string -> string
 (** [sign t ~hint msg] returns the encoded DSig signature. The hint
@@ -139,8 +136,7 @@ val sign_ctx : t -> ?hint:int list -> string -> string * Dsig_telemetry.Trace_ct
 val sign_many : t -> ?hint:int list -> string array -> string array
 (** Sign a batch of messages, returning wire signatures in input order.
     With {!Options.with_parallel}, the calling domain pops the prepared
-    keys (as {!sign} does, one at a time) and journals every key
-    reservation in consumption order; signature bodies and wire
+    keys (as {!sign} does, one at a time); signature bodies and wire
     encodings are then built on worker domains over contiguous
     key-index ranges (one range per shard — no two domains ever touch
     the same one-time key), and all accounting (translog, stats,
@@ -176,9 +172,9 @@ val queue_depth : t -> int
     one keeps serving, then cuts over atomically. The protocol is
     propose -> confirm, journaled in the {!Dsig_store.Keystate} store
     when one is configured: a crash at any point between
-    {!stage_next_batch} and {!cutover} recovers by retiring the staged
-    batch, so exactly one generation is ever live and no one-time key
-    is reused. A coordinator ({!Dsig_keylife.Rotation}) typically
+    {!stage_next_batch} and {!cutover} recovers by clearing the
+    proposal, so the epoch never advances past a cutover that did not
+    happen, and the staged batch's id is never sealed again. A coordinator ({!Dsig_keylife.Rotation}) typically
     drives the pair; both entry points are also safe to call directly.
     Rotation targets the default group — with extra groups configured,
     cutover discards {e every} group's queued keys (the whole old

@@ -1,43 +1,36 @@
-(** The durable signer key-state journal: which one-time keys may still
-    be used after a restart.
+(** The durable signer key-state journal: which batch ids a restarted
+    signer may still use.
 
-    Reusing a hash-based one-time key is a forgery vector, so the signer
-    journals every key reservation {e before} the signature leaves the
-    process: [reserve] appends a [key_reserved] record to the {!Wal} (and
-    fsyncs per the group-commit budget), [seal] records a freshly
-    generated batch, [retire] a fully consumed or evicted one, and
-    [checkpoint] folds everything into a {!Snapshot} and rotates the WAL
-    segment (pruning segments the snapshot covers).
+    Reusing a hash-based one-time key is a forgery vector. A key is
+    named by its batch id and its index in the batch, and a batch id
+    is used by one sealed batch only, so a signer never reuses a key as
+    long as it never seals a batch id twice. The journal makes that
+    durable at the batch, not the key: [seal] appends a [Batch_sealed]
+    record to the {!Wal} and fsyncs it before it returns, and the signer
+    seals before any of the batch's keys are queued (the batch is the
+    block of one-time keys NIST SP 800-208 lets a stateful signer
+    reserve). The foreground sign writes nothing; a crash loses the
+    batch's unused keys, never a key's uniqueness. [checkpoint] folds
+    the state into a fixed-size {!Snapshot} and rotates the WAL segment
+    (pruning segments the snapshot covers).
 
-    {b Recovery — "burn the gap".} After a crash, the journal may be
-    missing up to [group_commit - 1] trailing records (appends fsync
-    every [group_commit]-th call), and the last durable frame may be
-    torn. Recovery therefore truncates each segment at its first bad
-    frame, replays, and then {e conservatively} skips every key that
-    could possibly have been spent without a surviving record: starting
-    from the last journaled reservation, the next [group_commit - 1]
-    key indices in consumption order are burned, and the next batch id
-    is advanced past [group_commit] possibly-lost batch seals. A clean
-    {!close} writes a shutdown marker, after which recovery burns
-    nothing. The guarantee tested by the crash-injection matrix: no key
-    index is ever signed twice, and at most [group_commit] keys are
-    burned per crash. *)
+    {b Recovery.} Every record is synced before its call returns, so a
+    crash can only tear a frame whose call never returned. Recovery
+    replays each segment up to its first bad frame and resumes at the
+    newest sealed or proposed batch id + 1. A store written in an older
+    format (an old snapshot magic, or a record tag that is gone) is
+    refused with an [Error]. *)
 
 (** {1 Journal records} *)
 
 type record =
-  | Key_reserved of { batch_id : int64; key_index : int }
-      (** journaled before the signature leaves the signer *)
-  | Batch_sealed of { batch_id : int64; size : int }
-      (** a generated-and-announced batch of [size] one-time keys *)
-  | Batch_retired of int64  (** batch fully consumed or evicted *)
+  | Batch_sealed of int64  (** a batch id, journaled before its keys are queued *)
   | Checkpoint of int64  (** a snapshot covering WAL seq <= the payload *)
   | Clean_shutdown of int64  (** orderly close; payload = next batch id *)
   | Rotation_proposed of { epoch : int; batch_id : int64 }
       (** a staged next-generation batch, journaled before its seal *)
   | Rotation_confirmed of { epoch : int; batch_id : int64 }
-      (** atomic cutover: replay retires every batch older than
-          [batch_id] *)
+      (** atomic cutover to the staged batch *)
 
 val encode_record : record -> string
 val decode_record : string -> (record, string) result
@@ -47,42 +40,30 @@ val decode_record : string -> (record, string) result
 
 type config = {
   dir : string;  (** store directory (created if missing) *)
-  group_commit : int;  (** appends coalesced per fsync (>= 1) *)
   fsync : bool;  (** [false] skips physical fsync (tests) *)
   checkpoint_every : int;  (** auto-checkpoint per N seals; 0 = never *)
 }
 
-val config : ?group_commit:int -> ?fsync:bool -> ?checkpoint_every:int -> string -> config
-(** Defaults: group commit 8, fsync on, checkpoint every 16 seals.
-    @raise Invalid_argument on a non-positive group commit or a negative
-    checkpoint cadence. *)
+val config : ?fsync:bool -> ?checkpoint_every:int -> string -> config
+(** Defaults: fsync on, checkpoint every 16 seals.
+    @raise Invalid_argument on a negative checkpoint cadence. *)
 
 (** {1 Recovery report} *)
-
-type batch_state = { size : int; high_water : int; retired : bool }
 
 type report = {
   had_snapshot : bool;
   segments_replayed : int;
   records_replayed : int;
-  torn_segments : int;  (** segments truncated at a bad frame *)
+  torn_segments : int;  (** segments that end in a bad frame *)
   torn_bytes : int;  (** bytes discarded across those tails *)
   clean : bool;  (** previous incarnation closed with {!close} *)
-  burned : (int64 * int * int) list;
-      (** (batch id, first burned index, count) per affected batch *)
-  resume : (int64 * int) list;
-      (** (batch id, first safe key index) for every live batch *)
   next_batch_id : int64;
   epoch : int;  (** confirmed rotation epoch *)
   rotation_rolled_back : (int * int64) option;
-      (** a proposed-but-unconfirmed rotation that recovery resolved by
-          retiring the staged batch (its key material died with the
-          process), leaving exactly one live generation *)
+      (** a proposed-but-unconfirmed rotation that recovery cleared (its
+          staged batch's key material died with the process), leaving
+          exactly one live generation *)
 }
-
-val first_safe_index : report -> batch_id:int64 -> int option
-(** First key index of [batch_id] that recovery can prove was never
-    signed (burn included); [None] for retired or unknown batches. *)
 
 (** {1 The journal} *)
 
@@ -94,54 +75,43 @@ val open_ :
   config ->
   (t * report, string) result
 (** Open (or create) the store in [config.dir]: load the snapshot,
-    replay newer WAL segments (physically truncating torn tails), and
-    start a fresh segment. [fingerprint] (the signer's
+    replay newer WAL segments up to each one's first bad frame, fold
+    the result into a new snapshot (pruning the replayed segments), and
+    start a fresh segment whose every record is synced. Nothing is
+    written unless replay succeeds. [fingerprint] (the signer's
     {!Dsig.Config} fingerprint) is recorded in snapshots and checked
     against an existing store — a mismatch is an [Error], because
-    resuming key state under a different scheme silently invalidates the
-    reuse guarantee. All entry points are thread-safe (one internal
+    resuming key state under a different scheme silently invalidates
+    the reuse guarantee. All entry points are thread-safe (one internal
     lock), so the runtime's two domains can share a handle.
 
     Telemetry (on top of the {!Wal} series):
-    [dsig_store_recoveries_total], [dsig_store_burned_keys_total],
-    [dsig_store_torn_truncations_total], [dsig_store_snapshots_total]
+    [dsig_store_recoveries_total], [dsig_store_torn_truncations_total],
+    [dsig_store_snapshots_total] and [dsig_rotation_rollbacks_total]
     counters and the [dsig_store_wal_segments] gauge. *)
 
-val reserve : t -> batch_id:int64 -> key_index:int -> unit
-(** Journal that [key_index] of [batch_id] is about to be spent. Call
-    {e before} the signature leaves the signer. Reserving the last index
-    of a sealed batch auto-retires it.
-
-    The burn-the-gap recovery bound assumes reservations arrive in
-    consumption order — ascending indices, batches in seal order — which
-    is what the signer's FIFO key queue produces. Out-of-order
-    reservations would widen the set a crash can lose beyond what the
-    gap burn covers. *)
-
-val seal : t -> batch_id:int64 -> size:int -> unit
-(** Journal a freshly generated batch; triggers an automatic
-    {!checkpoint} every [checkpoint_every] seals. *)
-
-val retire : t -> batch_id:int64 -> unit
-(** Journal that a batch will never sign again (evicted / exhausted). *)
+val seal : t -> batch_id:int64 -> unit
+(** Journal and sync a freshly generated batch; triggers an automatic
+    {!checkpoint} every [checkpoint_every] seals. Call before any of the
+    batch's keys can sign. *)
 
 (** {2 Rotation (key lifecycle plane)}
 
     Zero-downtime rotation journals a propose -> confirm pair around
     the staged next-generation batch. Propose {e before} sealing the
     staged batch; a crash at any point before {!confirm_rotation}
-    recovers by retiring the staged batch ([report.rotation_rolled_back]
-    and the [dsig_rotation_rollbacks_total] counter), so exactly one
-    generation is ever live. *)
+    recovers by clearing the proposal ([report.rotation_rolled_back]
+    and the [dsig_rotation_rollbacks_total] counter), so the epoch never
+    advances past a cutover that did not happen. *)
 
 val propose_rotation : t -> epoch:int -> batch_id:int64 -> unit
-(** Journal that [batch_id] is the staged batch for [epoch].
+(** Journal and sync that [batch_id] is the staged batch for [epoch].
     @raise Invalid_argument if a rotation is already pending or [epoch]
     does not advance the confirmed epoch. *)
 
 val confirm_rotation : t -> epoch:int -> batch_id:int64 -> unit
-(** Atomically cut over: journal (and sync) the confirm record, retire
-    every batch older than [batch_id], and advance the epoch.
+(** Atomically cut over: journal and sync the confirm record, and
+    advance the epoch.
     @raise Invalid_argument without a matching pending propose. *)
 
 val epoch : t -> int
@@ -151,34 +121,28 @@ val checkpoint : t -> unit
 (** Snapshot the current state (atomic rename), rotate to a fresh WAL
     segment, and prune segments the snapshot covers. *)
 
-val sync : t -> unit
-(** Force the WAL's pending group commit to disk. *)
-
 val close : t -> unit
-(** Append the clean-shutdown marker, sync, and close. Idempotent. *)
+(** Append the clean-shutdown marker and close. Idempotent. *)
 
 val crash : t -> unit
-(** Drop the handles without marker or sync — crash-test hook. *)
+(** Drop the handles without marker — crash-test hook. *)
 
 val next_batch_id : t -> int64
-(** The smallest batch id no signature has ever used — the restarted
-    signer's starting counter. *)
-
-val batches : t -> (int64 * batch_state) list
-(** Live (non-retired, non-pruned) batch states, for inspection. *)
+(** The smallest batch id no sealed or proposed batch has used — the
+    restarted signer's starting counter. *)
 
 val wal_path : t -> string
 (** The active segment's path (crash tests cut it at chosen offsets). *)
 
 val synced_bytes : t -> int
-(** The active segment's fsync horizon (see {!Wal.synced_bytes}). *)
+(** The active segment's fsync horizon (see {!Wal.synced_bytes}); the
+    segment's size after every record. *)
 
 (** {1 Read-only scan (CLI)} *)
 
 type scan = {
   scan_snapshot : Snapshot.t option;
   scan_segments : (int64 * Wal.recovery) list;  (** (seq, recovery) *)
-  scan_state : (int64 * batch_state) list;
   scan_next_batch_id : int64;
   scan_clean : bool;
   scan_torn : bool;
@@ -192,5 +156,5 @@ type scan = {
 
 val scan : dir:string -> (scan, string) result
 (** Inspect a store without opening it for writing: no new segment, no
-    truncation, no lock. [Error] on an unreadable directory, corrupt
-    snapshot, or unreadable segment. *)
+    truncation, no lock. [Error] on an unreadable directory, corrupt or
+    old-format snapshot, or unreadable segment. *)

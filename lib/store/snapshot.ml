@@ -1,16 +1,12 @@
 module BU = Dsig_util.Bytesutil
 
-let magic = "DSIGSNP2"
-let magic_v1 = "DSIGSNP1"
+let magic = "DSIGSNP3"
 let filename = "snapshot"
-
-type batch = { id : int64; size : int; high_water : int; retired : bool }
 
 type t = {
   fingerprint : string;
   seq : int64;
   next_batch_id : int64;
-  batches : batch list;
   epoch : int;
   pending_rotation : (int * int64) option;
 }
@@ -23,18 +19,8 @@ let encode t =
          BU.u64_le t.next_batch_id;
          BU.u32_le (Int32.of_int (String.length t.fingerprint));
          t.fingerprint;
-         BU.u32_le (Int32.of_int (List.length t.batches));
+         BU.u32_le (Int32.of_int t.epoch);
        ]
-      @ List.concat_map
-          (fun b ->
-            [
-              BU.u64_le b.id;
-              BU.u32_le (Int32.of_int b.size);
-              BU.u32_le (Int32.of_int (b.high_water + 1));
-              String.make 1 (if b.retired then '\001' else '\000');
-            ])
-          t.batches
-      @ [ BU.u32_le (Int32.of_int t.epoch) ]
       @
       match t.pending_rotation with
       | None -> [ "\000" ]
@@ -44,67 +30,48 @@ let encode t =
 
 let decode data =
   let len = String.length data in
+  let mlen = String.length magic in
   let fail pos what = Error (Printf.sprintf "snapshot: %s at byte %d" what pos) in
-  if len < String.length magic + 4 then fail len "truncated header"
+  if len < mlen + 4 then fail len "truncated header"
+  else if String.sub data 0 mlen <> magic then
+    if String.sub data 0 (mlen - 1) = "DSIGSNP" then
+      Error "snapshot: per-key store format, which cannot be resumed"
+    else fail 0 "bad magic"
   else
-    let version =
-      if String.sub data 0 (String.length magic) = magic then Some 2
-      else if String.sub data 0 (String.length magic_v1) = magic_v1 then Some 1
-      else None
-    in
-    match version with
-    | None -> fail 0 "bad magic"
-    | Some version ->
-        let crc = BU.get_u32_le data (String.length magic) in
-        let body = String.sub data (String.length magic + 4) (len - String.length magic - 4) in
-        if Wal.crc32 body <> crc then fail (String.length magic) "crc mismatch"
-        else begin
-          let blen = String.length body in
-          let pos = ref 0 in
-          let take n what =
-            if !pos + n > blen then failwith (Printf.sprintf "snapshot: %s at byte %d" what !pos);
-            let p = !pos in
-            pos := !pos + n;
-            p
-          in
-          try
-            let seq = BU.get_u64_le body (take 8 "truncated seq") in
-            let next_batch_id = BU.get_u64_le body (take 8 "truncated next batch id") in
-            let fp_len = Int32.to_int (BU.get_u32_le body (take 4 "truncated fingerprint length")) in
-            if fp_len < 0 then failwith "snapshot: negative fingerprint length";
-            let fingerprint = String.sub body (take fp_len "truncated fingerprint") fp_len in
-            let n = Int32.to_int (BU.get_u32_le body (take 4 "truncated batch count")) in
-            if n < 0 then failwith "snapshot: negative batch count";
-            let batches =
-              List.init n (fun _ ->
-                  let id = BU.get_u64_le body (take 8 "truncated batch id") in
-                  let size = Int32.to_int (BU.get_u32_le body (take 4 "truncated batch size")) in
-                  let hw1 = Int32.to_int (BU.get_u32_le body (take 4 "truncated high water")) in
-                  let retired = body.[take 1 "truncated retired flag"] <> '\000' in
-                  if size < 0 || hw1 < 0 then failwith "snapshot: negative batch field";
-                  { id; size; high_water = hw1 - 1; retired })
-            in
-            let epoch, pending_rotation =
-              if version = 1 then (0, None)
-              else begin
-                let epoch = Int32.to_int (BU.get_u32_le body (take 4 "truncated epoch")) in
-                if epoch < 0 then failwith "snapshot: negative epoch";
-                let pending =
-                  match body.[take 1 "truncated rotation flag"] with
-                  | '\000' -> None
-                  | _ ->
-                      let e = Int32.to_int (BU.get_u32_le body (take 4 "truncated rotation epoch")) in
-                      let b = BU.get_u64_le body (take 8 "truncated rotation batch") in
-                      if e < 0 then failwith "snapshot: negative rotation epoch";
-                      Some (e, b)
-                in
-                (epoch, pending)
-              end
-            in
-            if !pos <> blen then failwith (Printf.sprintf "snapshot: trailing bytes at byte %d" !pos);
-            Ok { fingerprint; seq; next_batch_id; batches; epoch; pending_rotation }
-          with Failure e -> Error e
-        end
+    let crc = BU.get_u32_le data mlen in
+    let body = String.sub data (mlen + 4) (len - mlen - 4) in
+    if Wal.crc32 body <> crc then fail mlen "crc mismatch"
+    else begin
+      let blen = String.length body in
+      let pos = ref 0 in
+      let take n what =
+        if !pos + n > blen then failwith (Printf.sprintf "snapshot: %s at byte %d" what !pos);
+        let p = !pos in
+        pos := !pos + n;
+        p
+      in
+      let u32 what =
+        let v = Int32.to_int (BU.get_u32_le body (take 4 ("truncated " ^ what))) in
+        if v < 0 then failwith ("snapshot: negative " ^ what);
+        v
+      in
+      try
+        let seq = BU.get_u64_le body (take 8 "truncated seq") in
+        let next_batch_id = BU.get_u64_le body (take 8 "truncated next batch id") in
+        let fp_len = u32 "fingerprint length" in
+        let fingerprint = String.sub body (take fp_len "truncated fingerprint") fp_len in
+        let epoch = u32 "epoch" in
+        let pending_rotation =
+          match body.[take 1 "truncated rotation flag"] with
+          | '\000' -> None
+          | _ ->
+              let e = u32 "rotation epoch" in
+              Some (e, BU.get_u64_le body (take 8 "truncated rotation batch"))
+        in
+        if !pos <> blen then failwith (Printf.sprintf "snapshot: trailing bytes at byte %d" !pos);
+        Ok { fingerprint; seq; next_batch_id; epoch; pending_rotation }
+      with Failure e -> Error e
+    end
 
 let save ~dir t =
   let path = Filename.concat dir filename in

@@ -2,34 +2,24 @@
 
     A snapshot captures everything the {!Keystate} journal would replay:
     the configuration fingerprint (so a store is never resumed under a
-    different scheme), the next batch id, and the per-batch high-water
-    key index. It also records the WAL segment sequence it covers, so
-    recovery replays only the segments written after it and older ones
-    can be pruned.
+    different scheme), the next batch id, the confirmed rotation epoch
+    and any unconfirmed rotation proposal. Its size does not depend on
+    how many batches were ever sealed. It also records the WAL segment
+    sequence it covers, so recovery replays only the segments written
+    after it and older ones can be pruned.
 
-    On-disk format: an 8-byte magic ["DSIGSNP2"], a u32 LE CRC-32 of the
+    On-disk format: an 8-byte magic ["DSIGSNP3"], a u32 LE CRC-32 of the
     body, then the body — covered seq (u64), next batch id (u64),
-    fingerprint (u32 length + bytes), batch count (u32) and per batch:
-    id (u64), size (u32), high-water + 1 (u32, 0 = none reserved),
-    retired flag (u8); then the key-lifecycle tail — rotation epoch
-    (u32) and a pending-rotation record (u8 flag, then epoch u32 +
-    batch id u64 when set). ["DSIGSNP1"] snapshots (no tail) still
-    decode, at epoch 0 with no pending rotation. Writes go to a temp
-    file, fsync, then a rename — a crash leaves either the old snapshot
-    or the new one, never a mix. *)
-
-type batch = {
-  id : int64;
-  size : int;  (** keys in the batch, from its [batch_sealed] record *)
-  high_water : int;  (** highest journaled reserved key index; -1 if none *)
-  retired : bool;
-}
+    fingerprint (u32 length + bytes), rotation epoch (u32) and a
+    pending-rotation record (u8 flag, then epoch u32 + batch id u64 when
+    set). Snapshots of the per-key format (["DSIGSNP1"], ["DSIGSNP2"])
+    are refused. Writes go to a temp file, fsync, then a rename — a
+    crash leaves either the old snapshot or the new one, never a mix. *)
 
 type t = {
   fingerprint : string;
   seq : int64;  (** WAL segments with sequence <= [seq] are covered *)
   next_batch_id : int64;
-  batches : batch list;
   epoch : int;  (** confirmed rotation epoch (0 until the first cutover) *)
   pending_rotation : (int * int64) option;
       (** a journaled rotation propose (epoch, staged batch id) that has
@@ -41,11 +31,12 @@ val filename : string
 
 val encode : t -> string
 val decode : string -> (t, string) result
-(** Total: [Error] on bad magic, CRC mismatch, or truncation (with the
-    failing byte offset). *)
+(** Total: [Error] on a bad or old magic, CRC mismatch, or truncation
+    (with the failing byte offset). *)
 
 val save : dir:string -> t -> unit
 (** Atomic write to [dir/snapshot] (temp file + fsync + rename). *)
 
 val load : dir:string -> (t option, string) result
-(** [Ok None] when no snapshot exists; [Error] on a corrupt one. *)
+(** [Ok None] when no snapshot exists; [Error] on a corrupt or
+    old-format one. *)

@@ -10,7 +10,6 @@ module Eddsa = Dsig_ed25519.Eddsa
 module Rng = Dsig_util.Rng
 module Revocation = Dsig_keylife.Revocation
 module Rotation = Dsig_keylife.Rotation
-module Keystate = Dsig_store.Keystate
 module Sim = Dsig_simnet.Sim
 module Net = Dsig_simnet.Net
 module Deploy = Dsig_deploy.Deploy

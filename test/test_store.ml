@@ -1,9 +1,9 @@
-(* The durability plane (ISSUE 5): WAL framing and torn-tail tolerance,
-   snapshot atomicity, and the Keystate journal's key-reuse guarantee —
-   including the crash-injection matrix: kill the journal at arbitrary
-   byte offsets past the fsync horizon, restart, and assert that no
-   one-time key index is ever signed twice and that recovery burns at
-   most [group_commit] keys per crash. *)
+(* The durability plane: WAL framing and torn-tail tolerance, snapshot
+   atomicity, and the Keystate journal's key-reuse guarantee — one
+   synced record per sealed batch, and a restart that resumes above
+   every batch id ever sealed — including the crash-injection matrices:
+   kill the journal (with or without a torn in-flight frame), restart,
+   and assert that no sealed batch id is ever resumed at or below. *)
 
 open Dsig
 module Wal = Dsig_store.Wal
@@ -17,11 +17,13 @@ let fresh_dir () =
   Sys.mkdir f 0o700;
   f
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
 
 let with_dir f =
   let dir = fresh_dir () in
@@ -197,12 +199,6 @@ let sample_snapshot =
     Ksnapshot.fingerprint = "0011aabb";
     seq = 3L;
     next_batch_id = 7L;
-    batches =
-      [
-        { Ksnapshot.id = 2L; size = 8; high_water = 4; retired = false };
-        { Ksnapshot.id = 5L; size = 4; high_water = -1; retired = false };
-        { Ksnapshot.id = 1L; size = 8; high_water = 7; retired = true };
-      ];
     epoch = 2;
     pending_rotation = Some (3, 6L);
   }
@@ -236,34 +232,28 @@ let test_snapshot_corruption () =
 
 (* --- Keystate --- *)
 
+let open_exn ?(fingerprint = "fp") cfg =
+  match Keystate.open_ ~telemetry:(tel ()) ~fingerprint cfg with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "open: %s" e
+
 let test_keystate_clean_reopen () =
   with_dir @@ fun dir ->
-  let cfg = Keystate.config ~group_commit:4 ~fsync:false dir in
-  (match Keystate.open_ ~telemetry:(tel ()) ~fingerprint:"fp-1" cfg with
-  | Error e -> Alcotest.failf "open: %s" e
-  | Ok (t, report) ->
-      Alcotest.(check bool) "fresh store is clean" true report.Keystate.clean;
-      Keystate.seal t ~batch_id:0L ~size:8;
-      Keystate.reserve t ~batch_id:0L ~key_index:0;
-      Keystate.reserve t ~batch_id:0L ~key_index:1;
-      Keystate.reserve t ~batch_id:0L ~key_index:2;
-      Keystate.close t);
-  match Keystate.open_ ~telemetry:(tel ()) ~fingerprint:"fp-1" cfg with
-  | Error e -> Alcotest.failf "reopen: %s" e
-  | Ok (t, report) ->
-      Alcotest.(check bool) "clean shutdown detected" true report.Keystate.clean;
-      Alcotest.(check bool) "nothing burned" true (report.Keystate.burned = []);
-      Alcotest.(check (option int)) "resume after high water" (Some 3)
-        (Keystate.first_safe_index report ~batch_id:0L);
-      Alcotest.(check bool) "batch ids move on" true (Keystate.next_batch_id t >= 1L);
-      Keystate.close t
+  let cfg = Keystate.config ~fsync:false dir in
+  let t, report = open_exn cfg in
+  Alcotest.(check bool) "fresh store is clean" true report.Keystate.clean;
+  List.iter (fun b -> Keystate.seal t ~batch_id:b) [ 0L; 1L; 2L ];
+  Keystate.close t;
+  let t, report = open_exn cfg in
+  Alcotest.(check bool) "clean shutdown detected" true report.Keystate.clean;
+  Alcotest.(check int64) "resumes past the newest seal" 3L report.Keystate.next_batch_id;
+  Alcotest.(check int64) "handle agrees" 3L (Keystate.next_batch_id t);
+  Keystate.close t
 
 let test_keystate_fingerprint_mismatch () =
   with_dir @@ fun dir ->
   let cfg = Keystate.config ~fsync:false dir in
-  (match Keystate.open_ ~telemetry:(tel ()) ~fingerprint:"scheme-a" cfg with
-  | Error e -> Alcotest.failf "open: %s" e
-  | Ok (t, _) -> Keystate.close t);
+  Keystate.close (fst (open_exn ~fingerprint:"scheme-a" cfg));
   match Keystate.open_ ~telemetry:(tel ()) ~fingerprint:"scheme-b" cfg with
   | Error _ -> ()
   | Ok (t, _) ->
@@ -272,15 +262,11 @@ let test_keystate_fingerprint_mismatch () =
 
 let test_keystate_checkpoint_prunes () =
   with_dir @@ fun dir ->
-  let cfg = Keystate.config ~group_commit:2 ~fsync:false ~checkpoint_every:2 dir in
-  (match Keystate.open_ ~telemetry:(tel ()) cfg with
-  | Error e -> Alcotest.failf "open: %s" e
-  | Ok (t, _) ->
-      for b = 0 to 5 do
-        Keystate.seal t ~batch_id:(Int64.of_int b) ~size:4;
-        Keystate.reserve t ~batch_id:(Int64.of_int b) ~key_index:0
-      done;
-      Keystate.close t);
+  let t, _ = open_exn (Keystate.config ~fsync:false ~checkpoint_every:2 dir) in
+  for b = 0 to 5 do
+    Keystate.seal t ~batch_id:(Int64.of_int b)
+  done;
+  Keystate.close t;
   match Keystate.scan ~dir with
   | Error e -> Alcotest.failf "scan: %s" e
   | Ok s ->
@@ -289,195 +275,181 @@ let test_keystate_checkpoint_prunes () =
         (List.length s.Keystate.scan_segments <= 2);
       Alcotest.(check bool) "clean" true s.Keystate.scan_clean;
       Alcotest.(check bool) "not torn" true (not s.Keystate.scan_torn);
-      Alcotest.(check int) "all six batches live" 6 (List.length s.Keystate.scan_state)
+      Alcotest.(check int64) "past all six seals" 6L s.Keystate.scan_next_batch_id
 
 let test_keystate_scan_missing () =
   match Keystate.scan ~dir:"/nonexistent/dsig-store" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "scanned a missing store"
 
+(* The snapshot holds the counter, the epoch and the fingerprint, not a
+   row per batch ever sealed: it is as large after 1,000 seals as after
+   one. *)
+let test_snapshot_does_not_grow () =
+  with_dir @@ fun dir ->
+  let t, _ = open_exn (Keystate.config ~fsync:false ~checkpoint_every:0 dir) in
+  let snapshot_size () =
+    Keystate.checkpoint t;
+    (Unix.stat (Filename.concat dir Ksnapshot.filename)).Unix.st_size
+  in
+  Keystate.seal t ~batch_id:0L;
+  let after_one = snapshot_size () in
+  for b = 1 to 999 do
+    Keystate.seal t ~batch_id:(Int64.of_int b)
+  done;
+  Alcotest.(check int) "1 batch vs 1,000" after_one (snapshot_size ());
+  Keystate.close t
+
+(* Durability at the batch: every seal, propose and confirm is synced
+   before it returns, across checkpoint rotations too. *)
+let test_every_record_synced () =
+  with_dir @@ fun dir ->
+  let t, _ = open_exn (Keystate.config ~fsync:false ~checkpoint_every:3 dir) in
+  let check what =
+    Alcotest.(check int) what (Unix.stat (Keystate.wal_path t)).Unix.st_size (Keystate.synced_bytes t)
+  in
+  for b = 0 to 7 do
+    Keystate.seal t ~batch_id:(Int64.of_int b);
+    check (Printf.sprintf "seal %d" b)
+  done;
+  Keystate.propose_rotation t ~epoch:1 ~batch_id:8L;
+  check "propose";
+  Keystate.seal t ~batch_id:8L;
+  check "staged seal";
+  Keystate.confirm_rotation t ~epoch:1 ~batch_id:8L;
+  check "confirm";
+  Keystate.close t
+
+(* A store of the per-key format is refused and left as it was: an old
+   snapshot magic, or a journal record whose tag is gone. *)
+let test_old_format_refused () =
+  let listing dir =
+    Array.to_list (Sys.readdir dir)
+    |> List.sort compare
+    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+  in
+  let refused what dir =
+    let before = listing dir in
+    (match Keystate.open_ ~telemetry:(tel ()) (Keystate.config ~fsync:false dir) with
+    | Error _ -> ()
+    | Ok (t, _) ->
+        Keystate.close t;
+        Alcotest.failf "%s: opened" what);
+    Alcotest.(check bool) (what ^ ": untouched") true (listing dir = before)
+  in
+  (with_dir @@ fun dir ->
+   (* a DSIGSNP2 snapshot: seq, next id, empty fingerprint, no batches,
+      epoch 0, no pending rotation *)
+   let body =
+     String.concat ""
+       [ String.make 16 '\000'; "\000\000\000\000"; "\000\000\000\000"; "\000\000\000\000"; "\000" ]
+   in
+   write_file
+     (Filename.concat dir Ksnapshot.filename)
+     ("DSIGSNP2" ^ Dsig_util.Bytesutil.u32_le (Wal.crc32 body) ^ body);
+   refused "old snapshot" dir);
+  with_dir @@ fun dir ->
+  (* a segment holding a per-key reservation record (tag 1), then a
+     torn frame that a successful open would discard *)
+  let path = Filename.concat dir "wal-0000000000000001" in
+  let w = Wal.create ~telemetry:(tel ()) ~fsync:false path in
+  Wal.append w ("\001" ^ String.make 12 '\000');
+  Wal.close w;
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc "\007\000\000";
+  close_out oc;
+  refused "old record" dir
+
+(* Kill a segment the way an OS crash can: the handle dropped, then a
+   torn frame of a record whose sync never returned (or none). *)
+let crash_with_torn_tail rng t =
+  let path = Keystate.wal_path t in
+  Keystate.crash t;
+  if Random.State.bool rng then begin
+    let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+    output_string oc (String.init (1 + Random.State.int rng 16) (fun _ -> Char.chr (Random.State.int rng 256)));
+    close_out oc
+  end
+
 (* The crash-injection matrix. One run simulates a signer's life across
-   [rounds] incarnations: each incarnation seals a batch, reserves (and
-   "signs") keys in consumption order, then dies — the journal file is
-   cut at an arbitrary byte offset past the fsync horizon, which is
-   exactly the set of states an OS crash can leave (torn final frame
-   included). Recovery must (a) never hand back a key index that was
-   already signed and (b) burn at most [group_commit] keys per crash. *)
+   four incarnations: each seals a few batches and dies, possibly
+   mid-write. A key is named by (batch id, index), so no key is signed
+   twice as long as recovery resumes above every batch id ever sealed. *)
 let keystate_crash_qcheck =
   let open QCheck in
-  Test.make ~name:"crash matrix: no key signed twice, burn bounded" ~count:30
-    (quad (int_bound 10_000) (int_range 1 5) (int_range 4 9) (int_bound 2))
-    (fun (seed, group_commit, batch_size, checkpoint_every) ->
+  Test.make ~name:"crash matrix: no key signed twice, every sealed id stays behind" ~count:30
+    (triple (int_bound 10_000) (int_range 1 5) (int_bound 2))
+    (fun (seed, seals, checkpoint_every) ->
       with_dir @@ fun dir ->
-      let rng = Random.State.make [| seed; group_commit; batch_size |] in
-      let signed = Hashtbl.create 64 in
+      let rng = Random.State.make [| seed; seals; checkpoint_every |] in
       let max_sealed = ref (-1L) in
       let ok = ref true in
       let fail fmt = Printf.ksprintf (fun m -> ok := false; print_endline ("crash matrix: " ^ m)) fmt in
-      let cfg = Keystate.config ~group_commit ~fsync:true ~checkpoint_every dir in
+      let cfg = Keystate.config ~fsync:true ~checkpoint_every dir in
       for _round = 1 to 4 do
         if !ok then
           match Keystate.open_ ~telemetry:(tel ()) ~fingerprint:"crash-fp" cfg with
           | Error e -> fail "open: %s" e
           | Ok (t, report) ->
-              let burned =
-                List.fold_left (fun a (_, _, n) -> a + n) 0 report.Keystate.burned
-              in
-              if burned > group_commit then
-                fail "burned %d > group_commit %d" burned group_commit;
-              (* resume points must clear every signed index *)
-              List.iter
-                (fun (bid, first) ->
-                  Hashtbl.iter
-                    (fun (b, i) () ->
-                      if b = bid && i >= first then
-                        fail "batch %Ld resumes at %d but index %d was signed" bid first i)
-                    signed)
-                report.Keystate.resume;
               if report.Keystate.next_batch_id <= !max_sealed then
-                fail "next_batch_id %Ld reuses sealed id %Ld" report.Keystate.next_batch_id
+                fail "next_batch_id %Ld at or below sealed id %Ld" report.Keystate.next_batch_id
                   !max_sealed;
-              (* live one incarnation *)
-              let nb = Keystate.next_batch_id t in
-              Keystate.seal t ~batch_id:nb ~size:batch_size;
-              if nb > !max_sealed then max_sealed := nb;
-              let nops = 1 + Random.State.int rng ((2 * group_commit) + 4) in
-              for _ = 1 to nops do
-                (* consume strictly in seal order — the signer's key queue
-                   is FIFO, and burn-the-gap recovery is only promised for
-                   consumption-ordered reservations *)
-                let live =
-                  List.filter
-                    (fun (_, b) ->
-                      (not b.Keystate.retired) && b.Keystate.high_water + 1 < b.Keystate.size)
-                    (Keystate.batches t)
-                in
-                match List.sort (fun (a, _) (b, _) -> Int64.compare a b) live with
-                | [] -> ()
-                | (bid, st) :: _ ->
-                    let idx = st.Keystate.high_water + 1 in
-                    Keystate.reserve t ~batch_id:bid ~key_index:idx;
-                    (* the signature leaves the process here *)
-                    if Hashtbl.mem signed (bid, idx) then
-                      fail "key (%Ld, %d) signed twice" bid idx;
-                    Hashtbl.replace signed (bid, idx) ()
+              for _ = 1 + Random.State.int rng seals downto 1 do
+                let nb = Keystate.next_batch_id t in
+                Keystate.seal t ~batch_id:nb;
+                (* the batch's keys may sign from here on *)
+                max_sealed := nb
               done;
-              (* SIGKILL + OS crash: drop the handle, then lose an
-                 arbitrary suffix of the unfsynced bytes *)
-              let path = Keystate.wal_path t in
-              let horizon = Keystate.synced_bytes t in
-              Keystate.crash t;
-              let size = (Unix.stat path).Unix.st_size in
-              let cut = horizon + Random.State.int rng (size - horizon + 1) in
-              Unix.truncate path cut
+              crash_with_torn_tail rng t
       done;
-      (* a final recovery must still open and report sane resume points *)
       (if !ok then
          match Keystate.open_ ~telemetry:(tel ()) ~fingerprint:"crash-fp" cfg with
          | Error e -> fail "final open: %s" e
          | Ok (t, report) ->
-             List.iter
-               (fun (bid, first) ->
-                 Hashtbl.iter
-                   (fun (b, i) () ->
-                     if b = bid && i >= first then
-                       fail "final resume %Ld@%d below signed %d" bid first i)
-                   signed)
-               report.Keystate.resume;
+             if report.Keystate.next_batch_id <= !max_sealed then
+               fail "final next_batch_id %Ld at or below %Ld" report.Keystate.next_batch_id
+                 !max_sealed;
              Keystate.close t);
       !ok)
 
-(* The rotation crash matrix (ISSUE 9): kill the journal at an arbitrary
-   offset past the fsync horizon while a rotation is in flight. A crash
-   between [propose_rotation] and [confirm_rotation] must recover by
-   retiring the staged batch (its key material died with the process),
-   leaving the old generation as the single live one; a crash after the
-   confirm — which syncs — must land on the new generation with every
-   older batch retired. In both cases no spent one-time key index is
-   ever handed back. *)
+(* The rotation crash matrix: kill the journal while a rotation is in
+   flight — after the propose, after the staged seal, or after the
+   confirm. Recovery must land on exactly one epoch: the new one iff
+   the confirm ran (it is synced), else the old one with the proposal
+   rolled back; either way it resumes above the staged batch id. *)
 let rotation_crash_qcheck =
   let open QCheck in
   Test.make ~name:"rotation crash: one live generation, no key reuse" ~count:40
-    (triple (int_bound 10_000) (int_range 1 4) bool)
-    (fun (seed, group_commit, confirm) ->
+    (pair (int_bound 10_000) (int_bound 2))
+    (fun (seed, stage) ->
       with_dir @@ fun dir ->
-      let rng = Random.State.make [| seed; group_commit; Bool.to_int confirm |] in
+      let rng = Random.State.make [| seed; stage |] in
       let ok = ref true in
       let fail fmt =
         Printf.ksprintf (fun m -> ok := false; print_endline ("rotation crash: " ^ m)) fmt
       in
-      let cfg = Keystate.config ~group_commit ~fsync:true dir in
-      let spent = ref [] in
-      let staged_id = ref 0L in
+      let cfg = Keystate.config ~fsync:true ~checkpoint_every:(Random.State.int rng 3) dir in
+      let t, _ = open_exn ~fingerprint:"rot-fp" cfg in
+      Keystate.seal t ~batch_id:(Keystate.next_batch_id t);
+      let b1 = Keystate.next_batch_id t in
+      Keystate.propose_rotation t ~epoch:1 ~batch_id:b1;
+      if stage >= 1 then Keystate.seal t ~batch_id:b1;
+      let confirmed = stage = 2 in
+      if confirmed then Keystate.confirm_rotation t ~epoch:1 ~batch_id:b1;
+      crash_with_torn_tail rng t;
       (match Keystate.open_ ~telemetry:(tel ()) ~fingerprint:"rot-fp" cfg with
-      | Error e -> fail "open: %s" e
-      | Ok (t, _) ->
-          (* the epoch-0 generation signs a little *)
-          let b0 = Keystate.next_batch_id t in
-          Keystate.seal t ~batch_id:b0 ~size:6;
-          for i = 0 to Random.State.int rng 3 - 1 do
-            Keystate.reserve t ~batch_id:b0 ~key_index:i;
-            spent := (b0, i) :: !spent
-          done;
-          (* stage the next generation: propose before the staged seal *)
-          let b1 = Keystate.next_batch_id t in
-          staged_id := b1;
-          Keystate.propose_rotation t ~epoch:1 ~batch_id:b1;
-          Keystate.seal t ~batch_id:b1 ~size:6;
-          if confirm then begin
-            Keystate.confirm_rotation t ~epoch:1 ~batch_id:b1;
-            (* post-cutover signatures leave the process immediately *)
-            for i = 0 to Random.State.int rng 3 do
-              Keystate.reserve t ~batch_id:b1 ~key_index:i;
-              spent := (b1, i) :: !spent
-            done
-          end;
-          (* SIGKILL + OS crash, losing an arbitrary unfsynced suffix *)
-          let path = Keystate.wal_path t in
-          let horizon = Keystate.synced_bytes t in
-          Keystate.crash t;
-          let size = (Unix.stat path).Unix.st_size in
-          Unix.truncate path (horizon + Random.State.int rng (size - horizon + 1)));
-      (if !ok then
-         match Keystate.open_ ~telemetry:(tel ()) ~fingerprint:"rot-fp" cfg with
-         | Error e -> fail "reopen: %s" e
-         | Ok (t, report) ->
-             let b1 = !staged_id in
-             if Keystate.pending_rotation t <> None then
-               fail "recovery left a rotation pending";
-             let live =
-               List.filter (fun (_, b) -> not b.Keystate.retired) (Keystate.batches t)
-             in
-             let old_live = List.exists (fun (id, _) -> id < b1) live in
-             let new_live = List.exists (fun (id, _) -> id >= b1) live in
-             if old_live && new_live then fail "two generations live after recovery";
-             (match report.Keystate.epoch with
-             | 1 ->
-                 if not confirm then fail "epoch advanced without a confirm";
-                 if old_live then fail "old generation live after confirmed cutover"
-             | 0 ->
-                 (* confirm_rotation syncs, so a confirm that ran is durable *)
-                 if confirm then fail "synced confirm was lost";
-                 if new_live then fail "staged batch live without a confirm";
-                 (match report.Keystate.rotation_rolled_back with
-                 | Some (1, id) when Int64.equal id b1 -> ()
-                 | Some (e, id) -> fail "rolled back the wrong rotation (%d, %Ld)" e id
-                 | None ->
-                     (* the propose itself was truncated away — then the
-                        staged seal (journaled after it) is gone too *)
-                     if List.mem_assoc b1 (Keystate.batches t) then
-                       fail "staged batch survived without a rollback report")
-             | e -> fail "unexpected epoch %d" e);
-             (* recovery must never hand back a key that left the process *)
-             List.iter
-               (fun (bid, first) ->
-                 List.iter
-                   (fun (b, i) ->
-                     if Int64.equal b bid && i >= first then
-                       fail "batch %Ld resumes at %d but index %d was signed" bid first i)
-                   !spent)
-               report.Keystate.resume;
-             Keystate.close t);
+      | Error e -> fail "reopen: %s" e
+      | Ok (t, report) ->
+          if Keystate.pending_rotation t <> None then fail "recovery left a rotation pending";
+          if report.Keystate.next_batch_id <= b1 then
+            fail "resumes at %Ld, not above staged %Ld" report.Keystate.next_batch_id b1;
+          (match (confirmed, report.Keystate.epoch, report.Keystate.rotation_rolled_back) with
+          | true, 1, None -> ()
+          | false, 0, Some (1, id) when Int64.equal id b1 -> ()
+          | _, e, rb ->
+              fail "stage %d: epoch %d, rollback %s" stage e
+                (match rb with Some (e, b) -> Printf.sprintf "(%d, %Ld)" e b | None -> "none"));
+          Keystate.close t);
       !ok)
 
 (* --- record codec totality --- *)
@@ -487,14 +459,7 @@ let record_roundtrip_qcheck =
   let record =
     oneof
       [
-        map
-          (fun (b, k) ->
-            Keystate.Key_reserved { batch_id = Int64.of_int b; key_index = k })
-          (pair (int_bound 1_000_000) (int_bound 100_000));
-        map
-          (fun (b, s) -> Keystate.Batch_sealed { batch_id = Int64.of_int b; size = s + 1 })
-          (pair (int_bound 1_000_000) (int_bound 100_000));
-        map (fun b -> Keystate.Batch_retired (Int64.of_int b)) (int_bound 1_000_000);
+        map (fun b -> Keystate.Batch_sealed (Int64.of_int b)) (int_bound 1_000_000);
         map (fun s -> Keystate.Checkpoint (Int64.of_int s)) (int_bound 1_000_000);
         map (fun n -> Keystate.Clean_shutdown (Int64.of_int n)) (int_bound 1_000_000);
         map
@@ -518,7 +483,7 @@ let record_decode_total_qcheck =
 
 let store_cfg = Config.make ~batch_size:4 ~queue_threshold:8 (Config.wots ~d:4)
 
-let make_signer ~dir ~rng_seed =
+let make_signer ?(telemetry = tel ()) ~dir ~rng_seed () =
   (* the identity key survives restarts; only the per-incarnation batch
      randomness differs *)
   let sk, pk = Dsig_ed25519.Eddsa.generate (Dsig_util.Rng.create 77L) in
@@ -527,30 +492,30 @@ let make_signer ~dir ~rng_seed =
   Pki.bind pki ~id:0 ~epoch:0 pk;
   let options =
     Options.default
-    |> Options.with_telemetry (tel ())
-    |> Options.with_store (Options.store ~group_commit:2 ~fsync:false dir)
+    |> Options.with_telemetry telemetry
+    |> Options.with_store (Options.store ~fsync:false dir)
   in
   let signer = Signer.create store_cfg ~id:0 ~eddsa:sk ~rng ~options ~verifiers:[ 1 ] () in
   let verifier = Verifier.create store_cfg ~id:1 ~pki () in
   (signer, verifier)
 
+let batch_of_sig s =
+  match Wire.peek_header s with Some (_, b) -> b | None -> Alcotest.fail "unparsable signature"
+
 let test_signer_restart_no_reuse () =
   with_dir @@ fun dir ->
-  (* first incarnation: sign, remember which keys were spent *)
-  let high_mark, msg1, sig1 =
-    let signer, verifier = make_signer ~dir ~rng_seed:21L in
+  (* first incarnation: sign, remember which batches its keys came from *)
+  let msg1, sig1, first_ids =
+    let signer, verifier = make_signer ~dir ~rng_seed:21L () in
     let s1 = Signer.sign signer "before restart" in
-    ignore (Signer.sign signer "consume-1");
-    ignore (Signer.sign signer "consume-2");
+    let more = List.map (Signer.sign signer) [ "consume-1"; "consume-2" ] in
     Alcotest.(check bool) "verifies before restart" true
       (Verifier.verify verifier ~msg:"before restart" s1);
-    let ks = Option.get (Signer.store signer) in
-    let mark = Keystate.next_batch_id ks in
     Signer.close signer;
-    (mark, "before restart", s1)
+    ("before restart", s1, List.map batch_of_sig (s1 :: more))
   in
   (* second incarnation on the same store *)
-  let signer, verifier = make_signer ~dir ~rng_seed:22L in
+  let signer, verifier = make_signer ~dir ~rng_seed:22L () in
   let report = Option.get (Signer.store_recovery signer) in
   Alcotest.(check bool) "clean restart" true report.Keystate.clean;
   let s2 = Signer.sign signer "after restart" in
@@ -558,31 +523,78 @@ let test_signer_restart_no_reuse () =
     (Verifier.verify verifier ~msg:"after restart" s2);
   Alcotest.(check bool) "old signature still verifies" true
     (Verifier.verify verifier ~msg:msg1 sig1);
-  (* every key the restarted signer spends lives in a batch id the first
-     incarnation can never have touched *)
-  let ks = Option.get (Signer.store signer) in
-  let fresh_spent =
-    List.filter (fun (_, st) -> st.Keystate.high_water >= 0) (Keystate.batches ks)
-    |> List.filter (fun (id, _) -> id >= high_mark)
+  Alcotest.(check bool) "restart signs only from fresh batch ids" true
+    (List.for_all (fun b -> batch_of_sig s2 > b) first_ids);
+  Signer.close signer
+
+(* The first incarnation signs, then crashes: the journal is dropped and
+   cut at its synced horizon. Every batch the second incarnation signs
+   from lies above every batch the first one signed from. *)
+let test_signer_crash_fresh_ids () =
+  with_dir @@ fun dir ->
+  let first =
+    let signer, _ = make_signer ~dir ~rng_seed:51L () in
+    Signer.background_fill signer;
+    let sigs = List.init 13 (fun i -> Signer.sign signer (Printf.sprintf "first-%d" i)) in
+    let ks = Option.get (Signer.store signer) in
+    let path = Keystate.wal_path ks and horizon = Keystate.synced_bytes ks in
+    Keystate.crash ks;
+    Unix.truncate path horizon;
+    List.map batch_of_sig sigs
   in
-  Alcotest.(check bool) "restart spends only fresh batch ids" true (fresh_spent <> []);
+  let signer, verifier = make_signer ~dir ~rng_seed:51L () in
+  Alcotest.(check bool) "recovery saw the crash" false
+    (Option.get (Signer.store_recovery signer)).Keystate.clean;
+  let second = List.init 13 (fun i -> Signer.sign signer (Printf.sprintf "second-%d" i)) in
+  Alcotest.(check bool) "second incarnation verifies" true
+    (Verifier.verify verifier ~msg:"second-0" (List.hd second));
+  let max_first = List.fold_left max Int64.min_int first in
+  List.iter
+    (fun b ->
+      if b <= max_first then
+        Alcotest.failf "second incarnation signed from batch %Ld <= %Ld" b max_first)
+    (List.map batch_of_sig second);
+  Signer.close signer
+
+(* The foreground sign writes no journal: with a filled queue, signing
+   fewer keys than it holds appends nothing to the WAL. *)
+let test_foreground_writes_nothing () =
+  with_dir @@ fun dir ->
+  let telemetry = tel () in
+  let appends () =
+    match
+      Dsig_telemetry.Registry.Snapshot.find (Dsig_telemetry.Telemetry.snapshot telemetry)
+        "dsig_store_appends_total"
+    with
+    | Some (Dsig_telemetry.Registry.Snapshot.Counter n) -> n
+    | _ -> Alcotest.fail "dsig_store_appends_total is not a counter"
+  in
+  let signer, _ = make_signer ~telemetry ~dir ~rng_seed:61L () in
+  Signer.background_fill signer;
+  let depth = Signer.queue_depth signer in
+  let before = appends () in
+  Alcotest.(check bool) "sealing journaled" true (before > 0);
+  for i = 1 to depth - 1 do
+    ignore (Signer.sign signer (string_of_int i))
+  done;
+  Alcotest.(check int) "no refill ran" 1 (Signer.queue_depth signer);
+  Alcotest.(check int) "signs appended nothing" before (appends ());
   Signer.close signer
 
 let test_runtime_restart () =
   with_dir @@ fun dir ->
-  let options seed =
-    ignore seed;
+  let options () =
     Options.default
     |> Options.with_telemetry (tel ())
-    |> Options.with_store (Options.store ~group_commit:4 ~fsync:false dir)
+    |> Options.with_store (Options.store ~fsync:false dir)
   in
   let rng = Dsig_util.Rng.create 31L in
   let sk, _ = Dsig_ed25519.Eddsa.generate rng in
-  let rt = Runtime.create store_cfg ~id:0 ~eddsa:sk ~seed:5L ~options:(options 1) () in
+  let rt = Runtime.create store_cfg ~id:0 ~eddsa:sk ~seed:5L ~options:(options ()) () in
   ignore (Runtime.sign rt "runtime-before");
   let mark = Keystate.next_batch_id (Option.get (Runtime.store rt)) in
   Runtime.shutdown rt;
-  let rt = Runtime.create store_cfg ~id:0 ~eddsa:sk ~seed:6L ~options:(options 2) () in
+  let rt = Runtime.create store_cfg ~id:0 ~eddsa:sk ~seed:6L ~options:(options ()) () in
   let report = Option.get (Runtime.store_recovery rt) in
   Alcotest.(check bool) "runtime clean restart" true report.Keystate.clean;
   Alcotest.(check bool) "batch counter resumed past the mark" true
@@ -590,10 +602,44 @@ let test_runtime_restart () =
   ignore (Runtime.sign rt "runtime-after");
   Runtime.shutdown rt
 
+(* A deployment over one store gives each node a journal of its own
+   ([<dir>/node-<id>]); a second deployment over it resumes each node
+   cleanly past the batch ids that node sealed. *)
+let test_deploy_store_per_node () =
+  with_dir @@ fun dir ->
+  let module Deploy = Dsig_deploy.Deploy in
+  let options = Options.default |> Options.with_store (Options.store ~fsync:false dir) in
+  let deploy () =
+    let d = Deploy.create (Dsig_simnet.Sim.create ()) store_cfg ~n:3 ~options () in
+    let sigs =
+      Array.init 3 (fun id -> Deploy.sign d ~signer:id (Printf.sprintf "node %d" id))
+    in
+    (d, sigs)
+  in
+  let d, first = deploy () in
+  let sealed =
+    Array.init 3 (fun id ->
+        Keystate.next_batch_id (Option.get (Signer.store (Deploy.signer d id))))
+  in
+  Deploy.close d;
+  Alcotest.(check (list string)) "one subdirectory per node"
+    [ "node-0"; "node-1"; "node-2" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  let d, second = deploy () in
+  for id = 0 to 2 do
+    let report = Option.get (Signer.store_recovery (Deploy.signer d id)) in
+    Alcotest.(check bool) (Printf.sprintf "node %d clean" id) true report.Keystate.clean;
+    Alcotest.(check int64) (Printf.sprintf "node %d resumes past its seals" id) sealed.(id)
+      report.Keystate.next_batch_id;
+    Alcotest.(check bool) (Printf.sprintf "node %d signs from a fresh batch" id) true
+      (batch_of_sig second.(id) > batch_of_sig first.(id))
+  done;
+  Deploy.close d
+
 (* --- Options (satellite 4) --- *)
 
 let test_options_order_independence () =
-  let st = Options.store ~group_commit:2 ~fsync:false "/tmp/x" in
+  let st = Options.store ~fsync:false "/tmp/x" in
   let tel = Dsig_telemetry.Telemetry.create () in
   let a = Options.default |> Options.with_store st |> Options.with_telemetry tel in
   let b = Options.default |> Options.with_telemetry tel |> Options.with_store st in
@@ -601,14 +647,14 @@ let test_options_order_independence () =
   Alcotest.(check bool) "telemetry" true (a.Options.telemetry == b.Options.telemetry);
   Alcotest.(check bool) "store recorded" true (a.Options.store = Some st);
   (* smart-constructor validation *)
-  Alcotest.check_raises "bad group commit"
-    (Invalid_argument "Options.store: group_commit must be positive") (fun () ->
-      ignore (Options.store ~group_commit:0 "/tmp/x"))
+  Alcotest.check_raises "bad checkpoint cadence"
+    (Invalid_argument "Options.store: checkpoint_every must be >= 0") (fun () ->
+      ignore (Options.store ~checkpoint_every:(-1) "/tmp/x"))
 
 let test_control_plane_conformance () =
   with_dir @@ fun dir ->
   (* a store-backed signer still satisfies the Control_plane surface *)
-  let signer, _verifier = make_signer ~dir ~rng_seed:41L in
+  let signer, _verifier = make_signer ~dir ~rng_seed:41L () in
   ignore (Signer.sign signer "cp");
   ignore (Signer.drain_outbox signer);
   let cp = Control_plane.of_signer signer in
@@ -619,11 +665,12 @@ let test_control_plane_conformance () =
     (Control_plane.deliver_request cp
        { Batch.req_verifier = 1; req_signer = 0; req_batch = 999L }
     = None);
-  (* ack every outstanding batch: nothing is ever due again *)
-  List.iter
-    (fun (id, _) ->
-      Control_plane.deliver_ack cp { Batch.ack_verifier = 1; ack_signer = 0; ack_batch = id })
-    (Keystate.batches (Option.get (Signer.store signer)));
+  (* ack every sealed batch: nothing is ever due again *)
+  let sealed = Int64.to_int (Keystate.next_batch_id (Option.get (Signer.store signer))) in
+  for id = 0 to sealed - 1 do
+    Control_plane.deliver_ack cp
+      { Batch.ack_verifier = 1; ack_signer = 0; ack_batch = Int64.of_int id }
+  done;
   Alcotest.(check int) "acked plane has nothing due" 0
     (List.length (Control_plane.step cp ~now:1.0e12));
   Signer.close signer
@@ -672,10 +719,13 @@ let suites =
       ] );
     ( "store-keystate",
       [
-        Alcotest.test_case "clean reopen burns nothing" `Quick test_keystate_clean_reopen;
+        Alcotest.test_case "clean reopen resumes past seals" `Quick test_keystate_clean_reopen;
         Alcotest.test_case "fingerprint mismatch refused" `Quick test_keystate_fingerprint_mismatch;
         Alcotest.test_case "checkpoints prune segments" `Quick test_keystate_checkpoint_prunes;
         Alcotest.test_case "scan of missing store errors" `Quick test_keystate_scan_missing;
+        Alcotest.test_case "snapshot does not grow" `Quick test_snapshot_does_not_grow;
+        Alcotest.test_case "every record is synced" `Quick test_every_record_synced;
+        Alcotest.test_case "old-format store refused" `Quick test_old_format_refused;
         QCheck_alcotest.to_alcotest ~long:false record_roundtrip_qcheck;
         QCheck_alcotest.to_alcotest ~long:false record_decode_total_qcheck;
         QCheck_alcotest.to_alcotest ~long:false keystate_crash_qcheck;
@@ -684,7 +734,12 @@ let suites =
     ( "store-integration",
       [
         Alcotest.test_case "signer restart never reuses keys" `Quick test_signer_restart_no_reuse;
+        Alcotest.test_case "signer crash signs from fresh batch ids" `Quick
+          test_signer_crash_fresh_ids;
+        Alcotest.test_case "foreground sign writes no journal" `Quick
+          test_foreground_writes_nothing;
         Alcotest.test_case "runtime restart resumes batch counter" `Quick test_runtime_restart;
+        Alcotest.test_case "deploy store: one journal per node" `Quick test_deploy_store_per_node;
         Alcotest.test_case "options with_* are order independent" `Quick
           test_options_order_independence;
         Alcotest.test_case "store-backed signer keeps the control plane" `Quick

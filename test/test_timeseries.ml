@@ -491,13 +491,16 @@ let contains hay needle =
 
 let test_trajectory_compare () =
   let base = committed_baseline () in
+  (* an exact count one below its pin, whatever the pin is *)
+  let appends = List.assoc "store_wal_appends" base in
+  let off_by_one = set "store_wal_appends" (appends -. 1.0) in
   let open Trajectory in
   (* label, baseline edit, fresh edit, the row to look at, its verdict *)
   let cases =
     [
       ("identical snapshots", Fun.id, Fun.id, "micro_dsig_verify_fast_us", Within);
       ("zero baseline gates", Fun.id, set "fleet_shed_ratio_2x" 0.5, "fleet_shed_ratio_2x", Moved);
-      ("count off by one", Fun.id, set "store_wal_appends" 53.0, "store_wal_appends", Moved);
+      ("count off by one", Fun.id, off_by_one, "store_wal_appends", Moved);
       ("exact drop is re-pinned", Fun.id, set "alloc_wots_verify_words" 600.0,
         "alloc_wots_verify_words", Moved);
       ("latency x3", Fun.id, scale "micro_dsig_verify_fast_us" 3.0, "micro_dsig_verify_fast_us",
@@ -538,8 +541,11 @@ let test_trajectory_compare () =
     (fun (line, parts) ->
       List.iter (fun p -> Alcotest.(check bool) (line ^ " has " ^ p) true (contains line p)) parts)
     [
-      ( line (set "store_wal_appends" 53.0 base) "store_wal_appends",
-        [ "store_wal_appends"; "deterministic"; "54.000"; "53.000"; "band exact" ] );
+      ( line (off_by_one base) "store_wal_appends",
+        [
+          "store_wal_appends"; "deterministic"; Printf.sprintf "%.3f" appends;
+          Printf.sprintf "%.3f" (appends -. 1.0); "band exact";
+        ] );
       ( line (scale "micro_dsig_verify_fast_us" 3.0 base) "micro_dsig_verify_fast_us",
         [ "measured"; "lower-better"; "89.932"; "269.797"; "band ±50%" ] );
       (line (set "brand_new_us" 1.0 base) "brand_new_us", [ "brand_new_us"; "no row" ]);
