@@ -38,11 +38,10 @@ let () =
   register "fluct" "uBFT fast/slow latency fluctuation under benign slowness (§6)" Bench_fluct.run;
   register "ablation" "ablations: batching, chain cache, bw reduction, EdDSA cache" Bench_ablation.run;
   register "pacing" "adaptive re-announce pacing under faults" Bench_pacing.run;
-  register "store" "durable key-state store signing overhead (group commit)" Bench_store.run;
+  register "store" "durable key-state store: foreground sign cost with and without it"
+    Bench_store.run;
   register "translog" "transparency log: append throughput + proof latency vs tree size"
     Bench_translog.run;
-  register "scale" "multicore scale-out: sigs/sec & verifies/sec vs domain count"
-    Bench_scale.run;
   register "keylife" "key lifecycle: rotation cutover stall + revocation propagation"
     Bench_keylife.run;
   register "fleet" "fleet-scale load control: goodput & shed rate at 1x/2x/4x overload"

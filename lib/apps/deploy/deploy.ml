@@ -189,9 +189,13 @@ let create ?(latency_us = 1.0) ?(bg_poll_us = 5.0) ?(reannounce_poll_us = 50.0)
   let c_dropped = Tel.counter telemetry "dsig_deploy_announcements_rejected_total" in
   let c_control = Tel.counter telemetry "dsig_deploy_control_frames_total" in
   let h_net = Tel.histogram telemetry "dsig_deploy_announce_net_us" in
+  (* a pull request names its own reply [dest]; a corrupted or forged
+     one may name a node that does not exist *)
   let send_of id ~dest ann =
-    counts.sent <- counts.sent + 1;
-    Net.send_async net ~src:id ~dst:dest ~bytes:ann_bytes (P_announce (Sim.now sim, ann))
+    if dest >= 0 && dest < n then begin
+      counts.sent <- counts.sent + 1;
+      Net.send_async net ~src:id ~dst:dest ~bytes:ann_bytes (P_announce (Sim.now sim, ann))
+    end
   in
   (* verifier→signer reliability traffic (ACKs and pull-repair requests)
      rides the same modeled network as the announcements it protects *)

@@ -24,20 +24,12 @@ let timers tel =
     h_eddsa_sign = Tel.histogram tel "dsig_batch_eddsa_sign_us";
   }
 
-let make ?timers ?pool (cfg : Config.t) ~signer_id ~batch_id ~eddsa ~rng =
+let make ?timers (cfg : Config.t) ~signer_id ~batch_id ~eddsa ~rng =
   let now () = match timers with Some tm -> Tel.now tm.tel | None -> 0.0 in
   let t0 = now () in
-  let n = cfg.Config.batch_size in
-  (* seeds are drawn sequentially from the caller's rng before any
-     fan-out, so the batch is byte-identical with and without a pool
-     (golden wire tests) and workers never touch the non-thread-safe
-     rng *)
-  let seeds = Array.init n (fun _ -> Dsig_util.Rng.bytes rng 32) in
   let keys =
-    match pool with
-    | Some p when n > 1 && Dsig_util.Domain_pool.size p > 1 ->
-        Dsig_util.Domain_pool.parallel_map p ~f:(fun ~shard:_ seed -> Onetime.generate cfg ~seed) seeds
-    | _ -> Array.map (fun seed -> Onetime.generate cfg ~seed) seeds
+    Array.init cfg.Config.batch_size (fun _ ->
+        Onetime.generate cfg ~seed:(Dsig_util.Rng.bytes rng 32))
   in
   let tree = Merkle.build (Array.map Onetime.batch_leaf keys) in
   let root = Merkle.root tree in

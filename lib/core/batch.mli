@@ -19,7 +19,6 @@ val timers : Dsig_telemetry.Telemetry.t -> timers
 
 val make :
   ?timers:timers ->
-  ?pool:Dsig_util.Domain_pool.t ->
   Config.t ->
   signer_id:int ->
   batch_id:int64 ->
@@ -28,12 +27,7 @@ val make :
   t
 (** With [timers], records key generation (keys and Merkle tree) and
     the root's EdDSA signature in its two histograms; without, records
-    nothing.
-
-    With [pool], one-time key generation (the dominant cost) is sharded
-    over the pool's worker domains. All key seeds are drawn from [rng]
-    sequentially before the fan-out, so the resulting batch is
-    byte-identical to the single-domain one for the same rng state. *)
+    nothing. *)
 
 val batch_id : t -> int64
 val root : t -> string

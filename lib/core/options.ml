@@ -10,7 +10,6 @@ type t = {
   telemetry : Tel.t;
   store : store option;
   translog : (signer:int -> op:string -> signature:string -> unit) option;
-  parallel : Dsig_util.Domain_pool.t option;
   sample_hook : (now_us:float -> unit) option;
   loadctl : Dsig_loadctl.Admission.t option;
 }
@@ -20,7 +19,6 @@ let default =
     telemetry = Tel.default;
     store = None;
     translog = None;
-    parallel = None;
     sample_hook = None;
     loadctl = None;
   }
@@ -28,6 +26,5 @@ let default =
 let with_telemetry telemetry t = { t with telemetry }
 let with_store store t = { t with store = Some store }
 let with_translog sink t = { t with translog = Some sink }
-let with_parallel pool t = { t with parallel = Some pool }
 let with_sample_hook hook t = { t with sample_hook = Some hook }
 let with_loadctl admission t = { t with loadctl = Some admission }

@@ -49,9 +49,6 @@ type t = {
           wire encoding exists, possibly from several domains at once, so
           it must be domain-safe ([None] (default) = no transparency
           log) *)
-  parallel : Dsig_util.Domain_pool.t option;
-      (** worker-domain pool for batch signing/verifying ([None]
-          (default) = everything on the calling domain) *)
   sample_hook : (now_us:float -> unit) option;
       (** observability tick: called at the top of every control-plane
           [step ~now] with that step's clock ([None] (default) = no
@@ -93,16 +90,6 @@ val with_translog : (signer:int -> op:string -> signature:string -> unit) -> t -
     so the sink must be domain-safe: [Translog.append] takes its log's
     mutex. The sink must not raise; an exception here fails the sign
     call. *)
-
-val with_parallel : Dsig_util.Domain_pool.t -> t -> t
-(** Shard batch work over a {!Dsig_util.Domain_pool}: signers build
-    one-time keys and signature bodies on worker domains (key-index
-    ranges map to shards, so no two domains ever touch the same key),
-    and {!Verifier.verify_many} classifies signatures on worker
-    domains, with all accounting and control-plane sends folded back on
-    the calling domain (see DESIGN.md §12). The pool is
-    shared, not owned: callers create it once and [shutdown] it
-    themselves after every component using it is done. *)
 
 val with_sample_hook : (now_us:float -> unit) -> t -> t
 (** Piggyback an observability tick on the component's control-plane

@@ -9,8 +9,8 @@
     on the signer's queue lock while every queue holds at least S keys.
     {!sign} is {!Signer.sign}; it waits only if its queue is completely
     empty, on the seal lock of the batch the domain is sealing (the
-    wait {!Signer} counts and drivers share). {!signer} reaches hints,
-    rotation and {!Signer.sign_many}.
+    wait {!Signer} counts and drivers share). {!signer} reaches hints
+    and rotation.
 
     Announcements are recorded in the signer's outbox for the embedding
     application to distribute to verifiers ({!drain_announcements}). *)
@@ -31,8 +31,8 @@ val create :
     {!shutdown} when done.
 
     [options] (default {!Options.default}) supplies the telemetry
-    bundle, the optional key-state store and transparency-log sink, the
-    keygen pool and the sample hook, with {!Signer.create}'s meaning.
+    bundle, the optional key-state store, transparency-log sink and
+    sample hook, with {!Signer.create}'s meaning.
     With a store, the journal resumes the batch counter past every
     batch id a previous incarnation sealed (DESIGN.md §10), and
     {!shutdown} closes it cleanly; [Failure] if it cannot be opened or

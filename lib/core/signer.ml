@@ -1,6 +1,5 @@
 module Eddsa = Dsig_ed25519.Eddsa
 module Rng = Dsig_util.Rng
-module Domain_pool = Dsig_util.Domain_pool
 module Tel = Dsig_telemetry.Telemetry
 module Metric = Dsig_telemetry.Metric
 module Lifecycle = Dsig_telemetry.Lifecycle
@@ -67,7 +66,6 @@ type t = {
   recovery : Keystate.report option;
   batch_timers : Batch.timers;
   translog : (signer:int -> op:string -> signature:string -> unit) option;
-  pool : Domain_pool.t option;
   plane : Announce.Plane.t; (* the announcement control plane; it has its own lock *)
   rng : Rng.t; (* key seeds and nonces *)
   groups : group list; (* default group last, so smaller matches win *)
@@ -146,7 +144,6 @@ let create cfg ~id ~eddsa ~rng ?send ?(groups = []) ?(prefix = "dsig_signer")
     recovery;
     batch_timers = Batch.timers tel;
     translog = options.translog;
-    pool = options.parallel;
     plane = Announce.Plane.create tel ~prefix ~id ?sample_hook:options.sample_hook ();
     rng;
     groups = extra @ [ default ];
@@ -253,7 +250,7 @@ let push t g r =
    [seal]. Returns the batch size. *)
 let seal_batch t group ~batch_id ~into =
   let batch =
-    Batch.make ~timers:t.batch_timers ?pool:t.pool t.cfg ~signer_id:t.id ~batch_id
+    Batch.make ~timers:t.batch_timers t.cfg ~signer_id:t.id ~batch_id
       ~eddsa:t.eddsa ~rng:t.rng
   in
   (* journal and sync the seal before any of the batch's keys can sign;
@@ -454,34 +451,26 @@ let rec pop_slow t group ~waited =
 let pop t group =
   match take t group with p -> p | exception Spent -> pop_slow t group ~waited:false
 
-(* The signature of [msg] under [p]: {!Wire.sign} on the bytes written
-   at seal time. Pure given its inputs, so [sign_many] runs it on worker
-   domains. *)
-let build { key; key_bytes; batch_bytes } msg = Wire.sign ~batch:batch_bytes ~key:key_bytes key msg
-
-(* The accounting after a signature is built: translog sink, count,
-   [<prefix>_sign_us] from [t0] to [t1] and lifecycle sign event. *)
-let finish t ?t1 p ~msg ~wire ~t0 =
+(* Sign with the next key of [hint]'s group, {!Wire.sign} on the bytes
+   written at seal time, and account for it: translog sink, count,
+   [<prefix>_sign_us] and lifecycle sign event. [k] receives the key
+   and the start time. *)
+let sign_with t hint msg k =
+  let t0 = Tel.now t.tel in
+  let p = pop t (select_group t hint) in
+  let wire = Wire.sign ~batch:p.batch_bytes ~key:p.key_bytes p.key msg in
   (* transparency: the wire signature is recorded before it is handed
      to the caller, so every signature that leaves the process is in
      the log a verifier can demand inclusion proofs from *)
   Option.iter (fun f -> f ~signer:t.id ~op:msg ~signature:wire) t.translog;
   Atomic.incr t.signatures;
-  let t1 = match t1 with Some t1 -> t1 | None -> Tel.now t.tel in
+  let t1 = Tel.now t.tel in
   Metric.Histogram.add t.h_sign (t1 -. t0);
   let lc = t.tel.Tel.lifecycle in
   if Lifecycle.enabled lc then
     Lifecycle.sign lc
       ~trace_id:(Trace.id ~signer:t.id ~batch_id:(batch_id p) ~key_index:(key_index p))
-      ~origin:t.id ~birth_us:t0 ~dur_us:(t1 -. t0)
-
-(* Sign with the next key of [hint]'s group and account for it; [k]
-   receives the key and the start time. *)
-let sign_with t hint msg k =
-  let t0 = Tel.now t.tel in
-  let p = pop t (select_group t hint) in
-  let wire = build p msg in
-  finish t p ~msg ~wire ~t0;
+      ~origin:t.id ~birth_us:t0 ~dur_us:(t1 -. t0);
   k wire p t0
 
 let sign t ?hint msg = sign_with t hint msg (fun wire _ _ -> wire)
@@ -492,30 +481,3 @@ let sign_ctx t ?hint msg =
         Trace.make ~signer:t.id ~batch_id:(batch_id p) ~key_index:(key_index p) ~origin:t.id
           ~birth_us:t0 ))
 
-(* Batch signing across the worker pool. The division of labor follows
-   the shard-ownership invariant (DESIGN.md §12): the calling domain
-   pops prepared keys (ascending key indices); worker domains then build
-   signatures over contiguous index ranges — one range per shard, so no
-   two domains ever touch the same one-time key; the calling domain
-   folds back translog, stats, metrics and lifecycle accounting
-   in input order. Without a pool this degrades to a plain loop over
-   [sign]. *)
-let sign_many t ?hint msgs =
-  let n = Array.length msgs in
-  match t.pool with
-  | Some pool when n > 1 && Domain_pool.size pool > 1 ->
-      let group = select_group t hint in
-      let prepared = Array.init n (fun _ -> pop t group) in
-      let results =
-        Domain_pool.parallel_map pool
-          ~f:(fun ~shard:_ (p, msg) ->
-            let t0 = Tel.now t.tel in
-            let wire = build p msg in
-            (wire, t0, Tel.now t.tel))
-          (Array.map2 (fun p msg -> (p, msg)) prepared msgs)
-      in
-      Array.iteri
-        (fun i (wire, t0, t1) -> finish t ~t1 prepared.(i) ~msg:msgs.(i) ~wire ~t0)
-        results;
-      Array.map (fun (wire, _, _) -> wire) results
-  | _ -> Array.map (fun msg -> sign t ?hint msg) msgs

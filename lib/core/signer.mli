@@ -38,7 +38,7 @@
     queue lock. A batch's keys are queued before its seal lock is
     released, so a {!cutover} is never followed by keys of a batch
     sealed earlier. The announcement plane and the journal have locks
-    of their own. Foreground calls ({!sign}, {!sign_ctx}, {!sign_many})
+    of their own. Foreground calls ({!sign}, {!sign_ctx})
     may come from several domains at once, beside a driver domain and
     the control plane: each prepared key goes to exactly one caller. *)
 
@@ -65,8 +65,8 @@ val create :
     ({!Control_plane}) never sends — it returns what to send.
 
     [options] (default {!Options.default}) supplies the telemetry
-    bundle, the optional key-state store, transparency-log sink, worker
-    pool and sample hook. Re-announcements are paced by per-destination
+    bundle, the optional key-state store, transparency-log sink and
+    sample hook. Re-announcements are paced by per-destination
     ACK round trips (see {!Announce} and DESIGN.md §9).
 
     When [options] carries a store ({!Options.with_store}), the signer
@@ -132,16 +132,6 @@ val sign_ctx : t -> ?hint:int list -> string -> string * Dsig_telemetry.Trace_ct
 (** Like {!sign}, additionally returning the signature's trace context
     (for transports that propagate it, e.g. [Dsig_tcpnet]'s [Traced]
     frames). *)
-
-val sign_many : t -> ?hint:int list -> string array -> string array
-(** Sign a batch of messages, returning wire signatures in input order.
-    With {!Options.with_parallel}, the calling domain pops the prepared
-    keys (as {!sign} does, one at a time); signature bodies and wire
-    encodings are then built on worker domains over contiguous
-    key-index ranges (one range per shard — no two domains ever touch
-    the same one-time key), and all accounting (translog, stats,
-    metrics, lifecycle) folds back on the calling domain. Without a
-    pool this is a plain loop over {!sign}. *)
 
 val background_step : t -> bool
 (** Refill at most one group whose queue is below S with one batch

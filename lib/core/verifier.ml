@@ -4,7 +4,6 @@ module Eddsa = Dsig_ed25519.Eddsa
 module BU = Dsig_util.Bytesutil
 module Rng = Dsig_util.Rng
 module Retry = Dsig_util.Retry
-module Domain_pool = Dsig_util.Domain_pool
 module Tel = Dsig_telemetry.Telemetry
 module Metric = Dsig_telemetry.Metric
 module Lifecycle = Dsig_telemetry.Lifecycle
@@ -95,10 +94,9 @@ type t = {
   control : (Batch.control -> unit) option;
   ctl_mu : Mutex.t;
   requested : (int * int64, Retry.state) Hashtbl.t; (* pull-repair pacing *)
-  rng : Rng.t; (* real entropy: retry jitter *)
+  rng : Rng.t; (* retry jitter, seeded by the verifier id: reproducible runs *)
   stats_mu : Mutex.t;
   stats : stats;
-  pool : Domain_pool.t option;
   (* Optional load-control plane (Options.with_loadctl): admission is
      consulted before crypto on the verify paths and its pressure byte
      rides outbound ACK frames as [Batch.Credit]. The controller has
@@ -174,10 +172,9 @@ let create cfg ~id ~pki ?control ?(options = Options.default) () =
       control;
       ctl_mu = Mutex.create ();
       requested = Hashtbl.create 16;
-      rng = Rng.system ();
+      rng = Rng.create (Int64.of_int id);
       stats_mu = Mutex.create ();
       stats;
-      pool = options.Options.parallel;
       admission = options.Options.loadctl;
       tel = make_tel telemetry;
     }
@@ -579,8 +576,7 @@ let served ?ctx t (w : Wire.t) h ~t0 ~t1 =
 
 (* Per-path accounting for one classified signature: stats, counters,
    latency histograms, lifecycle joins, and the slow
-   path's pull-repair request. Runs on the calling domain; returns the
-   verdict. *)
+   path's pull-repair request. Returns the verdict. *)
 let account ?ctx t ~t0 ~t1 c =
   (* classification time is the verify span the CoDel detector watches:
      a sustained rise above the sojourn target (cache misses cascading
@@ -645,30 +641,6 @@ let verdict_name = function
   | Rejected Unknown_signer -> "unknown signer"
   | Rejected Bad_signature -> "bad signature"
   | Shed -> "shed"
-
-(* [check]'s three stages over many signatures. Admission runs first,
-   on the calling domain and in input order, so token buckets drain as
-   a loop of [check] would drain them; classification (the crypto) is
-   sharded over the pool's domains as contiguous index ranges when
-   there is one; accounting and control traffic fold back onto the
-   calling domain, in input order. *)
-let verify_many t pairs =
-  let gated = Array.map (fun ((_, wire_bytes) as pair) -> (admit t wire_bytes, pair)) pairs in
-  let classify_gated (go, (msg, wire_bytes)) =
-    if go then begin
-      let t0 = now t in
-      let c = classify t ~msg wire_bytes in
-      Some (c, t0, now t)
-    end
-    else None
-  in
-  let classified =
-    match t.pool with
-    | Some pool when Array.length pairs > 1 && Domain_pool.size pool > 1 ->
-        Domain_pool.parallel_map pool ~f:(fun ~shard:_ g -> classify_gated g) gated
-    | _ -> Array.map classify_gated gated
-  in
-  Array.map (function None -> Shed | Some (c, t0, t1) -> account t ~t0 ~t1 c) classified
 
 let can_verify_fast t wire_bytes =
   match Wire.peek_header wire_bytes with

@@ -22,7 +22,7 @@
     successor by compare-and-set, and each classification reads one
     snapshot without a lock, so {!check}'s fast path takes no mutex.
     Every other mutable table has its own mutex — [eddsa_mu] the EdDSA
-    cache, [ctl_mu] the pull-repair pacing table and the entropy
+    cache, [ctl_mu] the pull-repair pacing table and its jitter
     source, [stats_mu] the stats — metric handles are domain-safe cells,
     no mutex is taken while another is held, and none is held across a
     control-plane [send] (which may synchronously re-enter the verifier
@@ -44,12 +44,13 @@ val create :
     and the foreground {!check} emits a {!Batch.Request} when it
     slow-paths on a batch it never received (pull repair), paced per
     (signer, batch) by a fixed policy (500 µs base, exponential, 8
-    attempts). Without [control] the verifier is self-standing,
-    fire-and-forget.
+    attempts). The pacing jitter is seeded by [id], so a run under a
+    virtual clock replays exactly. Without [control] the verifier is
+    self-standing, fire-and-forget.
 
-    [options] (default {!Options.default}) supplies the telemetry bundle,
-    the worker pool and the admission controller; the other fields are
-    signer-side and ignored here. With {!Options.with_loadctl}, the verifier also
+    [options] (default {!Options.default}) supplies the telemetry bundle
+    and the admission controller; the other fields are signer-side and
+    ignored here. With {!Options.with_loadctl}, the verifier also
     carries a {!Dsig_loadctl.Admission} controller: verify calls are
     classified ([Verify] when the batch is cached, [Repair]
     otherwise) and admitted against per-class token buckets {e before}
@@ -112,14 +113,6 @@ val verdict_name : verdict -> string
 
 val verify : t -> msg:string -> string -> bool
 (** [accepted (check t ~msg signature_bytes)]. *)
-
-val verify_many : t -> (string * string) array -> verdict array
-(** {!check} over [(msg, signature_bytes)] pairs, in input order, in
-    three passes: admission on the calling domain, classification
-    (sharded over the worker domains of {!Options.with_parallel}), then
-    accounting and control-plane sends back on the calling domain.
-    Without admission control the verdicts equal [Array.map] of {!check}
-    on the same state; only repair-request pacing may differ. *)
 
 val can_verify_fast : t -> string -> bool
 (** True if the signature's batch is already cached (Alg. 2

@@ -33,8 +33,8 @@
    (Batch.Credit) so signers pace down loaded destinations.
 
    All entry points are mutex-protected and never call out while
-   holding the lock, so any domain of the verifier pool (and any
-   tcpnet thread) may call them. *)
+   holding the lock, so any domain checking against the verifier (and
+   any tcpnet thread) may call them. *)
 
 module Tel = Dsig_telemetry.Telemetry
 module Metric = Dsig_telemetry.Metric

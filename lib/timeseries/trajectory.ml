@@ -6,20 +6,17 @@ let direction_name = function
 
 type kind = Measured of float | Deterministic
 
-type row = { name : string; kind : kind; direction : direction; floor : float option }
+type row = { name : string; kind : kind; direction : direction }
 
-let measured ?(band = 0.5) ?floor name direction =
-  { name; kind = Measured band; direction; floor }
-
-let exact name direction = { name; kind = Deterministic; direction; floor = None }
+let measured ?(band = 0.5) name direction = { name; kind = Measured band; direction }
+let exact name direction = { name; kind = Deterministic; direction }
 
 (* One row per metric in BENCH_smoke.json, sorted by name. Deterministic
    rows are exact per build: minor words per call, the virtual-clocked
-   fleet and keylife, the bench's own workload counts and the 1-domain
-   speedups (1.0 by construction). Measured rows sit in a band around
-   the baseline: ±50% by default, since the smoke bench runs 50 ops on
-   shared hardware; fsync-bound and coarsely-quantized figures get
-   wider ones. *)
+   fleet and keylife, and the bench's own workload counts. Measured
+   rows sit in a band around the baseline: ±50% by default, since the
+   smoke bench runs 50 ops on shared hardware; fsync-bound and
+   coarsely-quantized figures get wider ones. *)
 let table =
   [
     exact "alloc_dsig_sign_words" Lower_better;
@@ -45,25 +42,6 @@ let table =
     measured "micro_wots_verify_us" Lower_better;
     exact "revocation_propagate_us" Lower_better;
     measured ~band:3.0 "rotation_cutover_us" Lower_better;
-    measured "scale_sign_ops_per_sec_1dom" Higher_better;
-    measured "scale_sign_ops_per_sec_2dom" Higher_better;
-    measured "scale_sign_ops_per_sec_4dom" Higher_better;
-    measured "scale_sign_ops_per_sec_8dom" Higher_better;
-    exact "scale_sign_speedup_1dom" Higher_better;
-    measured "scale_sign_speedup_2dom" Higher_better;
-    measured "scale_sign_speedup_4dom" Higher_better;
-    measured "scale_sign_speedup_8dom" Higher_better;
-    measured "scale_verify_ops_per_sec_1dom" Higher_better;
-    measured "scale_verify_ops_per_sec_2dom" Higher_better;
-    measured "scale_verify_ops_per_sec_4dom" Higher_better;
-    measured "scale_verify_ops_per_sec_8dom" Higher_better;
-    exact "scale_verify_speedup_1dom" Higher_better;
-    measured "scale_verify_speedup_2dom" Higher_better;
-    (* the parallel plane's canary: balanced shard ownership gives ~4x
-       modeled overlap; shards serialized on a global lock collapse it
-       towards 1x *)
-    measured ~floor:2.5 "scale_verify_speedup_4dom" Higher_better;
-    measured "scale_verify_speedup_8dom" Higher_better;
     measured ~band:3.0 "store_sign_us" Lower_better;
     exact "store_wal_appends" Lower_better;
     measured "translog_append_us" Lower_better;
@@ -80,21 +58,17 @@ let kind_name row =
     (direction_name row.direction)
 
 let band_name row =
-  let band =
-    match row.kind with
-    | Measured b -> Printf.sprintf "band ±%.0f%%" (b *. 100.0)
-    | Deterministic -> "band exact"
-  in
-  match row.floor with Some f -> Printf.sprintf "%s, floor %g" band f | None -> band
+  match row.kind with
+  | Measured b -> Printf.sprintf "band ±%.0f%%" (b *. 100.0)
+  | Deterministic -> "band exact"
 
-type verdict = Within | Improved | Regressed | Moved | Below_floor | Non_finite | Missing | No_row
+type verdict = Within | Improved | Regressed | Moved | Non_finite | Missing | No_row
 
 let verdict_name = function
   | Within -> "ok"
   | Improved -> "improved"
   | Regressed -> "REGRESSED"
   | Moved -> "MOVED (deterministic: re-pin on purpose)"
-  | Below_floor -> "BELOW FLOOR"
   | Non_finite -> "NON-FINITE"
   | Missing -> "MISSING"
   | No_row -> "NO ROW (add one to Trajectory.table)"
@@ -132,10 +106,7 @@ let compare_metrics ~baseline ~fresh =
         | Some _, None, _ | Some _, _, None -> Missing
         | Some row, Some b, Some f ->
             if not (Float.is_finite b && Float.is_finite f) then Non_finite
-            else (
-              match (judge row ~base:b ~fresh:f, row.floor) with
-              | (Within | Improved), Some floor when f < floor -> Below_floor
-              | v, _ -> v)
+            else judge row ~base:b ~fresh:f
       in
       { e_name = name; e_row = row; e_base = b; e_fresh = f; e_verdict = verdict })
     names

@@ -5,15 +5,14 @@
     A row says whether its metric is {e measured} (on this host's
     clock, judged against a relative band around the baseline) or
     {e deterministic} (a count, a virtual-clock figure or a figure fixed
-    by construction, which must equal the baseline exactly), which
-    direction is better, and an optional floor. [bench/smoke_check.exe]
-    is the only gate that reads it. It fails on:
+    by construction, which must equal the baseline exactly) and which
+    direction is better. [bench/smoke_check.exe] is the only gate that
+    reads it. It fails on:
     - a metric in either snapshot with no row;
     - a row absent from either snapshot;
     - a non-finite value (the snapshot writer's [null]);
     - a deterministic row that moved at all: re-pin on purpose;
-    - a measured row beyond its band in the worse direction;
-    - a value under the row's floor.
+    - a measured row beyond its band in the worse direction.
 
     A measured row beyond its band in the better direction passes as
     {e improved}. *)
@@ -24,12 +23,12 @@ type kind =
   | Measured of float  (** relative band: 0.5 passes up to ±50% of the baseline *)
   | Deterministic  (** exact *)
 
-type row = { name : string; kind : kind; direction : direction; floor : float option }
+type row = { name : string; kind : kind; direction : direction }
 
 val table : row list
 (** Every pinned metric, one row each. *)
 
-type verdict = Within | Improved | Regressed | Moved | Below_floor | Non_finite | Missing | No_row
+type verdict = Within | Improved | Regressed | Moved | Non_finite | Missing | No_row
 
 val verdict_name : verdict -> string
 (** Gate failures render in capitals; [Moved] and [No_row] say what to do. *)
@@ -51,7 +50,7 @@ val failures : entry list -> entry list
 
 val describe : entry -> string
 (** One line naming the metric, its kind and direction, the baseline,
-    the fresh value, the band (and floor) and the verdict. *)
+    the fresh value, the band and the verdict. *)
 
 val parse_snapshot : string -> ((string * float) list, string) result
 (** Extract the [metrics] object from a [BENCH_*.json] body; a [null]

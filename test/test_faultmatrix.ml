@@ -576,6 +576,65 @@ let test_fleet_spike_graceful_degradation () =
   Alcotest.(check bool) "recovery sojourn back around the CoDel target" true
     (recovery.Fleetrun.p_sojourn_p99_us <= 2.0 *. params.Admission.target_sojourn_us)
 
+(* A pull request names the verifier to reply to. One naming a node
+   outside the deployment (a corrupted frame, or a forged one) is
+   served by no reply rather than a send to a node that does not
+   exist. *)
+let test_request_unknown_verifier () =
+  let sim = Sim.create () in
+  let telemetry = Tel.create ~clock:(fun () -> Sim.now sim) () in
+  let cfg = Config.make ~batch_size:4 ~queue_threshold:8 (Config.wots ~d:4) in
+  let options = Options.default |> Options.with_telemetry telemetry in
+  let d = Deploy.create sim cfg ~n:3 ~options () in
+  let msg = "sealed" in
+  let s = Deploy.sign d ~signer:0 msg in
+  let batch =
+    match Wire.peek_trace cfg s with
+    | Some (_, b, _) -> b
+    | None -> Alcotest.fail "signature without a trace triple"
+  in
+  Sim.run ~until:1_000.0 sim;
+  let sent = Deploy.announcements_sent d in
+  let request = { Batch.req_verifier = 7; req_signer = 0; req_batch = batch } in
+  Net.inject (Deploy.net d) ~node:0 ~src:1 (Deploy.P_control (Batch.Request request));
+  Sim.run ~until:2_000.0 sim;
+  Alcotest.(check int) "no reply to a node outside the deployment" sent
+    (Deploy.announcements_sent d);
+  Alcotest.(check bool) "the deployment still verifies" true (Deploy.verify d ~verifier:1 ~msg s)
+
+(* Two runs of one seeded fault schedule under the virtual clock end in
+   the same signer and verifier stats: the pull-repair jitter is seeded,
+   not drawn from system entropy. *)
+let test_fault_run_reproducible () =
+  let run () =
+    let sim = Sim.create () in
+    let telemetry = Tel.create ~clock:(fun () -> Sim.now sim) () in
+    let cfg = Config.make ~batch_size:4 ~queue_threshold:8 (Config.wots ~d:4) in
+    let d =
+      Deploy.create sim cfg ~n:3 ~latency_us:1.0
+        ~options:(Options.default |> Options.with_telemetry telemetry) ()
+    in
+    Net.set_faults (Deploy.net d) ~drop:0.2 ~reorder:0.2 ~seed:42L ();
+    for i = 1 to 400 do
+      let msg = Printf.sprintf "replay-%d" i in
+      let s = Deploy.sign d ~signer:0 msg in
+      ignore (Deploy.verify d ~verifier:1 ~msg s);
+      ignore (Deploy.verify d ~verifier:2 ~msg s);
+      (* a batch's later keys meet a still-missing batch inside the
+         first request's jittered retry window *)
+      Sim.run ~until:(Sim.now sim +. 160.0) sim
+    done;
+    (Signer.stats (Deploy.signer d 0)).Signer.reannounces
+    :: List.concat_map
+         (fun v ->
+           let st = Verifier.stats (Deploy.verifier d v) in
+           Verifier.[ st.fast; st.slow; st.requests_sent; st.acks_sent; st.announcements ])
+         [ 1; 2 ]
+  in
+  let first = run () in
+  Alcotest.(check bool) "pull repair fired" true (List.nth first 3 > 0);
+  Alcotest.(check (list int)) "re-announces and both verifiers' stats" first (run ())
+
 let suites =
   [
     ( "faultmatrix",
@@ -596,5 +655,8 @@ let suites =
           test_rotation_under_faults;
         Alcotest.test_case "fleet 4x spike degrades gracefully" `Slow
           test_fleet_spike_graceful_degradation;
+        Alcotest.test_case "pull request for an unknown verifier" `Quick
+          test_request_unknown_verifier;
+        Alcotest.test_case "seeded fault run replays exactly" `Quick test_fault_run_reproducible;
       ] );
   ]

@@ -1,6 +1,7 @@
-(* The parallel plane (ISSUE 7): Domain_pool correctness, multi-domain
-   stress on one verifier with a concurrent telemetry scrape, pooled
-   vs sequential determinism, and a qcheck interleaving of the
+(* The multi-domain plane: N domains hammer one verifier while another
+   scrapes telemetry, hash kernels and the batch-cache view under
+   concurrent domains, a Runtime's driver domain against foreground
+   domains and the control plane, and a qcheck interleaving of the
    deliver / pull-repair / ACK control loop that regresses the
    iterate-while-mutate bugs in the verifier's control tables.
 
@@ -9,7 +10,6 @@
 
 open Dsig
 module Rng = Dsig_util.Rng
-module Domain_pool = Dsig_util.Domain_pool
 module Eddsa = Dsig_ed25519.Eddsa
 module Tel = Dsig_telemetry.Telemetry
 module Registry = Dsig_telemetry.Registry
@@ -22,179 +22,96 @@ let stress_domains =
 
 let cfg = Config.make ~batch_size:64 ~queue_threshold:64 (Config.wots ~d:4)
 
-(* --- Domain_pool unit tests --- *)
-
-let test_msq () =
-  let q = Domain_pool.Msq.create () in
-  Alcotest.(check bool) "fresh queue empty" true (Domain_pool.Msq.is_empty q);
-  for i = 0 to 99 do
-    Domain_pool.Msq.push q i
-  done;
-  let rec drain acc = match Domain_pool.Msq.pop q with None -> List.rev acc | Some v -> drain (v :: acc) in
-  Alcotest.(check (list int)) "fifo drain" (List.init 100 Fun.id) (drain []);
-  Alcotest.(check bool) "drained empty" true (Domain_pool.Msq.is_empty q)
-
-let test_msq_concurrent () =
-  let q = Domain_pool.Msq.create () in
-  let producers = 4 and per = 1_000 in
-  let doms =
-    List.init producers (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              Domain_pool.Msq.push q ((p * per) + i)
-            done))
-  in
-  List.iter Domain.join doms;
-  let seen = Hashtbl.create 1024 in
-  let rec drain n =
-    match Domain_pool.Msq.pop q with
-    | None -> n
-    | Some v ->
-        Alcotest.(check bool) "no duplicate" false (Hashtbl.mem seen v);
-        Hashtbl.add seen v ();
-        drain (n + 1)
-  in
-  Alcotest.(check int) "all pushed values popped" (producers * per) (drain 0)
-
-let test_pool_map () =
-  let pool = Domain_pool.create ~domains:stress_domains () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      Alcotest.(check int) "pool size" stress_domains (Domain_pool.size pool);
-      let xs = Array.init 257 Fun.id in
-      let ys = Domain_pool.parallel_map pool ~f:(fun ~shard:_ x -> x * x) xs in
-      Alcotest.(check bool) "map in order" true (Array.for_all2 (fun x y -> x * x = y) xs ys);
-      Alcotest.(check int) "empty input" 0 (Array.length (Domain_pool.parallel_map pool ~f:(fun ~shard:_ x -> x) [||]));
-      (* exceptions transport back to the caller *)
-      (match Domain_pool.parallel_map pool ~f:(fun ~shard:_ x -> if x = 3 then failwith "boom" else x) xs with
-      | _ -> Alcotest.fail "worker exception not re-raised"
-      | exception Failure m when m = "boom" -> ());
-      (* the pool survives a failed call *)
-      let ys = Domain_pool.parallel_map pool ~f:(fun ~shard:_ x -> x + 1) xs in
-      Alcotest.(check int) "pool alive after failure" 257 ys.(256));
-  (* shutdown is idempotent, submit afterwards refuses *)
-  Domain_pool.shutdown pool;
-  match Domain_pool.submit pool ~shard:0 (fun () -> ()) with
-  | () -> Alcotest.fail "submit after shutdown accepted"
-  | exception Invalid_argument _ -> ()
-
-(* --- determinism: pooled output byte-identical to sequential --- *)
-
-let make_signer ?pool ~telemetry () =
+let make_signer ~telemetry () =
   let rng = Rng.create 7L in
   let sk, pk = Eddsa.generate rng in
   let pki = Pki.create () in
   Pki.bind pki ~id:0 ~epoch:0 pk;
   let options = Options.default |> Options.with_telemetry telemetry in
-  let options = match pool with Some p -> Options.with_parallel p options | None -> options in
   let signer = Signer.create cfg ~id:0 ~eddsa:sk ~rng ~options ~verifiers:[ 1 ] () in
   (signer, pki, options)
-
-let test_pool_determinism () =
-  let pool = Domain_pool.create ~domains:stress_domains () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      let msgs = Array.init 64 (fun i -> Printf.sprintf "det-%03d" i) in
-      let s_seq, _, _ = make_signer ~telemetry:(Tel.create ()) () in
-      let s_par, _, _ = make_signer ~pool ~telemetry:(Tel.create ()) () in
-      Signer.background_fill s_seq;
-      Signer.background_fill s_par;
-      let w_seq = Array.map (fun m -> Signer.sign s_seq m) msgs in
-      let w_par = Signer.sign_many s_par msgs in
-      Array.iteri
-        (fun i w -> Alcotest.(check string) (Printf.sprintf "wire %d identical" i) w w_par.(i))
-        w_seq;
-      (* announcements identical too: parallel keygen drew the same seeds *)
-      let ann x = List.map (fun (_, a) -> Batch.encode_announcement a) (Signer.drain_outbox x) in
-      Alcotest.(check (list string)) "announcements identical" (ann s_seq) (ann s_par))
 
 (* --- the multi-domain stress: N domains hammer one verifier while
    another scrapes telemetry; admits and counters must balance --- *)
 
 let stress_verify () =
-  let pool = Domain_pool.create ~domains:stress_domains () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      let telemetry = Tel.create () in
-      Lifecycle.enable telemetry.Tel.lifecycle;
-      let signer, pki, options = make_signer ~pool ~telemetry () in
-      let verifier = Verifier.create cfg ~id:1 ~pki ~options () in
-      Signer.background_fill signer;
-      let n = 64 in
-      let msgs = Array.init n (fun i -> Printf.sprintf "stress-%03d" i) in
-      let wires = Signer.sign_many signer msgs in
-      let anns = List.map snd (Signer.drain_outbox signer) in
-      List.iter (fun a -> Alcotest.(check bool) "announcement admitted" true (Verifier.deliver verifier a)) anns;
-      (* hammer: each domain verifies a disjoint slice, every signature
-         exactly once across domains; a scraper domain snapshots the
-         registry concurrently; the main domain re-delivers
-         announcements (idempotent admits) the whole time *)
-      let stop_scrape = Atomic.make false in
-      let scraper =
+  let telemetry = Tel.create () in
+  Lifecycle.enable telemetry.Tel.lifecycle;
+  let signer, pki, options = make_signer ~telemetry () in
+  let verifier = Verifier.create cfg ~id:1 ~pki ~options () in
+  Signer.background_fill signer;
+  let n = 64 in
+  let msgs = Array.init n (fun i -> Printf.sprintf "stress-%03d" i) in
+  let wires = Array.map (Signer.sign signer) msgs in
+  let anns = List.map snd (Signer.drain_outbox signer) in
+  List.iter (fun a -> Alcotest.(check bool) "announcement admitted" true (Verifier.deliver verifier a)) anns;
+  (* hammer: each domain verifies a disjoint slice, every signature
+     exactly once across domains; a scraper domain snapshots the
+     registry concurrently; the main domain re-delivers
+     announcements (idempotent admits) the whole time *)
+  let stop_scrape = Atomic.make false in
+  let scraper =
+    Domain.spawn (fun () ->
+        let n = ref 0 in
+        while not (Atomic.get stop_scrape) do
+          ignore (Tel.snapshot telemetry);
+          incr n;
+          Domain.cpu_relax ()
+        done;
+        !n)
+  in
+  let slice d = ((d * n / stress_domains), (((d + 1) * n / stress_domains) - 1)) in
+  let hammers =
+    List.init stress_domains (fun d ->
         Domain.spawn (fun () ->
-            let n = ref 0 in
-            while not (Atomic.get stop_scrape) do
-              ignore (Tel.snapshot telemetry);
-              incr n;
-              Domain.cpu_relax ()
+            let lo, hi = slice d in
+            let ok = ref 0 in
+            for i = lo to hi do
+              if Verifier.verify verifier ~msg:msgs.(i) wires.(i) then incr ok
             done;
-            !n)
-      in
-      let slice d = ((d * n / stress_domains), (((d + 1) * n / stress_domains) - 1)) in
-      let hammers =
-        List.init stress_domains (fun d ->
-            Domain.spawn (fun () ->
-                let lo, hi = slice d in
-                let ok = ref 0 in
-                for i = lo to hi do
-                  if Verifier.verify verifier ~msg:msgs.(i) wires.(i) then incr ok
-                done;
-                !ok))
-      in
-      let redeliveries = ref 0 in
-      List.iter
-        (fun a ->
-          for _ = 1 to 3 do
-            if Verifier.deliver verifier a then incr redeliveries
-          done)
-        anns;
-      let verified = List.fold_left (fun acc d -> acc + Domain.join d) 0 hammers in
-      Atomic.set stop_scrape true;
-      let scrapes = Domain.join scraper in
-      Alcotest.(check bool) "scraper ran concurrently" true (scrapes > 0);
-      (* no lost or duplicated admits *)
-      Alcotest.(check int) "every signature verified exactly once" n verified;
-      let st = Verifier.stats verifier in
-      Alcotest.(check int) "stats fast+slow = n" n (st.Verifier.fast + st.Verifier.slow);
-      Alcotest.(check int) "admits = deliveries" (List.length anns + !redeliveries) st.Verifier.announcements;
-      Alcotest.(check int) "one batch cached" 1 (Verifier.cached_batches verifier ~signer:0);
-      (* registry counters (probes over the stats record) = stats *)
-      let snap = Tel.snapshot telemetry in
-      let counter name =
-        match Registry.Snapshot.find snap name with
-        | Some (Registry.Snapshot.Counter c) -> c
-        | _ -> Alcotest.fail ("missing counter " ^ name)
-      in
-      Alcotest.(check int) "merged fast counter" st.Verifier.fast (counter "dsig_verifier_fast_total");
-      Alcotest.(check int) "merged slow counter" st.Verifier.slow (counter "dsig_verifier_slow_total");
-      Alcotest.(check int) "merged rejected counter" 0 (counter "dsig_verifier_rejected_total");
-      Alcotest.(check int) "merged announcements counter" st.Verifier.announcements
-        (counter "dsig_verifier_announcements_total");
-      (* lifecycle: every span closed, no negative durations *)
-      let lc = telemetry.Tel.lifecycle in
-      Alcotest.(check int) "lifecycle spans all closed" n (Lifecycle.completed lc);
-      Alcotest.(check int) "no negative spans clamped" 0
-        (match Registry.Snapshot.find snap "dsig_lifecycle_negative_clamped_total" with
-        | Some (Registry.Snapshot.Counter c) -> c
-        | _ -> 0);
-      List.iter
-        (fun sp ->
-          Alcotest.(check bool) "verify plane non-negative" true (sp.Lifecycle.sp_verify_us >= 0.0);
-          Alcotest.(check bool) "e2e non-negative" true (sp.Lifecycle.sp_e2e_us >= 0.0))
-        (Lifecycle.spans lc))
+            !ok))
+  in
+  let redeliveries = ref 0 in
+  List.iter
+    (fun a ->
+      for _ = 1 to 3 do
+        if Verifier.deliver verifier a then incr redeliveries
+      done)
+    anns;
+  let verified = List.fold_left (fun acc d -> acc + Domain.join d) 0 hammers in
+  Atomic.set stop_scrape true;
+  let scrapes = Domain.join scraper in
+  Alcotest.(check bool) "scraper ran concurrently" true (scrapes > 0);
+  (* no lost or duplicated admits *)
+  Alcotest.(check int) "every signature verified exactly once" n verified;
+  let st = Verifier.stats verifier in
+  Alcotest.(check int) "stats fast+slow = n" n (st.Verifier.fast + st.Verifier.slow);
+  Alcotest.(check int) "admits = deliveries" (List.length anns + !redeliveries) st.Verifier.announcements;
+  Alcotest.(check int) "one batch cached" 1 (Verifier.cached_batches verifier ~signer:0);
+  (* registry counters (probes over the stats record) = stats *)
+  let snap = Tel.snapshot telemetry in
+  let counter name =
+    match Registry.Snapshot.find snap name with
+    | Some (Registry.Snapshot.Counter c) -> c
+    | _ -> Alcotest.fail ("missing counter " ^ name)
+  in
+  Alcotest.(check int) "merged fast counter" st.Verifier.fast (counter "dsig_verifier_fast_total");
+  Alcotest.(check int) "merged slow counter" st.Verifier.slow (counter "dsig_verifier_slow_total");
+  Alcotest.(check int) "merged rejected counter" 0 (counter "dsig_verifier_rejected_total");
+  Alcotest.(check int) "merged announcements counter" st.Verifier.announcements
+    (counter "dsig_verifier_announcements_total");
+  (* lifecycle: every span closed, no negative durations *)
+  let lc = telemetry.Tel.lifecycle in
+  Alcotest.(check int) "lifecycle spans all closed" n (Lifecycle.completed lc);
+  Alcotest.(check int) "no negative spans clamped" 0
+    (match Registry.Snapshot.find snap "dsig_lifecycle_negative_clamped_total" with
+    | Some (Registry.Snapshot.Counter c) -> c
+    | _ -> 0);
+  List.iter
+    (fun sp ->
+      Alcotest.(check bool) "verify plane non-negative" true (sp.Lifecycle.sp_verify_us >= 0.0);
+      Alcotest.(check bool) "e2e non-negative" true (sp.Lifecycle.sp_e2e_us >= 0.0))
+    (Lifecycle.spans lc)
 
 (* run the stress repeatedly — interleavings differ run to run *)
 let test_stress () =
@@ -438,75 +355,66 @@ let test_runtime_control_plane () =
     (fun (msg, wire) -> Alcotest.(check bool) msg true (Verifier.verify verifier ~msg wire))
     sigs
 
-(* A Runtime over a two-group signer: the foreground signs with hints,
-   with pooled sign_many, and stages and cuts over rotations while the
+(* A Runtime over a two-group signer: the foreground signs with and
+   without hints, and stages and cuts over rotations while the
    driver domain refills both groups. Every signature verifies, no
    (batch, key index) signs twice, and after each cutover no key from a
    batch older than the staged one signs. *)
 let test_runtime_driver () =
-  let pool = Domain_pool.create ~domains:stress_domains () in
+  let dcfg = Config.make ~batch_size:8 ~queue_threshold:8 (Config.wots ~d:4) in
+  let rng = Rng.create 41L in
+  let sk, pk = Eddsa.generate rng in
+  let pki = Pki.create () in
+  Pki.bind pki ~id:0 ~epoch:0 pk;
+  let options = Options.default |> Options.with_telemetry (Tel.create ()) in
+  let rt =
+    Runtime.start
+      (Signer.create dcfg ~id:0 ~eddsa:sk ~rng ~groups:[ [ 1 ] ] ~options
+         ~verifiers:[ 1; 2 ] ())
+  in
+  let signer = Runtime.signer rt in
+  let signed = ref [] in
+  let sign_round r =
+    let msg i = Printf.sprintf "driver %d.%d" r i in
+    let one ?hint i =
+      let m = msg i in
+      (m, Signer.sign signer ?hint m)
+    in
+    let many ?hint base = List.init 5 (fun i -> one ?hint (base + i)) in
+    let sigs =
+      [ one ~hint:[ 1 ] 0; one ~hint:[ 2 ] 1; one 2 ] @ many ~hint:[ 1 ] 10 @ many 20
+    in
+    signed := List.rev_append sigs !signed;
+    sigs
+  in
+  let batch_of (_, wire) =
+    match Wire.decode dcfg wire with
+    | Ok w -> (w.Wire.batch_id, Wire.key_index w)
+    | Error e -> Alcotest.fail e
+  in
+  let stale = ref 0 in
   Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
+    ~finally:(fun () -> Runtime.shutdown rt)
     (fun () ->
-      let dcfg = Config.make ~batch_size:8 ~queue_threshold:8 (Config.wots ~d:4) in
-      let rng = Rng.create 41L in
-      let sk, pk = Eddsa.generate rng in
-      let pki = Pki.create () in
-      Pki.bind pki ~id:0 ~epoch:0 pk;
-      let options =
-        Options.default |> Options.with_telemetry (Tel.create ()) |> Options.with_parallel pool
-      in
-      let rt =
-        Runtime.start
-          (Signer.create dcfg ~id:0 ~eddsa:sk ~rng ~groups:[ [ 1 ] ] ~options
-             ~verifiers:[ 1; 2 ] ())
-      in
-      let signer = Runtime.signer rt in
-      let signed = ref [] in
-      let sign_round r =
-        let msg i = Printf.sprintf "driver %d.%d" r i in
-        let one ?hint i =
-          let m = msg i in
-          (m, Signer.sign signer ?hint m)
-        in
-        let many ?hint base =
-          let ms = Array.init 5 (fun i -> msg (base + i)) in
-          Array.to_list (Array.combine ms (Signer.sign_many signer ?hint ms))
-        in
-        let sigs =
-          [ one ~hint:[ 1 ] 0; one ~hint:[ 2 ] 1; one 2 ] @ many ~hint:[ 1 ] 10 @ many 20
-        in
-        signed := List.rev_append sigs !signed;
-        sigs
-      in
-      let batch_of (_, wire) =
-        match Wire.decode dcfg wire with
-        | Ok w -> (w.Wire.batch_id, Wire.key_index w)
-        | Error e -> Alcotest.fail e
-      in
-      let stale = ref 0 in
-      Fun.protect
-        ~finally:(fun () -> Runtime.shutdown rt)
-        (fun () ->
-          for rotation = 1 to 4 do
-            ignore (sign_round (10 * rotation));
-            let _, staged = Signer.stage_next_batch signer in
-            ignore (sign_round ((10 * rotation) + 1));
-            (* a default queue that drained has already cut over *)
-            if Signer.staged_rotation signer <> None then ignore (Signer.cutover signer);
-            List.iter
-              (fun s -> if fst (batch_of s) < staged then incr stale)
-              (sign_round ((10 * rotation) + 2))
-          done);
-      Alcotest.(check int) "no stale key signs after cutover" 0 !stale;
-      let verifier = Verifier.create dcfg ~id:1 ~pki () in
-      List.iter (fun ann -> ignore (Verifier.deliver verifier ann)) (Runtime.drain_announcements rt);
-      let bad = List.filter (fun (msg, wire) -> not (Verifier.verify verifier ~msg wire)) !signed in
-      Alcotest.(check int) "every signature verifies" 0 (List.length bad);
-      let keys = List.map batch_of !signed in
-      Alcotest.(check int) "no key signs twice" (List.length keys)
-        (List.length (List.sort_uniq compare keys));
-      Alcotest.(check int) "four cutovers" 4 (Signer.epoch signer))
+      for rotation = 1 to 4 do
+        ignore (sign_round (10 * rotation));
+        let _, staged = Signer.stage_next_batch signer in
+        ignore (sign_round ((10 * rotation) + 1));
+        (* a default queue that drained has already cut over *)
+        if Signer.staged_rotation signer <> None then ignore (Signer.cutover signer);
+        List.iter
+          (fun s -> if fst (batch_of s) < staged then incr stale)
+          (sign_round ((10 * rotation) + 2))
+      done);
+  Alcotest.(check int) "no stale key signs after cutover" 0 !stale;
+  let verifier = Verifier.create dcfg ~id:1 ~pki () in
+  List.iter (fun ann -> ignore (Verifier.deliver verifier ann)) (Runtime.drain_announcements rt);
+  let bad = List.filter (fun (msg, wire) -> not (Verifier.verify verifier ~msg wire)) !signed in
+  Alcotest.(check int) "every signature verifies" 0 (List.length bad);
+  let keys = List.map batch_of !signed in
+  Alcotest.(check int) "no key signs twice" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  Alcotest.(check int) "four cutovers" 4 (Signer.epoch signer)
 
 (* Two domains sign at once through one Runtime while its driver domain
    refills: every (batch, key index) pair goes to exactly one caller,
@@ -558,56 +466,51 @@ let test_two_foreground_domains () =
 let verdict =
   Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Verifier.verdict_name v)) ( = )
 
-(* pooled verify_many against a mixed workload — genuine, tampered,
-   malformed and unknown-signer entries — whose verdicts must equal a
-   loop of [check] on a fresh, pool-less verifier given the same
-   deliveries *)
-let test_verify_many_mixed () =
-  let pool = Domain_pool.create ~domains:stress_domains () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      let telemetry = Tel.create () in
-      let signer, pki, options = make_signer ~pool ~telemetry () in
-      let verifier = Verifier.create cfg ~id:1 ~pki ~options () in
-      Signer.background_fill signer;
-      let n = 48 in
-      let msgs = Array.init n (fun i -> Printf.sprintf "mix-%03d" i) in
-      let wires = Signer.sign_many signer msgs in
-      let anns = List.map snd (Signer.drain_outbox signer) in
-      List.iter (fun a -> ignore (Verifier.deliver verifier a)) anns;
-      (* corrupt the message, not the wire: a flipped message changes the
-         recovered public key, so rejection is deterministic on every
-         path (a bit flipped inside the embedded root_sig would still
-         pass the fast path — correctly, per Algorithm 2). Byte 4 is the
-         low byte of the wire's signer id; signer 9 is unbound. *)
-      let entry i =
-        let msg = msgs.(i) and wire = wires.(i) in
-        match i mod 6 with
-        | 0 -> ((msg ^ "!", wire), Verifier.Rejected Verifier.Bad_signature)
-        | 1 -> ((msg, String.sub wire 0 100), Verifier.Rejected Verifier.Malformed)
-        | 2 ->
-            let b = Bytes.of_string wire in
-            Bytes.set b 4 '\x09';
-            ((msg, Bytes.to_string b), Verifier.Rejected Verifier.Unknown_signer)
-        | _ -> ((msg, wire), Verifier.Fast)
-      in
-      let pairs = Array.init n (fun i -> fst (entry i)) in
-      let verdicts = Verifier.verify_many verifier pairs in
+(* A mixed workload — genuine, tampered, malformed and unknown-signer
+   entries — checked in full by every stress domain at once against one
+   verifier: each domain's loop of [check] returns the expected verdict
+   for every entry, and the stats count every domain's verdicts. *)
+let test_mixed_verdicts () =
+  let telemetry = Tel.create () in
+  let signer, pki, options = make_signer ~telemetry () in
+  let verifier = Verifier.create cfg ~id:1 ~pki ~options () in
+  Signer.background_fill signer;
+  let n = 48 in
+  let msgs = Array.init n (fun i -> Printf.sprintf "mix-%03d" i) in
+  let wires = Array.map (Signer.sign signer) msgs in
+  List.iter (fun (_, a) -> ignore (Verifier.deliver verifier a)) (Signer.drain_outbox signer);
+  (* corrupt the message, not the wire: a flipped message changes the
+     recovered public key, so rejection is deterministic on every
+     path (a bit flipped inside the embedded root_sig would still
+     pass the fast path — correctly, per Algorithm 2). Byte 4 is the
+     low byte of the wire's signer id; signer 9 is unbound. *)
+  let entry i =
+    let msg = msgs.(i) and wire = wires.(i) in
+    match i mod 6 with
+    | 0 -> ((msg ^ "!", wire), Verifier.Rejected Verifier.Bad_signature)
+    | 1 -> ((msg, String.sub wire 0 100), Verifier.Rejected Verifier.Malformed)
+    | 2 ->
+        let b = Bytes.of_string wire in
+        Bytes.set b 4 '\x09';
+        ((msg, Bytes.to_string b), Verifier.Rejected Verifier.Unknown_signer)
+    | _ -> ((msg, wire), Verifier.Fast)
+  in
+  let entries = Array.init n entry in
+  let checkers =
+    List.init stress_domains (fun _ ->
+        Domain.spawn (fun () ->
+            Array.map (fun ((msg, wire), _) -> Verifier.check verifier ~msg wire) entries))
+  in
+  List.iteri
+    (fun d dom ->
       Array.iteri
-        (fun i v -> Alcotest.check verdict (Printf.sprintf "verdict %d" i) (snd (entry i)) v)
-        verdicts;
-      let st = Verifier.stats verifier in
-      Alcotest.(check int) "rejects counted" (n / 2) st.Verifier.rejected;
-      let inline =
-        Verifier.create cfg ~id:1 ~pki
-          ~options:(Options.default |> Options.with_telemetry (Tel.create ()))
-          ()
-      in
-      List.iter (fun a -> ignore (Verifier.deliver inline a)) anns;
-      Alcotest.(check (array verdict))
-        "pooled = Array.map check" verdicts
-        (Array.map (fun (msg, wire) -> Verifier.check inline ~msg wire) pairs))
+        (fun i v ->
+          Alcotest.check verdict (Printf.sprintf "domain %d verdict %d" d i) (snd entries.(i)) v)
+        (Domain.join dom))
+    checkers;
+  let st = Verifier.stats verifier in
+  Alcotest.(check int) "rejects counted" (stress_domains * n / 2) st.Verifier.rejected;
+  Alcotest.(check int) "fast paths counted" (stress_domains * n / 2) st.Verifier.fast
 
 (* --- qcheck: deliver / pull-repair / ACK interleavings ---
 
@@ -681,22 +584,15 @@ let interleave_fuzz =
 let () =
   Alcotest.run "dsig-parallel"
     [
-      ( "domain-pool",
-        [
-          Alcotest.test_case "msq fifo" `Quick test_msq;
-          Alcotest.test_case "msq concurrent producers" `Quick test_msq_concurrent;
-          Alcotest.test_case "parallel_map" `Quick test_pool_map;
-          Alcotest.test_case "pooled signing deterministic" `Quick test_pool_determinism;
-        ] );
       ( "stress",
         [
           Alcotest.test_case "multi-domain verify hammer" `Slow test_stress;
           Alcotest.test_case "hash digests across domains" `Quick test_hash_domains;
-          Alcotest.test_case "verify_many mixed verdicts" `Quick test_verify_many_mixed;
+          Alcotest.test_case "mixed verdicts across domains" `Quick test_mixed_verdicts;
           Alcotest.test_case "batch cache view under writers" `Quick test_view_under_writers;
           Alcotest.test_case "pki prepared key across two domains" `Quick test_pki_two_domains;
           Alcotest.test_case "runtime sign vs control plane" `Quick test_runtime_control_plane;
-          Alcotest.test_case "runtime driver: hints, sign_many, rotation" `Quick test_runtime_driver;
+          Alcotest.test_case "runtime driver: hints, rotation" `Quick test_runtime_driver;
           Alcotest.test_case "two foreground domains: each key once" `Quick test_two_foreground_domains;
         ] );
       ( "control-interleave",

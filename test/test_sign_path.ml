@@ -9,7 +9,6 @@ open Dsig
 module Rng = Dsig_util.Rng
 module Eddsa = Dsig_ed25519.Eddsa
 module Merkle = Dsig_merkle.Merkle
-module Domain_pool = Dsig_util.Domain_pool
 module Tel = Dsig_telemetry.Telemetry
 module Registry = Dsig_telemetry.Registry
 open Dsig_hbss
@@ -77,23 +76,16 @@ let schemes =
     ("HORS-M", Config.make ~batch_size:8 ~queue_threshold:8 (Config.hors_merklified ~k:16 ()));
   ]
 
-let check_against_reference ~name cfg ~pool =
+let check_against_reference ~name cfg =
   let sk, _ = Eddsa.generate (Rng.create 90L) in
   let seed = 4242L and signer_id = 3 in
-  let options =
-    match pool with None -> Options.default | Some p -> Options.(default |> with_parallel p)
-  in
-  let options = Options.with_telemetry (Tel.create ()) options in
+  let options = Options.(default |> with_telemetry (Tel.create ())) in
   let signer =
     Signer.create cfg ~id:signer_id ~eddsa:sk ~rng:(Rng.create seed) ~options ~verifiers:[ 1 ] ()
   in
   let next = reference cfg ~signer_id ~eddsa:sk ~seed in
   let msgs = List.mapi message msg_lengths in
-  let got =
-    match pool with
-    | None -> List.map (Signer.sign signer) msgs
-    | Some _ -> Array.to_list (Signer.sign_many signer (Array.of_list msgs))
-  in
+  let got = List.map (Signer.sign signer) msgs in
   List.iter2
     (fun msg wire ->
       Alcotest.(check string)
@@ -102,16 +94,7 @@ let check_against_reference ~name cfg ~pool =
     msgs got
 
 let test_byte_identical () =
-  List.iter (fun (name, cfg) -> check_against_reference ~name cfg ~pool:None) schemes
-
-let test_byte_identical_sign_many () =
-  let pool = Domain_pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      List.iter
-        (fun (name, cfg) -> check_against_reference ~name:(name ^ " sign_many") cfg ~pool:(Some pool))
-        schemes)
+  List.iter (fun (name, cfg) -> check_against_reference ~name cfg) schemes
 
 let trace cfg wire =
   match Wire.peek_trace cfg wire with
@@ -185,7 +168,6 @@ let suites =
     ( "sign path",
       [
         Alcotest.test_case "byte-identical to Wire.encode" `Quick test_byte_identical;
-        Alcotest.test_case "sign_many byte-identical" `Quick test_byte_identical_sign_many;
         Alcotest.test_case "cutover mid-batch discards the rest" `Quick test_cutover_mid_batch;
         Alcotest.test_case "reused key raises" `Quick test_reused_key_raises;
         Alcotest.test_case "nonce read in place" `Quick test_nonce_offset;

@@ -509,12 +509,8 @@ let test_trajectory_compare () =
         Within);
       ("latency x0.3", Fun.id, scale "micro_dsig_verify_fast_us" 0.3, "micro_dsig_verify_fast_us",
         Improved);
-      ("throughput x0.4", Fun.id, scale "scale_verify_ops_per_sec_4dom" 0.4,
-        "scale_verify_ops_per_sec_4dom", Regressed);
       ("wide band holds", Fun.id, scale "store_sign_us" 3.5, "store_sign_us", Within);
       ("wide band breaks", Fun.id, scale "store_sign_us" 4.5, "store_sign_us", Regressed);
-      ("floor", Fun.id, set "scale_verify_speedup_4dom" 2.4, "scale_verify_speedup_4dom",
-        Below_floor);
       ("nan", Fun.id, set "micro_dsig_verify_fast_us" Float.nan, "micro_dsig_verify_fast_us",
         Non_finite);
       ("fresh lacks a row", Fun.id, List.remove_assoc "translog_entries", "translog_entries",
